@@ -30,7 +30,6 @@ func cmdRoute(ctx context.Context, args []string) error {
 	hedge := fs.Duration("hedge", 0, "launch a parallel follower attempt for reads once the primary has been silent this long (0 = sequential retry)")
 	cacheTTL := fs.Duration("cache-ttl", 5*time.Second, "TTL for cached merged rankings (partials are never cached)")
 	probeEvery := fs.Duration("probe-every", 2*time.Second, "background shard health-probe cadence")
-	fanoutWorkers := fs.Int("fanout-workers", 0, "bound on scatter-gather parallelism (0 = one worker per shard)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	autoFailover := fs.Bool("auto-failover", false, "automatically promote a shard's follower (at a fresh fencing epoch) when its primary fails consecutive health probes")
 	suspectAfter := fs.Int("suspect-after", 3, "consecutive failed probes before a shard primary is suspected dead")
@@ -49,7 +48,6 @@ func cmdRoute(ctx context.Context, args []string) error {
 		Hedge:          *hedge,
 		CacheTTL:       *cacheTTL,
 		ProbeEvery:     *probeEvery,
-		FanoutWorkers:  *fanoutWorkers,
 		DrainTimeout:   *drain,
 		AutoFailover:   *autoFailover,
 		SuspectAfter:   *suspectAfter,

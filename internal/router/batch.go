@@ -1,15 +1,14 @@
 package router
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
 
-	"viralcast/internal/pool"
+	"viralcast/internal/httpkit"
 )
 
 // The routed batched data plane. predict:batch and features:batch are
@@ -53,132 +52,98 @@ type mergedBatchResponse struct {
 	MissingShards []string `json:"missing_shards,omitempty"`
 }
 
-func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	rt.fanoutBatch(w, r, "/v1/predict:batch")
-}
-
-func (rt *Router) handleFeaturesBatch(w http.ResponseWriter, r *http.Request) {
-	rt.fanoutBatch(w, r, "/v1/features:batch")
-}
-
 // handleRateBatch relays the batched pairwise-rate lookup whole: every
 // shard can answer it, and splitting a replicated computation would
 // only multiply request overhead. The routing key hashes the body so
 // identical batches keep shard affinity.
 func (rt *Router) handleRateBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRelayBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
+	body, ok := httpkit.ReadBody(w, r, maxRelayBytes, nil)
+	if !ok {
 		return
 	}
 	rt.relayReplicated(w, r, "rate_batch:"+strconv.FormatUint(hashKey(string(body)), 16),
 		http.MethodPost, "/v1/rate:batch", body)
 }
 
-// fanoutBatch is the shared owner-split scatter-gather for the
-// cascade-scoped batch endpoints.
-func (rt *Router) fanoutBatch(w http.ResponseWriter, r *http.Request, path string) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRelayBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
-		return
-	}
-	ids, err := decodeCascadeBatch(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(ids) == 0 {
-		writeError(w, http.StatusBadRequest, "empty cascade batch")
-		return
-	}
+// fanoutBatch is the owner-split scatter-gather for the cascade-scoped
+// batch endpoint at path.
+func (rt *Router) fanoutBatch(path string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := httpkit.ReadBody(w, r, maxRelayBytes, nil)
+		if !ok {
+			return
+		}
+		var req struct {
+			Cascades []int `json:"cascades"`
+		}
+		// The daemon's strict body contract, mirrored.
+		if err := httpkit.DecodeStrict(body, &req); err != nil || req.Cascades == nil {
+			httpkit.WriteError(w, http.StatusBadRequest, "body must be {\"cascades\": [id, ...]}")
+			return
+		}
+		ids := req.Cascades
+		if len(ids) == 0 {
+			httpkit.WriteError(w, http.StatusBadRequest, "empty cascade batch")
+			return
+		}
 
-	// Group by owner, remembering each id's original slot so the
-	// sub-answers line back up in caller coordinates.
-	n := len(rt.cfg.Shards)
-	subBatch := make([][]int, n)
-	subIndex := make([][]int, n)
-	owners := make([]int, 0, n)
-	for i, id := range ids {
-		o := rt.ring.Owner(id)
-		if subBatch[o] == nil {
-			owners = append(owners, o)
-		}
-		subBatch[o] = append(subBatch[o], id)
-		subIndex[o] = append(subIndex[o], i)
-	}
+		shardCtx, cancel := rt.shardBudget(r.Context())
+		defer cancel()
+		owners, subIndex, replies, errs := scatter[shardBatchEnvelope](shardCtx, rt, ids,
+			func(id int) int { return id }, "cascades", path)
+		rt.metrics.fanouts.Add(1)
 
-	shardCtx, cancel := rt.shardBudget(r.Context())
-	defer cancel()
-	replies, errs := pool.GatherCtx(shardCtx, rt.cfg.FanoutWorkers, len(owners), func(j int) (shardBatchEnvelope, error) {
-		o := owners[j]
-		payload, err := json.Marshal(map[string]any{"cascades": subBatch[o]})
-		if err != nil {
-			return shardBatchEnvelope{}, err
+		merged := mergedBatchResponse{
+			Results: make([]any, len(ids)),
+			Count:   len(ids),
 		}
-		rep, err := rt.client.do(shardCtx, http.MethodPost, rt.shard(o).Primary, path, payload)
-		if err != nil {
-			return shardBatchEnvelope{}, err
-		}
-		if rep.status != http.StatusOK {
-			return shardBatchEnvelope{}, fmt.Errorf("shard answered %d: %s", rep.status, truncateBody(rep.body))
-		}
-		var env shardBatchEnvelope
-		if err := json.Unmarshal(rep.body, &env); err != nil {
-			return shardBatchEnvelope{}, fmt.Errorf("decoding shard batch: %w", err)
-		}
-		if len(env.Results) != len(subBatch[o]) {
-			return shardBatchEnvelope{}, fmt.Errorf("shard answered %d slots for %d cascades", len(env.Results), len(subBatch[o]))
-		}
-		return env, nil
-	})
-	rt.metrics.fanouts.Add(1)
-
-	merged := mergedBatchResponse{
-		Results: make([]any, len(ids)),
-		Count:   len(ids),
-	}
-	for j, o := range owners {
-		if errs[j] != nil {
-			rt.shardFailed(o, errs[j])
-			merged.MissingShards = append(merged.MissingShards, ShardName(o))
-			for _, orig := range subIndex[o] {
-				merged.Results[orig] = routerBatchItem{
-					Status: http.StatusBadGateway,
-					Error:  fmt.Sprintf("%s did not answer: %v", ShardName(o), errs[j]),
-				}
-				merged.Errors++
+		for j, o := range owners {
+			index, env, err := subIndex[o], replies[j], errs[j]
+			if err == nil && len(env.Results) != len(index) {
+				err = fmt.Errorf("shard answered %d slots for %d cascades", len(env.Results), len(index))
 			}
-			continue
+			if err != nil {
+				// A shard that answered 4xx is not missing: it refused this
+				// sub-batch (over its -batch-max, say), and every item in it
+				// earns the shard's own status and message. Only a shard that
+				// did not answer degrades the envelope to a partial.
+				slot := routerBatchItem{
+					Status: http.StatusBadGateway,
+					Error:  fmt.Sprintf("%s did not answer: %v", ShardName(o), err),
+				}
+				var refused *shardStatusError
+				if errors.As(err, &refused) && refused.status/100 == 4 {
+					var reply struct {
+						Error string `json:"error"`
+					}
+					if json.Unmarshal(refused.body, &reply) != nil || reply.Error == "" {
+						reply.Error = truncateBody(refused.body)
+					}
+					slot = routerBatchItem{Status: refused.status, Error: reply.Error}
+				} else {
+					rt.shardFailed(o, err)
+					merged.MissingShards = append(merged.MissingShards, ShardName(o))
+				}
+				for _, orig := range index {
+					merged.Results[orig] = slot
+				}
+				merged.Errors += len(index)
+				continue
+			}
+			for k, slot := range env.Results {
+				merged.Results[index[k]] = slot
+			}
+			merged.Errors += env.Errors
+			merged.CacheHits += env.CacheHits
+			if env.Generation > merged.Generation {
+				merged.Generation = env.Generation
+			}
 		}
-		env := replies[j]
-		for k, slot := range env.Results {
-			merged.Results[subIndex[o][k]] = slot
+		sort.Strings(merged.MissingShards)
+		if len(merged.MissingShards) > 0 {
+			rt.metrics.partials.Add(1)
+			merged.Partial = true
 		}
-		merged.Errors += env.Errors
-		merged.CacheHits += env.CacheHits
-		if env.Generation > merged.Generation {
-			merged.Generation = env.Generation
-		}
+		httpkit.WriteJSON(w, http.StatusOK, &merged)
 	}
-	sort.Strings(merged.MissingShards)
-	if len(merged.MissingShards) > 0 {
-		rt.metrics.partials.Add(1)
-		merged.Partial = true
-	}
-	writeJSON(w, http.StatusOK, &merged)
-}
-
-// decodeCascadeBatch mirrors the daemon's strict body contract for the
-// cascade-scoped batch endpoints.
-func decodeCascadeBatch(body []byte) ([]int, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var req struct {
-		Cascades []int `json:"cascades"`
-	}
-	if err := dec.Decode(&req); err != nil || req.Cascades == nil {
-		return nil, fmt.Errorf("body must be {\"cascades\": [id, ...]}")
-	}
-	return req.Cascades, nil
 }

@@ -8,7 +8,11 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
+
+	"viralcast/internal/serve"
 )
 
 // batchIngest seeds the same cascades into a fleet (or oracle) URL:
@@ -223,5 +227,61 @@ func TestRoutedBatchValidation(t *testing.T) {
 	}
 	if code, resp := postRaw(t, f.url()+"/v1/features:batch", map[string]any{"cascades": []int{}}); code != http.StatusBadRequest {
 		t.Fatalf("features empty batch = %d: %s", code, resp)
+	}
+}
+
+// TestRoutedBatchShardRefusalIsNotMissing: a healthy shard that refuses
+// its sub-batch with a client error — here five cascades against a
+// -batch-max of four, a cap the router does not have — answered, so its
+// items carry the shard's own status and message, and the envelope is
+// not a partial: no missing_shards, no shard_errors, no partial_results.
+func TestRoutedBatchShardRefusalIsNotMissing(t *testing.T) {
+	srv, err := serve.New(serve.Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, BatchMax: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := httptest.NewServer(srv.Handler())
+	t.Cleanup(shard.Close)
+	t.Cleanup(func() { srv.Close() })
+	rt, err := New(Config{Shards: []Shard{{Primary: shard.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	req := map[string]any{"cascades": []int{1, 2, 3, 4, 5}}
+	codeS, bodyS := postRaw(t, shard.URL+"/v1/predict:batch", req)
+	if codeS != http.StatusBadRequest {
+		t.Fatalf("shard took a batch over its cap: %d %s", codeS, bodyS)
+	}
+	refusal := decodeJSON(t, bodyS)["error"].(string)
+
+	code, body := postRaw(t, front.URL+"/v1/predict:batch", req)
+	if code != http.StatusOK {
+		t.Fatalf("routed predict:batch = %d: %s", code, body)
+	}
+	var env routedEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Partial || len(env.MissingShards) != 0 {
+		t.Fatalf("a shard that answered 400 was reported missing: %s", body)
+	}
+	if env.Errors != 5 || len(env.Results) != 5 {
+		t.Fatalf("errors=%d over %d slots, want 5 error slots: %s", env.Errors, len(env.Results), body)
+	}
+	for i, slot := range env.Results {
+		if slot.Status != http.StatusBadRequest || slot.Error != refusal {
+			t.Fatalf("slot %d = (%d, %q), want the shard's (400, %q)", i, slot.Status, slot.Error, refusal)
+		}
+	}
+	_, metrics := getRaw(t, front.URL+"/metrics")
+	m := decodeJSON(t, metrics)
+	if n := m["partial_results"].(float64); n != 0 {
+		t.Fatalf("partial_results = %v after a client error", n)
+	}
+	if errs := m["shard_errors"].(map[string]any); len(errs) != 0 {
+		t.Fatalf("shard_errors = %v after a client error", errs)
 	}
 }

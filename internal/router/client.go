@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"viralcast/internal/httpkit"
 )
 
 // Shard is one ring member: the primary daemon's base URL and,
@@ -56,13 +58,6 @@ func newClient(hedge time.Duration, m *Metrics) *client {
 	}
 }
 
-// epochHeader mirrors internal/serve.EpochHeader without importing the
-// serving stack: the fencing epoch the sender believes is current.
-// Probes stamp it so every node the router touches — including a
-// restarted zombie ex-primary — learns the fleet's epoch and fences
-// itself when it is behind.
-const epochHeader = "X-Viralcast-Epoch"
-
 // do performs one HTTP exchange against base. Any HTTP status is a
 // successful exchange (the shard answered; 4xx/5xx bodies are relayed
 // to the client as-is) — an error means transport failure: the shard
@@ -85,7 +80,7 @@ func (c *client) doEpoch(ctx context.Context, method, base, path string, body []
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if epoch > 0 {
-		req.Header.Set(epochHeader, strconv.FormatUint(epoch, 10))
+		req.Header.Set(httpkit.EpochHeader, strconv.FormatUint(epoch, 10))
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

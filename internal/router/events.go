@@ -1,14 +1,11 @@
 package router
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 
-	"viralcast/internal/pool"
+	"viralcast/internal/httpkit"
 )
 
 // event mirrors the daemon's ingest wire format (internal/serve.Event).
@@ -36,34 +33,18 @@ type eventReject struct {
 // retried against followers — a follower 409s writes by design, and a
 // duplicate-looking retry hides real double-sends from the WAL.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRelayBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
+	body, ok := httpkit.ReadBody(w, r, maxRelayBytes, nil)
+	if !ok {
 		return
 	}
 	events, err := decodeEventBatch(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(events) == 0 {
-		writeError(w, http.StatusBadRequest, "empty event batch")
+		httpkit.WriteError(w, http.StatusBadRequest, "empty event batch")
 		return
-	}
-
-	// Group by owner, remembering each event's original index so the
-	// merged rejects and the per-shard answers line back up.
-	n := len(rt.cfg.Shards)
-	subBatch := make([][]event, n)
-	subIndex := make([][]int, n)
-	owners := make([]int, 0, n)
-	for i, ev := range events {
-		o := rt.ring.Owner(ev.Cascade)
-		if subBatch[o] == nil {
-			owners = append(owners, o)
-		}
-		subBatch[o] = append(subBatch[o], ev)
-		subIndex[o] = append(subIndex[o], i)
 	}
 
 	type shardAck struct {
@@ -71,35 +52,19 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		Rejected []eventReject  `json:"rejected"`
 		Sizes    map[string]int `json:"sizes"`
 	}
-	replies, errs := pool.GatherCtx(r.Context(), rt.cfg.FanoutWorkers, len(owners), func(j int) (shardAck, error) {
-		o := owners[j]
-		payload, err := json.Marshal(map[string]any{"events": subBatch[o]})
-		if err != nil {
-			return shardAck{}, err
-		}
-		rep, err := rt.client.do(r.Context(), http.MethodPost, rt.shard(o).Primary, "/v1/events", payload)
-		if err != nil {
-			return shardAck{}, err
-		}
-		if rep.status != http.StatusOK {
-			return shardAck{}, fmt.Errorf("shard answered %d: %s", rep.status, truncateBody(rep.body))
-		}
-		var ack shardAck
-		if err := json.Unmarshal(rep.body, &ack); err != nil {
-			return shardAck{}, fmt.Errorf("decoding shard ack: %w", err)
-		}
-		return ack, nil
-	})
+	owners, subIndex, replies, errs := scatter[shardAck](r.Context(), rt, events,
+		func(ev event) int { return ev.Cascade }, "events", "/v1/events")
 
 	accepted := 0
 	rejected := []eventReject{}
 	sizes := make(map[string]int)
 	var missing []string
 	for j, o := range owners {
+		index := subIndex[o]
 		if errs[j] != nil {
 			rt.shardFailed(o, errs[j])
 			missing = append(missing, ShardName(o))
-			for _, orig := range subIndex[o] {
+			for _, orig := range index {
 				rejected = append(rejected, eventReject{
 					Index: orig,
 					Error: fmt.Sprintf("%s did not ingest: %v", ShardName(o), errs[j]),
@@ -110,11 +75,11 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		ack := replies[j]
 		accepted += ack.Accepted
 		for _, rej := range ack.Rejected {
-			if rej.Index < 0 || rej.Index >= len(subIndex[o]) {
+			if rej.Index < 0 || rej.Index >= len(index) {
 				rej.Error = fmt.Sprintf("%s (sub-batch index %d out of range)", rej.Error, rej.Index)
 				rej.Index = -1
 			} else {
-				rej.Index = subIndex[o][rej.Index]
+				rej.Index = index[rej.Index]
 			}
 			rejected = append(rejected, rej)
 		}
@@ -135,26 +100,21 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 		resp["partial"] = true
 		resp["missing_shards"] = missing
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }
 
 // decodeEventBatch accepts the daemon's two body shapes — a batch
 // envelope or one bare event — and rejects unknown fields the same
 // way, so the router's contract matches a direct daemon's.
 func decodeEventBatch(body []byte) ([]event, error) {
-	strict := func(v any) error {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		return dec.Decode(v)
-	}
 	var batch struct {
 		Events []event `json:"events"`
 	}
-	if err := strict(&batch); err == nil && batch.Events != nil {
+	if err := httpkit.DecodeStrict(body, &batch); err == nil && batch.Events != nil {
 		return batch.Events, nil
 	}
 	var one event
-	if err := strict(&one); err != nil {
+	if err := httpkit.DecodeStrict(body, &one); err != nil {
 		return nil, fmt.Errorf("body must be {\"events\": [...]} or a single {cascade, node, time} object")
 	}
 	return []event{one}, nil

@@ -111,8 +111,9 @@ func (m *Metrics) countCache(hit bool) {
 	}
 }
 
-// observe records one completed request under its endpoint label.
-func (m *Metrics) observe(endpoint string, status int) {
+// observe records one completed request under its endpoint label (the
+// router keeps no latency histogram; elapsed is unused).
+func (m *Metrics) observe(endpoint string, status int, _ time.Duration) {
 	m.requests.Add(endpoint, 1)
 	m.status.Add(fmt.Sprintf("%dxx", status/100), 1)
 }
@@ -121,35 +122,4 @@ func (m *Metrics) observe(endpoint string, status int) {
 func (m *Metrics) handler(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	fmt.Fprintln(w, m.root.String())
-}
-
-// statusRecorder captures the handler's status code for the
-// response-class counter.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// instrument wraps a handler with request accounting.
-func (m *Metrics) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
-		h(rec, r)
-		if rec.status == 0 {
-			rec.status = http.StatusOK
-		}
-		m.observe(endpoint, rec.status)
-	}
 }

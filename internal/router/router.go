@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"viralcast/internal/core"
+	"viralcast/internal/httpkit"
 	"viralcast/internal/pool"
 )
 
@@ -40,9 +40,6 @@ type Config struct {
 	CacheTTL time.Duration
 	// ProbeEvery is the background health-probe cadence. Default 2s.
 	ProbeEvery time.Duration
-	// FanoutWorkers bounds the scatter-gather parallelism. Default
-	// len(Shards) — every shard in flight at once.
-	FanoutWorkers int
 	// DrainTimeout bounds the graceful shutdown drain. Default 10s.
 	DrainTimeout time.Duration
 	// AutoFailover arms the supervision layer: when a shard's primary
@@ -73,12 +70,12 @@ type Router struct {
 	cfg     Config
 	ring    *Ring
 	client  *client
-	cache   *flightCache
+	cache   *httpkit.Cache
 	metrics *Metrics
 	det     *detector
 	handler http.Handler
 
-	probeMu sync.Mutex
+	probeMu  sync.Mutex
 	probeRes []probeResult
 	probeAt  time.Time
 
@@ -103,9 +100,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 2 * time.Second
 	}
-	if cfg.FanoutWorkers <= 0 {
-		cfg.FanoutWorkers = len(cfg.Shards)
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
 	}
@@ -118,7 +112,7 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		ring:     NewRing(len(cfg.Shards)),
-		cache:    newFlightCache(cfg.CacheTTL),
+		cache:    httpkit.NewCache(cfg.CacheTTL, time.Now),
 		det:      newDetector(cfg.Shards, cfg.SuspectAfter, cfg.AutoFailover),
 		probeRes: make([]probeResult, len(cfg.Shards)),
 	}
@@ -139,9 +133,13 @@ func (rt *Router) shard(i int) Shard { return rt.det.shard(i) }
 // working, plus the router's own health and metrics plane.
 func (rt *Router) routes() http.Handler {
 	mux := http.NewServeMux()
+	control := func(pattern, label string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, httpkit.Instrument(label, rt.metrics.observe, h))
+	}
+	// Data-plane requests carry the per-request deadline; shard calls
+	// inherit it through the request context.
 	add := func(pattern, label string, h http.HandlerFunc) {
-		h = rt.withBudget(h)
-		mux.HandleFunc(pattern, rt.metrics.instrument(label, h))
+		control(pattern, label, httpkit.WithBudget(rt.cfg.RequestTimeout, h))
 	}
 	add("POST /v1/events", "events", rt.handleEvents)
 	add("GET /v1/cascades/{id}", "cascade", rt.handleCascade)
@@ -150,26 +148,13 @@ func (rt *Router) routes() http.Handler {
 	add("GET /v1/influencers", "influencers", rt.handleInfluencers)
 	add("GET /v1/seeds", "seeds", rt.handleSeeds)
 	add("POST /v1/simulate", "simulate", rt.handleSimulate)
-	add("POST /v1/predict:batch", "predict_batch", rt.handlePredictBatch)
+	add("POST /v1/predict:batch", "predict_batch", rt.fanoutBatch("/v1/predict:batch"))
 	add("POST /v1/rate:batch", "rate_batch", rt.handleRateBatch)
-	add("POST /v1/features:batch", "features_batch", rt.handleFeaturesBatch)
-	mux.HandleFunc("GET /healthz", rt.metrics.instrument("healthz", rt.handleHealthz))
-	mux.HandleFunc("GET /readyz", rt.metrics.instrument("readyz", rt.handleReadyz))
+	add("POST /v1/features:batch", "features_batch", rt.fanoutBatch("/v1/features:batch"))
+	control("GET /healthz", "healthz", rt.handleHealthz)
+	control("GET /readyz", "readyz", rt.handleReadyz)
 	mux.HandleFunc("GET /metrics", rt.metrics.handler)
 	return mux
-}
-
-// withBudget installs the per-request deadline; shard calls inherit it
-// through the request context.
-func (rt *Router) withBudget(h http.HandlerFunc) http.HandlerFunc {
-	if rt.cfg.RequestTimeout <= 0 {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-		defer cancel()
-		h(w, r.WithContext(ctx))
-	}
 }
 
 // shardBudget derives the context shard calls run under: the request
@@ -328,7 +313,7 @@ func (rt *Router) healthSnapshot() []probeResult {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "router"})
+	httpkit.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": "router"})
 }
 
 // handleReadyz reports the router's view of the fleet. A fleet with
@@ -353,7 +338,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	case healthy < len(probes):
 		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{
+	httpkit.WriteJSON(w, code, map[string]any{
 		"status":         status,
 		"role":           "router",
 		"ring_size":      rt.ring.Size(),
@@ -381,7 +366,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) proxyCascade(w http.ResponseWriter, r *http.Request, suffix string) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "cascade id %q is not an integer", r.PathValue("id"))
+		httpkit.WriteError(w, http.StatusBadRequest, "cascade id %q is not an integer", r.PathValue("id"))
 		return
 	}
 	owner := rt.ring.Owner(id)
@@ -424,9 +409,8 @@ func (rt *Router) handleSeeds(w http.ResponseWriter, r *http.Request) {
 // hitting the same shard's scenario cache. Pure compute, so the POST
 // is safe to retry against another shard.
 func (rt *Router) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRelayBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
+	body, ok := httpkit.ReadBody(w, r, maxRelayBytes, nil)
+	if !ok {
 		return
 	}
 	rt.relayReplicated(w, r, "simulate:"+strconv.FormatUint(hashKey(string(body)), 16),
@@ -470,7 +454,7 @@ func (rt *Router) relayReplicated(w http.ResponseWriter, r *http.Request, key, m
 		relay(w, rep)
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+	httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error":          fmt.Sprintf("no shard could answer: %v", firstErr),
 		"reason":         "fleet_unavailable",
 		"missing_shards": missing,
@@ -497,13 +481,13 @@ type influencersResponse struct {
 // partials never are, so the ranking heals the moment the missing
 // shard returns.
 func (rt *Router) handleInfluencers(w http.ResponseWriter, r *http.Request) {
-	k, err := queryInt(r, "k", 10)
+	k, err := httpkit.QueryInt(r, "k", 10)
 	if err != nil || k <= 0 {
-		writeError(w, http.StatusBadRequest, "parameter k must be a positive integer")
+		httpkit.WriteError(w, http.StatusBadRequest, "parameter k must be a positive integer")
 		return
 	}
 	key := "influencers:k=" + strconv.Itoa(k)
-	val, hit, err := rt.cache.do(r.Context(), key, func() (any, bool, error) {
+	val, hit, err := rt.cache.Do(r.Context(), key, func() (any, bool, error) {
 		resp, err := rt.gatherInfluencers(r.Context(), k)
 		if err != nil {
 			return nil, false, err
@@ -512,20 +496,18 @@ func (rt *Router) handleInfluencers(w http.ResponseWriter, r *http.Request) {
 	})
 	rt.metrics.countCache(hit)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error": fmt.Sprintf("request deadline exceeded: %v", err), "reason": "deadline",
-			})
+		if httpkit.CtxDone(err) {
+			httpkit.WriteDeadline(w, err)
 			return
 		}
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error": err.Error(), "reason": "fleet_unavailable",
 		})
 		return
 	}
 	resp := *(val.(*influencersResponse))
 	resp.Cached = hit
-	writeJSON(w, http.StatusOK, &resp)
+	httpkit.WriteJSON(w, http.StatusOK, &resp)
 }
 
 // gatherInfluencers fans the query out to every shard on the bounded
@@ -541,13 +523,13 @@ func (rt *Router) gatherInfluencers(ctx context.Context, k int) (*influencersRes
 	}
 	n := len(rt.cfg.Shards)
 	path := "/v1/influencers?k=" + strconv.Itoa(k)
-	answers, errs := pool.GatherCtx(shardCtx, rt.cfg.FanoutWorkers, n, func(i int) (shardRanking, error) {
+	answers, errs := pool.GatherCtx(shardCtx, n, n, func(i int) (shardRanking, error) {
 		rep, err := rt.client.read(shardCtx, rt.shard(i), path)
 		if err != nil {
 			return shardRanking{}, err
 		}
 		if rep.status != http.StatusOK {
-			return shardRanking{}, fmt.Errorf("shard answered %d: %s", rep.status, truncateBody(rep.body))
+			return shardRanking{}, &shardStatusError{rep.status, rep.body}
 		}
 		var body struct {
 			Influencers []core.Influencer `json:"influencers"`
@@ -607,7 +589,7 @@ func (rt *Router) writeShardUnreachable(w http.ResponseWriter, r *http.Request, 
 	if r.Context().Err() != nil {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]any{
+	httpkit.WriteJSON(w, status, map[string]any{
 		"error":          fmt.Sprintf("owning shard unreachable: %v", err),
 		"reason":         "shard_unreachable",
 		"missing_shards": []string{ShardName(shard)},
@@ -631,39 +613,4 @@ func truncateBody(b []byte) string {
 		return string(b[:200]) + "..."
 	}
 	return string(b)
-}
-
-// writeJSON mirrors the daemon's response encoding exactly (indented
-// encoder, Content-Length, charset) so a routed response is
-// indistinguishable from a direct one, byte for byte where the
-// payloads match.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":"response encoding: %v"}`, err), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	w.Write(buf.Bytes()) //nolint:errcheck // the response is already committed
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// queryInt parses an integer query parameter with a default.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %q is not an integer", name, raw)
-	}
-	return v, nil
 }

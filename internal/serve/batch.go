@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -10,38 +8,50 @@ import (
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
+	"viralcast/internal/httpkit"
 )
 
-// The batched data plane: POST /v1/predict:batch (and the rate/features
-// variants) serves up to Config.BatchMax items through ONE admission
-// ticket, ONE request deadline, ONE generation pin, ONE pooled
-// workspace, and ONE cache probe pass — amortizing the per-request
-// overhead that dominates single predictions (~5µs of admission, JSON,
-// and workspace churn around ~1µs of math). Per-item failures fill
-// their own slot (status + the exact error message the single-request
-// handler would have produced) without failing the batch; per-item
-// answers are byte-identical to the single-request path, which stays
-// in-tree as the oracle the tests compare against.
+// One item pipeline. Every cascade-scoped data-plane answer — GET
+// /v1/cascades/{id}/predict, POST /v1/predict:batch, POST
+// /v1/features:batch — comes out of cascadePipeline.run: resolve ids →
+// store snapshot + universe check → cache probe → one blocked compute
+// over the misses → cache fill → slots. A batch serves up to
+// Config.BatchMax items through ONE admission ticket, ONE request
+// deadline, ONE generation pin, ONE pooled workspace, and ONE cache
+// probe pass — amortizing the per-request overhead that dominates single
+// predictions (~5µs of admission, JSON, and workspace churn around ~1µs
+// of math) — and a per-item failure fills its own slot (status +
+// message) without failing the batch. The single endpoint is the same
+// pipeline over one id with the cache stage skipped and its one slot
+// unwrapped into a plain response, so a batch slot and a single answer
+// cannot disagree: they are the same code. The independent oracle the
+// tests hold both against is core's scalar Predictor.PredictViral.
 
-// predictBatchRequest and friends are the wire shapes. Strict decoding,
-// like every other POST body on the daemon.
-type predictBatchRequest struct {
-	Cascades []int `json:"cascades"`
+// batchItem is one slot of a batch answer: exactly one of Result or
+// Error is set. Status carries the HTTP code the single endpoint
+// answers for the same item.
+type batchItem[R any] struct {
+	Result *R     `json:"result,omitempty"`
+	Status int    `json:"status,omitempty"`
+	Error  string `json:"error,omitempty"`
 }
 
-// batchPredictItem is one slot of a predict:batch answer: exactly one
-// of Result or Error is set. Status carries the HTTP code the
-// single-request path would have answered for this cascade.
-type batchPredictItem struct {
-	Result *predictResponse `json:"result,omitempty"`
-	Status int              `json:"status,omitempty"`
-	Error  string           `json:"error,omitempty"`
+// writeItem answers a single-item endpoint from its slot: the result
+// as an ordinary indented body, or the slot's status and message as an
+// ordinary error.
+func writeItem[R any](w http.ResponseWriter, it batchItem[R]) {
+	if it.Result == nil {
+		httpkit.WriteError(w, it.Status, "%s", it.Error)
+		return
+	}
+	httpkit.WriteJSON(w, http.StatusOK, it.Result)
 }
 
-type predictBatchResponse struct {
-	Results []batchPredictItem `json:"results"`
-	Count   int                `json:"count"`
-	Errors  int                `json:"errors"`
+// batchResponse is the envelope of the cascade-scoped batch endpoints.
+type batchResponse[R any] struct {
+	Results []batchItem[R] `json:"results"`
+	Count   int            `json:"count"`
+	Errors  int            `json:"errors"`
 	// CacheHits counts items served from the TTL cache (deterministic
 	// per generation + cascade snapshot, so a hit is byte-identical to
 	// a recompute).
@@ -65,50 +75,72 @@ type featuresPayload struct {
 	Generation  uint64  `json:"generation"`
 }
 
-type batchFeaturesItem struct {
-	Result *featuresPayload `json:"result,omitempty"`
-	Status int              `json:"status,omitempty"`
-	Error  string           `json:"error,omitempty"`
+// cascadePipeline is what distinguishes one cascade-scoped endpoint
+// family from another: R is the per-item payload, C core's per-item
+// compute result.
+type cascadePipeline[R, C any] struct {
+	prefix  string // cache-key namespace
+	compute func(p *core.Predictor, cs []*cascade.Cascade, out []C)
+	// build fills out with one computed row's payload, or reports the
+	// row's own failure (a 422 slot).
+	build  func(s *Server, cur *model, c *cascade.Cascade, res *C, out *R) error
+	encode func(w http.ResponseWriter, env *batchResponse[R])
+	pool   sync.Pool // of *cascadeWorkspace[R, C]
 }
 
-type featuresBatchResponse struct {
-	Results    []batchFeaturesItem `json:"results"`
-	Count      int                 `json:"count"`
-	Errors     int                 `json:"errors"`
-	CacheHits  int                 `json:"cache_hits"`
-	Generation uint64              `json:"generation"`
-	ShardID    int                 `json:"shard_id"`
-	Epoch      uint64              `json:"epoch"`
+var predictPipeline = &cascadePipeline[predictResponse, core.BatchResult]{
+	prefix:  "predict",
+	compute: (*core.Predictor).PredictViralBatch,
+	build: func(s *Server, cur *model, c *cascade.Cascade, res *core.BatchResult, out *predictResponse) error {
+		*out = predictResponse{
+			Cascade:     c.ID,
+			Viral:       res.Viral,
+			Margin:      res.Margin,
+			Size:        c.Size(),
+			EarlyCutoff: cur.sys.Pred.EarlyCutoff(),
+			Threshold:   cur.sys.Pred.Threshold(),
+			Generation:  cur.gen,
+			ShardID:     s.ShardID(),
+			Epoch:       s.Epoch(),
+		}
+		return res.Err
+	},
+	encode: writePredictBatch,
+	pool:   sync.Pool{New: func() any { return new(cascadeWorkspace[predictResponse, core.BatchResult]) }},
 }
 
-type ratePair struct {
-	U int `json:"u"`
-	V int `json:"v"`
+// featuresPipeline extracts the early-adopter feature sets — the
+// model's diagnostic surface, batched the same way predictions are
+// (same checks, same per-item contract).
+var featuresPipeline = &cascadePipeline[featuresPayload, core.FeatureResult]{
+	prefix:  "features",
+	compute: (*core.Predictor).FeaturesBatch,
+	build: func(s *Server, cur *model, c *cascade.Cascade, res *core.FeatureResult, out *featuresPayload) error {
+		*out = featuresPayload{
+			Cascade:     c.ID,
+			DiverA:      res.Set.DiverA,
+			NormA:       res.Set.NormA,
+			MaxA:        res.Set.MaxA,
+			EarlyCount:  res.Set.EarlyCount,
+			EarlyRate:   res.Set.EarlyRate,
+			Size:        c.Size(),
+			EarlyCutoff: cur.sys.Pred.EarlyCutoff(),
+			Generation:  cur.gen,
+		}
+		return res.Err
+	},
+	encode: func(w http.ResponseWriter, env *batchResponse[featuresPayload]) {
+		httpkit.WriteJSONCompact(w, http.StatusOK, env)
+	},
+	pool: sync.Pool{New: func() any { return new(cascadeWorkspace[featuresPayload, core.FeatureResult]) }},
 }
 
-type rateBatchRequest struct {
-	Pairs []ratePair `json:"pairs"`
-}
-
-type batchRateItem struct {
-	Result *rateResponse `json:"result,omitempty"`
-	Status int           `json:"status,omitempty"`
-	Error  string        `json:"error,omitempty"`
-}
-
-type rateBatchResponse struct {
-	Results    []batchRateItem `json:"results"`
-	Count      int             `json:"count"`
-	Errors     int             `json:"errors"`
-	Generation uint64          `json:"generation"`
-}
-
-// batchWorkspace is one batched request's reusable scratch: id and
-// snapshot slices, cache keys and value slots, the compacted compute
-// list, and the per-item result slots. Everything the response
-// references is written out by writeJSON before the workspace returns
-// to the pool, so nothing escapes a request.
-type batchWorkspace struct {
+// cascadeWorkspace is one request's reusable scratch: id and snapshot
+// slices, cache keys and value slots, the compacted compute list, and
+// the per-item result slots. Everything the response references is
+// written out before the workspace returns to the pool, so nothing
+// escapes a request.
+type cascadeWorkspace[R, C any] struct {
 	ids        []int
 	body       []byte
 	snaps      []*cascade.Cascade
@@ -116,203 +148,241 @@ type batchWorkspace struct {
 	vals       []any
 	compute    []*cascade.Cascade
 	computeIdx []int
-	results    []core.BatchResult
-	fresults   []core.FeatureResult
-	pitems     []batchPredictItem
-	fitems     []batchFeaturesItem
-	ritems     []batchRateItem
+	results    []C
+	items      []batchItem[R]
 }
 
-var batchWorkspacePool = sync.Pool{New: func() any { return new(batchWorkspace) }}
+// grow readies the workspace for n items.
+func (ws *cascadeWorkspace[R, C]) grow(n int) {
+	ws.snaps = zeroed(ws.snaps, n)
+	ws.keys = zeroed(ws.keys, n)
+	ws.vals = zeroed(ws.vals, n)
+	ws.items = zeroed(ws.items, n)
+	ws.compute = ws.compute[:0]
+	ws.computeIdx = ws.computeIdx[:0]
+}
 
-// The predict:batch envelope is encoded by hand: at batch 256 the
-// reflective encoding/json walk costs more than all the predictions in
-// the envelope combined, and this is the one response shape hot enough
-// to justify an open-coded encoder. The output is byte-identical to
-// encoding/json's compact form — same field order as the struct tags,
-// same float formatting (appendFloatJSON replicates the shortest
-// round-trip algorithm), same string escaping — and a test holds the
-// two encoders equal. Non-finite floats cannot be hand-encoded into
-// valid JSON; the handler detects them and falls back to the reflective
-// encoder, which fails the request exactly as the single path would.
-
-// appendFloatJSON appends f the way encoding/json does: shortest
-// round-trip form, 'f' format in the human range, 'e' outside it with
-// the exponent's leading zero trimmed. Callers must reject NaN/Inf
-// first.
-func appendFloatJSON(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+// zeroed returns s resized to n zero values, reusing its array when it
+// is big enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// run is the item pipeline over ws.ids. cached selects the cache
+// stages: the batch endpoints probe and fill the TTL cache; the single
+// endpoint never has, and must not start counting hits and misses. A
+// false return means run already answered the request (no predictor,
+// exhausted budget).
+func (p *cascadePipeline[R, C]) run(s *Server, w http.ResponseWriter, r *http.Request, ws *cascadeWorkspace[R, C], cached bool) (batchResponse[R], bool) {
+	cur := s.current()
+	pred := cur.sys.Pred
+	if pred == nil {
+		httpkit.WriteError(w, http.StatusServiceUnavailable,
+			"no predictor configured (start the daemon with training cascades)")
+		return batchResponse[R]{}, false
+	}
+	ids := ws.ids
+	ws.grow(len(ids))
+	items := ws.items
+	errors := 0
+	fail := func(i, status int, msg string) {
+		items[i] = batchItem[R]{Status: status, Error: msg}
+		errors++
+	}
+
+	// Resolve every id to a live-cascade snapshot and admit it against
+	// the pinned generation's node universe. A prediction is
+	// deterministic given (generation, epoch, cascade snapshot), which
+	// is what the cache key names.
+	gen, epoch, n := cur.gen, s.Epoch(), cur.sys.Sys.N
+	for i, id := range ids {
+		c, ok := s.store.Snapshot(id)
+		if !ok {
+			fail(i, http.StatusNotFound, "no live cascade "+strconv.Itoa(id))
+			continue
+		}
+		if mx := maxInfectedNode(c); mx >= n {
+			fail(i, http.StatusUnprocessableEntity,
+				"cascade "+strconv.Itoa(id)+" contains node "+strconv.Itoa(mx)+
+					" outside the current model's universe [0,"+strconv.Itoa(n)+")")
+			continue
+		}
+		ws.snaps[i] = c
+		if cached {
+			ws.keys[i] = predictKey(p.prefix, gen, epoch, id, c.Size())
 		}
 	}
-	return b
-}
 
-// appendStringJSON appends s quoted with encoding/json's default
-// escaping: control characters, quote, backslash, and the HTML-unsafe
-// <, >, & become escapes; valid UTF-8 passes through.
-func appendStringJSON(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c >= 0x20 && c != '<' && c != '>' && c != '&':
-			b = append(b, c)
-		case c == '\n':
-			b = append(b, '\\', 'n')
-		case c == '\r':
-			b = append(b, '\\', 'r')
-		case c == '\t':
-			b = append(b, '\\', 't')
-		default:
-			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		}
+	// One cache probe pass for the whole batch; hits fill their slots
+	// and drop out of the compute list.
+	hits := 0
+	if cached {
+		hits = s.cache.PeekAll(ws.keys, ws.vals)
 	}
-	return append(b, '"')
-}
-
-func appendPredictItemJSON(b []byte, it *batchPredictItem, ec []byte) []byte {
-	if it.Result == nil {
-		b = append(b, `{"status":`...)
-		b = strconv.AppendInt(b, int64(it.Status), 10)
-		b = append(b, `,"error":`...)
-		b = appendStringJSON(b, it.Error)
-		return append(b, '}')
-	}
-	r := it.Result
-	b = append(b, `{"result":{"cascade":`...)
-	b = strconv.AppendInt(b, int64(r.Cascade), 10)
-	b = append(b, `,"viral":`...)
-	b = strconv.AppendBool(b, r.Viral)
-	b = append(b, `,"margin":`...)
-	b = appendFloatJSON(b, r.Margin)
-	b = append(b, `,"size":`...)
-	b = strconv.AppendInt(b, int64(r.Size), 10)
-	b = append(b, `,"early_cutoff":`...)
-	b = append(b, ec...)
-	b = append(b, `,"threshold":`...)
-	b = strconv.AppendInt(b, int64(r.Threshold), 10)
-	b = append(b, `,"generation":`...)
-	b = strconv.AppendUint(b, r.Generation, 10)
-	b = append(b, `,"shard_id":`...)
-	b = strconv.AppendInt(b, int64(r.ShardID), 10)
-	b = append(b, `,"epoch":`...)
-	b = strconv.AppendUint(b, r.Epoch, 10)
-	return append(b, "}}"...)
-}
-
-func appendPredictBatchJSON(b []byte, env *predictBatchResponse) []byte {
-	// Every success slot in one envelope shares the generation pin, so
-	// EarlyCutoff is uniform across them; format it once instead of
-	// running the shortest-round-trip search per item (the comparison
-	// below keeps the cache exact even if that invariant ever broke).
-	var ecBuf [32]byte
-	var ec []byte
-	var ecVal float64
-	b = append(b, `{"results":[`...)
-	for i := range env.Results {
-		if i > 0 {
-			b = append(b, ',')
+	for i, c := range ws.snaps {
+		if c == nil {
+			continue
 		}
-		if r := env.Results[i].Result; r != nil {
-			if ec == nil || r.EarlyCutoff != ecVal {
-				ec = appendFloatJSON(ecBuf[:0], r.EarlyCutoff)
-				ecVal = r.EarlyCutoff
+		if v, ok := ws.vals[i].(*R); ok {
+			items[i].Result = v
+			ws.vals[i] = nil // don't re-fill what was already cached
+			continue
+		}
+		ws.compute = append(ws.compute, c)
+		ws.computeIdx = append(ws.computeIdx, i)
+	}
+	if err := r.Context().Err(); err != nil {
+		s.writeBudgetExhausted(w, err)
+		return batchResponse[R]{}, false
+	}
+
+	// One blocked pass over every miss: contiguous feature block,
+	// in-place standardization, one matrix–vector kernel.
+	if len(ws.compute) > 0 {
+		ws.results = zeroed(ws.results, len(ws.compute))
+		results := ws.results
+		p.compute(pred, ws.compute, results)
+		// One slab for every computed payload: the pointers outlive the
+		// request (they go into the TTL cache), so the slab is NOT
+		// pooled — but 256 items cost one allocation, not 256.
+		slab := make([]R, len(results))
+		for j := range results {
+			i := ws.computeIdx[j]
+			if err := p.build(s, cur, ws.snaps[i], &results[j], &slab[j]); err != nil {
+				fail(i, http.StatusUnprocessableEntity, err.Error())
+				ws.keys[i] = "" // never cache an error slot
+				continue
 			}
+			items[i].Result = &slab[j]
+			ws.vals[i] = &slab[j] // per-item cache fill on the way out
 		}
-		b = appendPredictItemJSON(b, &env.Results[i], ec)
+		if cached {
+			s.cache.PutAll(ws.keys, ws.vals)
+		}
 	}
-	b = append(b, `],"count":`...)
-	b = strconv.AppendInt(b, int64(env.Count), 10)
-	b = append(b, `,"errors":`...)
-	b = strconv.AppendInt(b, int64(env.Errors), 10)
-	b = append(b, `,"cache_hits":`...)
-	b = strconv.AppendInt(b, int64(env.CacheHits), 10)
-	b = append(b, `,"generation":`...)
-	b = strconv.AppendUint(b, env.Generation, 10)
-	b = append(b, `,"shard_id":`...)
-	b = strconv.AppendInt(b, int64(env.ShardID), 10)
-	b = append(b, `,"epoch":`...)
-	b = strconv.AppendUint(b, env.Epoch, 10)
-	// json.Encoder terminates every value with a newline; match it.
-	return append(b, '}', '\n')
+	if cached {
+		s.metrics.cacheHits.Add(int64(hits))
+		s.metrics.cacheMiss.Add(int64(len(ws.compute)))
+	}
+	return batchResponse[R]{
+		Results:    items,
+		Count:      len(ids),
+		Errors:     errors,
+		CacheHits:  hits,
+		Generation: cur.gen,
+		ShardID:    s.ShardID(),
+		Epoch:      s.Epoch(),
+	}, true
 }
 
-// batchEncPool recycles the hand-encoder's output buffers, with the
-// same retention cap as the shared response-buffer pool.
-var batchEncPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
-
-// writePredictBatch emits the envelope through the open-coded encoder,
-// deferring to the reflective one when any float is non-finite (which
-// 500s the request, matching single-request behavior).
-func writePredictBatch(w http.ResponseWriter, env *predictBatchResponse) {
-	for i := range env.Results {
-		if r := env.Results[i].Result; r != nil &&
-			(math.IsNaN(r.Margin) || math.IsInf(r.Margin, 0) ||
-				math.IsNaN(r.EarlyCutoff) || math.IsInf(r.EarlyCutoff, 0)) {
-			writeJSONCompact(w, http.StatusOK, env)
+// handleBatch is the pipeline's POST …:batch endpoint.
+func (p *cascadePipeline[R, C]) handleBatch(s *Server) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ws := p.pool.Get().(*cascadeWorkspace[R, C])
+		defer p.pool.Put(ws)
+		if !p.decodeIDs(s, w, r, ws) {
 			return
 		}
-	}
-	bp := batchEncPool.Get().(*[]byte)
-	b := appendPredictBatchJSON((*bp)[:0], env)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(b) //nolint:errcheck // the response is already committed
-	if cap(b) <= maxPooledResponseBuf {
-		*bp = b
-		batchEncPool.Put(bp)
+		if env, ok := p.run(s, w, r, ws, true); ok {
+			p.encode(w, &env)
+		}
 	}
 }
 
-// decodeBatchIDs reads and validates a {"cascades": [...]} body against
-// the batch cap, parsing into the workspace's reusable id slice. The
+// handlePredict answers the paper's core online question — given what
+// this live cascade has done so far, will it go viral? — as a batch of
+// one.
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	id, err := pathCascadeID(r)
+	if err != nil {
+		httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	ws := predictPipeline.pool.Get().(*cascadeWorkspace[predictResponse, core.BatchResult])
+	defer predictPipeline.pool.Put(ws)
+	ws.ids = append(ws.ids[:0], id)
+	if env, ok := predictPipeline.run(s, w, r, ws, false); ok {
+		writeItem(w, env.Results[0])
+	}
+}
+
+// decodeIDs reads and validates a {"cascades": [...]} body against the
+// batch cap, parsing into the workspace's reusable id slice. The
 // open-coded scanner accepts exactly the canonical client encoding; any
 // body it cannot prove canonical takes the strict reflective decode, so
 // acceptance and error behavior are unchanged — only the hot path loses
 // the per-request decoder state. A false return means the error
 // response was written.
-func (s *Server) decodeBatchIDs(w http.ResponseWriter, r *http.Request, ws *batchWorkspace) ([]int, bool) {
-	buf := bytes.NewBuffer(ws.body[:0])
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
-		return nil, false
+func (p *cascadePipeline[R, C]) decodeIDs(s *Server, w http.ResponseWriter, r *http.Request, ws *cascadeWorkspace[R, C]) bool {
+	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, ws.body)
+	if !ok {
+		return false
 	}
-	ws.body = buf.Bytes()
-	ids, ok := parseCascadesFast(ws.body, ws.ids[:0])
-	if ok {
+	ws.body = body
+	if ids, ok := parseCascadesFast(body, ws.ids[:0]); ok {
 		ws.ids = ids
 	} else {
-		var req predictBatchRequest
-		if err := strictUnmarshal(ws.body, &req); err != nil || req.Cascades == nil {
-			writeError(w, http.StatusBadRequest, "body must be {\"cascades\": [id, ...]}")
-			return nil, false
+		var req struct {
+			Cascades []int `json:"cascades"`
+		}
+		if err := httpkit.DecodeStrict(body, &req); err != nil || req.Cascades == nil {
+			httpkit.WriteError(w, http.StatusBadRequest, "body must be {\"cascades\": [id, ...]}")
+			return false
 		}
 		ws.ids = append(ws.ids[:0], req.Cascades...)
-		ids = ws.ids
 	}
-	if len(ids) == 0 {
-		writeError(w, http.StatusBadRequest, "empty cascade batch")
-		return nil, false
+	return s.admitBatch(w, len(ws.ids), "cascade")
+}
+
+// admitBatch enforces the request-level size contract every batch
+// endpoint shares: only an empty batch or one over -batch-max fails the
+// request; everything else fails at most its own slot.
+func (s *Server) admitBatch(w http.ResponseWriter, n int, noun string) bool {
+	if n == 0 {
+		httpkit.WriteError(w, http.StatusBadRequest, "empty %s batch", noun)
+		return false
 	}
-	if len(ids) > s.cfg.BatchMax {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d cascades exceeds the daemon's limit %d; split the request or raise -batch-max",
-			len(ids), s.cfg.BatchMax)
-		return nil, false
+	if n > s.cfg.BatchMax {
+		httpkit.WriteError(w, http.StatusBadRequest,
+			"batch of %d %ss exceeds the daemon's limit %d; split the request or raise -batch-max",
+			n, noun, s.cfg.BatchMax)
+		return false
 	}
-	return ids, true
+	return true
+}
+
+// predictKey is the per-item cache key: for an append-only SI cascade
+// the snapshot is identified by (id, size) — every append grows the
+// size, so a stale entry can never alias a newer snapshot.
+func predictKey(prefix string, gen, epoch uint64, id, size int) string {
+	b := make([]byte, 0, 56)
+	b = append(b, prefix...)
+	b = append(b, ":gen="...)
+	b = strconv.AppendUint(b, gen, 10)
+	b = append(b, ":epoch="...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, ":id="...)
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, ":size="...)
+	b = strconv.AppendInt(b, int64(size), 10)
+	return string(b)
+}
+
+// maxInfectedNode is the largest node id the cascade has infected, -1
+// when empty, without materializing the node slice.
+func maxInfectedNode(c *cascade.Cascade) int {
+	mx := -1
+	for _, inf := range c.Infections {
+		if inf.Node > mx {
+			mx = inf.Node
+		}
+	}
+	return mx
 }
 
 // parseCascadesFast scans {"cascades":[int,...]} with optional JSON
@@ -397,333 +467,225 @@ func parseCascadesFast(b []byte, dst []int) ([]int, bool) {
 	return dst, i == n
 }
 
-// predictKey is the per-item cache key: a prediction is deterministic
-// given (generation, epoch, cascade snapshot), and for an append-only
-// SI cascade the snapshot is identified by (id, size) — every append
-// grows the size, so a stale entry can never alias a newer snapshot.
-func predictKey(prefix string, gen, epoch uint64, id, size int) string {
-	b := make([]byte, 0, 56)
-	b = append(b, prefix...)
-	b = append(b, ":gen="...)
-	b = strconv.AppendUint(b, gen, 10)
-	b = append(b, ":epoch="...)
-	b = strconv.AppendUint(b, epoch, 10)
-	b = append(b, ":id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, ":size="...)
-	b = strconv.AppendInt(b, int64(size), 10)
-	return string(b)
-}
+// The predict:batch envelope is encoded by hand: at batch 256 the
+// reflective encoding/json walk costs more than all the predictions in
+// the envelope combined, and this is the one response shape hot enough
+// to justify an open-coded encoder. The output is byte-identical to
+// encoding/json's compact form — same field order as the struct tags,
+// same float formatting (appendFloatJSON replicates the shortest
+// round-trip algorithm), same string escaping — and a test holds the
+// two encoders equal. Non-finite floats cannot be hand-encoded into
+// valid JSON; the handler detects them and falls back to the reflective
+// encoder, which fails the request exactly as the single path would.
 
-// grow readies the workspace for n items.
-func (ws *batchWorkspace) grow(n int) {
-	if cap(ws.snaps) < n {
-		ws.snaps = make([]*cascade.Cascade, n)
-		ws.keys = make([]string, n)
-		ws.vals = make([]any, n)
-		ws.computeIdx = make([]int, 0, n)
-		ws.compute = make([]*cascade.Cascade, 0, n)
+// appendFloatJSON appends f the way encoding/json does: shortest
+// round-trip form, 'f' format in the human range, 'e' outside it with
+// the exponent's leading zero trimmed. Callers must reject NaN/Inf
+// first.
+func appendFloatJSON(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
 	}
-	ws.snaps = ws.snaps[:n]
-	ws.keys = ws.keys[:n]
-	ws.vals = ws.vals[:n]
-	ws.compute = ws.compute[:0]
-	ws.computeIdx = ws.computeIdx[:0]
-	for i := 0; i < n; i++ {
-		ws.snaps[i] = nil
-		ws.keys[i] = ""
-		ws.vals[i] = nil
-	}
-}
-
-// maxInfectedNode is maxNode(c.Nodes()) without materializing the node
-// slice; the admission verdict is identical.
-func maxInfectedNode(c *cascade.Cascade) int {
-	mx := -1
-	for _, inf := range c.Infections {
-		if inf.Node > mx {
-			mx = inf.Node
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
 		}
 	}
-	return mx
+	return b
 }
 
-// snapshotBatch resolves every id to a live-cascade snapshot and runs
-// the same admission checks the single-request handler runs, filling
-// error slots (via fail) with the identical status and message. Healthy
-// items get their snapshot and cache key recorded.
-func (s *Server) snapshotBatch(ids []int, cur *model, prefix string, ws *batchWorkspace, fail func(i, status int, msg string)) {
-	gen, epoch := cur.gen, s.Epoch()
+// appendStringJSON appends s quoted with encoding/json's default
+// escaping: control characters, quote, backslash, and the HTML-unsafe
+// <, >, & become escapes; valid UTF-8 passes through.
+func appendStringJSON(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c >= 0x20 && c != '<' && c != '>' && c != '&':
+			b = append(b, c)
+		case c == '\n':
+			b = append(b, '\\', 'n')
+		case c == '\r':
+			b = append(b, '\\', 'r')
+		case c == '\t':
+			b = append(b, '\\', 't')
+		default:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		}
+	}
+	return append(b, '"')
+}
+
+func appendPredictItemJSON(b []byte, it *batchItem[predictResponse], ec []byte) []byte {
+	if it.Result == nil {
+		b = append(b, `{"status":`...)
+		b = strconv.AppendInt(b, int64(it.Status), 10)
+		b = append(b, `,"error":`...)
+		b = appendStringJSON(b, it.Error)
+		return append(b, '}')
+	}
+	r := it.Result
+	b = append(b, `{"result":{"cascade":`...)
+	b = strconv.AppendInt(b, int64(r.Cascade), 10)
+	b = append(b, `,"viral":`...)
+	b = strconv.AppendBool(b, r.Viral)
+	b = append(b, `,"margin":`...)
+	b = appendFloatJSON(b, r.Margin)
+	b = append(b, `,"size":`...)
+	b = strconv.AppendInt(b, int64(r.Size), 10)
+	b = append(b, `,"early_cutoff":`...)
+	b = append(b, ec...)
+	b = append(b, `,"threshold":`...)
+	b = strconv.AppendInt(b, int64(r.Threshold), 10)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, r.Generation, 10)
+	b = append(b, `,"shard_id":`...)
+	b = strconv.AppendInt(b, int64(r.ShardID), 10)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, r.Epoch, 10)
+	return append(b, "}}"...)
+}
+
+func appendPredictBatchJSON(b []byte, env *batchResponse[predictResponse]) []byte {
+	// Every success slot in one envelope shares the generation pin, so
+	// EarlyCutoff is uniform across them; format it once instead of
+	// running the shortest-round-trip search per item (the comparison
+	// below keeps the cache exact even if that invariant ever broke).
+	var ecBuf [32]byte
+	var ec []byte
+	var ecVal float64
+	b = append(b, `{"results":[`...)
+	for i := range env.Results {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if r := env.Results[i].Result; r != nil {
+			if ec == nil || r.EarlyCutoff != ecVal {
+				ec = appendFloatJSON(ecBuf[:0], r.EarlyCutoff)
+				ecVal = r.EarlyCutoff
+			}
+		}
+		b = appendPredictItemJSON(b, &env.Results[i], ec)
+	}
+	b = append(b, `],"count":`...)
+	b = strconv.AppendInt(b, int64(env.Count), 10)
+	b = append(b, `,"errors":`...)
+	b = strconv.AppendInt(b, int64(env.Errors), 10)
+	b = append(b, `,"cache_hits":`...)
+	b = strconv.AppendInt(b, int64(env.CacheHits), 10)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, env.Generation, 10)
+	b = append(b, `,"shard_id":`...)
+	b = strconv.AppendInt(b, int64(env.ShardID), 10)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, env.Epoch, 10)
+	// json.Encoder terminates every value with a newline; match it.
+	return append(b, '}', '\n')
+}
+
+// batchEncPool recycles the hand-encoder's output buffers, with the
+// same retention cap as the shared response-buffer pool.
+var batchEncPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+// writePredictBatch emits the envelope through the open-coded encoder,
+// deferring to the reflective one when any float is non-finite (which
+// 500s the request, matching single-request behavior).
+func writePredictBatch(w http.ResponseWriter, env *batchResponse[predictResponse]) {
+	for i := range env.Results {
+		if r := env.Results[i].Result; r != nil &&
+			(math.IsNaN(r.Margin) || math.IsInf(r.Margin, 0) ||
+				math.IsNaN(r.EarlyCutoff) || math.IsInf(r.EarlyCutoff, 0)) {
+			httpkit.WriteJSONCompact(w, http.StatusOK, env)
+			return
+		}
+	}
+	bp := batchEncPool.Get().(*[]byte)
+	b := appendPredictBatchJSON((*bp)[:0], env)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b) //nolint:errcheck // the response is already committed
+	if cap(b) <= httpkit.MaxPooledResponseBuf {
+		*bp = b
+		batchEncPool.Put(bp)
+	}
+}
+
+type rateBatchResponse struct {
+	Results    []batchItem[rateResponse] `json:"results"`
+	Count      int                       `json:"count"`
+	Errors     int                       `json:"errors"`
+	Generation uint64                    `json:"generation"`
+}
+
+// rateItem is the one per-pair validate + lookup behind GET /v1/rate
+// and every rate:batch slot: the inferred hazard rate of u infecting v
+// under the pinned generation, or the 400 the pair earns.
+func rateItem(cur *model, u, v int) batchItem[rateResponse] {
 	n := cur.sys.Sys.N
-	for i, id := range ids {
-		c, ok := s.store.Snapshot(id)
-		if !ok {
-			fail(i, http.StatusNotFound, "no live cascade "+strconv.Itoa(id))
-			continue
-		}
-		if mx := maxInfectedNode(c); mx >= n {
-			fail(i, http.StatusUnprocessableEntity,
-				"cascade "+strconv.Itoa(id)+" contains node "+strconv.Itoa(mx)+
-					" outside the current model's universe [0,"+strconv.Itoa(n)+")")
-			continue
-		}
-		ws.snaps[i] = c
-		ws.keys[i] = predictKey(prefix, gen, epoch, id, c.Size())
+	switch {
+	case u < 0 || v < 0:
+		return batchItem[rateResponse]{Status: http.StatusBadRequest,
+			Error: "parameters u and v must be non-negative integers"}
+	case u >= n || v >= n:
+		return batchItem[rateResponse]{Status: http.StatusBadRequest,
+			Error: "nodes must be in [0," + strconv.Itoa(n) + ")"}
 	}
+	return batchItem[rateResponse]{Result: &rateResponse{
+		U: u, V: v,
+		Rate:       cur.sys.Sys.Rate(u, v),
+		Generation: cur.gen,
+	}}
 }
 
-// handlePredictBatch answers the paper's core online question for a
-// whole batch of live cascades in one request.
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	ws := batchWorkspacePool.Get().(*batchWorkspace)
-	defer batchWorkspacePool.Put(ws)
-	ids, ok := s.decodeBatchIDs(w, r, ws)
-	if !ok {
-		return
+// handleRate reports the inferred hazard rate of u infecting v. An
+// unparseable parameter is the same client error as a negative one.
+func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
+	u, errU := httpkit.QueryInt(r, "u", -1)
+	v, errV := httpkit.QueryInt(r, "v", -1)
+	if errU != nil || errV != nil {
+		u = -1
 	}
-	cur := s.current()
-	pred := cur.sys.Pred
-	if pred == nil {
-		writeError(w, http.StatusServiceUnavailable,
-			"no predictor configured (start the daemon with training cascades)")
-		return
-	}
-	ws.grow(len(ids))
-	if cap(ws.pitems) < len(ids) {
-		ws.pitems = make([]batchPredictItem, len(ids))
-	}
-	items := ws.pitems[:len(ids)]
-	errors := 0
-	for i := range items {
-		items[i] = batchPredictItem{}
-	}
-	fail := func(i, status int, msg string) {
-		items[i] = batchPredictItem{Status: status, Error: msg}
-		errors++
-	}
-	s.snapshotBatch(ids, cur, "predict", ws, fail)
-
-	// One cache probe pass for the whole batch; hits fill their slots
-	// and drop out of the compute list.
-	hits := s.cache.PeekAll(ws.keys, ws.vals)
-	for i := range ids {
-		if ws.snaps[i] == nil {
-			continue
-		}
-		if v, ok := ws.vals[i].(*predictResponse); ok {
-			items[i].Result = v
-			ws.vals[i] = nil // don't re-fill what was already cached
-			continue
-		}
-		ws.compute = append(ws.compute, ws.snaps[i])
-		ws.computeIdx = append(ws.computeIdx, i)
-	}
-	if err := r.Context().Err(); err != nil {
-		s.writeBudgetExhausted(w, err)
-		return
-	}
-
-	// One blocked pass over every miss: contiguous feature block,
-	// in-place standardization, one matrix–vector kernel.
-	if len(ws.compute) > 0 {
-		if cap(ws.results) < len(ws.compute) {
-			ws.results = make([]core.BatchResult, len(ws.compute))
-		}
-		results := ws.results[:len(ws.compute)]
-		pred.PredictViralBatch(ws.compute, results)
-		// One slab for every computed response: the pointers outlive the
-		// request (they go into the TTL cache), so the slab is NOT
-		// pooled — but 256 items cost one allocation, not 256.
-		slab := make([]predictResponse, len(results))
-		for j, res := range results {
-			i := ws.computeIdx[j]
-			if res.Err != nil {
-				fail(i, http.StatusUnprocessableEntity, res.Err.Error())
-				ws.keys[i] = "" // never cache an error slot
-				continue
-			}
-			out := &slab[j]
-			*out = predictResponse{
-				Cascade:     ids[i],
-				Viral:       res.Viral,
-				Margin:      res.Margin,
-				Size:        ws.snaps[i].Size(),
-				EarlyCutoff: pred.EarlyCutoff(),
-				Threshold:   pred.Threshold(),
-				Generation:  cur.gen,
-				ShardID:     s.ShardID(),
-				Epoch:       s.Epoch(),
-			}
-			items[i].Result = out
-			ws.vals[i] = out // per-item cache fill on the way out
-		}
-		s.cache.PutAll(ws.keys, ws.vals)
-	}
-	s.metrics.cacheHits.Add(int64(hits))
-	s.metrics.cacheMiss.Add(int64(len(ws.compute)))
-
-	writePredictBatch(w, &predictBatchResponse{
-		Results:    items,
-		Count:      len(ids),
-		Errors:     errors,
-		CacheHits:  hits,
-		Generation: cur.gen,
-		ShardID:    s.ShardID(),
-		Epoch:      s.Epoch(),
-	})
-}
-
-// handleFeaturesBatch extracts the early-adopter feature sets for a
-// batch of live cascades — the model's diagnostic surface, batched the
-// same way predictions are (same checks, same per-item contract).
-func (s *Server) handleFeaturesBatch(w http.ResponseWriter, r *http.Request) {
-	ws := batchWorkspacePool.Get().(*batchWorkspace)
-	defer batchWorkspacePool.Put(ws)
-	ids, ok := s.decodeBatchIDs(w, r, ws)
-	if !ok {
-		return
-	}
-	cur := s.current()
-	pred := cur.sys.Pred
-	if pred == nil {
-		writeError(w, http.StatusServiceUnavailable,
-			"no predictor configured (start the daemon with training cascades)")
-		return
-	}
-	ws.grow(len(ids))
-	if cap(ws.fitems) < len(ids) {
-		ws.fitems = make([]batchFeaturesItem, len(ids))
-	}
-	items := ws.fitems[:len(ids)]
-	errors := 0
-	for i := range items {
-		items[i] = batchFeaturesItem{}
-	}
-	fail := func(i, status int, msg string) {
-		items[i] = batchFeaturesItem{Status: status, Error: msg}
-		errors++
-	}
-	s.snapshotBatch(ids, cur, "features", ws, fail)
-
-	hits := s.cache.PeekAll(ws.keys, ws.vals)
-	for i := range ids {
-		if ws.snaps[i] == nil {
-			continue
-		}
-		if v, ok := ws.vals[i].(*featuresPayload); ok {
-			items[i].Result = v
-			ws.vals[i] = nil
-			continue
-		}
-		ws.compute = append(ws.compute, ws.snaps[i])
-		ws.computeIdx = append(ws.computeIdx, i)
-	}
-	if err := r.Context().Err(); err != nil {
-		s.writeBudgetExhausted(w, err)
-		return
-	}
-
-	if len(ws.compute) > 0 {
-		if cap(ws.fresults) < len(ws.compute) {
-			ws.fresults = make([]core.FeatureResult, len(ws.compute))
-		}
-		results := ws.fresults[:len(ws.compute)]
-		pred.FeaturesBatch(ws.compute, results)
-		slab := make([]featuresPayload, len(results))
-		for j, res := range results {
-			i := ws.computeIdx[j]
-			if res.Err != nil {
-				fail(i, http.StatusUnprocessableEntity, res.Err.Error())
-				ws.keys[i] = ""
-				continue
-			}
-			out := &slab[j]
-			*out = featuresPayload{
-				Cascade:     ids[i],
-				DiverA:      res.Set.DiverA,
-				NormA:       res.Set.NormA,
-				MaxA:        res.Set.MaxA,
-				EarlyCount:  res.Set.EarlyCount,
-				EarlyRate:   res.Set.EarlyRate,
-				Size:        ws.snaps[i].Size(),
-				EarlyCutoff: pred.EarlyCutoff(),
-				Generation:  cur.gen,
-			}
-			items[i].Result = out
-			ws.vals[i] = out
-		}
-		s.cache.PutAll(ws.keys, ws.vals)
-	}
-	s.metrics.cacheHits.Add(int64(hits))
-	s.metrics.cacheMiss.Add(int64(len(ws.compute)))
-
-	writeJSONCompact(w, http.StatusOK, &featuresBatchResponse{
-		Results:    items,
-		Count:      len(ids),
-		Errors:     errors,
-		CacheHits:  hits,
-		Generation: cur.gen,
-		ShardID:    s.ShardID(),
-		Epoch:      s.Epoch(),
-	})
+	writeItem(w, rateItem(s.current(), u, v))
 }
 
 // handleRateBatch answers a batch of pairwise hazard-rate lookups. No
 // cache — a rate is one K-length dot product, cheaper than a cache
 // probe — but the batch still amortizes admission, deadline, and JSON
-// overhead, and the per-item validation mirrors the single handler.
+// overhead.
 func (s *Server) handleRateBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
+	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, nil)
+	if !ok {
 		return
 	}
-	var req rateBatchRequest
-	if err := strictUnmarshal(body, &req); err != nil || req.Pairs == nil {
-		writeError(w, http.StatusBadRequest, "body must be {\"pairs\": [{\"u\": ..., \"v\": ...}, ...]}")
+	var req struct {
+		Pairs []struct{ U, V int } `json:"pairs"`
+	}
+	if err := httpkit.DecodeStrict(body, &req); err != nil || req.Pairs == nil {
+		httpkit.WriteError(w, http.StatusBadRequest, "body must be {\"pairs\": [{\"u\": ..., \"v\": ...}, ...]}")
 		return
 	}
-	if len(req.Pairs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty pair batch")
-		return
-	}
-	if len(req.Pairs) > s.cfg.BatchMax {
-		writeError(w, http.StatusBadRequest,
-			"batch of %d pairs exceeds the daemon's limit %d; split the request or raise -batch-max",
-			len(req.Pairs), s.cfg.BatchMax)
+	if !s.admitBatch(w, len(req.Pairs), "pair") {
 		return
 	}
 	cur := s.current()
-	n := cur.sys.Sys.N
-	ws := batchWorkspacePool.Get().(*batchWorkspace)
-	defer batchWorkspacePool.Put(ws)
-	if cap(ws.ritems) < len(req.Pairs) {
-		ws.ritems = make([]batchRateItem, len(req.Pairs))
+	resp := rateBatchResponse{
+		Results:    make([]batchItem[rateResponse], len(req.Pairs)),
+		Count:      len(req.Pairs),
+		Generation: cur.gen,
 	}
-	items := ws.ritems[:len(req.Pairs)]
-	errors := 0
 	for i, p := range req.Pairs {
-		switch {
-		case p.U < 0 || p.V < 0:
-			items[i] = batchRateItem{Status: http.StatusBadRequest,
-				Error: "parameters u and v must be non-negative integers"}
-			errors++
-		case p.U >= n || p.V >= n:
-			items[i] = batchRateItem{Status: http.StatusBadRequest,
-				Error: "nodes must be in [0," + strconv.Itoa(n) + ")"}
-			errors++
-		default:
-			items[i] = batchRateItem{Result: &rateResponse{
-				U: p.U, V: p.V,
-				Rate:       cur.sys.Sys.Rate(p.U, p.V),
-				Generation: cur.gen,
-			}}
+		resp.Results[i] = rateItem(cur, p.U, p.V)
+		if resp.Results[i].Result == nil {
+			resp.Errors++
 		}
 	}
-	writeJSONCompact(w, http.StatusOK, &rateBatchResponse{
-		Results:    items,
-		Count:      len(req.Pairs),
-		Errors:     errors,
-		Generation: cur.gen,
-	})
+	httpkit.WriteJSONCompact(w, http.StatusOK, &resp)
 }

@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"viralcast/internal/httpkit"
 )
 
 // rawBatchItem decodes one slot of a batch response, keeping the result
@@ -76,14 +78,58 @@ func ingestLateEvents(t *testing.T, baseURL string, id int) {
 	}
 }
 
+// compact encodes a value the way a batch slot carries it: encoding/json
+// with no indentation.
+func compact(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// oraclePredict answers one cascade independently of the serving
+// pipeline: the store snapshot through core's scalar
+// Predictor.PredictViral, assembled into the wire payload here. A nil
+// payload comes with the status and message the endpoints owe instead.
+func oraclePredict(t *testing.T, srv *Server, id int) (*predictResponse, int, string) {
+	t.Helper()
+	cur := srv.current()
+	c, ok := srv.store.Snapshot(id)
+	if !ok {
+		return nil, http.StatusNotFound, fmt.Sprintf("no live cascade %d", id)
+	}
+	pred := cur.sys.Pred
+	viral, margin, err := pred.PredictViral(c)
+	if err != nil {
+		return nil, http.StatusUnprocessableEntity, err.Error()
+	}
+	return &predictResponse{
+		Cascade: id, Viral: viral, Margin: margin, Size: c.Size(),
+		EarlyCutoff: pred.EarlyCutoff(), Threshold: pred.Threshold(),
+		Generation: cur.gen, ShardID: srv.ShardID(), Epoch: srv.Epoch(),
+	}, http.StatusOK, ""
+}
+
+// cacheTraffic reads cache_hits + cache_misses off /metrics.
+func cacheTraffic(t *testing.T, baseURL string) float64 {
+	t.Helper()
+	_, m := getJSON(t, baseURL+"/metrics")
+	return m["cache_hits"].(float64) + m["cache_misses"].(float64)
+}
+
 // TestPredictBatchByteIdenticalToSingle is the tentpole's contract: one
 // POST /v1/predict:batch over N cascades answers, slot by slot, the
 // exact bytes N sequential single-request calls produce — verdicts,
 // margins down to the float bits, and the error message + status for
-// the invalid items mixed in. Runs the whole comparison at GOMAXPROCS 1
-// and 8 so the blocked kernels can't hide a scheduling-dependent path.
+// the invalid items mixed in. The two endpoints share one pipeline, so
+// both are also held to an oracle that shares none of it: core's scalar
+// PredictViral through encoding/json, indented for the single endpoint
+// and compact per slot. Runs the whole comparison at GOMAXPROCS 1 and 8
+// so the blocked kernels can't hide a scheduling-dependent path.
 func TestPredictBatchByteIdenticalToSingle(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 
 	// Live cascades of varying size (different feature rows, different
 	// kernel remainders), one cascade with no early adopters (per-item
@@ -116,6 +162,26 @@ func TestPredictBatchByteIdenticalToSingle(t *testing.T) {
 			for i, id := range ids {
 				singleStatus, singleRaw := getRaw(t, ts.URL+"/v1/cascades/"+strconv.Itoa(id)+"/predict")
 				item := env.Results[i]
+				want, wantStatus, wantErr := oraclePredict(t, srv, id)
+				if singleStatus != wantStatus {
+					t.Fatalf("item %d (cascade %d): single = %d, core oracle says %d", i, id, singleStatus, wantStatus)
+				}
+				if want == nil {
+					if wantBody := canonical(t, map[string]string{"error": wantErr}); !bytes.Equal(singleRaw, wantBody) {
+						t.Fatalf("item %d (cascade %d): single error body\n%s\n!= core oracle\n%s", i, id, singleRaw, wantBody)
+					}
+					if item.Status != wantStatus || item.Error != wantErr {
+						t.Fatalf("item %d (cascade %d): slot (%d, %q) != core oracle (%d, %q)",
+							i, id, item.Status, item.Error, wantStatus, wantErr)
+					}
+				} else {
+					if !bytes.Equal(singleRaw, canonical(t, want)) {
+						t.Fatalf("item %d (cascade %d): single response\n%s\n!= core oracle\n%s", i, id, singleRaw, canonical(t, want))
+					}
+					if !bytes.Equal(item.Result, compact(t, want)) {
+						t.Fatalf("item %d (cascade %d): batch slot\n%s\n!= core oracle\n%s", i, id, item.Result, compact(t, want))
+					}
+				}
 				if singleStatus != http.StatusOK {
 					if item.Result != nil {
 						t.Fatalf("item %d (cascade %d): batch succeeded where single = %d", i, id, singleStatus)
@@ -170,6 +236,16 @@ func TestPredictBatchByteIdenticalToSingle(t *testing.T) {
 			}
 		})
 	}
+
+	// The single endpoint is the pipeline with the cache stage skipped:
+	// it must neither probe nor fill, so the counters stand still.
+	before := cacheTraffic(t, ts.URL)
+	for i := 0; i < 100; i++ {
+		getRaw(t, ts.URL+"/v1/cascades/"+strconv.Itoa(ids[i%len(ids)])+"/predict")
+	}
+	if after := cacheTraffic(t, ts.URL); after != before {
+		t.Fatalf("100 single predictions moved cache_hits+cache_misses from %v to %v", before, after)
+	}
 }
 
 // TestPredictBatchValidation covers the request-level failure modes:
@@ -202,9 +278,11 @@ func TestPredictBatchValidation(t *testing.T) {
 }
 
 // TestRateBatchMatchesSingle compares every slot of a rate:batch answer
-// against the single GET /v1/rate oracle, mixed valid and invalid.
+// against the single GET /v1/rate endpoint, mixed valid and invalid —
+// and, since the two share their per-pair function, holds the valid
+// ones to System.Rate through encoding/json as well.
 func TestRateBatchMatchesSingle(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	pairs := []map[string]int{
 		{"u": 0, "v": 1},
 		{"u": -1, "v": 3},
@@ -239,7 +317,22 @@ func TestRateBatchMatchesSingle(t *testing.T) {
 			if item.Error != errBody.Error {
 				t.Fatalf("pair %d: error %q != single %q", i, item.Error, errBody.Error)
 			}
+			wantErr := fmt.Sprintf("nodes must be in [0,%d)", fixtureNodes)
+			if p["u"] < 0 || p["v"] < 0 {
+				wantErr = "parameters u and v must be non-negative integers"
+			}
+			if singleStatus != http.StatusBadRequest || item.Error != wantErr {
+				t.Fatalf("pair %d: (%d, %q), want (400, %q)", i, singleStatus, item.Error, wantErr)
+			}
 			continue
+		}
+		cur := srv.current()
+		want := &rateResponse{U: p["u"], V: p["v"], Rate: cur.sys.Sys.Rate(p["u"], p["v"]), Generation: cur.gen}
+		if !bytes.Equal(singleRaw, canonical(t, want)) {
+			t.Fatalf("pair %d: single response\n%s\n!= System.Rate oracle\n%s", i, singleRaw, canonical(t, want))
+		}
+		if !bytes.Equal(item.Result, compact(t, want)) {
+			t.Fatalf("pair %d: batch slot %s != System.Rate oracle %s", i, item.Result, compact(t, want))
 		}
 		var got rateResponse
 		if err := json.Unmarshal(item.Result, &got); err != nil {
@@ -305,9 +398,7 @@ func TestFeaturesBatch(t *testing.T) {
 // fill only their slots, empty keys are skipped, expired entries miss,
 // and PutAll skips error slots (empty key or nil value).
 func TestCacheBatchOps(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := newTTLCache(time.Minute)
-	c.now = func() time.Time { return now }
+	c, now := testCache(time.Minute, time.Unix(0, 0))
 
 	keys := []string{"a", "", "b", "c"}
 	vals := []any{1, 2, nil, 4}
@@ -321,33 +412,10 @@ func TestCacheBatchOps(t *testing.T) {
 		t.Fatalf("slots = %v", out)
 	}
 
-	now = now.Add(2 * time.Minute)
+	*now = now.Add(2 * time.Minute)
 	out2 := make([]any, 4)
 	if hits := c.PeekAll(keys, out2); hits != 0 {
 		t.Fatalf("hits after expiry = %d", hits)
-	}
-}
-
-// TestWriteJSONDropsOversizedBuffers is the retention-cap regression
-// test: after encoding a response larger than maxPooledResponseBuf —
-// exactly what a big predict:batch answer produces — the pool must not
-// hand back a buffer above the cap. If the cap check regressed, the
-// very next Get on this goroutine would return the ballooned buffer.
-func TestWriteJSONDropsOversizedBuffers(t *testing.T) {
-	big := make([]string, 1<<15)
-	for i := range big {
-		big[i] = "0123456789abcdef0123456789abcdef0123456789abcdef" // ~48 B × 32768 rows ≫ 1 MiB
-	}
-	w := &nullResponseWriter{h: make(http.Header)}
-	for i := 0; i < 4; i++ {
-		writeJSON(w, http.StatusOK, big)
-		for j := 0; j < 8; j++ {
-			buf := jsonBufPool.Get().(*bytes.Buffer)
-			if buf.Cap() > maxPooledResponseBuf {
-				t.Fatalf("pool retained a %d-byte buffer (cap %d)", buf.Cap(), maxPooledResponseBuf)
-			}
-			jsonBufPool.Put(buf)
-		}
 	}
 }
 
@@ -361,20 +429,20 @@ func TestAppendPredictBatchJSONMatchesEncodingJSON(t *testing.T) {
 		0, math.Copysign(0, -1), 0.1, -2.235795019273291, 1e-6, 9.9e-7, -9.9e-7,
 		1e21, -1.2345678e22, 1e20, 4.9e-324, math.MaxFloat64, 5063, -1.5e-9,
 	}
-	env := &predictBatchResponse{
+	env := &batchResponse[predictResponse]{
 		Count: len(margins) + 2, Errors: 2, CacheHits: 3,
 		Generation: 7, ShardID: -1, Epoch: 12,
 	}
 	for i, m := range margins {
-		env.Results = append(env.Results, batchPredictItem{Result: &predictResponse{
+		env.Results = append(env.Results, batchItem[predictResponse]{Result: &predictResponse{
 			Cascade: 9000 + i, Viral: m >= 0, Margin: m, Size: i,
 			EarlyCutoff: 2.2857142857142856, Threshold: 33,
 			Generation: 7, ShardID: -1, Epoch: 12,
 		}})
 	}
 	env.Results = append(env.Results,
-		batchPredictItem{Status: 404, Error: "no live cascade 42"},
-		batchPredictItem{Status: 422, Error: "tricky <escape> & \"quote\" \\ tab\there\nnewline \x01 ünïcode"},
+		batchItem[predictResponse]{Status: 404, Error: "no live cascade 42"},
+		batchItem[predictResponse]{Status: 422, Error: "tricky <escape> & \"quote\" \\ tab\there\nnewline \x01 ünïcode"},
 	)
 	want, err := json.Marshal(env)
 	if err != nil {
@@ -404,8 +472,10 @@ func TestParseCascadesFast(t *testing.T) {
 		if !ok {
 			t.Fatalf("scanner rejected canonical body %q", body)
 		}
-		var req predictBatchRequest
-		if err := strictUnmarshal([]byte(body), &req); err != nil {
+		var req struct {
+			Cascades []int `json:"cascades"`
+		}
+		if err := httpkit.DecodeStrict([]byte(body), &req); err != nil {
 			t.Fatalf("strict decoder rejected %q: %v", body, err)
 		}
 		if len(got) != len(req.Cascades) {

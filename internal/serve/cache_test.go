@@ -1,49 +1,72 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"viralcast/internal/httpkit"
 )
 
+// The daemon's cache contract, held against the shared httpkit.Cache
+// through its exported surface — the same calls the handlers make, on a
+// clock the test owns. What needs the cache's internals (the
+// uncacheable-flight contract, the entry map under more distinct keys
+// than the cap) is tested beside it in internal/httpkit.
+
+const maxCacheEntries = httpkit.MaxCacheEntries
+
+// testCache is a cache on a clock the test advances by hand.
+func testCache(ttl time.Duration, start time.Time) (*httpkit.Cache, *time.Time) {
+	now := start
+	return httpkit.NewCache(ttl, func() time.Time { return now }), &now
+}
+
+// cacheDo runs an always-cacheable fill, the only kind the daemon has.
+func cacheDo(c *httpkit.Cache, key string, fn func() (any, error)) (any, bool, error) {
+	return c.Do(context.Background(), key, func() (any, bool, error) {
+		v, err := fn()
+		return v, true, err
+	})
+}
+
 func TestCacheHitMissAndTTL(t *testing.T) {
-	c := newTTLCache(time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
+	c, now := testCache(time.Minute, time.Unix(1000, 0))
 
 	calls := 0
 	fn := func() (any, error) { calls++; return calls, nil }
 
-	v, hit, err := c.Do("k", fn)
+	v, hit, err := cacheDo(c, "k", fn)
 	if err != nil || hit || v.(int) != 1 {
 		t.Fatalf("first Do = (%v, hit=%v, %v), want miss computing 1", v, hit, err)
 	}
-	v, hit, _ = c.Do("k", fn)
+	v, hit, _ = cacheDo(c, "k", fn)
 	if !hit || v.(int) != 1 {
 		t.Fatalf("second Do = (%v, hit=%v), want cached 1", v, hit)
 	}
 	// Past the TTL the value is recomputed.
-	now = now.Add(time.Minute + time.Second)
-	v, hit, _ = c.Do("k", fn)
+	*now = now.Add(time.Minute + time.Second)
+	v, hit, _ = cacheDo(c, "k", fn)
 	if hit || v.(int) != 2 {
 		t.Fatalf("post-TTL Do = (%v, hit=%v), want fresh 2", v, hit)
 	}
 	// Distinct keys don't share entries.
-	if v, _, _ := c.Do("other", fn); v.(int) != 3 {
+	if v, _, _ := cacheDo(c, "other", fn); v.(int) != 3 {
 		t.Fatalf("distinct key served %v", v)
 	}
 }
 
 func TestCacheErrorsNotCached(t *testing.T) {
-	c := newTTLCache(time.Minute)
+	c := httpkit.NewCache(time.Minute, time.Now)
 	calls := 0
-	_, _, err := c.Do("k", func() (any, error) { calls++; return nil, fmt.Errorf("boom") })
+	_, _, err := cacheDo(c, "k", func() (any, error) { calls++; return nil, fmt.Errorf("boom") })
 	if err == nil {
 		t.Fatal("error swallowed")
 	}
-	v, hit, err := c.Do("k", func() (any, error) { calls++; return "ok", nil })
+	v, hit, err := cacheDo(c, "k", func() (any, error) { calls++; return "ok", nil })
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("after error Do = (%v, hit=%v, %v); errors must not be cached", v, hit, err)
 	}
@@ -55,7 +78,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // TestCacheSingleflight proves that concurrent misses on one key share a
 // single computation instead of stampeding.
 func TestCacheSingleflight(t *testing.T) {
-	c := newTTLCache(time.Minute)
+	c := httpkit.NewCache(time.Minute, time.Now)
 	var running atomic.Int32
 	var calls atomic.Int32
 	release := make(chan struct{})
@@ -73,7 +96,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do("hot", fn)
+			v, _, err := cacheDo(c, "hot", fn)
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
@@ -97,52 +120,45 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
+// live reports whether key is served from cache right now.
+func live(c *httpkit.Cache, key string) bool {
+	return c.PeekAll([]string{key}, make([]any, 1)) == 1
+}
+
 // TestCacheSweepAtBoundary pins the maxCacheEntries boundary behavior:
 // the insert that finds the map full triggers a sweep, expired entries
 // are evicted, and live entries survive it.
 func TestCacheSweepAtBoundary(t *testing.T) {
-	c := newTTLCache(time.Minute)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	// Fill to exactly the boundary: half will be expired by the time the
-	// sweep fires, half still live.
+	c, now := testCache(time.Minute, time.Unix(1000, 0))
+	// Fill to exactly the boundary in two halves 40s apart, so that 30s
+	// later the first half has expired and the second is still live.
 	const expired = maxCacheEntries / 2
 	for i := 0; i < maxCacheEntries; i++ {
-		key := fmt.Sprintf("k%d", i)
-		c.Do(key, func() (any, error) { return i, nil })
+		if i == expired {
+			*now = now.Add(40 * time.Second)
+		}
+		cacheDo(c, fmt.Sprintf("k%d", i), func() (any, error) { return i, nil })
 	}
-	c.mu.Lock()
-	if n := len(c.entries); n != maxCacheEntries {
-		c.mu.Unlock()
+	if n := c.Len(); n != maxCacheEntries {
 		t.Fatalf("setup: %d entries, want exactly %d", n, maxCacheEntries)
 	}
-	// Age the first half past their deadline by rewriting their expiry;
-	// advancing the shared clock would expire everything at once.
-	for i := 0; i < expired; i++ {
-		key := fmt.Sprintf("k%d", i)
-		e := c.entries[key]
-		e.expires = now.Add(-time.Second)
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	// The next insert sees len == maxCacheEntries and must sweep.
-	c.Do("overflow", func() (any, error) { return "v", nil })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.entries); n != maxCacheEntries-expired+1 {
+	*now = now.Add(30 * time.Second)
+	// The next insert sees Len == maxCacheEntries and must sweep.
+	cacheDo(c, "overflow", func() (any, error) { return "v", nil })
+	if n := c.Len(); n != maxCacheEntries-expired+1 {
 		t.Fatalf("after sweep: %d entries, want %d live + 1 new", n, maxCacheEntries-expired)
 	}
 	for i := 0; i < expired; i++ {
-		if _, ok := c.entries[fmt.Sprintf("k%d", i)]; ok {
+		if live(c, fmt.Sprintf("k%d", i)) {
 			t.Fatalf("expired entry k%d survived the sweep", i)
 		}
 	}
 	for i := expired; i < maxCacheEntries; i++ {
-		if _, ok := c.entries[fmt.Sprintf("k%d", i)]; !ok {
+		if !live(c, fmt.Sprintf("k%d", i)) {
 			t.Fatalf("live entry k%d was evicted by the sweep", i)
 		}
 	}
-	if _, ok := c.entries["overflow"]; !ok {
+	if !live(c, "overflow") {
 		t.Fatal("the triggering insert was not cached")
 	}
 }
@@ -151,36 +167,26 @@ func TestCacheSweepAtBoundary(t *testing.T) {
 // entry is still live at the boundary, the sweep resets the whole map
 // rather than letting it grow without bound.
 func TestCacheSweepResetWhenAllLive(t *testing.T) {
-	c := newTTLCache(time.Hour)
-	now := time.Unix(2000, 0)
-	c.now = func() time.Time { return now }
+	c, _ := testCache(time.Hour, time.Unix(2000, 0))
 	for i := 0; i < maxCacheEntries; i++ {
-		c.Do(fmt.Sprintf("k%d", i), func() (any, error) { return i, nil })
+		cacheDo(c, fmt.Sprintf("k%d", i), func() (any, error) { return i, nil })
 	}
-	c.Do("overflow", func() (any, error) { return "v", nil })
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n := len(c.entries); n != 1 {
+	cacheDo(c, "overflow", func() (any, error) { return "v", nil })
+	if n := c.Len(); n != 1 {
 		t.Fatalf("all-live sweep kept %d entries, want just the new one", n)
 	}
-	if _, ok := c.entries["overflow"]; !ok {
+	if !live(c, "overflow") {
 		t.Fatal("the triggering insert missing after the reset")
 	}
 }
 
 func TestCacheSweepBoundsGrowth(t *testing.T) {
-	c := newTTLCache(time.Millisecond)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
+	c, now := testCache(time.Millisecond, time.Unix(1000, 0))
 	for i := 0; i < maxCacheEntries+10; i++ {
-		key := fmt.Sprintf("k%d", i)
-		c.Do(key, func() (any, error) { return i, nil })
-		now = now.Add(time.Millisecond) // everything before is expired
+		cacheDo(c, fmt.Sprintf("k%d", i), func() (any, error) { return i, nil })
+		*now = now.Add(time.Millisecond) // everything before is expired
 	}
-	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
-	if n > maxCacheEntries {
+	if n := c.Len(); n > maxCacheEntries {
 		t.Fatalf("cache grew to %d entries, cap is %d", n, maxCacheEntries)
 	}
 }

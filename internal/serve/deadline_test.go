@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"viralcast/internal/faultinject"
+	"viralcast/internal/httpkit"
 )
 
 // newBudgetServer builds a server with a short per-request budget for
@@ -133,13 +134,13 @@ func TestBudgetDisabledByDefault(t *testing.T) {
 // TestCtxDoneClassification pins the helper the handlers branch on:
 // only context expiry/cancellation counts as an exhausted budget.
 func TestCtxDoneClassification(t *testing.T) {
-	if ctxDone(errors.New("plain")) {
+	if httpkit.CtxDone(errors.New("plain")) {
 		t.Fatal("plain error classified as a budget exhaustion")
 	}
-	if !ctxDone(context.DeadlineExceeded) || !ctxDone(context.Canceled) {
+	if !httpkit.CtxDone(context.DeadlineExceeded) || !httpkit.CtxDone(context.Canceled) {
 		t.Fatal("context errors not classified as budget exhaustion")
 	}
-	if !ctxDone(fmt.Errorf("wrapped: %w", context.DeadlineExceeded)) {
+	if !httpkit.CtxDone(fmt.Errorf("wrapped: %w", context.DeadlineExceeded)) {
 		t.Fatal("wrapped deadline error not classified")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"viralcast/internal/httpkit"
 	"viralcast/internal/wal"
 )
 
@@ -31,7 +32,7 @@ func postWithEpoch(t *testing.T, url string, epoch uint64, body any) (int, map[s
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if epoch > 0 {
-		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
+		req.Header.Set(httpkit.EpochHeader, strconv.FormatUint(epoch, 10))
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -95,7 +96,7 @@ func TestFenceLatchAndRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(EpochHeader, "3")
+	req.Header.Set(httpkit.EpochHeader, "3")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

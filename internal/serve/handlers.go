@@ -2,28 +2,17 @@ package serve
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync"
 
 	"viralcast/internal/core"
+	"viralcast/internal/httpkit"
 	"viralcast/internal/repl"
 	"viralcast/internal/wal"
 )
-
-// strictUnmarshal decodes JSON rejecting unknown fields, so the batch
-// and single-event body shapes are unambiguous.
-func strictUnmarshal(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
 
 // maxBodyBytes bounds an ingestion request body.
 const maxBodyBytes = 8 << 20
@@ -37,14 +26,13 @@ const maxBodyBytes = 8 << 20
 // overloaded daemon remains observable and operable.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
+	control := func(pattern, label string, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, httpkit.Instrument(label, s.metrics.observe, h))
+	}
 	add := func(pattern, label, class string, h http.HandlerFunc) {
 		h = s.admit(class, h)
-		h = s.withBudget(h)
-		h = s.replGate(h)
-		mux.HandleFunc(pattern, s.metrics.instrument(label, h))
-	}
-	control := func(pattern, label string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.metrics.instrument(label, h))
+		h = httpkit.WithBudget(s.cfg.RequestTimeout, h)
+		control(pattern, label, s.replGate(h))
 	}
 	add("POST /v1/events", "events", classIngest, s.fenceGate(s.handleEvents))
 	add("GET /v1/cascades/{id}", "cascade", classRead, s.handleCascade)
@@ -56,9 +44,9 @@ func (s *Server) routes() http.Handler {
 	// Batched data plane: one admission ticket, one deadline, one
 	// workspace, and one cache probe pass serve up to -batch-max items;
 	// a bad item fails its own slot, never the request.
-	add("POST /v1/predict:batch", "predict_batch", classCompute, s.handlePredictBatch)
+	add("POST /v1/predict:batch", "predict_batch", classCompute, predictPipeline.handleBatch(s))
 	add("POST /v1/rate:batch", "rate_batch", classRead, s.handleRateBatch)
-	add("POST /v1/features:batch", "features_batch", classCompute, s.handleFeaturesBatch)
+	add("POST /v1/features:batch", "features_batch", classCompute, featuresPipeline.handleBatch(s))
 	control("POST /v1/reload", "reload", s.handleReload)
 	control("POST /v1/flush", "flush", s.fenceGate(s.handleFlush))
 	control("GET /healthz", "healthz", s.handleHealthz)
@@ -69,8 +57,8 @@ func (s *Server) routes() http.Handler {
 		// catching up must keep streaming while the data plane sheds
 		// load, and promotion is exactly the kind of thing an operator
 		// does to an overloaded or dying cluster.
-		control("GET "+repl.StreamPath, "repl_stream", s.handleReplStream)
-		control("GET "+repl.SnapshotPath, "repl_snapshot", s.handleReplSnapshot)
+		control("GET "+repl.StreamPath, "repl_stream", s.handleRepl((*repl.Primary).HandleStream))
+		control("GET "+repl.SnapshotPath, "repl_snapshot", s.handleRepl((*repl.Primary).HandleSnapshot))
 		// Promote is fenced by Promote itself, not the blanket gate: a
 		// supervisor must be able to promote a fenced node back into
 		// service by explicitly presenting an epoch above the fence.
@@ -91,15 +79,9 @@ func (s *Server) routes() http.Handler {
 	return mux
 }
 
-// EpochHeader carries the sender's view of the current fencing epoch
-// on requests and probes. Routers stamp it on everything they send so
-// every node they touch learns the fleet's epoch; a node that sees a
-// higher epoch than its own latches fenced.
-const EpochHeader = "X-Viralcast-Epoch"
-
 // headerEpoch parses the fencing-epoch header, 0 when absent/garbled.
 func headerEpoch(r *http.Request) uint64 {
-	raw := r.Header.Get(EpochHeader)
+	raw := r.Header.Get(httpkit.EpochHeader)
 	if raw == "" {
 		return 0
 	}
@@ -138,27 +120,30 @@ func (s *Server) fenceGate(h http.HandlerFunc) http.HandlerFunc {
 		}
 		own := s.Epoch()
 		if by, fenced := s.fencingEpoch(); fenced {
-			s.metrics.fenceRejects.Add(1)
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":         "this node is fenced: a newer promotion exists elsewhere; its writes cannot be accepted",
-				"reason":        "fenced",
-				"epoch":         own,
-				"fencing_epoch": by,
-			})
+			s.writeFenced(w, "this node is fenced: a newer promotion exists elsewhere; its writes cannot be accepted",
+				own, "fencing_epoch", by)
 			return
 		}
 		if remote := headerEpoch(r); remote > 0 && remote < own {
-			s.metrics.fenceRejects.Add(1)
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":         fmt.Sprintf("request presents stale epoch %d; this node is at epoch %d", remote, own),
-				"reason":        "fenced",
-				"epoch":         own,
-				"request_epoch": remote,
-			})
+			s.writeFenced(w, fmt.Sprintf("request presents stale epoch %d; this node is at epoch %d", remote, own),
+				own, "request_epoch", remote)
 			return
 		}
 		h(w, r)
 	}
+}
+
+// writeFenced counts and answers a write the fencing epoch refuses: the
+// node's own epoch, and under rivalKey the epoch that outranks the
+// write — the observed fence, or the stale request's own.
+func (s *Server) writeFenced(w http.ResponseWriter, msg string, own uint64, rivalKey string, rival uint64) {
+	s.metrics.fenceRejects.Add(1)
+	httpkit.WriteJSON(w, http.StatusConflict, map[string]any{
+		"error":  msg,
+		"reason": "fenced",
+		"epoch":  own,
+		rivalKey: rival,
+	})
 }
 
 // replGate protects the data plane of a follower whose local state is
@@ -172,7 +157,7 @@ func (s *Server) replGate(h http.HandlerFunc) http.HandlerFunc {
 		if s.isFollower() {
 			if st, ok := s.replStatus(); ok && !st.Servable {
 				s.metrics.replUnservable.Add(1)
-				writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+				httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 					"error":   "follower has no verified copy of the primary's state yet",
 					"reason":  "replication",
 					"state":   st.State,
@@ -182,21 +167,6 @@ func (s *Server) replGate(h http.HandlerFunc) http.HandlerFunc {
 			}
 		}
 		h(w, r)
-	}
-}
-
-// withBudget installs the per-request deadline. The handler chain and
-// the compute paths below it read the deadline through r.Context();
-// client disconnects cancel the same context, so both cases stop the
-// work instead of finishing it for nobody.
-func (s *Server) withBudget(h http.HandlerFunc) http.HandlerFunc {
-	if s.cfg.RequestTimeout <= 0 {
-		return h
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		h(w, r.WithContext(ctx))
 	}
 }
 
@@ -219,7 +189,7 @@ func (s *Server) admit(class string, h http.HandlerFunc) http.HandlerFunc {
 			secs := s.admission.retryAfterSeconds()
 			s.metrics.shed.Add(class, 1)
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
+			httpkit.WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 				"error":               fmt.Sprintf("overloaded: %s concurrency limit and queue are full", class),
 				"reason":              "overload",
 				"class":               class,
@@ -231,105 +201,11 @@ func (s *Server) admit(class string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeBudgetExhausted answers a request whose deadline fired (or whose
-// client disconnected) before the work completed: 503, machine-readable.
+// writeBudgetExhausted counts and answers a request whose deadline
+// fired (or whose client disconnected) before the work completed.
 func (s *Server) writeBudgetExhausted(w http.ResponseWriter, err error) {
 	s.metrics.deadlines.Add(1)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"error":  fmt.Sprintf("request deadline exceeded: %v", err),
-		"reason": "deadline",
-	})
-}
-
-// ctxDone reports whether err is a context cancellation/expiry — the
-// signature of an exhausted request budget anywhere down the stack.
-func ctxDone(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-}
-
-// jsonBufPool recycles response-encoding buffers across requests.
-// Encoding into a pooled buffer instead of straight to the wire saves
-// an encoder allocation per response, lets the handler set
-// Content-Length, and keeps an encode failure from committing a 200
-// with a torn body. Buffers that ballooned (a full influencer dump) are
-// dropped rather than pinned in the pool.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledResponseBuf bounds the capacity a buffer may keep when
-// returned to the pool.
-const maxPooledResponseBuf = 1 << 20
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	enc := json.NewEncoder(buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// Nothing is committed yet, so the client gets a real error
-		// instead of a truncated 200.
-		http.Error(w, fmt.Sprintf(`{"error":"response encoding: %v"}`, err), http.StatusInternalServerError)
-		jsonBufPool.Put(buf)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	w.Write(buf.Bytes()) //nolint:errcheck // the response is already committed
-	if buf.Cap() <= maxPooledResponseBuf {
-		jsonBufPool.Put(buf)
-	}
-}
-
-// writeJSONCompact is writeJSON without the indentation pass. The
-// batched data plane uses it: re-indenting a 256-item envelope costs
-// more than every prediction in it combined (encoding/json's indent is
-// a second full walk of the output), and batch callers are programs,
-// not terminals. Single-request responses stay indented — they are the
-// human-facing oracle surface.
-func writeJSONCompact(w http.ResponseWriter, status int, v any) {
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		http.Error(w, fmt.Sprintf(`{"error":"response encoding: %v"}`, err), http.StatusInternalServerError)
-		jsonBufPool.Put(buf)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	w.Write(buf.Bytes()) //nolint:errcheck // the response is already committed
-	if buf.Cap() <= maxPooledResponseBuf {
-		jsonBufPool.Put(buf)
-	}
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// queryInt parses an integer query parameter with a default.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %q is not an integer", name, raw)
-	}
-	return v, nil
-}
-
-func queryFloat(r *http.Request, name string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %q is not a number", name, raw)
-	}
-	return v, nil
+	httpkit.WriteDeadline(w, err)
 }
 
 // eventReject reports one event of a batch that was not ingested.
@@ -349,7 +225,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// machine-readable primary hint so clients re-route.
 	if s.isFollower() {
 		s.metrics.followerRejects.Add(1)
-		writeJSON(w, http.StatusConflict, map[string]any{
+		httpkit.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error":   "this daemon is a replication follower; ingest on the primary",
 			"reason":  "follower",
 			"primary": s.cfg.FollowURL,
@@ -364,7 +240,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if lg != nil {
 		if werr := lg.Err(); werr != nil {
 			s.metrics.readOnly.Add(1)
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			httpkit.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"error":    "ingestion disabled: daemon is read-only after a write-ahead-log failure; recover with POST /v1/reload or a restart",
 				"reason":   "read_only",
 				"cause":    degradedCauseWAL,
@@ -374,26 +250,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
+	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, nil)
+	if !ok {
 		return
 	}
 	var batch struct {
 		Events []Event `json:"events"`
 	}
-	if err := strictUnmarshal(body, &batch); err != nil || batch.Events == nil {
+	if err := httpkit.DecodeStrict(body, &batch); err != nil || batch.Events == nil {
 		// Not a batch envelope; retry as a single bare event.
 		var one Event
-		if err2 := strictUnmarshal(body, &one); err2 != nil {
-			writeError(w, http.StatusBadRequest,
+		if err2 := httpkit.DecodeStrict(body, &one); err2 != nil {
+			httpkit.WriteError(w, http.StatusBadRequest,
 				"body must be {\"events\": [...]} or a single {cascade, node, time} object")
 			return
 		}
 		batch.Events = []Event{one}
 	}
 	if len(batch.Events) == 0 {
-		writeError(w, http.StatusBadRequest, "empty event batch")
+		httpkit.WriteError(w, http.StatusBadRequest, "empty event batch")
 		return
 	}
 	n := s.current().sys.Sys.N
@@ -424,19 +299,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// duplicate guard if the stalled commit did land.
 	if len(durable) > 0 {
 		if err := lg.AppendBatchCtx(r.Context(), durable); err != nil {
-			if ctxDone(err) {
+			if httpkit.CtxDone(err) {
 				s.cfg.Logf("serve: WAL commit exceeded the request budget: %v", err)
 				s.writeBudgetExhausted(w, fmt.Errorf("events accepted but not durably committed: %w", err))
 				return
 			}
 			s.cfg.Logf("serve: WAL append failed: %v", err)
-			writeError(w, http.StatusInternalServerError,
+			httpkit.WriteError(w, http.StatusInternalServerError,
 				"events not durable (write-ahead log failure): %v", err)
 			return
 		}
 	}
 	s.metrics.events.Add(int64(accepted))
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpkit.WriteJSON(w, http.StatusOK, map[string]any{
 		"accepted": accepted,
 		"rejected": rejected,
 		"sizes":    sizes,
@@ -456,64 +331,21 @@ func pathCascadeID(r *http.Request) (int, error) {
 func (s *Server) handleCascade(w http.ResponseWriter, r *http.Request) {
 	id, err := pathCascadeID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	c, ok := s.store.Snapshot(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no live cascade %d", id)
+		httpkit.WriteError(w, http.StatusNotFound, "no live cascade %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpkit.WriteJSON(w, http.StatusOK, map[string]any{
 		"cascade":    c.ID,
 		"size":       c.Size(),
 		"duration":   c.Duration(),
 		"first_time": c.Infections[0].Time,
 		"last_time":  c.Infections[len(c.Infections)-1].Time,
 		"nodes":      c.Nodes(),
-	})
-}
-
-// handlePredict answers the paper's core online question: given what
-// this live cascade has done so far, will it go viral?
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	id, err := pathCascadeID(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	cur := s.current()
-	pred := cur.sys.Pred
-	if pred == nil {
-		writeError(w, http.StatusServiceUnavailable,
-			"no predictor configured (start the daemon with training cascades)")
-		return
-	}
-	c, ok := s.store.Snapshot(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no live cascade %d", id)
-		return
-	}
-	if mx := maxNode(c.Nodes()); mx >= cur.sys.Sys.N {
-		writeError(w, http.StatusUnprocessableEntity,
-			"cascade %d contains node %d outside the current model's universe [0,%d)", id, mx, cur.sys.Sys.N)
-		return
-	}
-	viral, margin, err := pred.PredictViral(c)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, &predictResponse{
-		Cascade:     id,
-		Viral:       viral,
-		Margin:      margin,
-		Size:        c.Size(),
-		EarlyCutoff: pred.EarlyCutoff(),
-		Threshold:   pred.Threshold(),
-		Generation:  cur.gen,
-		ShardID:     s.ShardID(),
-		Epoch:       s.Epoch(),
 	})
 }
 
@@ -561,56 +393,29 @@ type seedsResponse struct {
 	Generation uint64      `json:"generation"`
 }
 
-// handleRate reports the inferred hazard rate of u infecting v.
-func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
-	u, errU := queryInt(r, "u", -1)
-	v, errV := queryInt(r, "v", -1)
-	if errU != nil || errV != nil || u < 0 || v < 0 {
-		writeError(w, http.StatusBadRequest, "parameters u and v must be non-negative integers")
-		return
-	}
-	cur := s.current()
-	n := cur.sys.Sys.N
-	if u >= n || v >= n {
-		writeError(w, http.StatusBadRequest, "nodes must be in [0,%d)", n)
-		return
-	}
-	writeJSON(w, http.StatusOK, &rateResponse{
-		U: u, V: v,
-		Rate:       cur.sys.Sys.Rate(u, v),
-		Generation: cur.gen,
-	})
-}
-
 // handleInfluencers serves the top-k influencer ranking from the TTL
 // cache; the O(n·K) scan plus sort runs once per (k, generation) per
 // TTL window however many clients ask. A sharded daemon ranks only its
 // own node stripe — its k candidates are exactly what the router's
 // MergeTopInfluencers needs to reconstruct the global ranking.
 func (s *Server) handleInfluencers(w http.ResponseWriter, r *http.Request) {
-	k, err := queryInt(r, "k", 10)
+	k, err := httpkit.QueryInt(r, "k", 10)
 	if err != nil || k <= 0 {
-		writeError(w, http.StatusBadRequest, "parameter k must be a positive integer")
+		httpkit.WriteError(w, http.StatusBadRequest, "parameter k must be a positive integer")
 		return
 	}
 	cur := s.current()
 	lo, hi := s.stripe(cur.sys.Sys.N)
 	// The stripe is fixed per process, so (k, gen) still keys uniquely.
 	key := fmt.Sprintf("influencers:k=%d:gen=%d", k, cur.gen)
-	val, hit, err := s.cache.DoCtx(r.Context(), key, func() (any, error) {
+	infs, hit, ok := cachedCompute(s, w, r, key, func() ([]core.Influencer, error) {
 		return cur.sys.Sys.TopInfluencersRangeCtx(r.Context(), k, lo, hi)
 	})
-	s.countCache(hit)
-	if err != nil {
-		if ctxDone(err) {
-			s.writeBudgetExhausted(w, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, &influencersResponse{
-		Influencers: val.([]core.Influencer),
+	httpkit.WriteJSON(w, http.StatusOK, &influencersResponse{
+		Influencers: infs,
 		Cached:      hit,
 		Generation:  cur.gen,
 	})
@@ -619,44 +424,56 @@ func (s *Server) handleInfluencers(w http.ResponseWriter, r *http.Request) {
 // handleSeeds serves influence-maximization seed sets (lazy greedy,
 // O(n·k) coverage evaluations) from the TTL cache.
 func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
-	k, errK := queryInt(r, "k", 5)
-	horizon, errH := queryFloat(r, "horizon", 1)
+	k, errK := httpkit.QueryInt(r, "k", 5)
+	horizon, errH := httpkit.QueryFloat(r, "horizon", 1)
 	if errK != nil || k <= 0 {
-		writeError(w, http.StatusBadRequest, "parameter k must be a positive integer")
+		httpkit.WriteError(w, http.StatusBadRequest, "parameter k must be a positive integer")
 		return
 	}
 	if errH != nil || horizon <= 0 {
-		writeError(w, http.StatusBadRequest, "parameter horizon must be a positive number")
+		httpkit.WriteError(w, http.StatusBadRequest, "parameter horizon must be a positive number")
 		return
 	}
 	cur := s.current()
 	key := fmt.Sprintf("seeds:k=%d:h=%g:gen=%d", k, horizon, cur.gen)
-	val, hit, err := s.cache.DoCtx(r.Context(), key, func() (any, error) {
+	seeds, hit, ok := cachedCompute(s, w, r, key, func() ([]core.Seed, error) {
 		return cur.sys.Sys.SelectSeedsCtx(r.Context(), k, horizon)
 	})
-	s.countCache(hit)
-	if err != nil {
-		if ctxDone(err) {
-			s.writeBudgetExhausted(w, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, &seedsResponse{
-		Seeds:      val.([]core.Seed),
+	httpkit.WriteJSON(w, http.StatusOK, &seedsResponse{
+		Seeds:      seeds,
 		Horizon:    horizon,
 		Cached:     hit,
 		Generation: cur.gen,
 	})
 }
 
-func (s *Server) countCache(hit bool) {
+// cachedCompute runs one expensive endpoint's computation through the
+// TTL cache — once per key per TTL window however many clients ask —
+// and answers its failures: an exhausted budget is a 503 and anything
+// else a 500, and because the cache never stores errors nothing about a
+// failed attempt is remembered. ok=false means the response is written.
+func cachedCompute[T any](s *Server, w http.ResponseWriter, r *http.Request, key string, compute func() (T, error)) (val T, hit, ok bool) {
+	v, hit, err := s.cache.Do(r.Context(), key, func() (any, bool, error) {
+		v, err := compute()
+		return v, true, err
+	})
 	if hit {
 		s.metrics.cacheHits.Add(1)
 	} else {
 		s.metrics.cacheMiss.Add(1)
 	}
+	if err != nil {
+		if httpkit.CtxDone(err) {
+			s.writeBudgetExhausted(w, err)
+		} else {
+			httpkit.WriteError(w, http.StatusInternalServerError, "%v", err)
+		}
+		return val, hit, false
+	}
+	return v.(T), hit, true
 }
 
 // handleReload swaps in a freshly loaded model without interrupting
@@ -664,16 +481,16 @@ func (s *Server) countCache(hit bool) {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	gen, err := s.Reload()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		httpkit.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"generation": gen})
+	httpkit.WriteJSON(w, http.StatusOK, map[string]any{"generation": gen})
 }
 
 // handleFlush triggers one online-refinement pass on demand.
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
-		writeJSON(w, http.StatusConflict, map[string]any{
+		httpkit.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error":   "this daemon is a replication follower; flush on the primary",
 			"reason":  "follower",
 			"primary": s.cfg.FollowURL,
@@ -682,43 +499,32 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	}
 	n, err := s.Flush()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		httpkit.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpkit.WriteJSON(w, http.StatusOK, map[string]any{
 		"flushed":    n,
 		"generation": s.Generation(),
 	})
 }
 
-// handleReplStream and handleReplSnapshot are the primary side of the
-// replication protocol, thin role-checked shims over repl.Primary. The
-// Primary value is built per request because the WAL pointer can be
+// handleRepl is the primary side of the replication protocol: a thin
+// role-checked shim over repl.Primary's stream and snapshot handlers.
+// The Primary value is built per request because the WAL pointer can be
 // swapped (degraded-mode recovery, promotion) under live traffic.
-func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.replPrimary()
-	if !ok {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":   "this daemon is not a primary with a live WAL",
-			"reason":  "not_primary",
-			"primary": s.cfg.FollowURL,
-		})
-		return
+func (s *Server) handleRepl(serve func(*repl.Primary, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p, ok := s.replPrimary()
+		if !ok {
+			httpkit.WriteJSON(w, http.StatusConflict, map[string]any{
+				"error":   "this daemon is not a primary with a live WAL",
+				"reason":  "not_primary",
+				"primary": s.cfg.FollowURL,
+			})
+			return
+		}
+		serve(p, w, r)
 	}
-	p.HandleStream(w, r)
-}
-
-func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.replPrimary()
-	if !ok {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":   "this daemon is not a primary with a live WAL",
-			"reason":  "not_primary",
-			"primary": s.cfg.FollowURL,
-		})
-		return
-	}
-	p.HandleSnapshot(w, r)
 }
 
 // replPrimary builds the replication source over the live WAL, or
@@ -733,16 +539,9 @@ func (s *Server) replPrimary() (*repl.Primary, bool) {
 		return nil, false
 	}
 	return &repl.Primary{
-		Log: lg,
-		Events: func() []wal.Event {
-			evs := s.store.AllEvents()
-			out := make([]wal.Event, len(evs))
-			for i, ev := range evs {
-				out[i] = wal.Event{Cascade: ev.Cascade, Node: ev.Node, Time: ev.Time}
-			}
-			return out
-		},
-		Logf: s.cfg.Logf,
+		Log:    lg,
+		Events: s.walEvents,
+		Logf:   s.cfg.Logf,
 	}, true
 }
 
@@ -758,22 +557,21 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("epoch"); raw != "" {
 		e, err := strconv.ParseUint(raw, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "parameter epoch: %q is not an unsigned integer", raw)
+			httpkit.WriteError(w, http.StatusBadRequest, "parameter epoch: %q is not an unsigned integer", raw)
 			return
 		}
 		epoch = e
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
+	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, nil)
+	if !ok {
 		return
 	}
 	if len(bytes.TrimSpace(body)) > 0 {
 		var req struct {
 			Epoch uint64 `json:"epoch"`
 		}
-		if err := strictUnmarshal(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "promote body must be {\"epoch\": N}: %v", err)
+		if err := httpkit.DecodeStrict(body, &req); err != nil {
+			httpkit.WriteError(w, http.StatusBadRequest, "promote body must be {\"epoch\": N}: %v", err)
 			return
 		}
 		if req.Epoch > 0 {
@@ -783,20 +581,14 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	promoted, err := s.Promote(epoch)
 	if err != nil {
 		if errors.Is(err, ErrFenced) {
-			s.metrics.fenceRejects.Add(1)
 			by, _ := s.fencingEpoch()
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error":         err.Error(),
-				"reason":        "fenced",
-				"epoch":         s.Epoch(),
-				"fencing_epoch": by,
-			})
+			s.writeFenced(w, err.Error(), s.Epoch(), "fencing_epoch", by)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		httpkit.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpkit.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":     "primary",
 		"promoted": promoted,
 		"epoch":    s.Epoch(),
@@ -804,7 +596,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpkit.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz reports whether a model is loaded and the daemon can
@@ -819,7 +611,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.observeEpoch(headerEpoch(r))
 	cur := s.current()
 	if cur == nil || cur.sys == nil || cur.sys.Sys == nil {
-		writeError(w, http.StatusServiceUnavailable, "model not loaded")
+		httpkit.WriteError(w, http.StatusServiceUnavailable, "model not loaded")
 		return
 	}
 	snap := s.healthSnapshot()
@@ -887,5 +679,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp["stale_error"] = snap.StaleErr
 		resp["stale_seconds"] = snap.StaleFor.Seconds()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpkit.WriteJSON(w, http.StatusOK, resp)
 }

@@ -304,36 +304,3 @@ func (m *Metrics) handler(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	fmt.Fprintln(w, m.root.String())
 }
-
-// statusRecorder captures the status code a handler writes so the
-// middleware can label the response-class counter.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// instrument wraps a handler with request accounting under the given
-// endpoint label.
-func (m *Metrics) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		h(rec, r)
-		if rec.status == 0 {
-			rec.status = http.StatusOK
-		}
-		m.observe(endpoint, rec.status, time.Since(start))
-	}
-}

@@ -54,27 +54,6 @@ func TestPprofEnabledServesProfiles(t *testing.T) {
 	}
 }
 
-// nullResponseWriter isolates encoding cost from httptest recorder
-// bookkeeping in the writeJSON benchmark.
-type nullResponseWriter struct{ h http.Header }
-
-func (w *nullResponseWriter) Header() http.Header         { return w.h }
-func (w *nullResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
-func (w *nullResponseWriter) WriteHeader(int)             {}
-
-func BenchmarkWriteJSON(b *testing.B) {
-	w := &nullResponseWriter{h: make(http.Header)}
-	body := &predictResponse{
-		Cascade: 17, Viral: true, Margin: 0.42,
-		Size: 9, EarlyCutoff: 2.3, Threshold: 12, Generation: 3,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		writeJSON(w, http.StatusOK, body)
-	}
-}
-
 // BenchmarkPredictRequest runs the full handler chain for the paper's
 // core online question — the hottest data-plane path — with allocation
 // reporting, so the sync.Pool workspaces in the feature-extraction and

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"viralcast/internal/faultinject"
+	"viralcast/internal/httpkit"
 	"viralcast/internal/repl"
 	"viralcast/internal/wal"
 )
@@ -155,7 +156,7 @@ type Server struct {
 	cur       atomic.Pointer[model]
 	gen       atomic.Uint64
 	store     *Store
-	cache     *ttlCache
+	cache     *httpkit.Cache
 	metrics   *Metrics
 	admission *admission
 	health    healthState
@@ -234,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		store:     NewStore(),
-		cache:     newTTLCache(cfg.CacheTTL),
+		cache:     httpkit.NewCache(cfg.CacheTTL, time.Now),
 		admission: newAdmission(cfg.Admission),
 		reloadCh:  make(chan struct{}, 1),
 	}
@@ -480,6 +481,17 @@ func (s *Server) openWAL() (*wal.Log, error) {
 	})
 }
 
+// walEvents is the live store's full content in log form: what a
+// compaction snapshot and a replication bootstrap both hand out.
+func (s *Server) walEvents() []wal.Event {
+	evs := s.store.AllEvents()
+	out := make([]wal.Event, len(evs))
+	for i, ev := range evs {
+		out[i] = wal.Event{Cascade: ev.Cascade, Node: ev.Node, Time: ev.Time}
+	}
+	return out
+}
+
 // walLog returns the live WAL, nil when durable ingestion is disabled.
 func (s *Server) walLog() *wal.Log { return s.wal.Load() }
 
@@ -623,7 +635,7 @@ func (s *Server) Flush() (int, error) {
 	// ingested; those cascades cannot refine this model.
 	usable := dirty[:0]
 	for _, c := range dirty {
-		if maxNode(c.Nodes()) < cur.sys.Sys.N {
+		if maxInfectedNode(c) < cur.sys.Sys.N {
 			usable = append(usable, c)
 		}
 	}
@@ -669,14 +681,7 @@ func (s *Server) Flush() (int, error) {
 		// absorbed no longer needs its raw log entries. The snapshot
 		// callback runs under the WAL's write lock, so it sees every
 		// event whose segment is about to be deleted.
-		removed, err := w.Compact(func() []wal.Event {
-			evs := s.store.AllEvents()
-			out := make([]wal.Event, len(evs))
-			for i, ev := range evs {
-				out[i] = wal.Event{Cascade: ev.Cascade, Node: ev.Node, Time: ev.Time}
-			}
-			return out
-		})
+		removed, err := w.Compact(s.walEvents)
 		if err != nil {
 			s.cfg.Logf("serve: WAL compaction after generation %d: %v", gen, err)
 		} else if removed > 0 {
@@ -684,16 +689,6 @@ func (s *Server) Flush() (int, error) {
 		}
 	}
 	return len(usable), nil
-}
-
-func maxNode(nodes []int) int {
-	m := -1
-	for _, u := range nodes {
-		if u > m {
-			m = u
-		}
-	}
-	return m
 }
 
 // Handler returns the daemon's HTTP handler, for embedding in an

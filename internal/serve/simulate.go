@@ -2,12 +2,12 @@ package serve
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
 	"viralcast/internal/embed"
+	"viralcast/internal/httpkit"
 	"viralcast/internal/scenario"
 )
 
@@ -31,51 +31,44 @@ type simulateResponse struct {
 // The cap, the admission class, and the deadline checks between trials
 // keep an expensive simulation from starving the rest of the daemon.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "body too large or unreadable: %v", err)
+	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, nil)
+	if !ok {
 		return
 	}
 	var spec scenario.Spec
-	if err := strictUnmarshal(body, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "scenario spec: %v", err)
+	if err := httpkit.DecodeStrict(body, &spec); err != nil {
+		httpkit.WriteError(w, http.StatusBadRequest, "scenario spec: %v", err)
 		return
 	}
 	cur := s.current()
 	emb := cur.sys.Sys.Embeddings
 	if emb == nil {
-		writeError(w, http.StatusServiceUnavailable, "current generation has no embeddings to simulate against")
+		httpkit.WriteError(w, http.StatusServiceUnavailable, "current generation has no embeddings to simulate against")
 		return
 	}
 	norm, err := spec.Normalize(cur.sys.Sys.N)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if total := norm.Trials * len(norm.SeedSets); total > s.cfg.SimulateMaxTrials {
-		writeError(w, http.StatusBadRequest,
+		httpkit.WriteError(w, http.StatusBadRequest,
 			"%d total trials (%d trials x %d seed sets) exceeds the daemon's limit %d; lower trials or split the request",
 			total, norm.Trials, len(norm.SeedSets), s.cfg.SimulateMaxTrials)
 		return
 	}
 	key := "simulate:" + norm.Hash() + ":gen=" + strconv.FormatUint(cur.gen, 10)
-	val, hit, err := s.cache.DoCtx(r.Context(), key, func() (any, error) {
+	// A deadline that fires mid-batch discards the engine's partial work
+	// and — errors are never cached — leaves nothing of the attempt
+	// behind.
+	res, hit, ok := cachedCompute(s, w, r, key, func() (*scenario.Result, error) {
 		return s.runScenario(r.Context(), emb, norm)
 	})
-	s.countCache(hit)
-	if err != nil {
-		if ctxDone(err) {
-			// The deadline fired mid-batch: the partial work was
-			// discarded by the engine and — because DoCtx never caches
-			// errors — nothing about this attempt is remembered.
-			s.writeBudgetExhausted(w, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, &simulateResponse{
-		Result:     val.(*scenario.Result),
+	httpkit.WriteJSON(w, http.StatusOK, &simulateResponse{
+		Result:     res,
 		Cached:     hit,
 		Generation: cur.gen,
 	})

@@ -31,6 +31,7 @@ pkgs=(
   ./internal/vecmath/
   ./internal/inflmax/
   ./internal/core/
+  ./internal/httpkit/
   ./internal/serve/
   ./internal/scenario/
   ./internal/router/

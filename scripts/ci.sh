@@ -31,7 +31,12 @@ echo "== go test ./..."
 go test -shuffle=on ./...
 
 echo "== go test -race (concurrent packages, incl. the chaos soak)"
-go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./internal/serve/ ./internal/wal/ ./internal/repl/ ./internal/inflmax/ ./internal/core/ ./internal/scenario/ ./internal/router/
+go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./internal/httpkit/ ./internal/serve/ ./internal/wal/ ./internal/repl/ ./internal/inflmax/ ./internal/core/ ./internal/scenario/ ./internal/router/
+
+# bench/ is a module of its own (replace viralcast => ../), so ./... above
+# never compiles it against the packages it drives.
+echo "== bench module (vet + tests against this tree)"
+(cd bench && go vet ./... && go test ./...)
 
 echo "== bench smoke (every benchmark must compile and run once)"
 go test -run=NONE -bench=. -benchtime=1x ./...
