@@ -504,44 +504,6 @@ func siftDownInfluencer(h []Influencer, i int) {
 	}
 }
 
-// topInfluencersFullSort is the pre-optimization reference: a full
-// O(n·K) row scan materializing all n entries plus a complete sort. It
-// stays as the correctness oracle and benchmark baseline for the
-// parallel heap-based path.
-func (s *System) topInfluencersFullSort(ctx context.Context, k int) ([]Influencer, error) {
-	out := make([]Influencer, 0, s.N)
-	for u := 0; u < s.N; u++ {
-		if u%influencerCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		row := s.Embeddings.A.Row(u)
-		var sum, best float64
-		bestK := 0
-		for ki, v := range row {
-			sum += v
-			if v > best {
-				best, bestK = v, ki
-			}
-		}
-		out = append(out, Influencer{Node: u, Score: sum, TopTopic: bestK, TopWeight: best})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Node < out[j].Node
-	})
-	if k < 0 {
-		k = 0
-	}
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out, nil
-}
-
 // Seed describes one node chosen by SelectSeeds with its marginal and
 // cumulative expected coverage.
 type Seed = inflmax.Result

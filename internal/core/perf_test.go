@@ -2,13 +2,14 @@
 // influencer ranking must be byte-identical to the sequential full-sort
 // reference for every k and worker count, and BenchmarkTopInfluencers
 // tracks the speedup of the optimized path over that reference
-// (scripts/bench.sh records both in BENCH_serve.json).
+// (bench/ tracks the optimized path as core.top_influencers_us).
 package core
 
 import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"viralcast/internal/embed"
@@ -34,6 +35,44 @@ func tieSystem(n, k int, seed uint64) *System {
 		}
 	}
 	return NewSystem(m, TrainConfig{})
+}
+
+// topInfluencersFullSort is the pre-optimization reference: a full
+// O(n·K) row scan materializing all n entries plus a complete sort. It
+// is the correctness oracle and benchmark baseline for the parallel
+// heap-based path.
+func (s *System) topInfluencersFullSort(ctx context.Context, k int) ([]Influencer, error) {
+	out := make([]Influencer, 0, s.N)
+	for u := 0; u < s.N; u++ {
+		if u%influencerCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		row := s.Embeddings.A.Row(u)
+		var sum, best float64
+		bestK := 0
+		for ki, v := range row {
+			sum += v
+			if v > best {
+				best, bestK = v, ki
+			}
+		}
+		out = append(out, Influencer{Node: u, Score: sum, TopTopic: bestK, TopWeight: best})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Node < out[j].Node
+	})
+	if k < 0 {
+		k = 0
+	}
+	if k < len(out) {
+		out = out[:k]
+	}
+	return out, nil
 }
 
 func TestTopInfluencersMatchesFullSortReference(t *testing.T) {

@@ -116,6 +116,16 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
+// Flush forwards to the wrapped writer. Embedding the ResponseWriter
+// interface hides http.Flusher, and a streaming handler behind the
+// middleware (the replication tail) that cannot flush leaves its frames
+// and heartbeats in net/http's buffer for seconds.
+func (r *statusRecorder) Flush() {
+	if f, ok := r.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // Instrument wraps a handler with request accounting: observe receives
 // the endpoint label, the status the handler answered, and how long it
 // took.

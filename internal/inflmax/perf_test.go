@@ -2,7 +2,7 @@
 // batched lazy re-evaluations must select the exact same seed set for
 // every worker count, with or without the precomputed dead-row
 // shortcuts. BenchmarkGreedySeeds tracks how the initial pass scales
-// with workers (scripts/bench.sh records it in BENCH_serve.json).
+// with workers (bench/ reports workers-1 CELF as inflmax.greedy_ms).
 package inflmax
 
 import (

@@ -11,7 +11,6 @@ import (
 	"viralcast/internal/core"
 	"viralcast/internal/httpkit"
 	"viralcast/internal/repl"
-	"viralcast/internal/wal"
 )
 
 // maxBodyBytes bounds an ingestion request body.
@@ -272,9 +271,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := s.current().sys.Sys.N
-	accepted := 0
 	var rejected []eventReject
-	var durable []wal.Event
+	// The accepted events are compacted in place over the parsed batch
+	// (the write index never passes the read index), so the slice the
+	// WAL commits is the request's own.
+	accepted := batch.Events[:0]
 	sizes := make(map[string]int)
 	for i, ev := range batch.Events {
 		size, err := s.store.Append(ev, n)
@@ -282,11 +283,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			rejected = append(rejected, eventReject{Index: i, Error: err.Error()})
 			continue
 		}
-		accepted++
 		sizes[strconv.Itoa(ev.Cascade)] = size
-		if lg != nil {
-			durable = append(durable, wal.Event{Cascade: ev.Cascade, Node: ev.Node, Time: ev.Time})
-		}
+		accepted = append(accepted, ev)
 	}
 	// With a WAL configured, the 200 below is a durability contract:
 	// the whole accepted batch rides one group commit, and a client is
@@ -297,8 +295,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// budget: a stalled disk turns into a 503 at the deadline, not a
 	// hung client — and a retried batch is absorbed by the SI
 	// duplicate guard if the stalled commit did land.
-	if len(durable) > 0 {
-		if err := lg.AppendBatchCtx(r.Context(), durable); err != nil {
+	if lg != nil && len(accepted) > 0 {
+		if err := lg.AppendBatchCtx(r.Context(), accepted); err != nil {
 			if httpkit.CtxDone(err) {
 				s.cfg.Logf("serve: WAL commit exceeded the request budget: %v", err)
 				s.writeBudgetExhausted(w, fmt.Errorf("events accepted but not durably committed: %w", err))
@@ -310,9 +308,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.metrics.events.Add(int64(accepted))
+	s.metrics.events.Add(int64(len(accepted)))
 	httpkit.WriteJSON(w, http.StatusOK, map[string]any{
-		"accepted": accepted,
+		"accepted": len(accepted),
 		"rejected": rejected,
 		"sizes":    sizes,
 	})
@@ -540,7 +538,7 @@ func (s *Server) replPrimary() (*repl.Primary, bool) {
 	}
 	return &repl.Primary{
 		Log:    lg,
-		Events: s.walEvents,
+		Events: s.store.AllEvents,
 		Logf:   s.cfg.Logf,
 	}, true
 }

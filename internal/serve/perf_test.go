@@ -1,6 +1,6 @@
 // Request-path performance coverage: the pprof control-plane gate, and
 // ReportAllocs benchmarks for the pooled response encoding and the
-// predict hot path (scripts/bench.sh records them in BENCH_serve.json).
+// predict hot path (bench/ times the same handlers as serve.*_handler_us).
 package serve
 
 import (

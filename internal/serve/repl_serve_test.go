@@ -149,6 +149,33 @@ func TestFollowerReplicatesAndServes(t *testing.T) {
 	_ = psrv
 }
 
+// TestFollowerTailLatency: one event acknowledged by the primary after
+// the follower is current must be visible on the follower within a
+// second. Both daemons run their full middleware chain (Handler()), so
+// the stream handler sees the instrumented ResponseWriter: if that
+// wrapper hides http.Flusher, frames and heartbeats wait in net/http's
+// buffer for ~8 s while the follower keeps reporting the stale lag 0 a
+// failover check would trust.
+func TestFollowerTailLatency(t *testing.T) {
+	_, pts := newWALServer(t, t.TempDir())
+	fsrv, _ := newFollowerServer(t, pts.URL, t.TempDir())
+	waitRepl(t, "follower current", func() bool {
+		st, _ := fsrv.replStatus()
+		return st.State == repl.StateCurrent && st.LagRecords == 0
+	})
+
+	if code := postEvent(t, pts.URL, 5151, 1, 0.1); code != http.StatusOK {
+		t.Fatalf("primary ingest: status %d", code)
+	}
+	acked := time.Now()
+	for cascadeSize(fsrv, 5151) != 1 {
+		if time.Since(acked) > time.Second {
+			t.Fatalf("event acknowledged by the primary not on the caught-up follower after %v", time.Since(acked))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestFollowerUnservableGates503s: a follower that has never completed
 // a bootstrap (its primary is unreachable) must answer the data plane
 // with 503/replication, while readyz stays diagnostic.

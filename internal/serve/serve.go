@@ -317,8 +317,8 @@ func New(cfg Config) (*Server, error) {
 // compaction snapshots legitimately replay events already applied.
 // Node-universe bounds are not re-checked, same as WAL replay: the
 // primary validated the event when it was first acknowledged.
-func (s *Server) applyReplicated(ev wal.Event) error {
-	if _, err := s.store.Append(Event{Cascade: ev.Cascade, Node: ev.Node, Time: ev.Time}, maxInt); err != nil {
+func (s *Server) applyReplicated(ev Event) error {
+	if _, err := s.store.Append(ev, maxInt); err != nil {
 		s.replSkipped.Add(1)
 		return nil
 	}
@@ -471,25 +471,14 @@ func (s *Server) openWAL() (*wal.Log, error) {
 		GroupWindow:     s.cfg.WALSync,
 		MaxSegmentBytes: s.cfg.WALMaxSegment,
 		Logf:            s.cfg.Logf,
-	}, func(ev wal.Event) error {
-		if _, err := s.store.Append(Event{Cascade: ev.Cascade, Node: ev.Node, Time: ev.Time}, maxInt); err != nil {
+	}, func(ev Event) error {
+		if _, err := s.store.Append(ev, maxInt); err != nil {
 			s.walSkipped.Add(1)
 			return nil
 		}
 		s.walReplayed.Add(1)
 		return nil
 	})
-}
-
-// walEvents is the live store's full content in log form: what a
-// compaction snapshot and a replication bootstrap both hand out.
-func (s *Server) walEvents() []wal.Event {
-	evs := s.store.AllEvents()
-	out := make([]wal.Event, len(evs))
-	for i, ev := range evs {
-		out[i] = wal.Event{Cascade: ev.Cascade, Node: ev.Node, Time: ev.Time}
-	}
-	return out
 }
 
 // walLog returns the live WAL, nil when durable ingestion is disabled.
@@ -681,7 +670,7 @@ func (s *Server) Flush() (int, error) {
 		// absorbed no longer needs its raw log entries. The snapshot
 		// callback runs under the WAL's write lock, so it sees every
 		// event whose segment is about to be deleted.
-		removed, err := w.Compact(s.walEvents)
+		removed, err := w.Compact(s.store.AllEvents)
 		if err != nil {
 			s.cfg.Logf("serve: WAL compaction after generation %d: %v", gen, err)
 		} else if removed > 0 {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"viralcast/internal/cascade"
+	"viralcast/internal/wal"
 )
 
 // storeShards is the number of lock shards in the live-cascade store. A
@@ -15,13 +16,9 @@ import (
 const storeShards = 64
 
 // Event is one streamed infection report: node reported/adopted the
-// story of cascade Cascade at time Time (cascade-relative clock, same
-// units as training data).
-type Event struct {
-	Cascade int     `json:"cascade"`
-	Node    int     `json:"node"`
-	Time    float64 `json:"time"`
-}
+// story of cascade Cascade at time Time. It is the WAL's record type, so
+// an ingested event reaches the log and the replication stream as is.
+type Event = wal.Event
 
 // liveCascade is a cascade under construction plus ingest bookkeeping.
 type liveCascade struct {

@@ -1,8 +1,7 @@
 // Kernel benchmarks: Dot and Axpy are the innermost loops of both the
 // likelihood/gradient computation and the influence-maximization
 // objective, so their per-element cost bounds everything above them.
-// scripts/bench.sh runs these alongside the compute-plane benchmarks so
-// the kernel cost stays visible in BENCH_serve.json.
+// bench/ reports the same kernels as vecmath.dot_ns / gemv_ns_per_row.
 package vecmath
 
 import "testing"

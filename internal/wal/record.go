@@ -34,12 +34,14 @@ const recEvent = 1
 var ErrTorn = errors.New("wal: torn or corrupt record")
 
 // Event is one durably logged infection report: node Node adopted the
-// story of cascade Cascade at cascade-relative time Time. It mirrors the
-// serving layer's event shape without importing it.
+// story of cascade Cascade at cascade-relative time Time (same units as
+// training data). The JSON tags are the serving layer's ingest wire
+// shape: internal/serve aliases this type, so one event is parsed,
+// stored, logged and replicated without conversion.
 type Event struct {
-	Cascade int
-	Node    int
-	Time    float64
+	Cascade int     `json:"cascade"`
+	Node    int     `json:"node"`
+	Time    float64 `json:"time"`
 }
 
 // appendEventPayload encodes ev as a record payload: type byte, varint

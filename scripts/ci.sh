@@ -41,10 +41,20 @@ echo "== bench module (vet + tests against this tree)"
 echo "== bench smoke (every benchmark must compile and run once)"
 go test -run=NONE -bench=. -benchtime=1x ./...
 
-echo "== bench harness (BENCH_serve.json must parse and validate)"
-bench_tmp="$(mktemp -d)"
-BENCHTIME=1x LOADTIME=1s BENCH_OUT="$bench_tmp/BENCH_serve.json" scripts/bench.sh
-rm -rf "$bench_tmp"
+# One second per workload, untraced then traced: not a measurement, a
+# check that every workload still sets up, passes its oracle and runs
+# its ladder. run.sh exits non-zero on a wrong answer; a run that merely
+# had operations refused or erroring is caught by its result line.
+echo "== bench/run.sh (four workloads, 1 s each, traced: correct and no failed operation)"
+rm -f bench/out/*.json
+bash bench/run.sh --seed 1 --seconds 1 --trace 1
+for f in bench/out/{train,point,batch,fleet}{,-trace}.json; do
+  last="$(tail -n 1 "$f")"
+  if [[ "$last" != *'"correct":true'* || "$last" != *'"failed":0,'* ]]; then
+    echo "$f: run was not correct or had failed operations: ${last:0:120}" >&2
+    exit 1
+  fi
+done
 
 echo "== viralcastd smoke test"
 tmp="$(mktemp -d)"

@@ -82,9 +82,6 @@ func main() {
 	zombie := flag.String("zombie", "", "with -post-failover: the restarted ex-primary's base URL; must report fenced and 409 ingest/flush")
 	waitCurrent := flag.Bool("wait-current", false, "base is a replication follower: block until /readyz reports the stream current with zero lag, then exit")
 	waitFailover := flag.Bool("wait-failover", false, "base is a router with -auto-failover: block until a shard reports a completed failover and the fleet is ready again, then exit")
-	load := flag.Bool("load", false, "run the closed-loop POST /v1/predict:batch load stage instead: emit go test -bench formatted lines (req/s and amortized ns/cascade) for scripts/benchjson")
-	loadTime := flag.Duration("load-time", 2*time.Second, "with -load: wall-clock duration of each batch size's closed loop")
-	loadBatches := flag.String("load-batches", "1,16,64,256", "with -load: comma-separated batch sizes to sweep")
 	flag.Parse()
 	if *base == "" {
 		log.Fatal("smoke: -base is required")
@@ -92,10 +89,6 @@ func main() {
 	client := &http.Client{Timeout: 30 * time.Second}
 	waitUp(client, *base)
 
-	if *load {
-		checkLoad(client, *base, *loadBatches, *loadTime)
-		return
-	}
 	if *route {
 		checkRoute(client, *base, *oracle)
 		fmt.Println("smoke: routed fleet checks passed")
@@ -1149,89 +1142,6 @@ func checkPredictBatch(client *http.Client, base string, singleMargin float64) {
 	// 400 that never touches the per-item plane.
 	expect(client, "POST", base+"/v1/predict:batch", map[string]any{"cascades": []int{}}, 400, nil)
 	fmt.Println("smoke: predict:batch ok (per-item slots, batch margin == single margin)")
-}
-
-// checkLoad is the closed-loop load stage behind scripts/bench.sh: one
-// synchronous client loops POST /v1/predict:batch for -load-time per
-// batch size, after ingesting enough fixture cascades to fill the
-// largest batch. It prints `go test -bench` formatted lines so
-// scripts/benchjson folds them into BENCH_serve.json: the request-level
-// line's ns/op is the closed loop's per-request latency (its ops/s is
-// the sustained req/s), and the cascade-level line divides by the batch
-// size — the amortized per-cascade cost of the batched HTTP plane.
-func checkLoad(client *http.Client, base, batchList string, dur time.Duration) {
-	var batches []int
-	maxBatch := 0
-	for _, f := range strings.Split(batchList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			log.Fatalf("smoke: bad -load-batches entry %q", f)
-		}
-		batches = append(batches, n)
-		if n > maxBatch {
-			maxBatch = n
-		}
-	}
-	expect(client, "GET", base+"/readyz", nil, 200, nil)
-
-	// Fixture cascades 60000..60000+maxBatch-1, five early events each,
-	// ingested in slices bounded well under the daemon's body cap.
-	const idBase = 60000
-	for lo := 0; lo < maxBatch; lo += 512 {
-		hi := lo + 512
-		if hi > maxBatch {
-			hi = maxBatch
-		}
-		evs := make([]map[string]any, 0, 5*(hi-lo))
-		for i := lo; i < hi; i++ {
-			for j := 0; j < 5; j++ {
-				evs = append(evs, map[string]any{
-					"cascade": idBase + i, "node": (i + j) % 32, "time": 0.1 * float64(j+1),
-				})
-			}
-		}
-		expect(client, "POST", base+"/v1/events", map[string]any{"events": evs}, 200, nil)
-	}
-
-	fmt.Println("pkg: viralcast/scripts/smoke")
-	for _, size := range batches {
-		ids := make([]int, size)
-		for i := range ids {
-			ids[i] = idBase + i
-		}
-		body, err := json.Marshal(map[string]any{"cascades": ids})
-		if err != nil {
-			log.Fatal(err)
-		}
-		// One warm pass, checked strictly; the timed loop then only
-		// spot-checks status and the errors tally to keep client-side
-		// work out of the measurement.
-		expect(client, "POST", base+"/v1/predict:batch", map[string]any{"cascades": ids}, 200, nil)
-
-		reqs := 0
-		start := time.Now()
-		deadline := start.Add(dur)
-		for time.Now().Before(deadline) {
-			resp, err := client.Post(base+"/v1/predict:batch", "application/json", bytes.NewReader(body))
-			if err != nil {
-				log.Fatalf("smoke: load batch=%d: %v", size, err)
-			}
-			rb, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != 200 {
-				log.Fatalf("smoke: load batch=%d: status %d: %s", size, resp.StatusCode, rb)
-			}
-			if !bytes.Contains(rb, []byte(`"errors":0`)) {
-				log.Fatalf("smoke: load batch=%d answered with error slots: %s", size, rb)
-			}
-			reqs++
-		}
-		elapsed := time.Since(start)
-		nsPerReq := float64(elapsed.Nanoseconds()) / float64(reqs)
-		fmt.Printf("BenchmarkHTTPPredictBatch/batch=%d \t%8d\t%12.1f ns/op\n", size, reqs, nsPerReq)
-		fmt.Printf("BenchmarkHTTPPredictCascade/batch=%d \t%8d\t%12.1f ns/op\n",
-			size, reqs*size, nsPerReq/float64(size))
-	}
 }
 
 // expect performs one request and requires the given status, optionally
