@@ -10,6 +10,7 @@ package cooccur
 
 import (
 	"fmt"
+	"sort"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/graph"
@@ -29,41 +30,80 @@ type Options struct {
 
 // Build constructs the co-occurrence graph over n nodes from the given
 // cascades.
+//
+// Pairs are counted one source node at a time: every occurrence of u in a
+// counted cascade is indexed by the infections that follow it, so row u
+// of the graph is one sweep over those tails into a dense counter. The
+// rows come out in CSR order and no pair is ever a map key.
 func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
 	}
-	nodeCount := make([]int, n)   // c(u)
-	pairCount := map[[2]int]int{} // c(u,v), u infected before v
+	counted := func(c *cascade.Cascade) bool {
+		return opt.MaxCascadeSize <= 0 || c.Size() <= opt.MaxCascadeSize
+	}
+	nodeCount := make([]int, n) // c(u)
+	start := make([]int, n+1)   // start[u]: index of u's first tail
 	for _, c := range cs {
 		if err := c.Validate(n); err != nil {
 			return nil, fmt.Errorf("cooccur: %w", err)
 		}
+		pairs := counted(c)
 		for _, inf := range c.Infections {
 			nodeCount[inf.Node]++
-		}
-		if opt.MaxCascadeSize > 0 && c.Size() > opt.MaxCascadeSize {
-			continue
-		}
-		infs := c.Infections
-		for i := 0; i < len(infs); i++ {
-			for j := i + 1; j < len(infs); j++ {
-				pairCount[[2]int{infs[i].Node, infs[j].Node}]++
+			if pairs {
+				start[inf.Node+1]++
 			}
 		}
 	}
-	b := graph.NewBuilder(n)
-	for pair, cnt := range pairCount {
-		if opt.MinPairCount > 1 && cnt < opt.MinPairCount {
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	// tails[start[u]:start[u+1]] are the infections after each occurrence
+	// of u; they alias the cascades.
+	tails := make([][]cascade.Infection, start[n])
+	next := append([]int(nil), start[:n]...)
+	for _, c := range cs {
+		if !counted(c) {
 			continue
 		}
-		u, v := pair[0], pair[1]
-		w := 2 * float64(cnt) / float64(nodeCount[u]+nodeCount[v])
-		if err := b.AddEdge(u, v, w); err != nil {
-			return nil, fmt.Errorf("cooccur: %w", err)
+		for i, inf := range c.Infections {
+			tails[next[inf.Node]] = c.Infections[i+1:]
+			next[inf.Node]++
 		}
 	}
-	return b.Build(), nil
+	offsets := make([]int, n+1)
+	var targets []int
+	var weights []float64
+	pairCount := make([]int, n) // c(u,v) for the current u, zero between rows
+	var seen []int              // the v with pairCount[v] > 0
+	for u := 0; u < n; u++ {
+		for _, tail := range tails[start[u]:start[u+1]] {
+			for _, inf := range tail {
+				if pairCount[inf.Node] == 0 {
+					seen = append(seen, inf.Node)
+				}
+				pairCount[inf.Node]++
+			}
+		}
+		sort.Ints(seen)
+		for _, v := range seen {
+			cnt := pairCount[v]
+			pairCount[v] = 0
+			if opt.MinPairCount > 1 && cnt < opt.MinPairCount {
+				continue
+			}
+			targets = append(targets, v)
+			weights = append(weights, 2*float64(cnt)/float64(nodeCount[u]+nodeCount[v]))
+		}
+		seen = seen[:0]
+		offsets[u+1] = len(targets)
+	}
+	g, err := graph.FromCSR(n, offsets, targets, weights)
+	if err != nil {
+		return nil, fmt.Errorf("cooccur: %w", err)
+	}
+	return g, nil
 }
 
 // NodeCounts returns c(u) for every node: the number of cascades that

@@ -146,6 +146,7 @@ func BenchmarkBuild(b *testing.B) {
 		node = (node + 13) % 800
 		cs = append(cs, c)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(cs, 800, Options{}); err != nil {

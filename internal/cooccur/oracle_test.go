@@ -1,0 +1,121 @@
+package cooccur
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"viralcast/internal/cascade"
+	"viralcast/internal/graph"
+	"viralcast/internal/xrand"
+)
+
+// buildViaMaps is the Build this package shipped before the CSR one:
+// ordered pairs counted in a map and re-inserted into the graph Builder's
+// map. It stays here as the reference the new code must equal bit for bit.
+func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
+	}
+	nodeCount := make([]int, n)   // c(u)
+	pairCount := map[[2]int]int{} // c(u,v), u infected before v
+	for _, c := range cs {
+		if err := c.Validate(n); err != nil {
+			return nil, fmt.Errorf("cooccur: %w", err)
+		}
+		for _, inf := range c.Infections {
+			nodeCount[inf.Node]++
+		}
+		if opt.MaxCascadeSize > 0 && c.Size() > opt.MaxCascadeSize {
+			continue
+		}
+		infs := c.Infections
+		for i := 0; i < len(infs); i++ {
+			for j := i + 1; j < len(infs); j++ {
+				pairCount[[2]int{infs[i].Node, infs[j].Node}]++
+			}
+		}
+	}
+	b := graph.NewBuilder(n)
+	for pair, cnt := range pairCount {
+		if opt.MinPairCount > 1 && cnt < opt.MinPairCount {
+			continue
+		}
+		u, v := pair[0], pair[1]
+		w := 2 * float64(cnt) / float64(nodeCount[u]+nodeCount[v])
+		if err := b.AddEdge(u, v, w); err != nil {
+			return nil, fmt.Errorf("cooccur: %w", err)
+		}
+	}
+	return b.Build(), nil
+}
+
+// randomCascades draws cascades over n nodes whose sizes straddle 20; half
+// of them stay inside a popular quarter of the nodes, so pair counts
+// straddle 3 and both orders of a pair occur.
+func randomCascades(rng *xrand.RNG, n int) []*cascade.Cascade {
+	var pool []int
+	for u := 0; u < n; u++ {
+		if u%11 != 5 { // nodes 5, 16, ... never appear
+			pool = append(pool, u)
+		}
+	}
+	cs := make([]*cascade.Cascade, 1+rng.Intn(60))
+	for id := range cs {
+		src := pool
+		if rng.Intn(2) == 0 {
+			src = pool[:1+len(pool)/4]
+		}
+		size := 1 + rng.Intn(30)
+		if size > len(src) {
+			size = len(src)
+		}
+		c := &cascade.Cascade{ID: id}
+		for i, k := range rng.Perm(len(src))[:size] {
+			c.Infections = append(c.Infections, cascade.Infection{Node: src[k], Time: float64(i)})
+		}
+		cs[id] = c
+	}
+	return cs
+}
+
+func TestBuildMatchesMapOracle(t *testing.T) {
+	rng := xrand.New(14)
+	options := []Options{{}, {MinPairCount: 3}, {MaxCascadeSize: 20}, {MinPairCount: 3, MaxCascadeSize: 20}}
+	for trial := 0; trial < 150; trial++ {
+		n := 2 + rng.Intn(60)
+		cs := randomCascades(rng, n)
+		for _, opt := range options {
+			got, err := Build(cs, n, opt)
+			if err != nil {
+				t.Fatalf("trial %d %+v: %v", trial, opt, err)
+			}
+			want, err := buildViaMaps(cs, n, opt)
+			if err != nil {
+				t.Fatalf("trial %d %+v: oracle: %v", trial, opt, err)
+			}
+			if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+				t.Fatalf("trial %d %+v (n=%d, %d cascades): Build differs from the map oracle\n got %v\nwant %v",
+					trial, opt, n, len(cs), got.Edges(), want.Edges())
+			}
+		}
+	}
+}
+
+// Both versions must refuse the same inputs; the CSR constructor's own
+// checks are never the first to fire on a validated cascade.
+func TestBuildErrorsMatchMapOracle(t *testing.T) {
+	bad := [][]*cascade.Cascade{
+		{casc(0, 0, 1), casc(1, 2, 2)},  // re-infection: would be a self-loop
+		{casc(0, 0, 1), casc(1, 0, 7)},  // out of range
+		{casc(0, 0, 1), {ID: 1}},        // empty
+		{casc(0, 0, 1), casc(1, -1, 2)}, // negative id
+	}
+	for i, cs := range bad {
+		_, err := Build(cs, 4, Options{})
+		_, oerr := buildViaMaps(cs, 4, Options{})
+		if err == nil || oerr == nil || err.Error() != oerr.Error() {
+			t.Errorf("case %d: Build error %v, oracle error %v", i, err, oerr)
+		}
+	}
+}

@@ -96,9 +96,14 @@ func (m *Model) Validate() error {
 // LogLik returns the log-likelihood of one cascade under the model
 // (Eq. 8), computed in O(len(c) * K). Cascades of size < 2 contribute 0.
 func (m *Model) LogLik(c *cascade.Cascade) float64 {
-	k := m.K()
-	h := make([]float64, k) // H = sum of A[l] over already-infected l
-	g := make([]float64, k) // G = sum of t_l * A[l]
+	return m.logLik(c, make([]float64, m.K()), make([]float64, m.K()))
+}
+
+// logLik is LogLik on caller-owned scratch: h and g have length K and
+// are zeroed here.
+func (m *Model) logLik(c *cascade.Cascade, h, g []float64) float64 {
+	vecmath.Fill(h, 0) // H = sum of A[l] over already-infected l
+	vecmath.Fill(g, 0) // G = sum of t_l * A[l]
 	var ll float64
 	for i, inf := range c.Infections {
 		if i > 0 {
@@ -119,11 +124,12 @@ func (m *Model) LogLik(c *cascade.Cascade) float64 {
 	return ll
 }
 
-// LogLikAll sums LogLik over all cascades.
+// LogLikAll sums LogLik over all cascades, on one pair of scratch vectors.
 func (m *Model) LogLikAll(cs []*cascade.Cascade) float64 {
+	h, g := make([]float64, m.K()), make([]float64, m.K())
 	var s float64
 	for _, c := range cs {
-		s += m.LogLik(c)
+		s += m.logLik(c, h, g)
 	}
 	return s
 }

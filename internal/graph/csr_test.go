@@ -1,0 +1,138 @@
+package graph
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"viralcast/internal/xrand"
+)
+
+// undirectedViaBuilder is the map-based Undirected this package shipped
+// before the merge-built one: every arc is pushed through the Builder in
+// both directions. It stays here as the reference the new code must equal
+// bit for bit.
+func undirectedViaBuilder(g *Graph) *Graph {
+	b := NewBuilder(g.n)
+	for u := 0; u < g.n; u++ {
+		ts, ws := g.Neighbors(u)
+		for i, v := range ts {
+			_ = b.AddEdge(u, v, ws[i]) // errors impossible: arcs of a valid graph
+			_ = b.AddEdge(v, u, ws[i])
+		}
+	}
+	return b.Build()
+}
+
+// randomDigraph draws a weighted digraph with isolated nodes, reciprocal
+// pairs and repeated weights (so equal sums occur).
+func randomDigraph(rng *xrand.RNG) *Graph {
+	n := 1 + rng.Intn(40)
+	b := NewBuilder(n)
+	for i := rng.Intn(6 * n); i > 0; i-- {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v || u%7 == 3 || v%7 == 3 { // nodes 3, 10, ... stay isolated
+			continue
+		}
+		w := rng.Float64()
+		if rng.Intn(2) == 0 {
+			w = float64(1+rng.Intn(3)) / 4
+		}
+		_ = b.AddEdge(u, v, w)
+		if rng.Intn(3) == 0 {
+			_ = b.AddEdge(v, u, rng.Float64())
+		}
+	}
+	return b.Build()
+}
+
+func TestUndirectedMatchesBuilderOracle(t *testing.T) {
+	rng := xrand.New(14)
+	for trial := 0; trial < 300; trial++ {
+		g := randomDigraph(rng)
+		got, want := g.Undirected(), undirectedViaBuilder(g)
+		if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			t.Fatalf("trial %d (n=%d, m=%d): Undirected differs from the Builder oracle\n got %v\nwant %v",
+				trial, g.N(), g.M(), got.Edges(), want.Edges())
+		}
+		if !reflect.DeepEqual(got.offsets, want.offsets) {
+			t.Fatalf("trial %d: offsets %v, want %v", trial, got.offsets, want.offsets)
+		}
+		// Symmetrizing a symmetric graph doubles every weight and keeps
+		// the arcs: the reciprocated branch of the merge.
+		twice := got.Undirected()
+		if !reflect.DeepEqual(twice.Edges(), undirectedViaBuilder(got).Edges()) {
+			t.Fatalf("trial %d: Undirected of a symmetric graph differs from the oracle", trial)
+		}
+	}
+}
+
+func TestFromCSR(t *testing.T) {
+	g, err := FromCSR(4, []int{0, 2, 2, 3, 3}, []int{1, 3, 0}, []float64{0.5, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Edge{{0, 1, 0.5}, {0, 3, 1}, {2, 0, 2}}
+	if g.N() != 4 || !reflect.DeepEqual(g.Edges(), want) {
+		t.Fatalf("FromCSR edges = %v (n=%d), want %v", g.Edges(), g.N(), want)
+	}
+	if w, ok := g.Weight(2, 0); !ok || w != 2 {
+		t.Fatalf("Weight(2,0) = %v, %v", w, ok)
+	}
+	if g, err := FromCSR(0, []int{0}, nil, nil); err != nil || g.N() != 0 || g.M() != 0 {
+		t.Fatalf("empty graph: %v, %v", g, err)
+	}
+}
+
+func TestFromCSRRejects(t *testing.T) {
+	cases := []struct {
+		name    string
+		n       int
+		offsets []int
+		targets []int
+		weights []float64
+		wantErr string
+	}{
+		{"negative n", -1, []int{0}, nil, nil, "n >= 0"},
+		{"short offsets", 2, []int{0, 1}, []int{1}, []float64{1}, "offsets"},
+		{"offsets not from zero", 2, []int{1, 1, 1}, []int{1}, []float64{1}, "starting at 0"},
+		{"offsets end short", 2, []int{0, 1, 1}, []int{1, 0}, []float64{1, 1}, "end at"},
+		{"weights mismatch", 2, []int{0, 1, 1}, []int{1}, []float64{1, 1}, "weights"},
+		{"offsets decrease", 3, []int{0, 2, 1, 2}, []int{1, 2}, []float64{1, 1}, "not monotone"},
+		{"offsets overshoot", 3, []int{0, 3, 1, 2}, []int{1, 2}, []float64{1, 1}, "not monotone"},
+		{"target out of range", 2, []int{0, 1, 1}, []int{2}, []float64{1}, "out of range"},
+		{"negative target", 2, []int{0, 1, 1}, []int{-1}, []float64{1}, "out of range"},
+		{"self-loop", 2, []int{0, 0, 1}, []int{1}, []float64{1}, "self-loop"},
+		{"unsorted targets", 3, []int{0, 2, 2, 2}, []int{2, 1}, []float64{1, 1}, "strictly ascending"},
+		{"duplicate target", 3, []int{0, 2, 2, 2}, []int{1, 1}, []float64{1, 1}, "strictly ascending"},
+	}
+	for _, tc := range cases {
+		g, err := FromCSR(tc.n, tc.offsets, tc.targets, tc.weights)
+		if err == nil {
+			t.Errorf("%s: accepted, got graph with %d arcs", tc.name, g.M())
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+func BenchmarkUndirected(b *testing.B) {
+	// A dense one-directional graph shaped like the co-occurrence graph of
+	// bench/'s train workload: 1,000 nodes, ~98k arcs, few reciprocated.
+	rng := xrand.New(1)
+	bld := NewBuilder(1000)
+	for i := 0; i < 100000; i++ {
+		u, v := rng.Intn(1000), rng.Intn(1000)
+		if u < v {
+			_ = bld.AddEdge(u, v, rng.Float64())
+		} else if v < u && rng.Intn(50) == 0 {
+			_ = bld.AddEdge(u, v, rng.Float64())
+		}
+	}
+	g := bld.Build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Undirected()
+	}
+}

@@ -81,6 +81,43 @@ type Graph struct {
 	weights []float64
 }
 
+// FromCSR wraps ready-made CSR arrays as a Graph without copying them;
+// the caller must not touch the slices afterwards. It is the constructor
+// for code that already produces rows in order (package cooccur) and has
+// no use for the Builder's accumulation. Everything the Builder
+// guarantees is checked: offsets start at 0, never decrease and end at
+// len(targets) == len(weights); every target is in [0, n), is not its
+// own row (no self-loops), and is strictly greater than its predecessor
+// in the row (sorted, no parallel edges).
+func FromCSR(n int, offsets, targets []int, weights []float64) (*Graph, error) {
+	if n < 0 || len(offsets) != n+1 || offsets[0] != 0 {
+		return nil, fmt.Errorf("graph: FromCSR needs n >= 0 and n+1 offsets starting at 0, got n=%d and %d offsets", n, len(offsets))
+	}
+	if offsets[n] != len(targets) || len(targets) != len(weights) {
+		return nil, fmt.Errorf("graph: FromCSR offsets end at %d but there are %d targets and %d weights",
+			offsets[n], len(targets), len(weights))
+	}
+	for u := 0; u < n; u++ {
+		lo, hi := offsets[u], offsets[u+1]
+		if lo > hi || hi > len(targets) {
+			return nil, fmt.Errorf("graph: FromCSR offsets not monotone at node %d: row [%d,%d) of %d arcs", u, lo, hi, len(targets))
+		}
+		for i := lo; i < hi; i++ {
+			v := targets[i]
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
+			}
+			if v == u {
+				return nil, fmt.Errorf("graph: self-loop on node %d rejected", u)
+			}
+			if i > lo && targets[i-1] >= v {
+				return nil, fmt.Errorf("graph: FromCSR targets of node %d not strictly ascending (%d then %d)", u, targets[i-1], v)
+			}
+		}
+	}
+	return &Graph{n: n, offsets: offsets, targets: targets, weights: weights}, nil
+}
+
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
@@ -133,17 +170,57 @@ func (g *Graph) TotalWeight() float64 {
 // Undirected returns a new graph where each directed edge (u,v,w)
 // contributes w to both (u,v) and (v,u). Useful for community detection
 // on co-occurrence graphs that were built directionally.
+//
+// Row u of the result is the merge of u's out-row with its in-row (row u
+// of the transpose). Both are sorted by neighbor, and a pair present in
+// both directions gets the two-term sum w(u,v)+w(v,u), so the weights do
+// not depend on the order the arcs are visited in.
 func (g *Graph) Undirected() *Graph {
-	b := NewBuilder(g.n)
+	// Transpose by counting sort: scanning sources in ascending order
+	// leaves every in-row sorted by source.
+	inOff := make([]int, g.n+1)
+	for _, v := range g.targets {
+		inOff[v+1]++
+	}
+	for i := 1; i <= g.n; i++ {
+		inOff[i] += inOff[i-1]
+	}
+	inSrc := make([]int, g.M())
+	inW := make([]float64, g.M())
+	next := append([]int(nil), inOff[:g.n]...)
 	for u := 0; u < g.n; u++ {
 		ts, ws := g.Neighbors(u)
 		for i, v := range ts {
-			// Errors impossible: edges come from a valid graph.
-			_ = b.AddEdge(u, v, ws[i])
-			_ = b.AddEdge(v, u, ws[i])
+			inSrc[next[v]], inW[next[v]] = u, ws[i]
+			next[v]++
 		}
 	}
-	return b.Build()
+	// 2M bounds the arc count; it is reached when no edge is reciprocated.
+	und := &Graph{
+		n:       g.n,
+		offsets: make([]int, g.n+1),
+		targets: make([]int, 0, 2*g.M()),
+		weights: make([]float64, 0, 2*g.M()),
+	}
+	for u := 0; u < g.n; u++ {
+		ts, ws := g.Neighbors(u)
+		ss, sw := inSrc[inOff[u]:inOff[u+1]], inW[inOff[u]:inOff[u+1]]
+		for i, j := 0, 0; i < len(ts) || j < len(ss); {
+			var v int
+			var w float64
+			switch {
+			case j == len(ss) || (i < len(ts) && ts[i] < ss[j]):
+				v, w, i = ts[i], ws[i], i+1
+			case i == len(ts) || ss[j] < ts[i]:
+				v, w, j = ss[j], sw[j], j+1
+			default:
+				v, w, i, j = ts[i], ws[i]+sw[j], i+1, j+1
+			}
+			und.targets, und.weights = append(und.targets, v), append(und.weights, w)
+		}
+		und.offsets[u+1] = len(und.targets)
+	}
+	return und
 }
 
 // DegreeHistogram returns a map from out-degree to node count.

@@ -45,25 +45,24 @@ func (o ParallelOptions) withDefaults() ParallelOptions {
 // no likelihood terms.
 func SplitCascades(cs []*cascade.Cascade, p *slpa.Partition) [][]*cascade.Cascade {
 	out := make([][]*cascade.Cascade, p.NumCommunities())
+	parts := make([]*cascade.Cascade, p.NumCommunities()) // nil between cascades
+	var touched []int                                     // communities with a part
 	for _, c := range cs {
-		var parts map[int]*cascade.Cascade
 		for _, inf := range c.Infections {
 			r := p.Membership[inf.Node]
-			if parts == nil {
-				parts = make(map[int]*cascade.Cascade, 4)
+			if parts[r] == nil {
+				parts[r] = &cascade.Cascade{ID: c.ID}
+				touched = append(touched, r)
 			}
-			sub, ok := parts[r]
-			if !ok {
-				sub = &cascade.Cascade{ID: c.ID}
-				parts[r] = sub
-			}
-			sub.Infections = append(sub.Infections, inf)
+			parts[r].Infections = append(parts[r].Infections, inf)
 		}
-		for r, sub := range parts {
-			if sub.Size() >= 2 {
-				out[r] = append(out[r], sub)
+		for _, r := range touched {
+			if parts[r].Size() >= 2 {
+				out[r] = append(out[r], parts[r])
 			}
+			parts[r] = nil
 		}
+		touched = touched[:0]
 	}
 	return out
 }

@@ -80,60 +80,31 @@ func DetectOverlapping(g *graph.Graph, opt Options, r float64, rng *xrand.RNG) (
 		return nil, fmt.Errorf("slpa: threshold r must be in (0,1], got %v", r)
 	}
 	opt = opt.withDefaults()
-	n := g.N()
-	und := g.Undirected()
-	memory := make([]map[int]int, n)
-	memSize := make([]int, n)
-	for u := range memory {
-		memory[u] = map[int]int{u: 1}
-		memSize[u] = 1
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for it := 0; it < opt.Iterations; it++ {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, listener := range order {
-			ts, ws := und.Neighbors(listener)
-			if len(ts) == 0 {
-				continue
-			}
-			received := map[int]float64{}
-			for i, speaker := range ts {
-				label := speak(memory[speaker], memSize[speaker], rng)
-				received[label] += ws[i]
-			}
-			best, bestW := -1, -1.0
-			for label, w := range received {
-				if w > bestW || (w == bestW && label < best) {
-					best, bestW = label, w
-				}
-			}
-			memory[listener][best]++
-			memSize[listener]++
-		}
-	}
+	memory := propagate(g.Undirected(), opt.Iterations, rng)
 	// Post-processing: keep labels above the frequency threshold; always
-	// keep the most frequent label so every node is covered.
-	rawMemberships := make([][]int, n)
+	// keep the most frequent label so every node is covered. Memories
+	// are sorted by label, and so is kept.
+	rawMemberships := make([][]int, len(memory))
 	labelsSeen := map[int]int{} // raw label -> dense community id
 	var communities [][]int
-	for u := 0; u < n; u++ {
+	for u, mem := range memory {
+		total := 0
+		for _, e := range mem {
+			total += int(e.count)
+		}
 		var kept []int
-		bestLabel, bestCount := -1, -1
-		for label, cnt := range memory[u] {
-			if float64(cnt)/float64(memSize[u]) >= r {
-				kept = append(kept, label)
+		best := mem[0]
+		for _, e := range mem {
+			if float64(e.count)/float64(total) >= r {
+				kept = append(kept, int(e.label))
 			}
-			if cnt > bestCount || (cnt == bestCount && label < bestLabel) {
-				bestLabel, bestCount = label, cnt
+			if e.count > best.count {
+				best = e
 			}
 		}
 		if len(kept) == 0 {
-			kept = []int{bestLabel}
+			kept = []int{int(best.label)}
 		}
-		sort.Ints(kept)
 		for _, label := range kept {
 			id, ok := labelsSeen[label]
 			if !ok {

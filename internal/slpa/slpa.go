@@ -103,54 +103,19 @@ func FromMembership(membership []int) *Partition {
 // out-neighbors speak to a listener) and returns a disjoint partition.
 func Detect(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
 	opt = opt.withDefaults()
-	n := g.N()
 	und := g.Undirected()
-	// memory[u] maps label -> count. Initially every node holds itself.
-	memory := make([]map[int]int, n)
-	memSize := make([]int, n)
-	for u := range memory {
-		memory[u] = map[int]int{u: 1}
-		memSize[u] = 1
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for it := 0; it < opt.Iterations; it++ {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, listener := range order {
-			ts, ws := und.Neighbors(listener)
-			if len(ts) == 0 {
-				continue
-			}
-			// Each neighbor speaks one label sampled from its memory;
-			// the listener adopts the label with the largest total edge
-			// weight among those spoken.
-			received := map[int]float64{}
-			for i, speaker := range ts {
-				label := speak(memory[speaker], memSize[speaker], rng)
-				received[label] += ws[i]
-			}
-			best, bestW := -1, -1.0
-			for label, w := range received {
-				if w > bestW || (w == bestW && label < best) {
-					best, bestW = label, w
-				}
-			}
-			memory[listener][best]++
-			memSize[listener]++
-		}
-	}
-	// Post-processing: each node takes its most frequent remembered label.
-	membership := make([]int, n)
-	for u := range membership {
-		bestLabel, bestCount := -1, -1
-		for label, cnt := range memory[u] {
-			if cnt > bestCount || (cnt == bestCount && label < bestLabel) {
-				bestLabel, bestCount = label, cnt
+	memory := propagate(und, opt.Iterations, rng)
+	// Post-processing: each node takes its most frequent remembered label
+	// (ties: lowest label, the first in its sorted memory).
+	membership := make([]int, len(memory))
+	for u, mem := range memory {
+		best := mem[0]
+		for _, e := range mem[1:] {
+			if e.count > best.count {
+				best = e
 			}
 		}
-		membership[u] = bestLabel
+		membership[u] = int(best.label)
 	}
 	p := FromMembership(membership)
 	if opt.MinCommunitySize > 1 {
@@ -159,25 +124,90 @@ func Detect(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
 	return p
 }
 
-// speak samples a label from the speaker's memory proportionally to its
-// stored frequency.
-func speak(mem map[int]int, total int, rng *xrand.RNG) int {
-	target := rng.Intn(total)
-	// Map iteration order is random in Go; for determinism we walk labels
-	// in sorted order. Memories are small (<= iterations), so this is fine.
-	labels := make([]int, 0, len(mem))
-	for l := range mem {
-		labels = append(labels, l)
+// entry is one remembered label and the number of times it was stored.
+type entry struct{ label, count int32 }
+
+// propagate runs the speaker-listener rounds on the undirected graph and
+// returns every node's memory sorted by label; a memory's counts sum to
+// one plus the number of rounds the node listened in. Labels are node
+// ids, so what a listener hears is tallied in a dense per-label array.
+// A node stores one label per round, which bounds its memory at
+// iterations+1 entries: all memories are carved from one block up front
+// and the sweep itself allocates nothing.
+func propagate(und *graph.Graph, iterations int, rng *xrand.RNG) [][]entry {
+	n, stride := und.N(), iterations+1
+	block := make([]entry, n*stride)
+	memory := make([][]entry, n)
+	memSize := make([]int, n)
+	order := make([]int, n)
+	for u := range memory {
+		block[u*stride] = entry{int32(u), 1} // initially every node holds itself
+		memory[u] = block[u*stride : u*stride+1 : (u+1)*stride]
+		memSize[u], order[u] = 1, u
 	}
-	sort.Ints(labels)
-	acc := 0
-	for _, l := range labels {
-		acc += mem[l]
-		if target < acc {
-			return l
+	received := make([]float64, n) // zero outside a listener's turn
+	heard := make([]int32, 0, n)   // labels with an entry in received
+	for it := 0; it < iterations; it++ {
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for _, listener := range order {
+			ts, ws := und.Neighbors(listener)
+			if len(ts) == 0 {
+				continue
+			}
+			// Each neighbor speaks one label sampled from its memory;
+			// the listener adopts the label with the largest total edge
+			// weight among those spoken (ties: lowest label).
+			for i, speaker := range ts {
+				label := speak(memory[speaker], memSize[speaker], rng)
+				if received[label] == 0 {
+					// A label whose weights sum to zero so far is listed
+					// again, which the arg-max below does not mind.
+					heard = append(heard, label)
+				}
+				received[label] += ws[i]
+			}
+			best, bestW := int32(-1), -1.0
+			for _, label := range heard {
+				if w := received[label]; w > bestW || (w == bestW && label < best) {
+					best, bestW = label, w
+				}
+				received[label] = 0
+			}
+			heard = heard[:0]
+			memory[listener] = remember(memory[listener], best)
+			memSize[listener]++
 		}
 	}
-	return labels[len(labels)-1]
+	return memory
+}
+
+// speak samples a label from the speaker's memory proportionally to its
+// stored frequency, walking the labels in ascending order.
+func speak(mem []entry, total int, rng *xrand.RNG) int32 {
+	target := int32(rng.Intn(total))
+	for _, e := range mem {
+		if target < e.count {
+			return e.label
+		}
+		target -= e.count
+	}
+	return mem[len(mem)-1].label
+}
+
+// remember counts one more occurrence of label in the sorted memory.
+func remember(mem []entry, label int32) []entry {
+	i := 0
+	for i < len(mem) && mem[i].label < label {
+		i++
+	}
+	if i < len(mem) && mem[i].label == label {
+		mem[i].count++
+		return mem
+	}
+	mem = append(mem, entry{})
+	copy(mem[i+1:], mem[i:])
+	mem[i] = entry{label, 1}
+	return mem
 }
 
 // mergeSmall folds communities below minSize into the neighboring
@@ -185,57 +215,61 @@ func speak(mem map[int]int, total int, rng *xrand.RNG) int {
 // small communities merge into the largest community.
 func mergeSmall(und *graph.Graph, p *Partition, minSize int) *Partition {
 	membership := append([]int(nil), p.Membership...)
+	// members[c] is community c's sorted node list, nil once merged away.
+	members := append([][]int(nil), p.Communities...)
+	weightTo := make([]float64, len(members)) // zero between rounds
+	var neighbors []int                       // communities with an entry in weightTo
 	for {
-		counts := map[int]int{}
-		for _, c := range membership {
-			counts[c]++
-		}
 		// Find the smallest community below threshold (ties: lowest id).
-		smallID, smallN := -1, minSize
-		for id, n := range counts {
-			if n < smallN || (n == smallN && smallID != -1 && id < smallID) {
-				smallID, smallN = id, n
+		small := -1
+		for id, m := range members {
+			if len(m) > 0 && len(m) < minSize && (small == -1 || len(m) < len(members[small])) {
+				small = id
 			}
 		}
-		if smallID == -1 {
+		if small == -1 {
 			break
 		}
 		// Total connection weight to every other community.
-		weightTo := map[int]float64{}
-		for u, c := range membership {
-			if c != smallID {
-				continue
-			}
+		for _, u := range members[small] {
 			ts, ws := und.Neighbors(u)
 			for i, v := range ts {
-				if membership[v] != smallID {
-					weightTo[membership[v]] += ws[i]
+				if c := membership[v]; c != small {
+					if weightTo[c] == 0 { // as in propagate: repeats are harmless
+						neighbors = append(neighbors, c)
+					}
+					weightTo[c] += ws[i]
 				}
 			}
 		}
 		target, bestW := -1, -1.0
-		for id, w := range weightTo {
-			if w > bestW || (w == bestW && id < target) {
+		for _, id := range neighbors {
+			if w := weightTo[id]; w > bestW || (w == bestW && id < target) {
 				target, bestW = id, w
 			}
+			weightTo[id] = 0
 		}
+		neighbors = neighbors[:0]
 		if target == -1 {
-			// Isolated: merge into the largest other community, if any.
-			bestN := -1
-			for id, n := range counts {
-				if id != smallID && (n > bestN || (n == bestN && id < target)) {
-					target, bestN = id, n
+			// Isolated: merge into the largest other community, if any
+			// (ties: lowest id).
+			for id, m := range members {
+				if id != small && len(m) > 0 && (target == -1 || len(m) > len(members[target])) {
+					target = id
 				}
 			}
 			if target == -1 {
 				break // only one community left
 			}
 		}
-		for u, c := range membership {
-			if c == smallID {
-				membership[u] = target
-			}
+		for _, u := range members[small] {
+			membership[u] = target
 		}
+		merged := append(append([]int(nil), members[target]...), members[small]...)
+		if len(merged) < minSize {
+			sort.Ints(merged) // it will be folded in turn, in node order
+		}
+		members[target], members[small] = merged, nil
 	}
 	return FromMembership(membership)
 }

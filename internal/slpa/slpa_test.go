@@ -232,6 +232,7 @@ func BenchmarkDetectSBM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Detect(g, Options{Iterations: 20}, xrand.New(uint64(i)))

@@ -55,6 +55,17 @@ for f in bench/out/{train,point,batch,fleet}{,-trace}.json; do
     exit 1
   fi
 done
+# The graph front half of training is pinned bit for bit: these two counts
+# repeat exactly across sets and seeds (bench/README.md), so a change to
+# cooccur, graph.Undirected or slpa that is not identical fails here
+# before it shows as drift in f1.
+last="$(tail -n 1 bench/out/train-trace.json)"
+for want in '"cooccur.edges":{"value":97966,' '"slpa.communities":{"value":17,'; do
+  if [[ "$last" != *"$want"* ]]; then
+    echo "bench/out/train-trace.json: expected $want — the co-occurrence graph or the SLPA partition changed" >&2
+    exit 1
+  fi
+done
 
 echo "== viralcastd smoke test"
 tmp="$(mktemp -d)"
