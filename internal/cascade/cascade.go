@@ -98,10 +98,21 @@ func (c *Cascade) PrefixView(cutoff float64) (Cascade, bool) {
 // satisfy: at least one infection, distinct non-negative node ids (< n if
 // n > 0), non-negative times, and non-decreasing time order.
 func (c *Cascade) Validate(n int) error {
+	return c.validate(n, nil, 0)
+}
+
+// validate is Validate with the set of nodes seen so far held either in
+// a map (stamp == nil) or in a caller-owned table with one slot per node
+// id, where stamp[u] == mark means u was seen; the caller passes a mark
+// no earlier cascade used, so the table needs no clearing in between.
+func (c *Cascade) validate(n int, stamp []int32, mark int32) error {
 	if len(c.Infections) == 0 {
 		return fmt.Errorf("cascade %d: empty", c.ID)
 	}
-	seen := make(map[int]bool, len(c.Infections))
+	var seen map[int]bool
+	if stamp == nil {
+		seen = make(map[int]bool, len(c.Infections))
+	}
 	prev := -1.0
 	for i, inf := range c.Infections {
 		if inf.Node < 0 {
@@ -110,10 +121,17 @@ func (c *Cascade) Validate(n int) error {
 		if n > 0 && inf.Node >= n {
 			return fmt.Errorf("cascade %d: node id %d out of range [0,%d)", c.ID, inf.Node, n)
 		}
-		if seen[inf.Node] {
+		var twice bool
+		if stamp == nil {
+			twice = seen[inf.Node]
+			seen[inf.Node] = true
+		} else {
+			twice = stamp[inf.Node] == mark
+			stamp[inf.Node] = mark
+		}
+		if twice {
 			return fmt.Errorf("cascade %d: node %d infected twice (SI process forbids re-infection)", c.ID, inf.Node)
 		}
-		seen[inf.Node] = true
 		if math.IsNaN(inf.Time) || math.IsInf(inf.Time, 0) {
 			return fmt.Errorf("cascade %d: non-finite time %v at index %d", c.ID, inf.Time, i)
 		}
@@ -141,9 +159,15 @@ func (c *Cascade) SortByTime() {
 }
 
 // ValidateAll validates every cascade against node universe size n.
+// With a known universe (n > 0) the cascades share one seen-table
+// stamped with the cascade's position, instead of a map per cascade.
 func ValidateAll(cs []*Cascade, n int) error {
-	for _, c := range cs {
-		if err := c.Validate(n); err != nil {
+	var stamp []int32
+	if n > 0 {
+		stamp = make([]int32, n)
+	}
+	for i, c := range cs {
+		if err := c.validate(n, stamp, int32(i+1)); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,42 @@ func TestValidate(t *testing.T) {
 	big := &Cascade{Infections: []Infection{{1000, 0}}}
 	if err := big.Validate(0); err != nil {
 		t.Errorf("n=0 must disable range check: %v", err)
+	}
+}
+
+// ValidateAll keeps one seen-table for all cascades; it must report
+// exactly what validating them one by one reports, and a node shared by
+// consecutive cascades is not a re-infection.
+func TestValidateAllMatchesValidate(t *testing.T) {
+	bad := map[string]*Cascade{
+		"empty":          {ID: 1},
+		"dup node":       {ID: 2, Infections: []Infection{{0, 0}, {3, 1}, {0, 2}}},
+		"neg node":       {ID: 3, Infections: []Infection{{1, 0}, {-1, 1}}},
+		"out of range":   {ID: 4, Infections: []Infection{{1, 0}, {9, 1}}},
+		"neg time":       {ID: 5, Infections: []Infection{{0, -1}}},
+		"NaN time":       {ID: 6, Infections: []Infection{{0, math.NaN()}}},
+		"disorder":       {ID: 7, Infections: []Infection{{0, 2}, {1, 1}}},
+		"dup then range": {ID: 8, Infections: []Infection{{2, 0}, {2, 1}, {9, 2}}},
+	}
+	for _, n := range []int{4, 0} {
+		for name, c := range bad {
+			cs := []*Cascade{valid(), valid(), c, valid()}
+			want := c.Validate(n)
+			got := ValidateAll(cs, n)
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Errorf("n=%d %s: ValidateAll = %v, Validate = %v", n, name, got, want)
+			}
+		}
+		if err := ValidateAll([]*Cascade{valid(), valid(), valid()}, n); err != nil {
+			t.Errorf("n=%d: cascades sharing nodes rejected: %v", n, err)
+		}
+	}
+	cs := make([]*Cascade, 64)
+	for i := range cs {
+		cs[i] = valid()
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = ValidateAll(cs, 4) }); allocs > 1 {
+		t.Errorf("ValidateAll allocated %v times for %d cascades, want one table", allocs, len(cs))
 	}
 }
 

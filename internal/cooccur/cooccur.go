@@ -42,12 +42,12 @@ func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	counted := func(c *cascade.Cascade) bool {
 		return opt.MaxCascadeSize <= 0 || c.Size() <= opt.MaxCascadeSize
 	}
+	if err := cascade.ValidateAll(cs, n); err != nil {
+		return nil, fmt.Errorf("cooccur: %w", err)
+	}
 	nodeCount := make([]int, n) // c(u)
 	start := make([]int, n+1)   // start[u]: index of u's first tail
 	for _, c := range cs {
-		if err := c.Validate(n); err != nil {
-			return nil, fmt.Errorf("cooccur: %w", err)
-		}
 		pairs := counted(c)
 		for _, inf := range c.Infections {
 			nodeCount[inf.Node]++

@@ -1,0 +1,58 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"testing"
+
+	"viralcast/internal/experiments"
+)
+
+// trainEmbeddingsGolden is the SHA-256 of the fitted A‖B bit patterns on
+// the fixture below, recorded at the commit before the fused embed
+// kernels and the arena level tasks landed: the optimization's back half
+// (line search, level tasks, merge tree) must keep producing these
+// exact embeddings.
+const trainEmbeddingsGolden = "b20546d5e423a15ec30ab97c27e811acff9cdad3449da3f250efc43b991d10d7"
+
+func TestTrainEmbeddingsPinned(t *testing.T) {
+	// bench/'s train fixture in miniature: sparse SBM blocks with
+	// Pareto influence, so SLPA finds a dozen communities and the merge
+	// tree has five levels.
+	e := experiments.DefaultSBM()
+	e.N, e.Cascades, e.Train, e.Window, e.Seed = 400, 301, 300, 8, 5
+	w, err := experiments.BuildSBMWorkload(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(workers int) string {
+		sys, err := Train(w.Train, e.N, TrainConfig{Topics: 4, MaxIter: 10, Workers: workers, Seed: 22})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sys.Trace.Levels) < 4 {
+			t.Fatalf("fixture has %d levels, want a real hierarchy", len(sys.Trace.Levels))
+		}
+		h := sha256.New()
+		var buf [8]byte
+		for _, data := range [][]float64{sys.Embeddings.A.Data, sys.Embeddings.B.Data} {
+			for _, v := range data {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	w1, w4 := digest(1), digest(4)
+	if w1 != w4 {
+		t.Fatalf("embeddings depend on the worker count: workers=1 %s, workers=4 %s", w1, w4)
+	}
+	// Float results are only pinned on the architecture the golden was
+	// taken on (others may fuse multiply-adds).
+	if runtime.GOARCH == "amd64" && w1 != trainEmbeddingsGolden {
+		t.Fatalf("fitted embeddings moved: digest %s, golden %s", w1, trainEmbeddingsGolden)
+	}
+}

@@ -99,29 +99,69 @@ func (m *Model) LogLik(c *cascade.Cascade) float64 {
 	return m.logLik(c, make([]float64, m.K()), make([]float64, m.K()))
 }
 
+// The log terms of one cascade are taken as the logarithm of the product
+// of its hazards, one math.Log per cascade instead of one per infection.
+// The running product is kept inside [hazardLo, hazardHi] by moving its
+// binary exponent into an integer whenever it leaves that band; a factor
+// that is itself outside the band (above it: hazards are floored at
+// EpsRate) is reduced first, so the product of an in-band value and a
+// factor can neither overflow nor underflow.
+const (
+	hazardLo = 0x1p-500
+	hazardHi = 0x1p+500
+)
+
 // logLik is LogLik on caller-owned scratch: h and g have length K and
-// are zeroed here.
+// are zeroed here. The result is within 1e-12·(1+|ll|) of the
+// term-by-term sum of Eq. 8 (a few ulp in practice); a NaN or ±Inf hazard
+// still yields a non-finite likelihood, which the divergence guard in
+// package infer relies on.
 func (m *Model) logLik(c *cascade.Cascade, h, g []float64) float64 {
-	vecmath.Fill(h, 0) // H = sum of A[l] over already-infected l
-	vecmath.Fill(g, 0) // G = sum of t_l * A[l]
-	var ll float64
+	k := m.A.ColsN
+	if m.B.ColsN != k {
+		panic("embed: LogLik on a model whose A and B widths differ")
+	}
+	a, b := m.A.Data, m.B.Data
+	h, g = h[:k], g[:k]
+	for j := range h {
+		h[j] = 0 // H = sum of A[l] over already-infected l
+		g[j] = 0 // G = sum of t_l * A[l]
+	}
+	var linear float64 // sum of the survival terms
+	prod, exp := 1.0, 0
 	for i, inf := range c.Infections {
+		off := inf.Node * k
 		if i > 0 {
-			bv := m.B.Row(inf.Node)
-			hb := vecmath.Dot(h, bv)
-			gb := vecmath.Dot(g, bv)
+			bv := b[off : off+k : off+k]
+			var hb, gb float64
+			for j, x := range bv {
+				hb += h[j] * x
+				gb += g[j] * x
+			}
 			// sum_{l<v} (t_l - t_v) A[l]·B[v] = G·B[v] - t_v * H·B[v]
-			ll += gb - inf.Time*hb
+			linear += gb - inf.Time*hb
 			if hb < EpsRate {
 				hb = EpsRate
 			}
-			ll += math.Log(hb)
+			// Negated comparisons so a NaN takes the Frexp path too; Frexp
+			// returns NaN and ±Inf unchanged, keeping the product non-finite.
+			if !(hb <= hazardHi) {
+				fr, e := math.Frexp(hb)
+				hb, exp = fr, exp+e
+			}
+			prod *= hb
+			if !(prod >= hazardLo && prod <= hazardHi) {
+				fr, e := math.Frexp(prod)
+				prod, exp = fr, exp+e
+			}
 		}
-		al := m.A.Row(inf.Node)
-		vecmath.Add(al, h)
-		vecmath.Axpy(inf.Time, al, g)
+		t := inf.Time
+		for j, x := range a[off : off+k : off+k] {
+			h[j] += x
+			g[j] += t * x
+		}
 	}
-	return ll
+	return linear + (math.Log(prod) + float64(exp)*math.Ln2)
 }
 
 // LogLikAll sums LogLik over all cascades, on one pair of scratch vectors.
@@ -138,19 +178,18 @@ func (m *Model) LogLikAll(cs []*cascade.Cascade) float64 {
 // training loop performs no per-cascade allocation. A workspace may be
 // reused across cascades but not shared between goroutines.
 type GradWorkspace struct {
-	h, g, p, q, r, tmp []float64
-	denom              []float64
+	h, g, p, q, r []float64
+	inv           []float64 // 1/d_v per cascade position
 }
 
 // NewGradWorkspace allocates a workspace for models with k topics.
 func NewGradWorkspace(k int) *GradWorkspace {
 	return &GradWorkspace{
-		h:   make([]float64, k),
-		g:   make([]float64, k),
-		p:   make([]float64, k),
-		q:   make([]float64, k),
-		r:   make([]float64, k),
-		tmp: make([]float64, k),
+		h: make([]float64, k),
+		g: make([]float64, k),
+		p: make([]float64, k),
+		q: make([]float64, k),
+		r: make([]float64, k),
 	}
 }
 
@@ -166,52 +205,72 @@ func NewGradWorkspace(k int) *GradWorkspace {
 //
 //	dA[u] += t_u P(u) - Q(u) + R(u)
 //
+// Every sweep step is one pass over the K columns of the rows involved.
 // Complexity O(len(c) * K); no allocation beyond the reusable workspace.
 func (m *Model) AccumGrad(c *cascade.Cascade, dA, dB *vecmath.Matrix, ws *GradWorkspace) {
 	n := len(c.Infections)
 	if n < 2 {
 		return
 	}
-	vecmath.Fill(ws.h, 0)
-	vecmath.Fill(ws.g, 0)
-	if cap(ws.denom) < n {
-		ws.denom = make([]float64, n)
+	k := m.A.ColsN
+	if m.B.ColsN != k || dA.ColsN != k || dB.ColsN != k {
+		panic("embed: AccumGrad on matrices of differing widths")
 	}
-	denom := ws.denom[:n]
+	a, b := m.A.Data, m.B.Data
+	h, g := ws.h[:k], ws.g[:k]
+	for j := range h {
+		h[j], g[j] = 0, 0
+	}
+	if cap(ws.inv) < n {
+		ws.inv = make([]float64, n)
+	}
+	inv := ws.inv[:n]
 	// Forward sweep: B-gradients and denominators.
 	for i, inf := range c.Infections {
+		off := inf.Node * k
+		t := inf.Time
 		if i > 0 {
-			bv := m.B.Row(inf.Node)
-			d := vecmath.Dot(ws.h, bv)
+			var d float64
+			for j, x := range b[off : off+k : off+k] {
+				d += h[j] * x
+			}
 			if d < EpsRate {
 				d = EpsRate
 			}
-			denom[i] = d
-			row := dB.Row(inf.Node)
+			inv[i] = 1 / d
 			// row += G - t_v H + H/d
-			vecmath.Add(ws.g, row)
-			vecmath.Axpy(-inf.Time+1/d, ws.h, row) // (-t_v + 1/d) * H
+			w := -t + inv[i]
+			row := dB.Data[off : off+k : off+k]
+			for j, x := range row {
+				row[j] = (x + g[j]) + w*h[j]
+			}
 		}
-		al := m.A.Row(inf.Node)
-		vecmath.Add(al, ws.h)
-		vecmath.Axpy(inf.Time, al, ws.g)
+		for j, x := range a[off : off+k : off+k] {
+			h[j] += x
+			g[j] += t * x
+		}
 	}
 	// Backward sweep: A-gradients.
-	vecmath.Fill(ws.p, 0)
-	vecmath.Fill(ws.q, 0)
-	vecmath.Fill(ws.r, 0)
+	p, q, r := ws.p[:k], ws.q[:k], ws.r[:k]
+	for j := range p {
+		p[j], q[j], r[j] = 0, 0, 0
+	}
 	for i := n - 1; i >= 0; i-- {
 		inf := c.Infections[i]
-		row := dA.Row(inf.Node)
+		off := inf.Node * k
+		t := inf.Time
 		// row += t_u P - Q + R over successors (positions > i).
-		vecmath.Axpy(inf.Time, ws.p, row)
-		vecmath.Axpy(-1, ws.q, row)
-		vecmath.Add(ws.r, row)
+		row := dA.Data[off : off+k : off+k]
+		for j, x := range row {
+			row[j] = ((x + t*p[j]) - q[j]) + r[j]
+		}
 		if i > 0 {
-			bv := m.B.Row(inf.Node)
-			vecmath.Add(bv, ws.p)
-			vecmath.Axpy(inf.Time, bv, ws.q)
-			vecmath.Axpy(1/denom[i], bv, ws.r)
+			w := inv[i]
+			for j, x := range b[off : off+k : off+k] {
+				p[j] += x
+				q[j] += t * x
+				r[j] += w * x
+			}
 		}
 	}
 }

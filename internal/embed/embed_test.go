@@ -1,6 +1,7 @@
 package embed
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -302,24 +303,263 @@ func TestRecoveryError(t *testing.T) {
 	}
 }
 
+// refLogLik is the likelihood as one vecmath call per aggregate and one
+// logarithm per infection — the formulation the fused logLik replaced,
+// kept as its oracle.
+func refLogLik(m *Model, c *cascade.Cascade) float64 {
+	h := make([]float64, m.K()) // H = sum of A[l] over already-infected l
+	g := make([]float64, m.K()) // G = sum of t_l * A[l]
+	var ll float64
+	for i, inf := range c.Infections {
+		if i > 0 {
+			bv := m.B.Row(inf.Node)
+			hb := vecmath.Dot(h, bv)
+			gb := vecmath.Dot(g, bv)
+			ll += gb - inf.Time*hb
+			if hb < EpsRate {
+				hb = EpsRate
+			}
+			ll += math.Log(hb)
+		}
+		al := m.A.Row(inf.Node)
+		vecmath.Add(al, h)
+		vecmath.Axpy(inf.Time, al, g)
+	}
+	return ll
+}
+
+func refLogLikAll(m *Model, cs []*cascade.Cascade) float64 {
+	var s float64
+	for _, c := range cs {
+		s += refLogLik(m, c)
+	}
+	return s
+}
+
+// refAccumGrad is the gradient as vecmath call chains — the oracle the
+// fused AccumGrad must equal bit for bit.
+func refAccumGrad(m *Model, c *cascade.Cascade, dA, dB *vecmath.Matrix) {
+	n := len(c.Infections)
+	if n < 2 {
+		return
+	}
+	k := m.K()
+	h, g := make([]float64, k), make([]float64, k)
+	p, q, r := make([]float64, k), make([]float64, k), make([]float64, k)
+	denom := make([]float64, n)
+	for i, inf := range c.Infections {
+		if i > 0 {
+			bv := m.B.Row(inf.Node)
+			d := vecmath.Dot(h, bv)
+			if d < EpsRate {
+				d = EpsRate
+			}
+			denom[i] = d
+			row := dB.Row(inf.Node)
+			vecmath.Add(g, row)
+			vecmath.Axpy(-inf.Time+1/d, h, row)
+		}
+		al := m.A.Row(inf.Node)
+		vecmath.Add(al, h)
+		vecmath.Axpy(inf.Time, al, g)
+	}
+	for i := n - 1; i >= 0; i-- {
+		inf := c.Infections[i]
+		row := dA.Row(inf.Node)
+		vecmath.Axpy(inf.Time, p, row)
+		vecmath.Axpy(-1, q, row)
+		vecmath.Add(r, row)
+		if i > 0 {
+			bv := m.B.Row(inf.Node)
+			vecmath.Add(bv, p)
+			vecmath.Axpy(inf.Time, bv, q)
+			vecmath.Axpy(1/denom[i], bv, r)
+		}
+	}
+}
+
+// kernelCase draws a model and cascades that reach every branch of the
+// kernels: cascade lengths from 0 up to maxLen, runs of repeated times,
+// and (with zeroRows) nodes whose A and B rows are all zero so hazards
+// hit the EpsRate floor.
+func kernelCase(n, k, maxLen int, zeroRows bool, seed uint64) (*Model, []*cascade.Cascade) {
+	rng := xrand.New(seed)
+	m := randModel(n, k, seed^0x9e37)
+	if zeroRows {
+		for u := 0; u < n; u++ {
+			if rng.Intn(3) == 0 {
+				vecmath.Fill(m.A.Row(u), 0)
+			}
+			if rng.Intn(5) == 0 {
+				vecmath.Fill(m.B.Row(u), 0)
+			}
+		}
+	}
+	lengths := []int{0, 1, 2, 3, maxLen}
+	for i := 0; i < 8; i++ {
+		lengths = append(lengths, rng.Intn(maxLen+1))
+	}
+	var cs []*cascade.Cascade
+	for id, size := range lengths {
+		c := randCascade(id, n, size, rng)
+		for i := 1; i < len(c.Infections); i++ {
+			if rng.Intn(4) == 0 { // a tie with the previous infection; order is kept
+				c.Infections[i].Time = c.Infections[i-1].Time
+			}
+		}
+		cs = append(cs, c)
+	}
+	return m, cs
+}
+
+var kernelKs = []int{1, 2, 3, 4, 5, 8, 16}
+
+func TestAccumGradBitIdenticalToReference(t *testing.T) {
+	const n = 600
+	for _, k := range kernelKs {
+		for _, zeroRows := range []bool{false, true} {
+			m, cs := kernelCase(n, k, 600, zeroRows, uint64(1000+k))
+			dA, dB := vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)
+			wantA, wantB := vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)
+			ws := NewGradWorkspace(k)
+			for _, c := range cs {
+				m.AccumGrad(c, dA, dB, ws)
+				refAccumGrad(m, c, wantA, wantB)
+			}
+			for i := range wantA.Data {
+				if math.Float64bits(dA.Data[i]) != math.Float64bits(wantA.Data[i]) {
+					t.Fatalf("K=%d zeroRows=%v: dA[%d] = %v, reference %v", k, zeroRows, i, dA.Data[i], wantA.Data[i])
+				}
+				if math.Float64bits(dB.Data[i]) != math.Float64bits(wantB.Data[i]) {
+					t.Fatalf("K=%d zeroRows=%v: dB[%d] = %v, reference %v", k, zeroRows, i, dB.Data[i], wantB.Data[i])
+				}
+			}
+		}
+	}
+}
+
+func TestLogLikAllMatchesReference(t *testing.T) {
+	const n = 600
+	for _, k := range kernelKs {
+		for _, zeroRows := range []bool{false, true} {
+			m, cs := kernelCase(n, k, 600, zeroRows, uint64(2000+k))
+			got, want := m.LogLikAll(cs), refLogLikAll(m, cs)
+			if !(math.Abs(got-want) <= 1e-12*(1+math.Abs(want))) {
+				t.Errorf("K=%d zeroRows=%v: LogLikAll = %v, reference %v (diff %g)", k, zeroRows, got, want, got-want)
+			}
+			for _, c := range cs {
+				got, want := m.LogLik(c), refLogLik(m, c)
+				if !(math.Abs(got-want) <= 1e-12*(1+math.Abs(want))) {
+					t.Errorf("K=%d zeroRows=%v cascade %d (len %d): LogLik = %v, reference %v", k, zeroRows, c.ID, c.Size(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// longCascade infects nodes 0..size-1 in order at unit spacing.
+func longCascade(size int) *cascade.Cascade {
+	c := &cascade.Cascade{}
+	for i := 0; i < size; i++ {
+		c.Infections = append(c.Infections, cascade.Infection{Node: i, Time: float64(i)})
+	}
+	return c
+}
+
+// Every hazard floors at EpsRate: the product of the factors is
+// 1e-59988, far below the smallest float64, and must still come back as
+// the exact sum of logarithms.
+func TestLogLikFlooredProductDoesNotUnderflow(t *testing.T) {
+	const size = 5000
+	m := NewModel(size, 4)
+	m.B.FillConst(0.5) // A stays zero: H·B = 0 everywhere, the linear part too
+	c := longCascade(size)
+	want := (size - 1) * math.Log(EpsRate)
+	for name, got := range map[string]float64{"LogLik": m.LogLik(c), "LogLikAll": m.LogLikAll([]*cascade.Cascade{c})} {
+		if !(math.Abs(got-want) <= 1e-9*math.Abs(want)) {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// Hazards near 1e300 each overflow the running product within two
+// factors unless each factor is reduced before it is multiplied in.
+func TestLogLikHugeHazardsStayFinite(t *testing.T) {
+	const size = 200
+	m := randModel(size, 4, 31)
+	vecmath.Scale(1e150, m.A.Data)
+	vecmath.Scale(1e150, m.B.Data)
+	c := longCascade(size)
+	for i := range c.Infections {
+		c.Infections[i].Time = 0 // keeps the survival terms at 0 instead of -1e300·t
+	}
+	got, want := m.LogLik(c), refLogLik(m, c)
+	if math.IsNaN(got) || math.IsInf(got, 0) {
+		t.Fatalf("LogLik = %v, want finite (reference %v)", got, want)
+	}
+	if !(math.Abs(got-want) <= 1e-12*(1+math.Abs(want))) {
+		t.Fatalf("LogLik = %v, reference %v", got, want)
+	}
+}
+
+// The divergence guard in package infer tests finite(LogLikAll): a
+// poisoned model must not be laundered into a finite likelihood by the
+// product accumulator.
+func TestLogLikNonFiniteModelSurfaces(t *testing.T) {
+	rng := xrand.New(41)
+	var cs []*cascade.Cascade
+	for i := 0; i < 6; i++ {
+		cs = append(cs, randCascade(i, 30, 30, rng))
+	}
+	poison := map[string]func(m *Model){
+		"NaN in B":  func(m *Model) { m.B.Set(7, 1, math.NaN()) },
+		"+Inf in A": func(m *Model) { m.A.Set(7, 1, math.Inf(1)) },
+		"+Inf in B": func(m *Model) { m.B.Set(7, 1, math.Inf(1)) },
+		"NaN in A":  func(m *Model) { m.A.Set(7, 1, math.NaN()) },
+	}
+	for name, apply := range poison {
+		m := randModel(30, 3, 42)
+		apply(m)
+		if ll := m.LogLikAll(cs); !math.IsNaN(ll) && !math.IsInf(ll, 0) {
+			t.Errorf("%s: LogLikAll = %v, want non-finite", name, ll)
+		}
+	}
+}
+
+// benchKs are the widths the kernels are timed at: 4 is what core.Train
+// and bench/ fit, 8 the paper's largest.
+var benchKs = []int{4, 8}
+
 func BenchmarkLogLik(b *testing.B) {
-	m := randModel(1000, 8, 1)
-	c := randCascade(0, 1000, 200, xrand.New(2))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.LogLik(c)
+	for _, k := range benchKs {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			m := randModel(1000, k, 1)
+			c := randCascade(0, 1000, 200, xrand.New(2))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += m.LogLik(c)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Size()), "ns/infection")
+		})
 	}
 }
 
 func BenchmarkAccumGrad(b *testing.B) {
-	m := randModel(1000, 8, 1)
-	c := randCascade(0, 1000, 200, xrand.New(2))
-	dA, dB := vecmath.NewMatrix(1000, 8), vecmath.NewMatrix(1000, 8)
-	ws := NewGradWorkspace(8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.AccumGrad(c, dA, dB, ws)
+	for _, k := range benchKs {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			m := randModel(1000, k, 1)
+			c := randCascade(0, 1000, 200, xrand.New(2))
+			dA, dB := vecmath.NewMatrix(1000, k), vecmath.NewMatrix(1000, k)
+			ws := NewGradWorkspace(k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.AccumGrad(c, dA, dB, ws)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Size()), "ns/infection")
+		})
 	}
 }
+
+var sink float64

@@ -42,7 +42,9 @@ func (o ParallelOptions) withDefaults() ParallelOptions {
 // divided into per-community sub-cascades according to the node
 // membership. Sub-cascades keep the original absolute infection times.
 // Sub-cascades with fewer than two infections are dropped — they carry
-// no likelihood terms.
+// no likelihood terms. RunLevel does not call it: levelTasks produces
+// the same split already renumbered to community-local ids, and is
+// tested against this function.
 func SplitCascades(cs []*cascade.Cascade, p *slpa.Partition) [][]*cascade.Cascade {
 	out := make([][]*cascade.Cascade, p.NumCommunities())
 	parts := make([]*cascade.Cascade, p.NumCommunities()) // nil between cascades
@@ -74,26 +76,81 @@ type communityTask struct {
 	localCs []*cascade.Cascade
 }
 
-// buildTasks localizes every community's sub-cascades: global node ids
-// are remapped to 0..len(nodes)-1 so each worker can run on a compact
-// local model instead of scattering over the full matrices.
-func buildTasks(subs [][]*cascade.Cascade, p *slpa.Partition) []communityTask {
-	tasks := make([]communityTask, p.NumCommunities())
-	for r := range tasks {
-		nodes := p.Communities[r]
-		local := make(map[int]int, len(nodes))
+// levelTasks is SplitCascades and the community-local renumbering in one
+// step: task r holds community r's sub-cascades (in cascade order,
+// sub-cascades with fewer than two infections dropped) with every node
+// replaced by its index in p.Communities[r], so each worker runs on a
+// compact local model instead of scattering over the full matrices.
+//
+// A counting pass sizes one backing array each for the level's
+// infections, cascade headers and header pointers; a second pass fills
+// them. Communities partition the n nodes, so one dense node → local id
+// table serves every community. The number of allocations does not
+// depend on the number of cascades.
+func levelTasks(cs []*cascade.Cascade, p *slpa.Partition, n int) []communityTask {
+	nc := p.NumCommunities()
+	local := make([]int32, n)
+	for _, nodes := range p.Communities {
 		for li, u := range nodes {
-			local[u] = li
+			local[u] = int32(li)
 		}
-		lcs := make([]*cascade.Cascade, 0, len(subs[r]))
-		for _, sub := range subs[r] {
-			lc := &cascade.Cascade{ID: sub.ID, Infections: make([]cascade.Infection, len(sub.Infections))}
-			for i, inf := range sub.Infections {
-				lc.Infections[i] = cascade.Infection{Node: local[inf.Node], Time: inf.Time}
+	}
+	// size[r] counts the current cascade's infections in community r and
+	// is zero between cascades; touched lists the communities it reached.
+	size := make([]int32, nc)
+	touched := make([]int, 0, nc)
+	measure := func(c *cascade.Cascade) {
+		touched = touched[:0]
+		for _, inf := range c.Infections {
+			r := p.Membership[inf.Node]
+			if size[r] == 0 {
+				touched = append(touched, r)
 			}
-			lcs = append(lcs, lc)
+			size[r]++
 		}
-		tasks[r] = communityTask{nodes: nodes, localCs: lcs}
+	}
+	// After the counting pass subAt[r] and infAt[r] are where community
+	// r's headers and infections start in the backing arrays.
+	subAt := make([]int, nc+1)
+	infAt := make([]int, nc+1)
+	for _, c := range cs {
+		measure(c)
+		for _, r := range touched {
+			if size[r] >= 2 {
+				subAt[r+1]++
+				infAt[r+1] += int(size[r])
+			}
+			size[r] = 0
+		}
+	}
+	for r := 0; r < nc; r++ {
+		subAt[r+1] += subAt[r]
+		infAt[r+1] += infAt[r]
+	}
+	infs := make([]cascade.Infection, infAt[nc])
+	heads := make([]cascade.Cascade, subAt[nc])
+	ptrs := make([]*cascade.Cascade, subAt[nc])
+	tasks := make([]communityTask, nc)
+	for r := range tasks {
+		tasks[r] = communityTask{nodes: p.Communities[r], localCs: ptrs[subAt[r]:subAt[r+1]:subAt[r+1]]}
+	}
+	// subAt and infAt now advance as each community's region fills.
+	for _, c := range cs {
+		measure(c)
+		for _, inf := range c.Infections {
+			if r := p.Membership[inf.Node]; size[r] >= 2 {
+				infs[infAt[r]] = cascade.Infection{Node: int(local[inf.Node]), Time: inf.Time}
+				infAt[r]++
+			}
+		}
+		for _, r := range touched {
+			if sz := int(size[r]); sz >= 2 {
+				heads[subAt[r]] = cascade.Cascade{ID: c.ID, Infections: infs[infAt[r]-sz : infAt[r] : infAt[r]]}
+				ptrs[subAt[r]] = &heads[subAt[r]]
+				subAt[r]++
+			}
+			size[r] = 0
+		}
 	}
 	return tasks
 }
@@ -123,8 +180,7 @@ func RunLevelCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *
 	if workers <= 0 {
 		workers = 1
 	}
-	subs := SplitCascades(cs, p)
-	tasks := buildTasks(subs, p)
+	tasks := levelTasks(cs, p, m.N())
 	// Drop workless communities before dispatch so the pool's bound
 	// applies to real tasks only.
 	active := tasks[:0]

@@ -42,8 +42,10 @@ func Pipeline(cs []*cascade.Cascade, n int, cfg Config, opts PipelineOptions) (*
 // now, and was not always: on bench/'s train workload (800 nodes, 1,000
 // cascades, 2 cores) steps 1-2 were 0.77 s of a 1.00 s fit (cooccur 9 %,
 // SLPA 68 %, optimization 22 %) while they ran on maps, and are 0.08 s
-// of a 0.29 s fit (4 %, 23 %, 70 %) on CSR rows and sorted label
-// memories (EXPERIMENTS.md, "Compute-plane performance").
+// on CSR rows and sorted label memories. With the fused likelihood and
+// gradient kernels under step 3 a fit is 0.185 s: cooccur 0.010 s (5 %),
+// SLPA 0.072 s (39 %), optimization 0.103 s (55 %) (EXPERIMENTS.md,
+// "Compute-plane performance").
 func PipelineCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg Config, opts PipelineOptions) (*embed.Model, *slpa.Partition, *Trace, error) {
 	cfg = cfg.WithDefaults()
 	if err := ctx.Err(); err != nil {

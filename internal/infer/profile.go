@@ -51,8 +51,7 @@ func HierarchicalProfiled(cs []*cascade.Cascade, n int, base *slpa.Partition, cf
 	m.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
 	var profiles []LevelProfile
 	for _, level := range levels {
-		subs := SplitCascades(cs, level)
-		tasks := buildTasks(subs, level)
+		tasks := levelTasks(cs, level, n)
 		prof := LevelProfile{Communities: level.NumCommunities()}
 		for r := range tasks {
 			task := &tasks[r]

@@ -66,6 +66,19 @@ for want in '"cooccur.edges":{"value":97966,' '"slpa.communities":{"value":17,';
     exit 1
   fi
 done
+# The back half is pinned the same way: the merge tree's depth, and the
+# served f1 at seed 1, which is a function of the fitted embeddings alone
+# and has held to the last digit since PR 14 (amd64; TestTrainEmbeddingsPinned
+# pins the embeddings themselves on a smaller fixture).
+if [[ "$last" != *'"infer.levels":{"value":6,'* ]]; then
+  echo "bench/out/train-trace.json: expected infer.levels 6 — the merge tree changed" >&2
+  exit 1
+fi
+last="$(tail -n 1 bench/out/train.json)"
+if [[ "$(go env GOARCH)" == amd64 && "$last" != *'"f1":{"value":0.501432664756447,'* ]]; then
+  echo "bench/out/train.json: expected f1 0.501432664756447 at seed 1 — the fitted embeddings changed: ${last:0:160}" >&2
+  exit 1
+fi
 
 echo "== viralcastd smoke test"
 tmp="$(mktemp -d)"
