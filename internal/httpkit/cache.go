@@ -1,10 +1,12 @@
 // Package httpkit is the HTTP plumbing the daemon (internal/serve) and
-// the fleet front-end (internal/router) share: the singleflight TTL
+// the fleet front-end (internal/router) share: the wire vocabulary of
+// the batched data plane (wire.go, codec.go), the singleflight TTL
 // cache, pooled JSON response writers, query and strict body decoding,
 // the request-budget middleware with its deadline 503, request
-// instrumentation, and the fencing-epoch header name. It is a leaf — it
-// imports neither of its users — so the router speaks the daemon's wire
-// conventions without linking the serving stack.
+// instrumentation, and the fencing-epoch header name. It imports
+// neither of its users — only the two types its codecs carry,
+// wal.Event and core.Influencer — so the router speaks the daemon's
+// wire conventions without linking the serving stack.
 package httpkit
 
 import (

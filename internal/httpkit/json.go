@@ -24,7 +24,11 @@ const MaxPooledResponseBuf = 1 << 20
 // WriteJSON answers status with v encoded the way every single-request
 // response is: indented, Content-Length set, charset declared. Daemon
 // and router share it, so a routed response is indistinguishable from a
-// direct one, byte for byte where the payloads match.
+// direct one, byte for byte where the payloads match. It is the
+// reflective reference: the hot single-request shapes (ingest acks,
+// rankings) go out through WriteEncoded with a hand encoder held to
+// these bytes by a differential test, and WriteEncoded comes back here
+// whenever that encoder declines.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	writeJSON(w, status, v, true)
 }
@@ -58,6 +62,34 @@ func writeJSON(w http.ResponseWriter, status int, v any, indent bool) {
 	w.Write(buf.Bytes()) //nolint:errcheck // the response is already committed
 	if buf.Cap() <= MaxPooledResponseBuf {
 		jsonBufPool.Put(buf)
+	}
+}
+
+// appendBufPool recycles the buffers hand encoders append into, under
+// the same retention cap as jsonBufPool.
+var appendBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+// WriteEncoded answers status with what encode appends to a pooled
+// buffer — a hand encoder's output, already exactly the bytes WriteJSON
+// (indent) or WriteJSONCompact (!indent) would produce for v. encode
+// reporting false (a float JSON cannot carry) writes nothing of its
+// own: v goes through that reflective writer instead, to the same bytes
+// or the same failure. An encoder that cannot decline passes a nil v.
+func WriteEncoded(w http.ResponseWriter, status int, v any, indent bool, encode func(b []byte) ([]byte, bool)) {
+	bp := appendBufPool.Get().(*[]byte)
+	b, ok := encode((*bp)[:0])
+	if ok {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+		w.WriteHeader(status)
+		w.Write(b) //nolint:errcheck // the response is already committed
+	}
+	if cap(b) <= MaxPooledResponseBuf {
+		*bp = b
+		appendBufPool.Put(bp)
+	}
+	if !ok {
+		writeJSON(w, status, v, indent)
 	}
 }
 

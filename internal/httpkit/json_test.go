@@ -3,6 +3,7 @@ package httpkit
 import (
 	"bytes"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -33,6 +34,28 @@ func TestWriteJSONDropsOversizedBuffers(t *testing.T) {
 				t.Fatalf("pool retained a %d-byte buffer (cap %d)", buf.Cap(), MaxPooledResponseBuf)
 			}
 			jsonBufPool.Put(buf)
+		}
+	}
+}
+
+// TestWriteEncodedFallsBackToTheReflectiveWriter: an encoder's bytes go
+// out as they are; one that declines costs the caller nothing but the
+// reflective encoding of the same value, indented or compact as asked.
+func TestWriteEncodedFallsBackToTheReflectiveWriter(t *testing.T) {
+	v := map[string]int{"a": 1}
+	for _, indent := range []bool{true, false} {
+		for _, declines := range []bool{false, true} {
+			rec := httptest.NewRecorder()
+			WriteEncoded(rec, http.StatusAccepted, v, indent, func(b []byte) ([]byte, bool) {
+				return append(b, "by hand"...), !declines
+			})
+			want := "by hand"
+			if declines {
+				want = string(encodeRef(t, v, indent))
+			}
+			if rec.Code != http.StatusAccepted || rec.Body.String() != want {
+				t.Fatalf("indent=%v declines=%v: %d %q, want %q", indent, declines, rec.Code, rec.Body.String(), want)
+			}
 		}
 	}
 }

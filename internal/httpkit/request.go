@@ -57,13 +57,22 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) (
 	return b.Bytes(), true
 }
 
-// DecodeStrict decodes JSON rejecting unknown fields, so alternative
-// body shapes (batch envelope vs one bare event) are unambiguous and a
-// misspelled field is an error, not a silently ignored one.
+// DecodeStrict decodes data as exactly one JSON value, rejecting
+// unknown fields, so alternative body shapes (batch envelope vs one bare
+// event) are unambiguous and a misspelled field is an error, not a
+// silently ignored one. Anything but whitespace after the value is an
+// error too: a Decoder stops at the end of the first value, and the hand
+// scanners that front this function refuse trailing bytes.
 func DecodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("invalid character %q after top-level value", rest[0])
+	}
+	return nil
 }
 
 // WithBudget installs the per-request deadline (0 disables). The

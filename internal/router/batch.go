@@ -22,34 +22,11 @@ import (
 // holds the full model — so it relays whole to one body-affine shard.
 
 // routerBatchItem is the error slot the router itself fills for items
-// whose owning shard did not answer; successful slots relay the
-// shard's bytes untouched.
+// whose owning shard did not answer; successful slots are the shard's
+// bytes, untouched.
 type routerBatchItem struct {
 	Status int    `json:"status"`
 	Error  string `json:"error"`
-}
-
-// shardBatchEnvelope decodes just enough of a shard's batch answer to
-// re-index it: the raw per-item slots plus the tallies.
-type shardBatchEnvelope struct {
-	Results    []json.RawMessage `json:"results"`
-	Errors     int               `json:"errors"`
-	CacheHits  int               `json:"cache_hits"`
-	Generation uint64            `json:"generation"`
-}
-
-// mergedBatchResponse is the router's merged envelope: per-item slots
-// in caller coordinates, fleet-wide tallies, and the degraded-mode
-// fields omitted when the answer is complete. shard_id and epoch are
-// per-shard facts and live inside each slot's result, not here.
-type mergedBatchResponse struct {
-	Results       []any    `json:"results"`
-	Count         int      `json:"count"`
-	Errors        int      `json:"errors"`
-	CacheHits     int      `json:"cache_hits"`
-	Generation    uint64   `json:"generation"`
-	Partial       bool     `json:"partial,omitempty"`
-	MissingShards []string `json:"missing_shards,omitempty"`
 }
 
 // handleRateBatch relays the batched pairwise-rate lookup whole: every
@@ -66,41 +43,50 @@ func (rt *Router) handleRateBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // fanoutBatch is the owner-split scatter-gather for the cascade-scoped
-// batch endpoint at path.
+// batch endpoint at path. The merged envelope is compact, like the shard
+// envelopes it is spliced from — {"results":[...],"count","errors",
+// "cache_hits","generation"} and, on a degraded answer only, "partial"
+// and "missing_shards"; shard_id and epoch are per-shard facts and live
+// inside each slot's result — and every slot in it is byte for byte the
+// owning shard's.
 func (rt *Router) fanoutBatch(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := httpkit.ReadBody(w, r, maxRelayBytes, nil)
+		ws := workspacePool.Get().(*workspace)
+		defer ws.release()
+		body, ok := httpkit.ReadBody(w, r, maxRelayBytes, ws.body)
 		if !ok {
 			return
 		}
-		var req struct {
-			Cascades []int `json:"cascades"`
-		}
-		// The daemon's strict body contract, mirrored.
-		if err := httpkit.DecodeStrict(body, &req); err != nil || req.Cascades == nil {
-			httpkit.WriteError(w, http.StatusBadRequest, "body must be {\"cascades\": [id, ...]}")
+		ws.body = body
+		var err error
+		if ws.ids, err = httpkit.DecodeCascades(body, ws.ids); err != nil { // the daemon's body contract, shared
+			httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		ids := req.Cascades
+		ids := ws.ids
 		if len(ids) == 0 {
 			httpkit.WriteError(w, http.StatusBadRequest, "empty cascade batch")
 			return
 		}
-
-		shardCtx, cancel := rt.shardBudget(r.Context())
-		defer cancel()
-		owners, subIndex, replies, errs := scatter[shardBatchEnvelope](shardCtx, rt, ids,
-			func(id int) int { return id }, "cascades", path)
+		rt.split(ws, len(ids), func(i int) int { return ids[i] })
+		ws.subBodies("cascades", func(b []byte, i int) []byte { return strconv.AppendInt(b, int64(ids[i]), 10) })
+		rt.scatter(r.Context(), ws, path)
 		rt.metrics.fanouts.Add(1)
 
-		merged := mergedBatchResponse{
-			Results: make([]any, len(ids)),
-			Count:   len(ids),
+		if cap(ws.slots) < len(ids) {
+			ws.slots = make([]itemSlot, len(ids))
 		}
-		for j, o := range owners {
-			index, env, err := subIndex[o], replies[j], errs[j]
-			if err == nil && len(env.Results) != len(index) {
-				err = fmt.Errorf("shard answered %d slots for %d cascades", len(env.Results), len(index))
+		ws.slots, ws.spans = ws.slots[:len(ids)], ws.spans[:0]
+		var total httpkit.BatchTallies
+		var missing []string
+		for j, o := range ws.owners {
+			index, call := ws.index[o], &ws.calls[j]
+			first, tallies, err := len(ws.spans), httpkit.BatchTallies{}, call.err
+			if err == nil {
+				ws.spans, tallies, err = splitReply(call, ws.spans)
+			}
+			if got := len(ws.spans) - first; err == nil && got != len(index) {
+				err = fmt.Errorf("shard answered %d slots for %d cascades", got, len(index))
 			}
 			if err != nil {
 				// A shard that answered 4xx is not missing: it refused this
@@ -122,28 +108,94 @@ func (rt *Router) fanoutBatch(path string) http.HandlerFunc {
 					slot = routerBatchItem{Status: refused.status, Error: reply.Error}
 				} else {
 					rt.shardFailed(o, err)
-					merged.MissingShards = append(merged.MissingShards, ShardName(o))
+					missing = append(missing, ShardName(o))
 				}
+				// The one error slot takes the failed reply's place, so every
+				// merged slot, the router's own included, is a range of a reply.
+				enc, _ := json.Marshal(slot) //nolint:errcheck // an int and a string always marshal
+				call.reply = append(call.reply[:0], enc...)
 				for _, orig := range index {
-					merged.Results[orig] = slot
+					ws.slots[orig] = itemSlot{j, httpkit.Span{Hi: len(enc)}}
 				}
-				merged.Errors += len(index)
+				total.Errors += len(index)
 				continue
 			}
-			for k, slot := range env.Results {
-				merged.Results[index[k]] = slot
+			for k, orig := range index {
+				ws.slots[orig] = itemSlot{j, ws.spans[first+k]}
 			}
-			merged.Errors += env.Errors
-			merged.CacheHits += env.CacheHits
-			if env.Generation > merged.Generation {
-				merged.Generation = env.Generation
-			}
+			total.Errors += tallies.Errors
+			total.CacheHits += tallies.CacheHits
+			total.Generation = max(total.Generation, tallies.Generation)
 		}
-		sort.Strings(merged.MissingShards)
-		if len(merged.MissingShards) > 0 {
+		sort.Strings(missing)
+		if len(missing) > 0 {
 			rt.metrics.partials.Add(1)
-			merged.Partial = true
 		}
-		httpkit.WriteJSON(w, http.StatusOK, &merged)
+		httpkit.WriteEncoded(w, http.StatusOK, nil, false, func(b []byte) ([]byte, bool) {
+			return appendMergedBatchJSON(b, ws, total, missing), true
+		})
 	}
+}
+
+// splitReply appends the slot spans of a shard's 200 batch answer to
+// spans. Validity first, as the reflective decode this replaces checked
+// it: the splitter only balances brackets. An answer the splitter
+// refuses (not canonical, or not JSON at all) is decoded reflectively,
+// so what merges and every failure message are encoding/json's; its
+// slots, compacted as the reflective merge wrote them, then replace the
+// reply so they are spans like any other.
+func splitReply(call *shardCall, spans []httpkit.Span) ([]httpkit.Span, httpkit.BatchTallies, error) {
+	if json.Valid(call.reply) {
+		if split, tallies, ok := httpkit.SplitBatchEnvelope(call.reply, spans); ok {
+			return split, tallies, nil
+		}
+	}
+	var env struct {
+		Results    []json.RawMessage `json:"results"`
+		Errors     int               `json:"errors"`
+		CacheHits  int               `json:"cache_hits"`
+		Generation uint64            `json:"generation"`
+	}
+	if err := json.Unmarshal(call.reply, &env); err != nil {
+		return spans, httpkit.BatchTallies{}, fmt.Errorf("decoding shard answer: %w", err)
+	}
+	call.reply = call.reply[:0]
+	for _, raw := range env.Results {
+		slot, _ := json.Marshal(raw) //nolint:errcheck // Unmarshal just validated it
+		spans = append(spans, httpkit.Span{Lo: len(call.reply), Hi: len(call.reply) + len(slot)})
+		call.reply = append(call.reply, slot...)
+	}
+	return spans, httpkit.BatchTallies{Errors: env.Errors, CacheHits: env.CacheHits, Generation: env.Generation}, nil
+}
+
+// appendMergedBatchJSON splices the merged envelope: every item's slot
+// bytes in caller order, then the fleet-wide tallies.
+func appendMergedBatchJSON(b []byte, ws *workspace, total httpkit.BatchTallies, missing []string) []byte {
+	b = append(b, `{"results":[`...)
+	for i, slot := range ws.slots {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, slot.span.Of(ws.calls[slot.call].reply)...)
+	}
+	b = append(b, `],"count":`...)
+	b = strconv.AppendInt(b, int64(len(ws.slots)), 10)
+	b = append(b, `,"errors":`...)
+	b = strconv.AppendInt(b, int64(total.Errors), 10)
+	b = append(b, `,"cache_hits":`...)
+	b = strconv.AppendInt(b, int64(total.CacheHits), 10)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, total.Generation, 10)
+	for i, name := range missing {
+		if i == 0 {
+			b = append(b, `,"partial":true,"missing_shards":[`...)
+		} else {
+			b = append(b, ',')
+		}
+		b = httpkit.AppendStringJSON(b, name)
+	}
+	if len(missing) > 0 {
+		b = append(b, ']')
+	}
+	return append(b, '}', '\n')
 }

@@ -1,18 +1,23 @@
 package router
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
 
 // BenchmarkRouterFanout measures the router's per-request overhead on
-// the two routing regimes as the fleet grows: the scatter-gather merge
-// (influencers — every shard answers, the router merges) and the
-// single-shard proxy (predict — one hop to the ring owner). The shard
+// its routing regimes as the fleet grows: the scatter-gather merge
+// (influencers — every shard answers, the router merges), the
+// single-shard proxy (predict — one hop to the ring owner), and the
+// owner-split scatter (events-64 — 64 events over 8 cascades sliced per
+// owner; predict:batch-64 — 64 ids split per owner, slots spliced back
+// in caller order), the shapes bench/'s fleet workload sends. The shard
 // daemons serve from warm TTL caches, so the numbers isolate the
 // routing layer — HTTP hops, fan-out scheduling, decode and merge —
 // rather than shard compute. The router's own result cache is
@@ -65,6 +70,46 @@ func BenchmarkRouterFanout(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					get(b, fmt.Sprintf("%s/v1/cascades/%d/predict", f.url(), idBase+i%idCount))
+				}
+			})
+			post := func(b *testing.B, path string, body []byte) {
+				resp, err := http.Post(f.url()+path, "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				drain(b, resp, http.StatusOK)
+			}
+			b.Run("predict:batch-64", func(b *testing.B) {
+				body := []byte(`{"cascades":[`)
+				for i := 0; i < 64; i++ {
+					if i > 0 {
+						body = append(body, ',')
+					}
+					body = strconv.AppendInt(body, int64(idBase+i%idCount), 10)
+				}
+				body = append(body, "]}"...)
+				post(b, "/v1/predict:batch", body) // warm the shards' slot caches
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					post(b, "/v1/predict:batch", body)
+				}
+			})
+			b.Run("events-64", func(b *testing.B) {
+				// Every iteration feeds 8 cascades nobody has seen (the SI
+				// guard refuses a node twice), 8 events each.
+				var body []byte
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					body = append(body[:0], `{"events":[`...)
+					for ev := 0; ev < 64; ev++ {
+						if ev > 0 {
+							body = append(body, ',')
+						}
+						body = fmt.Appendf(body, `{"cascade":%d,"node":%d,"time":%g}`, 60000+8*i+ev/8, ev%8, 0.0125*float64(ev%8+1))
+					}
+					post(b, "/v1/events", append(body, "]}"...))
 				}
 			})
 		})

@@ -31,9 +31,12 @@ type Shard struct {
 const maxRelayBytes = 64 << 20
 
 // reply is one shard HTTP exchange, buffered for relay or decoding.
+// retryAfter carries a shedding shard's Retry-After, without which a
+// relayed 429 tells the client to back off but not for how long.
 type reply struct {
 	status       int
 	contentType  string
+	retryAfter   string
 	body         []byte
 	fromFollower bool
 }
@@ -63,11 +66,14 @@ func newClient(hedge time.Duration, m *Metrics) *client {
 // to the client as-is) — an error means transport failure: the shard
 // is unreachable, the connection died, or the context expired.
 func (c *client) do(ctx context.Context, method, base, path string, body []byte) (*reply, error) {
-	return c.doEpoch(ctx, method, base, path, body, 0)
+	return c.doEpoch(ctx, method, base, path, body, 0, nil)
 }
 
-// doEpoch is do with the fencing-epoch header stamped (0 omits it).
-func (c *client) doEpoch(ctx context.Context, method, base, path string, body []byte, epoch uint64) (*reply, error) {
+// doEpoch is do with the fencing-epoch header stamped (0 omits it) and
+// the answer read into buf[:0] (nil allocates). The transport may still
+// be reading body when doEpoch returns (a shard can answer before it has
+// consumed the request), so body must not be reused afterwards.
+func (c *client) doEpoch(ctx context.Context, method, base, path string, body []byte, epoch uint64, buf []byte) (*reply, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -87,18 +93,32 @@ func (c *client) doEpoch(ctx context.Context, method, base, path string, body []
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
+	data, err := readReply(resp, buf[:0])
 	if err != nil {
-		return nil, fmt.Errorf("reading response: %w", err)
-	}
-	if len(data) > maxRelayBytes {
-		return nil, fmt.Errorf("response exceeds relay limit %d bytes", maxRelayBytes)
+		return nil, err
 	}
 	return &reply{
 		status:      resp.StatusCode,
 		contentType: resp.Header.Get("Content-Type"),
+		retryAfter:  resp.Header.Get("Retry-After"),
 		body:        data,
 	}, nil
+}
+
+// readReply reads a shard's answer into buf, grown once to the declared
+// Content-Length instead of by io.ReadAll's doubling.
+func readReply(resp *http.Response, buf []byte) ([]byte, error) {
+	b := bytes.NewBuffer(buf)
+	if n := resp.ContentLength; n > 0 && n <= maxRelayBytes {
+		b.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare before it will believe in EOF
+	}
+	if _, err := b.ReadFrom(io.LimitReader(resp.Body, maxRelayBytes+1)); err != nil {
+		return nil, fmt.Errorf("reading response: %w", err)
+	}
+	if b.Len() > maxRelayBytes {
+		return nil, fmt.Errorf("response exceeds relay limit %d bytes", maxRelayBytes)
+	}
+	return b.Bytes(), nil
 }
 
 // read performs an idempotent GET against a shard with the configured
@@ -212,7 +232,7 @@ func retryJitter() time.Duration {
 // zombie fencer use it: both need to know about *this* process, not
 // whether anything in the chain can answer.
 func (c *client) get(ctx context.Context, base, path string, epoch uint64) (*reply, error) {
-	return c.doEpoch(ctx, http.MethodGet, base, path, nil, epoch)
+	return c.doEpoch(ctx, http.MethodGet, base, path, nil, epoch, nil)
 }
 
 // probeResult is what the health prober learned about one shard.

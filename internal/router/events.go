@@ -1,78 +1,90 @@
 package router
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"viralcast/internal/httpkit"
 )
 
-// event mirrors the daemon's ingest wire format (internal/serve.Event).
-type event struct {
-	Cascade int     `json:"cascade"`
-	Node    int     `json:"node"`
-	Time    float64 `json:"time"`
-}
-
-// eventReject mirrors the daemon's per-event rejection record; Index
-// is always in the *caller's* batch coordinates after merging.
-type eventReject struct {
-	Index int    `json:"index"`
-	Error string `json:"error"`
-}
-
 // handleEvents splits an ingest batch by ring ownership — each event
 // goes to the shard that owns its cascade — fans the sub-batches out
 // in parallel, and merges the shard responses back into one answer in
-// the caller's coordinates. A shard that cannot take its sub-batch
-// (down, deadline, or a non-200 like a read-only 503) degrades the
-// response to a partial: its events come back individually rejected
-// with the cause, the shard is named in missing_shards, and everything
-// the healthy shards accepted stays accepted. Ingestion is never
-// retried against followers — a follower 409s writes by design, and a
-// duplicate-looking retry hides real double-sends from the WAL.
+// the caller's coordinates. Each sub-batch is the caller's own bytes:
+// one scan of the body finds every event's cascade id and where its
+// object sits, and an owner is sent {"events":[...]} around exactly
+// those ranges, so no float is parsed and printed again on the way. A
+// shard that cannot take its sub-batch (down, deadline, or a non-200
+// like a read-only 503) degrades the response to a partial: its events
+// come back individually rejected with the cause, the shard is named in
+// missing_shards, and everything the healthy shards accepted stays
+// accepted. Ingestion is never retried against followers — a follower
+// 409s writes by design, and a duplicate-looking retry hides real
+// double-sends from the WAL.
 func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	body, ok := httpkit.ReadBody(w, r, maxRelayBytes, nil)
+	ws := workspacePool.Get().(*workspace)
+	defer ws.release()
+	body, ok := httpkit.ReadBody(w, r, maxRelayBytes, ws.body)
 	if !ok {
 		return
 	}
-	events, err := decodeEventBatch(body)
-	if err != nil {
-		httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
+	ws.body, ws.spans = body, ws.spans[:0]
+	if ws.events, ok = httpkit.ScanEvents(body, ws.events[:0], &ws.spans); !ok {
+		// Not the canonical envelope: the daemon's strict contract decides
+		// (same shapes, same message), and what it accepts is re-encoded
+		// canonically — ws.body becomes those objects back to back — so
+		// there is one scatter path, not two.
+		events, err := httpkit.DecodeEventsStrict(body)
+		if err != nil {
+			httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		ws.events, ws.body, ws.spans = append(ws.events[:0], events...), ws.body[:0], ws.spans[:0]
+		for _, ev := range events {
+			enc, _ := json.Marshal(ev) //nolint:errcheck // a decoded event holds a finite time
+			ws.spans = append(ws.spans, httpkit.Span{Lo: len(ws.body), Hi: len(ws.body) + len(enc)})
+			ws.body = append(ws.body, enc...)
+		}
 	}
-	if len(events) == 0 {
+	if len(ws.events) == 0 {
 		httpkit.WriteError(w, http.StatusBadRequest, "empty event batch")
 		return
 	}
-
-	type shardAck struct {
-		Accepted int            `json:"accepted"`
-		Rejected []eventReject  `json:"rejected"`
-		Sizes    map[string]int `json:"sizes"`
-	}
-	owners, subIndex, replies, errs := scatter[shardAck](r.Context(), rt, events,
-		func(ev event) int { return ev.Cascade }, "events", "/v1/events")
+	rt.split(ws, len(ws.events), func(i int) int { return ws.events[i].Cascade })
+	ws.subBodies("events", func(b []byte, i int) []byte { return append(b, ws.spans[i].Of(ws.body)...) })
+	rt.scatter(r.Context(), ws, "/v1/events")
 
 	accepted := 0
-	rejected := []eventReject{}
-	sizes := make(map[string]int)
+	rejected := []httpkit.EventReject{}
+	sizes := ws.sizes[:0]
 	var missing []string
-	for j, o := range owners {
-		index := subIndex[o]
-		if errs[j] != nil {
-			rt.shardFailed(o, errs[j])
+	for j, o := range ws.owners {
+		index, call := ws.index[o], &ws.calls[j]
+		var ack struct {
+			Accepted int                   `json:"accepted"`
+			Rejected []httpkit.EventReject `json:"rejected"`
+			Sizes    map[int]int           `json:"sizes"`
+		}
+		err := call.err
+		if err == nil {
+			if err = json.Unmarshal(call.reply, &ack); err != nil {
+				err = fmt.Errorf("decoding shard answer: %w", err)
+			}
+		}
+		if err != nil {
+			rt.shardFailed(o, err)
 			missing = append(missing, ShardName(o))
 			for _, orig := range index {
-				rejected = append(rejected, eventReject{
+				rejected = append(rejected, httpkit.EventReject{
 					Index: orig,
-					Error: fmt.Sprintf("%s did not ingest: %v", ShardName(o), errs[j]),
+					Error: fmt.Sprintf("%s did not ingest: %v", ShardName(o), err),
 				})
 			}
 			continue
 		}
-		ack := replies[j]
 		accepted += ack.Accepted
 		for _, rej := range ack.Rejected {
 			if rej.Index < 0 || rej.Index >= len(index) {
@@ -84,38 +96,31 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 			rejected = append(rejected, rej)
 		}
 		for id, size := range ack.Sizes {
-			sizes[id] = size
+			sizes = append(sizes, httpkit.CascadeSize{ID: id, Size: size})
 		}
 	}
-	sort.Slice(rejected, func(a, b int) bool { return rejected[a].Index < rejected[b].Index })
+	ws.sizes = sizes
+	if len(rejected) > 1 {
+		sort.Slice(rejected, func(a, b int) bool { return rejected[a].Index < rejected[b].Index })
+	}
+
+	if len(missing) == 0 {
+		httpkit.WriteEncoded(w, http.StatusOK, nil, true, func(b []byte) ([]byte, bool) {
+			return httpkit.AppendAckJSON(b, accepted, rejected, sizes), true
+		})
+		return
+	}
 	sort.Strings(missing)
-
-	resp := map[string]any{
-		"accepted": accepted,
-		"rejected": rejected,
-		"sizes":    sizes,
+	rt.metrics.partials.Add(1)
+	named := make(map[string]int, len(sizes))
+	for _, cs := range sizes {
+		named[strconv.Itoa(cs.ID)] = cs.Size
 	}
-	if len(missing) > 0 {
-		rt.metrics.partials.Add(1)
-		resp["partial"] = true
-		resp["missing_shards"] = missing
-	}
-	httpkit.WriteJSON(w, http.StatusOK, resp)
-}
-
-// decodeEventBatch accepts the daemon's two body shapes — a batch
-// envelope or one bare event — and rejects unknown fields the same
-// way, so the router's contract matches a direct daemon's.
-func decodeEventBatch(body []byte) ([]event, error) {
-	var batch struct {
-		Events []event `json:"events"`
-	}
-	if err := httpkit.DecodeStrict(body, &batch); err == nil && batch.Events != nil {
-		return batch.Events, nil
-	}
-	var one event
-	if err := httpkit.DecodeStrict(body, &one); err != nil {
-		return nil, fmt.Errorf("body must be {\"events\": [...]} or a single {cascade, node, time} object")
-	}
-	return []event{one}, nil
+	httpkit.WriteJSON(w, http.StatusOK, map[string]any{
+		"accepted":       accepted,
+		"rejected":       rejected,
+		"sizes":          named,
+		"partial":        true,
+		"missing_shards": missing,
+	})
 }

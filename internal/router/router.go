@@ -507,7 +507,16 @@ func (rt *Router) handleInfluencers(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := *(val.(*influencersResponse))
 	resp.Cached = hit
-	httpkit.WriteJSON(w, http.StatusOK, &resp)
+	// A complete answer is the daemon's own envelope, through the
+	// daemon's own encoder; the degraded-mode fields ride the reflective
+	// writer.
+	if resp.Partial {
+		httpkit.WriteJSON(w, http.StatusOK, &resp)
+		return
+	}
+	httpkit.WriteEncoded(w, http.StatusOK, &resp, true, func(b []byte) ([]byte, bool) {
+		return httpkit.AppendRankingJSON(b, resp.Influencers, hit, resp.Generation)
+	})
 }
 
 // gatherInfluencers fans the query out to every shard on the bounded
@@ -530,6 +539,11 @@ func (rt *Router) gatherInfluencers(ctx context.Context, k int) (*influencersRes
 		}
 		if rep.status != http.StatusOK {
 			return shardRanking{}, &shardStatusError{rep.status, rep.body}
+		}
+		// A shard ranks at most k, and no ranking entry fits in 40 bytes.
+		room := make([]core.Influencer, 0, min(k, len(rep.body)/40))
+		if infs, gen, ok := httpkit.ScanRanking(rep.body, room); ok {
+			return shardRanking{infs: infs, gen: gen}, nil
 		}
 		var body struct {
 			Influencers []core.Influencer `json:"influencers"`
@@ -596,10 +610,15 @@ func (rt *Router) writeShardUnreachable(w http.ResponseWriter, r *http.Request, 
 	})
 }
 
-// relay writes a buffered shard reply through verbatim.
+// relay writes a buffered shard reply through verbatim, with the
+// headers that are part of the answer: the content type, and the
+// Retry-After of a shard shedding load.
 func relay(w http.ResponseWriter, rep *reply) {
 	if rep.contentType != "" {
 		w.Header().Set("Content-Type", rep.contentType)
+	}
+	if rep.retryAfter != "" {
+		w.Header().Set("Retry-After", rep.retryAfter)
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(rep.body)))
 	w.WriteHeader(rep.status)

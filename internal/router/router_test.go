@@ -87,31 +87,53 @@ type fleet struct {
 
 func (f *fleet) url() string { return f.ts.URL }
 
+// fleetSpec customises a test fleet: shard adjusts shard i's daemon
+// config, wrap interposes on shard i's handler (a stalling, refusing or
+// garbling shard), router adjusts the router config after the shard
+// list is filled in. Nil fields change nothing.
+type fleetSpec struct {
+	shard  func(i int, c *serve.Config)
+	wrap   func(i int, h http.Handler) http.Handler
+	router func(*Config)
+}
+
 // newFleet boots ringSize shard daemons (ShardID i, RingSize
-// ringSize) and a router over them. cfg tweaks the router config
-// after the shard list is filled in.
+// ringSize) and a router over them. tweak adjusts the router config.
 func newFleet(t testing.TB, ringSize int, tweak func(*Config)) *fleet {
+	t.Helper()
+	return buildFleet(t, ringSize, fleetSpec{router: tweak})
+}
+
+func buildFleet(t testing.TB, ringSize int, spec fleetSpec) *fleet {
 	t.Helper()
 	shards := make([]*httptest.Server, ringSize)
 	cfg := Config{Shards: make([]Shard, ringSize), CacheTTL: time.Minute}
 	for i := 0; i < ringSize; i++ {
-		srv, err := serve.New(serve.Config{
+		scfg := serve.Config{
 			Loader:   fixtureLoader(t),
 			CacheTTL: time.Minute,
 			ShardID:  i,
 			RingSize: ringSize,
-		})
+		}
+		if spec.shard != nil {
+			spec.shard(i, &scfg)
+		}
+		srv, err := serve.New(scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		h := srv.Handler()
+		if spec.wrap != nil {
+			h = spec.wrap(i, h)
+		}
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
 		t.Cleanup(func() { srv.Close() })
 		shards[i] = ts
 		cfg.Shards[i] = Shard{Primary: ts.URL}
 	}
-	if tweak != nil {
-		tweak(&cfg)
+	if spec.router != nil {
+		spec.router(&cfg)
 	}
 	rt, err := New(cfg)
 	if err != nil {

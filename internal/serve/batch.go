@@ -83,8 +83,10 @@ type cascadePipeline[R, C any] struct {
 	compute func(p *core.Predictor, cs []*cascade.Cascade, out []C)
 	// build fills out with one computed row's payload, or reports the
 	// row's own failure (a 422 slot).
-	build  func(s *Server, cur *model, c *cascade.Cascade, res *C, out *R) error
-	encode func(w http.ResponseWriter, env *batchResponse[R])
+	build func(s *Server, cur *model, c *cascade.Cascade, res *C, out *R) error
+	// result appends one payload as encoding/json would (see
+	// appendBatchJSON).
+	result func(b []byte, r *R, ec *floatMemo) ([]byte, bool)
 	pool   sync.Pool // of *cascadeWorkspace[R, C]
 }
 
@@ -105,7 +107,7 @@ var predictPipeline = &cascadePipeline[predictResponse, core.BatchResult]{
 		}
 		return res.Err
 	},
-	encode: writePredictBatch,
+	result: appendPredictJSON,
 	pool:   sync.Pool{New: func() any { return new(cascadeWorkspace[predictResponse, core.BatchResult]) }},
 }
 
@@ -129,22 +131,24 @@ var featuresPipeline = &cascadePipeline[featuresPayload, core.FeatureResult]{
 		}
 		return res.Err
 	},
-	encode: func(w http.ResponseWriter, env *batchResponse[featuresPayload]) {
-		httpkit.WriteJSONCompact(w, http.StatusOK, env)
-	},
-	pool: sync.Pool{New: func() any { return new(cascadeWorkspace[featuresPayload, core.FeatureResult]) }},
+	result: appendFeaturesJSON,
+	pool:   sync.Pool{New: func() any { return new(cascadeWorkspace[featuresPayload, core.FeatureResult]) }},
 }
 
-// cascadeWorkspace is one request's reusable scratch: id and snapshot
-// slices, cache keys and value slots, the compacted compute list, and
-// the per-item result slots. Everything the response references is
-// written out before the workspace returns to the pool, so nothing
-// escapes a request.
+// cascadeWorkspace is one request's reusable scratch: ids, the snapshots
+// computed on (headers, and the arena their infections are copied into),
+// cache keys (and the slab the probe keys are cut from) and value slots,
+// the compacted compute list, and the per-item result slots. Everything
+// the response references is written out before the workspace returns
+// to the pool, so nothing escapes a request.
 type cascadeWorkspace[R, C any] struct {
 	ids        []int
 	body       []byte
-	snaps      []*cascade.Cascade
+	snaps      []cascade.Cascade
+	arena      []cascade.Infection
 	keys       []string
+	keySlab    []byte
+	keyEnds    []int
 	vals       []any
 	compute    []*cascade.Cascade
 	computeIdx []int
@@ -154,12 +158,21 @@ type cascadeWorkspace[R, C any] struct {
 
 // grow readies the workspace for n items.
 func (ws *cascadeWorkspace[R, C]) grow(n int) {
-	ws.snaps = zeroed(ws.snaps, n)
+	ws.snaps, ws.arena = zeroed(ws.snaps, n), ws.arena[:0]
 	ws.keys = zeroed(ws.keys, n)
 	ws.vals = zeroed(ws.vals, n)
 	ws.items = zeroed(ws.items, n)
 	ws.compute = ws.compute[:0]
 	ws.computeIdx = ws.computeIdx[:0]
+}
+
+// release returns ws to the pool, minus an arena that a request over
+// giant cascades grew past the response-buffer retention cap.
+func (p *cascadePipeline[R, C]) release(ws *cascadeWorkspace[R, C]) {
+	if cap(ws.arena) > httpkit.MaxPooledResponseBuf/16 {
+		ws.arena = nil
+	}
+	p.pool.Put(ws)
 }
 
 // zeroed returns s resized to n zero values, reusing its array when it
@@ -195,14 +208,30 @@ func (p *cascadePipeline[R, C]) run(s *Server, w http.ResponseWriter, r *http.Re
 		errors++
 	}
 
-	// Resolve every id to a live-cascade snapshot and admit it against
-	// the pinned generation's node universe. A prediction is
-	// deterministic given (generation, epoch, cascade snapshot), which
-	// is what the cache key names.
+	// A prediction is deterministic given (generation, epoch, cascade
+	// snapshot), and for an append-only cascade (id, size) names the
+	// snapshot — which is what the cache key spells. So the cache is
+	// probed by size alone, one pass for the whole batch, and only the
+	// misses are copied out of the store: a hit was computed — and
+	// admitted against this generation's universe — from exactly its
+	// key, and error slots are never cached, so the copy a hit skips
+	// could not have changed a byte of its slot.
 	gen, epoch, n := cur.gen, s.Epoch(), cur.sys.Sys.N
+	hits := 0
+	if cached {
+		hits = p.probe(s, ws, gen, epoch, fail)
+	}
 	for i, id := range ids {
-		c, ok := s.store.Snapshot(id)
-		if !ok {
+		if items[i].Status != 0 {
+			continue // unknown when probed: already its 404 slot
+		}
+		if v, ok := ws.vals[i].(*R); ok {
+			items[i].Result = v
+			ws.vals[i] = nil // don't re-fill what was already cached
+			continue
+		}
+		c, ok := &ws.snaps[i], false
+		if ws.arena, ok = s.store.SnapshotInto(id, c, ws.arena); !ok {
 			fail(i, http.StatusNotFound, "no live cascade "+strconv.Itoa(id))
 			continue
 		}
@@ -212,26 +241,10 @@ func (p *cascadePipeline[R, C]) run(s *Server, w http.ResponseWriter, r *http.Re
 					" outside the current model's universe [0,"+strconv.Itoa(n)+")")
 			continue
 		}
-		ws.snaps[i] = c
 		if cached {
+			// Filed under the size of the snapshot actually computed on:
+			// the cascade may have grown since the probe.
 			ws.keys[i] = predictKey(p.prefix, gen, epoch, id, c.Size())
-		}
-	}
-
-	// One cache probe pass for the whole batch; hits fill their slots
-	// and drop out of the compute list.
-	hits := 0
-	if cached {
-		hits = s.cache.PeekAll(ws.keys, ws.vals)
-	}
-	for i, c := range ws.snaps {
-		if c == nil {
-			continue
-		}
-		if v, ok := ws.vals[i].(*R); ok {
-			items[i].Result = v
-			ws.vals[i] = nil // don't re-fill what was already cached
-			continue
 		}
 		ws.compute = append(ws.compute, c)
 		ws.computeIdx = append(ws.computeIdx, i)
@@ -253,7 +266,7 @@ func (p *cascadePipeline[R, C]) run(s *Server, w http.ResponseWriter, r *http.Re
 		slab := make([]R, len(results))
 		for j := range results {
 			i := ws.computeIdx[j]
-			if err := p.build(s, cur, ws.snaps[i], &results[j], &slab[j]); err != nil {
+			if err := p.build(s, cur, &ws.snaps[i], &results[j], &slab[j]); err != nil {
 				fail(i, http.StatusUnprocessableEntity, err.Error())
 				ws.keys[i] = "" // never cache an error slot
 				continue
@@ -284,12 +297,14 @@ func (p *cascadePipeline[R, C]) run(s *Server, w http.ResponseWriter, r *http.Re
 func (p *cascadePipeline[R, C]) handleBatch(s *Server) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ws := p.pool.Get().(*cascadeWorkspace[R, C])
-		defer p.pool.Put(ws)
+		defer p.release(ws)
 		if !p.decodeIDs(s, w, r, ws) {
 			return
 		}
 		if env, ok := p.run(s, w, r, ws, true); ok {
-			p.encode(w, &env)
+			httpkit.WriteEncoded(w, http.StatusOK, &env, false, func(b []byte) ([]byte, bool) {
+				return appendBatchJSON(b, &env, p.result)
+			})
 		}
 	}
 }
@@ -304,7 +319,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ws := predictPipeline.pool.Get().(*cascadeWorkspace[predictResponse, core.BatchResult])
-	defer predictPipeline.pool.Put(ws)
+	defer predictPipeline.release(ws)
 	ws.ids = append(ws.ids[:0], id)
 	if env, ok := predictPipeline.run(s, w, r, ws, false); ok {
 		writeItem(w, env.Results[0])
@@ -312,29 +327,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeIDs reads and validates a {"cascades": [...]} body against the
-// batch cap, parsing into the workspace's reusable id slice. The
-// open-coded scanner accepts exactly the canonical client encoding; any
-// body it cannot prove canonical takes the strict reflective decode, so
-// acceptance and error behavior are unchanged — only the hot path loses
-// the per-request decoder state. A false return means the error
-// response was written.
+// batch cap, parsing into the workspace's reusable id slice (the shared
+// scanner on the canonical encoding, the strict reflective decode on
+// anything else). A false return means the error response was written.
 func (p *cascadePipeline[R, C]) decodeIDs(s *Server, w http.ResponseWriter, r *http.Request, ws *cascadeWorkspace[R, C]) bool {
 	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, ws.body)
 	if !ok {
 		return false
 	}
 	ws.body = body
-	if ids, ok := parseCascadesFast(body, ws.ids[:0]); ok {
-		ws.ids = ids
-	} else {
-		var req struct {
-			Cascades []int `json:"cascades"`
-		}
-		if err := httpkit.DecodeStrict(body, &req); err != nil || req.Cascades == nil {
-			httpkit.WriteError(w, http.StatusBadRequest, "body must be {\"cascades\": [id, ...]}")
-			return false
-		}
-		ws.ids = append(ws.ids[:0], req.Cascades...)
+	var err error
+	if ws.ids, err = httpkit.DecodeCascades(body, ws.ids); err != nil {
+		httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
+		return false
 	}
 	return s.admitBatch(w, len(ws.ids), "cascade")
 }
@@ -360,17 +365,52 @@ func (s *Server) admitBatch(w http.ResponseWriter, n int, noun string) bool {
 // the snapshot is identified by (id, size) — every append grows the
 // size, so a stale entry can never alias a newer snapshot.
 func predictKey(prefix string, gen, epoch uint64, id, size int) string {
-	b := make([]byte, 0, 56)
+	return string(appendKeyTail(appendKeyHead(make([]byte, 0, 56), prefix, gen, epoch), id, size))
+}
+
+// appendKeyHead appends what every key of one request shares;
+// appendKeyTail what names the item.
+func appendKeyHead(b []byte, prefix string, gen, epoch uint64) []byte {
 	b = append(b, prefix...)
 	b = append(b, ":gen="...)
 	b = strconv.AppendUint(b, gen, 10)
 	b = append(b, ":epoch="...)
 	b = strconv.AppendUint(b, epoch, 10)
-	b = append(b, ":id="...)
+	return append(b, ":id="...)
+}
+
+func appendKeyTail(b []byte, id, size int) []byte {
 	b = strconv.AppendInt(b, int64(id), 10)
 	b = append(b, ":size="...)
-	b = strconv.AppendInt(b, int64(size), 10)
-	return string(b)
+	return strconv.AppendInt(b, int64(size), 10)
+}
+
+// probe is the pipeline's one cache pass: every id's key is derived
+// from its live size alone — no copy of the cascade — and the batch is
+// looked up under one lock. It leaves hits in ws.vals, fails the slot of
+// every id the store does not know, and returns the hit count. The keys
+// are cut from one string built in the workspace's slab, so an all-hits
+// batch allocates nothing per item; run re-keys a miss, which also
+// detaches what the cache retains from the slab.
+func (p *cascadePipeline[R, C]) probe(s *Server, ws *cascadeWorkspace[R, C], gen, epoch uint64, fail func(i, status int, msg string)) int {
+	kb := appendKeyHead(ws.keySlab[:0], p.prefix, gen, epoch)
+	head := len(kb)
+	ends := ws.keyEnds[:0]
+	for i, id := range ws.ids {
+		if size, ok := s.store.Size(id); ok {
+			kb = appendKeyTail(append(kb, kb[:head]...), id, size)
+		} else {
+			fail(i, http.StatusNotFound, "no live cascade "+strconv.Itoa(id))
+		}
+		ends = append(ends, len(kb))
+	}
+	ws.keySlab, ws.keyEnds = kb, ends
+	slab, lo := string(kb), head
+	for i, hi := range ends {
+		ws.keys[i] = slab[lo:hi]
+		lo = hi
+	}
+	return s.cache.PeekAll(ws.keys, ws.vals)
 }
 
 // maxInfectedNode is the largest node id the cascade has infected, -1
@@ -385,163 +425,53 @@ func maxInfectedNode(c *cascade.Cascade) int {
 	return mx
 }
 
-// parseCascadesFast scans {"cascades":[int,...]} with optional JSON
-// whitespace and plain integer literals (no exponents, no leading
-// zeros). ok=false means the body needs the full strict decoder — the
-// scanner only ever accepts inputs on which it agrees with it.
-func parseCascadesFast(b []byte, dst []int) ([]int, bool) {
-	i, n := 0, len(b)
-	skip := func() {
-		for i < n && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-			i++
-		}
-	}
-	lit := func(s string) bool {
-		if n-i < len(s) || string(b[i:i+len(s)]) != s {
-			return false
-		}
-		i += len(s)
-		return true
-	}
-	skip()
-	if !lit("{") {
-		return nil, false
-	}
-	skip()
-	if !lit(`"cascades"`) {
-		return nil, false
-	}
-	skip()
-	if !lit(":") {
-		return nil, false
-	}
-	skip()
-	if !lit("[") {
-		return nil, false
-	}
-	skip()
-	if i < n && b[i] == ']' {
-		i++
-	} else {
-		for {
-			neg := false
-			if i < n && b[i] == '-' {
-				neg = true
-				i++
-			}
-			start := i
-			v := 0
-			for i < n && b[i] >= '0' && b[i] <= '9' {
-				d := int(b[i] - '0')
-				if v > (1<<62)/10 {
-					return nil, false // near overflow: let strconv via the strict path decide
-				}
-				v = v*10 + d
-				i++
-			}
-			if i == start || (i-start > 1 && b[start] == '0') {
-				return nil, false
-			}
-			if neg {
-				v = -v
-			}
-			dst = append(dst, v)
-			skip()
-			if i < n && b[i] == ',' {
-				i++
-				skip()
-				continue
-			}
-			if i < n && b[i] == ']' {
-				i++
-				break
-			}
-			return nil, false
-		}
-	}
-	skip()
-	if !lit("}") {
-		return nil, false
-	}
-	skip()
-	return dst, i == n
+// The batch envelopes are encoded by hand: at batch 256 the reflective
+// encoding/json walk costs more than all the predictions in the envelope
+// combined. The output is byte-identical to encoding/json's compact
+// form (httpkit's wire vocabulary; a differential test and a fuzz target
+// per encoder), and ok=false on a non-finite float sends the handler to
+// the reflective writer, which fails the request as the single path would.
+
+// floatMemo renders a float that repeats down a batch once. Every
+// success slot of one envelope shares the generation pin, hence
+// EarlyCutoff, and the shortest-round-trip search is the most expensive
+// field of a slot; comparing bits keeps the memo exact (0 and -0 render
+// differently) even if that invariant ever broke.
+type floatMemo struct {
+	bits uint64
+	text []byte
+	buf  [32]byte
 }
 
-// The predict:batch envelope is encoded by hand: at batch 256 the
-// reflective encoding/json walk costs more than all the predictions in
-// the envelope combined, and this is the one response shape hot enough
-// to justify an open-coded encoder. The output is byte-identical to
-// encoding/json's compact form — same field order as the struct tags,
-// same float formatting (appendFloatJSON replicates the shortest
-// round-trip algorithm), same string escaping — and a test holds the
-// two encoders equal. Non-finite floats cannot be hand-encoded into
-// valid JSON; the handler detects them and falls back to the reflective
-// encoder, which fails the request exactly as the single path would.
+func (m *floatMemo) append(b []byte, ok *bool, key string, f float64) []byte {
+	if bits := math.Float64bits(f); m.text == nil || bits != m.bits {
+		var fine bool
+		m.bits = bits
+		m.text, fine = httpkit.AppendFloatJSON(m.buf[:0], f)
+		*ok = *ok && fine
+	}
+	return append(append(b, key...), m.text...)
+}
 
-// appendFloatJSON appends f the way encoding/json does: shortest
-// round-trip form, 'f' format in the human range, 'e' outside it with
-// the exponent's leading zero trimmed. Callers must reject NaN/Inf
-// first.
-func appendFloatJSON(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
+// appendFloat appends key and f as encoding/json would, folding a
+// refusal into ok: the caller discards the buffer then, so it just
+// carries on.
+func appendFloat(b []byte, ok *bool, key string, f float64) []byte {
+	b, fine := httpkit.AppendFloatJSON(append(b, key...), f)
+	*ok = *ok && fine
 	return b
 }
 
-// appendStringJSON appends s quoted with encoding/json's default
-// escaping: control characters, quote, backslash, and the HTML-unsafe
-// <, >, & become escapes; valid UTF-8 passes through.
-func appendStringJSON(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c >= 0x20 && c != '<' && c != '>' && c != '&':
-			b = append(b, c)
-		case c == '\n':
-			b = append(b, '\\', 'n')
-		case c == '\r':
-			b = append(b, '\\', 'r')
-		case c == '\t':
-			b = append(b, '\\', 't')
-		default:
-			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		}
-	}
-	return append(b, '"')
-}
-
-func appendPredictItemJSON(b []byte, it *batchItem[predictResponse], ec []byte) []byte {
-	if it.Result == nil {
-		b = append(b, `{"status":`...)
-		b = strconv.AppendInt(b, int64(it.Status), 10)
-		b = append(b, `,"error":`...)
-		b = appendStringJSON(b, it.Error)
-		return append(b, '}')
-	}
-	r := it.Result
-	b = append(b, `{"result":{"cascade":`...)
+func appendPredictJSON(b []byte, r *predictResponse, ec *floatMemo) ([]byte, bool) {
+	ok := true
+	b = append(b, `{"cascade":`...)
 	b = strconv.AppendInt(b, int64(r.Cascade), 10)
 	b = append(b, `,"viral":`...)
 	b = strconv.AppendBool(b, r.Viral)
-	b = append(b, `,"margin":`...)
-	b = appendFloatJSON(b, r.Margin)
+	b = appendFloat(b, &ok, `,"margin":`, r.Margin)
 	b = append(b, `,"size":`...)
 	b = strconv.AppendInt(b, int64(r.Size), 10)
-	b = append(b, `,"early_cutoff":`...)
-	b = append(b, ec...)
+	b = ec.append(b, &ok, `,"early_cutoff":`, r.EarlyCutoff)
 	b = append(b, `,"threshold":`...)
 	b = strconv.AppendInt(b, int64(r.Threshold), 10)
 	b = append(b, `,"generation":`...)
@@ -550,34 +480,79 @@ func appendPredictItemJSON(b []byte, it *batchItem[predictResponse], ec []byte) 
 	b = strconv.AppendInt(b, int64(r.ShardID), 10)
 	b = append(b, `,"epoch":`...)
 	b = strconv.AppendUint(b, r.Epoch, 10)
-	return append(b, "}}"...)
+	return append(b, '}'), ok
 }
 
-func appendPredictBatchJSON(b []byte, env *batchResponse[predictResponse]) []byte {
-	// Every success slot in one envelope shares the generation pin, so
-	// EarlyCutoff is uniform across them; format it once instead of
-	// running the shortest-round-trip search per item (the comparison
-	// below keeps the cache exact even if that invariant ever broke).
-	var ecBuf [32]byte
-	var ec []byte
-	var ecVal float64
+func appendFeaturesJSON(b []byte, r *featuresPayload, ec *floatMemo) ([]byte, bool) {
+	ok := true
+	b = append(b, `{"cascade":`...)
+	b = strconv.AppendInt(b, int64(r.Cascade), 10)
+	b = appendFloat(b, &ok, `,"diverA":`, r.DiverA)
+	b = appendFloat(b, &ok, `,"normA":`, r.NormA)
+	b = appendFloat(b, &ok, `,"maxA":`, r.MaxA)
+	b = appendFloat(b, &ok, `,"earlyCount":`, r.EarlyCount)
+	b = appendFloat(b, &ok, `,"earlyRate":`, r.EarlyRate)
+	b = append(b, `,"size":`...)
+	b = strconv.AppendInt(b, int64(r.Size), 10)
+	b = ec.append(b, &ok, `,"early_cutoff":`, r.EarlyCutoff)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, r.Generation, 10)
+	return append(b, '}'), ok
+}
+
+func appendRateJSON(b []byte, r *rateResponse, _ *floatMemo) ([]byte, bool) {
+	ok := true
+	b = append(b, `{"u":`...)
+	b = strconv.AppendInt(b, int64(r.U), 10)
+	b = append(b, `,"v":`...)
+	b = strconv.AppendInt(b, int64(r.V), 10)
+	b = appendFloat(b, &ok, `,"rate":`, r.Rate)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, r.Generation, 10)
+	return append(b, '}'), ok
+}
+
+// appendResults renders {"results":[slot,…],"count":n,"errors":n — the
+// part of an envelope every batch endpoint shares. A slot is batchItem
+// under its omitempty tags: {"result":<payload>}, payloads through
+// result, or {"status":n,"error":"…"}.
+func appendResults[R any](b []byte, items []batchItem[R], count, errors int, result func([]byte, *R, *floatMemo) ([]byte, bool)) ([]byte, bool) {
+	var ec floatMemo
+	ok := true
 	b = append(b, `{"results":[`...)
-	for i := range env.Results {
+	for i := range items {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if r := env.Results[i].Result; r != nil {
-			if ec == nil || r.EarlyCutoff != ecVal {
-				ec = appendFloatJSON(ecBuf[:0], r.EarlyCutoff)
-				ecVal = r.EarlyCutoff
-			}
+		it, sep := &items[i], "{"
+		if it.Result != nil {
+			var fine bool
+			b, fine = result(append(b, `{"result":`...), it.Result, &ec)
+			ok, sep = ok && fine, ","
 		}
-		b = appendPredictItemJSON(b, &env.Results[i], ec)
+		if it.Status != 0 {
+			b = append(append(b, sep...), `"status":`...)
+			b, sep = strconv.AppendInt(b, int64(it.Status), 10), ","
+		}
+		if it.Error != "" {
+			b = append(append(b, sep...), `"error":`...)
+			b, sep = httpkit.AppendStringJSON(b, it.Error), ","
+		}
+		if sep == "{" {
+			b = append(b, '{')
+		}
+		b = append(b, '}')
 	}
 	b = append(b, `],"count":`...)
-	b = strconv.AppendInt(b, int64(env.Count), 10)
+	b = strconv.AppendInt(b, int64(count), 10)
 	b = append(b, `,"errors":`...)
-	b = strconv.AppendInt(b, int64(env.Errors), 10)
+	return strconv.AppendInt(b, int64(errors), 10), ok
+}
+
+// appendBatchJSON renders a cascade-scoped batch envelope as
+// WriteJSONCompact would.
+func appendBatchJSON[R any](b []byte, env *batchResponse[R], result func([]byte, *R, *floatMemo) ([]byte, bool)) ([]byte, bool) {
+	b, ok := appendResults(b, env.Results, env.Count, env.Errors, result)
 	b = append(b, `,"cache_hits":`...)
 	b = strconv.AppendInt(b, int64(env.CacheHits), 10)
 	b = append(b, `,"generation":`...)
@@ -587,35 +562,7 @@ func appendPredictBatchJSON(b []byte, env *batchResponse[predictResponse]) []byt
 	b = append(b, `,"epoch":`...)
 	b = strconv.AppendUint(b, env.Epoch, 10)
 	// json.Encoder terminates every value with a newline; match it.
-	return append(b, '}', '\n')
-}
-
-// batchEncPool recycles the hand-encoder's output buffers, with the
-// same retention cap as the shared response-buffer pool.
-var batchEncPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
-
-// writePredictBatch emits the envelope through the open-coded encoder,
-// deferring to the reflective one when any float is non-finite (which
-// 500s the request, matching single-request behavior).
-func writePredictBatch(w http.ResponseWriter, env *batchResponse[predictResponse]) {
-	for i := range env.Results {
-		if r := env.Results[i].Result; r != nil &&
-			(math.IsNaN(r.Margin) || math.IsInf(r.Margin, 0) ||
-				math.IsNaN(r.EarlyCutoff) || math.IsInf(r.EarlyCutoff, 0)) {
-			httpkit.WriteJSONCompact(w, http.StatusOK, env)
-			return
-		}
-	}
-	bp := batchEncPool.Get().(*[]byte)
-	b := appendPredictBatchJSON((*bp)[:0], env)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(b) //nolint:errcheck // the response is already committed
-	if cap(b) <= httpkit.MaxPooledResponseBuf {
-		*bp = b
-		batchEncPool.Put(bp)
-	}
+	return append(b, '}', '\n'), ok
 }
 
 type rateBatchResponse struct {
@@ -625,10 +572,18 @@ type rateBatchResponse struct {
 	Generation uint64                    `json:"generation"`
 }
 
+func appendRateBatchJSON(b []byte, env *rateBatchResponse) ([]byte, bool) {
+	b, ok := appendResults(b, env.Results, env.Count, env.Errors, appendRateJSON)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, env.Generation, 10)
+	return append(b, '}', '\n'), ok
+}
+
 // rateItem is the one per-pair validate + lookup behind GET /v1/rate
 // and every rate:batch slot: the inferred hazard rate of u infecting v
-// under the pinned generation, or the 400 the pair earns.
-func rateItem(cur *model, u, v int) batchItem[rateResponse] {
+// under the pinned generation, written to out, or the 400 the pair
+// earns.
+func rateItem(cur *model, u, v int, out *rateResponse) batchItem[rateResponse] {
 	n := cur.sys.Sys.N
 	switch {
 	case u < 0 || v < 0:
@@ -638,11 +593,8 @@ func rateItem(cur *model, u, v int) batchItem[rateResponse] {
 		return batchItem[rateResponse]{Status: http.StatusBadRequest,
 			Error: "nodes must be in [0," + strconv.Itoa(n) + ")"}
 	}
-	return batchItem[rateResponse]{Result: &rateResponse{
-		U: u, V: v,
-		Rate:       cur.sys.Sys.Rate(u, v),
-		Generation: cur.gen,
-	}}
+	*out = rateResponse{U: u, V: v, Rate: cur.sys.Sys.Rate(u, v), Generation: cur.gen}
+	return batchItem[rateResponse]{Result: out}
 }
 
 // handleRate reports the inferred hazard rate of u infecting v. An
@@ -653,39 +605,60 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 	if errU != nil || errV != nil {
 		u = -1
 	}
-	writeItem(w, rateItem(s.current(), u, v))
+	writeItem(w, rateItem(s.current(), u, v, new(rateResponse)))
 }
+
+// rateWorkspace is one rate:batch request's reusable scratch. Nothing
+// of it outlives the request — rates are not cached — so the payload
+// slab is pooled with the rest.
+type rateWorkspace struct {
+	body  []byte
+	pairs [][2]int
+	items []batchItem[rateResponse]
+	slab  []rateResponse
+}
+
+var ratePool = sync.Pool{New: func() any { return new(rateWorkspace) }}
 
 // handleRateBatch answers a batch of pairwise hazard-rate lookups. No
 // cache — a rate is one K-length dot product, cheaper than a cache
 // probe — but the batch still amortizes admission, deadline, and JSON
 // overhead.
 func (s *Server) handleRateBatch(w http.ResponseWriter, r *http.Request) {
-	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, nil)
+	ws := ratePool.Get().(*rateWorkspace)
+	defer ratePool.Put(ws)
+	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, ws.body)
 	if !ok {
 		return
 	}
-	var req struct {
-		Pairs []struct{ U, V int } `json:"pairs"`
+	ws.body = body
+	if ws.pairs, ok = httpkit.ScanPairs(body, ws.pairs[:0]); !ok {
+		var req struct {
+			Pairs []struct{ U, V int } `json:"pairs"`
+		}
+		if err := httpkit.DecodeStrict(body, &req); err != nil || req.Pairs == nil {
+			httpkit.WriteError(w, http.StatusBadRequest, "body must be {\"pairs\": [{\"u\": ..., \"v\": ...}, ...]}")
+			return
+		}
+		ws.pairs = ws.pairs[:0]
+		for _, p := range req.Pairs {
+			ws.pairs = append(ws.pairs, [2]int{p.U, p.V})
+		}
 	}
-	if err := httpkit.DecodeStrict(body, &req); err != nil || req.Pairs == nil {
-		httpkit.WriteError(w, http.StatusBadRequest, "body must be {\"pairs\": [{\"u\": ..., \"v\": ...}, ...]}")
-		return
-	}
-	if !s.admitBatch(w, len(req.Pairs), "pair") {
+	n := len(ws.pairs)
+	if !s.admitBatch(w, n, "pair") {
 		return
 	}
 	cur := s.current()
-	resp := rateBatchResponse{
-		Results:    make([]batchItem[rateResponse], len(req.Pairs)),
-		Count:      len(req.Pairs),
-		Generation: cur.gen,
-	}
-	for i, p := range req.Pairs {
-		resp.Results[i] = rateItem(cur, p.U, p.V)
-		if resp.Results[i].Result == nil {
+	ws.items, ws.slab = zeroed(ws.items, n), zeroed(ws.slab, n)
+	resp := rateBatchResponse{Results: ws.items, Count: n, Generation: cur.gen}
+	for i, p := range ws.pairs {
+		ws.items[i] = rateItem(cur, p[0], p[1], &ws.slab[i])
+		if ws.items[i].Result == nil {
 			resp.Errors++
 		}
 	}
-	httpkit.WriteJSONCompact(w, http.StatusOK, &resp)
+	httpkit.WriteEncoded(w, http.StatusOK, &resp, false, func(b []byte) ([]byte, bool) {
+		return appendRateBatchJSON(b, &resp)
+	})
 }

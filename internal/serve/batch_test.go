@@ -12,8 +12,6 @@ import (
 	"strconv"
 	"testing"
 	"time"
-
-	"viralcast/internal/httpkit"
 )
 
 // rawBatchItem decodes one slot of a batch response, keeping the result
@@ -449,60 +447,8 @@ func TestAppendPredictBatchJSONMatchesEncodingJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, '\n') // json.Encoder appends one; the hand encoder matches it
-	got := appendPredictBatchJSON(nil, env)
-	if !bytes.Equal(got, want) {
+	got, ok := appendBatchJSON(nil, env, appendPredictJSON)
+	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("hand encoder diverged from encoding/json:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestParseCascadesFast checks the open-coded request scanner agrees
-// with the strict reflective decoder on everything it accepts, and
-// falls back (ok=false) on everything non-canonical.
-func TestParseCascadesFast(t *testing.T) {
-	accepts := []string{
-		`{"cascades":[1,2,3]}`,
-		`{"cascades":[]}`,
-		`{"cascades":[0]}`,
-		`{"cascades":[-5, 7 ,   9]}`,
-		"\n\t {\"cascades\" : [ 10 , -20 ] } \r\n",
-		`{"cascades":[9007199254740991]}`,
-	}
-	for _, body := range accepts {
-		got, ok := parseCascadesFast([]byte(body), nil)
-		if !ok {
-			t.Fatalf("scanner rejected canonical body %q", body)
-		}
-		var req struct {
-			Cascades []int `json:"cascades"`
-		}
-		if err := httpkit.DecodeStrict([]byte(body), &req); err != nil {
-			t.Fatalf("strict decoder rejected %q: %v", body, err)
-		}
-		if len(got) != len(req.Cascades) {
-			t.Fatalf("%q: scanner %v != strict %v", body, got, req.Cascades)
-		}
-		for i := range got {
-			if got[i] != req.Cascades[i] {
-				t.Fatalf("%q: scanner %v != strict %v", body, got, req.Cascades)
-			}
-		}
-	}
-	rejects := []string{
-		`{"cascades":[1.5]}`,
-		`{"cascades":[1e3]}`,
-		`{"cascades":[01]}`,
-		`{"cascades":[1],"extra":2}`,
-		`{"cascades":[1]} trailing`,
-		`{"cascades":[1,]}`,
-		`{"cascades":[--1]}`,
-		`{"cascades":[]}{}`,
-		`["cascades"]`,
-		`{"cascades":[99999999999999999999]}`,
-		``,
-	}
-	for _, body := range rejects {
-		if got, ok := parseCascadesFast([]byte(body), nil); ok {
-			t.Fatalf("scanner accepted non-canonical body %q as %v", body, got)
-		}
 	}
 }

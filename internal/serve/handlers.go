@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 
 	"viralcast/internal/core"
 	"viralcast/internal/httpkit"
@@ -207,11 +208,17 @@ func (s *Server) writeBudgetExhausted(w http.ResponseWriter, err error) {
 	httpkit.WriteDeadline(w, err)
 }
 
-// eventReject reports one event of a batch that was not ingested.
-type eventReject struct {
-	Index int    `json:"index"`
-	Error string `json:"error"`
+// eventsWorkspace is one ingest request's reusable scratch: the body,
+// the events parsed from it, and the sizes the ack reports. The WAL
+// frames what it is handed before AppendBatchCtx returns, so nothing
+// here outlives the request.
+type eventsWorkspace struct {
+	body   []byte
+	events []Event
+	sizes  []httpkit.CascadeSize
 }
+
+var eventsPool = sync.Pool{New: func() any { return new(eventsWorkspace) }}
 
 // handleEvents ingests a batch of infection events. The body is either
 // {"events": [{cascade, node, time}, ...]} or a single bare event
@@ -249,43 +256,46 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, nil)
+	ws := eventsPool.Get().(*eventsWorkspace)
+	defer eventsPool.Put(ws)
+	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, ws.body)
 	if !ok {
 		return
 	}
-	var batch struct {
-		Events []Event `json:"events"`
-	}
-	if err := httpkit.DecodeStrict(body, &batch); err != nil || batch.Events == nil {
-		// Not a batch envelope; retry as a single bare event.
-		var one Event
-		if err2 := httpkit.DecodeStrict(body, &one); err2 != nil {
-			httpkit.WriteError(w, http.StatusBadRequest,
-				"body must be {\"events\": [...]} or a single {cascade, node, time} object")
+	ws.body = body
+	// The canonical envelope is scanned straight into the workspace;
+	// anything else — the bare single event included — is the strict
+	// reflective decoder's to accept or refuse.
+	events, ok := httpkit.ScanEvents(body, ws.events[:0], nil)
+	ws.events = events
+	if !ok {
+		var err error
+		if events, err = httpkit.DecodeEventsStrict(body); err != nil {
+			httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		batch.Events = []Event{one}
 	}
-	if len(batch.Events) == 0 {
+	if len(events) == 0 {
 		httpkit.WriteError(w, http.StatusBadRequest, "empty event batch")
 		return
 	}
 	n := s.current().sys.Sys.N
-	var rejected []eventReject
+	var rejected []httpkit.EventReject
 	// The accepted events are compacted in place over the parsed batch
 	// (the write index never passes the read index), so the slice the
 	// WAL commits is the request's own.
-	accepted := batch.Events[:0]
-	sizes := make(map[string]int)
-	for i, ev := range batch.Events {
+	accepted := events[:0]
+	sizes := ws.sizes[:0]
+	for i, ev := range events {
 		size, err := s.store.Append(ev, n)
 		if err != nil {
-			rejected = append(rejected, eventReject{Index: i, Error: err.Error()})
+			rejected = append(rejected, httpkit.EventReject{Index: i, Error: err.Error()})
 			continue
 		}
-		sizes[strconv.Itoa(ev.Cascade)] = size
+		sizes = append(sizes, httpkit.CascadeSize{ID: ev.Cascade, Size: size})
 		accepted = append(accepted, ev)
 	}
+	ws.sizes = sizes
 	// With a WAL configured, the 200 below is a durability contract:
 	// the whole accepted batch rides one group commit, and a client is
 	// only told "accepted" after the fsync. On commit failure the
@@ -309,10 +319,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.metrics.events.Add(int64(len(accepted)))
-	httpkit.WriteJSON(w, http.StatusOK, map[string]any{
-		"accepted": len(accepted),
-		"rejected": rejected,
-		"sizes":    sizes,
+	// {accepted, rejected, sizes}, each cascade's last reported size.
+	httpkit.WriteEncoded(w, http.StatusOK, nil, true, func(b []byte) ([]byte, bool) {
+		return httpkit.AppendAckJSON(b, len(accepted), rejected, sizes), true
 	})
 }
 
@@ -412,10 +421,9 @@ func (s *Server) handleInfluencers(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	httpkit.WriteJSON(w, http.StatusOK, &influencersResponse{
-		Influencers: infs,
-		Cached:      hit,
-		Generation:  cur.gen,
+	resp := &influencersResponse{Influencers: infs, Cached: hit, Generation: cur.gen}
+	httpkit.WriteEncoded(w, http.StatusOK, resp, true, func(b []byte) ([]byte, bool) {
+		return httpkit.AppendRankingJSON(b, infs, hit, cur.gen)
 	})
 }
 

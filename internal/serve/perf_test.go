@@ -150,7 +150,8 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkPredictBatch is the batched data plane end to end at batch
-// sizes 1/16/64/256, reporting amortized ns/cascade next to ns/op. The
+// sizes 1/16/64/256 (features:batch and rate:batch at 256 beside
+// them), reporting amortized ns/cascade next to ns/op. The
 // cache TTL is one nanosecond so every item recomputes — the numbers
 // measure the column-wise extraction and blocked kernel, not cache
 // hits. Compare ns/cascade at B256 against BenchmarkPredictRequest's
@@ -172,17 +173,21 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 		}
 	}
-	for _, size := range []int{1, 16, 64, 256} {
-		b.Run("B"+strconv.Itoa(size), func(b *testing.B) {
-			body, err := json.Marshal(map[string]any{"cascades": ids[:size]})
+	pairs := make([]map[string]int, maxBatch)
+	for i := range pairs {
+		pairs[i] = map[string]int{"u": i % fixtureNodes, "v": (7 * i) % fixtureNodes}
+	}
+	run := func(name, path string, request any, size int) {
+		b.Run(name, func(b *testing.B) {
+			body, err := json.Marshal(request)
 			if err != nil {
 				b.Fatal(err)
 			}
-			warm := httptest.NewRequest("POST", "/v1/predict:batch", bytes.NewReader(body))
+			warm := httptest.NewRequest("POST", path, bytes.NewReader(body))
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, warm)
 			if w.Code != http.StatusOK {
-				b.Fatalf("predict:batch = %d: %s", w.Code, w.Body.String())
+				b.Fatalf("%s = %d: %s", path, w.Code, w.Body.String())
 			}
 			if strings.Contains(w.Body.String(), `"status"`) {
 				b.Fatalf("batch contains error slots: %s", w.Body.String())
@@ -190,7 +195,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest("POST", "/v1/predict:batch", bytes.NewReader(body))
+				req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 				w := httptest.NewRecorder()
 				h.ServeHTTP(w, req)
 				if w.Code != http.StatusOK {
@@ -201,6 +206,13 @@ func BenchmarkPredictBatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/cascade")
 		})
 	}
+	for _, size := range []int{1, 16, 64, 256} {
+		run("B"+strconv.Itoa(size), "/v1/predict:batch", map[string]any{"cascades": ids[:size]}, size)
+	}
+	// The other two batch endpoints at full width (ns/cascade reads
+	// ns/pair for rate:batch).
+	run("features:batch/B256", "/v1/features:batch", map[string]any{"cascades": ids}, maxBatch)
+	run("rate:batch/B256", "/v1/rate:batch", map[string]any{"pairs": pairs}, maxBatch)
 }
 
 // benchLoader is the shared test fixture under its testing.TB face.

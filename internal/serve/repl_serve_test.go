@@ -101,9 +101,11 @@ func TestFollowerReplicatesAndServes(t *testing.T) {
 			t.Fatalf("primary ingest %d: status %d", i, code)
 		}
 	}
+	// State included: lag 0 is reached while the follower still says
+	// "syncing", and the metrics assertion below wants "current".
 	waitRepl(t, "follower tail", func() bool {
 		st, _ := fsrv.replStatus()
-		return cascadeSize(fsrv, 4242) == 10 && st.LagRecords == 0
+		return cascadeSize(fsrv, 4242) == 10 && st.LagRecords == 0 && st.State == repl.StateCurrent
 	})
 
 	// Identical predictions: same model generation, same replicated

@@ -96,17 +96,44 @@ func (s *Store) Append(ev Event, n int) (int, error) {
 // Snapshot returns a deep copy of the live cascade, safe to read while
 // ingestion continues, or false if the cascade is unknown.
 func (s *Store) Snapshot(id int) (*cascade.Cascade, bool) {
+	c := new(cascade.Cascade)
+	if _, ok := s.SnapshotInto(id, c, nil); !ok {
+		return nil, false
+	}
+	return c, true
+}
+
+// SnapshotInto is Snapshot into memory the caller owns: the infections
+// are appended to arena (returned grown) and *c is pointed at them, so
+// a request that computes on many cascades and keeps none copies them
+// into one reusable block instead of allocating two objects apiece.
+func (s *Store) SnapshotInto(id int, c *cascade.Cascade, arena []cascade.Infection) ([]cascade.Infection, bool) {
 	sh := s.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	lc, ok := sh.live[id]
 	if !ok {
-		return nil, false
+		return arena, false
 	}
-	return &cascade.Cascade{
-		ID:         lc.c.ID,
-		Infections: append([]cascade.Infection(nil), lc.c.Infections...),
-	}, true
+	lo := len(arena)
+	arena = append(arena, lc.c.Infections...)
+	*c = cascade.Cascade{ID: lc.c.ID, Infections: arena[lo:len(arena):len(arena)]}
+	return arena, true
+}
+
+// Size returns the live cascade's current infection count without
+// copying it, or false if the cascade is unknown. For an append-only
+// cascade (id, size) names a snapshot exactly, which is all a cache
+// probe needs.
+func (s *Store) Size(id int) (int, bool) {
+	sh := s.shard(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	lc, ok := sh.live[id]
+	if !ok {
+		return 0, false
+	}
+	return len(lc.c.Infections), true
 }
 
 // Len returns the number of live cascades.

@@ -41,6 +41,17 @@ echo "== bench module (vet + tests against this tree)"
 echo "== bench smoke (every benchmark must compile and run once)"
 go test -run=NONE -bench=. -benchtime=1x ./...
 
+# The hand codecs are held to encoding/json by differential fuzz targets
+# whose seed corpora already ran above as plain tests; three seconds of
+# mutation each is a tripwire, not a campaign. -fuzz takes one target and
+# one package at a time.
+echo "== differential fuzz, 3 s a target (hand codecs vs encoding/json)"
+for pkg in httpkit serve; do
+  for target in $(go test -list '^Fuzz' "./internal/$pkg/" | grep '^Fuzz'); do
+    go test -run='^$' -fuzz="^${target}\$" -fuzztime=3s "./internal/$pkg/"
+  done
+done
+
 # One second per workload, untraced then traced: not a measurement, a
 # check that every workload still sets up, passes its oracle and runs
 # its ladder. run.sh exits non-zero on a wrong answer; a run that merely
@@ -55,6 +66,17 @@ for f in bench/out/{train,point,batch,fleet}{,-trace}.json; do
     exit 1
   fi
 done
+# The routed data plane moves bytes, not values: what it allocates per
+# item repeats to two digits across sets at this run length (9.5–9.8
+# when the span-sliced scatter landed, from 16.0), so a reflective codec
+# or a per-item copy creeping back onto the fleet path trips this ceiling,
+# set 15 % above, long before it shows in a noisy items_per_s.
+last="$(tail -n 1 bench/out/fleet-trace.json)"
+allocs="$(sed -E 's/.*"go\.allocs_per_item":\{"value":([0-9.eE+-]+),.*/\1/' <<<"$last")"
+if ! awk -v a="$allocs" 'BEGIN { exit !(a > 0 && a <= 11.2) }'; then
+  echo "bench/out/fleet-trace.json: go.allocs_per_item is $allocs, ceiling 11.2" >&2
+  exit 1
+fi
 # The graph front half of training is pinned bit for bit: these two counts
 # repeat exactly across sets and seeds (bench/README.md), so a change to
 # cooccur, graph.Undirected or slpa that is not identical fails here
