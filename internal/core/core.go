@@ -387,7 +387,9 @@ func (s *System) TopInfluencersRangeCtx(ctx context.Context, k, lo, hi int) ([]I
 // the union of partition winners contains every global winner. This is
 // the PR 5 per-worker heap merge exported as a standalone primitive so
 // a scatter-gathering router can merge per-shard heaps the same way one
-// process merges per-worker heaps. k < 0 keeps every candidate.
+// process merges per-worker heaps. k < 0 keeps every candidate. The
+// result has cap == len: whoever caches it holds the k winners, not the
+// candidates they beat.
 func MergeTopInfluencers(k int, lists ...[]Influencer) []Influencer {
 	total := 0
 	for _, l := range lists {
@@ -399,7 +401,7 @@ func MergeTopInfluencers(k int, lists ...[]Influencer) []Influencer {
 	}
 	sort.Slice(merged, func(i, j int) bool { return rankBelow(merged[j], merged[i]) })
 	if k >= 0 && k < len(merged) {
-		merged = merged[:k]
+		merged = append(make([]Influencer, 0, k), merged[:k]...)
 	}
 	return merged
 }

@@ -165,6 +165,43 @@ func TestTopInfluencersRangeMergeEqualsGlobal(t *testing.T) {
 	}
 }
 
+// TestMergeTopInfluencersReturnsExactCapacity: the merged ranking is
+// what caches hold for a TTL, so it must not pin the candidates it
+// discarded — cap == len for k below, at and above the candidate count
+// (k < 0 keeps all) — while still equal to ranking the union directly,
+// and every prefix of it is the merge for that smaller k (what lets one
+// cached ranking serve every k it covers).
+func TestMergeTopInfluencersReturnsExactCapacity(t *testing.T) {
+	const n, shards = 90, 3
+	sys := tieSystem(n, 3, 41)
+	ctx := context.Background()
+	parts := make([][]Influencer, shards)
+	for i := range parts {
+		part, err := sys.TopInfluencersRangeCtx(ctx, n, i*n/shards, (i+1)*n/shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = part
+	}
+	all, err := sys.TopInfluencersCtx(ctx, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{0, 1, 7, n - 1, n, n + 1, 10 * n, -1} {
+		got := MergeTopInfluencers(k, parts...)
+		want := all
+		if k >= 0 && k < n {
+			want = all[:k]
+		}
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("k=%d: merge is not the first %d of the ranked union\n got %v\nwant %v", k, len(want), got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("k=%d over %d candidates: len %d but cap %d — the result pins candidates it discarded", k, n, len(got), cap(got))
+		}
+	}
+}
+
 func TestTopInfluencersRangeClampsBounds(t *testing.T) {
 	sys := tieSystem(60, 2, 13)
 	ctx := context.Background()

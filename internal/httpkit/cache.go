@@ -11,6 +11,7 @@ package httpkit
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -22,29 +23,43 @@ import (
 // result instead of burning an O(n·k) computation each. Keys embed the
 // model generation where one exists, so a hot reload or flush naturally
 // invalidates everything cached against the previous model.
+//
+// A ranking is one entry, not one per length asked: the published order
+// is a strict total order, so the first k of an exact top-k' are the
+// exact top-k for every k ≤ k', and an entry records how many ranks it
+// was filled for (DoCover).
 type Cache struct {
 	ttl time.Duration
 	now func() time.Time
 
-	mu      sync.Mutex
-	entries map[string]cacheEntry
-	calls   map[string]*cacheCall
+	mu        sync.Mutex
+	entries   map[string]cacheEntry
+	calls     map[string][]*cacheCall // flights per key, at most one per asked
+	nextSweep time.Time
 }
 
 type cacheEntry struct {
-	value   any
+	value any
+	// asked is how many ranks a ranking was filled for — not its length:
+	// a universe smaller than asked yields a shorter list that still
+	// covers every k ≤ asked. Values that are not rankings carry 0.
+	asked   int
 	expires time.Time
 }
 
 type cacheCall struct {
-	done chan struct{}
-	val  any
-	err  error
+	done      chan struct{}
+	asked     int
+	val       any
+	cacheable bool // complete and error-free: what its waiters report as hit
+	err       error
 }
 
-// MaxCacheEntries triggers an expired-entry sweep; the working set of
-// distinct (endpoint, params, generation) keys is tiny, so this only
-// guards against unbounded growth from adversarial query strings.
+// MaxCacheEntries caps the entry map: the insert that finds it full
+// sweeps at once, and resets the map if everything in it is still live.
+// Below the cap the first put of each TTL window sweeps expired entries,
+// so while anything is being cached a value outlives its expiry by less
+// than one TTL, however rarely its own key is asked again.
 const MaxCacheEntries = 4096
 
 // NewCache builds a cache whose entries live for ttl on the clock now
@@ -54,18 +69,18 @@ func NewCache(ttl time.Duration, now func() time.Time) *Cache {
 		ttl:     ttl,
 		now:     now,
 		entries: make(map[string]cacheEntry),
-		calls:   make(map[string]*cacheCall),
+		calls:   make(map[string][]*cacheCall),
 	}
 }
 
 // Do returns the cached value for key, or runs fill — once across
 // concurrent callers — and stores the result iff fill says it may be
 // cached. hit reports whether the value came from cache (a singleflight
-// wait counts as a hit: the work was shared). A result fill marks
-// uncacheable (a partial fleet answer) is delivered to every waiter of
-// the flight but never stored, so the next request recomputes; errors
-// are likewise never cached, so a transient failure does not poison the
-// key for a full TTL.
+// wait on a cacheable result counts as a hit: the work was shared). A
+// result fill marks uncacheable (a partial fleet answer) is delivered
+// to every waiter of the flight with hit false and never stored, so the
+// next request recomputes; errors are likewise never cached, so a
+// transient failure does not poison the key for a full TTL.
 //
 // A caller that joins an in-flight computation stops waiting when its
 // ctx expires (the computation itself continues for the callers still
@@ -73,31 +88,53 @@ func NewCache(ttl time.Duration, now func() time.Time) *Cache {
 // singleflight leader's ctx governs the computation, so a leader with a
 // short budget can fail followers that joined it.
 func (c *Cache) Do(ctx context.Context, key string, fill func() (val any, cacheable bool, err error)) (val any, hit bool, err error) {
+	return c.DoCover(ctx, key, 0, fill)
+}
+
+// DoCover is Do for a ranking the caller will cut to its first need
+// entries: the live entry, or a flight already under way, serves the
+// call iff it was filled for at least need ranks. Otherwise fill runs
+// for exactly need — so there is at most one flight per distinct need
+// on a key — and its result replaces the entry unless a live longer
+// one is there (of two concurrent misses the longer answer stays,
+// whichever lands last). The value is shared between callers: cut it,
+// never write to it.
+func (c *Cache) DoCover(ctx context.Context, key string, need int, fill func() (val any, cacheable bool, err error)) (val any, hit bool, err error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok && c.now().Before(e.expires) {
+	if e, ok := c.entries[key]; ok && e.asked >= need && c.now().Before(e.expires) {
 		c.mu.Unlock()
 		return e.value, true, nil
 	}
-	if call, ok := c.calls[key]; ok {
+	for _, call := range c.calls[key] {
+		if call.asked < need {
+			continue
+		}
 		c.mu.Unlock()
 		select {
 		case <-call.done:
-			return call.val, true, call.err
+			return call.val, call.cacheable, call.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
 	}
-	call := &cacheCall{done: make(chan struct{})}
-	c.calls[key] = call
+	call := &cacheCall{done: make(chan struct{}), asked: need}
+	c.calls[key] = append(c.calls[key], call)
 	c.mu.Unlock()
 
-	var cacheable bool
-	call.val, cacheable, call.err = fill()
+	val, cacheable, err := fill()
+	call.val, call.cacheable, call.err = val, cacheable && err == nil, err
 
 	c.mu.Lock()
-	delete(c.calls, key)
-	if call.err == nil && cacheable {
-		c.putLocked(key, call.val, c.now().Add(c.ttl))
+	if flights := slices.DeleteFunc(c.calls[key], func(f *cacheCall) bool { return f == call }); len(flights) == 0 {
+		delete(c.calls, key)
+	} else {
+		c.calls[key] = flights
+	}
+	if call.cacheable {
+		now := c.now()
+		if e, ok := c.entries[key]; !ok || e.asked <= need || !now.Before(e.expires) {
+			c.putLocked(key, call.val, need, now)
+		}
 	}
 	c.mu.Unlock()
 	close(call.done)
@@ -132,10 +169,10 @@ func (c *Cache) PeekAll(keys []string, out []any) (hits int) {
 func (c *Cache) PutAll(keys []string, vals []any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	expires := c.now().Add(c.ttl)
+	now := c.now()
 	for i, k := range keys {
 		if k != "" && vals[i] != nil {
-			c.putLocked(k, vals[i], expires)
+			c.putLocked(k, vals[i], 0, now)
 		}
 	}
 }
@@ -148,12 +185,12 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// putLocked stores one entry, sweeping first when the map is full:
-// expired entries are dropped, and if everything is still live the
-// whole map is reset (the cache is a performance aid, not a store).
-func (c *Cache) putLocked(key string, val any, expires time.Time) {
-	if len(c.entries) >= MaxCacheEntries {
-		now := c.now()
+// putLocked stores one entry, sweeping expired ones out first when the
+// map is full or a TTL has passed since the last sweep (amortised O(1)
+// a put); if the map is full of live entries it is reset whole (the
+// cache is a performance aid, not a store).
+func (c *Cache) putLocked(key string, val any, asked int, now time.Time) {
+	if len(c.entries) >= MaxCacheEntries || !now.Before(c.nextSweep) {
 		for k, e := range c.entries {
 			if !now.Before(e.expires) {
 				delete(c.entries, k)
@@ -162,6 +199,7 @@ func (c *Cache) putLocked(key string, val any, expires time.Time) {
 		if len(c.entries) >= MaxCacheEntries {
 			c.entries = make(map[string]cacheEntry)
 		}
+		c.nextSweep = now.Add(c.ttl)
 	}
-	c.entries[key] = cacheEntry{value: val, expires: expires}
+	c.entries[key] = cacheEntry{value: val, asked: asked, expires: now.Add(c.ttl)}
 }

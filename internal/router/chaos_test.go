@@ -101,7 +101,7 @@ func TestRouterPartialAfterShardSIGKILL(t *testing.T) {
 	}
 	cmd.Wait() //nolint:errcheck // the kill is the expected exit
 	start := time.Now()
-	code, body := getRaw(t, ts.URL+"/v1/influencers?k=7") // fresh k: past the router cache
+	code, body := getRaw(t, ts.URL+"/v1/influencers?k=12") // past the k=10 ranking the router has cached
 	elapsed := time.Since(start)
 	if code != http.StatusOK {
 		t.Fatalf("post-kill answer: code %d body %s", code, body)
@@ -283,7 +283,9 @@ func TestRouterAutoFailoverAfterPrimarySIGKILL(t *testing.T) {
 		if rt.metrics.failovers.Value() < 1 {
 			return false
 		}
-		code, body := getRaw(t, base+"/v1/influencers?k=7")
+		// k=12 is past the k=10 ranking phase 1 left in the router's
+		// cache: a complete answer here was gathered from the healed fleet.
+		code, body := getRaw(t, base+"/v1/influencers?k=12")
 		if code != http.StatusOK {
 			return false
 		}
@@ -300,7 +302,7 @@ func TestRouterAutoFailoverAfterPrimarySIGKILL(t *testing.T) {
 	if elapsed >= healBudget {
 		t.Fatalf("healing took %v, past the %v budget", elapsed, healBudget)
 	}
-	codeO, direct = getRaw(t, oracle.URL+"/v1/influencers?k=7")
+	codeO, direct = getRaw(t, oracle.URL+"/v1/influencers?k=12")
 	if codeO != http.StatusOK {
 		t.Fatalf("oracle: %d", codeO)
 	}

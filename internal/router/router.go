@@ -477,8 +477,11 @@ type influencersResponse struct {
 // own node stripe, the router merges the k-bounded per-shard rankings
 // with the same comparator the compute plane uses (score desc, node id
 // asc on ties), and the result is byte-identical to one daemon ranking
-// the whole universe. Complete answers are cached for the TTL;
-// partials never are, so the ranking heals the moment the missing
+// the whole universe. The complete answer is cached for the TTL as one
+// entry whatever k was: the order is strict and total, so the first k
+// of a merged top-k' are the merged top-k for every k ≤ k', and only a
+// k above what the live entry was gathered for fans out again. Partials
+// never enter the cache, so the ranking heals the moment the missing
 // shard returns.
 func (rt *Router) handleInfluencers(w http.ResponseWriter, r *http.Request) {
 	k, err := httpkit.QueryInt(r, "k", 10)
@@ -486,8 +489,7 @@ func (rt *Router) handleInfluencers(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteError(w, http.StatusBadRequest, "parameter k must be a positive integer")
 		return
 	}
-	key := "influencers:k=" + strconv.Itoa(k)
-	val, hit, err := rt.cache.Do(r.Context(), key, func() (any, bool, error) {
+	val, hit, err := rt.cache.DoCover(r.Context(), "influencers", k, func() (any, bool, error) {
 		resp, err := rt.gatherInfluencers(r.Context(), k)
 		if err != nil {
 			return nil, false, err
@@ -505,8 +507,12 @@ func (rt *Router) handleInfluencers(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	// The cached response is shared: copy the envelope, cut the ranking.
 	resp := *(val.(*influencersResponse))
 	resp.Cached = hit
+	if k < len(resp.Influencers) {
+		resp.Influencers = resp.Influencers[:k:k]
+	}
 	// A complete answer is the daemon's own envelope, through the
 	// daemon's own encoder; the degraded-mode fields ride the reflective
 	// writer.

@@ -401,8 +401,10 @@ type seedsResponse struct {
 }
 
 // handleInfluencers serves the top-k influencer ranking from the TTL
-// cache; the O(n·K) scan plus sort runs once per (k, generation) per
-// TTL window however many clients ask. A sharded daemon ranks only its
+// cache, one entry per generation whatever k was: the published order
+// is strict and total, so the first k of an exact top-k' are the exact
+// top-k, and the O(n·K) scan plus sort runs again only for a k above
+// what the live entry was ranked for. A sharded daemon ranks only its
 // own node stripe — its k candidates are exactly what the router's
 // MergeTopInfluencers needs to reconstruct the global ranking.
 func (s *Server) handleInfluencers(w http.ResponseWriter, r *http.Request) {
@@ -413,13 +415,16 @@ func (s *Server) handleInfluencers(w http.ResponseWriter, r *http.Request) {
 	}
 	cur := s.current()
 	lo, hi := s.stripe(cur.sys.Sys.N)
-	// The stripe is fixed per process, so (k, gen) still keys uniquely.
-	key := fmt.Sprintf("influencers:k=%d:gen=%d", k, cur.gen)
-	infs, hit, ok := cachedCompute(s, w, r, key, func() ([]core.Influencer, error) {
+	// The stripe is fixed per process, so the generation keys uniquely.
+	key := fmt.Sprintf("influencers:gen=%d", cur.gen)
+	infs, hit, ok := cachedCompute(s, w, r, key, k, func() ([]core.Influencer, error) {
 		return cur.sys.Sys.TopInfluencersRangeCtx(r.Context(), k, lo, hi)
 	})
 	if !ok {
 		return
+	}
+	if k < len(infs) {
+		infs = infs[:k:k] // the cached ranking is shared: cut it, never write to it
 	}
 	resp := &influencersResponse{Influencers: infs, Cached: hit, Generation: cur.gen}
 	httpkit.WriteEncoded(w, http.StatusOK, resp, true, func(b []byte) ([]byte, bool) {
@@ -442,7 +447,7 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	}
 	cur := s.current()
 	key := fmt.Sprintf("seeds:k=%d:h=%g:gen=%d", k, horizon, cur.gen)
-	seeds, hit, ok := cachedCompute(s, w, r, key, func() ([]core.Seed, error) {
+	seeds, hit, ok := cachedCompute(s, w, r, key, 0, func() ([]core.Seed, error) {
 		return cur.sys.Sys.SelectSeedsCtx(r.Context(), k, horizon)
 	})
 	if !ok {
@@ -460,9 +465,11 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 // TTL cache — once per key per TTL window however many clients ask —
 // and answers its failures: an exhausted budget is a 503 and anything
 // else a 500, and because the cache never stores errors nothing about a
-// failed attempt is remembered. ok=false means the response is written.
-func cachedCompute[T any](s *Server, w http.ResponseWriter, r *http.Request, key string, compute func() (T, error)) (val T, hit, ok bool) {
-	v, hit, err := s.cache.Do(r.Context(), key, func() (any, bool, error) {
+// failed attempt is remembered. need is how many ranks of a ranking the
+// caller will serve (httpkit.Cache.DoCover), 0 for any other value.
+// ok=false means the response is written.
+func cachedCompute[T any](s *Server, w http.ResponseWriter, r *http.Request, key string, need int, compute func() (T, error)) (val T, hit, ok bool) {
+	v, hit, err := s.cache.DoCover(r.Context(), key, need, func() (any, bool, error) {
 		v, err := compute()
 		return v, true, err
 	})

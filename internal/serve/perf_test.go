@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -213,6 +214,53 @@ func BenchmarkPredictBatch(b *testing.B) {
 	// ns/pair for rate:batch).
 	run("features:batch/B256", "/v1/features:batch", map[string]any{"cascades": ids}, maxBatch)
 	run("rate:batch/B256", "/v1/rate:batch", map[string]any{"pairs": pairs}, maxBatch)
+}
+
+// BenchmarkStoreAppend is the SI duplicate guard's cost curve: ns per
+// accepted event while cascades grow to a final size, node ids shuffled
+// (the guard's insertion point is anywhere), times ascending (the
+// feed's common case) except in the last row, where they are shuffled
+// too and the time-ordered insertion pays the same kind of memmove.
+// Two regimes: live=1M grows 2^20/size cascades side by side, an event
+// each in turn — the daemon's case, every append lands on a cascade
+// that has left the CPU cache; live=1 finishes one cascade before it
+// starts the next, everything hot, the regime kindest to a hash map.
+// EXPERIMENTS.md holds both against the per-cascade map the sorted
+// index replaced; the feed the serving workloads replay peaks at 258
+// infections and a cascade cannot outgrow the model's universe.
+func BenchmarkStoreAppend(b *testing.B) {
+	const window = 1 << 20 // events before a fresh store bounds what a long run keeps live
+	run := func(name string, size, cascades int, inOrder bool) {
+		b.Run(name, func(b *testing.B) {
+			nodes := rand.New(rand.NewSource(int64(size))).Perm(size)
+			var s *Store
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := i % window
+				if r == 0 {
+					s = NewStore()
+				}
+				group, within := r/(cascades*size), r%(cascades*size)
+				j := within / cascades
+				ev := Event{Cascade: group*cascades + within%cascades, Node: nodes[j], Time: float64(j)}
+				if !inOrder {
+					ev.Time = float64(nodes[size-1-j])
+				}
+				if _, err := s.Append(ev, size); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	sizes := []int{8, 32, 128, 512, 4096, 32768}
+	for _, size := range sizes {
+		run("live=1M/size="+strconv.Itoa(size), size, window/size, true)
+	}
+	run("live=1M/size=128/times-shuffled", 128, window/128, false)
+	for _, size := range sizes {
+		run("live=1/size="+strconv.Itoa(size), size, 1, true)
+	}
 }
 
 // benchLoader is the shared test fixture under its testing.TB face.

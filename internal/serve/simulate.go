@@ -61,7 +61,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// A deadline that fires mid-batch discards the engine's partial work
 	// and — errors are never cached — leaves nothing of the attempt
 	// behind.
-	res, hit, ok := cachedCompute(s, w, r, key, func() (*scenario.Result, error) {
+	res, hit, ok := cachedCompute(s, w, r, key, 0, func() (*scenario.Result, error) {
 		return s.runScenario(r.Context(), emb, norm)
 	})
 	if !ok {

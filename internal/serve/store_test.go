@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -46,25 +49,103 @@ func TestStoreAppendRejections(t *testing.T) {
 	if _, err := s.Append(Event{Cascade: 1, Node: 2, Time: 0.5}, 10); err != nil {
 		t.Fatal(err)
 	}
+	pastInt32 := int64(math.MaxInt32) + 1 // a variable: the conversion below must compile on 32-bit too
 	cases := []struct {
 		name string
 		ev   Event
+		n    int // universe; 0 means 10
 	}{
-		{"negative cascade", Event{Cascade: -1, Node: 0, Time: 0}},
-		{"negative node", Event{Cascade: 1, Node: -1, Time: 0}},
-		{"node beyond universe", Event{Cascade: 1, Node: 10, Time: 0}},
-		{"duplicate node", Event{Cascade: 1, Node: 2, Time: 0.9}},
-		{"negative time", Event{Cascade: 1, Node: 3, Time: -0.1}},
-		{"NaN time", Event{Cascade: 1, Node: 3, Time: math.NaN()}},
-		{"Inf time", Event{Cascade: 1, Node: 3, Time: math.Inf(1)}},
+		{"negative cascade", Event{Cascade: -1, Node: 0, Time: 0}, 0},
+		{"negative node", Event{Cascade: 1, Node: -1, Time: 0}, 0},
+		{"node beyond universe", Event{Cascade: 1, Node: 10, Time: 0}, 0},
+		{"node past int32 in a universe that allows it", Event{Cascade: 1, Node: int(pastInt32), Time: 0.6}, math.MaxInt},
+		{"node past int32 opening a cascade", Event{Cascade: 7, Node: int(pastInt32), Time: 0.6}, math.MaxInt},
+		{"duplicate node", Event{Cascade: 1, Node: 2, Time: 0.9}, 0},
+		{"duplicate node, earlier timestamp", Event{Cascade: 1, Node: 2, Time: 0.1}, 0},
+		{"negative time", Event{Cascade: 1, Node: 3, Time: -0.1}, 0},
+		{"NaN time", Event{Cascade: 1, Node: 3, Time: math.NaN()}, 0},
+		{"Inf time", Event{Cascade: 1, Node: 3, Time: math.Inf(1)}, 0},
 	}
 	for _, tc := range cases {
-		if _, err := s.Append(tc.ev, 10); err == nil {
+		if tc.n == 0 {
+			tc.n = 10
+		}
+		if _, err := s.Append(tc.ev, tc.n); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	if c, _ := s.Snapshot(1); c.Size() != 1 {
 		t.Fatalf("rejected events leaked into the cascade: size %d", c.Size())
+	}
+	if s.Len() != 1 {
+		t.Fatalf("a refused event opened a cascade: %d live, want 1", s.Len())
+	}
+	_, err := s.Append(Event{Cascade: 1, Node: int(pastInt32), Time: 0.6}, math.MaxInt)
+	if want := "node 2147483648 above the store's node id limit 2147483647"; err == nil || err.Error() != want {
+		t.Fatalf("node past int32: %v, want %q", err, want)
+	}
+	// MaxInt32 itself is the last id the guard can hold.
+	if size, err := s.Append(Event{Cascade: 1, Node: math.MaxInt32, Time: 0.6}, math.MaxInt); err != nil || size != 2 {
+		t.Fatalf("node MaxInt32 = (%d, %v), want accepted at size 2", size, err)
+	}
+}
+
+// TestStoreDuplicateGuard holds the sorted-index guard to the map it
+// replaced: over a shuffled feed with re-reports mixed in — later and
+// earlier timestamps alike — every event is accepted or refused exactly
+// as a set of seen nodes says, a refusal carries the message and the
+// unchanged size it always did, and the infections stay time-sorted.
+func TestStoreDuplicateGuard(t *testing.T) {
+	const n = 300
+	s := NewStore()
+	rng := rand.New(rand.NewSource(7))
+	seen := map[int]bool{}
+	for i := 0; i < 4*n; i++ {
+		ev := Event{Cascade: 5, Node: rng.Intn(n), Time: float64(rng.Intn(50))}
+		size, err := s.Append(ev, n)
+		if seen[ev.Node] {
+			want := fmt.Sprintf("node %d already infected in cascade 5 (SI process forbids re-infection)", ev.Node)
+			if err == nil || err.Error() != want || size != len(seen) {
+				t.Fatalf("event %d re-reports node %d at t=%v: (%d, %v), want size %d and %q", i, ev.Node, ev.Time, size, err, len(seen), want)
+			}
+			continue
+		}
+		seen[ev.Node] = true
+		if err != nil || size != len(seen) {
+			t.Fatalf("event %d, fresh node %d: (%d, %v), want size %d", i, ev.Node, size, err, len(seen))
+		}
+	}
+	c, _ := s.Snapshot(5)
+	if err := c.Validate(n); err != nil || c.Size() != len(seen) {
+		t.Fatalf("cascade after the feed: size %d of %d, %v", c.Size(), len(seen), err)
+	}
+}
+
+// TestStoreGuardBytesPerInfection bounds what the store keeps resident
+// per ingested infection: 16 bytes of infection, 4 of guard, the rest
+// slice slack and cascade headers (the map guard it replaced measured
+// 57 here).
+func TestStoreGuardBytesPerInfection(t *testing.T) {
+	const cascades, size, universe = 4096, 32, 2000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	for j := 0; j < size; j++ {
+		for id := 0; id < cascades; id++ {
+			// 61 is coprime to the universe: no node repeats in a cascade.
+			if _, err := s.Append(Event{Cascade: id, Node: (id*7 + j*61) % universe, Time: float64(j)}, universe); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perInfection := float64(after.HeapAlloc-before.HeapAlloc) / (cascades * size)
+	runtime.KeepAlive(s)
+	t.Logf("%.1f live bytes per infection", perInfection)
+	if perInfection > 28 {
+		t.Fatalf("the store keeps %.1f bytes per infection resident, budget 28", perInfection)
 	}
 }
 

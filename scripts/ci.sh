@@ -77,6 +77,15 @@ if ! awk -v a="$allocs" 'BEGIN { exit !(a > 0 && a <= 11.2) }'; then
   echo "bench/out/fleet-trace.json: go.allocs_per_item is $allocs, ceiling 11.2" >&2
   exit 1
 fi
+# The router caches one merged ranking and serves every k it covers from
+# it: with k uniform on [1,500] only a record-high k fans out (≈ ln 500 a
+# TTL window), so even this 1 s run reads 0.995–1.0 where one entry per k
+# read 0.31. A per-k key creeping back trips this floor.
+hits="$(sed -E 's/.*"router\.cache_hit_ratio":\{"value":([0-9.eE+-]+),.*/\1/' <<<"$last")"
+if ! awk -v h="$hits" 'BEGIN { exit !(h >= 0.9 && h <= 1) }'; then
+  echo "bench/out/fleet-trace.json: router.cache_hit_ratio is $hits, floor 0.9" >&2
+  exit 1
+fi
 # The graph front half of training is pinned bit for bit: these two counts
 # repeat exactly across sets and seeds (bench/README.md), so a change to
 # cooccur, graph.Undirected or slpa that is not identical fails here

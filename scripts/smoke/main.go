@@ -692,20 +692,22 @@ func checkPostFailover(client *http.Client, base, oracle, zombie string) {
 		log.Fatalf("smoke: %s failed over but its epoch gauge reads %v", promoted, m.ShardEpochs[promoted])
 	}
 
-	// Non-partial answers: k=13 is fresh in this ci run, so the answer
-	// cannot come from a pre-failover cache entry.
+	// Non-partial answers: the router caches one ranking and serves any
+	// smaller k from it, so ask past the largest k of this ci run (the
+	// -route pass stops at 25) — the answer cannot come from a
+	// pre-failover cache entry.
 	var resp struct {
 		Influencers []json.RawMessage `json:"influencers"`
 		Partial     bool              `json:"partial"`
 	}
-	expect(client, "GET", base+"/v1/influencers?k=13", nil, 200, &resp)
+	expect(client, "GET", base+"/v1/influencers?k=33", nil, 200, &resp)
 	if resp.Partial || len(resp.Influencers) == 0 {
 		log.Fatalf("smoke: post-failover ranking partial=%v with %d entries — the fleet did not heal",
 			resp.Partial, len(resp.Influencers))
 	}
 	if oracle != "" {
-		routed := rawJSONField(client, base+"/v1/influencers?k=13", "influencers")
-		direct := rawJSONField(client, oracle+"/v1/influencers?k=13", "influencers")
+		routed := rawJSONField(client, base+"/v1/influencers?k=33", "influencers")
+		direct := rawJSONField(client, oracle+"/v1/influencers?k=33", "influencers")
 		if !bytes.Equal(routed, direct) {
 			log.Fatalf("smoke: post-failover rankings diverge from the oracle\nrouted: %s\noracle: %s", routed, direct)
 		}
@@ -845,15 +847,16 @@ func checkRoutePartial(client *http.Client, base, missing string) {
 			ready.ShardsHealthy, ready.RingSize, ready.RingSize-1)
 	}
 
-	// k=9 has not been asked before in this ci run, so the answer cannot
-	// come from the router's pre-outage cache.
+	// The router caches one ranking and serves any smaller k from it, so
+	// ask past the largest k of this ci run (the -route pass stops at
+	// 25): the answer cannot come from the router's pre-outage cache.
 	var resp struct {
 		Influencers   []json.RawMessage `json:"influencers"`
 		Cached        bool              `json:"cached"`
 		Partial       bool              `json:"partial"`
 		MissingShards []string          `json:"missing_shards"`
 	}
-	expect(client, "GET", base+"/v1/influencers?k=9", nil, 200, &resp)
+	expect(client, "GET", base+"/v1/influencers?k=29", nil, 200, &resp)
 	if !resp.Partial {
 		log.Fatalf("smoke: ranking after a shard SIGKILL is not marked partial: %+v", resp)
 	}
