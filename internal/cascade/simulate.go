@@ -3,6 +3,8 @@ package cascade
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"viralcast/internal/graph"
 	"viralcast/internal/vecmath"
@@ -64,6 +66,14 @@ func NewDenseSimulator(a, b *vecmath.Matrix, window float64) (*Simulator, error)
 	if !vecmath.AllNonneg(a.Data) || !vecmath.AllNonneg(b.Data) {
 		return nil, fmt.Errorf("cascade: embeddings must be non-negative (they parameterize hazard rates)")
 	}
+	// NaN passes AllNonneg, and a NaN hazard infects at time NaN, which
+	// neither the window check nor the heap can order.
+	if !vecmath.AllFinite(a.Data) {
+		return nil, fmt.Errorf("cascade: influence matrix A has a NaN or infinite entry")
+	}
+	if !vecmath.AllFinite(b.Data) {
+		return nil, fmt.Errorf("cascade: selectivity matrix B has a NaN or infinite entry")
+	}
 	return &Simulator{A: a, B: b, Window: window}, nil
 }
 
@@ -92,6 +102,15 @@ type TrialScratch struct {
 	epoch      uint32
 	infected   int // count of marked nodes this trial
 	infs       []Infection
+	// Work done since the scratch was created, over all its trials:
+	// uniforms drawn, logarithms taken, events that entered the heap.
+	attempts, logs, scheduled int
+}
+
+// Counts reports the scratch's cumulative work: tentative infections
+// drawn, how many of them needed the logarithm, how many were scheduled.
+func (ws *TrialScratch) Counts() (attempts, logs, scheduled int) {
+	return ws.attempts, ws.logs, ws.scheduled
 }
 
 // reset prepares the scratch for a fresh trial over n nodes.
@@ -281,8 +300,12 @@ func (s *Simulator) RunSeedsScratch(ws *TrialScratch, id int, seeds []int, maxSi
 	return Cascade{ID: id, Infections: ws.infs}, nil
 }
 
-// attempt schedules u→v's tentative infection if v is susceptible and
-// the pair's hazard is positive.
+// attempt schedules u→v's tentative infection if v is susceptible, the
+// pair's hazard is positive and the infection lands inside the window.
+// The uniform is drawn exactly as rng.Exp draws it, so the stream is the
+// one a simulator that heaps every attempt would consume; an event past
+// the window would only ever be popped by the loop's break, so leaving
+// it out changes no cascade.
 func (s *Simulator) attempt(ws *TrialScratch, au []float64, t float64, v int, rng *xrand.RNG) {
 	if ws.isInfected(v) {
 		return
@@ -291,7 +314,27 @@ func (s *Simulator) attempt(ws *TrialScratch, au []float64, t float64, v int, rn
 	if rate <= 0 {
 		return // zero hazard: u can never infect v
 	}
-	ws.h.push(event{time: t + rng.Exp(rate), node: v})
+	ws.attempts++
+	u := rng.Float64()
+	if provablyLate(t, s.Window, rate, u) {
+		return
+	}
+	ws.logs++
+	if at := t + -math.Log(1-u)/rate; at <= s.Window {
+		ws.scheduled++
+		ws.h.push(event{time: at, node: v})
+	}
+}
+
+// provablyLate is a log-free sufficient test for t + -log(1-u)/rate >
+// window. 1-u is exact and -log(1-u) >= u, so the delay is at least
+// u/rate; asking u to clear rate·(window-t) by a factor 1+2⁻²⁰, and only
+// while window-t > 2⁻²⁰·window, leaves 2⁻⁴¹·window of slack against the
+// few roundings involved, each at most 2⁻⁵³·window. A false answer
+// proves nothing: the caller evaluates the exact expression.
+func provablyLate(t, window, rate, u float64) bool {
+	rem := window - t
+	return rem > window*0x1p-20 && u > rate*rem*(1+0x1p-20)
 }
 
 // RunMany simulates count cascades with uniformly random seeds, ids
@@ -311,15 +354,17 @@ func (s *Simulator) RunManyCtx(ctx context.Context, firstID, count int, rng *xra
 		return nil, fmt.Errorf("cascade: negative count %d", count)
 	}
 	out := make([]*Cascade, 0, count)
+	ws := new(TrialScratch) // one heap and one infection table for the batch
 	for i := 0; i < count; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		c, err := s.Run(firstID+i, rng.Intn(s.N()), rng)
+		c, err := s.RunSeedsScratch(ws, firstID+i, []int{rng.Intn(s.N())}, 0, rng)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, c)
+		c.Infections = slices.Clone(c.Infections) // c aliased ws
+		out = append(out, &c)
 	}
 	return out, nil
 }

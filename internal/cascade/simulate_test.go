@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -223,6 +224,11 @@ func TestRunManyDeterministic(t *testing.T) {
 	}
 }
 
+// BenchmarkSimulatorRun times one trial on a reused scratch, on the SBM
+// graph and on the dense topology of the same embeddings, and reports
+// where the work went: uniforms drawn, logarithms taken and events
+// heaped per trial. window=5 on the graph is the row earlier runs of
+// this benchmark recorded.
 func BenchmarkSimulatorRun(b *testing.B) {
 	p := sbm.Params{N: 1000, BlockSize: 40, Alpha: 0.2, Beta: 0.001}
 	g, _, err := sbm.Generate(p, xrand.New(1))
@@ -230,17 +236,32 @@ func BenchmarkSimulatorRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	a, bm := constMatrix(1000, 4, 0.15), constMatrix(1000, 4, 0.15)
-	s, err := NewSimulator(g, a, bm, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := xrand.New(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(i, rng.Intn(1000), rng); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		mode   string
+		window float64
+	}{{"graph", 5}, {"graph", 1}, {"graph", 8}, {"dense", 1}, {"dense", 8}} {
+		b.Run(fmt.Sprintf("%s/window=%g", row.mode, row.window), func(b *testing.B) {
+			s, err := NewDenseSimulator(a, bm, row.window)
+			if row.mode == "graph" {
+				s, err = NewSimulator(g, a, bm, row.window)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := xrand.New(2)
+			ws := new(TrialScratch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.RunSeedsScratch(ws, i, []int{rng.Intn(1000)}, 0, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+			attempts, logs, scheduled := ws.Counts()
+			b.ReportMetric(float64(attempts)/float64(b.N), "attempts/op")
+			b.ReportMetric(float64(logs)/float64(b.N), "logs/op")
+			b.ReportMetric(float64(scheduled)/float64(b.N), "scheduled/op")
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ package sbm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"viralcast/internal/graph"
 	"viralcast/internal/xrand"
@@ -67,12 +68,13 @@ func Generate(p Params, rng *xrand.RNG) (*graph.Graph, []int, error) {
 	for u := range membership {
 		membership[u] = p.Block(u)
 	}
-	b := graph.NewBuilder(p.N)
+	// Arcs in draw order. Every ordered pair is drawn at most once and
+	// u != v by construction, so there is nothing to accumulate.
+	var from, to []int
 	add := func(u, v int) {
-		// Errors impossible: u != v within range by construction.
-		_ = b.AddEdge(u, v, 1)
+		from, to = append(from, u), append(to, v)
 		if !p.Directed {
-			_ = b.AddEdge(v, u, 1)
+			from, to = append(from, v), append(to, u)
 		}
 	}
 	// Intra-community pairs: dense enough (alpha=0.2) that direct testing
@@ -100,7 +102,31 @@ func Generate(p Params, rng *xrand.RNG) (*graph.Graph, []int, error) {
 	if p.Beta > 0 {
 		sampleCross(p, rng, add)
 	}
-	return b.Build(), membership, nil
+	g, err := csr(p.N, from, to)
+	return g, membership, err
+}
+
+// csr buckets unit-weight arcs by source with a counting sort, orders
+// each row by target and hands the arrays to graph.FromCSR.
+func csr(n int, from, to []int) (*graph.Graph, error) {
+	offsets := make([]int, n+1)
+	for _, u := range from {
+		offsets[u+1]++
+	}
+	for u := 0; u < n; u++ {
+		offsets[u+1] += offsets[u]
+	}
+	next := slices.Clone(offsets[:n])
+	targets := make([]int, len(to))
+	weights := make([]float64, len(to))
+	for i, u := range from {
+		targets[next[u]], weights[next[u]] = to[i], 1
+		next[u]++
+	}
+	for u := 0; u < n; u++ {
+		slices.Sort(targets[offsets[u]:offsets[u+1]])
+	}
+	return graph.FromCSR(n, offsets, targets, weights)
 }
 
 // sampleCross draws Bernoulli(beta) over every ordered-up pair (u < v) in

@@ -2,8 +2,10 @@ package sbm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"viralcast/internal/graph"
 	"viralcast/internal/xrand"
 )
 
@@ -168,5 +170,69 @@ func TestGenerateDirected(t *testing.T) {
 	}
 	if asym == 0 {
 		t.Error("directed generation produced a perfectly symmetric graph")
+	}
+}
+
+// generateBuilder is Generate as it was before it emitted CSR rows: the
+// same draws in the same order, accumulated in graph.Builder's pair map
+// and sorted by Build.
+func generateBuilder(p Params, rng *xrand.RNG) *graph.Graph {
+	b := graph.NewBuilder(p.N)
+	add := func(u, v int) {
+		_ = b.AddEdge(u, v, 1)
+		if !p.Directed {
+			_ = b.AddEdge(v, u, 1)
+		}
+	}
+	for blk := 0; blk < p.NumBlocks(); blk++ {
+		lo := blk * p.BlockSize
+		hi := min(lo+p.BlockSize, p.N)
+		for u := lo; u < hi; u++ {
+			for v := u + 1; v < hi; v++ {
+				if rng.Bernoulli(p.Alpha) {
+					add(u, v)
+				}
+				if p.Directed && rng.Bernoulli(p.Alpha) {
+					add(v, u)
+				}
+			}
+		}
+	}
+	if p.Beta > 0 {
+		sampleCross(p, rng, add)
+	}
+	return b.Build()
+}
+
+// TestGenerateMatchesBuilderOracle: the CSR rows Generate hands to
+// graph.FromCSR are the graph the Builder would have frozen — offsets,
+// targets and weights — and the generator leaves the RNG where the
+// Builder version did.
+func TestGenerateMatchesBuilderOracle(t *testing.T) {
+	cases := map[string]Params{
+		"undirected":        {N: 200, BlockSize: 40, Alpha: 0.2, Beta: 0.01},
+		"directed":          {N: 200, BlockSize: 40, Alpha: 0.2, Beta: 0.01, Directed: true},
+		"beta zero":         {N: 90, BlockSize: 30, Alpha: 0.4, Beta: 0},
+		"ragged last block": {N: 97, BlockSize: 20, Alpha: 0.3, Beta: 0.02},
+		"ragged directed":   {N: 53, BlockSize: 25, Alpha: 0.5, Beta: 0.05, Directed: true},
+		"one node blocks":   {N: 30, BlockSize: 1, Alpha: 1, Beta: 0.2},
+		"no edges":          {N: 12, BlockSize: 4, Alpha: 0, Beta: 0},
+		"complete":          {N: 12, BlockSize: 5, Alpha: 1, Beta: 1},
+	}
+	for name, p := range cases {
+		for seed := uint64(1); seed <= 5; seed++ {
+			gotRNG, wantRNG := xrand.New(seed), xrand.New(seed)
+			got, _, err := Generate(p, gotRNG)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			want := generateBuilder(p, wantRNG)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: CSR graph (%d arcs) differs from the Builder's (%d arcs)", name, seed, got.M(), want.M())
+			}
+			if *gotRNG != *wantRNG {
+				t.Fatalf("%s seed %d: the generator consumed a different stream", name, seed)
+			}
+		}
 	}
 }

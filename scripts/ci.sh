@@ -33,6 +33,16 @@ go test -shuffle=on ./...
 echo "== go test -race (concurrent packages, incl. the chaos soak)"
 go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./internal/httpkit/ ./internal/serve/ ./internal/wal/ ./internal/repl/ ./internal/inflmax/ ./internal/core/ ./internal/scenario/ ./internal/router/
 
+# The simulator is held, draw for draw, to the version that heaps every
+# attempt, and the scenario engine to one answer at any worker count: a
+# "faster" simulator that reorders a draw fails here, not in a figure.
+echo "== simulator oracle + scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
+for procs in 1 8; do
+  GOMAXPROCS=$procs go test -race -count=1 \
+    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts' \
+    ./internal/cascade/ ./internal/scenario/
+done
+
 # bench/ is a module of its own (replace viralcast => ../), so ./... above
 # never compiles it against the packages it drives.
 echo "== bench module (vet + tests against this tree)"
@@ -44,13 +54,15 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 # The hand codecs are held to encoding/json by differential fuzz targets
 # whose seed corpora already ran above as plain tests; three seconds of
 # mutation each is a tripwire, not a campaign. -fuzz takes one target and
-# one package at a time.
-echo "== differential fuzz, 3 s a target (hand codecs vs encoding/json)"
+# one package at a time. The simulator's log-free window test is held to
+# the exact expression the same way.
+echo "== differential fuzz, 3 s a target (hand codecs vs encoding/json, prune test vs logarithm)"
 for pkg in httpkit serve; do
   for target in $(go test -list '^Fuzz' "./internal/$pkg/" | grep '^Fuzz'); do
     go test -run='^$' -fuzz="^${target}\$" -fuzztime=3s "./internal/$pkg/"
   done
 done
+go test -run='^$' -fuzz='^FuzzPruneDecision$' -fuzztime=3s ./internal/cascade/
 
 # One second per workload, untraced then traced: not a measurement, a
 # check that every workload still sets up, passes its oracle and runs
