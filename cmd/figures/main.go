@@ -9,6 +9,14 @@
 //	figures -fig ablations           # the design-choice ablations
 //	figures -fig 12 -csv out/        # also write out/fig12.csv
 //
+// Two corpus tools ride in front of the -fig flags:
+//
+//	figures gdelt -sites 2000 -events 1500 -out-sites sites.csv -out-events events.csv
+//	    Generate a synthetic GDELT-like news corpus and export its two
+//	    tables (site metadata and event reporting cascades).
+//	figures cluster -in cascades.txt -k 4
+//	    Ward-cluster a cascade file and print the dendrogram (Figure 1).
+//
 // Figures 4 and 5 in the paper are schematic illustrations with no data
 // series; everything else (1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13) is
 // covered.
@@ -27,6 +35,22 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 {
+		var sub func([]string) error
+		switch os.Args[1] {
+		case "gdelt":
+			sub = cmdGdelt
+		case "cluster":
+			sub = cmdCluster
+		}
+		if sub != nil {
+			if err := sub(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+				os.Exit(1)
+			}
+			return
+		}
+	}
 	fig := flag.String("fig", "all", "figure to regenerate: 1,2,3,6,7,8,9,10,11,12,13,ablations,baselines,all")
 	scale := flag.String("scale", "default", "workload scale: small, default, paper")
 	csvDir := flag.String("csv", "", "directory to write CSV series into (optional)")

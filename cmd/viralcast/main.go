@@ -36,10 +36,6 @@
 //	viralcast analyze -in cascades.txt
 //	    Print summary statistics of a cascade file.
 //
-//	viralcast gdelt -sites 2000 -events 1500 -out-sites sites.csv -out-events events.csv
-//	    Generate a synthetic GDELT-like news corpus and export its two
-//	    tables (site metadata and event reporting cascades).
-//
 //	viralcast serve -addr :8080 -model model.txt -cascades cascades.txt
 //	    Run viralcastd, the online model-serving daemon: stream cascade
 //	    events in over HTTP, answer virality predictions for live
@@ -96,14 +92,11 @@ import (
 	"syscall"
 
 	"viralcast/internal/cascade"
-	"viralcast/internal/cluster"
 	"viralcast/internal/core"
 	"viralcast/internal/eval"
-	"viralcast/internal/experiments"
-	"viralcast/internal/gdelt"
 	"viralcast/internal/report"
 	"viralcast/internal/stats"
-	"viralcast/internal/xrand"
+	"viralcast/internal/workload"
 )
 
 func main() {
@@ -128,10 +121,6 @@ func main() {
 		err = cmdPredict(ctx, os.Args[2:])
 	case "analyze":
 		err = cmdAnalyze(os.Args[2:])
-	case "gdelt":
-		err = cmdGdelt(os.Args[2:])
-	case "cluster":
-		err = cmdCluster(os.Args[2:])
 	case "serve":
 		err = cmdServe(ctx, os.Args[2:])
 	case "route":
@@ -192,7 +181,7 @@ func reportInterrupted(err error, path string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: viralcast <simulate|infer|influencers|predict|analyze|gdelt|cluster|serve|route|promote|wal|version> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: viralcast <simulate|infer|influencers|predict|analyze|serve|route|promote|wal|version> [flags]")
 	fmt.Fprintln(os.Stderr, "run 'viralcast <subcommand> -h' for subcommand flags")
 }
 
@@ -224,13 +213,12 @@ func cmdSimulate(ctx context.Context, args []string) error {
 			milestones: *milestones,
 		})
 	}
-	e := experiments.DefaultSBM()
-	e.N = *n
-	e.Cascades = *cascades + 1
-	e.Train = *cascades
-	e.Window = *window
-	e.Seed = *seed
-	w, err := experiments.BuildSBMWorkload(e)
+	c := workload.Default()
+	c.N = *n
+	c.Cascades = *cascades
+	c.Window = *window
+	c.Seed = *seed
+	d, err := workload.Build(c)
 	if err != nil {
 		return err
 	}
@@ -243,38 +231,17 @@ func cmdSimulate(ctx context.Context, args []string) error {
 		defer f.Close()
 		dst = f
 	}
-	if err := cascade.Write(dst, w.Train); err != nil {
+	if err := cascade.Write(dst, d.Cascades); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "simulated %d cascades over %d nodes (mean size %.1f)\n",
-		len(w.Train), *n, cascade.MeanSize(w.Train))
+		len(d.Cascades), *n, cascade.MeanSize(d.Cascades))
 	return nil
 }
 
 // loadCascades reads a cascade file and infers the node universe size.
 func loadCascades(path string, n int) ([]*cascade.Cascade, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	cs, err := cascade.Read(f)
-	if err != nil {
-		return nil, 0, err
-	}
-	if n <= 0 {
-		for _, c := range cs {
-			for _, inf := range c.Infections {
-				if inf.Node >= n {
-					n = inf.Node + 1
-				}
-			}
-		}
-	}
-	if err := cascade.ValidateAll(cs, n); err != nil {
-		return nil, 0, err
-	}
-	return cs, n, nil
+	return cascade.ReadFile(path, n)
 }
 
 func cmdInfer(ctx context.Context, args []string) error {
@@ -478,133 +445,5 @@ func cmdAnalyze(args []string) error {
 		}
 	}
 	fmt.Printf("active nodes: %d/%d; top node appears in %d cascades\n", active, nn, counts[0])
-	return nil
-}
-
-func cmdGdelt(args []string) error {
-	fs := flag.NewFlagSet("gdelt", flag.ExitOnError)
-	sites := fs.Int("sites", 6000, "number of news sites")
-	events := fs.Int("events", 2600, "number of news events")
-	seed := fs.Uint64("seed", 1, "random seed")
-	outSites := fs.String("out-sites", "", "sites CSV output path (required)")
-	outEvents := fs.String("out-events", "", "events output path (required)")
-	outDot := fs.String("out-dot", "", "optional GraphViz DOT of the co-reporting backbone (Figure 2)")
-	minShared := fs.Int("min-shared", 10, "backbone threshold: pairs sharing at least this many events")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *outSites == "" || *outEvents == "" {
-		return fmt.Errorf("gdelt: -out-sites and -out-events are required")
-	}
-	cfg := gdelt.DefaultConfig()
-	cfg.Sites = *sites
-	cfg.Events = *events
-	cfg.Seed = *seed
-	// Keep the wire-link density proportional when shrinking the corpus.
-	if *sites < 6000 {
-		cfg.CrossLinks = cfg.CrossLinks * *sites / 6000
-		if cfg.CrossLinks < 10 {
-			cfg.CrossLinks = 10
-		}
-	}
-	ds, err := gdelt.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	sf, err := os.Create(*outSites)
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	ef, err := os.Create(*outEvents)
-	if err != nil {
-		return err
-	}
-	defer ef.Close()
-	if err := ds.Export(sf, ef); err != nil {
-		return err
-	}
-	if *outDot != "" {
-		bb, err := ds.Backbone(*minShared)
-		if err != nil {
-			return err
-		}
-		df, err := os.Create(*outDot)
-		if err != nil {
-			return err
-		}
-		defer df.Close()
-		// Color nodes by region so the Figure-2 block structure is visible.
-		colors := []string{"red", "blue", "green", "orange", "purple", "brown"}
-		err = bb.WriteDOT(df, "backbone", func(u int) string {
-			if bb.OutDegree(u) == 0 {
-				return "" // omit sites outside the backbone
-			}
-			c := colors[ds.RegionOf(u)%len(colors)]
-			return fmt.Sprintf("color=%q", c)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote backbone DOT (%d edges) to %s\n", bb.M()/2, *outDot)
-	}
-	fmt.Fprintf(os.Stderr, "exported %d sites and %d events (mean reports/event %.1f)\n",
-		len(ds.Sites), len(ds.Events), cascade.MeanSize(ds.Events))
-	return nil
-}
-
-func cmdCluster(args []string) error {
-	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	in := fs.String("in", "", "cascade file (required)")
-	n := fs.Int("n", 0, "number of nodes (default: inferred)")
-	k := fs.Int("k", 4, "flat clusters to cut the dendrogram into")
-	sample := fs.Int("sample", 2000, "max cascades to cluster (Ward is O(n^2))")
-	depth := fs.Int("depth", 4, "dendrogram render depth")
-	seed := fs.Uint64("seed", 1, "sampling seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" {
-		return fmt.Errorf("cluster: -in is required")
-	}
-	cs, _, err := loadCascades(*in, *n)
-	if err != nil {
-		return err
-	}
-	// Keep multi-node cascades; subsample if needed.
-	var usable []*cascade.Cascade
-	for _, c := range cs {
-		if c.Size() >= 2 {
-			usable = append(usable, c)
-		}
-	}
-	if len(usable) < 2 {
-		return fmt.Errorf("cluster: only %d multi-node cascades", len(usable))
-	}
-	if len(usable) > *sample {
-		rng := xrand.New(*seed)
-		perm := rng.Perm(len(usable))
-		picked := make([]*cascade.Cascade, *sample)
-		for i := 0; i < *sample; i++ {
-			picked[i] = usable[perm[i]]
-		}
-		usable = picked
-	}
-	d := cluster.Ward(cluster.CascadeDistances(usable))
-	fmt.Printf("clustered %d cascades (Ward over Jaccard distances)\n", len(usable))
-	fmt.Println("top merges (Ward distance , cascades):")
-	for _, m := range d.TopMerges(6) {
-		fmt.Printf("  %.2f , %d\n", m.Height, m.Size)
-	}
-	fmt.Println(d.RenderDendrogram(*depth))
-	labels, err := d.Cut(*k)
-	if err != nil {
-		return err
-	}
-	counts := make([]int, *k)
-	for _, l := range labels {
-		counts[l]++
-	}
-	fmt.Printf("flat cut at k=%d: cluster sizes %v\n", *k, counts)
 	return nil
 }

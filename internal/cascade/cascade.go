@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -222,6 +223,34 @@ func Write(w io.Writer, cs []*Cascade) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadFile reads and validates the cascade file at path. With n <= 0
+// the node universe is inferred as one past the largest node id seen;
+// the universe used is returned beside the cascades.
+func ReadFile(path string, n int) ([]*Cascade, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	cs, err := Read(f)
+	if err != nil {
+		return nil, 0, err
+	}
+	if n <= 0 {
+		for _, c := range cs {
+			for _, inf := range c.Infections {
+				if inf.Node >= n {
+					n = inf.Node + 1
+				}
+			}
+		}
+	}
+	if err := ValidateAll(cs, n); err != nil {
+		return nil, 0, err
+	}
+	return cs, n, nil
 }
 
 // maxLineBytes bounds a single input line in Read. Real cascade files

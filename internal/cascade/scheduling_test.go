@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"viralcast/internal/cascade"
-	"viralcast/internal/experiments"
+	"viralcast/internal/workload"
 	"viralcast/internal/xrand"
 )
 
@@ -16,9 +16,9 @@ import (
 // attempt reads scheduled == attempts; the shares below are why it does
 // not. The counts are a function of the seeds alone and repeat exactly.
 func TestSchedulingShare(t *testing.T) {
-	e := experiments.DefaultSBM()
-	e.N, e.Cascades, e.Train, e.Window = 800, 3, 2, 8
-	w, err := experiments.BuildSBMWorkload(e)
+	e := workload.Default()
+	e.N, e.Cascades, e.Window = 800, 3, 8
+	w, err := workload.Build(e)
 	if err != nil {
 		t.Fatal(err)
 	}

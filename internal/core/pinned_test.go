@@ -8,7 +8,7 @@ import (
 	"runtime"
 	"testing"
 
-	"viralcast/internal/experiments"
+	sbmwork "viralcast/internal/workload" // core_test.go has a helper named workload
 )
 
 // trainEmbeddingsGolden is the SHA-256 of the fitted A‖B bit patterns on
@@ -22,14 +22,14 @@ func TestTrainEmbeddingsPinned(t *testing.T) {
 	// bench/'s train fixture in miniature: sparse SBM blocks with
 	// Pareto influence, so SLPA finds a dozen communities and the merge
 	// tree has five levels.
-	e := experiments.DefaultSBM()
-	e.N, e.Cascades, e.Train, e.Window, e.Seed = 400, 301, 300, 8, 5
-	w, err := experiments.BuildSBMWorkload(e)
+	e := sbmwork.Default()
+	e.N, e.Cascades, e.Window, e.Seed = 400, 300, 8, 5
+	w, err := sbmwork.Build(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	digest := func(workers int) string {
-		sys, err := Train(w.Train, e.N, TrainConfig{Topics: 4, MaxIter: 10, Workers: workers, Seed: 22})
+		sys, err := Train(w.Cascades, e.N, TrainConfig{Topics: 4, MaxIter: 10, Workers: workers, Seed: 22})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,179 +14,74 @@ import (
 	"viralcast/internal/embed"
 	"viralcast/internal/eval"
 	"viralcast/internal/features"
-	"viralcast/internal/graph"
 	"viralcast/internal/infer"
-	"viralcast/internal/sbm"
 	"viralcast/internal/svm"
+	"viralcast/internal/workload"
 	"viralcast/internal/xrand"
 )
 
 // SBMExperiment configures the synthetic-network study shared by
-// Figures 6-11 and 13. Defaults follow §VI-A: SBM with 2,000 nodes,
-// alpha=0.2, beta=0.001 (~40-node blocks, average degree ~10); 3,000
-// cascades of which the first 2,000 train the embeddings; the last 1,000
-// are test cascades whose first 2/7 of the observation window is visible
-// to the predictor.
+// Figures 6-11 and 13: the workload draw (§VI-A defaults) plus what the
+// lab does with it — the first Train of the 3,000 cascades fit the
+// embeddings; the rest are test cascades whose first 2/7 of the
+// observation window is visible to the predictor.
 type SBMExperiment struct {
-	N         int
-	BlockSize int
-	Alpha     float64
-	Beta      float64
-	// TruthK is the number of planted topics; BridgeProb is the chance a
-	// node covers a second topic (the multi-topic bridge nodes whose
-	// cascades go viral).
-	TruthK     int
-	BridgeProb float64
-	// RateScale multiplies the planted base hazard rates.
-	RateScale float64
-	// InfluenceAlpha is the Pareto exponent of the planted influence
-	// magnitudes: smaller values mean heavier-tailed super-spreaders.
-	InfluenceAlpha float64
-	Cascades       int
-	Train          int // first Train cascades fit the embeddings
-	Window         float64
-	EarlyFrac      float64 // fraction of the window visible to the predictor
+	workload.Config
+	Train     int     // first Train cascades fit the embeddings
+	EarlyFrac float64 // fraction of the window visible to the predictor
 	// Inference settings.
 	InferK  int
 	MaxIter int
 	Workers int
-	Seed    uint64
 }
 
 // DefaultSBM returns the paper-scale configuration.
 func DefaultSBM() SBMExperiment {
 	return SBMExperiment{
-		N:              2000,
-		BlockSize:      40,
-		Alpha:          0.2,
-		Beta:           0.001,
-		TruthK:         8,
-		BridgeProb:     0.15,
-		RateScale:      2.5,
-		InfluenceAlpha: 1.1,
-		Cascades:       3000,
-		Train:          2000,
-		Window:         10,
-		EarlyFrac:      2.0 / 7.0,
-		InferK:         4,
-		MaxIter:        30,
-		Workers:        4,
-		Seed:           1,
+		Config:    workload.Default(),
+		Train:     2000,
+		EarlyFrac: 2.0 / 7.0,
+		InferK:    4,
+		MaxIter:   30,
+		Workers:   4,
 	}
-}
-
-// scaled shrinks the workload for fast unit tests while keeping every
-// structural property.
-func (e SBMExperiment) scaled(n, cascades int) SBMExperiment {
-	e.N = n
-	e.Cascades = cascades
-	e.Train = cascades * 2 / 3
-	return e
 }
 
 // Validate rejects unusable configurations.
 func (e SBMExperiment) Validate() error {
-	if e.N <= 0 || e.BlockSize <= 0 {
-		return fmt.Errorf("experiments: bad SBM dims N=%d BlockSize=%d", e.N, e.BlockSize)
+	if err := e.Config.Validate(); err != nil {
+		return err
 	}
-	if e.TruthK <= 0 || e.InferK <= 0 {
-		return fmt.Errorf("experiments: topic counts must be positive")
-	}
-	if e.Cascades <= 0 || e.Train <= 0 || e.Train >= e.Cascades {
+	if e.Train <= 0 || e.Train >= e.Cascades {
 		return fmt.Errorf("experiments: need 0 < Train < Cascades, got %d / %d", e.Train, e.Cascades)
 	}
-	if e.Window <= 0 || e.EarlyFrac <= 0 || e.EarlyFrac >= 1 {
-		return fmt.Errorf("experiments: bad window %v / early fraction %v", e.Window, e.EarlyFrac)
+	if e.InferK <= 0 || e.EarlyFrac <= 0 || e.EarlyFrac >= 1 {
+		return fmt.Errorf("experiments: bad InferK %d / early fraction %v", e.InferK, e.EarlyFrac)
 	}
 	return nil
 }
 
-// SBMWorkload is a fully materialized synthetic study: graph, planted
-// truth, and simulated cascades split into train/test.
+// SBMWorkload is a materialized draw split into train/test.
 type SBMWorkload struct {
-	Exp        SBMExperiment
-	Graph      *graph.Graph
-	Membership []int
-	Truth      *embed.Model
-	Train      []*cascade.Cascade
-	Test       []*cascade.Cascade
+	Exp SBMExperiment
+	*workload.Draw
+	Train []*cascade.Cascade
+	Test  []*cascade.Cascade
 }
 
 // EarlyCutoff returns the prediction horizon: EarlyFrac of the window.
 func (w *SBMWorkload) EarlyCutoff() float64 { return w.Exp.Window * w.Exp.EarlyFrac }
 
-// BuildSBMWorkload generates the graph, plants the ground truth, and
-// simulates the cascades.
+// BuildSBMWorkload draws the workload and splits its cascades.
 func BuildSBMWorkload(e SBMExperiment) (*SBMWorkload, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	rng := xrand.New(e.Seed)
-	g, membership, err := sbm.Generate(sbm.Params{
-		N: e.N, BlockSize: e.BlockSize, Alpha: e.Alpha, Beta: e.Beta,
-	}, rng)
+	d, err := workload.Build(e.Config)
 	if err != nil {
 		return nil, err
 	}
-	truth := plantSBMTruth(e, g, membership, rng)
-	sim, err := cascade.NewSimulator(g, truth.A, truth.B, e.Window)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := sim.RunMany(0, e.Cascades, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &SBMWorkload{
-		Exp:        e,
-		Graph:      g,
-		Membership: membership,
-		Truth:      truth,
-		Train:      cs[:e.Train],
-		Test:       cs[e.Train:],
-	}, nil
-}
-
-// plantSBMTruth assigns each block a primary topic (block index mod
-// TruthK); bridge nodes additionally cover a second random topic.
-// Influence magnitudes are Pareto distributed: a small population of
-// super-spreaders drives essentially all onward transmission, while
-// ordinary nodes rarely infect anyone within the window. A cascade's
-// final size is then approximately the summed reach of the influential
-// nodes it recruits — and because influential nodes, once reachable, are
-// recruited early (their inbound edges fire at the same rate as
-// everyone's), the early adopters' influence features (normA, maxA,
-// diverA) largely determine the final size. This is the "size grows
-// almost linearly with the features" regime of the paper's Figures 6-8.
-func plantSBMTruth(e SBMExperiment, g *graph.Graph, membership []int, rng *xrand.RNG) *embed.Model {
-	m := embed.NewModel(e.N, e.TruthK)
-	alpha := e.InfluenceAlpha
-	if alpha <= 0 {
-		alpha = 1.3
-	}
-	// Ordinary-pair transmission probability within the whole window is
-	// small (rateOrd*W = 0.1*RateScale); super-spreaders multiply it by
-	// their Pareto influence draw.
-	rateOrd := 0.1 / e.Window * e.RateScale
-	base := math.Sqrt(rateOrd)
-	for u := 0; u < e.N; u++ {
-		topics := []int{membership[u] % e.TruthK}
-		if rng.Bernoulli(e.BridgeProb) && e.TruthK > 1 {
-			second := rng.Intn(e.TruthK)
-			if second != topics[0] {
-				topics = append(topics, second)
-			}
-		}
-		influence := rng.Pareto(1, alpha)
-		if influence > 400 {
-			influence = 400
-		}
-		for _, k := range topics {
-			m.A.Set(u, k, base*influence*(0.7+0.6*rng.Float64()))
-			m.B.Set(u, k, base*(0.5+rng.Float64()))
-		}
-	}
-	return m
+	return &SBMWorkload{Exp: e, Draw: d, Train: d.Cascades[:e.Train], Test: d.Cascades[e.Train:]}, nil
 }
 
 // FitEmbeddings runs the full inference pipeline (co-occurrence graph,
@@ -213,11 +108,12 @@ func (w *SBMWorkload) PredictionDataAt(m *embed.Model, cutoff float64) ([]featur
 	return features.ExtractAll(m, w.Test, cutoff)
 }
 
-// PredictF1 runs the paper's virality classification at one size
-// threshold: standardized features, linear SVM, stratified k-fold CV,
-// pooled F1. featureNames selects which features feed the classifier
-// (nil means the paper's trio diverA/normA/maxA).
-func PredictF1(sets []features.Set, sizes []int, threshold int, featureNames []string, folds int, seed uint64) (eval.Confusion, error) {
+// logFeatures is the classifiers' design matrix: the named features
+// (nil means the paper's trio diverA/normA/maxA) of every set, log
+// transformed — influence features are heavy-tailed (super-spreader
+// magnitudes), and the log keeps the linear margin from being dominated
+// by a handful of outliers.
+func logFeatures(sets []features.Set, featureNames []string) ([][]float64, error) {
 	if featureNames == nil {
 		featureNames = []string{"diverA", "normA", "maxA"}
 	}
@@ -225,15 +121,24 @@ func PredictF1(sets []features.Set, sizes []int, threshold int, featureNames []s
 	for i, s := range sets {
 		row, err := s.Select(featureNames)
 		if err != nil {
-			return eval.Confusion{}, err
+			return nil, err
 		}
-		// Influence features are heavy-tailed (super-spreader magnitudes);
-		// the log transform keeps the linear margin from being dominated
-		// by a handful of outliers.
 		for j, v := range row {
 			row[j] = math.Log1p(v)
 		}
 		x[i] = row
+	}
+	return x, nil
+}
+
+// PredictF1 runs the paper's virality classification at one size
+// threshold: standardized features, linear SVM, stratified k-fold CV,
+// pooled F1. featureNames selects which features feed the classifier
+// (nil means the paper's trio diverA/normA/maxA).
+func PredictF1(sets []features.Set, sizes []int, threshold int, featureNames []string, folds int, seed uint64) (eval.Confusion, error) {
+	x, err := logFeatures(sets, featureNames)
+	if err != nil {
+		return eval.Confusion{}, err
 	}
 	y := eval.LabelsBySizeThreshold(sizes, threshold)
 	pos := 0
@@ -266,19 +171,9 @@ func PredictF1(sets []features.Set, sizes []int, threshold int, featureNames []s
 // cross-validated area under the ROC curve of the SVM decision value at
 // one size threshold.
 func PredictAUC(sets []features.Set, sizes []int, threshold int, featureNames []string, folds int, seed uint64) (float64, error) {
-	if featureNames == nil {
-		featureNames = []string{"diverA", "normA", "maxA"}
-	}
-	x := make([][]float64, len(sets))
-	for i, s := range sets {
-		row, err := s.Select(featureNames)
-		if err != nil {
-			return 0, err
-		}
-		for j, v := range row {
-			row[j] = math.Log1p(v)
-		}
-		x[i] = row
+	x, err := logFeatures(sets, featureNames)
+	if err != nil {
+		return 0, err
 	}
 	y := eval.LabelsBySizeThreshold(sizes, threshold)
 	trainer := func(trX [][]float64, trY []int) (func([]float64) float64, error) {

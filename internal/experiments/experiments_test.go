@@ -6,6 +6,15 @@ import (
 	"viralcast/internal/gdelt"
 )
 
+// scaled shrinks the workload for fast unit tests while keeping every
+// structural property.
+func (e SBMExperiment) scaled(n, cascades int) SBMExperiment {
+	e.N = n
+	e.Cascades = cascades
+	e.Train = cascades * 2 / 3
+	return e
+}
+
 // testSBM is a small but structurally faithful workload.
 func testSBM() SBMExperiment {
 	e := DefaultSBM()

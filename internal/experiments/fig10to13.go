@@ -10,6 +10,7 @@ import (
 	"viralcast/internal/mergetree"
 	"viralcast/internal/report"
 	"viralcast/internal/slpa"
+	"viralcast/internal/workload"
 	"viralcast/internal/xrand"
 )
 
@@ -90,16 +91,13 @@ func (s *ScalingSeries) Efficiency() []float64 {
 // runScalingWorkload profiles the full hierarchical inference for one
 // (N, C) workload and converts the profile into a runtime series.
 func runScalingWorkload(sc ScalingExperiment, n, cascades int, label string) (*ScalingSeries, error) {
-	e := DefaultSBM()
-	e.N = n
-	e.Cascades = cascades + 1 // all but one train; the split is irrelevant here
-	e.Train = cascades
-	e.Seed = sc.Seed
-	w, err := BuildSBMWorkload(e)
+	c := workload.Default() // no train / test split: every cascade is fitted
+	c.N, c.Cascades, c.Seed = n, cascades, sc.Seed
+	w, err := workload.Build(c)
 	if err != nil {
 		return nil, err
 	}
-	g, err := cooccur.Build(w.Train, n, cooccurOptions())
+	g, err := cooccur.Build(w.Cascades, n, cooccurOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +107,7 @@ func runScalingWorkload(sc ScalingExperiment, n, cascades int, label string) (*S
 	if q < 1 {
 		q = 1
 	}
-	_, profiles, err := infer.HierarchicalProfiled(w.Train, n, part, cfg, q, mergetree.ByCommunityCount)
+	_, profiles, err := infer.HierarchicalProfiled(w.Cascades, n, part, cfg, q, mergetree.ByCommunityCount)
 	if err != nil {
 		return nil, err
 	}

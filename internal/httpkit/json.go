@@ -33,15 +33,10 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	writeJSON(w, status, v, true)
 }
 
-// WriteJSONCompact is WriteJSON without the indentation pass. The
-// batched data plane uses it: re-indenting a 256-item envelope costs
-// more than every prediction in it combined (encoding/json's indent is
-// a second full walk of the output), and batch callers are programs,
-// not terminals.
-func WriteJSONCompact(w http.ResponseWriter, status int, v any) {
-	writeJSON(w, status, v, false)
-}
-
+// writeJSON without indent is the batched data plane's reference
+// encoding: re-indenting a 256-item envelope costs more than every
+// prediction in it combined (encoding/json's indent is a second full
+// walk of the output), and batch callers are programs, not terminals.
 func writeJSON(w http.ResponseWriter, status int, v any, indent bool) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -71,7 +66,7 @@ var appendBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); ret
 
 // WriteEncoded answers status with what encode appends to a pooled
 // buffer — a hand encoder's output, already exactly the bytes WriteJSON
-// (indent) or WriteJSONCompact (!indent) would produce for v. encode
+// (indent) or its compact form (!indent) would produce for v. encode
 // reporting false (a float JSON cannot carry) writes nothing of its
 // own: v goes through that reflective writer instead, to the same bytes
 // or the same failure. An encoder that cannot decline passes a nil v.

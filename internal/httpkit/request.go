@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -133,6 +134,26 @@ func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// ExpvarHandler serves an expvar tree as JSON: a daemon's /metrics.
+func ExpvarHandler(root *expvar.Map) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		fmt.Fprintln(w, root.String())
+	}
+}
+
+// statusClasses are the response-class labels, indexed by status/100.
+var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx"}
+
+// StatusClass returns the status-class counter label ("2xx", "5xx")
+// without formatting one per request.
+func StatusClass(status int) string {
+	if c := status / 100; c >= 0 && c < len(statusClasses) {
+		return statusClasses[c]
+	}
+	return fmt.Sprintf("%dxx", status/100)
 }
 
 // Instrument wraps a handler with request accounting: observe receives

@@ -21,8 +21,8 @@ import (
 // what a scanner accepts must decode to the same values reflectively,
 // and what an encoder emits must be the reflective encoder's bytes.
 
-// encodeIndent is httpkit.WriteJSON's encoding; encodeCompact is
-// WriteJSONCompact's.
+// encodeIndent is httpkit.WriteJSON's encoding; encodeCompact is the
+// same without the indentation pass.
 func encodeIndent(t testing.TB, v any) []byte  { return encodeRef(t, v, true) }
 func encodeCompact(t testing.TB, v any) []byte { return encodeRef(t, v, false) }
 

@@ -4,12 +4,11 @@
 //
 //   - Sequential: full-batch monotone projected gradient ascent — the
 //     single-process baseline (and the paper's t_1 reference for speedup);
-//   - RunLevel: Algorithm 1 — one worker per community updating disjoint
-//     rows of A and B on that community's sub-cascades, lock-free because
-//     communities never intersect;
-//   - Hierarchical: Algorithm 2 — runs Algorithm 1 level by level up the
-//     community merge tree, warm-starting each level with the previous
-//     level's embeddings;
+//   - Hierarchical: Algorithm 2 — runs Algorithm 1 (one worker per
+//     community updating disjoint rows of A and B on that community's
+//     sub-cascades, lock-free because communities never intersect) level
+//     by level up the community merge tree, warm-starting each level
+//     with the previous level's embeddings;
 //   - Hogwild (hogwild.go): the lock-free shared-matrix SGD baseline of
 //     the paper's reference [19], for comparison.
 package infer
@@ -105,6 +104,9 @@ type LevelStats struct {
 	Communities int
 	Elapsed     time.Duration
 	LogLik      float64 // full-data log-likelihood after the level
+	// TaskDurations holds the measured optimization time of every
+	// community that had work at this level.
+	TaskDurations []time.Duration
 }
 
 // Sequential fits a model to the cascades with full-batch monotone

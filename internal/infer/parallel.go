@@ -38,37 +38,6 @@ func (o ParallelOptions) withDefaults() ParallelOptions {
 	return o
 }
 
-// SplitCascades implements Algorithm 1 lines 1-11: every cascade is
-// divided into per-community sub-cascades according to the node
-// membership. Sub-cascades keep the original absolute infection times.
-// Sub-cascades with fewer than two infections are dropped — they carry
-// no likelihood terms. RunLevel does not call it: levelTasks produces
-// the same split already renumbered to community-local ids, and is
-// tested against this function.
-func SplitCascades(cs []*cascade.Cascade, p *slpa.Partition) [][]*cascade.Cascade {
-	out := make([][]*cascade.Cascade, p.NumCommunities())
-	parts := make([]*cascade.Cascade, p.NumCommunities()) // nil between cascades
-	var touched []int                                     // communities with a part
-	for _, c := range cs {
-		for _, inf := range c.Infections {
-			r := p.Membership[inf.Node]
-			if parts[r] == nil {
-				parts[r] = &cascade.Cascade{ID: c.ID}
-				touched = append(touched, r)
-			}
-			parts[r].Infections = append(parts[r].Infections, inf)
-		}
-		for _, r := range touched {
-			if parts[r].Size() >= 2 {
-				out[r] = append(out[r], parts[r])
-			}
-			parts[r] = nil
-		}
-		touched = touched[:0]
-	}
-	return out
-}
-
 // communityTask is the unit of parallel work: one community's nodes and
 // its sub-cascades remapped to community-local ids.
 type communityTask struct {
@@ -76,11 +45,13 @@ type communityTask struct {
 	localCs []*cascade.Cascade
 }
 
-// levelTasks is SplitCascades and the community-local renumbering in one
-// step: task r holds community r's sub-cascades (in cascade order,
-// sub-cascades with fewer than two infections dropped) with every node
-// replaced by its index in p.Communities[r], so each worker runs on a
-// compact local model instead of scattering over the full matrices.
+// levelTasks is Algorithm 1 lines 1-11 — every cascade divided into
+// per-community sub-cascades that keep their absolute infection times —
+// and the community-local renumbering in one step: task r holds
+// community r's sub-cascades (in cascade order, sub-cascades with fewer
+// than two infections dropped) with every node replaced by its index in
+// p.Communities[r], so each worker runs on a compact local model instead
+// of scattering over the full matrices.
 //
 // A counting pass sizes one backing array each for the level's
 // infections, cascade headers and header pointers; a second pass fills
@@ -155,30 +126,21 @@ func levelTasks(cs []*cascade.Cascade, p *slpa.Partition, n int) []communityTask
 	return tasks
 }
 
-// RunLevel executes Algorithm 1 on one level: every community is
+// runLevel executes Algorithm 1 on one level: every community is
 // optimized independently (its rows of A and B are disjoint from every
 // other community's, so no synchronization beyond the final barrier is
 // needed), with at most workers communities in flight at once. The model
-// is updated in place; the barrier is the WaitGroup at the end.
-func RunLevel(m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers int) error {
-	return RunLevelCtx(context.Background(), m, cs, p, cfg, workers, 0)
-}
-
-// RunLevelCtx is RunLevel with cancellation: once ctx is done no new
-// community tasks are scheduled, the communities already in flight stop
-// at their next epoch boundary, and ctx.Err() is returned after the
-// barrier. maxBackoffs bounds each community's divergence-guard retries
-// (0 means the default).
-func RunLevelCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers, maxBackoffs int) error {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
+// is updated in place. Once ctx is done no new community tasks are
+// scheduled, the communities already in flight stop at their next epoch
+// boundary, and ctx.Err() is returned after the barrier. maxBackoffs
+// bounds each community's divergence-guard retries (0 means the
+// default); cfg is defaulted and validated and workers >= 1, as
+// HierarchicalCtx leaves them. The durations returned are the
+// optimization time of every community that had work, in community
+// order.
+func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers, maxBackoffs int) ([]time.Duration, error) {
 	if err := p.Validate(m.N()); err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = 1
+		return nil, err
 	}
 	tasks := levelTasks(cs, p, m.N())
 	// Drop workless communities before dispatch so the pool's bound
@@ -189,11 +151,16 @@ func RunLevelCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *
 			active = append(active, tasks[r])
 		}
 	}
+	took := make([]time.Duration, len(active))
 	// pool.RunCtx's completion is Algorithm 1's barrier; communities touch
 	// disjoint rows of A and B, so the tasks need no other coordination.
-	return pool.RunCtx(ctx, workers, len(active), func(i int) error {
-		return optimizeCommunity(ctx, m, &active[i], cfg, maxBackoffs)
+	err := pool.RunCtx(ctx, workers, len(active), func(i int) error {
+		start := time.Now()
+		err := optimizeCommunity(ctx, m, &active[i], cfg, maxBackoffs)
+		took[i] = time.Since(start)
+		return err
 	})
+	return took, err
 }
 
 // optimizeCommunity copies the community's rows into a compact local
@@ -290,7 +257,8 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 			return nil, nil, err
 		}
 		levelStart := time.Now()
-		if err := RunLevelCtx(ctx, m, cs, levels[li], cfg, opts.Workers, res.MaxBackoffs); err != nil {
+		took, err := runLevel(ctx, m, cs, levels[li], cfg, opts.Workers, res.MaxBackoffs)
+		if err != nil {
 			if canceled(err) {
 				return nil, nil, res.finalCheckpoint(err, boundary)
 			}
@@ -298,9 +266,10 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 		}
 		ll := m.LogLikAll(cs)
 		tr.Levels = append(tr.Levels, LevelStats{
-			Communities: levels[li].NumCommunities(),
-			Elapsed:     time.Since(levelStart),
-			LogLik:      ll,
+			Communities:   levels[li].NumCommunities(),
+			Elapsed:       time.Since(levelStart),
+			LogLik:        ll,
+			TaskDurations: took,
 		})
 		tr.LogLik = append(tr.LogLik, ll)
 		prevLL = ll

@@ -1,8 +1,6 @@
 package infer
 
 import (
-	"context"
-	"fmt"
 	"sort"
 	"time"
 
@@ -10,7 +8,6 @@ import (
 	"viralcast/internal/embed"
 	"viralcast/internal/mergetree"
 	"viralcast/internal/slpa"
-	"viralcast/internal/xrand"
 )
 
 // LevelProfile records how much compute each community task at one level
@@ -25,46 +22,17 @@ type LevelProfile struct {
 	TaskDurations []time.Duration
 }
 
-// HierarchicalProfiled runs Algorithm 2 sequentially while recording the
-// per-community task durations of every level. The fitted model is
-// identical to Hierarchical's (same updates in the same per-community
-// order), because community tasks are independent.
+// HierarchicalProfiled is Hierarchical on one worker — so no task's
+// clock includes time spent descheduled behind another — with the
+// trace's per-community task durations as one LevelProfile per level.
 func HierarchicalProfiled(cs []*cascade.Cascade, n int, base *slpa.Partition, cfg Config, q int, policy mergetree.Policy) (*embed.Model, []LevelProfile, error) {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("infer: n must be positive, got %d", n)
-	}
-	if err := cascade.ValidateAll(cs, n); err != nil {
-		return nil, nil, err
-	}
-	if err := base.Validate(n); err != nil {
-		return nil, nil, err
-	}
-	levels, err := mergetree.Levels(base, q, policy)
+	m, tr, err := Hierarchical(cs, n, base, cfg, ParallelOptions{Workers: 1, Q: q, Policy: policy})
 	if err != nil {
 		return nil, nil, err
 	}
-	m := embed.NewModel(n, cfg.K)
-	m.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-	var profiles []LevelProfile
-	for _, level := range levels {
-		tasks := levelTasks(cs, level, n)
-		prof := LevelProfile{Communities: level.NumCommunities()}
-		for r := range tasks {
-			task := &tasks[r]
-			if len(task.localCs) == 0 {
-				continue
-			}
-			start := time.Now()
-			if err := optimizeCommunity(context.Background(), m, task, cfg, 0); err != nil {
-				return nil, nil, err
-			}
-			prof.TaskDurations = append(prof.TaskDurations, time.Since(start))
-		}
-		profiles = append(profiles, prof)
+	profiles := make([]LevelProfile, len(tr.Levels))
+	for i, l := range tr.Levels {
+		profiles[i] = LevelProfile{Communities: l.Communities, TaskDurations: l.TaskDurations}
 	}
 	return m, profiles, nil
 }

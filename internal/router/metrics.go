@@ -2,9 +2,9 @@ package router
 
 import (
 	"expvar"
-	"fmt"
-	"net/http"
 	"time"
+
+	"viralcast/internal/httpkit"
 )
 
 // Metrics is the router's observability surface: expvar-backed, kept
@@ -33,36 +33,26 @@ type Metrics struct {
 }
 
 func newRouterMetrics(ringSize int, started time.Time, health func() []probeResult, det *detector) *Metrics {
+	root := new(expvar.Map).Init()
+	counter := func(name string) *expvar.Int { v := new(expvar.Int); root.Set(name, v); return v }
+	submap := func(name string) *expvar.Map { v := new(expvar.Map).Init(); root.Set(name, v); return v }
 	m := &Metrics{
-		root:            new(expvar.Map).Init(),
-		requests:        new(expvar.Map).Init(),
-		status:          new(expvar.Map).Init(),
-		fanouts:         new(expvar.Int),
-		partials:        new(expvar.Int),
-		proxied:         new(expvar.Int),
-		relayFailovers:  new(expvar.Int),
-		shardErrors:     new(expvar.Map).Init(),
-		followerRetries: new(expvar.Int),
-		hedges:          new(expvar.Int),
-		hedgeWins:       new(expvar.Int),
-		cacheHits:       new(expvar.Int),
-		cacheMiss:       new(expvar.Int),
-		probes:          new(expvar.Int),
-		failovers:       new(expvar.Int),
+		root:            root,
+		requests:        submap("requests"),
+		status:          submap("responses_by_status"),
+		fanouts:         counter("fanouts"),
+		partials:        counter("partial_results"),
+		proxied:         counter("proxied_requests"),
+		relayFailovers:  counter("relay_failovers"),
+		shardErrors:     submap("shard_errors"),
+		followerRetries: counter("follower_retries"),
+		hedges:          counter("hedged_requests"),
+		hedgeWins:       counter("hedge_wins"),
+		cacheHits:       counter("cache_hits"),
+		cacheMiss:       counter("cache_misses"),
+		probes:          counter("probe_rounds"),
+		failovers:       counter("router_failovers_total"),
 	}
-	m.root.Set("requests", m.requests)
-	m.root.Set("responses_by_status", m.status)
-	m.root.Set("fanouts", m.fanouts)
-	m.root.Set("partial_results", m.partials)
-	m.root.Set("proxied_requests", m.proxied)
-	m.root.Set("relay_failovers", m.relayFailovers)
-	m.root.Set("shard_errors", m.shardErrors)
-	m.root.Set("follower_retries", m.followerRetries)
-	m.root.Set("hedged_requests", m.hedges)
-	m.root.Set("hedge_wins", m.hedgeWins)
-	m.root.Set("cache_hits", m.cacheHits)
-	m.root.Set("cache_misses", m.cacheMiss)
-	m.root.Set("probe_rounds", m.probes)
 	m.root.Set("ring_size", expvar.Func(func() any { return ringSize }))
 	m.root.Set("uptime_seconds", expvar.Func(func() any {
 		return time.Since(started).Seconds()
@@ -86,7 +76,6 @@ func newRouterMetrics(ringSize int, started time.Time, health func() []probeResu
 	// Supervision surface: how many automatic promotions the router has
 	// driven, how many fenced nodes it is holding in quarantine, and
 	// the fencing epoch it believes is current per shard chain.
-	m.root.Set("router_failovers_total", m.failovers)
 	m.root.Set("router_quarantined", expvar.Func(func() any {
 		return det.quarantinedCount()
 	}))
@@ -115,11 +104,5 @@ func (m *Metrics) countCache(hit bool) {
 // router keeps no latency histogram; elapsed is unused).
 func (m *Metrics) observe(endpoint string, status int, _ time.Duration) {
 	m.requests.Add(endpoint, 1)
-	m.status.Add(fmt.Sprintf("%dxx", status/100), 1)
-}
-
-// handler serves the metric tree as JSON.
-func (m *Metrics) handler(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, m.root.String())
+	m.status.Add(httpkit.StatusClass(status), 1)
 }

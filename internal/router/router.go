@@ -153,7 +153,7 @@ func (rt *Router) routes() http.Handler {
 	add("POST /v1/features:batch", "features_batch", rt.fanoutBatch("/v1/features:batch"))
 	control("GET /healthz", "healthz", rt.handleHealthz)
 	control("GET /readyz", "readyz", rt.handleReadyz)
-	mux.HandleFunc("GET /metrics", rt.metrics.handler)
+	mux.HandleFunc("GET /metrics", httpkit.ExpvarHandler(rt.metrics.root))
 	return mux
 }
 

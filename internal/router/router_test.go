@@ -21,8 +21,8 @@ import (
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
 	"viralcast/internal/eval"
-	"viralcast/internal/experiments"
 	"viralcast/internal/serve"
+	"viralcast/internal/workload"
 )
 
 // The fixture trains one small system shared by every test (the same
@@ -40,18 +40,17 @@ const fixtureNodes = 150
 func fixture(t testing.TB) (*core.System, []*cascade.Cascade) {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		e := experiments.DefaultSBM()
-		e.N = fixtureNodes
-		e.Cascades = 301
-		e.Train = 300
-		e.Window = 8
-		e.Seed = 11
-		w, err := experiments.BuildSBMWorkload(e)
+		c := workload.Default()
+		c.N = fixtureNodes
+		c.Cascades = 300
+		c.Window = 8
+		c.Seed = 11
+		d, err := workload.Build(c)
 		if err != nil {
 			fixtureErr = err
 			return
 		}
-		fixtureCS = w.Train
+		fixtureCS = d.Cascades
 		fixtureSys, fixtureErr = core.Train(fixtureCS, fixtureNodes, core.TrainConfig{
 			Topics: 2, MaxIter: 6, Workers: 2, Seed: 11,
 		})

@@ -549,8 +549,8 @@ func appendResults[R any](b []byte, items []batchItem[R], count, errors int, res
 	return strconv.AppendInt(b, int64(errors), 10), ok
 }
 
-// appendBatchJSON renders a cascade-scoped batch envelope as
-// WriteJSONCompact would.
+// appendBatchJSON renders a cascade-scoped batch envelope as compact
+// encoding/json would.
 func appendBatchJSON[R any](b []byte, env *batchResponse[R], result func([]byte, *R, *floatMemo) ([]byte, bool)) ([]byte, bool) {
 	b, ok := appendResults(b, env.Results, env.Count, env.Errors, result)
 	b = append(b, `,"cache_hits":`...)

@@ -147,3 +147,34 @@ func TestFlushFailureMarksModelStale(t *testing.T) {
 		t.Fatalf("model_stale gauge after clean flush = %v", m["model_stale"])
 	}
 }
+
+// TestFailedFlushIsRetried: a flush that fails hands its cascades back.
+// With the marks left advanced the next flush found nothing dirty,
+// answered flushed = 0 before clearing the stale flag, and the growth
+// the failed pass had snapshotted never reached a refit.
+func TestFailedFlushIsRetried(t *testing.T) {
+	_, ts := newTestServer(t)
+	ingestEvents(t, ts.URL, 7101, 6)
+
+	inj := faultinject.NewInjector()
+	inj.Arm(faultinject.Fault{
+		Site: "serve.flush", Action: faultinject.Error, Hit: 1, Times: 1,
+		Err: errors.New("injected: refit failed once"),
+	})
+	defer faultinject.Activate(inj)()
+
+	if code, body := postJSON(t, ts.URL+"/v1/flush", map[string]any{}); code != http.StatusInternalServerError {
+		t.Fatalf("flush with injected failure: status %d, body %v", code, body)
+	}
+	// No new events: the retry must absorb what the failed pass dropped.
+	code, body := postJSON(t, ts.URL+"/v1/flush", map[string]any{})
+	if code != http.StatusOK {
+		t.Fatalf("retry flush: status %d, body %v", code, body)
+	}
+	if flushed, _ := body["flushed"].(float64); flushed < 1 {
+		t.Fatalf("retry flush absorbed nothing: %v", body)
+	}
+	if _, body := getJSON(t, ts.URL+"/readyz"); body["stale"] != false {
+		t.Fatalf("readyz still stale after the retry: %v", body)
+	}
+}

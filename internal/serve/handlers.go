@@ -51,7 +51,7 @@ func (s *Server) routes() http.Handler {
 	control("POST /v1/flush", "flush", s.fenceGate(s.handleFlush))
 	control("GET /healthz", "healthz", s.handleHealthz)
 	control("GET /readyz", "readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.metrics.handler)
+	mux.HandleFunc("GET /metrics", httpkit.ExpvarHandler(s.metrics.root))
 	if s.cfg.WALDir != "" {
 		// Replication surface, control plane like /metrics: a follower
 		// catching up must keep streaming while the data plane sheds

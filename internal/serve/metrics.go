@@ -2,19 +2,22 @@ package serve
 
 import (
 	"expvar"
-	"fmt"
-	"net/http"
 	"sort"
 	"sync"
 	"time"
 
+	"viralcast/internal/httpkit"
 	"viralcast/internal/repl"
 	"viralcast/internal/wal"
 )
 
 // latencyBuckets are the upper bounds (milliseconds) of the request
-// latency histogram; the last bucket is unbounded.
-var latencyBuckets = []float64{1, 5, 25, 100, 500}
+// latency histogram and latencyKeys their metric names, formatted once;
+// the last bucket, "inf", is unbounded.
+var (
+	latencyBuckets = [...]float64{1, 5, 25, 100, 500}
+	latencyKeys    = [...]string{"le_1ms", "le_5ms", "le_25ms", "le_100ms", "le_500ms"}
+)
 
 // Metrics is the daemon's observability surface, backed by expvar types
 // but kept off the global expvar registry so multiple servers (tests,
@@ -72,7 +75,7 @@ func (r *latencyRing) observe(d time.Duration) {
 // milliseconds, or -1 before the first observation.
 func (r *latencyRing) quantile(q float64) float64 {
 	r.mu.Lock()
-	n := int(min64(r.n, uint64(len(r.buf))))
+	n := int(min(r.n, uint64(len(r.buf))))
 	sample := make([]float64, n)
 	copy(sample, r.buf[:n])
 	r.mu.Unlock()
@@ -82,13 +85,6 @@ func (r *latencyRing) quantile(q float64) float64 {
 	sort.Float64s(sample)
 	idx := int(q * float64(n-1))
 	return sample[idx]
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // metricsHooks are the live-read closures behind the gauge metrics;
@@ -122,44 +118,39 @@ type metricsHooks struct {
 // layer: sheds and queue depths per route class, whether ingestion is
 // read-only and why, and whether the serving generation is stale.
 func newMetrics(hooks metricsHooks) *Metrics {
+	root := new(expvar.Map).Init()
+	counter := func(name string) *expvar.Int { v := new(expvar.Int); root.Set(name, v); return v }
+	submap := func(name string) *expvar.Map { v := new(expvar.Map).Init(); root.Set(name, v); return v }
 	m := &Metrics{
-		root:          new(expvar.Map).Init(),
-		requests:      new(expvar.Map).Init(),
-		status:        new(expvar.Map).Init(),
-		latency:       new(expvar.Map).Init(),
-		events:        new(expvar.Int),
-		cacheHits:     new(expvar.Int),
-		cacheMiss:     new(expvar.Int),
-		reloads:       new(expvar.Int),
-		flushes:       new(expvar.Int),
-		shed:          new(expvar.Map).Init(),
-		deadlines:     new(expvar.Int),
-		readOnly:      new(expvar.Int),
-		flushFailures: new(expvar.Int),
-		walRecoveries: new(expvar.Int),
+		root:          root,
+		requests:      submap("requests"),
+		status:        submap("responses_by_status"),
+		latency:       submap("latency_ms"),
+		events:        counter("events_ingested"),
+		cacheHits:     counter("cache_hits"),
+		cacheMiss:     counter("cache_misses"),
+		reloads:       counter("model_reloads"),
+		flushes:       counter("model_flushes"),
+		shed:          submap("overload_shed"),
+		deadlines:     counter("deadline_exceeded"),
+		readOnly:      counter("readonly_rejects"),
+		flushFailures: counter("flush_failures"),
+		walRecoveries: counter("wal_recoveries"),
 
-		followerRejects: new(expvar.Int),
-		replUnservable:  new(expvar.Int),
-		promotions:      new(expvar.Int),
-		fenceRejects:    new(expvar.Int),
+		followerRejects: counter("repl_follower_rejects"),
+		replUnservable:  counter("repl_unservable_rejects"),
+		promotions:      counter("repl_promotions"),
+		fenceRejects:    counter("fence_rejects"),
 
-		scenarioTrials: new(expvar.Int),
-		scenarioRuns:   new(expvar.Int),
-		scenarioActive: new(expvar.Int),
+		scenarioTrials: counter("scenario_trials_total"),
+		scenarioRuns:   counter("scenario_runs_total"),
+		scenarioActive: counter("scenario_active"),
 		scenarioLat:    &latencyRing{},
 	}
-	for _, b := range latencyBuckets {
-		m.latency.Set(fmt.Sprintf("le_%gms", b), new(expvar.Int))
+	for _, key := range latencyKeys {
+		m.latency.Set(key, new(expvar.Int))
 	}
 	m.latency.Set("inf", new(expvar.Int))
-	m.root.Set("requests", m.requests)
-	m.root.Set("responses_by_status", m.status)
-	m.root.Set("latency_ms", m.latency)
-	m.root.Set("events_ingested", m.events)
-	m.root.Set("cache_hits", m.cacheHits)
-	m.root.Set("cache_misses", m.cacheMiss)
-	m.root.Set("model_reloads", m.reloads)
-	m.root.Set("model_flushes", m.flushes)
 	m.root.Set("live_cascades", expvar.Func(func() any { return hooks.liveCascades() }))
 	m.root.Set("model_generation", expvar.Func(func() any { return hooks.generation() }))
 	m.root.Set("cache_hit_ratio", expvar.Func(func() any {
@@ -181,11 +172,6 @@ func newMetrics(hooks metricsHooks) *Metrics {
 
 	// Overload-resilience surface: admission counters by route class,
 	// deadline/read-only rejects, and the degraded/stale health gauges.
-	m.root.Set("overload_shed", m.shed)
-	m.root.Set("deadline_exceeded", m.deadlines)
-	m.root.Set("readonly_rejects", m.readOnly)
-	m.root.Set("flush_failures", m.flushFailures)
-	m.root.Set("wal_recoveries", m.walRecoveries)
 	m.root.Set("overload_admission", expvar.Func(func() any { return hooks.admission() }))
 	m.root.Set("degraded", expvar.Func(func() any {
 		if hooks.health().DegradedCause != "" {
@@ -217,9 +203,6 @@ func newMetrics(hooks metricsHooks) *Metrics {
 		}
 		return "primary"
 	}))
-	m.root.Set("repl_follower_rejects", m.followerRejects)
-	m.root.Set("repl_unservable_rejects", m.replUnservable)
-	m.root.Set("repl_promotions", m.promotions)
 
 	// Fencing surface: the persisted epoch, whether a higher foreign
 	// epoch has fenced this node, and how many writes the fence has
@@ -235,7 +218,6 @@ func newMetrics(hooks metricsHooks) *Metrics {
 		by, _ := hooks.fencing()
 		return by
 	}))
-	m.root.Set("fence_rejects", m.fenceRejects)
 	replGauge := func(pick func(repl.Status) any) expvar.Func {
 		return func() any {
 			st, ok := hooks.replStatus()
@@ -254,9 +236,6 @@ func newMetrics(hooks metricsHooks) *Metrics {
 	// Scenario-engine surface: work volume (trials), batch cadence, a
 	// live gauge of in-flight simulations, and recent-batch latency
 	// quantiles. Always published, zero/-1 before the first simulate.
-	m.root.Set("scenario_trials_total", m.scenarioTrials)
-	m.root.Set("scenario_runs_total", m.scenarioRuns)
-	m.root.Set("scenario_active", m.scenarioActive)
 	m.root.Set("scenario_batch_latency_ms_p50", expvar.Func(func() any {
 		return m.scenarioLat.quantile(0.50)
 	}))
@@ -288,19 +267,13 @@ func newMetrics(hooks metricsHooks) *Metrics {
 // and the latency histogram bucket.
 func (m *Metrics) observe(endpoint string, status int, elapsed time.Duration) {
 	m.requests.Add(endpoint, 1)
-	m.status.Add(fmt.Sprintf("%dxx", status/100), 1)
+	m.status.Add(httpkit.StatusClass(status), 1)
 	ms := float64(elapsed) / float64(time.Millisecond)
-	for _, b := range latencyBuckets {
+	for i, b := range latencyBuckets {
 		if ms < b {
-			m.latency.Add(fmt.Sprintf("le_%gms", b), 1)
+			m.latency.Add(latencyKeys[i], 1)
 			return
 		}
 	}
 	m.latency.Add("inf", 1)
-}
-
-// handler serves the metric tree as JSON.
-func (m *Metrics) handler(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, m.root.String())
 }

@@ -631,18 +631,20 @@ func (s *Server) Flush() (int, error) {
 	if len(usable) == 0 {
 		return 0, nil
 	}
+	next := cur.sys.Sys.Fork()
 	// Chaos hook: tests arm "serve.flush" to fail the refinement pass
 	// and assert the daemon degrades to a stale generation, not a loop
 	// of half-applied updates.
-	if err := faultinject.Fire("serve.flush"); err != nil {
-		s.markStale(err)
-		return 0, fmt.Errorf("serve: online update: %w", err)
+	err := faultinject.Fire("serve.flush")
+	if err == nil {
+		err = next.Update(usable)
 	}
-	next := cur.sys.Sys.Fork()
-	if err := next.Update(usable); err != nil {
+	if err != nil {
 		// The refinement failed: keep serving the last good generation
 		// and flag it stale rather than swapping in a half-updated
-		// model or silently retrying forever.
+		// model, and hand the cascades back so the next flush retries
+		// them instead of finding nothing dirty.
+		s.store.Unflush(usable)
 		s.markStale(err)
 		return 0, fmt.Errorf("serve: online update: %w", err)
 	}

@@ -187,28 +187,50 @@ func (s *Store) FlushDirty() []*cascade.Cascade {
 	return out
 }
 
+// Unflush marks the given cascades dirty again: the flush that
+// snapshotted them failed before a generation absorbed them, so the
+// next FlushDirty must hand them out once more.
+func (s *Store) Unflush(cs []*cascade.Cascade) {
+	for _, c := range cs {
+		sh := s.shard(c.ID)
+		sh.mu.Lock()
+		if lc, ok := sh.live[c.ID]; ok {
+			lc.flushed = 0
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // AllEvents returns every infection of every live cascade as ingestion
-// events, ordered by cascade id and then by time. It is the WAL
-// compaction snapshot: replaying the result through Append rebuilds the
-// store's exact live state.
+// events, cascades ascending by id and each cascade's run in store
+// order. It is the WAL compaction snapshot: replaying the result
+// through Append rebuilds the store's exact live state — Append keeps
+// reports that share a timestamp in arrival order, so the ids are
+// sorted, never the events.
 func (s *Store) AllEvents() []Event {
-	var out []Event
+	var ids []int
+	total := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for id, lc := range sh.live {
+			ids = append(ids, id)
+			total += len(lc.c.Infections)
+		}
+		sh.mu.RUnlock()
+	}
+	sort.Ints(ids)
+	out := make([]Event, 0, total)
+	for _, id := range ids {
+		sh := s.shard(id)
+		sh.mu.RLock()
+		if lc, ok := sh.live[id]; ok {
 			for _, inf := range lc.c.Infections {
 				out = append(out, Event{Cascade: id, Node: inf.Node, Time: inf.Time})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Cascade != out[b].Cascade {
-			return out[a].Cascade < out[b].Cascade
-		}
-		return out[a].Time < out[b].Time
-	})
 	return out
 }
 

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"viralcast/internal/cascade"
+	"viralcast/internal/xrand"
 )
 
 func TestStoreAppendAndSnapshot(t *testing.T) {
@@ -246,4 +248,48 @@ func ids(cs []*cascade.Cascade) []int {
 		out[i] = c.ID
 	}
 	return out
+}
+
+// TestAllEventsReplayKeepsTieOrder: a feed stamped on a coarse clock
+// reports many nodes at one timestamp, and Append keeps such ties in
+// arrival order. The compaction / bootstrap snapshot must replay into
+// exactly that order, or a restarted daemon and a follower serve the
+// cascade's nodes — and sum its features — in a different order than
+// the primary.
+func TestAllEventsReplayKeepsTieOrder(t *testing.T) {
+	const cascades, size, times, n = 300, 50, 5, 1000
+	src := NewStore()
+	rng := xrand.New(9)
+	for id := 0; id < cascades; id++ {
+		for i, node := range rng.Perm(n)[:size] {
+			ev := Event{Cascade: id, Node: node, Time: float64(i * times / size)}
+			if _, err := src.Append(ev, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	evs := src.AllEvents()
+	if len(evs) != cascades*size {
+		t.Fatalf("AllEvents returned %d events, want %d", len(evs), cascades*size)
+	}
+	dst := NewStore()
+	for i, ev := range evs {
+		if i > 0 && ev.Cascade < evs[i-1].Cascade {
+			t.Fatalf("event %d: cascade %d after cascade %d", i, ev.Cascade, evs[i-1].Cascade)
+		}
+		if _, err := dst.Append(ev, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	differ := 0
+	for id := 0; id < cascades; id++ {
+		a, _ := src.Snapshot(id)
+		b, ok := dst.Snapshot(id)
+		if !ok || !reflect.DeepEqual(a, b) {
+			differ++
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of %d replayed cascades differ from the source", differ, cascades)
+	}
 }

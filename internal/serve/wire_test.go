@@ -183,7 +183,7 @@ func FuzzAppendRateBatchJSON(f *testing.F) {
 
 // TestHandEncodedResponsesMatchReflective drives the hand-encoded
 // endpoints end to end and requires the bytes WriteJSON (indented) or
-// WriteJSONCompact would have produced for the same values.
+// compact encoding/json would have produced for the same values.
 func TestHandEncodedResponsesMatchReflective(t *testing.T) {
 	srv, ts := newTestServer(t)
 

@@ -24,6 +24,15 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+# The arrow points one way: the lab (figures, ablations, baselines, the
+# GDELT stand-in) imports the product, never the reverse.
+echo "== import graph (the serving binary links no lab package)"
+if lab="$(go list -deps ./cmd/viralcast | grep -E '^viralcast/internal/(experiments|gdelt|cluster|netrate|pointproc)$')"; then
+  echo "cmd/viralcast links the evaluation lab:" >&2
+  echo "$lab" >&2
+  exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -144,26 +153,40 @@ go build -o "$tmp/viralcast" ./cmd/viralcast
 "$tmp/viralcast" simulate -n 150 -cascades 300 -window 8 -seed 7 -out "$tmp/cascades.txt"
 "$tmp/viralcast" infer -in "$tmp/cascades.txt" -topics 2 -iters 6 -seed 7 -out "$tmp/model.txt"
 
-# start_daemon LOGFILE: launch viralcastd with durable ingestion on a
-# random port and wait for the bound address file. The tight
-# -simulate-max-trials lets the smoke client prove the scenario-engine
-# cap rejects oversized campaigns before any compute is admitted.
-start_daemon() {
-  rm -f "$tmp/addr"
-  "$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-    -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-    -flush-every 0 -wal-dir "$tmp/wal" -simulate-max-trials 256 2>"$1" &
-  daemon_pid=$!
+# launch PIDVAR NAME LOGFILE ADDRFILE -- args…: start `viralcast args…`
+# in the background with stderr in LOGFILE, record its pid in PIDVAR (one
+# of the variables cleanup walks, so a process that never comes up is
+# still reaped), and wait for it to publish its bound address in
+# ADDRFILE; NAME is what the failure messages call it.
+launch() {
+  local pidvar="$1" name="$2" log="$3" addrfile="$4" pid
+  shift 5
+  rm -f "$addrfile"
+  "$tmp/viralcast" "$@" 2>"$log" &
+  pid=$!
+  printf -v "$pidvar" %s "$pid"
   for _ in $(seq 1 100); do
-    [[ -s "$tmp/addr" ]] && break
-    if ! kill -0 "$daemon_pid" 2>/dev/null; then
-      echo "daemon died during startup:" >&2
-      cat "$1" >&2
+    [[ -s "$addrfile" ]] && return
+    if ! kill -0 "$pid" 2>/dev/null; then
+      echo "$name died during startup:" >&2
+      cat "$log" >&2
       exit 1
     fi
     sleep 0.1
   done
-  [[ -s "$tmp/addr" ]] || { echo "daemon never published its address" >&2; exit 1; }
+  echo "$name never published its address" >&2
+  exit 1
+}
+
+# start_daemon LOGFILE: viralcastd with durable ingestion on a random
+# port. The tight -simulate-max-trials lets the smoke client prove the
+# scenario-engine cap rejects oversized campaigns before any compute is
+# admitted.
+start_daemon() {
+  launch daemon_pid daemon "$1" "$tmp/addr" -- \
+    serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+    -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
+    -flush-every 0 -wal-dir "$tmp/wal" -simulate-max-trials 256
 }
 
 start_daemon "$tmp/daemon.log"
@@ -197,22 +220,10 @@ echo "smoke test passed (daemon drained cleanly)"
 # request must shed concurrent bursts with 429 + Retry-After while the
 # admitted requests keep succeeding inside their 2s budget.
 echo "== viralcastd overload smoke test"
-rm -f "$tmp/addr"
-"$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+launch daemon_pid "overload daemon" "$tmp/daemon3.log" "$tmp/addr" -- \
+  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
   -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 -max-inflight 1 -queue 2 -request-timeout 2s \
-  2>"$tmp/daemon3.log" &
-daemon_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$tmp/addr" ]] && break
-  if ! kill -0 "$daemon_pid" 2>/dev/null; then
-    echo "overload daemon died during startup:" >&2
-    cat "$tmp/daemon3.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -s "$tmp/addr" ]] || { echo "overload daemon never published its address" >&2; exit 1; }
+  -flush-every 0 -max-inflight 1 -queue 2 -request-timeout 2s
 go run ./scripts/smoke -base "http://$(cat "$tmp/addr")" -overload
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" || { echo "overload daemon did not drain cleanly:" >&2; cat "$tmp/daemon3.log" >&2; exit 1; }
@@ -225,40 +236,17 @@ echo "overload smoke passed (shed with Retry-After, admitted within budget)"
 # primary a promotion must leave the follower serving every
 # durably-acknowledged event and accepting writes on its own log.
 echo "== viralcastd replication failover smoke test"
-rm -f "$tmp/addr"
-"$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+launch daemon_pid "replication primary" "$tmp/primary.log" "$tmp/addr" -- \
+  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
   -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 -wal-dir "$tmp/repl-wal-primary" 2>"$tmp/primary.log" &
-daemon_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$tmp/addr" ]] && break
-  if ! kill -0 "$daemon_pid" 2>/dev/null; then
-    echo "replication primary died during startup:" >&2
-    cat "$tmp/primary.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -s "$tmp/addr" ]] || { echo "replication primary never published its address" >&2; exit 1; }
+  -flush-every 0 -wal-dir "$tmp/repl-wal-primary"
 primary="http://$(cat "$tmp/addr")"
 go run ./scripts/smoke -base "$primary" -wal
 
-rm -f "$tmp/addr2"
-"$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr2" \
+launch follower_pid "follower" "$tmp/follower.log" "$tmp/addr2" -- \
+  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr2" \
   -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 -wal-dir "$tmp/repl-wal-follower" -follow "$primary" \
-  2>"$tmp/follower.log" &
-follower_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$tmp/addr2" ]] && break
-  if ! kill -0 "$follower_pid" 2>/dev/null; then
-    echo "follower died during startup:" >&2
-    cat "$tmp/follower.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -s "$tmp/addr2" ]] || { echo "follower never published its address" >&2; exit 1; }
+  -flush-every 0 -wal-dir "$tmp/repl-wal-follower" -follow "$primary"
 follower="http://$(cat "$tmp/addr2")"
 go run ./scripts/smoke -base "$follower" -follow
 
@@ -294,56 +282,23 @@ follower_pid=""
 # to degraded and answer fresh rankings as explicit partials naming it.
 echo "== sharded fleet + router smoke test"
 for i in 0 1 2; do
-  rm -f "$tmp/addr"
-  "$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+  launch "shard_pids[$i]" "shard $i" "$tmp/shard$i.log" "$tmp/addr" -- \
+    serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
     -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-    -flush-every 0 -shard-id "$i" -ring-size 3 2>"$tmp/shard$i.log" &
-  shard_pids[$i]=$!
-  for _ in $(seq 1 100); do
-    [[ -s "$tmp/addr" ]] && break
-    if ! kill -0 "${shard_pids[$i]}" 2>/dev/null; then
-      echo "shard $i died during startup:" >&2
-      cat "$tmp/shard$i.log" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
-  [[ -s "$tmp/addr" ]] || { echo "shard $i never published its address" >&2; exit 1; }
+    -flush-every 0 -shard-id "$i" -ring-size 3
   shard_urls[$i]="http://$(cat "$tmp/addr")"
 done
 
-rm -f "$tmp/addr"
-"$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+launch daemon_pid "route oracle" "$tmp/route-oracle.log" "$tmp/addr" -- \
+  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
   -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 2>"$tmp/route-oracle.log" &
-daemon_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$tmp/addr" ]] && break
-  if ! kill -0 "$daemon_pid" 2>/dev/null; then
-    echo "route oracle died during startup:" >&2
-    cat "$tmp/route-oracle.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -s "$tmp/addr" ]] || { echo "route oracle never published its address" >&2; exit 1; }
+  -flush-every 0
 oracle="http://$(cat "$tmp/addr")"
 
-rm -f "$tmp/addr"
-"$tmp/viralcast" route -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+launch router_pid "router" "$tmp/router.log" "$tmp/addr" -- \
+  route -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
   -shards "${shard_urls[0]},${shard_urls[1]},${shard_urls[2]}" \
-  -request-timeout 5s -probe-every 500ms 2>"$tmp/router.log" &
-router_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$tmp/addr" ]] && break
-  if ! kill -0 "$router_pid" 2>/dev/null; then
-    echo "router died during startup:" >&2
-    cat "$tmp/router.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -s "$tmp/addr" ]] || { echo "router never published its address" >&2; exit 1; }
+  -request-timeout 5s -probe-every 500ms
 router="http://$(cat "$tmp/addr")"
 go run ./scripts/smoke -base "$router" -route -oracle "$oracle"
 
@@ -378,79 +333,35 @@ echo "== self-healing fleet (auto-failover + fencing) smoke test"
 af_primaries=()
 af_followers=()
 for i in 0 1; do
-  rm -f "$tmp/addr"
-  "$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+  launch "shard_pids[$i]" "failover primary $i" "$tmp/af-p$i.log" "$tmp/addr" -- \
+    serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
     -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
     -flush-every 0 -shard-id "$i" -ring-size 2 \
-    -wal-dir "$tmp/af-wal-p$i" 2>"$tmp/af-p$i.log" &
-  shard_pids[$i]=$!
-  for _ in $(seq 1 100); do
-    [[ -s "$tmp/addr" ]] && break
-    if ! kill -0 "${shard_pids[$i]}" 2>/dev/null; then
-      echo "failover primary $i died during startup:" >&2
-      cat "$tmp/af-p$i.log" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
-  [[ -s "$tmp/addr" ]] || { echo "failover primary $i never published its address" >&2; exit 1; }
+    -wal-dir "$tmp/af-wal-p$i"
   af_primaries[$i]="http://$(cat "$tmp/addr")"
 done
 
 for i in 0 1; do
-  rm -f "$tmp/addr"
-  "$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+  launch "shard_pids[$((i + 2))]" "failover follower $i" "$tmp/af-f$i.log" "$tmp/addr" -- \
+    serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
     -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
     -flush-every 0 -shard-id "$i" -ring-size 2 \
-    -wal-dir "$tmp/af-wal-f$i" -follow "${af_primaries[$i]}" 2>"$tmp/af-f$i.log" &
-  shard_pids[$((i + 2))]=$!
-  for _ in $(seq 1 100); do
-    [[ -s "$tmp/addr" ]] && break
-    if ! kill -0 "${shard_pids[$((i + 2))]}" 2>/dev/null; then
-      echo "failover follower $i died during startup:" >&2
-      cat "$tmp/af-f$i.log" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
-  [[ -s "$tmp/addr" ]] || { echo "failover follower $i never published its address" >&2; exit 1; }
+    -wal-dir "$tmp/af-wal-f$i" -follow "${af_primaries[$i]}"
   af_followers[$i]="http://$(cat "$tmp/addr")"
 done
 
-rm -f "$tmp/addr"
-"$tmp/viralcast" serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+launch daemon_pid "failover oracle" "$tmp/af-oracle.log" "$tmp/addr" -- \
+  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
   -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 2>"$tmp/af-oracle.log" &
-daemon_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$tmp/addr" ]] && break
-  if ! kill -0 "$daemon_pid" 2>/dev/null; then
-    echo "failover oracle died during startup:" >&2
-    cat "$tmp/af-oracle.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -s "$tmp/addr" ]] || { echo "failover oracle never published its address" >&2; exit 1; }
+  -flush-every 0
 oracle="http://$(cat "$tmp/addr")"
 
-rm -f "$tmp/addr"
-"$tmp/viralcast" route -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+launch router_pid "failover router" "$tmp/af-router.log" "$tmp/addr" -- \
+  route -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
   -shards "${af_primaries[0]},${af_primaries[1]}" \
   -replicas-of "0=${af_followers[0]},1=${af_followers[1]}" \
   -auto-failover -suspect-after 2 -probe-every 200ms \
-  -request-timeout 5s 2>"$tmp/af-router.log" &
-router_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$tmp/addr" ]] && break
-  if ! kill -0 "$router_pid" 2>/dev/null; then
-    echo "failover router died during startup:" >&2
-    cat "$tmp/af-router.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -s "$tmp/addr" ]] || { echo "failover router never published its address" >&2; exit 1; }
+  -request-timeout 5s
 router="http://$(cat "$tmp/addr")"
 
 # Routed ingest through the healthy fleet, then make sure both
@@ -473,22 +384,11 @@ go run ./scripts/smoke -base "$router" -wait-failover
 # Resurrect the dead primary on its old address with its old WAL only
 # after the promotion, so it cannot pre-empt the failover by answering
 # probes. The router's observation probes must fence it.
-rm -f "$tmp/addr"
-"$tmp/viralcast" serve -addr "$af_dead_addr" -addr-file "$tmp/addr" \
+launch follower_pid "zombie primary" "$tmp/af-zombie.log" "$tmp/addr" -- \
+  serve -addr "$af_dead_addr" -addr-file "$tmp/addr" \
   -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
   -flush-every 0 -shard-id 0 -ring-size 2 \
-  -wal-dir "$tmp/af-wal-p0" 2>"$tmp/af-zombie.log" &
-follower_pid=$!
-for _ in $(seq 1 100); do
-  [[ -s "$tmp/addr" ]] && break
-  if ! kill -0 "$follower_pid" 2>/dev/null; then
-    echo "zombie primary died during restart:" >&2
-    cat "$tmp/af-zombie.log" >&2
-    exit 1
-  fi
-  sleep 0.1
-done
-[[ -s "$tmp/addr" ]] || { echo "zombie primary never published its address" >&2; exit 1; }
+  -wal-dir "$tmp/af-wal-p0"
 
 go run ./scripts/smoke -base "$router" -post-failover -oracle "$oracle" \
   -zombie "http://$af_dead_addr"

@@ -26,7 +26,9 @@ echo "== baseline and convergence studies =="
 go run ./cmd/figures -fig baselines,convergence -scale "$scale" \
     | tee "$outdir/studies_${scale}.log"
 
+# Timings are not results: they go to the terminal, not to $outdir (the
+# perf record is bench/, compared parent-vs-change by the pipeline).
 echo "== benchmarks =="
-go test -bench=. -benchmem -benchtime=1x . | tee "$outdir/bench.log"
+go test -bench=. -benchmem -benchtime=1x .
 
 echo "done: see $outdir/"

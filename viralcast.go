@@ -26,8 +26,8 @@ import (
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
 	"viralcast/internal/eval"
-	"viralcast/internal/experiments"
 	"viralcast/internal/gdelt"
+	"viralcast/internal/workload"
 )
 
 // Cascade is a time-ordered sequence of node infections — the unit of
@@ -91,17 +91,16 @@ func SimulateSBM(n, count int, window float64, seed uint64) ([]*Cascade, error) 
 	if count < 2 {
 		return nil, fmt.Errorf("viralcast: need at least 2 cascades, got %d", count)
 	}
-	e := experiments.DefaultSBM()
-	e.N = n
-	e.Cascades = count + 1
-	e.Train = count
-	e.Window = window
-	e.Seed = seed
-	w, err := experiments.BuildSBMWorkload(e)
+	c := workload.Default()
+	c.N = n
+	c.Cascades = count
+	c.Window = window
+	c.Seed = seed
+	d, err := workload.Build(c)
 	if err != nil {
 		return nil, err
 	}
-	return w.Train, nil
+	return d.Cascades, nil
 }
 
 // DefaultNewsConfig returns the paper-scale synthetic GDELT
