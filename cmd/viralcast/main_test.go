@@ -328,3 +328,21 @@ func TestCmdServeEndToEnd(t *testing.T) {
 		t.Fatal("daemon did not drain")
 	}
 }
+
+// TestCmdServeLimitFlags passes the throttling flags the way an
+// operator would and asserts the one with a one-request consequence:
+// -simulate-max-trials refuses an over-cap campaign before any compute
+// is admitted, naming the limit.
+func TestCmdServeLimitFlags(t *testing.T) {
+	cascades, model := modelFixture(t)
+	d := start(t, "throttled daemon", cmdServe, serveArgs(cascades, model,
+		"-max-inflight", "1", "-queue", "2", "-request-timeout", "2s", "-simulate-max-trials", "256")...)
+	rej := want(t, 400, "POST", d.base+"/v1/simulate", `{"seed_sets":[{"nodes":[1]}],"trials":257,"horizon":1.0}`)
+	if msg, _ := rej["error"].(string); !strings.Contains(msg, "256") {
+		t.Fatalf("over-cap rejection does not name the limit: %v", rej)
+	}
+	sim := want(t, 200, "POST", d.base+"/v1/simulate", `{"seed_sets":[{"nodes":[1]}],"trials":256,"horizon":0.5}`)
+	if sim["total_trials"] != float64(256) {
+		t.Fatalf("at-cap campaign: %v", sim)
+	}
+}

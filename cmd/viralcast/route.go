@@ -77,25 +77,19 @@ func parseShards(shardList, replicaList string) ([]router.Shard, error) {
 		return nil, fmt.Errorf("route: -shards is required (comma-separated shard base URLs in ring order)")
 	}
 	var fleet []router.Shard
-	for _, raw := range strings.Split(shardList, ",") {
-		u := strings.TrimSpace(raw)
-		if u == "" {
-			return nil, fmt.Errorf("route: -shards has an empty entry")
+	for pos, raw := range strings.Split(shardList, ",") {
+		u, ok := shardTarget(raw)
+		if !ok {
+			return nil, fmt.Errorf("route: -shards entry %d (%q) names no host", pos, raw)
 		}
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		fleet = append(fleet, router.Shard{Primary: strings.TrimRight(u, "/")})
+		fleet = append(fleet, router.Shard{Primary: u})
 	}
-	if replicaList == "" {
-		return fleet, nil
-	}
-	for _, raw := range strings.Split(replicaList, ",") {
+	for pos, raw := range strings.Split(replicaList, ",") {
 		pair := strings.TrimSpace(raw)
 		if pair == "" {
 			continue
 		}
-		idx, u, ok := strings.Cut(pair, "=")
+		idx, target, ok := strings.Cut(pair, "=")
 		if !ok {
 			return nil, fmt.Errorf("route: -replicas-of entry %q is not i=url", pair)
 		}
@@ -103,14 +97,28 @@ func parseShards(shardList, replicaList string) ([]router.Shard, error) {
 		if err != nil || i < 0 || i >= len(fleet) {
 			return nil, fmt.Errorf("route: -replicas-of shard index %q outside fleet [0, %d)", idx, len(fleet))
 		}
-		u = strings.TrimSpace(u)
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
+		u, ok := shardTarget(target)
+		if !ok {
+			return nil, fmt.Errorf("route: -replicas-of entry %d (%q) names no host", pos, pair)
 		}
 		if fleet[i].Follower != "" {
 			return nil, fmt.Errorf("route: shard %d has two followers; one is the limit", i)
 		}
-		fleet[i].Follower = strings.TrimRight(u, "/")
+		fleet[i].Follower = u
 	}
 	return fleet, nil
+}
+
+// shardTarget normalises one base URL of -shards or -replicas-of: the
+// scheme defaults to http and trailing slashes go. False when nothing is
+// left to dial — "", "http://" — which would otherwise become the
+// target "http:".
+func shardTarget(raw string) (string, bool) {
+	u := strings.TrimSpace(raw)
+	if !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	u = strings.TrimRight(u, "/")
+	_, host, _ := strings.Cut(u, "://")
+	return u, host != ""
 }

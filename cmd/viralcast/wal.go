@@ -3,11 +3,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"sort"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/report"
+	"viralcast/internal/serve"
 	"viralcast/internal/wal"
 )
 
@@ -31,13 +32,18 @@ func cmdWAL(args []string) error {
 	verb, args := args[0], args[1:]
 	fs := flag.NewFlagSet("wal "+verb, flag.ExitOnError)
 	dir := fs.String("dir", "", "write-ahead log directory (required)")
-	var out *string
-	var records *bool
-	if verb == "replay" {
-		out = fs.String("out", "", "cascade file output (default stdout)")
-	}
-	if verb == "inspect" {
-		records = fs.Bool("records", false, "also print each record with its (segment, offset) replication cursor")
+	var run func() error
+	switch verb {
+	case "inspect":
+		records := fs.Bool("records", false, "also print each record with its (segment, offset) replication cursor")
+		run = func() error { return walInspect(*dir, *records) }
+	case "verify":
+		run = func() error { return walVerify(*dir) }
+	case "replay":
+		out := fs.String("out", "", "cascade file output (default stdout)")
+		run = func() error { return walReplay(*dir, *out) }
+	default:
+		return fmt.Errorf("wal: unknown verb %q (want inspect, verify, or replay)", verb)
 	}
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -45,16 +51,7 @@ func cmdWAL(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("wal %s: -dir is required", verb)
 	}
-	switch verb {
-	case "inspect":
-		return walInspect(*dir, *records)
-	case "verify":
-		return walVerify(*dir)
-	case "replay":
-		return walReplay(*dir, *out)
-	default:
-		return fmt.Errorf("wal: unknown verb %q (want inspect, verify, or replay)", verb)
-	}
+	return run()
 }
 
 // walScanAll scans every segment in dir in sequence order.
@@ -152,6 +149,9 @@ func walVerify(dir string) error {
 	if err != nil {
 		return err
 	}
+	if len(scans) == 0 {
+		return fmt.Errorf("wal verify: no segments in %s", dir)
+	}
 	torn := 0
 	for _, s := range scans {
 		if s.Torn {
@@ -166,38 +166,27 @@ func walVerify(dir string) error {
 	return nil
 }
 
-// walReplay folds the log into cascades, exactly as daemon recovery
-// does: later duplicates of a (cascade, node) pair — e.g. from a
-// compaction snapshot overlapping subsequent appends — are dropped.
+// walReplay folds the log into cascades exactly as daemon recovery
+// does, by making recovery's call: every record goes to a fresh store,
+// whose duplicate guard drops the later copies of a (cascade, node)
+// pair — e.g. a compaction snapshot overlapping subsequent appends.
 func walReplay(dir, out string) error {
-	type seen struct{ cascade, node int }
-	dedup := make(map[seen]bool)
-	byID := make(map[int]*cascade.Cascade)
-	_, err := walScanAll(dir, func(ev wal.Event) error {
-		k := seen{ev.Cascade, ev.Node}
-		if dedup[k] {
-			return nil
-		}
-		dedup[k] = true
-		c := byID[ev.Cascade]
-		if c == nil {
-			c = &cascade.Cascade{ID: ev.Cascade}
-			byID[ev.Cascade] = c
-		}
-		c.Infections = append(c.Infections, cascade.Infection{Node: ev.Node, Time: ev.Time})
+	store := serve.NewStore()
+	if _, err := walScanAll(dir, func(ev wal.Event) error {
+		store.Append(ev, math.MaxInt) //nolint:errcheck // a reject is a replayed duplicate, as in Server.openWAL
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	cs := make([]*cascade.Cascade, 0, len(byID))
-	for _, c := range byID {
-		sort.SliceStable(c.Infections, func(a, b int) bool {
-			return c.Infections[a].Time < c.Infections[b].Time
-		})
-		cs = append(cs, c)
+	events := store.AllEvents() // cascades ascending by id, each run in store order
+	var cs []*cascade.Cascade
+	for _, ev := range events {
+		if len(cs) == 0 || cs[len(cs)-1].ID != ev.Cascade {
+			cs = append(cs, &cascade.Cascade{ID: ev.Cascade})
+		}
+		c := cs[len(cs)-1]
+		c.Infections = append(c.Infections, cascade.Infection{Node: ev.Node, Time: ev.Time})
 	}
-	sort.Slice(cs, func(a, b int) bool { return cs[a].ID < cs[b].ID })
 	dst := os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -211,6 +200,6 @@ func walReplay(dir, out string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "replayed %d cascades (%d infections) from %s\n",
-		len(cs), len(dedup), dir)
+		len(cs), len(events), dir)
 	return nil
 }

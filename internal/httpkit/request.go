@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -105,68 +104,4 @@ func WriteDeadline(w http.ResponseWriter, err error) {
 		"error":  fmt.Sprintf("request deadline exceeded: %v", err),
 		"reason": "deadline",
 	})
-}
-
-// statusRecorder captures the status code a handler writes so the
-// middleware can label the response-class counter.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the wrapped writer. Embedding the ResponseWriter
-// interface hides http.Flusher, and a streaming handler behind the
-// middleware (the replication tail) that cannot flush leaves its frames
-// and heartbeats in net/http's buffer for seconds.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// ExpvarHandler serves an expvar tree as JSON: a daemon's /metrics.
-func ExpvarHandler(root *expvar.Map) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintln(w, root.String())
-	}
-}
-
-// statusClasses are the response-class labels, indexed by status/100.
-var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx"}
-
-// StatusClass returns the status-class counter label ("2xx", "5xx")
-// without formatting one per request.
-func StatusClass(status int) string {
-	if c := status / 100; c >= 0 && c < len(statusClasses) {
-		return statusClasses[c]
-	}
-	return fmt.Sprintf("%dxx", status/100)
-}
-
-// Instrument wraps a handler with request accounting: observe receives
-// the endpoint label, the status the handler answered, and how long it
-// took.
-func Instrument(label string, observe func(label string, status int, elapsed time.Duration), h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		h(rec, r)
-		if rec.status == 0 {
-			rec.status = http.StatusOK
-		}
-		observe(label, rec.status, time.Since(start))
-	}
 }

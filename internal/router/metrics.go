@@ -2,21 +2,15 @@ package router
 
 import (
 	"expvar"
-	"time"
 
 	"viralcast/internal/httpkit"
 )
 
-// Metrics is the router's observability surface: expvar-backed, kept
-// off the global registry (same convention as internal/serve) so
-// multiple routers in one process — tests, embedded uses — never
-// collide on published names. Every key is always published, zero
-// before first use, so dashboards see a stable shape.
+// Metrics is the router's observability surface: the request tree it
+// shares with internal/serve (httpkit.Metrics) plus the router's own
+// counters and gauges.
 type Metrics struct {
-	root *expvar.Map
-
-	requests *expvar.Map // per-endpoint request counts
-	status   *expvar.Map // response counts by status class
+	httpkit.Metrics
 
 	fanouts         *expvar.Int // scatter-gather rounds executed
 	partials        *expvar.Int // degraded partial results served
@@ -32,32 +26,25 @@ type Metrics struct {
 	failovers       *expvar.Int // automatic promotions completed
 }
 
-func newRouterMetrics(ringSize int, started time.Time, health func() []probeResult, det *detector) *Metrics {
-	root := new(expvar.Map).Init()
-	counter := func(name string) *expvar.Int { v := new(expvar.Int); root.Set(name, v); return v }
-	submap := func(name string) *expvar.Map { v := new(expvar.Map).Init(); root.Set(name, v); return v }
+func newRouterMetrics(ringSize int, health func() []probeResult, det *detector) *Metrics {
+	base := httpkit.NewMetrics()
 	m := &Metrics{
-		root:            root,
-		requests:        submap("requests"),
-		status:          submap("responses_by_status"),
-		fanouts:         counter("fanouts"),
-		partials:        counter("partial_results"),
-		proxied:         counter("proxied_requests"),
-		relayFailovers:  counter("relay_failovers"),
-		shardErrors:     submap("shard_errors"),
-		followerRetries: counter("follower_retries"),
-		hedges:          counter("hedged_requests"),
-		hedgeWins:       counter("hedge_wins"),
-		cacheHits:       counter("cache_hits"),
-		cacheMiss:       counter("cache_misses"),
-		probes:          counter("probe_rounds"),
-		failovers:       counter("router_failovers_total"),
+		Metrics:         base,
+		fanouts:         base.Counter("fanouts"),
+		partials:        base.Counter("partial_results"),
+		proxied:         base.Counter("proxied_requests"),
+		relayFailovers:  base.Counter("relay_failovers"),
+		shardErrors:     base.Submap("shard_errors"),
+		followerRetries: base.Counter("follower_retries"),
+		hedges:          base.Counter("hedged_requests"),
+		hedgeWins:       base.Counter("hedge_wins"),
+		cacheHits:       base.Counter("cache_hits"),
+		cacheMiss:       base.Counter("cache_misses"),
+		probes:          base.Counter("probe_rounds"),
+		failovers:       base.Counter("router_failovers_total"),
 	}
-	m.root.Set("ring_size", expvar.Func(func() any { return ringSize }))
-	m.root.Set("uptime_seconds", expvar.Func(func() any {
-		return time.Since(started).Seconds()
-	}))
-	m.root.Set("shards_healthy", expvar.Func(func() any {
+	m.Gauge("ring_size", func() any { return ringSize })
+	m.Gauge("shards_healthy", func() any {
 		n := 0
 		for _, pr := range health() {
 			if pr.Healthy {
@@ -65,30 +52,26 @@ func newRouterMetrics(ringSize int, started time.Time, health func() []probeResu
 			}
 		}
 		return n
-	}))
-	m.root.Set("shard_health", expvar.Func(func() any {
+	})
+	m.Gauge("shard_health", func() any {
 		out := make(map[string]bool, ringSize)
 		for i, pr := range health() {
 			out[ShardName(i)] = pr.Healthy
 		}
 		return out
-	}))
+	})
 	// Supervision surface: how many automatic promotions the router has
 	// driven, how many fenced nodes it is holding in quarantine, and
 	// the fencing epoch it believes is current per shard chain.
-	m.root.Set("router_quarantined", expvar.Func(func() any {
-		return det.quarantinedCount()
-	}))
-	m.root.Set("shard_epochs", expvar.Func(func() any {
-		return det.epochMap()
-	}))
-	m.root.Set("failure_detector", expvar.Func(func() any {
+	m.Gauge("router_quarantined", func() any { return det.quarantinedCount() })
+	m.Gauge("shard_epochs", func() any { return det.epochMap() })
+	m.Gauge("failure_detector", func() any {
 		out := make(map[string]string, ringSize)
 		for name, st := range det.statusMap() {
 			out[name] = st.State
 		}
 		return out
-	}))
+	})
 	return m
 }
 
@@ -98,11 +81,4 @@ func (m *Metrics) countCache(hit bool) {
 	} else {
 		m.cacheMiss.Add(1)
 	}
-}
-
-// observe records one completed request under its endpoint label (the
-// router keeps no latency histogram; elapsed is unused).
-func (m *Metrics) observe(endpoint string, status int, _ time.Duration) {
-	m.requests.Add(endpoint, 1)
-	m.status.Add(httpkit.StatusClass(status), 1)
 }

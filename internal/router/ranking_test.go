@@ -213,8 +213,7 @@ func TestPartialNeverBecomesOrEvictsTheRanking(t *testing.T) {
 // until the second request has joined its flight — and both bodies must
 // say partial:true, cached:false. The joiner used to be told hit=true,
 // which the handler copied into "cached": a partial ranking claiming to
-// be cached, the pair chaos_test.go and the smoke client call a
-// violation.
+// be cached, the pair chaos_test.go calls a violation.
 func TestPartialJoinerNeverClaimsCached(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})

@@ -116,7 +116,7 @@ func New(cfg Config) (*Router, error) {
 		det:      newDetector(cfg.Shards, cfg.SuspectAfter, cfg.AutoFailover),
 		probeRes: make([]probeResult, len(cfg.Shards)),
 	}
-	rt.metrics = newRouterMetrics(len(cfg.Shards), time.Now(), rt.healthSnapshot, rt.det)
+	rt.metrics = newRouterMetrics(len(cfg.Shards), rt.healthSnapshot, rt.det)
 	rt.client = newClient(cfg.Hedge, rt.metrics)
 	rt.handler = rt.routes()
 	return rt, nil
@@ -134,7 +134,7 @@ func (rt *Router) shard(i int) Shard { return rt.det.shard(i) }
 func (rt *Router) routes() http.Handler {
 	mux := http.NewServeMux()
 	control := func(pattern, label string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, httpkit.Instrument(label, rt.metrics.observe, h))
+		mux.HandleFunc(pattern, rt.metrics.Instrument(label, h))
 	}
 	// Data-plane requests carry the per-request deadline; shard calls
 	// inherit it through the request context.
@@ -153,7 +153,7 @@ func (rt *Router) routes() http.Handler {
 	add("POST /v1/features:batch", "features_batch", rt.fanoutBatch("/v1/features:batch"))
 	control("GET /healthz", "healthz", rt.handleHealthz)
 	control("GET /readyz", "readyz", rt.handleReadyz)
-	mux.HandleFunc("GET /metrics", httpkit.ExpvarHandler(rt.metrics.root))
+	mux.Handle("GET /metrics", rt.metrics)
 	return mux
 }
 
@@ -184,8 +184,8 @@ func (rt *Router) shardBudget(ctx context.Context) (context.Context, context.Can
 // Handler returns the router's HTTP handler for embedding.
 func (rt *Router) Handler() http.Handler { return rt.handler }
 
-// Ring exposes the routing ring (read-only) for clients that want to
-// predict placement — the smoke client's affinity assertions use it.
+// Ring exposes the routing ring (read-only) to in-process callers that
+// want to predict placement: the tests' affinity assertions use it.
 func (rt *Router) Ring() *Ring { return rt.ring }
 
 // Listen binds addr (port 0 picks a free port).

@@ -546,6 +546,14 @@ func TestSimulateThroughRouter(t *testing.T) {
 			t.Fatalf("simulate %q differs through the router\n got %s\nwant %s", field, got, want)
 		}
 	}
+	// The relay keeps the shard's cache semantics: the identical spec
+	// lands on the same shard and comes back from its cache.
+	if decodeJSON(t, bodyR)["cached"] != false {
+		t.Fatalf("first routed campaign claims cached: %s", bodyR)
+	}
+	if code, again := postRaw(t, f.url()+"/v1/simulate", spec); code != http.StatusOK || decodeJSON(t, again)["cached"] != true {
+		t.Fatalf("repeated routed campaign = %d, not served from the shard's cache: %s", code, again)
+	}
 }
 
 // deadURL returns a URL on a port that was just closed: connections

@@ -147,6 +147,11 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	if got := <-queued; got != http.StatusOK {
 		t.Fatalf("queued request after release: status %d", got)
 	}
+	// Honoring the hint works: the request that was shed goes through
+	// once the class has room again.
+	if status, body := getJSON(t, ts.URL+"/v1/seeds?k=3&horizon=3"); status != http.StatusOK {
+		t.Fatalf("shed request retried after the release: status %d, body %v", status, body)
+	}
 
 	// The shed shows up both in the overload_shed counter and the
 	// admission snapshot gauge.

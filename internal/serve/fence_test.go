@@ -228,8 +228,8 @@ func TestPromoteEpochMonotonicProperty(t *testing.T) {
 }
 
 // TestPredictCarriesEpoch: the per-prediction epoch matches /readyz
-// and /metrics — the consistency triangle the smoke client asserts
-// fleet-wide.
+// and /metrics — the consistency triangle TestCmdPromoteFailover
+// (cmd/viralcast) closes through a router after a failover.
 func TestPredictCarriesEpoch(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newWALServer(t, dir)

@@ -27,7 +27,7 @@ const maxBodyBytes = 8 << 20
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	control := func(pattern, label string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, httpkit.Instrument(label, s.metrics.observe, h))
+		mux.HandleFunc(pattern, s.metrics.Instrument(label, h))
 	}
 	add := func(pattern, label, class string, h http.HandlerFunc) {
 		h = s.admit(class, h)
@@ -51,7 +51,7 @@ func (s *Server) routes() http.Handler {
 	control("POST /v1/flush", "flush", s.fenceGate(s.handleFlush))
 	control("GET /healthz", "healthz", s.handleHealthz)
 	control("GET /readyz", "readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", httpkit.ExpvarHandler(s.metrics.root))
+	mux.Handle("GET /metrics", s.metrics)
 	if s.cfg.WALDir != "" {
 		// Replication surface, control plane like /metrics: a follower
 		// catching up must keep streaming while the data plane sheds
@@ -660,10 +660,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp["read_only"] = true
 	}
 	if st, ok := s.replStatus(); ok {
-		// Replication lag surface: load balancers and the smoke
-		// client's -follow mode key off "replication" being "current".
-		// The chain fingerprint is the follower's verified-prefix proof;
-		// the router checks it is present before auto-promoting.
+		// Replication lag surface: load balancers key off "replication"
+		// being "current". The chain fingerprint is the follower's
+		// verified-prefix proof; the router checks it is present before
+		// auto-promoting.
 		resp["replication"] = st.State
 		resp["replication_servable"] = st.Servable
 		resp["replication_lag_records"] = st.LagRecords

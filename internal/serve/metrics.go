@@ -11,24 +11,12 @@ import (
 	"viralcast/internal/wal"
 )
 
-// latencyBuckets are the upper bounds (milliseconds) of the request
-// latency histogram and latencyKeys their metric names, formatted once;
-// the last bucket, "inf", is unbounded.
-var (
-	latencyBuckets = [...]float64{1, 5, 25, 100, 500}
-	latencyKeys    = [...]string{"le_1ms", "le_5ms", "le_25ms", "le_100ms", "le_500ms"}
-)
-
-// Metrics is the daemon's observability surface, backed by expvar types
-// but kept off the global expvar registry so multiple servers (tests,
-// embedded uses) never collide on published names. The /metrics endpoint
-// renders the whole tree as JSON via expvar.Map's String method.
+// Metrics is the daemon's observability surface: the shared request
+// tree (httpkit.Metrics owns the root, the per-request subtrees and the
+// /metrics handler) plus the daemon's own counters and gauges.
 type Metrics struct {
-	root *expvar.Map
+	httpkit.Metrics
 
-	requests      *expvar.Map // per-endpoint request counts
-	status        *expvar.Map // response counts by status class (2xx/4xx/5xx)
-	latency       *expvar.Map // latency histogram buckets, all endpoints
 	events        *expvar.Int // total ingested infection events
 	cacheHits     *expvar.Int
 	cacheMiss     *expvar.Int
@@ -53,7 +41,7 @@ type Metrics struct {
 
 // latencyRing keeps the most recent observations of a sparse, possibly
 // long-running operation so /metrics can report live quantiles. The
-// bucketed histogram above is wrong for this: scenario batches span
+// bucketed request histogram is wrong for this: scenario batches span
 // microseconds (tiny cached models) to seconds (4k trials on a big
 // universe), and the interesting question is "what are batches costing
 // lately", not "since process start".
@@ -93,7 +81,6 @@ func (r *latencyRing) quantile(q float64) float64 {
 type metricsHooks struct {
 	liveCascades func() int
 	generation   func() uint64
-	started      time.Time
 	walStats     func() (wal.Stats, bool)
 	admission    func() map[string]admissionSnapshot
 	health       func() healthSnapshot
@@ -110,114 +97,92 @@ type metricsHooks struct {
 }
 
 // newMetrics wires the metric tree. The wal_* counters are always
-// published (zero when the WAL is disabled) so dashboards and the smoke
-// client never see the key set change shape; wal_replayed_records
-// counts events actually restored into the store at startup, net of the
-// duplicates a compaction overlap replays. The overload_* tree and the
+// published (zero when the WAL is disabled) so dashboards never see
+// the key set change shape; wal_replayed_records counts events actually
+// restored into the store at startup, net of the duplicates a
+// compaction overlap replays. The overload_* tree and the
 // degraded/stale gauges are the operator's view of the resilience
 // layer: sheds and queue depths per route class, whether ingestion is
 // read-only and why, and whether the serving generation is stale.
 func newMetrics(hooks metricsHooks) *Metrics {
-	root := new(expvar.Map).Init()
-	counter := func(name string) *expvar.Int { v := new(expvar.Int); root.Set(name, v); return v }
-	submap := func(name string) *expvar.Map { v := new(expvar.Map).Init(); root.Set(name, v); return v }
+	base := httpkit.NewMetrics()
 	m := &Metrics{
-		root:          root,
-		requests:      submap("requests"),
-		status:        submap("responses_by_status"),
-		latency:       submap("latency_ms"),
-		events:        counter("events_ingested"),
-		cacheHits:     counter("cache_hits"),
-		cacheMiss:     counter("cache_misses"),
-		reloads:       counter("model_reloads"),
-		flushes:       counter("model_flushes"),
-		shed:          submap("overload_shed"),
-		deadlines:     counter("deadline_exceeded"),
-		readOnly:      counter("readonly_rejects"),
-		flushFailures: counter("flush_failures"),
-		walRecoveries: counter("wal_recoveries"),
+		Metrics:       base,
+		events:        base.Counter("events_ingested"),
+		cacheHits:     base.Counter("cache_hits"),
+		cacheMiss:     base.Counter("cache_misses"),
+		reloads:       base.Counter("model_reloads"),
+		flushes:       base.Counter("model_flushes"),
+		shed:          base.Submap("overload_shed"),
+		deadlines:     base.Counter("deadline_exceeded"),
+		readOnly:      base.Counter("readonly_rejects"),
+		flushFailures: base.Counter("flush_failures"),
+		walRecoveries: base.Counter("wal_recoveries"),
 
-		followerRejects: counter("repl_follower_rejects"),
-		replUnservable:  counter("repl_unservable_rejects"),
-		promotions:      counter("repl_promotions"),
-		fenceRejects:    counter("fence_rejects"),
+		followerRejects: base.Counter("repl_follower_rejects"),
+		replUnservable:  base.Counter("repl_unservable_rejects"),
+		promotions:      base.Counter("repl_promotions"),
+		fenceRejects:    base.Counter("fence_rejects"),
 
-		scenarioTrials: counter("scenario_trials_total"),
-		scenarioRuns:   counter("scenario_runs_total"),
-		scenarioActive: counter("scenario_active"),
+		scenarioTrials: base.Counter("scenario_trials_total"),
+		scenarioRuns:   base.Counter("scenario_runs_total"),
+		scenarioActive: base.Counter("scenario_active"),
 		scenarioLat:    &latencyRing{},
 	}
-	for _, key := range latencyKeys {
-		m.latency.Set(key, new(expvar.Int))
+	// flag publishes a condition as 0/1.
+	flag := func(name string, on func() bool) {
+		m.Gauge(name, func() any {
+			if on() {
+				return 1
+			}
+			return 0
+		})
 	}
-	m.latency.Set("inf", new(expvar.Int))
-	m.root.Set("live_cascades", expvar.Func(func() any { return hooks.liveCascades() }))
-	m.root.Set("model_generation", expvar.Func(func() any { return hooks.generation() }))
-	m.root.Set("cache_hit_ratio", expvar.Func(func() any {
+	m.Gauge("live_cascades", func() any { return hooks.liveCascades() })
+	m.Gauge("model_generation", func() any { return hooks.generation() })
+	m.Gauge("cache_hit_ratio", func() any {
 		h, ms := m.cacheHits.Value(), m.cacheMiss.Value()
 		if h+ms == 0 {
 			return 0.0
 		}
 		return float64(h) / float64(h+ms)
-	}))
-	m.root.Set("uptime_seconds", expvar.Func(func() any {
-		return time.Since(hooks.started).Seconds()
-	}))
+	})
 
 	// Sharding identity, always published (-1/0 unsharded) so the
 	// router and dashboards can verify ring membership against a stable
 	// key set.
-	m.root.Set("shard_id", expvar.Func(func() any { return hooks.shardID }))
-	m.root.Set("ring_size", expvar.Func(func() any { return hooks.ringSize }))
+	m.Gauge("shard_id", func() any { return hooks.shardID })
+	m.Gauge("ring_size", func() any { return hooks.ringSize })
 
 	// Overload-resilience surface: admission counters by route class,
 	// deadline/read-only rejects, and the degraded/stale health gauges.
-	m.root.Set("overload_admission", expvar.Func(func() any { return hooks.admission() }))
-	m.root.Set("degraded", expvar.Func(func() any {
-		if hooks.health().DegradedCause != "" {
-			return 1
-		}
-		return 0
-	}))
-	m.root.Set("degraded_cause", expvar.Func(func() any { return hooks.health().DegradedCause }))
-	m.root.Set("degraded_seconds", expvar.Func(func() any {
-		return hooks.health().DegradedFor.Seconds()
-	}))
-	m.root.Set("model_stale", expvar.Func(func() any {
-		if hooks.health().Stale {
-			return 1
-		}
-		return 0
-	}))
-	m.root.Set("model_staleness_seconds", expvar.Func(func() any {
-		return hooks.health().StaleFor.Seconds()
-	}))
+	m.Gauge("overload_admission", func() any { return hooks.admission() })
+	flag("degraded", func() bool { return hooks.health().DegradedCause != "" })
+	m.Gauge("degraded_cause", func() any { return hooks.health().DegradedCause })
+	m.Gauge("degraded_seconds", func() any { return hooks.health().DegradedFor.Seconds() })
+	flag("model_stale", func() bool { return hooks.health().Stale })
+	m.Gauge("model_staleness_seconds", func() any { return hooks.health().StaleFor.Seconds() })
 
 	// Replication surface: role, follower lag/reconnect gauges (live
 	// reads off the follower's status, zero on a pure primary), and the
 	// role-transition counters. Always published, like the wal_* tree,
 	// so dashboards see a stable key set on every node of the pair.
-	m.root.Set("repl_role", expvar.Func(func() any {
+	m.Gauge("repl_role", func() any {
 		if hooks.isFollower() {
 			return "follower"
 		}
 		return "primary"
-	}))
+	})
 
 	// Fencing surface: the persisted epoch, whether a higher foreign
 	// epoch has fenced this node, and how many writes the fence has
 	// bounced. Always published (0/false) so the key set is stable.
-	m.root.Set("epoch", expvar.Func(func() any { return hooks.epoch() }))
-	m.root.Set("fenced", expvar.Func(func() any {
-		if _, fenced := hooks.fencing(); fenced {
-			return 1
-		}
-		return 0
-	}))
-	m.root.Set("fencing_epoch", expvar.Func(func() any {
+	m.Gauge("epoch", func() any { return hooks.epoch() })
+	flag("fenced", func() bool { _, fenced := hooks.fencing(); return fenced })
+	m.Gauge("fencing_epoch", func() any {
 		by, _ := hooks.fencing()
 		return by
-	}))
+	})
 	replGauge := func(pick func(repl.Status) any) expvar.Func {
 		return func() any {
 			st, ok := hooks.replStatus()
@@ -227,53 +192,34 @@ func newMetrics(hooks metricsHooks) *Metrics {
 			return pick(st)
 		}
 	}
-	m.root.Set("repl_state", replGauge(func(st repl.Status) any { return st.State }))
-	m.root.Set("repl_servable", replGauge(func(st repl.Status) any { return st.Servable }))
-	m.root.Set("repl_lag_records", replGauge(func(st repl.Status) any { return st.LagRecords }))
-	m.root.Set("repl_lag_seconds", replGauge(func(st repl.Status) any { return st.LagSeconds }))
-	m.root.Set("repl_reconnects", replGauge(func(st repl.Status) any { return st.Reconnects }))
+	m.Gauge("repl_state", replGauge(func(st repl.Status) any { return st.State }))
+	m.Gauge("repl_servable", replGauge(func(st repl.Status) any { return st.Servable }))
+	m.Gauge("repl_lag_records", replGauge(func(st repl.Status) any { return st.LagRecords }))
+	m.Gauge("repl_lag_seconds", replGauge(func(st repl.Status) any { return st.LagSeconds }))
+	m.Gauge("repl_reconnects", replGauge(func(st repl.Status) any { return st.Reconnects }))
 
 	// Scenario-engine surface: work volume (trials), batch cadence, a
 	// live gauge of in-flight simulations, and recent-batch latency
 	// quantiles. Always published, zero/-1 before the first simulate.
-	m.root.Set("scenario_batch_latency_ms_p50", expvar.Func(func() any {
-		return m.scenarioLat.quantile(0.50)
-	}))
-	m.root.Set("scenario_batch_latency_ms_p99", expvar.Func(func() any {
-		return m.scenarioLat.quantile(0.99)
-	}))
+	m.Gauge("scenario_batch_latency_ms_p50", func() any { return m.scenarioLat.quantile(0.50) })
+	m.Gauge("scenario_batch_latency_ms_p99", func() any { return m.scenarioLat.quantile(0.99) })
 
-	m.root.Set("wal_enabled", expvar.Func(func() any {
+	m.Gauge("wal_enabled", func() any {
 		_, on := hooks.walStats()
 		return on
-	}))
+	})
 	walGauge := func(pick func(wal.Stats) uint64) expvar.Func {
 		return func() any {
 			st, _ := hooks.walStats()
 			return pick(st)
 		}
 	}
-	m.root.Set("wal_appends", walGauge(func(st wal.Stats) uint64 { return st.Appends }))
-	m.root.Set("wal_fsyncs", walGauge(func(st wal.Stats) uint64 { return st.Fsyncs }))
-	m.root.Set("wal_bytes", walGauge(func(st wal.Stats) uint64 { return st.Bytes }))
-	m.root.Set("wal_replayed_records", walGauge(func(st wal.Stats) uint64 { return st.Replayed }))
-	m.root.Set("wal_compactions", walGauge(func(st wal.Stats) uint64 { return st.Compactions }))
-	m.root.Set("wal_torn_tail_truncations", walGauge(func(st wal.Stats) uint64 { return st.TornTruncations }))
-	m.root.Set("wal_segments", walGauge(func(st wal.Stats) uint64 { return st.Segments }))
+	m.Gauge("wal_appends", walGauge(func(st wal.Stats) uint64 { return st.Appends }))
+	m.Gauge("wal_fsyncs", walGauge(func(st wal.Stats) uint64 { return st.Fsyncs }))
+	m.Gauge("wal_bytes", walGauge(func(st wal.Stats) uint64 { return st.Bytes }))
+	m.Gauge("wal_replayed_records", walGauge(func(st wal.Stats) uint64 { return st.Replayed }))
+	m.Gauge("wal_compactions", walGauge(func(st wal.Stats) uint64 { return st.Compactions }))
+	m.Gauge("wal_torn_tail_truncations", walGauge(func(st wal.Stats) uint64 { return st.TornTruncations }))
+	m.Gauge("wal_segments", walGauge(func(st wal.Stats) uint64 { return st.Segments }))
 	return m
-}
-
-// observe records one completed request: endpoint counter, status class,
-// and the latency histogram bucket.
-func (m *Metrics) observe(endpoint string, status int, elapsed time.Duration) {
-	m.requests.Add(endpoint, 1)
-	m.status.Add(httpkit.StatusClass(status), 1)
-	ms := float64(elapsed) / float64(time.Millisecond)
-	for i, b := range latencyBuckets {
-		if ms < b {
-			m.latency.Add(latencyKeys[i], 1)
-			return
-		}
-	}
-	m.latency.Add("inf", 1)
 }

@@ -130,7 +130,7 @@ func TestFollowerReplicatesAndServes(t *testing.T) {
 	}
 
 	// Lag and reconnect metrics are visible, and readyz reports the role
-	// and replication state the smoke client keys on.
+	// and replication state load balancers key on.
 	_, m := getJSON(t, fts.URL+"/metrics")
 	if m["repl_role"] != "follower" || m["repl_state"] != "current" {
 		t.Fatalf("follower metrics: role=%v state=%v", m["repl_role"], m["repl_state"])

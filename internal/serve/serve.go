@@ -285,7 +285,6 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newMetrics(metricsHooks{
 		liveCascades: s.store.Len,
 		generation:   s.Generation,
-		started:      time.Now(),
 		walStats:     s.walStats,
 		admission:    s.admission.snapshot,
 		health:       s.healthSnapshot,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -52,6 +53,57 @@ func TestSimulateDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if bodies[0] != bodies[1] {
 		t.Fatalf("simulate JSON differs across GOMAXPROCS:\n1: %s\n8: %s", bodies[0], bodies[1])
+	}
+}
+
+// TestSimulateResponseSchema pins the /v1/simulate body field by field:
+// every name and JSON kind a client reads, nothing unknown beside them,
+// and total_trials = trials x seed sets.
+func TestSimulateResponseSchema(t *testing.T) {
+	srv, _ := newTestServer(t)
+	w := postSimulate(t, srv.Handler(), simSpec)
+	if w.Code != http.StatusOK {
+		t.Fatalf("simulate = %d: %s", w.Code, w.Body.String())
+	}
+	type dist struct {
+		Mean, P50, P90, P99 *float64
+		Min, Max            *int
+	}
+	var got struct {
+		Trials      *int        `json:"trials"`
+		Horizon     *float64    `json:"horizon"`
+		Seed        *uint64     `json:"seed"`
+		TotalTrials *int        `json:"total_trials"`
+		Cached      *bool       `json:"cached"`
+		Generation  *uint64     `json:"generation"`
+		WinRate     [][]float64 `json:"win_rate"`
+		Sets        []struct {
+			Name       *string           `json:"name"`
+			Seeds      []int             `json:"seeds"`
+			Reach      *dist             `json:"reach"`
+			Milestones []json.RawMessage `json:"milestones"`
+			Topics     []json.RawMessage `json:"topics"`
+		} `json:"sets"`
+	}
+	dec := json.NewDecoder(w.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&got); err != nil {
+		t.Fatalf("simulate body does not fit the published schema: %v", err)
+	}
+	if got.Trials == nil || got.Horizon == nil || got.Seed == nil || got.TotalTrials == nil || got.Cached == nil || got.Generation == nil {
+		t.Fatalf("a top-level field is missing: %+v", got)
+	}
+	if *got.Trials != 30 || *got.TotalTrials != 60 || *got.Seed != 1234 || *got.Horizon != 2 {
+		t.Fatalf("spec not echoed: trials %d total %d seed %d horizon %v", *got.Trials, *got.TotalTrials, *got.Seed, *got.Horizon)
+	}
+	if len(got.Sets) != 2 || len(got.WinRate) != 2 || len(got.WinRate[0]) != 2 {
+		t.Fatalf("%d sets, win_rate %v", len(got.Sets), got.WinRate)
+	}
+	for i, set := range got.Sets {
+		r := set.Reach
+		if set.Name == nil || len(set.Seeds) != 3 || r == nil || r.Mean == nil || r.P50 == nil || r.P90 == nil || r.P99 == nil || r.Min == nil || r.Max == nil {
+			t.Fatalf("sets.%d lacks a field: %+v", i, set)
+		}
 	}
 }
 

@@ -1,23 +1,15 @@
 #!/usr/bin/env bash
-# ci.sh — the repo's verification gate: static checks, build, the full
-# test suite, the race detector on the packages that exercise
-# concurrency (the worker pool, the parallel/Hogwild optimizers, SLPA,
-# the serving daemon, the write-ahead log, the router, the Monte Carlo
-# scenario engine), and a live smoke test of
-# viralcastd including crash replay: the daemon is SIGKILLed mid-stream
-# and restarted on the same WAL directory, which must restore the
-# ingested cascade. Then a replication failover: a
-# primary/follower pair, the primary SIGKILLed, the follower promoted,
-# and the durably-acknowledged prefix verified on the promoted node.
-# Then a routed fleet: three sharded daemons behind a
-# `viralcast route` front-end, smoke-tested through the router (ring
-# affinity, rankings byte-identical to an unsharded oracle, simulate),
-# then one shard SIGKILLed and the degraded-partial contract verified.
-# The final stage is the self-healing fleet: sharded primaries with
-# replication followers behind `viralcast route -auto-failover`, one
-# primary SIGKILLed, the router promoting its follower at a fresh
-# fencing epoch with zero manual promotes, and the restarted zombie
-# primary verified fenced.
+# ci.sh — the repo's verification gate. The gate is `go test`: every API
+# contract is asserted once in-process (internal/serve, internal/router,
+# cmd/viralcast run the real subcommands on goroutines) and once under
+# SIGKILL by re-exec'd test binaries. This script runs those — plain, then
+# under the race detector on the packages that exercise concurrency —
+# plus the static checks, the fuzz tripwires, the benchmark's oracle and
+# pins, and the two checks only a real process can make of the *built*
+# binary: "crash" (kill -9 a daemon mid-stream, restart it on the same
+# -wal-dir, the cascade is served again; SIGTERM exits 0) and "fleet"
+# (three shard processes behind `viralcast route`, kill -9 one, the
+# ranking degrades to a partial naming it; every process drains to 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,7 +32,7 @@ echo "== go test ./..."
 go test -shuffle=on ./...
 
 echo "== go test -race (concurrent packages, incl. the chaos soak)"
-go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./internal/httpkit/ ./internal/serve/ ./internal/wal/ ./internal/repl/ ./internal/inflmax/ ./internal/core/ ./internal/scenario/ ./internal/router/
+go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./internal/httpkit/ ./internal/serve/ ./internal/wal/ ./internal/repl/ ./internal/inflmax/ ./internal/core/ ./internal/scenario/ ./internal/router/ ./cmd/viralcast/
 
 # The simulator is held, draw for draw, to the version that heaps every
 # attempt, and the scenario engine to one answer at any worker count: a
@@ -132,14 +124,13 @@ if [[ "$(go env GOARCH)" == amd64 && "$last" != *'"f1":{"value":0.50143266475644
   exit 1
 fi
 
-echo "== viralcastd smoke test"
+echo "== live stage 1/2: crash (the built binary, kill -9, restart on the same WAL)"
 tmp="$(mktemp -d)"
 daemon_pid=""
-follower_pid=""
 router_pid=""
 shard_pids=()
 cleanup() {
-  for pid in "$daemon_pid" "$follower_pid" "$router_pid" ${shard_pids[@]+"${shard_pids[@]}"}; do
+  for pid in "$daemon_pid" "$router_pid" ${shard_pids[@]+"${shard_pids[@]}"}; do
     if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
       kill -9 "$pid" 2>/dev/null || true
     fi
@@ -149,6 +140,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$tmp/viralcast" ./cmd/viralcast
+go build -o "$tmp/smoke" ./scripts/smoke
 "$tmp/viralcast" version
 "$tmp/viralcast" simulate -n 150 -cascades 300 -window 8 -seed 7 -out "$tmp/cascades.txt"
 "$tmp/viralcast" infer -in "$tmp/cascades.txt" -topics 2 -iters 6 -seed 7 -out "$tmp/model.txt"
@@ -178,109 +170,49 @@ launch() {
   exit 1
 }
 
-# start_daemon LOGFILE: viralcastd with durable ingestion on a random
-# port. The tight -simulate-max-trials lets the smoke client prove the
-# scenario-engine cap rejects oversized campaigns before any compute is
-# admitted.
+# drain PIDVAR NAME LOGFILE: SIGTERM must drain and exit 0 — main's
+# signal wiring, which no in-process test reaches.
+drain() {
+  local pidvar="$1" name="$2" log="$3"
+  kill -TERM "${!pidvar}"
+  if ! wait "${!pidvar}"; then
+    echo "$name did not shut down cleanly:" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  printf -v "$pidvar" %s ""
+}
+
+# start_daemon LOGFILE: viralcastd with durable ingestion on a random port.
 start_daemon() {
   launch daemon_pid daemon "$1" "$tmp/addr" -- \
     serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
     -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-    -flush-every 0 -wal-dir "$tmp/wal" -simulate-max-trials 256
+    -flush-every 0 -wal-dir "$tmp/wal"
 }
 
 start_daemon "$tmp/daemon.log"
-go run ./scripts/smoke -base "http://$(cat "$tmp/addr")" -wal -simulate-cap 256
+"$tmp/smoke" -base "http://$(cat "$tmp/addr")"
 
-# Crash replay: the smoke cascade above only ever lived in the daemon's
-# memory, so a hard kill (no drain, no flush) would have lost it before
-# the WAL. A restart on the same -wal-dir must bring it back.
+# The smoke cascade only ever lived in the daemon's memory and its log: a
+# hard kill (no drain, no flush) and a restart on the same -wal-dir must
+# bring it back.
 kill -9 "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
-
 start_daemon "$tmp/daemon2.log"
-go run ./scripts/smoke -base "http://$(cat "$tmp/addr")" -post-crash
-echo "crash-replay smoke passed (cascade survived SIGKILL)"
+"$tmp/smoke" -base "http://$(cat "$tmp/addr")" -post-crash
 
 "$tmp/viralcast" wal inspect -dir "$tmp/wal"
 "$tmp/viralcast" wal verify -dir "$tmp/wal"
+drain daemon_pid daemon "$tmp/daemon2.log"
+echo "crash stage passed (cascade survived kill -9, daemon drained to exit 0)"
 
-# Graceful shutdown: SIGTERM must drain and exit 0.
-kill -TERM "$daemon_pid"
-if ! wait "$daemon_pid"; then
-  echo "daemon did not shut down cleanly:" >&2
-  cat "$tmp/daemon2.log" >&2
-  exit 1
-fi
-daemon_pid=""
-echo "smoke test passed (daemon drained cleanly)"
-
-# Overload resilience: a daemon throttled to one concurrent compute
-# request must shed concurrent bursts with 429 + Retry-After while the
-# admitted requests keep succeeding inside their 2s budget.
-echo "== viralcastd overload smoke test"
-launch daemon_pid "overload daemon" "$tmp/daemon3.log" "$tmp/addr" -- \
-  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-  -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 -max-inflight 1 -queue 2 -request-timeout 2s
-go run ./scripts/smoke -base "http://$(cat "$tmp/addr")" -overload
-kill -TERM "$daemon_pid"
-wait "$daemon_pid" || { echo "overload daemon did not drain cleanly:" >&2; cat "$tmp/daemon3.log" >&2; exit 1; }
-daemon_pid=""
-echo "overload smoke passed (shed with Retry-After, admitted within budget)"
-
-# Replication failover: a primary/follower pair on random ports. The
-# primary takes the smoke ingest under a live follower, the follower
-# must report itself current and read-only, and after a SIGKILL of the
-# primary a promotion must leave the follower serving every
-# durably-acknowledged event and accepting writes on its own log.
-echo "== viralcastd replication failover smoke test"
-launch daemon_pid "replication primary" "$tmp/primary.log" "$tmp/addr" -- \
-  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-  -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 -wal-dir "$tmp/repl-wal-primary"
-primary="http://$(cat "$tmp/addr")"
-go run ./scripts/smoke -base "$primary" -wal
-
-launch follower_pid "follower" "$tmp/follower.log" "$tmp/addr2" -- \
-  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr2" \
-  -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 -wal-dir "$tmp/repl-wal-follower" -follow "$primary"
-follower="http://$(cat "$tmp/addr2")"
-go run ./scripts/smoke -base "$follower" -follow
-
-kill -9 "$daemon_pid"
-wait "$daemon_pid" 2>/dev/null || true
-daemon_pid=""
-"$tmp/viralcast" promote -base "$follower"
-go run ./scripts/smoke -base "$follower" -post-promote
-# Fencing-epoch CLI contract: the promotion above bumped the persisted
-# epoch to 1, so replaying a stale explicit epoch must be refused, and
-# an explicit epoch above it must be accepted as an idempotent advance.
-if "$tmp/viralcast" promote -base "$follower" -epoch 1 2>/dev/null; then
-  echo "stale explicit promote epoch was accepted — fencing broken" >&2
-  exit 1
-fi
-"$tmp/viralcast" promote -base "$follower" -epoch 5
-echo "replication failover passed (follower promoted, durable prefix served, stale epoch fenced)"
-
-kill -TERM "$follower_pid"
-wait "$follower_pid" || { echo "promoted follower did not drain cleanly:" >&2; cat "$tmp/follower.log" >&2; exit 1; }
-follower_pid=""
-
-# The mirrored log is a first-class WAL: the offline tools must read it,
-# including the per-record replication cursors.
-"$tmp/viralcast" wal inspect -dir "$tmp/repl-wal-follower" -records
-"$tmp/viralcast" wal verify -dir "$tmp/repl-wal-follower"
-
-# Routed fleet: three sharded daemons, one unsharded oracle, and a
-# `viralcast route` front-end, all on random ports. The smoke client
-# drives everything through the router: ring affinity via the shard_id
-# on predictions, merged rankings byte-identical to the oracle, and the
-# simulate relay. Then shard 1 is SIGKILLed — the router must converge
-# to degraded and answer fresh rankings as explicit partials naming it.
-echo "== sharded fleet + router smoke test"
+# Three sharded daemons and a `viralcast route` front-end, four processes
+# on random ports: routed ingest and one whole ranking, then shard 1 is
+# kill -9'd and the router must converge to degraded and answer a fresh
+# ranking as an explicit partial naming it.
+echo "== live stage 2/2: fleet (three shard processes + router, kill -9 one shard)"
 for i in 0 1 2; do
   launch "shard_pids[$i]" "shard $i" "$tmp/shard$i.log" "$tmp/addr" -- \
     serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
@@ -288,125 +220,22 @@ for i in 0 1 2; do
     -flush-every 0 -shard-id "$i" -ring-size 3
   shard_urls[$i]="http://$(cat "$tmp/addr")"
 done
-
-launch daemon_pid "route oracle" "$tmp/route-oracle.log" "$tmp/addr" -- \
-  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-  -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0
-oracle="http://$(cat "$tmp/addr")"
-
 launch router_pid "router" "$tmp/router.log" "$tmp/addr" -- \
   route -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
   -shards "${shard_urls[0]},${shard_urls[1]},${shard_urls[2]}" \
   -request-timeout 5s -probe-every 500ms
 router="http://$(cat "$tmp/addr")"
-go run ./scripts/smoke -base "$router" -route -oracle "$oracle"
+"$tmp/smoke" -base "$router" -route
 
 kill -9 "${shard_pids[1]}"
 wait "${shard_pids[1]}" 2>/dev/null || true
 shard_pids[1]=""
-go run ./scripts/smoke -base "$router" -route-partial shard-1
+"$tmp/smoke" -base "$router" -route-partial shard-1
 
-kill -TERM "$router_pid"
-wait "$router_pid" || { echo "router did not drain cleanly:" >&2; cat "$tmp/router.log" >&2; exit 1; }
-router_pid=""
+drain router_pid router "$tmp/router.log"
 for i in 0 2; do
-  kill -TERM "${shard_pids[$i]}"
-  wait "${shard_pids[$i]}" || { echo "shard $i did not drain cleanly:" >&2; cat "$tmp/shard$i.log" >&2; exit 1; }
-  shard_pids[$i]=""
+  drain "shard_pids[$i]" "shard $i" "$tmp/shard$i.log"
 done
-kill -TERM "$daemon_pid"
-wait "$daemon_pid" || { echo "route oracle did not drain cleanly:" >&2; cat "$tmp/route-oracle.log" >&2; exit 1; }
-daemon_pid=""
-echo "sharded fleet smoke passed (routed answers byte-identical; SIGKILL degraded to partial)"
-
-# Self-healing fleet: two WAL-backed sharded primaries, each with a
-# replication follower, behind a router running -auto-failover. Shard
-# 0's primary is SIGKILLed; with zero manual promotes the router must
-# detect the death, verify the follower is caught up, promote it at a
-# fresh fencing epoch, rewrite the ring slot, and return to non-partial
-# answers byte-identical to the oracle. The killed primary is then
-# restarted on its old address with its old WAL — a zombie that still
-# believes it is the primary — and must come back fenced: 409 on both
-# ingest and flush.
-echo "== self-healing fleet (auto-failover + fencing) smoke test"
-af_primaries=()
-af_followers=()
-for i in 0 1; do
-  launch "shard_pids[$i]" "failover primary $i" "$tmp/af-p$i.log" "$tmp/addr" -- \
-    serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-    -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-    -flush-every 0 -shard-id "$i" -ring-size 2 \
-    -wal-dir "$tmp/af-wal-p$i"
-  af_primaries[$i]="http://$(cat "$tmp/addr")"
-done
-
-for i in 0 1; do
-  launch "shard_pids[$((i + 2))]" "failover follower $i" "$tmp/af-f$i.log" "$tmp/addr" -- \
-    serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-    -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-    -flush-every 0 -shard-id "$i" -ring-size 2 \
-    -wal-dir "$tmp/af-wal-f$i" -follow "${af_primaries[$i]}"
-  af_followers[$i]="http://$(cat "$tmp/addr")"
-done
-
-launch daemon_pid "failover oracle" "$tmp/af-oracle.log" "$tmp/addr" -- \
-  serve -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-  -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0
-oracle="http://$(cat "$tmp/addr")"
-
-launch router_pid "failover router" "$tmp/af-router.log" "$tmp/addr" -- \
-  route -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-  -shards "${af_primaries[0]},${af_primaries[1]}" \
-  -replicas-of "0=${af_followers[0]},1=${af_followers[1]}" \
-  -auto-failover -suspect-after 2 -probe-every 200ms \
-  -request-timeout 5s
-router="http://$(cat "$tmp/addr")"
-
-# Routed ingest through the healthy fleet, then make sure both
-# followers have applied it — MaxPromoteLag=0 means the supervisor only
-# promotes a fully caught-up follower, so the stream must be current
-# before the kill for the failover to be admissible at all.
-go run ./scripts/smoke -base "$router" -route -oracle "$oracle"
-go run ./scripts/smoke -base "${af_followers[0]}" -wait-current
-go run ./scripts/smoke -base "${af_followers[1]}" -wait-current
-
-# The chaos: hard-kill shard 0's primary and record its address for the
-# zombie restart. No `viralcast promote` runs anywhere below — the
-# router's supervisor must drive the entire failover on its own.
-af_dead_addr="${af_primaries[0]#http://}"
-kill -9 "${shard_pids[0]}"
-wait "${shard_pids[0]}" 2>/dev/null || true
-shard_pids[0]=""
-go run ./scripts/smoke -base "$router" -wait-failover
-
-# Resurrect the dead primary on its old address with its old WAL only
-# after the promotion, so it cannot pre-empt the failover by answering
-# probes. The router's observation probes must fence it.
-launch follower_pid "zombie primary" "$tmp/af-zombie.log" "$tmp/addr" -- \
-  serve -addr "$af_dead_addr" -addr-file "$tmp/addr" \
-  -model "$tmp/model.txt" -cascades "$tmp/cascades.txt" -seed 7 \
-  -flush-every 0 -shard-id 0 -ring-size 2 \
-  -wal-dir "$tmp/af-wal-p0"
-
-go run ./scripts/smoke -base "$router" -post-failover -oracle "$oracle" \
-  -zombie "http://$af_dead_addr"
-
-kill -TERM "$router_pid"
-wait "$router_pid" || { echo "failover router did not drain cleanly:" >&2; cat "$tmp/af-router.log" >&2; exit 1; }
-router_pid=""
-kill -TERM "$follower_pid"
-wait "$follower_pid" || { echo "fenced zombie did not drain cleanly:" >&2; cat "$tmp/af-zombie.log" >&2; exit 1; }
-follower_pid=""
-for i in 1 2 3; do
-  kill -TERM "${shard_pids[$i]}"
-  wait "${shard_pids[$i]}" || { echo "fleet member $i did not drain cleanly" >&2; exit 1; }
-  shard_pids[$i]=""
-done
-kill -TERM "$daemon_pid"
-wait "$daemon_pid" || { echo "failover oracle did not drain cleanly:" >&2; cat "$tmp/af-oracle.log" >&2; exit 1; }
-daemon_pid=""
-echo "self-healing fleet smoke passed (auto-promoted at a fresh epoch, zombie fenced)"
+echo "fleet stage passed (routed ingest spread over shard processes; kill -9 degraded to a partial; all drained to exit 0)"
 
 echo "ci.sh: all checks passed"
