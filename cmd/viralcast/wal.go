@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/report"
@@ -54,8 +55,8 @@ func cmdWAL(args []string) error {
 	return run()
 }
 
-// walScanAll scans every segment in dir in sequence order.
-func walScanAll(dir string, fn func(wal.Event) error) ([]wal.SegmentScan, error) {
+// walScanAll scans every segment in dir in sequence order, each once.
+func walScanAll(dir string, fn func(wal.Cursor, wal.Event) error) ([]wal.SegmentScan, error) {
 	segs, err := wal.ListSegments(dir)
 	if err != nil {
 		return nil, err
@@ -71,8 +72,22 @@ func walScanAll(dir string, fn func(wal.Event) error) ([]wal.SegmentScan, error)
 	return scans, nil
 }
 
+// walInspect prints a table of the segments, then with -records every
+// record with the cursor a replication follower would resume from to
+// stream it: the (segment, offset) of the frame itself. The intact
+// prefix only — a torn tail has no cursor. The records are gathered in
+// the same pass as the table, which prints first.
 func walInspect(dir string, withRecords bool) error {
-	scans, err := walScanAll(dir, nil)
+	var recs strings.Builder
+	var fn func(wal.Cursor, wal.Event) error
+	if withRecords {
+		fmt.Fprintf(&recs, "\n%-10s %-10s %-9s %-7s %s\n", "segment", "offset", "cascade", "node", "time")
+		fn = func(c wal.Cursor, ev wal.Event) error {
+			fmt.Fprintf(&recs, "%-10d %-10d %-9d %-7d %g\n", c.Seg, c.Off, ev.Cascade, ev.Node, ev.Time)
+			return nil
+		}
+	}
+	scans, err := walScanAll(dir, fn)
 	if err != nil {
 		return err
 	}
@@ -89,18 +104,15 @@ func walInspect(dir string, withRecords bool) error {
 			torn++
 			tail = fmt.Sprintf("torn at byte %d (%v)", s.GoodBytes, s.TornErr)
 		}
-		// The chain fingerprint over the segment's intact prefix — the
-		// value a follower presents on reconnect, and what the primary
-		// checks it against. Two logs that disagree here have diverged.
-		fp, _, _, _, err := wal.SegmentChain(s.Path)
-		if err != nil {
-			return fmt.Errorf("wal inspect: %s: %w", s.Path, err)
-		}
+		// The chain column is the fingerprint of the segment's intact
+		// prefix — the value a follower presents on reconnect, and what
+		// the primary checks it against. Two logs that disagree here have
+		// diverged.
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", s.Seq),
 			fmt.Sprintf("%d", s.Records),
 			fmt.Sprintf("%d", s.Size),
-			fmt.Sprintf("%08x", fp),
+			fmt.Sprintf("%08x", s.Chain),
 			tail,
 		})
 		records += s.Records
@@ -108,39 +120,7 @@ func walInspect(dir string, withRecords bool) error {
 	}
 	fmt.Print(report.Table([]string{"segment", "records", "bytes", "chain", "tail"}, rows))
 	fmt.Printf("%d segments, %d records, %d bytes, %d torn tail(s)\n", len(scans), records, bytes, torn)
-	if withRecords {
-		return walInspectRecords(scans)
-	}
-	return nil
-}
-
-// walInspectRecords prints every record with the cursor a replication
-// follower would resume from to stream it: the (segment, offset) of the
-// frame itself. The intact prefix only — a torn tail has no cursor.
-func walInspectRecords(scans []wal.SegmentScan) error {
-	fmt.Printf("\n%-10s %-10s %-9s %-7s %s\n", "segment", "offset", "cascade", "node", "time")
-	for _, s := range scans {
-		f, err := os.Open(s.Path)
-		if err != nil {
-			return err
-		}
-		off := int64(wal.SegmentHeaderLen)
-		for off < s.GoodBytes {
-			payload, next, err := wal.ReadFrameAt(f, off)
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("wal inspect: %s at offset %d: %w", s.Path, off, err)
-			}
-			ev, err := wal.DecodeEvent(payload)
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("wal inspect: %s at offset %d: %w", s.Path, off, err)
-			}
-			fmt.Printf("%-10d %-10d %-9d %-7d %g\n", s.Seq, off, ev.Cascade, ev.Node, ev.Time)
-			off = next
-		}
-		f.Close()
-	}
+	fmt.Print(recs.String())
 	return nil
 }
 
@@ -172,7 +152,7 @@ func walVerify(dir string) error {
 // pair — e.g. a compaction snapshot overlapping subsequent appends.
 func walReplay(dir, out string) error {
 	store := serve.NewStore()
-	if _, err := walScanAll(dir, func(ev wal.Event) error {
+	if _, err := walScanAll(dir, func(_ wal.Cursor, ev wal.Event) error {
 		store.Append(ev, math.MaxInt) //nolint:errcheck // a reject is a replayed duplicate, as in Server.openWAL
 		return nil
 	}); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,8 +141,37 @@ func TestCmdWAL(t *testing.T) {
 			t.Errorf("inspect output lacks %q:\n%s", wantLine, out)
 		}
 	}
-	if _, cursors, _ := strings.Cut(out, " time\n"); strings.Count(cursors, "\n") != 16 {
+	_, cursors, _ := strings.Cut(out, " time\n")
+	if strings.Count(cursors, "\n") != 16 {
 		t.Errorf("inspect -records printed %d cursor lines, want 16:\n%s", strings.Count(cursors, "\n"), out)
+	}
+	// Those records are exactly the events replay exports: one scan feeds
+	// both, and replay's fold only drops the repeated reports.
+	listed, exported := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(cursors), "\n") {
+		if f := strings.Fields(line); len(f) == 5 { // segment offset cascade node time
+			listed[strings.Join(f[2:], ",")] = true
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(walReplayGolden), "\n") {
+		exported[line] = true
+	}
+	if !maps.Equal(listed, exported) {
+		t.Errorf("inspect -records lists %v, replay exports %v", listed, exported)
+	}
+
+	// A stub segment, shorter than its magic line (a crash between creating
+	// a segment and fsyncing that line), is a torn tail at byte 0 to
+	// inspect as to verify, not a read error.
+	stub := t.TempDir()
+	if err := os.WriteFile(filepath.Join(stub, wal.SegmentName(1)), []byte("viralcast"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := run("inspect", "-dir", stub); err != nil || !strings.Contains(out, "torn at byte 0") || !strings.Contains(out, "1 torn tail(s)") {
+		t.Errorf("wal inspect on a stub segment: %v, printed %q; want a torn tail at byte 0", err, out)
+	}
+	if _, err := run("verify", "-dir", stub); err == nil || !strings.Contains(err.Error(), "1 of 1 segments have torn tails") {
+		t.Errorf("wal verify on a stub segment: %v, want one torn tail", err)
 	}
 
 	replayed := filepath.Join(t.TempDir(), "replayed.txt")

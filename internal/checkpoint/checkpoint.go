@@ -10,24 +10,24 @@
 //	payload bytes=182733 crc32=9ab3f00d
 //	<model CSV>
 //
-// The header's byte length and CRC-32 of the payload detect truncation
-// and bit rot before a corrupt model ever reaches the optimizer. Save
-// writes to a temporary file in the same directory and renames it into
-// place, so the checkpoint path always holds either the previous
-// complete snapshot or the new one — never a torn write.
+// The last two parts are embed's signed envelope (embed.WriteEnvelope):
+// the payload's byte length and CRC-32 detect truncation and bit rot
+// before a corrupt model ever reaches the optimizer. Save writes to a
+// temporary file in the same directory, renames it into place and
+// fsyncs the directory, so the checkpoint path always holds either the
+// previous complete snapshot or the new one — never a torn write, and
+// never a name that did not reach the disk.
 package checkpoint
 
 import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
+	"viralcast/internal/durable"
 	"viralcast/internal/embed"
 	"viralcast/internal/faultinject"
 )
@@ -54,9 +54,9 @@ type State struct {
 	LogLik float64
 }
 
-// Save atomically writes st to path: the bytes go to a temporary file in
-// the same directory (same filesystem, so the final rename is atomic),
-// are fsynced, and then renamed over path.
+// Save atomically and durably writes st to path (durable.WriteFile): a
+// crash or power loss leaves path holding either the previous complete
+// snapshot or this one.
 func Save(path string, st *State) error {
 	if st == nil || st.Model == nil {
 		return fmt.Errorf("checkpoint: nil state")
@@ -71,36 +71,14 @@ func Save(path string, st *State) error {
 		st.Level, st.Epoch,
 		strconv.FormatFloat(st.Step, 'g', -1, 64), st.Seed,
 		strconv.FormatFloat(st.LogLik, 'g', -1, 64))
-	fmt.Fprintf(&buf, "payload bytes=%d crc32=%08x\n",
-		payload.Len(), crc32.ChecksumIEEE(payload.Bytes()))
-	buf.Write(payload.Bytes())
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	// Fault site "checkpoint.write": tests chop bytes off the file here
+	embed.WriteEnvelope(&buf, payload.Bytes()) //nolint:errcheck // a bytes.Buffer write cannot fail
+	data := buf.Bytes()
+	// Fault site "checkpoint.write": tests chop bytes off what is written
 	// to prove that Load detects a crash-truncated checkpoint.
 	if n := faultinject.TruncateBy("checkpoint.write"); n > 0 {
-		if err := tmp.Truncate(int64(buf.Len() - n)); err != nil {
-			tmp.Close()
-			return fmt.Errorf("checkpoint: %w", err)
-		}
+		data = data[:len(data)-n]
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := durable.WriteFile(path, data, 0o600); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
@@ -138,31 +116,9 @@ func Load(path string) (*State, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("checkpoint %s: bad state line: %w", path, err)
 	}
-	line, err = readLine(br)
+	payload, err := embed.ReadEnvelope(br)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint %s: truncated header: %w", path, err)
-	}
-	var wantLen int
-	var wantCRC uint32
-	if err := parseFields(strings.TrimPrefix(line, "payload "), map[string]func(string) error{
-		"bytes": func(v string) (e error) { wantLen, e = strconv.Atoi(v); return },
-		"crc32": func(v string) (e error) {
-			c, e := strconv.ParseUint(v, 16, 32)
-			wantCRC = uint32(c)
-			return e
-		},
-	}); err != nil {
-		return nil, fmt.Errorf("checkpoint %s: bad payload line: %w", path, err)
-	}
-	payload := make([]byte, wantLen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("checkpoint %s: corrupt: payload truncated (want %d bytes): %w", path, wantLen, err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("checkpoint %s: corrupt: trailing bytes after %d-byte payload", path, wantLen)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("checkpoint %s: corrupt: payload crc32 %08x, header says %08x", path, got, wantCRC)
+		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	m, err := embed.Read(bytes.NewReader(payload))
 	if err != nil {

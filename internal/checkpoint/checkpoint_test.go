@@ -37,6 +37,55 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
+// savedBefore is the checkpoint file, byte for byte, that Save writes
+// for the state TestSaveBytesPinned builds — pinned from a build whose
+// checkpoint package wrote its own envelope.
+const savedBefore = `viralcast-checkpoint v1
+level=2 epoch=17 step=0.125 seed=42 loglik=-987.25
+payload bytes=112 crc32=28bf0688
+node,kind,topic0,topic1
+0,0,0,0.25
+0,1,0,0.5
+1,0,0.5,0.75
+1,1,1,1.5
+2,0,1,1.25
+2,1,2,2.5
+3,0,1.5,1.75
+3,1,3,3.5
+`
+
+// TestSaveBytesPinned holds the file format still in both directions: a
+// checkpoint an older binary saved loads, and saving the same state
+// writes the same bytes.
+func TestSaveBytesPinned(t *testing.T) {
+	m := embed.NewModel(4, 2)
+	for i := range m.A.Data {
+		m.A.Data[i] = float64(i) * 0.25
+		m.B.Data[i] = float64(i) * 0.5
+	}
+	want := &State{Model: m, Level: 2, Epoch: 17, Step: 0.125, Seed: 42, LogLik: -987.25}
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old")
+	if err := os.WriteFile(old, []byte(savedBefore), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(old)
+	if err != nil {
+		t.Fatalf("loading a checkpoint in the pinned format: %v", err)
+	}
+	if got.Level != want.Level || got.Epoch != want.Epoch || got.Step != want.Step || got.Seed != want.Seed ||
+		got.LogLik != want.LogLik || got.Model.A.FrobeniusDist(m.A) != 0 || got.Model.B.FrobeniusDist(m.B) != 0 {
+		t.Fatalf("pinned checkpoint loaded as %+v", got)
+	}
+	path := filepath.Join(dir, "new")
+	if err := Save(path, want); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(path); err != nil || string(raw) != savedBefore {
+		t.Fatalf("Save wrote (%v)\n%s\nwant\n%s", err, raw, savedBefore)
+	}
+}
+
 func TestSaveLeavesNoTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt")

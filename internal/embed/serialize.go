@@ -157,12 +157,57 @@ func (m *Model) WriteSigned(w io.Writer) error {
 	if err := m.Write(&payload); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s\npayload bytes=%d crc32=%08x\n",
-		SignedMagic, payload.Len(), crc32.ChecksumIEEE(payload.Bytes())); err != nil {
+	if _, err := fmt.Fprintln(w, SignedMagic); err != nil {
 		return err
 	}
-	_, err := w.Write(payload.Bytes())
+	return WriteEnvelope(w, payload.Bytes())
+}
+
+// WriteEnvelope writes payload behind its integrity line:
+//
+//	payload bytes=<n> crc32=<hex>
+//	<payload>
+//
+// It is the tail of every signed file the library writes: the
+// embeddings file after its magic line, a training checkpoint after its
+// state line. ReadEnvelope reads it back.
+func WriteEnvelope(w io.Writer, payload []byte) error {
+	if _, err := fmt.Fprintf(w, "payload bytes=%d crc32=%08x\n", len(payload), crc32.ChecksumIEEE(payload)); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
 	return err
+}
+
+// ReadEnvelope reads what WriteEnvelope wrote from br, which must end
+// with it: the payload is exactly the declared length, nothing follows
+// it, and its CRC-32 matches — so a truncated, extended or bit-rotted
+// file fails here with a descriptive error instead of decoding garbage.
+func ReadEnvelope(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadString('\n')
+	if err != nil {
+		return nil, fmt.Errorf("truncated envelope header: %w", err)
+	}
+	line = strings.TrimRight(line, "\n")
+	var wantLen int
+	var wantCRC uint32
+	if _, err := fmt.Sscanf(line, "payload bytes=%d crc32=%x", &wantLen, &wantCRC); err != nil {
+		return nil, fmt.Errorf("bad envelope header %q: %v", line, err)
+	}
+	if wantLen < 0 {
+		return nil, fmt.Errorf("negative payload length %d", wantLen)
+	}
+	payload := make([]byte, wantLen)
+	if _, err := io.ReadFull(br, payload); err != nil {
+		return nil, fmt.Errorf("corrupt: payload truncated (want %d bytes): %w", wantLen, err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("corrupt: trailing bytes after %d-byte payload", wantLen)
+	}
+	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
+		return nil, fmt.Errorf("corrupt: payload crc32 %08x, header says %08x", got, wantCRC)
+	}
+	return payload, nil
 }
 
 // ReadSigned decodes a model written by WriteSigned, verifying the
@@ -190,28 +235,9 @@ func ReadSigned(r io.Reader) (*Model, error) {
 	if _, err := br.ReadString('\n'); err != nil {
 		return nil, fmt.Errorf("embed: truncated after magic: %w", err)
 	}
-	header, err := br.ReadString('\n')
+	payload, err := ReadEnvelope(br)
 	if err != nil {
-		return nil, fmt.Errorf("embed: truncated envelope header: %w", err)
-	}
-	var wantLen int
-	var wantCRC uint32
-	if _, err := fmt.Sscanf(strings.TrimRight(header, "\n"),
-		"payload bytes=%d crc32=%x", &wantLen, &wantCRC); err != nil {
-		return nil, fmt.Errorf("embed: bad envelope header %q: %v", strings.TrimRight(header, "\n"), err)
-	}
-	if wantLen < 0 {
-		return nil, fmt.Errorf("embed: negative payload length %d", wantLen)
-	}
-	payload := make([]byte, wantLen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("embed: truncated embeddings file (want %d payload bytes): %w", wantLen, err)
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("embed: trailing bytes after %d-byte payload", wantLen)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("embed: corrupt embeddings file: payload crc32 %08x, header says %08x", got, wantCRC)
+		return nil, fmt.Errorf("embed: embeddings file: %w", err)
 	}
 	return Read(bytes.NewReader(payload))
 }

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -311,43 +310,42 @@ func (f *Follower) bootstrap() error {
 }
 
 // replayLocal rebuilds the store from the on-disk mirror after a
-// follower restart: every intact record of every segment goes through
-// Apply, the last segment's torn tail (a crash mid-append) is
-// truncated, and the cursor/fingerprint resume from the intact end. A
-// torn tail in any non-final segment means the mirror is damaged
-// beyond local repair — the caller falls back to a snapshot.
+// follower restart, reading each segment once: every intact record goes
+// through Apply, the last segment's torn tail (a crash mid-append) is
+// truncated, and the cursor/fingerprint resume from the intact end the
+// scan reports. A torn tail in any non-final segment, or a last segment
+// shorter than its magic line, means the mirror is damaged beyond local
+// repair — the caller falls back to a snapshot.
 func (f *Follower) replayLocal(segs []wal.SegmentInfo) error {
 	applied := 0
+	var last wal.SegmentScan
 	for i, si := range segs {
-		scan, err := wal.ScanSegment(si.Path, func(ev wal.Event) error {
-			applied++
-			return f.cfg.Apply(ev)
-		})
+		scan, err := wal.ScanSegment(si.Path, func(_ wal.Cursor, ev wal.Event) error { return f.cfg.Apply(ev) })
 		if err != nil {
 			return err
 		}
+		applied += scan.Records
 		if scan.Torn {
 			if i != len(segs)-1 {
 				return fmt.Errorf("segment %d has a torn tail but is not the last segment", si.Seq)
+			}
+			if scan.GoodBytes < wal.SegmentHeaderLen {
+				return fmt.Errorf("segment %d is shorter than its magic line", si.Seq)
 			}
 			if err := os.Truncate(si.Path, scan.GoodBytes); err != nil {
 				return fmt.Errorf("truncating torn mirror tail: %w", err)
 			}
 			f.cfg.Logf("repl: truncated torn mirror tail of segment %d at byte %d", si.Seq, scan.GoodBytes)
 		}
+		last = scan
 	}
-	last := segs[len(segs)-1]
-	fp, _, goodBytes, _, err := wal.SegmentChain(last.Path)
-	if err != nil {
-		return err
-	}
-	m, err := openMirror(f.cfg.Dir, last.Seq, goodBytes)
+	m, err := openMirror(f.cfg.Dir, last.Seq, last.GoodBytes)
 	if err != nil {
 		return err
 	}
 	f.mirror = m
-	cur := wal.Cursor{Seg: last.Seq, Off: goodBytes}
-	f.setCursor(cur, fp)
+	cur := wal.Cursor{Seg: last.Seq, Off: last.GoodBytes}
+	f.setCursor(cur, last.Chain)
 	f.cfg.Logf("repl: resumed local mirror at %v (%d records replayed)", cur, applied)
 	return nil
 }
@@ -480,13 +478,9 @@ func (f *Follower) tail() error {
 // tail was truncated, or a reconnect raced) are applied to the store
 // (SI-dedup absorbs) but not re-appended to the mirror.
 func (f *Follower) applyFrame(it streamItem) error {
-	payload, next, err := wal.ReadFrameAt(bytes.NewReader(it.frame), 0)
-	if err != nil || next != int64(len(it.frame)) {
-		return fmt.Errorf("streamed frame at %d:%d failed verification: %v", it.seg, it.off, err)
-	}
-	ev, err := wal.DecodeEvent(payload)
+	payload, ev, err := it.verify()
 	if err != nil {
-		return fmt.Errorf("streamed frame at %d:%d: %w", it.seg, it.off, err)
+		return err
 	}
 	f.mu.Lock()
 	cur, fp := f.cur, f.fp

@@ -32,7 +32,9 @@ func fuzzFlipBit(data []byte, i int) []byte {
 // item boundary, or a descriptive repl error for torn/garbage input);
 // it must never panic, never hang on a bounded reader, and never
 // allocate an implausible frame buffer. Every decoded frame item must
-// re-encode to bytes that decode back to the identical item.
+// re-encode to bytes that decode back to the identical item, and a frame
+// the follower's verification accepts must be the WAL's own framing of
+// its payload.
 func FuzzReadFrame(f *testing.F) {
 	frame := []byte("0123456789abcdef0123456789abcdef")
 	one := frameItem(2, 64, 1, frame)
@@ -47,6 +49,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(fuzzFlipBit(one, (itemHeaderLen+3)*8-1))    // corrupted length high bit
 	f.Add([]byte{itemFrame})                          // type byte only
 	f.Add(make([]byte, 64))                           // zero fill: unknown type 0x00
+	event := wal.AppendFrame(nil, wal.EncodeEvent(wal.Event{Cascade: 3, Node: 9, Time: 0.5}))
+	f.Add(frameItem(2, wal.SegmentHeaderLen, 0, []byte("viralcast-wal")))                                   // a stub segment's bytes as the frame
+	f.Add(frameItem(2, wal.SegmentHeaderLen, 1, wal.AppendFrame(nil, []byte{2, 0})))                        // CRC-valid type-2 frame
+	f.Add(frameItem(2, wal.SegmentHeaderLen+5, 0, append(append([]byte(nil), event[5:]...), event[:5]...))) // mid-frame cursor
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		for {
@@ -81,6 +87,13 @@ func FuzzReadFrame(f *testing.F) {
 				if got.typ != it.typ || got.seg != it.seg || got.off != it.off ||
 					got.lag != it.lag || !bytes.Equal(got.frame, it.frame) {
 					t.Fatalf("roundtrip mismatch: %+v vs %+v", got, it)
+				}
+				// What verification lets through to the mirror is exactly
+				// the frame the WAL would write for that payload.
+				if payload, _, err := it.verify(); err == nil && !bytes.Equal(wal.AppendFrame(nil, payload), it.frame) {
+					t.Fatalf("verified frame %x is not the WAL's framing of its payload", it.frame)
+				} else if err != nil && !strings.HasPrefix(err.Error(), "repl: ") {
+					t.Fatalf("unclassified verification error: %v", err)
 				}
 			default:
 				t.Fatalf("readItem returned unknown type 0x%02x without error", it.typ)

@@ -39,9 +39,9 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"viralcast/internal/wal"
@@ -128,6 +128,25 @@ func readItem(r io.Reader) (streamItem, error) {
 	return it, nil
 }
 
+// verify reads a frame item's bytes with the WAL's own decoder: exactly
+// one CRC-valid frame whose record this build decodes. Only a verified
+// frame may reach the mirror, so the mirror never holds a frame its
+// own restart scan would call torn.
+func (it streamItem) verify() ([]byte, wal.Event, error) {
+	payload, next, err := wal.ReadFrameAt(bytes.NewReader(it.frame), 0)
+	if err == nil && next != int64(len(it.frame)) {
+		err = fmt.Errorf("%d bytes after the frame", int64(len(it.frame))-next)
+	}
+	var ev wal.Event
+	if err == nil {
+		ev, err = wal.DecodeEvent(payload)
+	}
+	if err != nil {
+		return nil, wal.Event{}, fmt.Errorf("repl: streamed frame at %d:%d failed verification: %w", it.seg, it.off, err)
+	}
+	return payload, ev, nil
+}
+
 // Snapshot envelope, the bootstrap payload: the primary's full live
 // store serialized as ordinary WAL record payloads, bracketed by a
 // magic line, the WAL cursor the snapshot is consistent with, and a
@@ -187,22 +206,10 @@ func readSnapshot(r io.Reader) (wal.Cursor, []wal.Event, error) {
 	count := binary.LittleEndian.Uint64(rest[16:24])
 	fp := wal.ChainSeed(cur.Seg)
 	evs := make([]wal.Event, 0, min(count, 1<<20))
-	var fh [8]byte
 	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(r, fh[:]); err != nil {
-			return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot frame %d header: %w", i, err)
-		}
-		n := binary.LittleEndian.Uint32(fh[0:4])
-		wantCRC := binary.LittleEndian.Uint32(fh[4:8])
-		if n == 0 || n > wal.MaxRecordBytes {
-			return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot frame %d: implausible length %d", i, n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot frame %d body: %w", i, err)
-		}
-		if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-			return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot frame %d: crc mismatch", i)
+		payload, err := wal.ReadFrame(r)
+		if err != nil {
+			return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot frame %d: %w", i, err)
 		}
 		ev, err := wal.DecodeEvent(payload)
 		if err != nil {

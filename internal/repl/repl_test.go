@@ -347,6 +347,7 @@ func TestFollowerTornTailAndOverlapDedup(t *testing.T) {
 	}
 	waitStatus(t, f, "caught up", caughtUpWith(fstore, 20))
 	f.Stop()
+	before := f.Status()
 
 	// Crash simulation: smear a torn tail onto the follower's mirror —
 	// as if it died mid-append — while the store state (rebuilt by
@@ -370,7 +371,12 @@ func TestFollowerTornTailAndOverlapDedup(t *testing.T) {
 	f2 := newTestFollower(t, p.srv.URL, fdir, fstore2)
 	f2.Start()
 	defer f2.Stop()
-	waitStatus(t, f2, "recovered from torn tail", caughtUpWith(fstore2, 20))
+	st := waitStatus(t, f2, "recovered from torn tail", caughtUpWith(fstore2, 20))
+	// Resumed from the mirror's intact end, not from a fresh snapshot.
+	if st.Cursor != before.Cursor || st.Fingerprint != before.Fingerprint || fstore2.resetCount() != 0 {
+		t.Fatalf("restart resumed at %v fp %08x after %d resets, want %v fp %08x after none",
+			st.Cursor, st.Fingerprint, fstore2.resetCount(), before.Cursor, before.Fingerprint)
+	}
 	sameEvents(t, p.store, fstore2)
 	mirrorByteIdentical(t, p.log.Dir(), fdir)
 
@@ -384,10 +390,11 @@ func TestFollowerTornTailAndOverlapDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	tail = segs[len(segs)-1].Path
-	_, _, good, _, err := wal.SegmentChain(tail)
+	scan, err := wal.ScanSegment(tail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	good := scan.GoodBytes
 	lastLen := int64(len(wal.AppendFrame(nil, wal.EncodeEvent(evN(19)))))
 	if err := os.Truncate(tail, good-lastLen); err != nil {
 		t.Fatal(err)

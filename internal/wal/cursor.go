@@ -2,11 +2,11 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
+	"math"
 )
 
 // Replication-facing addressing and integrity primitives. The WAL's
@@ -68,120 +68,47 @@ func ChainUpdate(fp uint32, payload []byte) uint32 {
 	return crc32.Update(fp, crc32.IEEETable, payload)
 }
 
-// ReadFrameAt reads the frame starting at absolute offset off of a
-// segment file, returning its payload and the offset just past the
-// frame. io.EOF means off is exactly the end of the file (a clean
-// boundary); any partial header, partial payload, implausible length,
-// or CRC mismatch comes back wrapped in ErrTorn. At the active tail of
-// a live log, ErrTorn may simply mean a commit's write is mid-flight —
-// callers that tail a live segment should retry; callers reading a
-// sealed segment should treat it as corruption.
+// ReadFrameAt is ReadFrame at absolute offset off of a segment file,
+// returning the payload and the offset just past the frame. io.EOF
+// means off is exactly the end of the file (a clean boundary). At the
+// active tail of a live log, ErrTorn may simply mean a commit's write
+// is mid-flight — callers that tail a live segment should retry;
+// callers reading a sealed segment should treat it as corruption.
 func ReadFrameAt(f io.ReaderAt, off int64) (payload []byte, next int64, err error) {
-	var hdr [frameHeaderSize]byte
-	n, err := f.ReadAt(hdr[:], off)
-	if n == 0 && err == io.EOF {
-		return nil, off, io.EOF
+	payload, err = ReadFrame(io.NewSectionReader(f, off, math.MaxInt64-off))
+	if err != nil {
+		return nil, off, err
 	}
-	if n < frameHeaderSize {
-		return nil, off, fmt.Errorf("%w: truncated frame header at offset %d", ErrTorn, off)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || length > MaxRecordBytes {
-		return nil, off, fmt.Errorf("%w: implausible payload length %d at offset %d", ErrTorn, length, off)
-	}
-	payload = make([]byte, length)
-	if m, err := f.ReadAt(payload, off+frameHeaderSize); m < int(length) {
-		return nil, off, fmt.Errorf("%w: truncated payload at offset %d (want %d bytes): %v", ErrTorn, off, length, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, off, fmt.Errorf("%w: payload crc32 %08x at offset %d, frame says %08x", ErrTorn, got, off, wantCRC)
-	}
-	return payload, off + frameHeaderSize + int64(length), nil
+	return payload, off + frameHeaderSize + int64(len(payload)), nil
 }
 
-// SegmentChainAt scans the segment file at path from its first frame up
-// to exactly offset off, returning the chain fingerprint and record
-// count of that prefix. An off that is not a frame boundary — mid
-// frame, beyond the intact prefix, or before the magic line — is an
-// error: a cursor pointing there addresses history this log does not
-// have.
+// errAtCursor stops SegmentChainAt's scan at the cursor it was asked
+// about.
+var errAtCursor = errors.New("wal: scan reached the cursor")
+
+// SegmentChainAt is ScanSegment stopped at offset off: the chain
+// fingerprint and record count of the segment's prefix up to exactly
+// off. An off that is not a frame boundary of the intact prefix — mid
+// frame, past a torn or undecodable frame, or inside the magic line —
+// is an error: a cursor pointing there addresses history this log does
+// not have.
 func SegmentChainAt(path string, off int64) (fp uint32, records int, err error) {
-	seq, ok := parseSegmentName(filepath.Base(path))
-	if !ok {
-		return 0, 0, fmt.Errorf("wal: %q is not a segment file name", path)
-	}
 	if off < SegmentHeaderLen {
 		return 0, 0, fmt.Errorf("wal: cursor offset %d is inside the segment header", off)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	if err := checkMagicAt(f, path); err != nil {
+	s, err := ScanSegment(path, func(c Cursor, _ Event) error {
+		if c.Off >= off {
+			return errAtCursor
+		}
+		return nil
+	})
+	if err != nil && err != errAtCursor {
 		return 0, 0, err
 	}
-	fp = ChainSeed(seq)
-	pos := SegmentHeaderLen
-	for pos < off {
-		payload, next, err := ReadFrameAt(f, pos)
-		if err != nil {
-			return 0, 0, fmt.Errorf("wal: %s: cursor offset %d is past the intact prefix: %w", path, off, err)
-		}
-		if next > off {
-			return 0, 0, fmt.Errorf("wal: %s: offset %d is not a frame boundary (frame spans %d..%d)", path, off, pos, next)
-		}
-		fp = ChainUpdate(fp, payload)
-		records++
-		pos = next
+	if s.GoodBytes != off {
+		return 0, 0, fmt.Errorf("wal: %s: offset %d is not a frame boundary of the intact prefix (scan stopped at %d)", path, off, s.GoodBytes)
 	}
-	return fp, records, nil
-}
-
-// SegmentChain scans the whole intact prefix of a segment file,
-// returning its chain fingerprint, record count, and the offset just
-// past the last intact frame. Torn reports whether unreadable bytes
-// follow that prefix.
-func SegmentChain(path string) (fp uint32, records int, goodBytes int64, torn bool, err error) {
-	seq, ok := parseSegmentName(filepath.Base(path))
-	if !ok {
-		return 0, 0, 0, false, fmt.Errorf("wal: %q is not a segment file name", path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, false, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	if err := checkMagicAt(f, path); err != nil {
-		return 0, 0, 0, false, err
-	}
-	fp = ChainSeed(seq)
-	pos := SegmentHeaderLen
-	for {
-		payload, next, err := ReadFrameAt(f, pos)
-		if err == io.EOF {
-			return fp, records, pos, false, nil
-		}
-		if err != nil {
-			return fp, records, pos, true, nil
-		}
-		fp = ChainUpdate(fp, payload)
-		records++
-		pos = next
-	}
-}
-
-// checkMagicAt verifies the magic line of an open segment file.
-func checkMagicAt(f io.ReaderAt, path string) error {
-	magic := make([]byte, len(segMagic))
-	if n, _ := f.ReadAt(magic, 0); n < len(segMagic) {
-		return fmt.Errorf("wal: %s is shorter than its magic line", path)
-	}
-	if string(magic) != segMagic {
-		return fmt.Errorf("wal: %s is not a viralcast WAL segment (starts %q)", path, firstLine(magic))
-	}
-	return nil
+	return s.Chain, s.Records, nil
 }
 
 // End reports the log's current append position (the cursor the next

@@ -107,10 +107,11 @@ func TestSegmentChainMatchesIncremental(t *testing.T) {
 	}
 	f.Close()
 
-	gotFP, recs, good, torn, err := SegmentChain(path)
+	scan, err := ScanSegment(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gotFP, recs, good, torn := scan.Chain, scan.Records, scan.GoodBytes, scan.Torn
 	if torn {
 		t.Fatal("clean segment reported torn")
 	}
@@ -157,10 +158,11 @@ func TestSegmentChainTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	fp, recs, good, torn, err := SegmentChain(path)
+	scan, err := ScanSegment(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fp, recs, good, torn := scan.Chain, scan.Records, scan.GoodBytes, scan.Torn
 	if !torn {
 		t.Fatal("smeared tail not reported torn")
 	}

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"viralcast/internal/durable"
 )
 
 // The fencing epoch lives next to the WAL segments as a tiny
@@ -74,24 +76,8 @@ func WriteEpoch(dir string, epoch uint64) error {
 	buf = append(buf, epochMagic...)
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(epochMagic):]))
-	tmp := filepath.Join(dir, EpochFileName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := durable.WriteFile(filepath.Join(dir, EpochFileName), buf, 0o644); err != nil {
 		return fmt.Errorf("wal: writing epoch: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: writing epoch: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: syncing epoch: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: closing epoch: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, EpochFileName)); err != nil {
-		return fmt.Errorf("wal: publishing epoch: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }

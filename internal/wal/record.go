@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -101,15 +100,17 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// readFrame reads one frame. It returns io.EOF exactly at a clean frame
-// boundary; any partial header, partial payload, implausible length, or
-// CRC mismatch comes back wrapped in ErrTorn. A zero-length frame is
-// torn too — no valid record is empty, and a zero-filled tail (a crashed
-// filesystem's favorite) would otherwise parse as infinitely many of
-// them.
-func readFrame(br *bufio.Reader) ([]byte, error) {
+// ReadFrame is the log's one frame decoder: it reads the frame header,
+// bounds the length, reads the payload and checks its CRC. It returns
+// io.EOF exactly at a clean frame boundary; any partial header, partial
+// payload, implausible length, or CRC mismatch comes back wrapped in
+// ErrTorn. A zero-length frame is torn too — no valid record is empty,
+// and a zero-filled tail (a crashed filesystem's favorite) would
+// otherwise parse as infinitely many of them. The frame occupies
+// frameHeaderSize+len(payload) bytes of r.
+func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
@@ -121,7 +122,7 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrTorn, length)
 	}
 	payload := make([]byte, length)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: truncated payload (want %d bytes): %v", ErrTorn, length, err)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
@@ -130,12 +131,15 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// readRecord reads and decodes one event record; used by replay, the
-// scan APIs, and the framing fuzz test.
-func readRecord(br *bufio.Reader) (Event, error) {
-	payload, err := readFrame(br)
+// readRecord reads one frame and decodes its record, returning the
+// payload too (the chain fingerprint folds payloads). A CRC-valid
+// payload that does not decode is ErrTorn like any other bad frame, so
+// every reader of the log stops at the same byte.
+func readRecord(r io.Reader) ([]byte, Event, error) {
+	payload, err := ReadFrame(r)
 	if err != nil {
-		return Event{}, err
+		return nil, Event{}, err
 	}
-	return decodeEventPayload(payload)
+	ev, err := decodeEventPayload(payload)
+	return payload, ev, err
 }

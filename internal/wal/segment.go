@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"viralcast/internal/durable"
 )
 
 // segMagic is the first line of every segment file. Like the embeddings
@@ -108,23 +110,9 @@ func createSegment(dir string, seq uint64) (*segment, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := durable.SyncDir(dir); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return &segment{f: f, seq: seq, size: int64(len(segMagic))}, nil
-}
-
-// syncDir fsyncs a directory, making renames/creates/removals within it
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: sync %s: %w", dir, err)
-	}
-	return nil
 }

@@ -18,8 +18,8 @@
 //
 //   - Crash recovery. Open replays every intact record of every segment
 //     in sequence order and truncates each segment at its first bad
-//     frame (torn header, short payload, CRC mismatch) instead of
-//     failing: a torn tail is the expected signature of a crash mid
+//     frame (torn header, short payload, CRC mismatch, undecodable
+//     record — ScanSegment's rule) instead of failing: a torn tail is the expected signature of a crash mid
 //     write, not an error. Appends after recovery go to a fresh
 //     segment; recovered segments are never written again.
 //
@@ -39,11 +39,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"viralcast/internal/durable"
 	"viralcast/internal/faultinject"
 )
 
 // ErrClosed is returned by Append and Compact after Close.
 var ErrClosed = errors.New("wal: log is closed")
+
+// syncBytes caps how many frame bytes a single commit batches before it
+// stops gathering and fsyncs.
+const syncBytes = 1 << 20
 
 // Options tunes a Log; the zero value is a sane serving default.
 type Options struct {
@@ -55,9 +60,6 @@ type Options struct {
 	// exchange for larger batches (fewer fsyncs) under light
 	// concurrency.
 	GroupWindow time.Duration
-	// SyncBytes caps how many frame bytes a single commit batches
-	// before it stops gathering and fsyncs. Default 1 MiB.
-	SyncBytes int
 	// MaxSegmentBytes rotates the active segment once it exceeds this
 	// size. Default 64 MiB.
 	MaxSegmentBytes int64
@@ -143,9 +145,6 @@ type Log struct {
 // record through replay (nil skips replay), truncates torn tails, and
 // starts the committer. Appends after Open go to a fresh segment.
 func Open(dir string, opt Options, replay func(Event) error) (*Log, error) {
-	if opt.SyncBytes <= 0 {
-		opt.SyncBytes = 1 << 20
-	}
 	if opt.MaxSegmentBytes <= 0 {
 		opt.MaxSegmentBytes = 64 << 20
 	}
@@ -167,10 +166,14 @@ func Open(dir string, opt Options, replay func(Event) error) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
+	var fn func(Cursor, Event) error
+	if replay != nil {
+		fn = func(_ Cursor, ev Event) error { return replay(ev) }
+	}
 	nextSeq := uint64(1)
 	for _, si := range segs {
 		l.recBase[si.Seq] = l.totalRecs
-		scan, err := ScanSegment(si.Path, replay)
+		scan, err := ScanSegment(si.Path, fn)
 		if err != nil {
 			return nil, err
 		}
@@ -192,8 +195,8 @@ func Open(dir string, opt Options, replay func(Event) error) (*Log, error) {
 		}
 	}
 	if len(segs) > 0 {
-		if err := syncDir(dir); err != nil {
-			return nil, err
+		if err := durable.SyncDir(dir); err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
 		}
 		opt.Logf("wal: recovered %d records from %d segments in %s", l.replayed.Load(), len(segs), dir)
 	}
@@ -310,7 +313,7 @@ func (l *Log) commitLoop() {
 		size := len(first.frames)
 		// Fsync-paced batching: take everything already queued.
 	drain:
-		for size < l.opt.SyncBytes {
+		for size < syncBytes {
 			select {
 			case r := <-l.reqCh:
 				batch = append(batch, r)
@@ -320,10 +323,10 @@ func (l *Log) commitLoop() {
 			}
 		}
 		// Optional gather window: trade latency for batch size.
-		if l.opt.GroupWindow > 0 && size < l.opt.SyncBytes {
+		if l.opt.GroupWindow > 0 && size < syncBytes {
 			timer := time.NewTimer(l.opt.GroupWindow)
 		gather:
-			for size < l.opt.SyncBytes {
+			for size < syncBytes {
 				select {
 				case r := <-l.reqCh:
 					batch = append(batch, r)
@@ -528,8 +531,8 @@ func (l *Log) Compact(snapshot func() []Event) (removed int, err error) {
 		removed++
 	}
 	if removed > 0 {
-		if err := syncDir(l.dir); err != nil {
-			return removed, err
+		if err := durable.SyncDir(l.dir); err != nil {
+			return removed, fmt.Errorf("wal: %w", err)
 		}
 	}
 	l.segments.Store(uint64(len(segs) - removed))

@@ -55,10 +55,12 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 # The hand codecs are held to encoding/json by differential fuzz targets
 # whose seed corpora already ran above as plain tests; three seconds of
 # mutation each is a tripwire, not a campaign. -fuzz takes one target and
-# one package at a time. The simulator's log-free window test is held to
-# the exact expression the same way.
-echo "== differential fuzz, 3 s a target (hand codecs vs encoding/json, prune test vs logarithm)"
-for pkg in httpkit serve; do
+# one package at a time. The log's frame decoder is held to its own
+# segment scan (wal) and the replication stream to the follower's frame
+# verification (repl), and the simulator's log-free window test to the
+# exact expression, the same way.
+echo "== fuzz, 3 s a target (hand codecs vs encoding/json, log decoder vs scan, prune test vs logarithm)"
+for pkg in httpkit serve wal repl; do
   for target in $(go test -list '^Fuzz' "./internal/$pkg/" | grep '^Fuzz'); do
     go test -run='^$' -fuzz="^${target}\$" -fuzztime=3s "./internal/$pkg/"
   done
