@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"viralcast/internal/cascade"
 	"viralcast/internal/gdelt"
 )
 
@@ -151,6 +152,47 @@ func TestFigure1(t *testing.T) {
 	}
 	if s := res.Render(); len(s) < 50 {
 		t.Error("render too short")
+	}
+}
+
+func TestModalRegionTieGoesToLowestID(t *testing.T) {
+	ds := &gdelt.Dataset{Sites: []gdelt.Site{{Region: 3}, {Region: 1}, {Region: 3}, {Region: 1}, {Region: 2}, {Region: 0}}}
+	var c cascade.Cascade
+	for _, site := range []int{0, 1, 2, 3, 4} { // regions 3 and 1 twice each
+		c.Infections = append(c.Infections, cascade.Infection{Node: site, Time: float64(site)})
+	}
+	// Map iteration order is drawn afresh on every range; a strict > over
+	// it picked 3 about half the time.
+	for i := 0; i < 200; i++ {
+		if got := modalRegion(ds, &c); got != 1 {
+			t.Fatalf("call %d: modal region %d, want 1 (regions 1 and 3 tie)", i, got)
+		}
+	}
+}
+
+// Figure 1 is a function of the corpus and the seed: repeated calls give
+// the same purity. The corpus is cmd/figures' small scale at seed 3, where
+// the map-order tie-break gave 0.5992 in about 7 calls of 10 and 0.6012
+// in the rest.
+func TestFigure1Deterministic(t *testing.T) {
+	cfg := gdelt.DefaultConfig()
+	cfg.Sites, cfg.Events, cfg.CrossLinks, cfg.Seed = 600, 1250, 90, 3
+	ds, err := gdelt.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Figure1(ds, 800, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= 12; i++ {
+		res, err := Figure1(ds, 800, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RegionPurity != first.RegionPurity {
+			t.Fatalf("call %d: region purity %v, first call %v", i, res.RegionPurity, first.RegionPurity)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"viralcast/internal/cascade"
 	"viralcast/internal/cluster"
 	"viralcast/internal/gdelt"
 	"viralcast/internal/report"
@@ -28,7 +29,7 @@ type Figure1Result struct {
 	ClusterSizes []int
 	// RegionPurity is the fraction of cascades whose flat cluster matches
 	// the majority home region of that cluster (computed from each
-	// cascade's modal reporting region).
+	// cascade's modal reporting region, ties to the lowest region id).
 	RegionPurity float64
 }
 
@@ -61,21 +62,9 @@ func Figure1(ds *gdelt.Dataset, sample int, seed uint64) (*Figure1Result, error)
 	for i := range regionVotes {
 		regionVotes[i] = map[int]int{}
 	}
-	modal := make([]int, len(kept))
 	for i, e := range kept {
-		counts := map[int]int{}
-		for _, inf := range e.Infections {
-			counts[ds.RegionOf(inf.Node)]++
-		}
-		best, bestC := 0, -1
-		for r, c := range counts {
-			if c > bestC {
-				best, bestC = r, c
-			}
-		}
-		modal[i] = best
 		sizes[labels[i]]++
-		regionVotes[labels[i]][best]++
+		regionVotes[labels[i]][modalRegion(ds, e)]++
 	}
 	res.ClusterSizes = sizes
 	agree := 0
@@ -90,6 +79,22 @@ func Figure1(ds *gdelt.Dataset, sample int, seed uint64) (*Figure1Result, error)
 	}
 	res.RegionPurity = float64(agree) / float64(len(kept))
 	return res, nil
+}
+
+// modalRegion is the region most of c's reports come from; a tie goes to
+// the lowest region id, so the answer never depends on map order.
+func modalRegion(ds *gdelt.Dataset, c *cascade.Cascade) int {
+	counts := map[int]int{}
+	for _, inf := range c.Infections {
+		counts[ds.RegionOf(inf.Node)]++
+	}
+	best, bestC := 0, -1
+	for r, n := range counts {
+		if n > bestC || (n == bestC && r < best) {
+			best, bestC = r, n
+		}
+	}
+	return best
 }
 
 // Render gives the terminal rendition of Figure 1.

@@ -43,9 +43,12 @@ func Pipeline(cs []*cascade.Cascade, n int, cfg Config, opts PipelineOptions) (*
 // cascades, 2 cores) steps 1-2 were 0.77 s of a 1.00 s fit (cooccur 9 %,
 // SLPA 68 %, optimization 22 %) while they ran on maps, and are 0.08 s
 // on CSR rows and sorted label memories. With the fused likelihood and
-// gradient kernels under step 3 a fit is 0.185 s: cooccur 0.010 s (5 %),
-// SLPA 0.072 s (39 %), optimization 0.103 s (55 %) (EXPERIMENTS.md,
-// "Compute-plane performance").
+// gradient kernels under step 3 a fit was 0.185 s: cooccur 0.010 s (5 %),
+// SLPA 0.072 s (39 %), optimization 0.103 s (55 %). With SLPA's speak one
+// index into a sorted label multiset and its draws made ahead on a second
+// goroutine, the stages are cooccur 0.0095 s (6 %), SLPA 0.039 s (24 %),
+// optimization 0.117 s (71 %), medians of six traced fits on a shared box
+// (EXPERIMENTS.md, "Compute-plane performance").
 func PipelineCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg Config, opts PipelineOptions) (*embed.Model, *slpa.Partition, *Trace, error) {
 	cfg = cfg.WithDefaults()
 	if err := ctx.Err(); err != nil {

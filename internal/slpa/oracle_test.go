@@ -1,9 +1,13 @@
 package slpa
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"viralcast/internal/graph"
 	"viralcast/internal/sbm"
@@ -14,9 +18,10 @@ import (
 // the sorted-memory one: a map per node memory, a fresh map per listener,
 // a sort per speak, and a mergeSmall that recounts every round. They stay
 // here as the reference the new code must equal bit for bit, including
-// the number of RNG draws.
+// the number of RNG draws. They draw every random number on the calling
+// goroutine, in sweep order; propagate draws them on a second one.
 
-func propagateViaMaps(und *graph.Graph, iterations int, rng *xrand.RNG) ([]map[int]int, []int) {
+func propagateViaMaps(und adjacency, iterations int, rng *xrand.RNG) ([]map[int]int, []int) {
 	n := und.N()
 	memory := make([]map[int]int, n)
 	memSize := make([]int, n)
@@ -211,20 +216,10 @@ func randomDigraph(rng *xrand.RNG) *graph.Graph {
 	return b.Build()
 }
 
-// identityCases are the graphs the old-vs-new tests run on: seeded random
-// digraphs plus the SBM fixture of TestDetectSBMRecovery.
-func identityCases(t *testing.T) []*graph.Graph {
-	t.Helper()
-	g, _, err := sbm.Generate(sbm.Params{N: 200, BlockSize: 40, Alpha: 0.4, Beta: 0.002}, xrand.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []*graph.Graph{g, twoCliques(t), bridgedCliques(t), graph.NewBuilder(4).Build()}
-	rng := xrand.New(14)
-	for i := 0; i < 60; i++ {
-		cases = append(cases, randomDigraph(rng))
-	}
-	return cases
+// identityCase is a graph the old-vs-new tests run on, under opts.
+type identityCase struct {
+	g    *graph.Graph
+	opts []Options
 }
 
 var identityOptions = []Options{
@@ -232,42 +227,198 @@ var identityOptions = []Options{
 	{Iterations: 30, MinCommunitySize: 8}, {MinCommunitySize: 8},
 }
 
-func TestDetectMatchesMapOracle(t *testing.T) {
-	for ci, g := range identityCases(t) {
-		for _, opt := range identityOptions {
-			seed := uint64(1000*ci + opt.Iterations)
-			rng, orng := xrand.New(seed), xrand.New(seed)
-			got, want := Detect(g, opt, rng), detectViaMaps(g, opt, orng)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("graph %d (n=%d, m=%d) %+v: partition differs from the map oracle\n got %v\nwant %v",
-					ci, g.N(), g.M(), opt, got.Membership, want.Membership)
-			}
-			if a, b := rng.Uint64(), orng.Uint64(); a != b {
-				t.Fatalf("graph %d %+v: RNG position differs after Detect (next draw %d, oracle %d)", ci, opt, a, b)
+// identityCases are seeded random digraphs plus the SBM fixture of
+// TestDetectSBMRecovery under identityOptions, and two graphs sized to
+// the draw stream under a few rounds (the map oracle is slow on them): a
+// clique whose every round is several chunks of draws, and a star whose
+// hub hears more speakers than one chunk holds.
+func identityCases(t *testing.T) []identityCase {
+	t.Helper()
+	g, _, err := sbm.Generate(sbm.Params{N: 200, BlockSize: 40, Alpha: 0.4, Beta: 0.002}, xrand.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []*graph.Graph{g, twoCliques(t), bridgedCliques(t), graph.NewBuilder(4).Build()}
+	rng := xrand.New(14)
+	for i := 0; i < 60; i++ {
+		graphs = append(graphs, randomDigraph(rng))
+	}
+	var cases []identityCase
+	for _, g := range graphs {
+		cases = append(cases, identityCase{g, identityOptions})
+	}
+	few := []Options{{Iterations: 1}, {Iterations: 3}, {Iterations: 3, MinCommunitySize: 8}}
+	clique := 2
+	for clique*(clique-1) < 3*drawChunk {
+		clique++
+	}
+	return append(cases, identityCase{completeGraph(t, clique), few}, identityCase{starGraph(t, drawChunk+10), few})
+}
+
+// completeGraph is K_n with weights from three values, so totals tie.
+func completeGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if err := b.AddEdge(u, v, float64(1+(u*v)%3)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
+	return b.Build()
+}
+
+// starGraph is node 0 linked to leaves 1..leaves, plus one isolated node.
+func starGraph(t *testing.T, leaves int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(leaves + 2)
+	for v := 1; v <= leaves; v++ {
+		if err := b.AddEdge(v, 0, float64(1+v%3)/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// eachProcs runs f as a subtest at GOMAXPROCS 1, 2 and the ambient
+// setting: the draws come from a second goroutine, and what it computes
+// must not depend on whether it runs beside the sweep or between its
+// chunks.
+func eachProcs(t *testing.T, f func(t *testing.T)) {
+	ambient := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(ambient)
+	procs := []int{1, 2, ambient}
+	slices.Sort(procs)
+	for _, p := range slices.Compact(procs) {
+		runtime.GOMAXPROCS(p)
+		t.Run(fmt.Sprintf("procs=%d", p), f)
+	}
+}
+
+func TestDetectMatchesMapOracle(t *testing.T) {
+	cases := identityCases(t)
+	eachProcs(t, func(t *testing.T) {
+		for ci, c := range cases {
+			for _, opt := range c.opts {
+				seed := uint64(1000*ci + opt.Iterations)
+				rng, orng := xrand.New(seed), xrand.New(seed)
+				got, want := Detect(c.g, opt, rng), detectViaMaps(c.g, opt, orng)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("graph %d (n=%d, m=%d) %+v: partition differs from the map oracle\n got %v\nwant %v",
+						ci, c.g.N(), c.g.M(), opt, got.Membership, want.Membership)
+				}
+				if a, b := rng.Uint64(), orng.Uint64(); a != b {
+					t.Fatalf("graph %d %+v: RNG position differs after Detect (next draw %d, oracle %d)", ci, opt, a, b)
+				}
+			}
+		}
+	})
 }
 
 func TestDetectOverlappingMatchesMapOracle(t *testing.T) {
-	for ci, g := range identityCases(t) {
-		for _, opt := range identityOptions[:3] {
-			for _, r := range []float64{0.05, 0.2, 0.5, 1} {
-				seed := uint64(1000*ci + opt.Iterations)
-				rng, orng := xrand.New(seed), xrand.New(seed)
-				got, err := DetectOverlapping(g, opt, r, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := detectOverlappingViaMaps(g, opt, r, orng)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("graph %d (n=%d, m=%d) %+v r=%v: cover differs from the map oracle\n got %v\nwant %v",
-						ci, g.N(), g.M(), opt, r, got.Memberships, want.Memberships)
-				}
-				if a, b := rng.Uint64(), orng.Uint64(); a != b {
-					t.Fatalf("graph %d %+v r=%v: RNG position differs after DetectOverlapping", ci, opt, r)
+	cases := identityCases(t)
+	eachProcs(t, func(t *testing.T) {
+		for ci, c := range cases {
+			for _, opt := range c.opts[:3] {
+				for _, r := range []float64{0.05, 0.2, 0.5, 1} {
+					seed := uint64(1000*ci + opt.Iterations)
+					rng, orng := xrand.New(seed), xrand.New(seed)
+					got, err := DetectOverlapping(c.g, opt, r, rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := detectOverlappingViaMaps(c.g, opt, r, orng)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("graph %d (n=%d, m=%d) %+v r=%v: cover differs from the map oracle\n got %v\nwant %v",
+							ci, c.g.N(), c.g.M(), opt, r, got.Memberships, want.Memberships)
+					}
+					if a, b := rng.Uint64(), orng.Uint64(); a != b {
+						t.Fatalf("graph %d %+v r=%v: RNG position differs after DetectOverlapping", ci, opt, r)
+					}
 				}
 			}
+		}
+	})
+}
+
+// rows is an adjacency graph.Graph will not build: a row may list its own
+// node, so a listener is among its own speakers.
+type rows struct {
+	offsets, targets []int
+	weights          []float64
+}
+
+func (r rows) N() int { return len(r.offsets) - 1 }
+
+func (r rows) Neighbors(u int) ([]int, []float64) {
+	lo, hi := r.offsets[u], r.offsets[u+1]
+	return r.targets[lo:hi], r.weights[lo:hi]
+}
+
+// withSelfLoops copies und's rows and gives every even node a self-loop,
+// isolated ones included, which then hear only themselves.
+func withSelfLoops(und *graph.Graph) rows {
+	r := rows{offsets: []int{0}}
+	for u := 0; u < und.N(); u++ {
+		ts, ws := und.Neighbors(u)
+		i := sort.SearchInts(ts, u)
+		r.targets, r.weights = append(r.targets, ts[:i]...), append(r.weights, ws[:i]...)
+		if u%2 == 0 {
+			r.targets, r.weights = append(r.targets, u), append(r.weights, 0.5)
+		}
+		r.targets, r.weights = append(r.targets, ts[i:]...), append(r.weights, ws[i:]...)
+		r.offsets = append(r.offsets, len(r.targets))
+	}
+	return r
+}
+
+// propagate against the map oracle, memory for memory, on rows with
+// self-loops: a listener that hears itself speaks from the memory it had
+// before its own turn.
+func TestPropagateMatchesMapOracle(t *testing.T) {
+	rng := xrand.New(16)
+	var graphs []rows
+	for i := 0; i < 30; i++ {
+		graphs = append(graphs, withSelfLoops(randomDigraph(rng).Undirected()))
+	}
+	eachProcs(t, func(t *testing.T) {
+		for gi, g := range graphs {
+			for _, iterations := range []int{1, 2, 30} {
+				seed := uint64(100*gi + iterations)
+				prng, orng := xrand.New(seed), xrand.New(seed)
+				got := propagate(g, iterations, prng)
+				maps, sizes := propagateViaMaps(g, iterations, orng)
+				for u, m := range maps {
+					want := make([]int32, 0, sizes[u])
+					for label, count := range m {
+						for ; count > 0; count-- {
+							want = append(want, int32(label))
+						}
+					}
+					slices.Sort(want)
+					if !slices.Equal(got[u], want) {
+						t.Fatalf("graph %d, %d rounds, node %d: memory %v, map oracle %v", gi, iterations, u, got[u], want)
+					}
+				}
+				if a, b := prng.Uint64(), orng.Uint64(); a != b {
+					t.Fatalf("graph %d, %d rounds: RNG position differs after propagate", gi, iterations)
+				}
+			}
+		}
+	})
+}
+
+// The draw producer exits with Detect: no goroutine outlives the call.
+func TestDetectLeavesNoGoroutine(t *testing.T) {
+	g := twoCliques(t)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		Detect(g, Options{Iterations: 1 + i}, xrand.New(uint64(i)))
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 Detect calls, %d before", runtime.NumGoroutine(), before)
 		}
 	}
 }

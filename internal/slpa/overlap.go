@@ -83,27 +83,19 @@ func DetectOverlapping(g *graph.Graph, opt Options, r float64, rng *xrand.RNG) (
 	memory := propagate(g.Undirected(), opt.Iterations, rng)
 	// Post-processing: keep labels above the frequency threshold; always
 	// keep the most frequent label so every node is covered. Memories
-	// are sorted by label, and so is kept.
+	// are sorted, and so is kept.
 	rawMemberships := make([][]int, len(memory))
 	labelsSeen := map[int]int{} // raw label -> dense community id
 	var communities [][]int
 	for u, mem := range memory {
-		total := 0
-		for _, e := range mem {
-			total += int(e.count)
-		}
 		var kept []int
-		best := mem[0]
-		for _, e := range mem {
-			if float64(e.count)/float64(total) >= r {
-				kept = append(kept, int(e.label))
+		eachRun(mem, func(label int32, count int) {
+			if float64(count)/float64(len(mem)) >= r {
+				kept = append(kept, int(label))
 			}
-			if e.count > best.count {
-				best = e
-			}
-		}
+		})
 		if len(kept) == 0 {
-			kept = []int{int(best.label)}
+			kept = []int{int(modal(mem))}
 		}
 		for _, label := range kept {
 			id, ok := labelsSeen[label]

@@ -14,6 +14,7 @@ package slpa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"viralcast/internal/graph"
@@ -106,16 +107,10 @@ func Detect(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
 	und := g.Undirected()
 	memory := propagate(und, opt.Iterations, rng)
 	// Post-processing: each node takes its most frequent remembered label
-	// (ties: lowest label, the first in its sorted memory).
+	// (ties: lowest label).
 	membership := make([]int, len(memory))
 	for u, mem := range memory {
-		best := mem[0]
-		for _, e := range mem[1:] {
-			if e.count > best.count {
-				best = e
-			}
-		}
-		membership[u] = int(best.label)
+		membership[u] = int(modal(mem))
 	}
 	p := FromMembership(membership)
 	if opt.MinCommunitySize > 1 {
@@ -124,90 +119,179 @@ func Detect(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
 	return p
 }
 
-// entry is one remembered label and the number of times it was stored.
-type entry struct{ label, count int32 }
+// eachRun calls f with every distinct label of a sorted memory, in
+// ascending order, and the number of times it was stored.
+func eachRun(mem []int32, f func(label int32, count int)) {
+	for i := 0; i < len(mem); {
+		j := i + 1
+		for j < len(mem) && mem[j] == mem[i] {
+			j++
+		}
+		f(mem[i], j-i)
+		i = j
+	}
+}
+
+// modal returns the most frequent label of a sorted memory, the lowest
+// one on a tie.
+func modal(mem []int32) int32 {
+	best, bestN := mem[0], 0
+	eachRun(mem, func(label int32, count int) {
+		if count > bestN {
+			best, bestN = label, count
+		}
+	})
+	return best
+}
+
+// adjacency is the undirected graph propagate sweeps. Its rows must be
+// symmetric — v lists u whenever u lists v — so every speaker is also a
+// listener. *graph.Graph's Undirected is the only implementation outside
+// tests.
+type adjacency interface {
+	N() int
+	Neighbors(u int) (targets []int, weights []float64)
+}
+
+// The draws reach the sweep in chunks of drawChunk ints, and drawChunks
+// chunks exist, so the handoff holds at most drawChunk*drawChunks ints
+// (512 KiB) whatever the size of the graph. Less queued work does not
+// cover the time a goroutine blocked on a channel takes to be woken on
+// the other CPU: 4 chunks of 4,096 ran SLPA on the train benchmark's
+// graph 1.5× slower at GOMAXPROCS 2.
+const (
+	drawChunk  = 1 << 13
+	drawChunks = 8
+)
 
 // propagate runs the speaker-listener rounds on the undirected graph and
-// returns every node's memory sorted by label; a memory's counts sum to
-// one plus the number of rounds the node listened in. Labels are node
-// ids, so what a listener hears is tallied in a dense per-label array.
-// A node stores one label per round, which bounds its memory at
-// iterations+1 entries: all memories are carved from one block up front
-// and the sweep itself allocates nothing.
-func propagate(und *graph.Graph, iterations int, rng *xrand.RNG) [][]entry {
+// returns every node's memory: the labels it stored, sorted, with
+// repeats, one plus one per round it listened in. Speaking is then one
+// uniform index into the memory, which lands on each label as often as it
+// was stored. Labels are node ids, so what a listener hears is tallied in
+// a dense per-label array. A node stores one label per round, which
+// bounds its memory at iterations+1 labels: all memories are carved from
+// one block up front and the sweep itself allocates nothing.
+//
+// The sweep is sequential — a listener hears what earlier listeners of
+// the round stored — but the random draws it consumes are fixed by the
+// shuffled order alone, so a second goroutine (produceDraws) makes them
+// ahead of it and the sweep only reads them.
+func propagate(und adjacency, iterations int, rng *xrand.RNG) [][]int32 {
 	n, stride := und.N(), iterations+1
-	block := make([]entry, n*stride)
-	memory := make([][]entry, n)
-	memSize := make([]int, n)
-	order := make([]int, n)
+	block := make([]int32, n*stride)
+	memory := make([][]int32, n)
 	for u := range memory {
-		block[u*stride] = entry{int32(u), 1} // initially every node holds itself
+		block[u*stride] = int32(u) // initially every node holds itself
 		memory[u] = block[u*stride : u*stride+1 : (u+1)*stride]
-		memSize[u], order[u] = 1, u
 	}
+	// Either channel can hold every chunk, so no send blocks.
+	full, free := make(chan []int, drawChunks), make(chan []int, drawChunks)
+	for range drawChunks {
+		free <- make([]int, drawChunk)
+	}
+	go produceDraws(und, iterations, stride, rng, full, free)
+
 	received := make([]float64, n) // zero outside a listener's turn
 	heard := make([]int32, 0, n)   // labels with an entry in received
-	for it := 0; it < iterations; it++ {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		for _, listener := range order {
-			ts, ws := und.Neighbors(listener)
-			if len(ts) == 0 {
-				continue
+	var chunk []int                // the draws not yet read, from chunk[k] on
+	k := 0
+	for {
+		if k == len(chunk) {
+			if chunk != nil {
+				free <- chunk
 			}
-			// Each neighbor speaks one label sampled from its memory;
-			// the listener adopts the label with the largest total edge
-			// weight among those spoken (ties: lowest label).
-			for i, speaker := range ts {
-				label := speak(memory[speaker], memSize[speaker], rng)
-				if received[label] == 0 {
-					// A label whose weights sum to zero so far is listed
-					// again, which the arg-max below does not mind.
-					heard = append(heard, label)
-				}
-				received[label] += ws[i]
+			var ok bool
+			if chunk, ok = <-full; !ok {
+				break // the producer closed full after its last draw
 			}
-			best, bestW := int32(-1), -1.0
-			for _, label := range heard {
-				if w := received[label]; w > bestW || (w == bestW && label < best) {
-					best, bestW = label, w
-				}
-				received[label] = 0
-			}
-			heard = heard[:0]
-			memory[listener] = remember(memory[listener], best)
-			memSize[listener]++
+			k = 0
 		}
+		listener := chunk[k]
+		k++
+		// Each neighbor speaks the label at the block index drawn for it;
+		// the listener adopts the label with the largest total edge
+		// weight among those spoken (ties: lowest label).
+		_, ws := und.Neighbors(listener)
+		for _, w := range ws {
+			if k == len(chunk) {
+				free <- chunk
+				chunk, k = <-full, 0
+			}
+			label := block[chunk[k]]
+			k++
+			if received[label] == 0 {
+				// A label whose weights sum to zero so far is listed
+				// again, which the arg-max below does not mind.
+				heard = append(heard, label)
+			}
+			received[label] += w
+		}
+		best, bestW := int32(-1), -1.0
+		for _, label := range heard {
+			if w := received[label]; w > bestW || (w == bestW && label < best) {
+				best, bestW = label, w
+			}
+			received[label] = 0
+		}
+		heard = heard[:0]
+		i, _ := slices.BinarySearch(memory[listener], best)
+		memory[listener] = slices.Insert(memory[listener], i, best)
 	}
 	return memory
 }
 
-// speak samples a label from the speaker's memory proportionally to its
-// stored frequency, walking the labels in ascending order.
-func speak(mem []entry, total int, rng *xrand.RNG) int32 {
-	target := int32(rng.Intn(total))
-	for _, e := range mem {
-		if target < e.count {
-			return e.label
+// produceDraws makes every random draw of propagate's rounds, in the order
+// the sequential sweep consumes them, and sends them down full in chunks
+// taken from free; it closes full after the last one. Per round: the
+// shuffle of the listening order, then, for each listener with
+// neighbors, a record of the listener's id followed by one flat block
+// index per neighbor — speaker*stride plus a uniform draw below the
+// speaker's memory size at that moment. That size needs no look at the
+// sweep: a speaker is some listener's neighbor, so it listens in every
+// round, and holds 1+round labels, one more once its own turn in this
+// round has passed.
+func produceDraws(und adjacency, iterations, stride int, rng *xrand.RNG, full chan<- []int, free <-chan []int) {
+	defer close(full)
+	n := und.N()
+	order, pos := make([]int, n), make([]int, n)
+	for u := range order {
+		order[u] = u
+	}
+	buf, k := <-free, 0
+	for it := 0; it < iterations; it++ {
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		for i, u := range order {
+			pos[u] = i
 		}
-		target -= e.count
+		for i, listener := range order {
+			ts, _ := und.Neighbors(listener)
+			if len(ts) == 0 {
+				continue
+			}
+			if k == len(buf) {
+				full <- buf
+				buf, k = (<-free)[:drawChunk], 0
+			}
+			buf[k] = listener
+			k++
+			for _, speaker := range ts {
+				size := it + 1
+				if pos[speaker] < i {
+					size++
+				}
+				if k == len(buf) {
+					full <- buf
+					buf, k = (<-free)[:drawChunk], 0
+				}
+				buf[k] = speaker*stride + rng.Intn(size)
+				k++
+			}
+		}
 	}
-	return mem[len(mem)-1].label
-}
-
-// remember counts one more occurrence of label in the sorted memory.
-func remember(mem []entry, label int32) []entry {
-	i := 0
-	for i < len(mem) && mem[i].label < label {
-		i++
+	if k > 0 {
+		full <- buf[:k]
 	}
-	if i < len(mem) && mem[i].label == label {
-		mem[i].count++
-		return mem
-	}
-	mem = append(mem, entry{})
-	copy(mem[i+1:], mem[i:])
-	mem[i] = entry{label, 1}
-	return mem
 }
 
 // mergeSmall folds communities below minSize into the neighboring

@@ -8,7 +8,10 @@
 // the recommended seeding procedure for the xoshiro family.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a xoshiro256** generator. It is NOT safe for concurrent use; give
 // each goroutine its own stream via Split.
@@ -97,27 +100,15 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded generation.
 	un := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, un)
+	hi, lo := bits.Mul64(x, un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
 			x = r.Uint64()
-			hi, lo = mul64(x, un)
+			hi, lo = bits.Mul64(x, un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Exp returns an exponentially distributed sample with the given rate

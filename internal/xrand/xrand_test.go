@@ -1,7 +1,11 @@
 package xrand
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -94,6 +98,70 @@ func TestIntnPanics(t *testing.T) {
 		}
 	}()
 	New(1).Intn(0)
+}
+
+// mul64Limbs is the 128-bit product Intn computed by hand, in 32-bit
+// limbs, before it called bits.Mul64: the oracle the intrinsic is held to.
+func mul64Limbs(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask32 + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return
+}
+
+func TestMul64MatchesLimbs(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 63, 1<<64 - 1}
+	check := func(a, b uint64) {
+		hi, lo := bits.Mul64(a, b)
+		if whi, wlo := mul64Limbs(a, b); hi != whi || lo != wlo {
+			t.Fatalf("Mul64(%#x, %#x) = (%#x, %#x), limbs give (%#x, %#x)", a, b, hi, lo, whi, wlo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := New(14)
+	for i := 0; i < 100000; i++ {
+		a, b := r.Uint64(), r.Uint64()
+		check(a, b)
+		check(a, b>>(b%64)) // small bounds, as Intn mostly sees
+	}
+}
+
+// Every consumer of the generator — the simulator, the SBM draw, Shuffle,
+// SLPA, the scenario engine — sees Intn through these digests: SHA-256 of
+// the first 10,000 draws, each as 8 little-endian bytes, recorded before
+// Intn multiplied with bits.Mul64. Large bounds take the rejection loop.
+func TestIntnStreamPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		n    int
+		want string
+	}{
+		{1, 1, "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc"},
+		{7, 10, "6fc2cdf691ec35e96a2c9771117af6413e1a8d9b88104be0edc7e24d79eaa446"},
+		{42, 1000003, "1662c4bbbd281d77a63fbde8ebe0857ac7e6169720c6a4ce2874ec8d4ed44e73"},
+		{11, 3 << 32, "64311ce42e0c5f8a48b172dcba728a1320cc5d2c35466eba1d36f90e6c46ea7c"},
+		{3, 1<<62 + 5, "43a6de354378bfc7e549f3b0584346c50bc8439e308c64e2157e85e0889c87b5"},
+		{9, math.MaxInt64, "4c2d9cf3db8fe1b2bb1df6c1dd192e300ff97101ceef7f37fa490f5c6837e7ae"},
+	} {
+		r := New(c.seed)
+		h := sha256.New()
+		var b [8]byte
+		for i := 0; i < 10000; i++ {
+			binary.LittleEndian.PutUint64(b[:], uint64(r.Intn(c.n)))
+			h.Write(b[:])
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+			t.Errorf("Intn(%d) from seed %d: digest %s, want %s", c.n, c.seed, got, c.want)
+		}
+	}
 }
 
 func TestExpMeanAndPositivity(t *testing.T) {

@@ -35,13 +35,15 @@ echo "== go test -race (concurrent packages, incl. the chaos soak)"
 go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./internal/httpkit/ ./internal/serve/ ./internal/wal/ ./internal/repl/ ./internal/inflmax/ ./internal/core/ ./internal/scenario/ ./internal/router/ ./cmd/viralcast/
 
 # The simulator is held, draw for draw, to the version that heaps every
-# attempt, and the scenario engine to one answer at any worker count: a
-# "faster" simulator that reorders a draw fails here, not in a figure.
-echo "== simulator oracle + scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
+# attempt, SLPA (whose draws come from a second goroutine) to the map
+# version that drew them in its sweep, and the scenario engine to one
+# answer at any worker count: a "faster" simulator or SLPA that reorders a
+# draw fails here, not in a figure.
+echo "== simulator + SLPA oracles, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
-    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts' \
-    ./internal/cascade/ ./internal/scenario/
+    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectLeavesNoGoroutine' \
+    ./internal/cascade/ ./internal/scenario/ ./internal/slpa/
 done
 
 # bench/ is a module of its own (replace viralcast => ../), so ./... above
