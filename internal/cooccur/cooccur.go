@@ -72,9 +72,11 @@ func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 			next[inf.Node]++
 		}
 	}
+	// Counting the arcs first sizes the CSR arrays once.
+	arcs := countArcs(tails, start)
 	offsets := make([]int, n+1)
-	var targets []int
-	var weights []float64
+	targets := make([]int, 0, arcs)
+	weights := make([]float64, 0, arcs)
 	pairCount := make([]int, n) // c(u,v) for the current u, zero between rows
 	var seen []int              // the v with pairCount[v] > 0
 	for u := 0; u < n; u++ {
@@ -104,6 +106,29 @@ func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 		return nil, fmt.Errorf("cooccur: %w", err)
 	}
 	return g, nil
+}
+
+// countArcs returns the number of distinct pairs (u, v) with v in one of
+// u's tails, tails[start[u]:start[u+1]]: Build's arc count before the
+// MinPairCount filter, which can only drop arcs.
+func countArcs(tails [][]cascade.Infection, start []int) int {
+	n := len(start) - 1
+	last := make([]int, n) // last[v] = u+1 once v is counted for row u
+	total := 0
+	for u := 0; u < n; u++ {
+		for _, tail := range tails[start[u]:start[u+1]] {
+			for _, inf := range tail {
+				// Stored unconditionally so the count compiles to a
+				// conditional move, not a branch on fresh data.
+				seen := last[inf.Node]
+				last[inf.Node] = u + 1
+				if seen != u+1 {
+					total++
+				}
+			}
+		}
+	}
+	return total
 }
 
 // NodeCounts returns c(u) for every node: the number of cascades that

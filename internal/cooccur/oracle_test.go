@@ -2,11 +2,14 @@ package cooccur
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/graph"
+	"viralcast/internal/workload"
 	"viralcast/internal/xrand"
 )
 
@@ -117,5 +120,137 @@ func TestBuildErrorsMatchMapOracle(t *testing.T) {
 		if err == nil || oerr == nil || err.Error() != oerr.Error() {
 			t.Errorf("case %d: Build error %v, oracle error %v", i, err, oerr)
 		}
+	}
+}
+
+// buildByAppend is Build as it stood before it counted its arcs first:
+// the same row sweep, the CSR arrays grown by append. Build must equal it
+// in every offset, target and weight bit.
+func buildByAppend(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
+	}
+	counted := func(c *cascade.Cascade) bool {
+		return opt.MaxCascadeSize <= 0 || c.Size() <= opt.MaxCascadeSize
+	}
+	if err := cascade.ValidateAll(cs, n); err != nil {
+		return nil, fmt.Errorf("cooccur: %w", err)
+	}
+	nodeCount := make([]int, n)
+	start := make([]int, n+1)
+	for _, c := range cs {
+		pairs := counted(c)
+		for _, inf := range c.Infections {
+			nodeCount[inf.Node]++
+			if pairs {
+				start[inf.Node+1]++
+			}
+		}
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	tails := make([][]cascade.Infection, start[n])
+	next := append([]int(nil), start[:n]...)
+	for _, c := range cs {
+		if !counted(c) {
+			continue
+		}
+		for i, inf := range c.Infections {
+			tails[next[inf.Node]] = c.Infections[i+1:]
+			next[inf.Node]++
+		}
+	}
+	offsets := make([]int, n+1)
+	var targets []int
+	var weights []float64
+	pairCount := make([]int, n)
+	var seen []int
+	for u := 0; u < n; u++ {
+		for _, tail := range tails[start[u]:start[u+1]] {
+			for _, inf := range tail {
+				if pairCount[inf.Node] == 0 {
+					seen = append(seen, inf.Node)
+				}
+				pairCount[inf.Node]++
+			}
+		}
+		sort.Ints(seen)
+		for _, v := range seen {
+			cnt := pairCount[v]
+			pairCount[v] = 0
+			if opt.MinPairCount > 1 && cnt < opt.MinPairCount {
+				continue
+			}
+			targets = append(targets, v)
+			weights = append(weights, 2*float64(cnt)/float64(nodeCount[u]+nodeCount[v]))
+		}
+		seen = seen[:0]
+		offsets[u+1] = len(targets)
+	}
+	return graph.FromCSR(n, offsets, targets, weights)
+}
+
+// sameCSR reports the first row where two graphs' targets or weight bits
+// differ, or -1.
+func sameCSR(a, b *graph.Graph) int {
+	if a.N() != b.N() {
+		return 0
+	}
+	for u := 0; u < a.N(); u++ {
+		at, aw := a.Neighbors(u)
+		bt, bw := b.Neighbors(u)
+		if len(at) != len(bt) {
+			return u
+		}
+		for i := range at {
+			if at[i] != bt[i] || math.Float64bits(aw[i]) != math.Float64bits(bw[i]) {
+				return u
+			}
+		}
+	}
+	return -1
+}
+
+func TestBuildMatchesAppendBuilder(t *testing.T) {
+	rng := xrand.New(15)
+	options := []Options{{}, {MinPairCount: 3}, {MaxCascadeSize: 20}, {MinPairCount: 3, MaxCascadeSize: 20}}
+	for trial := 0; trial < 150; trial++ {
+		n := 2 + rng.Intn(60)
+		cs := randomCascades(rng, n)
+		for _, opt := range options {
+			got, err := Build(cs, n, opt)
+			if err != nil {
+				t.Fatalf("trial %d %+v: %v", trial, opt, err)
+			}
+			want, err := buildByAppend(cs, n, opt)
+			if err != nil {
+				t.Fatalf("trial %d %+v: oracle: %v", trial, opt, err)
+			}
+			if u := sameCSR(got, want); u >= 0 {
+				t.Fatalf("trial %d %+v (n=%d): row %d differs from the append builder", trial, opt, n, u)
+			}
+		}
+	}
+	// The draw bench/'s train workload fits: 800 nodes, 1,000 cascades.
+	c := workload.Default()
+	c.N, c.Cascades, c.Window = 800, 1000, 8
+	d, err := workload.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Build(d.Cascades, c.N, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := buildByAppend(d.Cascades, c.N, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := sameCSR(got, want); u >= 0 {
+		t.Fatalf("train draw: row %d differs from the append builder", u)
+	}
+	if got.M() != 97966 {
+		t.Fatalf("train draw has %d arcs, want 97966", got.M())
 	}
 }

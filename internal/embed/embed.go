@@ -96,7 +96,43 @@ func (m *Model) Validate() error {
 // LogLik returns the log-likelihood of one cascade under the model
 // (Eq. 8), computed in O(len(c) * K). Cascades of size < 2 contribute 0.
 func (m *Model) LogLik(c *cascade.Cascade) float64 {
-	return m.logLik(c, make([]float64, m.K()), make([]float64, m.K()))
+	hb, gb := m.partials(len(c.Infections))
+	return m.logLik(c, hb, gb)
+}
+
+// LogLikAll sums LogLik over all cascades, on one pair of per-infection
+// scratch vectors sized to the longest (none at K = 4).
+func (m *Model) LogLikAll(cs []*cascade.Cascade) float64 {
+	longest := 0
+	for _, c := range cs {
+		longest = max(longest, len(c.Infections))
+	}
+	hb, gb := m.partials(longest)
+	var s float64
+	for _, c := range cs {
+		s += m.logLik(c, hb, gb)
+	}
+	return s
+}
+
+// The kernels sweep the topics in blocks of four whose running sums H, G
+// (and P, Q, R) live in registers for a whole pass over the cascade. The
+// K mod 4 leading columns are swept alone, one pass each, then the full
+// blocks in order; every pass but the one over the last block adds its
+// share of each infection's dot products to a per-infection scratch, and
+// the last pass finishes the infection inline (below one block, a loop
+// over the scratch does). Each dot is therefore still summed over
+// j = 0 … K−1 from zero, and every result is the column-at-a-time loop's
+// to the bit. At K = 4 a kernel is one pass with no scratch.
+const block = 4
+
+// partials returns logLik's per-infection scratch for cascades of up to
+// n infections, nil when every column is in the finishing block.
+func (m *Model) partials(n int) (hb, gb []float64) {
+	if m.K() == block {
+		return nil, nil
+	}
+	return make([]float64, n), make([]float64, n)
 }
 
 // The log terms of one cascade are taken as the logarithm of the product
@@ -111,86 +147,192 @@ const (
 	hazardHi = 0x1p+500
 )
 
-// logLik is LogLik on caller-owned scratch: h and g have length K and
-// are zeroed here. The result is within 1e-12·(1+|ll|) of the
-// term-by-term sum of Eq. 8 (a few ulp in practice); a NaN or ±Inf hazard
-// still yields a non-finite likelihood, which the divergence guard in
-// package infer relies on.
-func (m *Model) logLik(c *cascade.Cascade, h, g []float64) float64 {
+// logLik is LogLik on caller-owned scratch: unless K is one block, hb and
+// gb hold at least len(c.Infections) entries, and are zeroed here. The
+// result is within 1e-12·(1+|ll|) of the term-by-term sum of Eq. 8 (a
+// few ulp in practice); a NaN or ±Inf hazard still yields a non-finite
+// likelihood, which the divergence guard in package infer relies on.
+func (m *Model) logLik(c *cascade.Cascade, hb, gb []float64) float64 {
 	k := m.A.ColsN
 	if m.B.ColsN != k {
 		panic("embed: LogLik on a model whose A and B widths differ")
 	}
-	a, b := m.A.Data, m.B.Data
-	h, g = h[:k], g[:k]
-	for j := range h {
-		h[j] = 0 // H = sum of A[l] over already-infected l
-		g[j] = 0 // G = sum of t_l * A[l]
+	infs := c.Infections
+	if len(infs) < 2 {
+		return 0
 	}
+	a, b := m.A.Data, m.B.Data
+	lead, last := k%block, k-block
+	if k != block {
+		hb, gb = hb[:len(infs)], gb[:len(infs)]
+		clear(hb)
+		clear(gb)
+	}
+	for j := 0; j < lead; j++ {
+		dotColumn(infs, a, b, k, j, hb, gb)
+	}
+	for j := lead; j < last; j += block {
+		dotBlock(infs, a, b, k, j, hb, gb)
+	}
+	if last < 0 { // no block: the column passes left whole dots
+		var linear float64
+		prod, exp := 1.0, 0
+		for i := 1; i < len(infs); i++ {
+			// sum_{l<v} (t_l - t_v) A[l]·B[v] = G·B[v] - t_v * H·B[v]
+			linear += gb[i] - infs[i].Time*hb[i]
+			if p := prod * hb[i]; plain(hb[i]) && inBand(p) {
+				prod = p
+			} else {
+				prod, exp = mulHazard(prod, exp, hb[i])
+			}
+		}
+		return linear + (math.Log(prod) + float64(exp)*math.Ln2)
+	}
+	return finishBlock(infs, a, b, k, last, hb, gb)
+}
+
+// dotColumn adds column j's terms of H(v)·B[v] and G(v)·B[v] to hb and gb.
+func dotColumn(infs []cascade.Infection, a, b []float64, k, j int, hb, gb []float64) {
+	var h, g float64 // H and G = sums of A[l] and t_l·A[l] over infected l
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		if i > 0 {
+			x := b[off]
+			hb[i] += h * x
+			gb[i] += g * x
+		}
+		y := a[off]
+		h += y
+		g += inf.Time * y
+	}
+}
+
+// dotBlock adds the terms of columns j … j+3 to hb and gb.
+func dotBlock(infs []cascade.Infection, a, b []float64, k, j int, hb, gb []float64) {
+	a, b = a[:len(a):len(a)], b[:len(a):len(a)] // one check serves both rows
+	hb, gb = hb[:len(infs)], gb[:len(infs)]
+	var h0, h1, h2, h3, g0, g1, g2, g3 float64
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		y, t := a[off:off+block:off+block], inf.Time
+		if i > 0 {
+			x := b[off : off+block : off+block]
+			s, u := hb[i], gb[i]
+			s += h0 * x[0]
+			u += g0 * x[0]
+			s += h1 * x[1]
+			u += g1 * x[1]
+			s += h2 * x[2]
+			u += g2 * x[2]
+			s += h3 * x[3]
+			u += g3 * x[3]
+			hb[i], gb[i] = s, u
+		}
+		h0 += y[0]
+		h1 += y[1]
+		h2 += y[2]
+		h3 += y[3]
+		g0 += t * y[0]
+		g1 += t * y[1]
+		g2 += t * y[2]
+		g3 += t * y[3]
+	}
+}
+
+// finishBlock is the pass over the last block, columns j … j+3: it adds
+// their terms to the partial dots of the columns before (if K is wider
+// than a block) and folds each infection's survival term and hazard into
+// the likelihood.
+func finishBlock(infs []cascade.Infection, a, b []float64, k, j int, hb, gb []float64) float64 {
+	carry := k > block                          // the passes before left partial dots in hb, gb
+	a, b = a[:len(a):len(a)], b[:len(a):len(a)] // one check serves both rows
+	var h0, h1, h2, h3, g0, g1, g2, g3 float64
 	var linear float64 // sum of the survival terms
 	prod, exp := 1.0, 0
-	for i, inf := range c.Infections {
-		off := inf.Node * k
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		y, t := a[off:off+block:off+block], inf.Time
 		if i > 0 {
-			bv := b[off : off+k : off+k]
-			var hb, gb float64
-			for j, x := range bv {
-				hb += h[j] * x
-				gb += g[j] * x
+			x := b[off : off+block : off+block]
+			var s, u float64
+			if carry {
+				s, u = hb[i], gb[i]
 			}
-			// sum_{l<v} (t_l - t_v) A[l]·B[v] = G·B[v] - t_v * H·B[v]
-			linear += gb - inf.Time*hb
-			if hb < EpsRate {
-				hb = EpsRate
-			}
-			// Negated comparisons so a NaN takes the Frexp path too; Frexp
-			// returns NaN and ±Inf unchanged, keeping the product non-finite.
-			if !(hb <= hazardHi) {
-				fr, e := math.Frexp(hb)
-				hb, exp = fr, exp+e
-			}
-			prod *= hb
-			if !(prod >= hazardLo && prod <= hazardHi) {
-				fr, e := math.Frexp(prod)
-				prod, exp = fr, exp+e
+			s += h0 * x[0]
+			u += g0 * x[0]
+			s += h1 * x[1]
+			u += g1 * x[1]
+			s += h2 * x[2]
+			u += g2 * x[2]
+			s += h3 * x[3]
+			u += g3 * x[3]
+			linear += u - t*s
+			if p := prod * s; plain(s) && inBand(p) {
+				prod = p
+			} else {
+				prod, exp = mulHazard(prod, exp, s)
 			}
 		}
-		t := inf.Time
-		for j, x := range a[off : off+k : off+k] {
-			h[j] += x
-			g[j] += t * x
-		}
+		h0 += y[0]
+		h1 += y[1]
+		h2 += y[2]
+		h3 += y[3]
+		g0 += t * y[0]
+		g1 += t * y[1]
+		g2 += t * y[2]
+		g3 += t * y[3]
 	}
 	return linear + (math.Log(prod) + float64(exp)*math.Ln2)
 }
 
-// LogLikAll sums LogLik over all cascades, on one pair of scratch vectors.
-func (m *Model) LogLikAll(cs []*cascade.Cascade) float64 {
-	h, g := make([]float64, m.K()), make([]float64, m.K())
-	var s float64
-	for _, c := range cs {
-		s += m.logLik(c, h, g)
-	}
-	return s
+// plain reports whether a hazard needs neither the EpsRate floor nor a
+// reduction before it is multiplied in: 2^-39 (above EpsRate) ≤ hb <
+// 2^500. A NaN, an infinity or a negative value is not plain. Read from
+// the exponent bits, it is one integer comparison.
+func plain(hb float64) bool {
+	return math.Float64bits(hb)>>52-(1023-39) < 39+500
 }
 
-// GradWorkspace holds the scratch buffers AccumGrad needs, so the hot
+// inBand reports whether a product lies in [2^-500, 2^500), inside the
+// band, by its exponent bits.
+func inBand(p float64) bool {
+	return math.Float64bits(p)>>52-(1023-500) < 500+500
+}
+
+// mulHazard multiplies one infection's hazard hb, floored at EpsRate, into
+// the product prod·2^exp. The kernels call it only when hb is not plain or
+// the plain product leaves the band; for every other hazard it would
+// return that product unchanged, so the shortcut changes no bit. Negated
+// comparisons so a NaN takes the Frexp path too; Frexp returns NaN and
+// ±Inf unchanged, keeping the product non-finite. The floor is an if, not
+// max: Go's max returns a NaN of its own, not the operand.
+func mulHazard(prod float64, exp int, hb float64) (float64, int) {
+	if hb < EpsRate {
+		hb = EpsRate
+	}
+	if !(hb <= hazardHi) {
+		fr, e := math.Frexp(hb)
+		hb, exp = fr, exp+e
+	}
+	prod *= hb
+	if !(prod >= hazardLo && prod <= hazardHi) {
+		fr, e := math.Frexp(prod)
+		prod, exp = fr, exp+e
+	}
+	return prod, exp
+}
+
+// GradWorkspace holds the scratch buffer AccumGrad needs, so the hot
 // training loop performs no per-cascade allocation. A workspace may be
 // reused across cascades but not shared between goroutines.
 type GradWorkspace struct {
-	h, g, p, q, r []float64
-	inv           []float64 // 1/d_v per cascade position
+	inv []float64 // partial d_v, then 1/d_v, per cascade position
 }
 
-// NewGradWorkspace allocates a workspace for models with k topics.
+// NewGradWorkspace returns a workspace for models with k topics. Its
+// scratch grows to the longest cascade it meets, whatever k is.
 func NewGradWorkspace(k int) *GradWorkspace {
-	return &GradWorkspace{
-		h: make([]float64, k),
-		g: make([]float64, k),
-		p: make([]float64, k),
-		q: make([]float64, k),
-		r: make([]float64, k),
-	}
+	return &GradWorkspace{}
 }
 
 // AccumGrad adds the gradient of LogLik(c) with respect to A and B into
@@ -205,10 +347,14 @@ func NewGradWorkspace(k int) *GradWorkspace {
 //
 //	dA[u] += t_u P(u) - Q(u) + R(u)
 //
-// Every sweep step is one pass over the K columns of the rows involved.
-// Complexity O(len(c) * K); no allocation beyond the reusable workspace.
+// Both sweeps run per block of columns, as in logLik: the forward passes
+// before the last block's add their partial d_v to the workspace, the
+// last one finishes 1/d_v and its own dB columns, and a second forward
+// pass per earlier block then updates theirs. Complexity O(len(c) * K);
+// no allocation beyond the reusable workspace.
 func (m *Model) AccumGrad(c *cascade.Cascade, dA, dB *vecmath.Matrix, ws *GradWorkspace) {
-	n := len(c.Infections)
+	infs := c.Infections
+	n := len(infs)
 	if n < 2 {
 		return
 	}
@@ -217,60 +363,209 @@ func (m *Model) AccumGrad(c *cascade.Cascade, dA, dB *vecmath.Matrix, ws *GradWo
 		panic("embed: AccumGrad on matrices of differing widths")
 	}
 	a, b := m.A.Data, m.B.Data
-	h, g := ws.h[:k], ws.g[:k]
-	for j := range h {
-		h[j], g[j] = 0, 0
-	}
 	if cap(ws.inv) < n {
 		ws.inv = make([]float64, n)
 	}
 	inv := ws.inv[:n]
-	// Forward sweep: B-gradients and denominators.
-	for i, inf := range c.Infections {
-		off := inf.Node * k
-		t := inf.Time
-		if i > 0 {
-			var d float64
-			for j, x := range b[off : off+k : off+k] {
-				d += h[j] * x
-			}
+	lead, last := k%block, k-block
+	if k != block {
+		clear(inv)
+	}
+	for j := 0; j < lead; j++ {
+		denomColumn(infs, a, b, k, j, inv)
+	}
+	for j := lead; j < last; j += block {
+		denomBlock(infs, a, b, k, j, inv)
+	}
+	if last < 0 {
+		for i := 1; i < n; i++ {
+			d := inv[i]
 			if d < EpsRate {
 				d = EpsRate
 			}
 			inv[i] = 1 / d
-			// row += G - t_v H + H/d
-			w := -t + inv[i]
-			row := dB.Data[off : off+k : off+k]
-			for j, x := range row {
-				row[j] = (x + g[j]) + w*h[j]
+		}
+	} else {
+		finishGradBBlock(infs, a, b, dB.Data, k, last, inv)
+	}
+	for j := 0; j < lead; j++ {
+		gradBColumn(infs, a, dB.Data, k, j, inv)
+	}
+	for j := lead; j < last; j += block {
+		gradBBlock(infs, a, dB.Data, k, j, inv)
+	}
+	for j := 0; j < lead; j++ {
+		gradAColumn(infs, b, dA.Data, k, j, inv)
+	}
+	for j := lead; j < k; j += block {
+		gradABlock(infs, b, dA.Data, k, j, inv)
+	}
+}
+
+// denomColumn adds column j's terms of d_v = H(v)·B[v] to d.
+func denomColumn(infs []cascade.Infection, a, b []float64, k, j int, d []float64) {
+	var h float64
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		if i > 0 {
+			d[i] += h * b[off]
+		}
+		h += a[off]
+	}
+}
+
+// denomBlock adds the terms of columns j … j+3 to d.
+func denomBlock(infs []cascade.Infection, a, b []float64, k, j int, d []float64) {
+	a, b = a[:len(a):len(a)], b[:len(a):len(a)] // one check serves both rows
+	var h0, h1, h2, h3 float64
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		y := a[off : off+block : off+block]
+		if i > 0 {
+			x := b[off : off+block : off+block]
+			s := d[i]
+			s += h0 * x[0]
+			s += h1 * x[1]
+			s += h2 * x[2]
+			s += h3 * x[3]
+			d[i] = s
+		}
+		h0 += y[0]
+		h1 += y[1]
+		h2 += y[2]
+		h3 += y[3]
+	}
+}
+
+// finishGradBBlock is the forward pass over the last block, columns
+// j … j+3: it completes each d_v from the partial sums in inv (if K is
+// wider than a block), replaces it by 1/d_v, and adds the block's share
+// of the B-gradient, row += G - t_v H + H/d_v.
+func finishGradBBlock(infs []cascade.Infection, a, b, dB []float64, k, j int, inv []float64) {
+	a, b = a[:len(a):len(a)], b[:len(a):len(a)] // one check serves both rows
+	carry := k > block                          // the passes before left partial d_v in inv
+	var h0, h1, h2, h3, g0, g1, g2, g3 float64
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		y, t := a[off:off+block:off+block], inf.Time
+		if i > 0 {
+			x := b[off : off+block : off+block]
+			var d float64
+			if carry {
+				d = inv[i]
 			}
+			d += h0 * x[0]
+			d += h1 * x[1]
+			d += h2 * x[2]
+			d += h3 * x[3]
+			if d < EpsRate {
+				d = EpsRate
+			}
+			iv := 1 / d
+			inv[i] = iv
+			w := -t + iv
+			row := dB[off : off+block : off+block]
+			row[0] = (row[0] + g0) + w*h0
+			row[1] = (row[1] + g1) + w*h1
+			row[2] = (row[2] + g2) + w*h2
+			row[3] = (row[3] + g3) + w*h3
 		}
-		for j, x := range a[off : off+k : off+k] {
-			h[j] += x
-			g[j] += t * x
-		}
+		h0 += y[0]
+		h1 += y[1]
+		h2 += y[2]
+		h3 += y[3]
+		g0 += t * y[0]
+		g1 += t * y[1]
+		g2 += t * y[2]
+		g3 += t * y[3]
 	}
-	// Backward sweep: A-gradients.
-	p, q, r := ws.p[:k], ws.q[:k], ws.r[:k]
-	for j := range p {
-		p[j], q[j], r[j] = 0, 0, 0
-	}
-	for i := n - 1; i >= 0; i-- {
-		inf := c.Infections[i]
-		off := inf.Node * k
+}
+
+// gradBColumn adds column j's share of the B-gradient once inv holds 1/d_v.
+func gradBColumn(infs []cascade.Infection, a, dB []float64, k, j int, inv []float64) {
+	var h, g float64
+	for i, inf := range infs {
+		off := inf.Node*k + j
 		t := inf.Time
-		// row += t_u P - Q + R over successors (positions > i).
-		row := dA.Data[off : off+k : off+k]
-		for j, x := range row {
-			row[j] = ((x + t*p[j]) - q[j]) + r[j]
+		if i > 0 {
+			w := -t + inv[i]
+			dB[off] = (dB[off] + g) + w*h
 		}
+		y := a[off]
+		h += y
+		g += t * y
+	}
+}
+
+// gradBBlock adds the share of columns j … j+3 once inv holds 1/d_v.
+func gradBBlock(infs []cascade.Infection, a, dB []float64, k, j int, inv []float64) {
+	var h0, h1, h2, h3, g0, g1, g2, g3 float64
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		t := inf.Time
+		if i > 0 {
+			w := -t + inv[i]
+			row := dB[off : off+block : off+block]
+			row[0] = (row[0] + g0) + w*h0
+			row[1] = (row[1] + g1) + w*h1
+			row[2] = (row[2] + g2) + w*h2
+			row[3] = (row[3] + g3) + w*h3
+		}
+		y := a[off : off+block : off+block]
+		h0 += y[0]
+		h1 += y[1]
+		h2 += y[2]
+		h3 += y[3]
+		g0 += t * y[0]
+		g1 += t * y[1]
+		g2 += t * y[2]
+		g3 += t * y[3]
+	}
+}
+
+// gradAColumn is the backward sweep over column j: row += t_u P - Q + R
+// over the successors of u (positions > i).
+func gradAColumn(infs []cascade.Infection, b, dA []float64, k, j int, inv []float64) {
+	var p, q, r float64
+	for i := len(infs) - 1; i >= 0; i-- {
+		off := infs[i].Node*k + j
+		t := infs[i].Time
+		dA[off] = ((dA[off] + t*p) - q) + r
+		if i > 0 {
+			x := b[off]
+			p += x
+			q += t * x
+			r += inv[i] * x
+		}
+	}
+}
+
+// gradABlock is the backward sweep over columns j … j+3.
+func gradABlock(infs []cascade.Infection, b, dA []float64, k, j int, inv []float64) {
+	var p0, p1, p2, p3, q0, q1, q2, q3, r0, r1, r2, r3 float64
+	for i := len(infs) - 1; i >= 0; i-- {
+		off := infs[i].Node*k + j
+		t := infs[i].Time
+		row := dA[off : off+block : off+block]
+		row[0] = ((row[0] + t*p0) - q0) + r0
+		row[1] = ((row[1] + t*p1) - q1) + r1
+		row[2] = ((row[2] + t*p2) - q2) + r2
+		row[3] = ((row[3] + t*p3) - q3) + r3
 		if i > 0 {
 			w := inv[i]
-			for j, x := range b[off : off+k : off+k] {
-				p[j] += x
-				q[j] += t * x
-				r[j] += w * x
-			}
+			x := b[off : off+block : off+block]
+			p0 += x[0]
+			p1 += x[1]
+			p2 += x[2]
+			p3 += x[3]
+			q0 += t * x[0]
+			q1 += t * x[1]
+			q2 += t * x[2]
+			q3 += t * x[3]
+			r0 += w * x[0]
+			r1 += w * x[1]
+			r2 += w * x[2]
+			r3 += w * x[3]
 		}
 	}
 }

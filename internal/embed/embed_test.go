@@ -412,7 +412,9 @@ func kernelCase(n, k, maxLen int, zeroRows bool, seed uint64) (*Model, []*cascad
 	return m, cs
 }
 
-var kernelKs = []int{1, 2, 3, 4, 5, 8, 16}
+// kernelKs cover every remainder modulo the kernels' block of four, with
+// zero, one and several full blocks.
+var kernelKs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16}
 
 func TestAccumGradBitIdenticalToReference(t *testing.T) {
 	const n = 600
@@ -453,6 +455,134 @@ func TestLogLikAllMatchesReference(t *testing.T) {
 					t.Errorf("K=%d zeroRows=%v cascade %d (len %d): LogLik = %v, reference %v", k, zeroRows, c.ID, c.Size(), got, want)
 				}
 			}
+		}
+	}
+}
+
+// columnLogLik is logLik as it stood before the kernels swept topics in
+// blocks: H and G in memory, every dot taken column by column from zero
+// at each infection. The blocked kernels must equal it bit for bit.
+func columnLogLik(m *Model, c *cascade.Cascade) float64 {
+	k := m.A.ColsN
+	a, b := m.A.Data, m.B.Data
+	h, g := make([]float64, k), make([]float64, k)
+	var linear float64
+	prod, exp := 1.0, 0
+	for i, inf := range c.Infections {
+		off := inf.Node * k
+		if i > 0 {
+			bv := b[off : off+k : off+k]
+			var hb, gb float64
+			for j, x := range bv {
+				hb += h[j] * x
+				gb += g[j] * x
+			}
+			linear += gb - inf.Time*hb
+			if hb < EpsRate {
+				hb = EpsRate
+			}
+			if !(hb <= hazardHi) {
+				fr, e := math.Frexp(hb)
+				hb, exp = fr, exp+e
+			}
+			prod *= hb
+			if !(prod >= hazardLo && prod <= hazardHi) {
+				fr, e := math.Frexp(prod)
+				prod, exp = fr, exp+e
+			}
+		}
+		t := inf.Time
+		for j, x := range a[off : off+k : off+k] {
+			h[j] += x
+			g[j] += t * x
+		}
+	}
+	return linear + (math.Log(prod) + float64(exp)*math.Ln2)
+}
+
+// logLikCases returns, for one width, models and cascades that reach
+// every branch of logLik: random rows with ties and zero rows, hazards
+// all floored (the product far below the smallest float64), hazards near
+// 1e300, and rows of NaN and ±Inf.
+func logLikCases(k int) map[string]func() (*Model, []*cascade.Cascade) {
+	cases := map[string]func() (*Model, []*cascade.Cascade){
+		"random": func() (*Model, []*cascade.Cascade) { return kernelCase(300, k, 300, false, uint64(3000+k)) },
+		"zero rows": func() (*Model, []*cascade.Cascade) {
+			return kernelCase(300, k, 300, true, uint64(4000+k))
+		},
+		"floored": func() (*Model, []*cascade.Cascade) {
+			m := NewModel(3000, k)
+			m.B.FillConst(0.5)
+			return m, []*cascade.Cascade{longCascade(3000)}
+		},
+		"huge": func() (*Model, []*cascade.Cascade) {
+			m := randModel(200, k, 31)
+			vecmath.Scale(1e150, m.A.Data)
+			vecmath.Scale(1e150, m.B.Data)
+			c := longCascade(200)
+			for i := range c.Infections {
+				c.Infections[i].Time = 0
+			}
+			return m, []*cascade.Cascade{c}
+		},
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, mat := range []string{"A", "B"} {
+			cases[fmt.Sprintf("%v row in %s", v, mat)] = func() (*Model, []*cascade.Cascade) {
+				m, cs := kernelCase(60, k, 60, false, uint64(5000+k))
+				row := m.A.Row(7)
+				if mat == "B" {
+					row = m.B.Row(7)
+				}
+				vecmath.Fill(row, v)
+				return m, cs
+			}
+		}
+	}
+	return cases
+}
+
+func TestLogLikBitIdenticalToColumnLoop(t *testing.T) {
+	for _, k := range kernelKs {
+		for name, build := range logLikCases(k) {
+			m, cs := build()
+			var want float64
+			for _, c := range cs {
+				w := columnLogLik(m, c)
+				want += w
+				if got := m.LogLik(c); math.Float64bits(got) != math.Float64bits(w) {
+					t.Errorf("K=%d %s cascade %d (len %d): LogLik = %v (%#x), column loop %v (%#x)", k, name, c.ID, c.Size(), got, math.Float64bits(got), w, math.Float64bits(w))
+				}
+			}
+			if got := m.LogLikAll(cs); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("K=%d %s: LogLikAll = %v, column loop %v", k, name, got, want)
+			}
+		}
+	}
+}
+
+// The training loop calls both kernels once per cascade per step: past
+// a warmed workspace neither may allocate per cascade, and at K = 4,
+// where every column is in the finishing block, neither allocates at all.
+func TestKernelsAllocateNothingPerCascade(t *testing.T) {
+	for _, k := range []int{4, 8} {
+		m, cs := kernelCase(600, k, 600, false, 7)
+		dA, dB := vecmath.NewMatrix(600, k), vecmath.NewMatrix(600, k)
+		ws := NewGradWorkspace(k)
+		for _, c := range cs {
+			m.AccumGrad(c, dA, dB, ws)
+		}
+		if n := testing.AllocsPerRun(5, func() {
+			for _, c := range cs {
+				m.AccumGrad(c, dA, dB, ws)
+			}
+		}); n != 0 {
+			t.Errorf("K=%d: AccumGrad with a warmed workspace allocates %v times per pass", k, n)
+		}
+		one := testing.AllocsPerRun(5, func() { sink += m.LogLikAll(cs[len(cs)-1:]) })
+		all := testing.AllocsPerRun(5, func() { sink += m.LogLikAll(cs) })
+		if all != one || (k == 4 && all != 0) {
+			t.Errorf("K=%d: LogLikAll allocates %v times over %d cascades, %v over one", k, all, len(cs), one)
 		}
 	}
 }
@@ -527,8 +657,9 @@ func TestLogLikNonFiniteModelSurfaces(t *testing.T) {
 }
 
 // benchKs are the widths the kernels are timed at: 4 is what core.Train
-// and bench/ fit, 8 the paper's largest.
-var benchKs = []int{4, 8}
+// and bench/ fit, 8 the paper's largest, 6 a width with columns outside
+// the kernels' blocks of four.
+var benchKs = []int{4, 6, 8}
 
 func BenchmarkLogLik(b *testing.B) {
 	for _, k := range benchKs {

@@ -275,17 +275,27 @@ func produceDraws(und adjacency, iterations, stride int, rng *xrand.RNG, full ch
 			}
 			buf[k] = listener
 			k++
-			for _, speaker := range ts {
-				size := it + 1
-				if pos[speaker] < i {
-					size++
-				}
+			// The speakers' memory sizes are written where their draws go,
+			// drawn in one call per chunk they span, then offset to blocks.
+			for len(ts) > 0 {
 				if k == len(buf) {
 					full <- buf
 					buf, k = (<-free)[:drawChunk], 0
 				}
-				buf[k] = speaker*stride + rng.Intn(size)
-				k++
+				seg := buf[k:min(len(buf), k+len(ts))]
+				for j, speaker := range ts[:len(seg)] {
+					size := it + 1
+					if pos[speaker] < i {
+						size++
+					}
+					seg[j] = size
+				}
+				rng.IntnEach(seg)
+				for j, speaker := range ts[:len(seg)] {
+					seg[j] += speaker * stride
+				}
+				k += len(seg)
+				ts = ts[len(seg):]
 			}
 		}
 	}

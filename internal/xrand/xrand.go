@@ -49,15 +49,23 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	x, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return x
+}
+
+// step is one xoshiro256** step on a state held in four words, so a loop
+// that draws many values can keep them in registers.
+func step(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return x, s0, s1, s2, s3
 }
 
 // Split derives a new independent generator from r, advancing r. Use it to
@@ -109,6 +117,34 @@ func (r *RNG) Intn(n int) int {
 		}
 	}
 	return int(hi)
+}
+
+// IntnEach replaces every bound n in ns by a uniform draw in [0, n), in
+// order: the same values, and the same generator state after, as one
+// Intn call per bound. It panics on a bound <= 0, after the draws for the
+// bounds before it.
+func (r *RNG) IntnEach(ns []int) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i, n := range ns {
+		if n <= 0 {
+			r.s = [4]uint64{s0, s1, s2, s3}
+			panic("xrand: IntnEach with a bound <= 0")
+		}
+		// Intn's Lemire rejection, on the state in locals.
+		un := uint64(n)
+		var x uint64
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(x, un)
+		if lo < un {
+			thresh := (-un) % un
+			for lo < thresh {
+				x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(x, un)
+			}
+		}
+		ns[i] = int(hi)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Exp returns an exponentially distributed sample with the given rate

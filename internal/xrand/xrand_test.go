@@ -164,6 +164,72 @@ func TestIntnStreamPinned(t *testing.T) {
 	}
 }
 
+// IntnEach must be Intn called once per bound: the same values and the
+// same generator state after. Bounds just above a power of two make
+// Lemire's rejection loop run often (2^62+1 rejects about a quarter of
+// its first draws, 3·2^61 about a quarter), bound 1 never draws above 0.
+func TestIntnEachMatchesIntnStream(t *testing.T) {
+	bounds := func(r *RNG, m int) []int {
+		ns := make([]int, m)
+		for i := range ns {
+			switch r.Intn(6) {
+			case 0:
+				ns[i] = 1
+			case 1:
+				ns[i] = 1<<62 + 1
+			case 2:
+				ns[i] = 3 << 61
+			case 3:
+				ns[i] = 1 + r.Intn(20) // SLPA's memory sizes
+			case 4:
+				ns[i] = 1 + int(r.Uint64()>>1)
+			default:
+				ns[i] = 1 + int(r.Uint64()>>(1+r.Intn(63)))
+			}
+		}
+		return ns
+	}
+	gen := New(77)
+	for trial := 0; trial < 200; trial++ {
+		ns := bounds(gen, gen.Intn(300))
+		if trial == 0 {
+			ns = nil // no bounds, no draws
+		}
+		seed := gen.Uint64()
+		one, each := New(seed), New(seed)
+		want := make([]int, len(ns))
+		for i, n := range ns {
+			want[i] = one.Intn(n)
+		}
+		got := append([]int(nil), ns...)
+		each.IntnEach(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: draw %d below %d = %d, Intn gives %d", trial, i, ns[i], got[i], want[i])
+			}
+		}
+		if each.s != one.s {
+			t.Fatalf("trial %d: state after IntnEach %x, after Intn %x", trial, each.s, one.s)
+		}
+	}
+}
+
+// A bad bound panics as Intn would, having drawn for the bounds before it.
+func TestIntnEachPanicsAfterEarlierDraws(t *testing.T) {
+	one, each := New(5), New(5)
+	one.Intn(10)
+	one.Intn(1<<62 + 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("IntnEach with a zero bound did not panic")
+		}
+		if each.s != one.s {
+			t.Fatalf("state after the panic %x, want %x", each.s, one.s)
+		}
+	}()
+	each.IntnEach([]int{10, 1<<62 + 1, 0, 7})
+}
+
 func TestExpMeanAndPositivity(t *testing.T) {
 	r := New(3)
 	const n = 200000
@@ -381,6 +447,28 @@ func BenchmarkUint64(b *testing.B) {
 		sink = r.Uint64()
 	}
 	_ = sink
+}
+
+// BenchmarkIntnEach draws SLPA-sized bounds in batches of 64.
+func BenchmarkIntnEach(b *testing.B) {
+	r := New(1)
+	ns := make([]int, 64)
+	for i := 0; i < b.N; i++ {
+		for j := range ns {
+			ns[j] = 1 + j%20
+		}
+		r.IntnEach(ns)
+	}
+}
+
+func BenchmarkIntn(b *testing.B) {
+	r := New(1)
+	ns := make([]int, 64)
+	for i := 0; i < b.N; i++ {
+		for j := range ns {
+			ns[j] = r.Intn(1 + j%20)
+		}
+	}
 }
 
 func BenchmarkExp(b *testing.B) {

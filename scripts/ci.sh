@@ -36,14 +36,16 @@ go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./
 
 # The simulator is held, draw for draw, to the version that heaps every
 # attempt, SLPA (whose draws come from a second goroutine) to the map
-# version that drew them in its sweep, and the scenario engine to one
-# answer at any worker count: a "faster" simulator or SLPA that reorders a
-# draw fails here, not in a figure.
-echo "== simulator + SLPA oracles, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
+# version that drew them in its sweep, the generator's batch draws to one
+# Intn per bound, whole fits (SLPA's second goroutine, up to Workers
+# communities at once) to pinned embeddings at K = 4, 6 and 8, and the
+# scenario engine to one answer at any worker count: a "faster" simulator,
+# SLPA or kernel that reorders a draw or a sum fails here, not in a figure.
+echo "== simulator + SLPA + xrand oracles, pinned fits, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
-    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectLeavesNoGoroutine' \
-    ./internal/cascade/ ./internal/scenario/ ./internal/slpa/
+    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestTrainEmbeddingsPinned' \
+    ./internal/cascade/ ./internal/scenario/ ./internal/slpa/ ./internal/xrand/ ./internal/core/
 done
 
 # bench/ is a module of its own (replace viralcast => ../), so ./... above
