@@ -26,13 +26,17 @@ type FeatureResult struct {
 }
 
 // batchScratch is one batched call's reusable workspace: the early
-// prefixes, the per-item extraction errors, and the margin vector the
-// blocked kernel writes. Nothing in it escapes the call.
+// prefixes, the per-item extraction errors, the margin vector the
+// blocked kernel writes, and — for PredictViralBatch, which chains the
+// two passes — the extracted feature sets. Nothing in it escapes the
+// call.
 type batchScratch struct {
 	earlies []*cascade.Cascade
 	views   []cascade.Cascade
 	errs    []error
 	margins []float64
+	feats   []FeatureResult
+	sets    []features.Set
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -65,11 +69,15 @@ func (ws *batchScratch) grow(n int) {
 		ws.views = make([]cascade.Cascade, n)
 		ws.errs = make([]error, n)
 		ws.margins = make([]float64, n)
+		ws.feats = make([]FeatureResult, n)
+		ws.sets = make([]features.Set, n)
 	}
 	ws.earlies = ws.earlies[:n]
 	ws.views = ws.views[:n]
 	ws.errs = ws.errs[:n]
 	ws.margins = ws.margins[:n]
+	ws.feats = ws.feats[:n]
+	ws.sets = ws.sets[:n]
 	for i := range ws.earlies {
 		ws.earlies[i] = nil
 		ws.errs[i] = nil
@@ -77,10 +85,8 @@ func (ws *batchScratch) grow(n int) {
 }
 
 // PredictViralBatch classifies a whole batch of cascades in one pass:
-// every early prefix's features land in one contiguous pooled block
-// (features.ExtractBatch), standardization runs over the block in place
-// (svm.Standardizer.ApplyBlock), and all margins come out of one
-// blocked matrix–vector kernel (svm.Model.DecisionBlock). Each step
+// the paper's pipeline as two blocked steps, FeaturesBatch over every
+// early prefix and ClassifyBatch over the sets it extracted. Each step
 // performs, per item, the identical float operations in the identical
 // order as PredictViral, so out[i] is bit-identical to a single call on
 // cs[i] — the batch form amortizes workspace churn and call overhead,
@@ -93,16 +99,51 @@ func (p *Predictor) PredictViralBatch(cs []*cascade.Cascade, out []BatchResult) 
 	}
 	ws, _ := batchScratchPool.Get().(*batchScratch)
 	ws.grow(len(cs))
-	ws.cutEarlies(cs, p.early)
-	dim := len(p.names)
-	blk := features.GetBlock(len(cs), dim)
-	features.ExtractBatch(p.system.Embeddings, ws.earlies, p.names, blk, ws.errs)
-	// Error rows stayed zero; standardizing and classifying them is
-	// harmless garbage that the error slot masks on the way out, and
-	// keeping them in the block keeps the kernels branch-free.
-	p.std.ApplyBlock(blk.Data, len(cs), dim)
-	p.model.DecisionBlock(ws.margins[:len(cs)], blk.Data, dim)
+	p.FeaturesBatch(cs, ws.feats)
+	// Error slots classify a zero set: harmless garbage that the error
+	// masks below, and it keeps the kernels branch-free.
 	for i := range cs {
+		ws.sets[i] = ws.feats[i].Set
+	}
+	p.ClassifyBatch(ws.sets, out)
+	for i := range cs {
+		if err := ws.feats[i].Err; err != nil {
+			out[i] = BatchResult{Err: err}
+		}
+	}
+	batchScratchPool.Put(ws)
+}
+
+// ClassifyBatch applies the trained classifier to feature sets already
+// extracted — the second half of the paper's pipeline, on its own so a
+// caller that keeps a cascade's early-adopter features (they cannot
+// change once its early window is complete) classifies them again
+// without re-extracting: the predictor's features are selected out of
+// every set into one contiguous pooled block, standardized in place
+// (svm.Standardizer.ApplyBlock), and all margins come out of one blocked
+// matrix–vector kernel (svm.Model.DecisionBlock). Per item these are
+// the float operations PredictViral runs after its extraction.
+//
+// out must have at least len(sets) slots.
+func (p *Predictor) ClassifyBatch(sets []features.Set, out []BatchResult) {
+	if len(out) < len(sets) {
+		panic(fmt.Sprintf("core: ClassifyBatch %d feature sets into %d result slots", len(sets), len(out)))
+	}
+	ws, _ := batchScratchPool.Get().(*batchScratch)
+	ws.grow(len(sets))
+	dim := len(p.names)
+	blk := features.GetBlock(len(sets), dim)
+	for i := range sets {
+		// The three-index slice caps the append at this row, so the
+		// selection lands exactly where the kernels read it.
+		at := i * dim
+		if _, err := sets[i].SelectAppend(blk.Data[at:at:at+dim], p.names); err != nil {
+			ws.errs[i] = err
+		}
+	}
+	p.std.ApplyBlock(blk.Data, len(sets), dim)
+	p.model.DecisionBlock(ws.margins, blk.Data, dim)
+	for i := range sets {
 		if err := ws.errs[i]; err != nil {
 			out[i] = BatchResult{Err: err}
 			continue
@@ -115,9 +156,8 @@ func (p *Predictor) PredictViralBatch(cs []*cascade.Cascade, out []BatchResult) 
 }
 
 // FeaturesBatch extracts the full feature set of every cascade's early
-// prefix (cut at the predictor's cutoff) through the same contiguous
-// block path the batched classifier uses. Per-item errors mirror the
-// single-request extraction contract.
+// prefix (cut at the predictor's cutoff) into one contiguous pooled
+// block. Per-item errors mirror the single-request extraction contract.
 //
 // out must have at least len(cs) slots.
 func (p *Predictor) FeaturesBatch(cs []*cascade.Cascade, out []FeatureResult) {

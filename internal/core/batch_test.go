@@ -95,3 +95,45 @@ func TestFeaturesBatchBitIdentical(t *testing.T) {
 		t.Fatal("features.Names order changed; FeaturesBatch row mapping is stale")
 	}
 }
+
+// TestClassifyBatchOfFeaturesBatchBitIdentical holds the pipeline split
+// to the scalar path: the features FeaturesBatch extracts, classified
+// later by ClassifyBatch — as a caller that kept them does — answer
+// every cascade exactly as PredictViral does, margins down to the bits.
+func TestClassifyBatchOfFeaturesBatchBitIdentical(t *testing.T) {
+	cs := workload(t, 80, 300, 8)
+	sys, err := Train(cs[:200], 80, TrainConfig{Topics: 2, MaxIter: 8, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := sys.TrainPredictor(cs[:200], 0.5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []*cascade.Cascade
+	for _, c := range cs[200:] {
+		if c.Prefix(pred.EarlyCutoff()).Size() > 0 {
+			batch = append(batch, c)
+		}
+	}
+	feats := make([]FeatureResult, len(batch))
+	pred.FeaturesBatch(batch, feats)
+	sets := make([]features.Set, len(batch))
+	for i, f := range feats {
+		if f.Err != nil {
+			t.Fatalf("item %d: %v", i, f.Err)
+		}
+		sets[i] = f.Set
+	}
+	out := make([]BatchResult, len(batch))
+	pred.ClassifyBatch(sets, out)
+	for i, c := range batch {
+		viral, margin, err := pred.PredictViral(c)
+		if err != nil || out[i].Err != nil {
+			t.Fatalf("item %d: single err %v, classify err %v", i, err, out[i].Err)
+		}
+		if out[i].Viral != viral || math.Float64bits(out[i].Margin) != math.Float64bits(margin) {
+			t.Fatalf("item %d: classified (%v, %x) != single (%v, %x)", i, out[i].Viral, out[i].Margin, viral, margin)
+		}
+	}
+}

@@ -8,24 +8,26 @@ import (
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
+	"viralcast/internal/features"
 	"viralcast/internal/httpkit"
 )
 
 // One item pipeline. Every cascade-scoped data-plane answer — GET
 // /v1/cascades/{id}/predict, POST /v1/predict:batch, POST
 // /v1/features:batch — comes out of cascadePipeline.run: resolve ids →
-// store snapshot + universe check → cache probe → one blocked compute
-// over the misses → cache fill → slots. A batch serves up to
-// Config.BatchMax items through ONE admission ticket, ONE request
-// deadline, ONE generation pin, ONE pooled workspace, and ONE cache
-// probe pass — amortizing the per-request overhead that dominates single
-// predictions (~5µs of admission, JSON, and workspace churn around ~1µs
-// of math) — and a per-item failure fills its own slot (status +
-// message) without failing the batch. The single endpoint is the same
-// pipeline over one id with the cache stage skipped and its one slot
-// unwrapped into a plain response, so a batch slot and a single answer
-// cannot disagree: they are the same code. The independent oracle the
-// tests hold both against is core's scalar Predictor.PredictViral.
+// one store read per item (size, universe check, early-adopter memo) →
+// one blocked extraction over the memo misses → (predict) one blocked
+// classification → slots. The paper's verdict is a linear SVM over the
+// features of a cascade's early adopters, so those are extracted once
+// per generation and kept beside the cascade (Store.readEarly argues
+// exactness); both endpoint families share them. A batch serves up to
+// Config.BatchMax items through ONE admission ticket, ONE deadline, ONE
+// generation pin and ONE pooled workspace, and a per-item failure fills
+// its own slot (status + message) without failing the batch. The single
+// endpoint is the same pipeline over one id, its slot unwrapped into a
+// plain response, so a batch slot and a single answer cannot disagree.
+// The independent oracle the tests hold both against is core's scalar
+// Predictor.PredictViral.
 
 // batchItem is one slot of a batch answer: exactly one of Result or
 // Error is set. Status carries the HTTP code the single endpoint
@@ -52,9 +54,10 @@ type batchResponse[R any] struct {
 	Results []batchItem[R] `json:"results"`
 	Count   int            `json:"count"`
 	Errors  int            `json:"errors"`
-	// CacheHits counts items served from the TTL cache (deterministic
-	// per generation + cascade snapshot, so a hit is byte-identical to
-	// a recompute).
+	// CacheHits counts items whose early-adopter features were read from
+	// the live cascade's memo instead of extracted (deterministic per
+	// generation and early prefix, so a hit is byte-identical to a
+	// recompute).
 	CacheHits  int    `json:"cache_hits"`
 	Generation uint64 `json:"generation"`
 	ShardID    int    `json:"shard_id"`
@@ -76,99 +79,88 @@ type featuresPayload struct {
 }
 
 // cascadePipeline is what distinguishes one cascade-scoped endpoint
-// family from another: R is the per-item payload, C core's per-item
-// compute result.
-type cascadePipeline[R, C any] struct {
-	prefix  string // cache-key namespace
-	compute func(p *core.Predictor, cs []*cascade.Cascade, out []C)
-	// build fills out with one computed row's payload, or reports the
-	// row's own failure (a 422 slot).
-	build func(s *Server, cur *model, c *cascade.Cascade, res *C, out *R) error
+// family from another: R is the per-item payload.
+type cascadePipeline[R any] struct {
+	classify bool // run the classifier over every item's features
+	// build fills out with one item's payload from its features and (when
+	// classify) verdict, or reports the item's own failure (a 422 slot).
+	build func(s *Server, cur *model, id, size int, set *features.Set, v *core.BatchResult, out *R) error
 	// result appends one payload as encoding/json would (see
 	// appendBatchJSON).
 	result func(b []byte, r *R, ec *floatMemo) ([]byte, bool)
-	pool   sync.Pool // of *cascadeWorkspace[R, C]
+	pool   sync.Pool // of *cascadeWorkspace[R]
 }
 
-var predictPipeline = &cascadePipeline[predictResponse, core.BatchResult]{
-	prefix:  "predict",
-	compute: (*core.Predictor).PredictViralBatch,
-	build: func(s *Server, cur *model, c *cascade.Cascade, res *core.BatchResult, out *predictResponse) error {
+var predictPipeline = &cascadePipeline[predictResponse]{
+	classify: true,
+	build: func(s *Server, cur *model, id, size int, _ *features.Set, v *core.BatchResult, out *predictResponse) error {
 		*out = predictResponse{
-			Cascade:     c.ID,
-			Viral:       res.Viral,
-			Margin:      res.Margin,
-			Size:        c.Size(),
+			Cascade:     id,
+			Viral:       v.Viral,
+			Margin:      v.Margin,
+			Size:        size,
 			EarlyCutoff: cur.sys.Pred.EarlyCutoff(),
 			Threshold:   cur.sys.Pred.Threshold(),
 			Generation:  cur.gen,
 			ShardID:     s.ShardID(),
 			Epoch:       s.Epoch(),
 		}
-		return res.Err
+		return v.Err
 	},
 	result: appendPredictJSON,
-	pool:   sync.Pool{New: func() any { return new(cascadeWorkspace[predictResponse, core.BatchResult]) }},
+	pool:   sync.Pool{New: func() any { return new(cascadeWorkspace[predictResponse]) }},
 }
 
-// featuresPipeline extracts the early-adopter feature sets — the
-// model's diagnostic surface, batched the same way predictions are
-// (same checks, same per-item contract).
-var featuresPipeline = &cascadePipeline[featuresPayload, core.FeatureResult]{
-	prefix:  "features",
-	compute: (*core.Predictor).FeaturesBatch,
-	build: func(s *Server, cur *model, c *cascade.Cascade, res *core.FeatureResult, out *featuresPayload) error {
+// featuresPipeline serves the early-adopter feature sets — the model's
+// diagnostic surface, batched the same way predictions are (same
+// checks, same per-item contract, same memo).
+var featuresPipeline = &cascadePipeline[featuresPayload]{
+	build: func(s *Server, cur *model, id, size int, set *features.Set, _ *core.BatchResult, out *featuresPayload) error {
 		*out = featuresPayload{
-			Cascade:     c.ID,
-			DiverA:      res.Set.DiverA,
-			NormA:       res.Set.NormA,
-			MaxA:        res.Set.MaxA,
-			EarlyCount:  res.Set.EarlyCount,
-			EarlyRate:   res.Set.EarlyRate,
-			Size:        c.Size(),
+			Cascade:     id,
+			DiverA:      set.DiverA,
+			NormA:       set.NormA,
+			MaxA:        set.MaxA,
+			EarlyCount:  set.EarlyCount,
+			EarlyRate:   set.EarlyRate,
+			Size:        size,
 			EarlyCutoff: cur.sys.Pred.EarlyCutoff(),
 			Generation:  cur.gen,
 		}
-		return res.Err
+		return nil
 	},
 	result: appendFeaturesJSON,
-	pool:   sync.Pool{New: func() any { return new(cascadeWorkspace[featuresPayload, core.FeatureResult]) }},
+	pool:   sync.Pool{New: func() any { return new(cascadeWorkspace[featuresPayload]) }},
 }
 
-// cascadeWorkspace is one request's reusable scratch: ids, the snapshots
-// computed on (headers, and the arena their infections are copied into),
-// cache keys (and the slab the probe keys are cut from) and value slots,
-// the compacted compute list, and the per-item result slots. Everything
-// the response references is written out before the workspace returns
-// to the pool, so nothing escapes a request.
-type cascadeWorkspace[R, C any] struct {
-	ids        []int
-	body       []byte
-	snaps      []cascade.Cascade
-	arena      []cascade.Infection
-	keys       []string
-	keySlab    []byte
-	keyEnds    []int
-	vals       []any
-	compute    []*cascade.Cascade
-	computeIdx []int
-	results    []C
-	items      []batchItem[R]
+// cascadeWorkspace is one request's reusable scratch: ids, each item's
+// store read (and the arena a miss's early prefix is copied into), the
+// compacted extraction list and its results, and per item its features,
+// verdict, payload and slot. The response is written out before the
+// workspace returns to the pool, so nothing escapes a request.
+type cascadeWorkspace[R any] struct {
+	ids      []int
+	body     []byte
+	reads    []earlyRead
+	arena    []cascade.Infection
+	compute  []*cascade.Cascade
+	computed []core.FeatureResult
+	sets     []features.Set
+	verdicts []core.BatchResult
+	payloads []R
+	items    []batchItem[R]
 }
 
 // grow readies the workspace for n items.
-func (ws *cascadeWorkspace[R, C]) grow(n int) {
-	ws.snaps, ws.arena = zeroed(ws.snaps, n), ws.arena[:0]
-	ws.keys = zeroed(ws.keys, n)
-	ws.vals = zeroed(ws.vals, n)
+func (ws *cascadeWorkspace[R]) grow(n int) {
+	ws.reads, ws.arena = zeroed(ws.reads, n), ws.arena[:0]
 	ws.items = zeroed(ws.items, n)
 	ws.compute = ws.compute[:0]
-	ws.computeIdx = ws.computeIdx[:0]
 }
 
 // release returns ws to the pool, minus an arena that a request over
 // giant cascades grew past the response-buffer retention cap.
-func (p *cascadePipeline[R, C]) release(ws *cascadeWorkspace[R, C]) {
+func (p *cascadePipeline[R]) release(ws *cascadeWorkspace[R]) {
 	if cap(ws.arena) > httpkit.MaxPooledResponseBuf/16 {
 		ws.arena = nil
 	}
@@ -186,12 +178,9 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// run is the item pipeline over ws.ids. cached selects the cache
-// stages: the batch endpoints probe and fill the TTL cache; the single
-// endpoint never has, and must not start counting hits and misses. A
-// false return means run already answered the request (no predictor,
-// exhausted budget).
-func (p *cascadePipeline[R, C]) run(s *Server, w http.ResponseWriter, r *http.Request, ws *cascadeWorkspace[R, C], cached bool) (batchResponse[R], bool) {
+// run is the item pipeline over ws.ids. A false return means run
+// already answered the request (no predictor, exhausted budget).
+func (p *cascadePipeline[R]) run(s *Server, w http.ResponseWriter, r *http.Request, ws *cascadeWorkspace[R]) (batchResponse[R], bool) {
 	cur := s.current()
 	pred := cur.sys.Pred
 	if pred == nil {
@@ -201,86 +190,70 @@ func (p *cascadePipeline[R, C]) run(s *Server, w http.ResponseWriter, r *http.Re
 	}
 	ids := ws.ids
 	ws.grow(len(ids))
-	items := ws.items
-	errors := 0
+	items, reads := ws.items, ws.reads
+	errors, hits := 0, 0
 	fail := func(i, status int, msg string) {
 		items[i] = batchItem[R]{Status: status, Error: msg}
 		errors++
 	}
 
-	// A prediction is deterministic given (generation, epoch, cascade
-	// snapshot), and for an append-only cascade (id, size) names the
-	// snapshot — which is what the cache key spells. So the cache is
-	// probed by size alone, one pass for the whole batch, and only the
-	// misses are copied out of the store: a hit was computed — and
-	// admitted against this generation's universe — from exactly its
-	// key, and error slots are never cached, so the copy a hit skips
-	// could not have changed a byte of its slot.
-	gen, epoch, n := cur.gen, s.Epoch(), cur.sys.Sys.N
-	hits := 0
-	if cached {
-		hits = p.probe(s, ws, gen, epoch, fail)
-	}
+	gen, cutoff, n := cur.gen, pred.EarlyCutoff(), cur.sys.Sys.N
 	for i, id := range ids {
-		if items[i].Status != 0 {
-			continue // unknown when probed: already its 404 slot
-		}
-		if v, ok := ws.vals[i].(*R); ok {
-			items[i].Result = v
-			ws.vals[i] = nil // don't re-fill what was already cached
-			continue
-		}
-		c, ok := &ws.snaps[i], false
-		if ws.arena, ok = s.store.SnapshotInto(id, c, ws.arena); !ok {
+		rd := &reads[i]
+		ws.arena = s.store.readEarly(id, gen, cutoff, n, rd, ws.arena)
+		switch {
+		case rd.lc == nil:
 			fail(i, http.StatusNotFound, "no live cascade "+strconv.Itoa(id))
-			continue
-		}
-		if mx := maxInfectedNode(c); mx >= n {
+		case rd.maxNode >= n:
 			fail(i, http.StatusUnprocessableEntity,
-				"cascade "+strconv.Itoa(id)+" contains node "+strconv.Itoa(mx)+
+				"cascade "+strconv.Itoa(id)+" contains node "+strconv.Itoa(rd.maxNode)+
 					" outside the current model's universe [0,"+strconv.Itoa(n)+")")
-			continue
+		case rd.hit:
+			hits++
+		default:
+			ws.compute = append(ws.compute, &rd.snap)
 		}
-		if cached {
-			// Filed under the size of the snapshot actually computed on:
-			// the cascade may have grown since the probe.
-			ws.keys[i] = predictKey(p.prefix, gen, epoch, id, c.Size())
-		}
-		ws.compute = append(ws.compute, c)
-		ws.computeIdx = append(ws.computeIdx, i)
 	}
 	if err := r.Context().Err(); err != nil {
 		s.writeBudgetExhausted(w, err)
 		return batchResponse[R]{}, false
 	}
 
-	// One blocked pass over every miss: contiguous feature block,
-	// in-place standardization, one matrix–vector kernel.
-	if len(ws.compute) > 0 {
-		ws.results = zeroed(ws.results, len(ws.compute))
-		results := ws.results
-		p.compute(pred, ws.compute, results)
-		// One slab for every computed payload: the pointers outlive the
-		// request (they go into the TTL cache), so the slab is NOT
-		// pooled — but 256 items cost one allocation, not 256.
-		slab := make([]R, len(results))
-		for j := range results {
-			i := ws.computeIdx[j]
-			if err := p.build(s, cur, &ws.snaps[i], &results[j], &slab[j]); err != nil {
-				fail(i, http.StatusUnprocessableEntity, err.Error())
-				ws.keys[i] = "" // never cache an error slot
-				continue
+	// One blocked extraction over every miss, each success filling its
+	// cascade's memo (an error slot never does), then one blocked
+	// classification over every slot: a failed one classifies a zero set,
+	// garbage its error masks. The payloads are pooled with the rest,
+	// since nothing outlives the request.
+	ws.computed = zeroed(ws.computed, len(ws.compute))
+	pred.FeaturesBatch(ws.compute, ws.computed)
+	ws.sets = zeroed(ws.sets, len(ids))
+	for i, j := 0, 0; i < len(ids); i++ {
+		rd := &reads[i]
+		if items[i].Status == 0 && !rd.hit {
+			if res := &ws.computed[j]; res.Err != nil {
+				fail(i, http.StatusUnprocessableEntity, res.Err.Error())
+			} else {
+				rd.set = res.Set
+				s.store.memoize(ids[i], rd, gen)
 			}
-			items[i].Result = &slab[j]
-			ws.vals[i] = &slab[j] // per-item cache fill on the way out
+			j++
 		}
-		if cached {
-			s.cache.PutAll(ws.keys, ws.vals)
-		}
+		ws.sets[i] = rd.set
 	}
-	if cached {
-		s.metrics.cacheHits.Add(int64(hits))
-		s.metrics.cacheMiss.Add(int64(len(ws.compute)))
+	ws.verdicts = zeroed(ws.verdicts, len(ids))
+	if p.classify {
+		pred.ClassifyBatch(ws.sets, ws.verdicts)
+	}
+	ws.payloads = zeroed(ws.payloads, len(ids))
+	for i, id := range ids {
+		if items[i].Status != 0 {
+			continue
+		}
+		if err := p.build(s, cur, id, reads[i].size, &ws.sets[i], &ws.verdicts[i], &ws.payloads[i]); err != nil {
+			fail(i, http.StatusUnprocessableEntity, err.Error())
+			continue
+		}
+		items[i].Result = &ws.payloads[i]
 	}
 	return batchResponse[R]{
 		Results:    items,
@@ -293,15 +266,18 @@ func (p *cascadePipeline[R, C]) run(s *Server, w http.ResponseWriter, r *http.Re
 	}, true
 }
 
-// handleBatch is the pipeline's POST …:batch endpoint.
-func (p *cascadePipeline[R, C]) handleBatch(s *Server) http.HandlerFunc {
+// handleBatch is the pipeline's POST …:batch endpoint. It alone counts
+// memo hits and misses; the single endpoint never has.
+func (p *cascadePipeline[R]) handleBatch(s *Server) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ws := p.pool.Get().(*cascadeWorkspace[R, C])
+		ws := p.pool.Get().(*cascadeWorkspace[R])
 		defer p.release(ws)
 		if !p.decodeIDs(s, w, r, ws) {
 			return
 		}
-		if env, ok := p.run(s, w, r, ws, true); ok {
+		if env, ok := p.run(s, w, r, ws); ok {
+			s.metrics.cacheHits.Add(int64(env.CacheHits))
+			s.metrics.cacheMiss.Add(int64(len(ws.compute)))
 			httpkit.WriteEncoded(w, http.StatusOK, &env, false, func(b []byte) ([]byte, bool) {
 				return appendBatchJSON(b, &env, p.result)
 			})
@@ -318,10 +294,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ws := predictPipeline.pool.Get().(*cascadeWorkspace[predictResponse, core.BatchResult])
+	ws := predictPipeline.pool.Get().(*cascadeWorkspace[predictResponse])
 	defer predictPipeline.release(ws)
 	ws.ids = append(ws.ids[:0], id)
-	if env, ok := predictPipeline.run(s, w, r, ws, false); ok {
+	if env, ok := predictPipeline.run(s, w, r, ws); ok {
 		writeItem(w, env.Results[0])
 	}
 }
@@ -330,7 +306,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // batch cap, parsing into the workspace's reusable id slice (the shared
 // scanner on the canonical encoding, the strict reflective decode on
 // anything else). A false return means the error response was written.
-func (p *cascadePipeline[R, C]) decodeIDs(s *Server, w http.ResponseWriter, r *http.Request, ws *cascadeWorkspace[R, C]) bool {
+func (p *cascadePipeline[R]) decodeIDs(s *Server, w http.ResponseWriter, r *http.Request, ws *cascadeWorkspace[R]) bool {
 	body, ok := httpkit.ReadBody(w, r, maxBodyBytes, ws.body)
 	if !ok {
 		return false
@@ -359,70 +335,6 @@ func (s *Server) admitBatch(w http.ResponseWriter, n int, noun string) bool {
 		return false
 	}
 	return true
-}
-
-// predictKey is the per-item cache key: for an append-only SI cascade
-// the snapshot is identified by (id, size) — every append grows the
-// size, so a stale entry can never alias a newer snapshot.
-func predictKey(prefix string, gen, epoch uint64, id, size int) string {
-	return string(appendKeyTail(appendKeyHead(make([]byte, 0, 56), prefix, gen, epoch), id, size))
-}
-
-// appendKeyHead appends what every key of one request shares;
-// appendKeyTail what names the item.
-func appendKeyHead(b []byte, prefix string, gen, epoch uint64) []byte {
-	b = append(b, prefix...)
-	b = append(b, ":gen="...)
-	b = strconv.AppendUint(b, gen, 10)
-	b = append(b, ":epoch="...)
-	b = strconv.AppendUint(b, epoch, 10)
-	return append(b, ":id="...)
-}
-
-func appendKeyTail(b []byte, id, size int) []byte {
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, ":size="...)
-	return strconv.AppendInt(b, int64(size), 10)
-}
-
-// probe is the pipeline's one cache pass: every id's key is derived
-// from its live size alone — no copy of the cascade — and the batch is
-// looked up under one lock. It leaves hits in ws.vals, fails the slot of
-// every id the store does not know, and returns the hit count. The keys
-// are cut from one string built in the workspace's slab, so an all-hits
-// batch allocates nothing per item; run re-keys a miss, which also
-// detaches what the cache retains from the slab.
-func (p *cascadePipeline[R, C]) probe(s *Server, ws *cascadeWorkspace[R, C], gen, epoch uint64, fail func(i, status int, msg string)) int {
-	kb := appendKeyHead(ws.keySlab[:0], p.prefix, gen, epoch)
-	head := len(kb)
-	ends := ws.keyEnds[:0]
-	for i, id := range ws.ids {
-		if size, ok := s.store.Size(id); ok {
-			kb = appendKeyTail(append(kb, kb[:head]...), id, size)
-		} else {
-			fail(i, http.StatusNotFound, "no live cascade "+strconv.Itoa(id))
-		}
-		ends = append(ends, len(kb))
-	}
-	ws.keySlab, ws.keyEnds = kb, ends
-	slab, lo := string(kb), head
-	for i, hi := range ends {
-		ws.keys[i] = slab[lo:hi]
-		lo = hi
-	}
-	return s.cache.PeekAll(ws.keys, ws.vals)
-}
-
-// maxInfectedNode is the largest node id the cascade has infected, -1
-// when empty, without materializing the node slice.
-func maxInfectedNode(c *cascade.Cascade) int {
-	mx := -1
-	for _, inf := range c.Infections {
-		if inf.Node > mx {
-			mx = inf.Node
-		}
-	}
-	return mx
 }
 
 // The batch envelopes are encoded by hand: at batch 256 the reflective

@@ -152,13 +152,16 @@ func BenchmarkSimulate(b *testing.B) {
 
 // BenchmarkPredictBatch is the batched data plane end to end at batch
 // sizes 1/16/64/256 (features:batch and rate:batch at 256 beside
-// them), reporting amortized ns/cascade next to ns/op. The
-// cache TTL is one nanosecond so every item recomputes — the numbers
-// measure the column-wise extraction and blocked kernel, not cache
-// hits. Compare ns/cascade at B256 against BenchmarkPredictRequest's
-// ns/op: that ratio is the amortization the batch plane buys.
+// them), reporting amortized ns/cascade next to ns/op, in two regimes.
+// cold bumps the model generation (outside the timer) before every
+// operation, so every item misses the early-adopter memo and the
+// numbers measure the column-wise extraction and blocked kernels; warm
+// reads every item's features from the memo and measures what a live
+// cascade past its early window costs. Compare cold ns/cascade at B256
+// against BenchmarkPredictRequest's ns/op: that ratio is the
+// amortization the batch plane buys.
 func BenchmarkPredictBatch(b *testing.B) {
-	srv, err := New(Config{Loader: benchLoader(b), CacheTTL: time.Nanosecond})
+	srv, err := New(Config{Loader: benchLoader(b), CacheTTL: time.Minute})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -178,7 +181,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	for i := range pairs {
 		pairs[i] = map[string]int{"u": i % fixtureNodes, "v": (7 * i) % fixtureNodes}
 	}
-	run := func(name, path string, request any, size int) {
+	run := func(name, path string, request any, size int, cold bool) {
 		b.Run(name, func(b *testing.B) {
 			body, err := json.Marshal(request)
 			if err != nil {
@@ -196,6 +199,11 @@ func BenchmarkPredictBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					srv.swap(srv.current().sys)
+					b.StartTimer()
+				}
 				req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 				w := httptest.NewRecorder()
 				h.ServeHTTP(w, req)
@@ -207,13 +215,15 @@ func BenchmarkPredictBatch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/cascade")
 		})
 	}
-	for _, size := range []int{1, 16, 64, 256} {
-		run("B"+strconv.Itoa(size), "/v1/predict:batch", map[string]any{"cascades": ids[:size]}, size)
+	for _, regime := range []string{"cold", "warm"} {
+		cold := regime == "cold"
+		for _, size := range []int{1, 16, 64, 256} {
+			run(regime+"/B"+strconv.Itoa(size), "/v1/predict:batch", map[string]any{"cascades": ids[:size]}, size, cold)
+		}
+		run(regime+"/features:batch/B256", "/v1/features:batch", map[string]any{"cascades": ids}, maxBatch, cold)
 	}
-	// The other two batch endpoints at full width (ns/cascade reads
-	// ns/pair for rate:batch).
-	run("features:batch/B256", "/v1/features:batch", map[string]any{"cascades": ids}, maxBatch)
-	run("rate:batch/B256", "/v1/rate:batch", map[string]any{"pairs": pairs}, maxBatch)
+	// rate:batch reads no memo (ns/cascade reads ns/pair).
+	run("rate:batch/B256", "/v1/rate:batch", map[string]any{"pairs": pairs}, maxBatch, false)
 }
 
 // BenchmarkStoreAppend is the SI duplicate guard's cost curve: ns per

@@ -62,11 +62,14 @@ func TestServeConcurrentHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				// Each worker grows its own cascade with nodes unique
 				// within it (consecutive ids stay distinct mod the model's
-				// universe), and everyone hammers the shared prediction.
+				// universe), and everyone hammers the shared prediction —
+				// and, batched beside it, the early-adopter memo of its
+				// own cascade, refilled as every event lands.
 				ev := fmt.Sprintf(`{"cascade": %d, "node": %d, "time": %g}`,
 					2000+w, (w*rounds+i)%fixtureNodes, 0.01*float64(i+1))
 				post(client, ts.URL+"/v1/events", ev, http.StatusOK)
 				get(client, ts.URL+"/v1/cascades/1000/predict", http.StatusOK)
+				post(client, ts.URL+"/v1/predict:batch", fmt.Sprintf(`{"cascades": [1000, %d]}`, 2000+w), http.StatusOK)
 				switch i % 5 {
 				case 0:
 					post(client, ts.URL+"/v1/reload", "", http.StatusOK)

@@ -46,7 +46,7 @@ type Config struct {
 	// Loader produces the initial model and every reloaded generation.
 	Loader Loader
 	// CacheTTL bounds staleness of the cached expensive endpoints
-	// (influencers, seeds). Default 5s.
+	// (influencers, seeds, simulate; predictions read no TTL). Default 5s.
 	CacheTTL time.Duration
 	// FlushEvery is the cadence of the background pass that feeds grown
 	// live cascades into System.Update and swaps in the refined model.

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"viralcast/internal/cascade"
+	"viralcast/internal/features"
 	"viralcast/internal/wal"
 )
 
@@ -34,7 +35,15 @@ type Event = wal.Event
 type liveCascade struct {
 	c       cascade.Cascade
 	nodes   []int32
-	flushed int // size at the last background flush
+	flushed int   // size at the last background flush
+	maxNode int32 // the largest node id infected: the universe check without a scan
+
+	// The early-adopter memo: the features of the first early infections
+	// (those at or before the cutoff) under model generation gen, 0 for
+	// none. It dies with the struct, so a Clear or Evict retires it too.
+	early int32
+	gen   uint64
+	feats features.Set
 }
 
 type storeShard struct {
@@ -104,50 +113,79 @@ func (s *Store) Append(ev Event, n int) (int, error) {
 	copy(infs[i+1:], infs[i:])
 	infs[i] = inf
 	lc.c.Infections = infs
+	lc.maxNode = max(lc.maxNode, int32(ev.Node))
 	return len(infs), nil
 }
 
 // Snapshot returns a deep copy of the live cascade, safe to read while
 // ingestion continues, or false if the cascade is unknown.
 func (s *Store) Snapshot(id int) (*cascade.Cascade, bool) {
-	c := new(cascade.Cascade)
-	if _, ok := s.SnapshotInto(id, c, nil); !ok {
+	sh := s.shard(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	lc, ok := sh.live[id]
+	if !ok {
 		return nil, false
 	}
-	return c, true
+	return &cascade.Cascade{ID: lc.c.ID, Infections: append([]cascade.Infection(nil), lc.c.Infections...)}, true
 }
 
-// SnapshotInto is Snapshot into memory the caller owns: the infections
-// are appended to arena (returned grown) and *c is pointed at them, so
-// a request that computes on many cascades and keeps none copies them
-// into one reusable block instead of allocating two objects apiece.
-func (s *Store) SnapshotInto(id int, c *cascade.Cascade, arena []cascade.Infection) ([]cascade.Infection, bool) {
+// earlyRead is what one prediction reads of a live cascade: the early
+// prefix's features from its memo (hit) or, on a miss, snap, a copy of
+// that prefix alone — nothing past the cutoff feeds a feature.
+type earlyRead struct {
+	lc      *liveCascade // nil: no such live cascade
+	size    int
+	maxNode int // at or past the universe: nothing more was read
+	early   int // the early prefix's length
+	hit     bool
+	set     features.Set
+	snap    cascade.Cascade
+}
+
+// readEarly fills r from live cascade id under generation gen, whose
+// predictor cuts at cutoff over a universe of n nodes, copying a miss's
+// early prefix into arena (returned grown). The memo holds when it was
+// taken under gen on a prefix still intact, and that check is exact in
+// O(1): Append keeps infections time-sorted and only inserts, so an
+// event at or before the cutoff leaves an early infection at index
+// early for good, and one after it never moves the prefix.
+func (s *Store) readEarly(id int, gen uint64, cutoff float64, n int, r *earlyRead, arena []cascade.Infection) []cascade.Infection {
 	sh := s.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	lc, ok := sh.live[id]
-	if !ok {
-		return arena, false
+	lc := sh.live[id]
+	if lc == nil {
+		*r = earlyRead{}
+		return arena
 	}
+	infs := lc.c.Infections
+	*r = earlyRead{lc: lc, size: len(infs), maxNode: int(lc.maxNode)}
+	if r.maxNode >= n {
+		return arena
+	}
+	if e := int(lc.early); lc.gen == gen && (e == len(infs) || infs[e].Time > cutoff) {
+		r.early, r.hit, r.set = e, true, lc.feats
+		return arena
+	}
+	r.early = sort.Search(len(infs), func(i int) bool { return infs[i].Time > cutoff })
 	lo := len(arena)
-	arena = append(arena, lc.c.Infections...)
-	*c = cascade.Cascade{ID: lc.c.ID, Infections: arena[lo:len(arena):len(arena)]}
-	return arena, true
+	arena = append(arena, infs[:r.early]...)
+	r.snap = cascade.Cascade{ID: id, Infections: arena[lo:len(arena):len(arena)]}
+	return arena
 }
 
-// Size returns the live cascade's current infection count without
-// copying it, or false if the cascade is unknown. For an append-only
-// cascade (id, size) names a snapshot exactly, which is all a cache
-// probe needs.
-func (s *Store) Size(id int) (int, bool) {
+// memoize files r.set as the features of r's early prefix under
+// generation gen — in the struct r read, and only while it is still
+// the live cascade: a Clear or Evict in between retired that history,
+// and its features must not reach whatever took the id since.
+func (s *Store) memoize(id int, r *earlyRead, gen uint64) {
 	sh := s.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	lc, ok := sh.live[id]
-	if !ok {
-		return 0, false
+	sh.mu.Lock()
+	if lc := r.lc; sh.live[id] == lc {
+		lc.early, lc.gen, lc.feats = int32(r.early), gen, r.set
 	}
-	return len(lc.c.Infections), true
+	sh.mu.Unlock()
 }
 
 // Len returns the number of live cascades.
@@ -185,6 +223,16 @@ func (s *Store) FlushDirty() []*cascade.Cascade {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
+}
+
+// maxInfectedNode is the largest node id the cascade has infected, -1
+// when empty, without materializing the node slice.
+func maxInfectedNode(c *cascade.Cascade) int {
+	mx := -1
+	for _, inf := range c.Infections {
+		mx = max(mx, inf.Node)
+	}
+	return mx
 }
 
 // Unflush marks the given cascades dirty again: the flush that

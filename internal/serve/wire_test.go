@@ -319,9 +319,9 @@ func cascadesBody(ids []int) []byte {
 }
 
 // TestPredictBatchCopiesOnlyMisses: a batch answered wholly from the
-// cache is keyed by live size alone — it copies no cascade and
-// allocates nothing per item, so 256 hits cost what 16 do — and a
-// cascade that has grown is a miss again, answered at its new size.
+// early-adopter memo copies no cascade and allocates nothing per item,
+// so 256 hits cost what 16 do, and a cascade whose early prefix has
+// grown is a miss again, answered at its new size.
 func TestPredictBatchCopiesOnlyMisses(t *testing.T) {
 	srv, ts := newTestServer(t)
 	h := srv.Handler()
