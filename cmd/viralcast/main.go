@@ -239,11 +239,6 @@ func cmdSimulate(ctx context.Context, args []string) error {
 	return nil
 }
 
-// loadCascades reads a cascade file and infers the node universe size.
-func loadCascades(path string, n int) ([]*cascade.Cascade, int, error) {
-	return cascade.ReadFile(path, n)
-}
-
 func cmdInfer(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("infer", flag.ExitOnError)
 	in := fs.String("in", "", "cascade file (required)")
@@ -260,7 +255,7 @@ func cmdInfer(ctx context.Context, args []string) error {
 	if *in == "" {
 		return fmt.Errorf("infer: -in is required")
 	}
-	cs, nn, err := loadCascades(*in, *n)
+	cs, nn, err := cascade.ReadFile(*in, *n)
 	if err != nil {
 		return err
 	}
@@ -310,7 +305,7 @@ func cmdInfluencers(ctx context.Context, args []string) error {
 	if *in == "" {
 		return fmt.Errorf("influencers: -in is required")
 	}
-	cs, nn, err := loadCascades(*in, *n)
+	cs, nn, err := cascade.ReadFile(*in, *n)
 	if err != nil {
 		return err
 	}
@@ -351,7 +346,7 @@ func cmdPredict(ctx context.Context, args []string) error {
 	if *in == "" {
 		return fmt.Errorf("predict: -in is required")
 	}
-	cs, nn, err := loadCascades(*in, *n)
+	cs, nn, err := cascade.ReadFile(*in, *n)
 	if err != nil {
 		return err
 	}
@@ -403,7 +398,7 @@ func cmdAnalyze(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("analyze: -in is required")
 	}
-	cs, nn, err := loadCascades(*in, *n)
+	cs, nn, err := cascade.ReadFile(*in, *n)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"viralcast/internal/cascade"
 	"viralcast/internal/core"
 	"viralcast/internal/faultinject"
 )
@@ -142,7 +143,7 @@ func TestLoadCascadesInfersN(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0,5,0\n0,9,1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cs, n, err := loadCascades(path, 0)
+	cs, n, err := cascade.ReadFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,29 @@ func TestLoadCascadesInfersN(t *testing.T) {
 		t.Fatalf("cascades = %+v", cs)
 	}
 	// Explicit n too small must fail validation.
-	if _, _, err := loadCascades(path, 5); err == nil {
+	if _, _, err := cascade.ReadFile(path, 5); err == nil {
 		t.Error("undersized n accepted")
+	}
+}
+
+// TestCmdRejectsHugeNodeID: the universe a file's ids imply must not
+// size a table past what an int can allocate. Every subcommand that
+// reads a cascade file returns the reader's error, naming the line.
+func TestCmdRejectsHugeNodeID(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.txt")
+	if err := os.WriteFile(path, []byte("1,9223372036854775806,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for name, run := range map[string]func() error{
+		"analyze":     func() error { return cmdAnalyze([]string{"-in", path}) },
+		"infer":       func() error { return cmdInfer(ctx, []string{"-in", path}) },
+		"influencers": func() error { return cmdInfluencers(ctx, []string{"-in", path}) },
+		"predict":     func() error { return cmdPredict(ctx, []string{"-in", path}) },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "line 1: node id 9223372036854775806 above the limit") {
+			t.Errorf("%s: %v, want the reader's node id error", name, err)
+		}
 	}
 }
 

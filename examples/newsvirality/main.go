@@ -13,16 +13,17 @@ import (
 	"sort"
 
 	"viralcast"
+	"viralcast/internal/gdelt"
 )
 
 func main() {
-	cfg := viralcast.DefaultNewsConfig()
+	cfg := gdelt.DefaultConfig()
 	// Shrink from the paper's 6,000 sites so the example runs in seconds.
 	cfg.Sites = 1200
 	cfg.Events = 1500
 	cfg.CrossLinks = 180
 	cfg.Seed = 7
-	corpus, err := viralcast.GenerateNews(cfg)
+	corpus, err := gdelt.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

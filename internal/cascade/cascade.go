@@ -95,44 +95,28 @@ func (c *Cascade) PrefixView(cutoff float64) (Cascade, bool) {
 	return Cascade{ID: c.ID, Infections: c.Infections[:k:k]}, true
 }
 
-// Validate checks the structural invariants a well-formed cascade must
-// satisfy: at least one infection, distinct non-negative node ids (< n if
-// n > 0), non-negative times, and non-decreasing time order.
-func (c *Cascade) Validate(n int) error {
-	return c.validate(n, nil, 0)
-}
-
-// validate is Validate with the set of nodes seen so far held either in
-// a map (stamp == nil) or in a caller-owned table with one slot per node
-// id, where stamp[u] == mark means u was seen; the caller passes a mark
-// no earlier cascade used, so the table needs no clearing in between.
+// validate checks the structural invariants a well-formed cascade must
+// satisfy: at least one infection, distinct node ids in [0, n),
+// non-negative finite times, and non-decreasing time order. stamp has one
+// slot per node id, and stamp[u] == mark means u was seen; the caller
+// passes a mark no earlier cascade used, so the table needs no clearing
+// in between.
 func (c *Cascade) validate(n int, stamp []int32, mark int32) error {
 	if len(c.Infections) == 0 {
 		return fmt.Errorf("cascade %d: empty", c.ID)
-	}
-	var seen map[int]bool
-	if stamp == nil {
-		seen = make(map[int]bool, len(c.Infections))
 	}
 	prev := -1.0
 	for i, inf := range c.Infections {
 		if inf.Node < 0 {
 			return fmt.Errorf("cascade %d: negative node id %d at index %d", c.ID, inf.Node, i)
 		}
-		if n > 0 && inf.Node >= n {
+		if inf.Node >= n {
 			return fmt.Errorf("cascade %d: node id %d out of range [0,%d)", c.ID, inf.Node, n)
 		}
-		var twice bool
-		if stamp == nil {
-			twice = seen[inf.Node]
-			seen[inf.Node] = true
-		} else {
-			twice = stamp[inf.Node] == mark
-			stamp[inf.Node] = mark
-		}
-		if twice {
+		if stamp[inf.Node] == mark {
 			return fmt.Errorf("cascade %d: node %d infected twice (SI process forbids re-infection)", c.ID, inf.Node)
 		}
+		stamp[inf.Node] = mark
 		if math.IsNaN(inf.Time) || math.IsInf(inf.Time, 0) {
 			return fmt.Errorf("cascade %d: non-finite time %v at index %d", c.ID, inf.Time, i)
 		}
@@ -159,14 +143,12 @@ func (c *Cascade) SortByTime() {
 	})
 }
 
-// ValidateAll validates every cascade against node universe size n.
-// With a known universe (n > 0) the cascades share one seen-table
-// stamped with the cascade's position, instead of a map per cascade.
+// ValidateAll validates every cascade against node universe size n: see
+// validate for the invariants. With n <= 0 the universe is empty, so any
+// infection is out of range. The cascades share one seen-table stamped
+// with the cascade's position.
 func ValidateAll(cs []*Cascade, n int) error {
-	var stamp []int32
-	if n > 0 {
-		stamp = make([]int32, n)
-	}
+	stamp := make([]int32, max(n, 0))
 	for i, c := range cs {
 		if err := c.validate(n, stamp, int32(i+1)); err != nil {
 			return err
@@ -291,6 +273,9 @@ func Read(r io.Reader) ([]*Cascade, error) {
 		node, err := strconv.Atoi(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("cascade: line %d: bad node id %q", lineNo, parts[1])
+		}
+		if node > math.MaxInt32 {
+			return nil, fmt.Errorf("cascade: line %d: node id %d above the limit %d", lineNo, node, math.MaxInt32)
 		}
 		tm, err := strconv.ParseFloat(parts[2], 64)
 		if err != nil {

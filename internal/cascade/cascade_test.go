@@ -59,7 +59,7 @@ func TestPrefix(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	if err := valid().Validate(4); err != nil {
+	if err := ValidateAll([]*Cascade{valid()}, 4); err != nil {
 		t.Fatalf("valid cascade rejected: %v", err)
 	}
 	cases := map[string]*Cascade{
@@ -71,20 +71,21 @@ func TestValidate(t *testing.T) {
 		"disorder":     {Infections: []Infection{{0, 2}, {1, 1}}},
 	}
 	for name, c := range cases {
-		if err := c.Validate(4); err == nil {
+		if err := ValidateAll([]*Cascade{c}, 4); err == nil {
 			t.Errorf("%s: invalid cascade accepted", name)
 		}
 	}
-	// n=0 disables the range check.
-	big := &Cascade{Infections: []Infection{{1000, 0}}}
-	if err := big.Validate(0); err != nil {
-		t.Errorf("n=0 must disable range check: %v", err)
+	// n <= 0 is an empty universe: every node is out of range.
+	for _, n := range []int{0, -1} {
+		if err := ValidateAll([]*Cascade{valid()}, n); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("n=%d: %v, want an out-of-range error", n, err)
+		}
 	}
 }
 
 // ValidateAll keeps one seen-table for all cascades; it must report
-// exactly what validating them one by one reports, and a node shared by
-// consecutive cascades is not a re-infection.
+// exactly what validating the bad cascade alone reports, and a node
+// shared by consecutive cascades is not a re-infection.
 func TestValidateAllMatchesValidate(t *testing.T) {
 	bad := map[string]*Cascade{
 		"empty":          {ID: 1},
@@ -96,18 +97,16 @@ func TestValidateAllMatchesValidate(t *testing.T) {
 		"disorder":       {ID: 7, Infections: []Infection{{0, 2}, {1, 1}}},
 		"dup then range": {ID: 8, Infections: []Infection{{2, 0}, {2, 1}, {9, 2}}},
 	}
-	for _, n := range []int{4, 0} {
-		for name, c := range bad {
-			cs := []*Cascade{valid(), valid(), c, valid()}
-			want := c.Validate(n)
-			got := ValidateAll(cs, n)
-			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
-				t.Errorf("n=%d %s: ValidateAll = %v, Validate = %v", n, name, got, want)
-			}
+	for name, c := range bad {
+		cs := []*Cascade{valid(), valid(), c, valid()}
+		want := ValidateAll([]*Cascade{c}, 4)
+		got := ValidateAll(cs, 4)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: ValidateAll = %v, alone = %v", name, got, want)
 		}
-		if err := ValidateAll([]*Cascade{valid(), valid(), valid()}, n); err != nil {
-			t.Errorf("n=%d: cascades sharing nodes rejected: %v", n, err)
-		}
+	}
+	if err := ValidateAll([]*Cascade{valid(), valid(), valid()}, 4); err != nil {
+		t.Errorf("cascades sharing nodes rejected: %v", err)
 	}
 	cs := make([]*Cascade, 64)
 	for i := range cs {
@@ -189,16 +188,23 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
-	bad := []string{
-		"1,0\n",
-		"x,0,0\n",
-		"1,y,0\n",
-		"1,0,z\n",
+	bad := []struct{ in, want string }{
+		{"1,0\n", "line 1"},
+		{"x,0,0\n", "line 1"},
+		{"1,y,0\n", "line 1"},
+		{"1,0,z\n", "line 1"},
+		{"1,0,0\n1,2147483648,1\n", "line 2: node id 2147483648 above the limit"},
+		{"1,9223372036854775806,1\n", "line 1: node id 9223372036854775806 above the limit"},
 	}
-	for _, in := range bad {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("Read accepted %q", in)
+	for _, tc := range bad {
+		if _, err := Read(strings.NewReader(tc.in)); err == nil {
+			t.Errorf("Read accepted %q", tc.in)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Read(%q) = %v, want it to mention %q", tc.in, err, tc.want)
 		}
+	}
+	if cs, err := Read(strings.NewReader("1,2147483647,0\n")); err != nil || cs[0].Infections[0].Node != math.MaxInt32 {
+		t.Errorf("Read of the largest node id = %v, %v", cs, err)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestDenseRunReachesAllPositivePairs(t *testing.T) {
 	if c.Size() != 6 {
 		t.Fatalf("dense cascade size %d, want 6: %+v", c.Size(), c.Infections)
 	}
-	if err := c.Validate(6); err != nil {
+	if err := ValidateAll([]*Cascade{c}, 6); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,7 +97,7 @@ func TestRunSeedsCampaign(t *testing.T) {
 	if len(at0) != 2 || !at0[2] || !at0[5] {
 		t.Fatalf("time-0 infections = %v, want exactly {2, 5}", at0)
 	}
-	if err := c.Validate(8); err != nil {
+	if err := ValidateAll([]*Cascade{c}, 8); err != nil {
 		t.Fatal(err)
 	}
 	if c.Size() != 8 {

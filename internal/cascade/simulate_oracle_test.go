@@ -92,12 +92,10 @@ func oracleWorld(t *testing.T, seed uint64) (*graph.Graph, *vecmath.Matrix, *vec
 	t.Helper()
 	rng := xrand.New(seed)
 	n, k := 30, 3
-	gb := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for e := 0; e < 5*n; e++ {
 		if u, v := rng.Intn(n), rng.Intn(n); u != v {
-			if err := gb.AddEdge(u, v, 1); err != nil {
-				t.Fatal(err)
-			}
+			edges = append(edges, graph.Edge{From: u, To: v, Weight: 1})
 		}
 	}
 	a, b := vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)
@@ -110,7 +108,7 @@ func oracleWorld(t *testing.T, seed uint64) (*graph.Graph, *vecmath.Matrix, *vec
 			a.Set(u, j, 0)
 		}
 	}
-	return gb.Build(), a, b
+	return mustGraph(t, n, edges), a, b
 }
 
 // bothSims returns the graph-mode and the dense-mode simulator of one

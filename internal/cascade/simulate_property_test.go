@@ -16,15 +16,17 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 2 + rng.Intn(30)
-		b := graph.NewBuilder(n)
-		edges := rng.Intn(4 * n)
-		for e := 0; e < edges; e++ {
+		var edges []graph.Edge
+		for e := rng.Intn(4 * n); e > 0; e-- {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				_ = b.AddEdge(u, v, 1)
+				edges = append(edges, graph.Edge{From: u, To: v, Weight: 1})
 			}
 		}
-		g := b.Build()
+		g, err := graph.FromEdges(n, edges)
+		if err != nil {
+			return false
+		}
 		k := 1 + rng.Intn(3)
 		a := vecmath.NewMatrix(n, k)
 		bm := vecmath.NewMatrix(n, k)
@@ -45,7 +47,7 @@ func TestSimulatorInvariantsProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if c.Validate(n) != nil {
+			if ValidateAll([]*Cascade{c}, n) != nil {
 				return false
 			}
 			if c.Infections[0].Node != start || c.Infections[0].Time != 0 {
@@ -103,7 +105,7 @@ func TestPrefixMonotoneProperty(t *testing.T) {
 			}
 		}
 		// Prefixes of valid cascades are valid unless empty.
-		if p1.Size() > 0 && p1.Validate(100) != nil {
+		if p1.Size() > 0 && ValidateAll([]*Cascade{p1}, 100) != nil {
 			return false
 		}
 		return true

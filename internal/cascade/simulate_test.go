@@ -14,13 +14,20 @@ import (
 // lineGraph builds 0 -> 1 -> 2 -> ... -> n-1.
 func lineGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for i := 0; i+1 < n; i++ {
-		if err := b.AddEdge(i, i+1, 1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, graph.Edge{From: i, To: i + 1, Weight: 1})
 	}
-	return b.Build()
+	return mustGraph(t, n, edges)
+}
+
+func mustGraph(t *testing.T, n int, edges []graph.Edge) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func constMatrix(rows, cols int, v float64) *vecmath.Matrix {
@@ -96,7 +103,7 @@ func TestRunProducesValidOrderedCascade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Validate(120); err != nil {
+		if err := ValidateAll([]*Cascade{c}, 120); err != nil {
 			t.Fatalf("simulator produced invalid cascade: %v", err)
 		}
 	}
@@ -148,18 +155,16 @@ func TestLineGraphDelayDistribution(t *testing.T) {
 func TestEarliestSourceWins(t *testing.T) {
 	// Diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3. Node 3's infection time must
 	// equal the min over both paths; it must be infected exactly once.
-	b := graph.NewBuilder(4)
+	var edges []graph.Edge
 	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}} {
-		if err := b.AddEdge(e[0], e[1], 1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, graph.Edge{From: e[0], To: e[1], Weight: 1})
 	}
-	g := b.Build()
+	g := mustGraph(t, 4, edges)
 	s, _ := NewSimulator(g, constMatrix(4, 1, 1), constMatrix(4, 1, 1), 1e9)
 	rng := xrand.New(6)
 	for i := 0; i < 500; i++ {
 		c, _ := s.Run(i, 0, rng)
-		if err := c.Validate(4); err != nil {
+		if err := ValidateAll([]*Cascade{c}, 4); err != nil {
 			t.Fatal(err)
 		}
 		if c.Size() != 4 {

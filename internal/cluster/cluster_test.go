@@ -337,13 +337,3 @@ func TestRenderDendrogram(t *testing.T) {
 		t.Error("single-observation render empty")
 	}
 }
-
-func TestSizeOf(t *testing.T) {
-	d := Ward(twoBlobs(3))
-	if d.SizeOf(0) != 1 {
-		t.Error("leaf size != 1")
-	}
-	if d.SizeOf(d.N+len(d.Merges)-1) != 6 {
-		t.Error("root size != 6")
-	}
-}

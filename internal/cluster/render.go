@@ -39,12 +39,3 @@ func (d *Dendrogram) RenderDendrogram(maxDepth int) string {
 	walk(rootID, 0)
 	return b.String()
 }
-
-// SizeOf returns the number of original observations under cluster id
-// (a leaf id < N or a merge id >= N).
-func (d *Dendrogram) SizeOf(id int) int {
-	if id < d.N {
-		return 1
-	}
-	return d.Merges[id-d.N].Size
-}

@@ -130,17 +130,3 @@ func countArcs(tails [][]cascade.Infection, start []int) int {
 	}
 	return total
 }
-
-// NodeCounts returns c(u) for every node: the number of cascades that
-// contain it.
-func NodeCounts(cs []*cascade.Cascade, n int) []int {
-	counts := make([]int, n)
-	for _, c := range cs {
-		for _, inf := range c.Infections {
-			if inf.Node >= 0 && inf.Node < n {
-				counts[inf.Node]++
-			}
-		}
-	}
-	return counts
-}

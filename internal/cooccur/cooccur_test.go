@@ -123,14 +123,6 @@ func TestBuildRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestNodeCounts(t *testing.T) {
-	cs := []*cascade.Cascade{casc(0, 0, 1), casc(1, 1)}
-	counts := NodeCounts(cs, 3)
-	if counts[0] != 1 || counts[1] != 2 || counts[2] != 0 {
-		t.Fatalf("NodeCounts = %v", counts)
-	}
-}
-
 func BenchmarkBuild(b *testing.B) {
 	// 500 synthetic cascades of ~30 nodes each.
 	var cs []*cascade.Cascade

@@ -14,8 +14,8 @@ import (
 )
 
 // buildViaMaps is the Build this package shipped before the CSR one:
-// ordered pairs counted in a map and re-inserted into the graph Builder's
-// map. It stays here as the reference the new code must equal bit for bit.
+// ordered pairs counted in a map and handed to graph.FromEdges. It stays
+// here as the reference the new code must equal bit for bit.
 func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
@@ -23,7 +23,7 @@ func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, erro
 	nodeCount := make([]int, n)   // c(u)
 	pairCount := map[[2]int]int{} // c(u,v), u infected before v
 	for _, c := range cs {
-		if err := c.Validate(n); err != nil {
+		if err := cascade.ValidateAll([]*cascade.Cascade{c}, n); err != nil {
 			return nil, fmt.Errorf("cooccur: %w", err)
 		}
 		for _, inf := range c.Infections {
@@ -39,18 +39,19 @@ func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, erro
 			}
 		}
 	}
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for pair, cnt := range pairCount {
 		if opt.MinPairCount > 1 && cnt < opt.MinPairCount {
 			continue
 		}
 		u, v := pair[0], pair[1]
-		w := 2 * float64(cnt) / float64(nodeCount[u]+nodeCount[v])
-		if err := b.AddEdge(u, v, w); err != nil {
-			return nil, fmt.Errorf("cooccur: %w", err)
-		}
+		edges = append(edges, graph.Edge{From: u, To: v, Weight: 2 * float64(cnt) / float64(nodeCount[u]+nodeCount[v])})
 	}
-	return b.Build(), nil
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		return nil, fmt.Errorf("cooccur: %w", err)
+	}
+	return g, nil
 }
 
 // randomCascades draws cascades over n nodes whose sizes straddle 20; half

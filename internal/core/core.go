@@ -314,16 +314,6 @@ func (s *System) Fork() *System {
 	}
 }
 
-// Influence returns node u's influence vector (a copy).
-func (s *System) Influence(u int) []float64 {
-	return append([]float64(nil), s.Embeddings.A.Row(u)...)
-}
-
-// Selectivity returns node u's selectivity vector (a copy).
-func (s *System) Selectivity(u int) []float64 {
-	return append([]float64(nil), s.Embeddings.B.Row(u)...)
-}
-
 // Rate returns the inferred hazard rate of u infecting v.
 func (s *System) Rate(u, v int) float64 { return s.Embeddings.Rate(u, v) }
 
@@ -385,8 +375,8 @@ func (s *System) TopInfluencersRangeCtx(ctx context.Context, k, lo, hi int) ([]I
 // result is identical to ranking the union directly: any node in the
 // global top-k is, a fortiori, in the top-k of its own partition, so
 // the union of partition winners contains every global winner. This is
-// the PR 5 per-worker heap merge exported as a standalone primitive so
-// a scatter-gathering router can merge per-shard heaps the same way one
+// the merge of TopInfluencersCtx's per-worker heaps, exported so a
+// scatter-gathering router can merge per-shard heaps the same way one
 // process merges per-worker heaps. k < 0 keeps every candidate. The
 // result has cap == len: whoever caches it holds the k winners, not the
 // candidates they beat.

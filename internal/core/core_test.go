@@ -62,21 +62,11 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
-func TestInfluenceSelectivityRate(t *testing.T) {
+func TestRate(t *testing.T) {
 	cs := workload(t, 60, 100, 4)
 	sys, err := Train(cs, 60, TrainConfig{Topics: 2, MaxIter: 6, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
-	}
-	a := sys.Influence(3)
-	b := sys.Selectivity(4)
-	if len(a) != 2 || len(b) != 2 {
-		t.Fatalf("vector lengths %d, %d", len(a), len(b))
-	}
-	// Returned vectors are copies.
-	a[0] = -99
-	if sys.Embeddings.A.At(3, 0) == -99 {
-		t.Fatal("Influence returned aliasing slice")
 	}
 	want := sys.Embeddings.Rate(3, 4)
 	if got := sys.Rate(3, 4); got != want {

@@ -569,19 +569,3 @@ func gradABlock(infs []cascade.Infection, b, dA []float64, k, j int, inv []float
 		}
 	}
 }
-
-// RecoveryError reports how close the model's pairwise rates are to a
-// reference model's, averaged over the provided node pairs. Embeddings
-// are identifiable only up to rescaling/rotation of the latent space, so
-// comparing rates (inner products) is the meaningful recovery metric.
-func (m *Model) RecoveryError(ref *Model, pairs [][2]int) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, p := range pairs {
-		d := m.Rate(p[0], p[1]) - ref.Rate(p[0], p[1])
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pairs)))
-}

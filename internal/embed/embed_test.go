@@ -289,20 +289,6 @@ func TestGradientAscentImprovesLikelihood(t *testing.T) {
 	}
 }
 
-func TestRecoveryError(t *testing.T) {
-	m := randModel(5, 2, 16)
-	if m.RecoveryError(m, [][2]int{{0, 1}, {2, 3}}) != 0 {
-		t.Fatal("self recovery error must be 0")
-	}
-	if m.RecoveryError(m, nil) != 0 {
-		t.Fatal("empty pairs must give 0")
-	}
-	o := randModel(5, 2, 17)
-	if m.RecoveryError(o, [][2]int{{0, 1}}) <= 0 {
-		t.Fatal("different models must have positive recovery error")
-	}
-}
-
 // refLogLik is the likelihood as one vecmath call per aggregate and one
 // logarithm per infection — the formulation the fused logLik replaced,
 // kept as its oracle.

@@ -31,13 +31,8 @@ type Set struct {
 	EarlyRate  float64 // adopters per unit time within the early window
 }
 
-// Names lists the feature names in Vector order.
+// Names lists the feature names in Set's field order.
 var Names = []string{"diverA", "normA", "maxA", "earlyCount", "earlyRate"}
-
-// Vector returns the features in Names order.
-func (s Set) Vector() []float64 {
-	return []float64{s.DiverA, s.NormA, s.MaxA, s.EarlyCount, s.EarlyRate}
-}
 
 // Select returns the subset of the feature vector named by keep, in keep
 // order. Unknown names are an error.
@@ -49,7 +44,7 @@ func (s Set) Select(keep []string) ([]float64, error) {
 // reuse a scratch buffer across requests instead of allocating one per
 // prediction.
 func (s Set) SelectAppend(dst []float64, keep []string) ([]float64, error) {
-	// A fixed-size array keeps the full vector on the stack; Vector()
+	// A fixed-size array keeps the full vector on the stack; a slice
 	// would allocate on every prediction.
 	full := [...]float64{s.DiverA, s.NormA, s.MaxA, s.EarlyCount, s.EarlyRate}
 	for _, name := range keep {

@@ -103,15 +103,15 @@ func TestExtractErrors(t *testing.T) {
 	}
 }
 
-func TestVectorAndSelect(t *testing.T) {
+func TestSelect(t *testing.T) {
 	s := Set{DiverA: 1, NormA: 2, MaxA: 3, EarlyCount: 4, EarlyRate: 5}
-	v := s.Vector()
-	if len(v) != len(Names) {
-		t.Fatalf("Vector length %d != Names length %d", len(v), len(Names))
+	v, err := s.Select(Names)
+	if err != nil || len(v) != 5 {
+		t.Fatalf("Select(Names) = %v, %v", v, err)
 	}
 	for i, want := range []float64{1, 2, 3, 4, 5} {
 		if v[i] != want {
-			t.Fatalf("Vector = %v", v)
+			t.Fatalf("Select(Names) = %v, want Set's fields in order", v)
 		}
 	}
 	sel, err := s.Select([]string{"maxA", "diverA"})

@@ -10,16 +10,15 @@ import (
 // pathGraph builds 0 -> 1 -> 2 -> 3 with reverse edges.
 func pathGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(4)
+	var edges []graph.Edge
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}} {
-		if err := b.AddEdge(e[0], e[1], 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AddEdge(e[1], e[0], 1); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, graph.Edge{From: e[0], To: e[1], Weight: 1}, graph.Edge{From: e[1], To: e[0], Weight: 1})
 	}
-	return b.Build()
+	g, err := graph.FromEdges(4, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestExtractTopoExactValues(t *testing.T) {

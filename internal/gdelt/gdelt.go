@@ -324,7 +324,7 @@ func makeTruth(cfg Config, sites []Site, rng *xrand.RNG) *embed.Model {
 // with popularity-preferential attachment plus cross-region "wire
 // service" links between the most popular sites of different regions.
 func makeGraph(cfg Config, sites []Site, rng *xrand.RNG) (*graph.Graph, error) {
-	b := graph.NewBuilder(cfg.Sites)
+	var edges []graph.Edge
 	// Group sites by region and build per-region popularity CDFs so
 	// endpoints are drawn preferentially.
 	byRegion := make([][]int, len(cfg.Regions))
@@ -336,8 +336,7 @@ func makeGraph(cfg Config, sites []Site, rng *xrand.RNG) (*graph.Graph, error) {
 			return
 		}
 		// Duplicate adds just accumulate weight, harmless for spreading.
-		_ = b.AddEdge(u, v, 1)
-		_ = b.AddEdge(v, u, 1)
+		edges = append(edges, graph.Edge{From: u, To: v, Weight: 1}, graph.Edge{From: v, To: u, Weight: 1})
 	}
 	for _, members := range byRegion {
 		if len(members) < 2 {
@@ -389,7 +388,7 @@ func makeGraph(cfg Config, sites []Site, rng *xrand.RNG) (*graph.Graph, error) {
 			addUndirected(tops[r1][rng.Intn(len(tops[r1]))], tops[r2][rng.Intn(len(tops[r2]))])
 		}
 	}
-	return b.Build(), nil
+	return graph.FromEdges(cfg.Sites, edges)
 }
 
 // EventDurations returns the reporting duration (hours between first and
@@ -435,19 +434,14 @@ func (ds *Dataset) Backbone(minShared int) (*graph.Graph, error) {
 			}
 		}
 	}
-	b := graph.NewBuilder(ds.Config.Sites)
+	var edges []graph.Edge
 	for p, cnt := range pair {
-		if cnt < minShared {
-			continue
-		}
-		if err := b.AddEdge(p[0], p[1], float64(cnt)); err != nil {
-			return nil, err
-		}
-		if err := b.AddEdge(p[1], p[0], float64(cnt)); err != nil {
-			return nil, err
+		if cnt >= minShared {
+			w := float64(cnt)
+			edges = append(edges, graph.Edge{From: p[0], To: p[1], Weight: w}, graph.Edge{From: p[1], To: p[0], Weight: w})
 		}
 	}
-	return b.Build(), nil
+	return graph.FromEdges(ds.Config.Sites, edges)
 }
 
 // SampleEvents returns n events drawn without replacement (all events if

@@ -101,37 +101,3 @@ func (ds *Dataset) Export(sitesW, eventsW io.Writer) error {
 	}
 	return WriteEvents(eventsW, ds.Events)
 }
-
-// Import reconstructs an analyzable Dataset from exported tables. The
-// Truth and Graph fields stay nil; every analysis in this package
-// (EventDurations, ReportCounts, Backbone, SampleEvents, RegionOf) works
-// without them, as it would on real data.
-func Import(sitesR, eventsR io.Reader) (*Dataset, error) {
-	sites, err := ReadSites(sitesR)
-	if err != nil {
-		return nil, err
-	}
-	events, err := ReadEvents(eventsR)
-	if err != nil {
-		return nil, err
-	}
-	if err := cascade.ValidateAll(events, len(sites)); err != nil {
-		return nil, fmt.Errorf("gdelt: imported events inconsistent with sites: %w", err)
-	}
-	ds := &Dataset{Sites: sites, Events: events}
-	ds.Config.Sites = len(sites)
-	ds.Config.Events = len(events)
-	// Region count for analyses that need ds.Config.Regions (Figure 1's
-	// flat cut): reconstruct minimal region descriptors.
-	maxRegion := 0
-	for _, s := range sites {
-		if s.Region > maxRegion {
-			maxRegion = s.Region
-		}
-	}
-	ds.Config.Regions = make([]Region, maxRegion+1)
-	for i := range ds.Config.Regions {
-		ds.Config.Regions[i] = Region{Name: fmt.Sprintf("region%d", i), Share: 1 / float64(maxRegion+1)}
-	}
-	return ds, nil
-}

@@ -54,67 +54,3 @@ func TestReadSitesErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestExportImportRoundtrip(t *testing.T) {
-	ds, err := Generate(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sitesBuf, eventsBuf bytes.Buffer
-	if err := ds.Export(&sitesBuf, &eventsBuf); err != nil {
-		t.Fatal(err)
-	}
-	imported, err := Import(&sitesBuf, &eventsBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(imported.Sites) != len(ds.Sites) || len(imported.Events) != len(ds.Events) {
-		t.Fatalf("sizes: %d/%d sites, %d/%d events",
-			len(imported.Sites), len(ds.Sites), len(imported.Events), len(ds.Events))
-	}
-	// Analyses must agree with the original dataset.
-	origCounts := ds.ReportCounts()
-	impCounts := imported.ReportCounts()
-	for i := range origCounts {
-		if origCounts[i] != impCounts[i] {
-			t.Fatalf("report counts diverge at site %d", i)
-		}
-	}
-	origDur := ds.EventDurations()
-	impDur := imported.EventDurations()
-	if len(origDur) != len(impDur) {
-		t.Fatalf("duration counts: %d vs %d", len(origDur), len(impDur))
-	}
-	for i := range origDur {
-		d := origDur[i] - impDur[i]
-		if d > 1e-9 || d < -1e-9 {
-			t.Fatalf("duration %d diverges: %v vs %v", i, origDur[i], impDur[i])
-		}
-	}
-	// Regions survive for locality analyses.
-	for i := range ds.Sites {
-		if imported.RegionOf(i) != ds.RegionOf(i) {
-			t.Fatalf("region of site %d diverges", i)
-		}
-	}
-	// Backbone identical.
-	ob, err := ds.Backbone(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ib, err := imported.Backbone(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ob.M() != ib.M() {
-		t.Fatalf("backbone edges: %d vs %d", ob.M(), ib.M())
-	}
-}
-
-func TestImportValidatesConsistency(t *testing.T) {
-	sites := "id,name,region,popularity\n0,a,0,1\n"
-	events := "0,5,0\n" // site 5 does not exist
-	if _, err := Import(strings.NewReader(sites), strings.NewReader(events)); err == nil {
-		t.Fatal("inconsistent import accepted")
-	}
-}

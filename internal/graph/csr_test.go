@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,27 +9,27 @@ import (
 	"viralcast/internal/xrand"
 )
 
-// undirectedViaBuilder is the map-based Undirected this package shipped
-// before the merge-built one: every arc is pushed through the Builder in
-// both directions. It stays here as the reference the new code must equal
-// bit for bit.
-func undirectedViaBuilder(g *Graph) *Graph {
-	b := NewBuilder(g.n)
-	for u := 0; u < g.n; u++ {
-		ts, ws := g.Neighbors(u)
-		for i, v := range ts {
-			_ = b.AddEdge(u, v, ws[i]) // errors impossible: arcs of a valid graph
-			_ = b.AddEdge(v, u, ws[i])
-		}
+// undirectedViaEdges is the reference Undirected must equal bit for bit:
+// every arc goes into one edge list in both directions and FromEdges
+// sums each pair.
+func undirectedViaEdges(t *testing.T, g *Graph) *Graph {
+	t.Helper()
+	var edges []Edge
+	for _, e := range g.Edges() {
+		edges = append(edges, e, Edge{From: e.To, To: e.From, Weight: e.Weight})
 	}
-	return b.Build()
+	und, err := FromEdges(g.n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return und
 }
 
 // randomDigraph draws a weighted digraph with isolated nodes, reciprocal
 // pairs and repeated weights (so equal sums occur).
-func randomDigraph(rng *xrand.RNG) *Graph {
+func randomDigraph(t testing.TB, rng *xrand.RNG) *Graph {
 	n := 1 + rng.Intn(40)
-	b := NewBuilder(n)
+	var edges []Edge
 	for i := rng.Intn(6 * n); i > 0; i-- {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v || u%7 == 3 || v%7 == 3 { // nodes 3, 10, ... stay isolated
@@ -38,21 +39,25 @@ func randomDigraph(rng *xrand.RNG) *Graph {
 		if rng.Intn(2) == 0 {
 			w = float64(1+rng.Intn(3)) / 4
 		}
-		_ = b.AddEdge(u, v, w)
+		edges = append(edges, Edge{u, v, w})
 		if rng.Intn(3) == 0 {
-			_ = b.AddEdge(v, u, rng.Float64())
+			edges = append(edges, Edge{v, u, rng.Float64()})
 		}
 	}
-	return b.Build()
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
-func TestUndirectedMatchesBuilderOracle(t *testing.T) {
+func TestUndirectedMatchesEdgeListOracle(t *testing.T) {
 	rng := xrand.New(14)
 	for trial := 0; trial < 300; trial++ {
-		g := randomDigraph(rng)
-		got, want := g.Undirected(), undirectedViaBuilder(g)
+		g := randomDigraph(t, rng)
+		got, want := g.Undirected(), undirectedViaEdges(t, g)
 		if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
-			t.Fatalf("trial %d (n=%d, m=%d): Undirected differs from the Builder oracle\n got %v\nwant %v",
+			t.Fatalf("trial %d (n=%d, m=%d): Undirected differs from the edge-list oracle\n got %v\nwant %v",
 				trial, g.N(), g.M(), got.Edges(), want.Edges())
 		}
 		if !reflect.DeepEqual(got.offsets, want.offsets) {
@@ -61,8 +66,49 @@ func TestUndirectedMatchesBuilderOracle(t *testing.T) {
 		// Symmetrizing a symmetric graph doubles every weight and keeps
 		// the arcs: the reciprocated branch of the merge.
 		twice := got.Undirected()
-		if !reflect.DeepEqual(twice.Edges(), undirectedViaBuilder(got).Edges()) {
+		if !reflect.DeepEqual(twice.Edges(), undirectedViaEdges(t, got).Edges()) {
 			t.Fatalf("trial %d: Undirected of a symmetric graph differs from the oracle", trial)
+		}
+	}
+}
+
+// TestFromEdgesSumsInListOrder holds FromEdges to a map that accumulates
+// each pair's weights with += in list order, bit for bit. Weights span
+// many magnitudes and signs, so a different summation order shows.
+func TestFromEdgesSumsInListOrder(t *testing.T) {
+	rng := xrand.New(35)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(12)
+		type pair struct{ u, v int }
+		want := map[pair]float64{}
+		var edges []Edge
+		for i := rng.Intn(8 * n); i > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			w := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(33)-16))
+			if rng.Intn(10) == 0 {
+				w = math.Copysign(0, -1)
+			}
+			edges = append(edges, Edge{u, v, w})
+			want[pair{u, v}] += w
+		}
+		in := append([]Edge(nil), edges...)
+		g, err := FromEdges(n, edges)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !reflect.DeepEqual(edges, in) {
+			t.Fatalf("trial %d: FromEdges modified its input", trial)
+		}
+		if g.N() != n || g.M() != len(want) {
+			t.Fatalf("trial %d: n=%d m=%d, want n=%d m=%d", trial, g.N(), g.M(), n, len(want))
+		}
+		for _, e := range g.Edges() {
+			if w := want[pair{e.From, e.To}]; math.Float64bits(e.Weight) != math.Float64bits(w) {
+				t.Fatalf("trial %d: weight (%d,%d) = %v, want %v bit for bit", trial, e.From, e.To, e.Weight, w)
+			}
 		}
 	}
 }
@@ -120,16 +166,19 @@ func BenchmarkUndirected(b *testing.B) {
 	// A dense one-directional graph shaped like the co-occurrence graph of
 	// bench/'s train workload: 1,000 nodes, ~98k arcs, few reciprocated.
 	rng := xrand.New(1)
-	bld := NewBuilder(1000)
+	var edges []Edge
 	for i := 0; i < 100000; i++ {
 		u, v := rng.Intn(1000), rng.Intn(1000)
 		if u < v {
-			_ = bld.AddEdge(u, v, rng.Float64())
+			edges = append(edges, Edge{u, v, rng.Float64()})
 		} else if v < u && rng.Intn(50) == 0 {
-			_ = bld.AddEdge(u, v, rng.Float64())
+			edges = append(edges, Edge{u, v, rng.Float64()})
 		}
 	}
-	g := bld.Build()
+	g, err := FromEdges(1000, edges)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

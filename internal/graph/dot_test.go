@@ -7,10 +7,7 @@ import (
 )
 
 func TestWriteDOTSymmetric(t *testing.T) {
-	b := NewBuilder(4)
-	mustAdd(t, b, 0, 1, 2)
-	mustAdd(t, b, 1, 0, 2)
-	g := b.Build()
+	g := mustGraph(t, 4, Edge{0, 1, 2}, Edge{1, 0, 2})
 	var buf bytes.Buffer
 	if err := g.WriteDOT(&buf, "backbone", nil); err != nil {
 		t.Fatal(err)
@@ -33,9 +30,7 @@ func TestWriteDOTSymmetric(t *testing.T) {
 }
 
 func TestWriteDOTDirectedAndAttrs(t *testing.T) {
-	b := NewBuilder(3)
-	mustAdd(t, b, 0, 1, 1) // no reverse edge
-	g := b.Build()
+	g := mustGraph(t, 3, Edge{0, 1, 1}) // no reverse edge
 	var buf bytes.Buffer
 	err := g.WriteDOT(&buf, "", func(u int) string {
 		if u == 2 {

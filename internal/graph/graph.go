@@ -1,7 +1,8 @@
 // Package graph provides the directed weighted graph representation shared
 // by the cascade simulator, the co-occurrence analysis, and the community
-// detection algorithms. Graphs are built incrementally and then frozen
-// into a compact CSR (compressed sparse row) form for traversal.
+// detection algorithms. A Graph is an immutable CSR (compressed sparse
+// row) form built from an edge list (FromEdges) or from rows a caller
+// already produced in order (FromCSR).
 package graph
 
 import (
@@ -15,64 +16,6 @@ type Edge struct {
 	Weight   float64
 }
 
-// Builder accumulates edges before freezing into a Graph. Adding the same
-// (from, to) pair multiple times accumulates the weights.
-type Builder struct {
-	n       int
-	weights map[[2]int]float64
-}
-
-// NewBuilder creates a builder for a graph over n nodes (ids 0..n-1).
-func NewBuilder(n int) *Builder {
-	if n < 0 {
-		panic("graph: NewBuilder with negative n")
-	}
-	return &Builder{n: n, weights: make(map[[2]int]float64)}
-}
-
-// AddEdge accumulates weight w onto the directed edge (from, to).
-// Self-loops are rejected because no algorithm in this repository uses
-// them and they silently distort degree statistics.
-func (b *Builder) AddEdge(from, to int, w float64) error {
-	if from < 0 || from >= b.n || to < 0 || to >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", from, to, b.n)
-	}
-	if from == to {
-		return fmt.Errorf("graph: self-loop on node %d rejected", from)
-	}
-	b.weights[[2]int{from, to}] += w
-	return nil
-}
-
-// Build freezes the builder into an immutable Graph.
-func (b *Builder) Build() *Graph {
-	edges := make([]Edge, 0, len(b.weights))
-	for k, w := range b.weights {
-		edges = append(edges, Edge{From: k[0], To: k[1], Weight: w})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
-	g := &Graph{
-		n:       b.n,
-		offsets: make([]int, b.n+1),
-		targets: make([]int, len(edges)),
-		weights: make([]float64, len(edges)),
-	}
-	for i, e := range edges {
-		g.offsets[e.From+1]++
-		g.targets[i] = e.To
-		g.weights[i] = e.Weight
-	}
-	for i := 1; i <= b.n; i++ {
-		g.offsets[i] += g.offsets[i-1]
-	}
-	return g
-}
-
 // Graph is an immutable directed weighted graph in CSR form.
 type Graph struct {
 	n       int
@@ -81,14 +24,49 @@ type Graph struct {
 	weights []float64
 }
 
+// FromEdges builds a Graph over n nodes from an edge list, which it does
+// not modify. The edges of a repeated (From, To) pair merge into one
+// whose weight is their sum, taken from 0 in list order, so the result
+// does not depend on anything but the list.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: FromEdges needs n >= 0, got %d", n)
+	}
+	sorted := append([]Edge(nil), edges...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		if sorted[i].From != sorted[j].From {
+			return sorted[i].From < sorted[j].From
+		}
+		return sorted[i].To < sorted[j].To
+	})
+	offsets := make([]int, n+1)
+	targets := make([]int, 0, len(sorted))
+	weights := make([]float64, 0, len(sorted))
+	for i := 0; i < len(sorted); {
+		e := sorted[i]
+		if e.From < 0 || e.From >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.From, e.To, n)
+		}
+		var w float64
+		for ; i < len(sorted) && sorted[i].From == e.From && sorted[i].To == e.To; i++ {
+			w += sorted[i].Weight
+		}
+		offsets[e.From+1]++
+		targets, weights = append(targets, e.To), append(weights, w)
+	}
+	for u := 1; u <= n; u++ {
+		offsets[u] += offsets[u-1]
+	}
+	return FromCSR(n, offsets, targets, weights)
+}
+
 // FromCSR wraps ready-made CSR arrays as a Graph without copying them;
 // the caller must not touch the slices afterwards. It is the constructor
-// for code that already produces rows in order (package cooccur) and has
-// no use for the Builder's accumulation. Everything the Builder
-// guarantees is checked: offsets start at 0, never decrease and end at
-// len(targets) == len(weights); every target is in [0, n), is not its
-// own row (no self-loops), and is strictly greater than its predecessor
-// in the row (sorted, no parallel edges).
+// for code that already produces rows in order (package cooccur).
+// Everything a Graph guarantees is checked: offsets start at 0, never
+// decrease and end at len(targets) == len(weights); every target is in
+// [0, n), is not its own row (no self-loops), and is strictly greater
+// than its predecessor in the row (sorted, no parallel edges).
 func FromCSR(n int, offsets, targets []int, weights []float64) (*Graph, error) {
 	if n < 0 || len(offsets) != n+1 || offsets[0] != 0 {
 		return nil, fmt.Errorf("graph: FromCSR needs n >= 0 and n+1 offsets starting at 0, got n=%d and %d offsets", n, len(offsets))
@@ -137,7 +115,7 @@ func (g *Graph) OutDegree(u int) int { return g.offsets[u+1] - g.offsets[u] }
 // Weight returns the weight of edge (u, v) and whether it exists.
 func (g *Graph) Weight(u, v int) (float64, bool) {
 	ts, ws := g.Neighbors(u)
-	// Targets are sorted by Build; binary search.
+	// Rows are sorted by target; binary search.
 	i := sort.SearchInts(ts, v)
 	if i < len(ts) && ts[i] == v {
 		return ws[i], true
@@ -223,23 +201,6 @@ func (g *Graph) Undirected() *Graph {
 	return und
 }
 
-// DegreeHistogram returns a map from out-degree to node count.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.n; u++ {
-		h[g.OutDegree(u)]++
-	}
-	return h
-}
-
-// AverageDegree returns the mean out-degree.
-func (g *Graph) AverageDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return float64(g.M()) / float64(g.n)
-}
-
 // ConnectedComponents returns, treating edges as undirected, the component
 // id of every node plus the number of components. Components are numbered
 // in order of their smallest node id.
@@ -283,33 +244,4 @@ func (g *Graph) ConnectedComponents() (comp []int, count int) {
 		count++
 	}
 	return comp, count
-}
-
-// Subgraph returns the induced subgraph on the given nodes, plus the
-// mapping from new ids (0..len(nodes)-1) back to original ids. Duplicate
-// node ids in the input are an error.
-func (g *Graph) Subgraph(nodes []int) (*Graph, []int, error) {
-	idx := make(map[int]int, len(nodes))
-	for i, u := range nodes {
-		if u < 0 || u >= g.n {
-			return nil, nil, fmt.Errorf("graph: Subgraph node %d out of range", u)
-		}
-		if _, dup := idx[u]; dup {
-			return nil, nil, fmt.Errorf("graph: Subgraph duplicate node %d", u)
-		}
-		idx[u] = i
-	}
-	b := NewBuilder(len(nodes))
-	for _, u := range nodes {
-		ts, ws := g.Neighbors(u)
-		for i, v := range ts {
-			if j, ok := idx[v]; ok {
-				if err := b.AddEdge(idx[u], j, ws[i]); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-	back := append([]int(nil), nodes...)
-	return b.Build(), back, nil
 }

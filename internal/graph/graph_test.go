@@ -1,25 +1,24 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"viralcast/internal/xrand"
 )
 
-func mustAdd(t *testing.T, b *Builder, from, to int, w float64) {
+func mustGraph(t *testing.T, n int, edges ...Edge) *Graph {
 	t.Helper()
-	if err := b.AddEdge(from, to, w); err != nil {
-		t.Fatalf("AddEdge(%d,%d,%v): %v", from, to, w, err)
+	g, err := FromEdges(n, edges)
+	if err != nil {
+		t.Fatalf("FromEdges(%d, %v): %v", n, edges, err)
 	}
+	return g
 }
 
 func TestBuilderBasics(t *testing.T) {
-	b := NewBuilder(4)
-	mustAdd(t, b, 0, 1, 1)
-	mustAdd(t, b, 0, 2, 2)
-	mustAdd(t, b, 1, 2, 3)
-	g := b.Build()
+	g := mustGraph(t, 4, Edge{1, 2, 3}, Edge{0, 2, 2}, Edge{0, 1, 1})
 	if g.N() != 4 || g.M() != 3 {
 		t.Fatalf("N=%d M=%d", g.N(), g.M())
 	}
@@ -39,10 +38,7 @@ func TestBuilderBasics(t *testing.T) {
 }
 
 func TestBuilderAccumulatesParallelEdges(t *testing.T) {
-	b := NewBuilder(2)
-	mustAdd(t, b, 0, 1, 1)
-	mustAdd(t, b, 0, 1, 2.5)
-	g := b.Build()
+	g := mustGraph(t, 2, Edge{0, 1, 1}, Edge{0, 1, 2.5})
 	if g.M() != 1 {
 		t.Fatalf("parallel edges must merge, M=%d", g.M())
 	}
@@ -52,23 +48,31 @@ func TestBuilderAccumulatesParallelEdges(t *testing.T) {
 }
 
 func TestBuilderRejects(t *testing.T) {
-	b := NewBuilder(3)
-	if err := b.AddEdge(0, 0, 1); err == nil {
-		t.Error("self-loop accepted")
+	cases := []struct {
+		name    string
+		n       int
+		edges   []Edge
+		wantErr string
+	}{
+		{"self-loop", 3, []Edge{{0, 1, 1}, {1, 1, 1}}, "self-loop on node 1"},
+		{"negative from", 3, []Edge{{-1, 1, 1}}, "edge (-1,1) out of range [0,3)"},
+		{"from out of range", 3, []Edge{{0, 1, 1}, {3, 0, 1}}, "edge (3,0) out of range [0,3)"},
+		{"negative to", 3, []Edge{{0, -1, 1}}, "edge (0,-1) out of range [0,3)"},
+		{"to out of range", 3, []Edge{{0, 3, 1}}, "edge (0,3) out of range [0,3)"},
+		{"negative n", -1, nil, "n >= 0"},
 	}
-	if err := b.AddEdge(-1, 1, 1); err == nil {
-		t.Error("negative node accepted")
-	}
-	if err := b.AddEdge(0, 3, 1); err == nil {
-		t.Error("out-of-range node accepted")
+	for _, tc := range cases {
+		g, err := FromEdges(tc.n, tc.edges)
+		if err == nil {
+			t.Errorf("%s: accepted, got graph with %d arcs", tc.name, g.M())
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
 func TestEdgesAndTotalWeight(t *testing.T) {
-	b := NewBuilder(3)
-	mustAdd(t, b, 2, 0, 1)
-	mustAdd(t, b, 0, 1, 2)
-	g := b.Build()
+	g := mustGraph(t, 3, Edge{2, 0, 1}, Edge{0, 1, 2})
 	es := g.Edges()
 	if len(es) != 2 || es[0].From != 0 || es[1].From != 2 {
 		t.Fatalf("Edges order wrong: %v", es)
@@ -79,9 +83,7 @@ func TestEdgesAndTotalWeight(t *testing.T) {
 }
 
 func TestUndirected(t *testing.T) {
-	b := NewBuilder(3)
-	mustAdd(t, b, 0, 1, 2)
-	g := b.Build().Undirected()
+	g := mustGraph(t, 3, Edge{0, 1, 2}).Undirected()
 	if w, ok := g.Weight(1, 0); !ok || w != 2 {
 		t.Fatalf("undirected reverse edge missing: %v %v", w, ok)
 	}
@@ -92,10 +94,7 @@ func TestUndirected(t *testing.T) {
 
 func TestUndirectedSymmetricWeights(t *testing.T) {
 	// A graph with both directions present: weights must sum symmetrically.
-	b := NewBuilder(2)
-	mustAdd(t, b, 0, 1, 1)
-	mustAdd(t, b, 1, 0, 3)
-	g := b.Build().Undirected()
+	g := mustGraph(t, 2, Edge{0, 1, 1}, Edge{1, 0, 3}).Undirected()
 	w01, _ := g.Weight(0, 1)
 	w10, _ := g.Weight(1, 0)
 	if w01 != 4 || w10 != 4 {
@@ -103,62 +102,14 @@ func TestUndirectedSymmetricWeights(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogramAndAverage(t *testing.T) {
-	b := NewBuilder(3)
-	mustAdd(t, b, 0, 1, 1)
-	mustAdd(t, b, 0, 2, 1)
-	g := b.Build()
-	h := g.DegreeHistogram()
-	if h[2] != 1 || h[0] != 2 {
-		t.Fatalf("DegreeHistogram = %v", h)
-	}
-	if g.AverageDegree() != 2.0/3.0 {
-		t.Fatalf("AverageDegree = %v", g.AverageDegree())
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(5)
-	mustAdd(t, b, 0, 1, 1)
-	mustAdd(t, b, 3, 2, 1) // direction must not matter
-	g := b.Build()
+	g := mustGraph(t, 5, Edge{0, 1, 1}, Edge{3, 2, 1}) // direction must not matter
 	comp, count := g.ConnectedComponents()
 	if count != 3 {
 		t.Fatalf("components = %d, want 3 (got %v)", count, comp)
 	}
 	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] || comp[4] == comp[0] {
 		t.Fatalf("component assignment wrong: %v", comp)
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	b := NewBuilder(4)
-	mustAdd(t, b, 0, 1, 1)
-	mustAdd(t, b, 1, 2, 2)
-	mustAdd(t, b, 2, 3, 3)
-	g := b.Build()
-	sg, back, err := g.Subgraph([]int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sg.N() != 2 || sg.M() != 1 {
-		t.Fatalf("subgraph N=%d M=%d", sg.N(), sg.M())
-	}
-	if w, ok := sg.Weight(0, 1); !ok || w != 2 {
-		t.Fatalf("subgraph edge weight %v %v", w, ok)
-	}
-	if back[0] != 1 || back[1] != 2 {
-		t.Fatalf("back-mapping %v", back)
-	}
-}
-
-func TestSubgraphErrors(t *testing.T) {
-	g := NewBuilder(3).Build()
-	if _, _, err := g.Subgraph([]int{0, 0}); err == nil {
-		t.Error("duplicate node accepted")
-	}
-	if _, _, err := g.Subgraph([]int{5}); err == nil {
-		t.Error("out-of-range node accepted")
 	}
 }
 
@@ -169,22 +120,22 @@ func TestCSRInvariantsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 2 + rng.Intn(30)
-		b := NewBuilder(n)
 		type pair struct{ u, v int }
 		want := map[pair]float64{}
-		edges := rng.Intn(100)
-		for i := 0; i < edges; i++ {
+		var edges []Edge
+		for i := rng.Intn(100); i > 0; i-- {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u == v {
 				continue
 			}
 			w := rng.Float64()
-			if err := b.AddEdge(u, v, w); err != nil {
-				return false
-			}
+			edges = append(edges, Edge{u, v, w})
 			want[pair{u, v}] += w
 		}
-		g := b.Build()
+		g, err := FromEdges(n, edges)
+		if err != nil {
+			return false
+		}
 		if g.M() != len(want) {
 			return false
 		}
@@ -214,14 +165,17 @@ func TestComponentsProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		n := 1 + rng.Intn(40)
-		b := NewBuilder(n)
+		var edges []Edge
 		for i := 0; i < n; i++ {
 			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
-				_ = b.AddEdge(u, v, 1)
+				edges = append(edges, Edge{u, v, 1})
 			}
 		}
-		g := b.Build()
+		g, err := FromEdges(n, edges)
+		if err != nil {
+			return false
+		}
 		comp, count := g.ConnectedComponents()
 		seen := map[int]bool{}
 		for _, c := range comp {

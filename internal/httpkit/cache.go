@@ -73,32 +73,17 @@ func NewCache(ttl time.Duration, now func() time.Time) *Cache {
 	}
 }
 
-// Do returns the cached value for key, or runs fill — once across
-// concurrent callers — and stores the result iff fill says it may be
-// cached. hit reports whether the value came from cache (a singleflight
-// wait on a cacheable result counts as a hit: the work was shared). A
-// result fill marks uncacheable (a partial fleet answer) is delivered
-// to every waiter of the flight with hit false and never stored, so the
-// next request recomputes; errors are likewise never cached, so a
-// transient failure does not poison the key for a full TTL.
-//
-// A caller that joins an in-flight computation stops waiting when its
-// ctx expires (the computation itself continues for the callers still
-// interested; fill is responsible for honoring its own context). The
-// singleflight leader's ctx governs the computation, so a leader with a
-// short budget can fail followers that joined it.
-func (c *Cache) Do(ctx context.Context, key string, fill func() (val any, cacheable bool, err error)) (val any, hit bool, err error) {
-	return c.DoCover(ctx, key, 0, fill)
-}
-
-// DoCover is Do for a ranking the caller will cut to its first need
-// entries: the live entry, or a flight already under way, serves the
-// call iff it was filled for at least need ranks. Otherwise fill runs
-// for exactly need — so there is at most one flight per distinct need
-// on a key — and its result replaces the entry unless a live longer
-// one is there (of two concurrent misses the longer answer stays,
-// whichever lands last). The value is shared between callers: cut it,
-// never write to it.
+// DoCover returns the cached value for key if the live entry, or a
+// flight already under way, was filled for at least need ranks (0 for a
+// value that is not a ranking). Otherwise it runs fill for exactly need,
+// once across concurrent callers, and stores the result iff fill calls
+// it cacheable and it did not fail, unless a live longer entry is there.
+// hit reports a value from the cache or from a shared cacheable flight;
+// an uncacheable result (a partial fleet answer) or an error reaches
+// every waiter of its flight with hit false and is never stored. A
+// joiner stops waiting when its ctx expires, but the leader's ctx
+// governs fill, so a leader with a short budget can fail its joiners.
+// The value is shared between callers: cut it, never write to it.
 func (c *Cache) DoCover(ctx context.Context, key string, need int, fill func() (val any, cacheable bool, err error)) (val any, hit bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok && e.asked >= need && c.now().Before(e.expires) {
@@ -139,42 +124,6 @@ func (c *Cache) DoCover(ctx context.Context, key string, need int, fill func() (
 	c.mu.Unlock()
 	close(call.done)
 	return call.val, false, call.err
-}
-
-// PeekAll probes a whole batch of keys under one lock acquisition:
-// out[i] receives the live cached value for keys[i], untouched slots
-// stay as the caller left them. Empty keys mark slots excluded from
-// caching (per-item errors) and are skipped. Unlike Do there is no
-// singleflight join — a batched caller computes its misses itself in
-// one blocked pass, which is cheaper than parking per-key.
-func (c *Cache) PeekAll(keys []string, out []any) (hits int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	for i, k := range keys {
-		if k == "" {
-			continue
-		}
-		if e, ok := c.entries[k]; ok && now.Before(e.expires) {
-			out[i] = e.value
-			hits++
-		}
-	}
-	return hits
-}
-
-// PutAll fills a whole batch of computed values under one lock
-// acquisition; empty keys and nil values (error slots, cache hits the
-// caller blanked) are skipped. Respects the same entry cap as Do.
-func (c *Cache) PutAll(keys []string, vals []any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.now()
-	for i, k := range keys {
-		if k != "" && vals[i] != nil {
-			c.putLocked(k, vals[i], 0, now)
-		}
-	}
 }
 
 // Len reports how many entries the cache holds, expired ones not yet

@@ -18,7 +18,7 @@ func TestCacheBoundedUnderDistinctKeys(t *testing.T) {
 	c := NewCache(time.Second, func() time.Time { return now })
 	for i := 0; i < 3*MaxCacheEntries; i++ {
 		key := fmt.Sprintf("influencers:k=%d", i)
-		_, hit, err := c.Do(context.Background(), key, func() (any, bool, error) { return i, true, nil })
+		_, hit, err := c.DoCover(context.Background(), key, 0, func() (any, bool, error) { return i, true, nil })
 		if err != nil || hit {
 			t.Fatalf("key %d: hit=%v err=%v, want a computed miss", i, hit, err)
 		}
@@ -53,14 +53,14 @@ func TestCacheUncacheableSharedNeverStored(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ready.Done()
-			v, hit, err := c.Do(context.Background(), "ranking", partial)
+			v, hit, err := c.DoCover(context.Background(), "ranking", 0, partial)
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
 			vals[i], hits[i] = v, hit
 		}(i)
 	}
-	// Every goroutine is at Do's door; give them a moment to park on the
+	// Every goroutine is at DoCover's door; give them a moment to park on the
 	// leader's flight, then let the one computation finish.
 	ready.Wait()
 	time.Sleep(20 * time.Millisecond)
@@ -80,12 +80,12 @@ func TestCacheUncacheableSharedNeverStored(t *testing.T) {
 	if n := len(c.entries); n != 0 {
 		t.Fatalf("uncacheable answer was stored: %d entries", n)
 	}
-	v, hit, _ := c.Do(context.Background(), "ranking", func() (any, bool, error) { return "complete", true, nil })
+	v, hit, _ := c.DoCover(context.Background(), "ranking", 0, func() (any, bool, error) { return "complete", true, nil })
 	if hit || v != "complete" {
 		t.Fatalf("request after a partial = (%v, hit=%v), want a fresh computation", v, hit)
 	}
 	again := func() (any, bool, error) { return "recomputed", true, nil }
-	if v, hit, _ := c.Do(context.Background(), "ranking", again); !hit || v != "complete" {
+	if v, hit, _ := c.DoCover(context.Background(), "ranking", 0, again); !hit || v != "complete" {
 		t.Fatalf("complete answer not cached: (%v, hit=%v)", v, hit)
 	}
 }
@@ -97,13 +97,13 @@ func TestCacheSweepsExpiredOncePerTTL(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := NewCache(time.Second, func() time.Time { return now })
 	for i := 0; i < 100; i++ {
-		c.Do(context.Background(), fmt.Sprintf("seeds:k=%d:h=1", i), func() (any, bool, error) { return i, true, nil }) //nolint:errcheck // fill cannot fail
+		c.DoCover(context.Background(), fmt.Sprintf("seeds:k=%d:h=1", i), 0, func() (any, bool, error) { return i, true, nil }) //nolint:errcheck // fill cannot fail
 	}
 	if n := c.Len(); n != 100 {
 		t.Fatalf("setup: %d entries, want 100", n)
 	}
 	now = now.Add(2 * time.Second)
-	c.PutAll([]string{"fresh"}, []any{1})
+	c.DoCover(context.Background(), "fresh", 0, ranking(1)) //nolint:errcheck // fill cannot fail
 	if n := c.Len(); n != 1 {
 		t.Fatalf("one put two TTLs later left %d entries, want only the new one", n)
 	}
@@ -142,9 +142,9 @@ func TestCacheDoCoverSequential(t *testing.T) {
 	if v, hit, _ := c.DoCover(ctx, "influencers", 5, ranking(5)); hit || v != 5 {
 		t.Fatalf("post-TTL need 5 = (%v, hit=%v), want a fresh fill for exactly 5", v, hit)
 	}
-	// Do is the need-0 case: any live entry covers it.
-	if v, hit, _ := c.Do(ctx, "influencers", ranking(0)); !hit || v != 5 {
-		t.Fatalf("Do on a live ranking = (%v, hit=%v), want the entry", v, hit)
+	// need 0 (a value that is not a ranking): any live entry covers it.
+	if v, hit, _ := c.DoCover(ctx, "influencers", 0, ranking(0)); !hit || v != 5 {
+		t.Fatalf("need 0 on a live ranking = (%v, hit=%v), want the entry", v, hit)
 	}
 }
 

@@ -264,14 +264,3 @@ func (m *Model) accumGrad(c *cascade.Cascade, g []float64) {
 		}
 	}
 }
-
-// InfluenceScores aggregates per-node outgoing rate mass — the
-// edge-model analogue of the embedding model's influence norm, used to
-// compare influencer rankings across the two approaches.
-func (m *Model) InfluenceScores() []float64 {
-	out := make([]float64, m.n)
-	for key, idx := range m.edgeIndex {
-		out[key[0]] += m.rates[idx]
-	}
-	return out
-}

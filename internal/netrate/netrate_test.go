@@ -161,16 +161,6 @@ func TestLogLikAgreesWithEmbedOnSharedStructure(t *testing.T) {
 	}
 }
 
-func TestInfluenceScores(t *testing.T) {
-	m := &Model{n: 3, edgeIndex: map[[2]int]int{
-		{0, 1}: 0, {0, 2}: 1, {1, 2}: 2,
-	}, rates: []float64{1, 2, 4}}
-	s := m.InfluenceScores()
-	if s[0] != 3 || s[1] != 4 || s[2] != 0 {
-		t.Fatalf("InfluenceScores = %v", s)
-	}
-}
-
 func TestFitDeterministic(t *testing.T) {
 	rng := xrand.New(8)
 	var cs []*cascade.Cascade

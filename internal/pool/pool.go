@@ -177,15 +177,11 @@ func GatherCtx[T any](ctx context.Context, workers, n int, task func(i int) (T, 
 	return out, errs
 }
 
-// Map runs task(0..n-1) under Run's discipline and collects the results
-// in index order, so output placement is deterministic regardless of
-// scheduling. On error the partial results are discarded.
-func Map[T any](workers, n int, task func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, task)
-}
-
-// MapCtx is Map with RunCtx's cancellation semantics: on a done context
-// the partial results are discarded and ctx.Err() is returned.
+// MapCtx runs task(0..n-1) under RunCtx's discipline and collects the
+// results in index order, so output placement is deterministic
+// regardless of scheduling. On an error or a done context the partial
+// results are discarded and the error (ctx.Err() for the context) is
+// returned.
 func MapCtx[T any](ctx context.Context, workers, n int, task func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := RunCtx(ctx, workers, n, func(i int) error {

@@ -95,7 +95,7 @@ func TestRunDegenerateInputs(t *testing.T) {
 }
 
 func TestMapOrdersResults(t *testing.T) {
-	out, err := Map(4, 50, func(i int) (int, error) {
+	out, err := MapCtx(context.Background(), 4, 50, func(i int) (int, error) {
 		time.Sleep(time.Duration(50-i) * time.Microsecond) // finish out of order
 		return i * i, nil
 	})
@@ -110,7 +110,7 @@ func TestMapOrdersResults(t *testing.T) {
 }
 
 func TestMapDiscardsOnError(t *testing.T) {
-	out, err := Map(2, 10, func(i int) (string, error) {
+	out, err := MapCtx(context.Background(), 2, 10, func(i int) (string, error) {
 		if i == 7 {
 			return "", fmt.Errorf("task %d failed", i)
 		}

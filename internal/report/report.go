@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -202,9 +201,4 @@ func Table(header []string, rows [][]string) string {
 // FormatFloat renders a float compactly for tables.
 func FormatFloat(v float64, prec int) string {
 	return strconv.FormatFloat(v, 'f', prec, 64)
-}
-
-// SortPointsByX sorts a point slice in ascending X order in place.
-func SortPointsByX(points []Point) {
-	sort.Slice(points, func(i, j int) bool { return points[i].X < points[j].X })
 }

@@ -114,11 +114,3 @@ func TestFormatFloat(t *testing.T) {
 		t.Errorf("FormatFloat = %q", FormatFloat(1.23456, 2))
 	}
 }
-
-func TestSortPointsByX(t *testing.T) {
-	pts := []Point{{3, 0}, {1, 0}, {2, 0}}
-	SortPointsByX(pts)
-	if pts[0].X != 1 || pts[1].X != 2 || pts[2].X != 3 {
-		t.Fatalf("sorted = %v", pts)
-	}
-}

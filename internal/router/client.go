@@ -16,8 +16,8 @@ import (
 )
 
 // Shard is one ring member: the primary daemon's base URL and,
-// optionally, the base URL of its replication follower (PR 6). The
-// follower is a read-only understudy — the router retries idempotent
+// optionally, the base URL of its replication follower (internal/repl).
+// The follower is a read-only understudy — the router retries idempotent
 // reads against it when the primary is down or slow, and never sends
 // it ingestion (a follower 409s writes by design).
 type Shard struct {

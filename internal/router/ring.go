@@ -8,11 +8,11 @@
 // single daemon holding the whole model.
 //
 // This is the process-level lift of the paper's parallel thesis —
-// disjoint row ownership, a barrier, then a merge — which PR 5 applied
-// to goroutines inside one process. Not to be confused with
-// internal/cluster, which implements the paper's Ward *event
-// clustering* (Fig 1): cluster groups news events into stories; router
-// groups daemons into a serving fleet.
+// disjoint row ownership, a barrier, then a merge — which
+// core.TopInfluencersCtx applies to goroutines inside one process. Not
+// to be confused with internal/cluster, which implements the paper's
+// Ward *event clustering* (Fig 1): cluster groups news events into
+// stories; router groups daemons into a serving fleet.
 //
 // The fan-out inherits the serving regime end to end: the per-request
 // budget propagates to every shard call (minus a small merge reserve),

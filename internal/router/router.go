@@ -225,14 +225,6 @@ func (rt *Router) Serve(ctx context.Context) error {
 	return nil
 }
 
-// Run is Listen + Serve in one call.
-func (rt *Router) Run(ctx context.Context, addr string) error {
-	if _, err := rt.Listen(addr); err != nil {
-		return err
-	}
-	return rt.Serve(ctx)
-}
-
 // probeLoop keeps the per-shard health snapshot fresh. Each interval
 // is independently jittered: multiple routers fronting the same fleet
 // (or one router restarted in sync with its shards) must not

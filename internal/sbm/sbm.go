@@ -24,12 +24,6 @@ type Params struct {
 	Directed  bool    // if false, each generated edge is added in both directions
 }
 
-// PaperParams returns the configuration used in the paper's SBM
-// experiments, scaled to n nodes (block size 40, alpha 0.2, beta 0.001).
-func PaperParams(n int) Params {
-	return Params{N: n, BlockSize: 40, Alpha: 0.2, Beta: 0.001}
-}
-
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
 	if p.N <= 0 {

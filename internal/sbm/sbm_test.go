@@ -27,16 +27,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestPaperParams(t *testing.T) {
-	p := PaperParams(2000)
-	if p.N != 2000 || p.BlockSize != 40 || p.Alpha != 0.2 || p.Beta != 0.001 {
-		t.Fatalf("PaperParams wrong: %+v", p)
-	}
-	if p.NumBlocks() != 50 {
-		t.Fatalf("NumBlocks = %d, want 50", p.NumBlocks())
-	}
-}
-
 func TestBlockAssignment(t *testing.T) {
 	p := Params{N: 25, BlockSize: 10, Alpha: 0.5, Beta: 0}
 	if p.NumBlocks() != 3 {
@@ -129,12 +119,12 @@ func TestGeneratePaperScaleDegree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale generation skipped in -short")
 	}
-	p := PaperParams(2000)
+	p := Params{N: 2000, BlockSize: 40, Alpha: 0.2, Beta: 0.001}
 	g, _, err := Generate(p, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg := g.AverageDegree()
+	avg := float64(g.M()) / float64(g.N())
 	if avg < 8.5 || avg > 11.5 {
 		t.Errorf("average degree %v, want ~10 (paper)", avg)
 	}
@@ -174,14 +164,15 @@ func TestGenerateDirected(t *testing.T) {
 }
 
 // generateBuilder is Generate as it was before it emitted CSR rows: the
-// same draws in the same order, accumulated in graph.Builder's pair map
-// and sorted by Build.
-func generateBuilder(p Params, rng *xrand.RNG) *graph.Graph {
-	b := graph.NewBuilder(p.N)
+// same draws in the same order, collected as an edge list and summed per
+// pair by graph.FromEdges.
+func generateBuilder(t *testing.T, p Params, rng *xrand.RNG) *graph.Graph {
+	t.Helper()
+	var edges []graph.Edge
 	add := func(u, v int) {
-		_ = b.AddEdge(u, v, 1)
+		edges = append(edges, graph.Edge{From: u, To: v, Weight: 1})
 		if !p.Directed {
-			_ = b.AddEdge(v, u, 1)
+			edges = append(edges, graph.Edge{From: v, To: u, Weight: 1})
 		}
 	}
 	for blk := 0; blk < p.NumBlocks(); blk++ {
@@ -201,13 +192,17 @@ func generateBuilder(p Params, rng *xrand.RNG) *graph.Graph {
 	if p.Beta > 0 {
 		sampleCross(p, rng, add)
 	}
-	return b.Build()
+	g, err := graph.FromEdges(p.N, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // TestGenerateMatchesBuilderOracle: the CSR rows Generate hands to
-// graph.FromCSR are the graph the Builder would have frozen — offsets,
+// graph.FromCSR are the graph generateBuilder's edge list makes — offsets,
 // targets and weights — and the generator leaves the RNG where the
-// Builder version did.
+// edge-list version did.
 func TestGenerateMatchesBuilderOracle(t *testing.T) {
 	cases := map[string]Params{
 		"undirected":        {N: 200, BlockSize: 40, Alpha: 0.2, Beta: 0.01},
@@ -226,9 +221,9 @@ func TestGenerateMatchesBuilderOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
-			want := generateBuilder(p, wantRNG)
+			want := generateBuilder(t, p, wantRNG)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s seed %d: CSR graph (%d arcs) differs from the Builder's (%d arcs)", name, seed, got.M(), want.M())
+				t.Fatalf("%s seed %d: CSR graph (%d arcs) differs from the edge list's (%d arcs)", name, seed, got.M(), want.M())
 			}
 			if *gotRNG != *wantRNG {
 				t.Fatalf("%s seed %d: the generator consumed a different stream", name, seed)

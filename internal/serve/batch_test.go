@@ -392,31 +392,6 @@ func TestFeaturesBatch(t *testing.T) {
 	}
 }
 
-// TestCacheBatchOps covers the one-lock batch cache primitives: hits
-// fill only their slots, empty keys are skipped, expired entries miss,
-// and PutAll skips error slots (empty key or nil value).
-func TestCacheBatchOps(t *testing.T) {
-	c, now := testCache(time.Minute, time.Unix(0, 0))
-
-	keys := []string{"a", "", "b", "c"}
-	vals := []any{1, 2, nil, 4}
-	c.PutAll(keys, vals)
-
-	out := make([]any, 4)
-	if hits := c.PeekAll([]string{"a", "", "b", "c"}, out); hits != 2 {
-		t.Fatalf("hits = %d, want 2 (empty key and nil value never stored)", hits)
-	}
-	if out[0] != 1 || out[1] != nil || out[2] != nil || out[3] != 4 {
-		t.Fatalf("slots = %v", out)
-	}
-
-	*now = now.Add(2 * time.Minute)
-	out2 := make([]any, 4)
-	if hits := c.PeekAll(keys, out2); hits != 0 {
-		t.Fatalf("hits after expiry = %d", hits)
-	}
-}
-
 // TestAppendPredictBatchJSONMatchesEncodingJSON pins the open-coded
 // envelope encoder to encoding/json, byte for byte, across the float
 // formatting regimes ('f' vs 'e', exponent zero-trimming, -0) and the

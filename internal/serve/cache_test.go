@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -27,7 +28,7 @@ func testCache(ttl time.Duration, start time.Time) (*httpkit.Cache, *time.Time) 
 
 // cacheDo runs an always-cacheable fill, the only kind the daemon has.
 func cacheDo(c *httpkit.Cache, key string, fn func() (any, error)) (any, bool, error) {
-	return c.Do(context.Background(), key, func() (any, bool, error) {
+	return c.DoCover(context.Background(), key, 0, func() (any, bool, error) {
 		v, err := fn()
 		return v, true, err
 	})
@@ -41,17 +42,17 @@ func TestCacheHitMissAndTTL(t *testing.T) {
 
 	v, hit, err := cacheDo(c, "k", fn)
 	if err != nil || hit || v.(int) != 1 {
-		t.Fatalf("first Do = (%v, hit=%v, %v), want miss computing 1", v, hit, err)
+		t.Fatalf("first DoCover = (%v, hit=%v, %v), want miss computing 1", v, hit, err)
 	}
 	v, hit, _ = cacheDo(c, "k", fn)
 	if !hit || v.(int) != 1 {
-		t.Fatalf("second Do = (%v, hit=%v), want cached 1", v, hit)
+		t.Fatalf("second DoCover = (%v, hit=%v), want cached 1", v, hit)
 	}
 	// Past the TTL the value is recomputed.
 	*now = now.Add(time.Minute + time.Second)
 	v, hit, _ = cacheDo(c, "k", fn)
 	if hit || v.(int) != 2 {
-		t.Fatalf("post-TTL Do = (%v, hit=%v), want fresh 2", v, hit)
+		t.Fatalf("post-TTL DoCover = (%v, hit=%v), want fresh 2", v, hit)
 	}
 	// Distinct keys don't share entries.
 	if v, _, _ := cacheDo(c, "other", fn); v.(int) != 3 {
@@ -68,7 +69,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 	v, hit, err := cacheDo(c, "k", func() (any, error) { calls++; return "ok", nil })
 	if err != nil || hit || v != "ok" {
-		t.Fatalf("after error Do = (%v, hit=%v, %v); errors must not be cached", v, hit, err)
+		t.Fatalf("after error DoCover = (%v, hit=%v, %v); errors must not be cached", v, hit, err)
 	}
 	if calls != 2 {
 		t.Fatalf("fn ran %d times, want 2", calls)
@@ -103,7 +104,7 @@ func TestCacheSingleflight(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let every goroutine reach Do, then release the one computation.
+	// Let every goroutine reach DoCover, then release the one computation.
 	for running.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
@@ -120,9 +121,13 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// live reports whether key is served from cache right now.
+// live reports whether key is served from cache right now. On a miss the
+// probe's fill fails, and errors are never cached, so it leaves no trace.
 func live(c *httpkit.Cache, key string) bool {
-	return c.PeekAll([]string{key}, make([]any, 1)) == 1
+	_, hit, _ := c.DoCover(context.Background(), key, 0, func() (any, bool, error) {
+		return nil, false, errors.New("probe")
+	})
+	return hit
 }
 
 // TestCacheSweepAtBoundary pins the maxCacheEntries boundary behavior:

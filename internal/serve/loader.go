@@ -36,7 +36,7 @@ type FileLoaderConfig struct {
 	// core.System.SaveEmbeddings (legacy bare-CSV files also load).
 	// Exactly one of ModelPath and CheckpointPath must be set.
 	ModelPath string
-	// CheckpointPath is a PR-1 training checkpoint (internal/checkpoint);
+	// CheckpointPath is a training checkpoint (internal/checkpoint);
 	// serving from the latest snapshot of a still-running fit.
 	CheckpointPath string
 	// TrainPath is a cascade file used to fit the virality predictor at

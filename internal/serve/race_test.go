@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"viralcast/internal/cascade"
 )
 
 // TestServeConcurrentHammer drives every mutating and reading path at
@@ -105,7 +107,7 @@ func TestServeConcurrentHammer(t *testing.T) {
 			t.Errorf("worker %d cascade: size %d, want %d", w, c.Size(), rounds)
 			continue
 		}
-		if err := c.Validate(fixtureNodes); err != nil {
+		if err := cascade.ValidateAll([]*cascade.Cascade{c}, fixtureNodes); err != nil {
 			t.Errorf("worker %d cascade invalid: %v", w, err)
 		}
 	}

@@ -59,8 +59,8 @@ type Config struct {
 	// group-committed to a write-ahead log under this directory before
 	// the POST /v1/events response is sent, and on startup the log is
 	// replayed into the store — so a crash between model flushes loses
-	// nothing acknowledged. Empty disables the WAL (PR-2 behavior:
-	// live cascades are memory-only).
+	// nothing acknowledged. Empty disables the WAL: live cascades are
+	// memory-only.
 	WALDir string
 	// WALSync is the group-commit gather window: how long a commit
 	// waits for more concurrent appends before fsyncing. 0 (the
@@ -741,14 +741,6 @@ func (s *Server) Serve(ctx context.Context) error {
 	}
 	s.cfg.Logf("serve: drained")
 	return nil
-}
-
-// Run is Listen + Serve in one call for fixed addresses.
-func (s *Server) Run(ctx context.Context, addr string) error {
-	if _, err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve(ctx)
 }
 
 // flushLoop periodically refines the model from live cascades.

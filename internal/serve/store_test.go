@@ -31,7 +31,7 @@ func TestStoreAppendAndSnapshot(t *testing.T) {
 	if got := c.Nodes(); got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("infections not time-sorted: %v", got)
 	}
-	if err := c.Validate(10); err != nil {
+	if err := cascade.ValidateAll([]*cascade.Cascade{c}, 10); err != nil {
 		t.Fatalf("snapshot is not a valid cascade: %v", err)
 	}
 	// The snapshot is isolated from later appends.
@@ -118,7 +118,7 @@ func TestStoreDuplicateGuard(t *testing.T) {
 		}
 	}
 	c, _ := s.Snapshot(5)
-	if err := c.Validate(n); err != nil || c.Size() != len(seen) {
+	if err := cascade.ValidateAll([]*cascade.Cascade{c}, n); err != nil || c.Size() != len(seen) {
 		t.Fatalf("cascade after the feed: size %d of %d, %v", c.Size(), len(seen), err)
 	}
 }
@@ -232,7 +232,7 @@ func TestStoreConcurrentAppend(t *testing.T) {
 		if !ok {
 			t.Fatalf("cascade %d missing", id)
 		}
-		if err := c.Validate(writers * perWriter); err != nil {
+		if err := cascade.ValidateAll([]*cascade.Cascade{c}, writers*perWriter); err != nil {
 			t.Fatalf("cascade %d invalid after concurrent ingest: %v", id, err)
 		}
 		total += c.Size()

@@ -150,55 +150,13 @@ func mergeSmallViaMaps(und *graph.Graph, p *Partition, minSize int) *Partition {
 	return FromMembership(membership)
 }
 
-func detectOverlappingViaMaps(g *graph.Graph, opt Options, r float64, rng *xrand.RNG) *Cover {
-	opt = opt.withDefaults()
-	n := g.N()
-	memory, memSize := propagateViaMaps(g.Undirected(), opt.Iterations, rng)
-	rawMemberships := make([][]int, n)
-	labelsSeen := map[int]int{}
-	var communities [][]int
-	for u := 0; u < n; u++ {
-		var kept []int
-		bestLabel, bestCount := -1, -1
-		for label, cnt := range memory[u] {
-			if float64(cnt)/float64(memSize[u]) >= r {
-				kept = append(kept, label)
-			}
-			if cnt > bestCount || (cnt == bestCount && label < bestLabel) {
-				bestLabel, bestCount = label, cnt
-			}
-		}
-		if len(kept) == 0 {
-			kept = []int{bestLabel}
-		}
-		sort.Ints(kept)
-		for _, label := range kept {
-			id, ok := labelsSeen[label]
-			if !ok {
-				id = len(communities)
-				labelsSeen[label] = id
-				communities = append(communities, nil)
-			}
-			communities[id] = append(communities[id], u)
-			rawMemberships[u] = append(rawMemberships[u], id)
-		}
-	}
-	for _, members := range communities {
-		sort.Ints(members)
-	}
-	for _, comms := range rawMemberships {
-		sort.Ints(comms)
-	}
-	return &Cover{Memberships: rawMemberships, Communities: communities}
-}
-
 // randomDigraph draws a weighted digraph with isolated nodes, reciprocal
 // pairs and, half the time, weights from a three-value set so that
 // received totals tie and the lowest-label rule decides.
-func randomDigraph(rng *xrand.RNG) *graph.Graph {
+func randomDigraph(t *testing.T, rng *xrand.RNG) *graph.Graph {
 	n := 1 + rng.Intn(60)
 	coarse := rng.Intn(2) == 0
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for i := rng.Intn(5 * n); i > 0; i-- {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v || u%9 == 4 || v%9 == 4 { // nodes 4, 13, ... stay isolated
@@ -208,12 +166,12 @@ func randomDigraph(rng *xrand.RNG) *graph.Graph {
 		if coarse {
 			w = float64(1+rng.Intn(3)) / 4
 		}
-		_ = b.AddEdge(u, v, w)
+		edges = append(edges, graph.Edge{From: u, To: v, Weight: w})
 		if rng.Intn(3) == 0 {
-			_ = b.AddEdge(v, u, w)
+			edges = append(edges, graph.Edge{From: v, To: u, Weight: w})
 		}
 	}
-	return b.Build()
+	return fromEdges(t, n, edges)
 }
 
 // identityCase is a graph the old-vs-new tests run on, under opts.
@@ -238,10 +196,10 @@ func identityCases(t *testing.T) []identityCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := []*graph.Graph{g, twoCliques(t), bridgedCliques(t), graph.NewBuilder(4).Build()}
+	graphs := []*graph.Graph{g, twoCliques(t), bridgedCliques(t), fromEdges(t, 4, nil)}
 	rng := xrand.New(14)
 	for i := 0; i < 60; i++ {
-		graphs = append(graphs, randomDigraph(rng))
+		graphs = append(graphs, randomDigraph(t, rng))
 	}
 	var cases []identityCase
 	for _, g := range graphs {
@@ -258,27 +216,47 @@ func identityCases(t *testing.T) []identityCase {
 // completeGraph is K_n with weights from three values, so totals tie.
 func completeGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(n)
+	var edges []graph.Edge
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if err := b.AddEdge(u, v, float64(1+(u*v)%3)); err != nil {
-				t.Fatal(err)
-			}
+			edges = append(edges, graph.Edge{From: u, To: v, Weight: float64(1 + (u*v)%3)})
 		}
 	}
-	return b.Build()
+	return fromEdges(t, n, edges)
+}
+
+// bridgedCliques builds two K6s sharing one bridge node (id 12) that is
+// fully connected to both cliques.
+func bridgedCliques(t *testing.T) *graph.Graph {
+	t.Helper()
+	var edges []graph.Edge
+	add := func(u, v int) {
+		edges = append(edges, graph.Edge{From: u, To: v, Weight: 1}, graph.Edge{From: v, To: u, Weight: 1})
+	}
+	for u := 0; u < 6; u++ {
+		for v := u + 1; v < 6; v++ {
+			add(u, v)
+		}
+	}
+	for u := 6; u < 12; u++ {
+		for v := u + 1; v < 12; v++ {
+			add(u, v)
+		}
+	}
+	for u := 0; u < 12; u++ {
+		add(u, 12)
+	}
+	return fromEdges(t, 13, edges)
 }
 
 // starGraph is node 0 linked to leaves 1..leaves, plus one isolated node.
 func starGraph(t *testing.T, leaves int) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(leaves + 2)
+	var edges []graph.Edge
 	for v := 1; v <= leaves; v++ {
-		if err := b.AddEdge(v, 0, float64(1+v%3)/2); err != nil {
-			t.Fatal(err)
-		}
+		edges = append(edges, graph.Edge{From: v, To: 0, Weight: float64(1+v%3) / 2})
 	}
-	return b.Build()
+	return fromEdges(t, leaves+2, edges)
 }
 
 // eachProcs runs f as a subtest at GOMAXPROCS 1, 2 and the ambient
@@ -310,32 +288,6 @@ func TestDetectMatchesMapOracle(t *testing.T) {
 				}
 				if a, b := rng.Uint64(), orng.Uint64(); a != b {
 					t.Fatalf("graph %d %+v: RNG position differs after Detect (next draw %d, oracle %d)", ci, opt, a, b)
-				}
-			}
-		}
-	})
-}
-
-func TestDetectOverlappingMatchesMapOracle(t *testing.T) {
-	cases := identityCases(t)
-	eachProcs(t, func(t *testing.T) {
-		for ci, c := range cases {
-			for _, opt := range c.opts[:3] {
-				for _, r := range []float64{0.05, 0.2, 0.5, 1} {
-					seed := uint64(1000*ci + opt.Iterations)
-					rng, orng := xrand.New(seed), xrand.New(seed)
-					got, err := DetectOverlapping(c.g, opt, r, rng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := detectOverlappingViaMaps(c.g, opt, r, orng)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("graph %d (n=%d, m=%d) %+v r=%v: cover differs from the map oracle\n got %v\nwant %v",
-							ci, c.g.N(), c.g.M(), opt, r, got.Memberships, want.Memberships)
-					}
-					if a, b := rng.Uint64(), orng.Uint64(); a != b {
-						t.Fatalf("graph %d %+v r=%v: RNG position differs after DetectOverlapping", ci, opt, r)
-					}
 				}
 			}
 		}
@@ -380,7 +332,7 @@ func TestPropagateMatchesMapOracle(t *testing.T) {
 	rng := xrand.New(16)
 	var graphs []rows
 	for i := 0; i < 30; i++ {
-		graphs = append(graphs, withSelfLoops(randomDigraph(rng).Undirected()))
+		graphs = append(graphs, withSelfLoops(randomDigraph(t, rng).Undirected()))
 	}
 	eachProcs(t, func(t *testing.T) {
 		for gi, g := range graphs {
@@ -429,7 +381,7 @@ func TestDetectLeavesNoGoroutine(t *testing.T) {
 func TestMergeSmallMatchesMapOracle(t *testing.T) {
 	rng := xrand.New(15)
 	for trial := 0; trial < 300; trial++ {
-		und := randomDigraph(rng).Undirected()
+		und := randomDigraph(t, rng).Undirected()
 		membership := make([]int, und.N())
 		k := 1 + rng.Intn(und.N())
 		for u := range membership {
@@ -481,16 +433,11 @@ func TestDetectAllocationsIndependentOfIterations(t *testing.T) {
 // and the lower id wins, while 5's arcs first would give (0.1+0.2)+0.3 =
 // 0.6000000000000001 and the opposite merge.
 func TestMergeSmallSumsInNodeOrder(t *testing.T) {
-	b := graph.NewBuilder(8)
-	for _, e := range []struct {
-		u, v int
-		w    float64
-	}{{2, 5, 0.9}, {2, 4, 0.2}, {2, 6, 0.3}, {5, 7, 0.1}, {5, 0, 0.6}} {
-		if err := b.AddEdge(e.u, e.v, e.w); err != nil {
-			t.Fatal(err)
-		}
+	var edges []graph.Edge
+	for _, e := range [][3]float64{{2, 5, 0.9}, {2, 4, 0.2}, {2, 6, 0.3}, {5, 7, 0.1}, {5, 0, 0.6}} {
+		edges = append(edges, graph.Edge{From: int(e[0]), To: int(e[1]), Weight: e[2]})
 	}
-	und := b.Build().Undirected()
+	und := fromEdges(t, 8, edges).Undirected()
 	p := FromMembership([]int{0, 0, 1, 0, 2, 3, 2, 2}) // {0,1,3} {2} {4,6,7} {5}
 	got, want := mergeSmall(und, p, 3), mergeSmallViaMaps(und, p, 3)
 	if !reflect.DeepEqual(got, want) {

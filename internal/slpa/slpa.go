@@ -367,35 +367,3 @@ func mergeSmall(und *graph.Graph, p *Partition, minSize int) *Partition {
 	}
 	return FromMembership(membership)
 }
-
-// Modularity computes the weighted Newman modularity of the partition on
-// graph g (treated as undirected). Used in tests and diagnostics to check
-// that detected communities are meaningfully dense.
-func Modularity(g *graph.Graph, p *Partition) float64 {
-	und := g.Undirected()
-	m2 := und.TotalWeight() // sum over directed arcs = 2m for undirected
-	if m2 == 0 {
-		return 0
-	}
-	// Standard per-community form: Q = sum_c [ w_in(c)/m2 - (deg(c)/m2)^2 ]
-	// where w_in(c) counts directed arcs inside c (each undirected edge
-	// twice, matching m2 = 2m) and deg(c) is the total weighted degree.
-	nc := p.NumCommunities()
-	win := make([]float64, nc)
-	deg := make([]float64, nc)
-	for u := 0; u < und.N(); u++ {
-		cu := p.Membership[u]
-		ts, ws := und.Neighbors(u)
-		for i, v := range ts {
-			deg[cu] += ws[i]
-			if p.Membership[v] == cu {
-				win[cu] += ws[i]
-			}
-		}
-	}
-	var q float64
-	for c := 0; c < nc; c++ {
-		q += win[c]/m2 - (deg[c]/m2)*(deg[c]/m2)
-	}
-	return q
-}

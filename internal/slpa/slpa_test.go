@@ -55,28 +55,30 @@ func TestValidateCatchesBadPartitions(t *testing.T) {
 	}
 }
 
+func fromEdges(t testing.TB, n int, edges []graph.Edge) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdges(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // twoCliques returns two K5s joined by a single weak edge.
 func twoCliques(t *testing.T) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(10)
+	var edges []graph.Edge
 	addClique := func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			for v := u + 1; v < hi; v++ {
-				if err := b.AddEdge(u, v, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := b.AddEdge(v, u, 1); err != nil {
-					t.Fatal(err)
-				}
+				edges = append(edges, graph.Edge{From: u, To: v, Weight: 1}, graph.Edge{From: v, To: u, Weight: 1})
 			}
 		}
 	}
 	addClique(0, 5)
 	addClique(5, 10)
-	if err := b.AddEdge(4, 5, 0.05); err != nil {
-		t.Fatal(err)
-	}
-	return b.Build()
+	edges = append(edges, graph.Edge{From: 4, To: 5, Weight: 0.05})
+	return fromEdges(t, 10, edges)
 }
 
 func TestDetectTwoCliques(t *testing.T) {
@@ -138,7 +140,7 @@ func TestDetectSBMRecovery(t *testing.T) {
 }
 
 func TestDetectIsolatedNodes(t *testing.T) {
-	g := graph.NewBuilder(4).Build() // no edges at all
+	g := fromEdges(t, 4, nil) // no edges at all
 	p := Detect(g, Options{Iterations: 10}, xrand.New(4))
 	if err := p.Validate(4); err != nil {
 		t.Fatal(err)
@@ -168,31 +170,6 @@ func TestDetectDeterministic(t *testing.T) {
 		if p1.Membership[u] != p2.Membership[u] {
 			t.Fatalf("same seed, different partitions at node %d", u)
 		}
-	}
-}
-
-func TestModularity(t *testing.T) {
-	g := twoCliques(t)
-	good := FromMembership([]int{0, 0, 0, 0, 0, 1, 1, 1, 1, 1})
-	bad := FromMembership([]int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1})
-	one := FromMembership(make([]int, 10))
-	qg, qb, qo := Modularity(g, good), Modularity(g, bad), Modularity(g, one)
-	if qg <= qb {
-		t.Errorf("planted partition modularity %v <= scrambled %v", qg, qb)
-	}
-	if qg <= qo {
-		t.Errorf("planted partition modularity %v <= single community %v", qg, qo)
-	}
-	if qg < 0.3 {
-		t.Errorf("two-clique modularity %v unexpectedly low", qg)
-	}
-}
-
-func TestModularityEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder(3).Build()
-	p := FromMembership([]int{0, 0, 0})
-	if Modularity(g, p) != 0 {
-		t.Error("modularity of empty graph must be 0")
 	}
 }
 

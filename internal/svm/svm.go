@@ -155,15 +155,6 @@ func (m *Model) Predict(x []float64) int {
 	return -1
 }
 
-// PredictAll classifies every row.
-func (m *Model) PredictAll(x [][]float64) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		out[i] = m.Predict(row)
-	}
-	return out
-}
-
 // TrainBestF1 trains cost-sensitive SVMs over a grid of positive-class
 // weights and returns the one with the best F1 on an internal
 // validation split (stratified 75/25). It exists because the right

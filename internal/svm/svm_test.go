@@ -93,17 +93,6 @@ func TestDecisionSign(t *testing.T) {
 	}
 }
 
-func TestPredictAll(t *testing.T) {
-	m := &Model{W: []float64{1}, Bias: 0}
-	got := m.PredictAll([][]float64{{1}, {-1}, {0}})
-	want := []int{1, -1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PredictAll = %v", got)
-		}
-	}
-}
-
 func TestTrainDeterministic(t *testing.T) {
 	x, y := separable2D(100, 6)
 	m1, _ := Train(x, y, Options{Seed: 7})

@@ -65,14 +65,6 @@ func Fill(x []float64, v float64) {
 	}
 }
 
-// Copy copies src into dst; lengths must match.
-func Copy(dst, src []float64) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("vecmath: Copy length mismatch %d != %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // Norm2 returns the Euclidean norm of x, guarding against overflow for
 // large components by scaling.
 func Norm2(x []float64) float64 {
@@ -270,15 +262,4 @@ func (m *Matrix) FrobeniusDist(o *Matrix) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// Clamp bounds x into [lo, hi] and returns it.
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -1,9 +1,9 @@
-// Package xrand provides a deterministic, splittable pseudo-random number
-// generator for the simulations and the stochastic inference algorithm.
+// Package xrand provides a deterministic pseudo-random number generator
+// for the simulations and the stochastic inference algorithm.
 //
 // Every stochastic component in this repository takes an explicit *RNG so
 // experiments are reproducible bit-for-bit from a seed, and so parallel
-// workers can each own an independent stream (via Split) without locking.
+// workers can each own an independent stream (via Derive) without locking.
 // The core generator is xoshiro256** seeded through splitmix64, which is
 // the recommended seeding procedure for the xoshiro family.
 package xrand
@@ -14,13 +14,13 @@ import (
 )
 
 // RNG is a xoshiro256** generator. It is NOT safe for concurrent use; give
-// each goroutine its own stream via Split.
+// each goroutine its own stream via Derive.
 type RNG struct {
 	s [4]uint64
 }
 
 // splitmix64 advances the state and returns the next output; used for
-// seeding and for Split.
+// seeding and by Derive.
 func splitmix64(state *uint64) uint64 {
 	*state += 0x9e3779b97f4a7c15
 	z := *state
@@ -66,12 +66,6 @@ func step(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
 	s2 ^= t
 	s3 = rotl(s3, 45)
 	return x, s0, s1, s2, s3
-}
-
-// Split derives a new independent generator from r, advancing r. Use it to
-// hand each parallel worker its own stream.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
 }
 
 // Derive maps (seed, ids...) to a substream seed through a splitmix64
@@ -201,48 +195,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
-}
-
-// Zipf samples integers in [0, n) with probability proportional to
-// 1/(k+1)^s using inverse-CDF over a precomputed table. Build one with
-// NewZipf and reuse it; construction is O(n).
-type Zipf struct {
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over n categories with exponent s >= 0.
-// s = 0 degenerates to the uniform distribution.
-func NewZipf(n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf with n <= 0")
-	}
-	cdf := make([]float64, n)
-	var total float64
-	for k := 0; k < n; k++ {
-		total += 1 / math.Pow(float64(k+1), s)
-		cdf[k] = total
-	}
-	for k := range cdf {
-		cdf[k] /= total
-	}
-	return &Zipf{cdf: cdf}
-}
-
-// N returns the number of categories.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Sample draws one category index from the distribution.
-func (z *Zipf) Sample(r *RNG) int {
-	u := r.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -40,21 +40,6 @@ func TestZeroSeedValid(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := New(7)
-	s1 := r.Split()
-	s2 := r.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if s1.Uint64() == s2.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams produced %d/1000 identical outputs", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(1)
 	var sum float64
@@ -369,58 +354,6 @@ func TestBernoulli(t *testing.T) {
 	if math.Abs(frac-0.3) > 0.01 {
 		t.Errorf("Bernoulli(0.3) rate %v", frac)
 	}
-}
-
-func TestZipfDistribution(t *testing.T) {
-	z := NewZipf(5, 1.0)
-	if z.N() != 5 {
-		t.Fatalf("Zipf N = %d", z.N())
-	}
-	r := New(11)
-	const n = 200000
-	counts := make([]int, 5)
-	for i := 0; i < n; i++ {
-		counts[z.Sample(r)]++
-	}
-	// P(k) proportional to 1/(k+1); harmonic sum H5 = 137/60.
-	h5 := 1.0 + 0.5 + 1.0/3 + 0.25 + 0.2
-	for k, c := range counts {
-		want := (1 / float64(k+1)) / h5
-		got := float64(c) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("Zipf P(%d) = %v, want %v", k, got, want)
-		}
-	}
-	// Monotone non-increasing counts.
-	for k := 1; k < 5; k++ {
-		if counts[k] > counts[k-1] {
-			t.Errorf("Zipf counts not monotone: %v", counts)
-		}
-	}
-}
-
-func TestZipfUniformWhenSZero(t *testing.T) {
-	z := NewZipf(4, 0)
-	r := New(12)
-	counts := make([]int, 4)
-	const n = 80000
-	for i := 0; i < n; i++ {
-		counts[z.Sample(r)]++
-	}
-	for k, c := range counts {
-		if math.Abs(float64(c)-n/4.0) > 5*math.Sqrt(n/4.0) {
-			t.Errorf("Zipf s=0 bucket %d count %d not uniform", k, c)
-		}
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(0, 1) did not panic")
-		}
-	}()
-	NewZipf(0, 1)
 }
 
 func TestExpParetoPanics(t *testing.T) {

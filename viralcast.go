@@ -26,7 +26,6 @@ import (
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
 	"viralcast/internal/eval"
-	"viralcast/internal/gdelt"
 	"viralcast/internal/workload"
 )
 
@@ -53,14 +52,6 @@ type Influencer = core.Influencer
 // Confusion is a binary confusion matrix with Precision/Recall/F1/
 // Accuracy methods.
 type Confusion = eval.Confusion
-
-// NewsConfig parameterizes the synthetic news-event corpus generator —
-// the stand-in for the GDELT dataset of the original study.
-type NewsConfig = gdelt.Config
-
-// NewsCorpus is a generated news-event dataset: sites with regions and
-// power-law popularity, plus one reporting cascade per event.
-type NewsCorpus = gdelt.Dataset
 
 // Train fits the embeddings from observed cascades over n nodes using
 // the paper's full pipeline: co-occurrence graph, SLPA communities, and
@@ -102,13 +93,6 @@ func SimulateSBM(n, count int, window float64, seed uint64) ([]*Cascade, error) 
 	}
 	return d.Cascades, nil
 }
-
-// DefaultNewsConfig returns the paper-scale synthetic GDELT
-// configuration (6,000 sites, four regional pools, 72-hour windows).
-func DefaultNewsConfig() NewsConfig { return gdelt.DefaultConfig() }
-
-// GenerateNews builds a synthetic news-event corpus.
-func GenerateNews(cfg NewsConfig) (*NewsCorpus, error) { return gdelt.Generate(cfg) }
 
 // TopSizeThreshold returns the cascade-size threshold that marks the top
 // `frac` fraction of the given cascades as viral.

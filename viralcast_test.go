@@ -1,6 +1,8 @@
 package viralcast_test
 
 import (
+	"os/exec"
+	"regexp"
 	"testing"
 
 	"viralcast"
@@ -49,5 +51,24 @@ func TestPublicWorkflow(t *testing.T) {
 	}
 	if classified == 0 {
 		t.Fatal("no test cascades classifiable")
+	}
+}
+
+// TestLibraryLinksNoLabPackage: the library is what a program importing
+// viralcast links, so it must not close over the evaluation lab
+// (DESIGN.md: lab packages are importable only from cmd/figures,
+// examples/newsvirality and tests). scripts/ci.sh checks the same graph.
+func TestLibraryLinksNoLabPackage(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	out, err := exec.Command(goBin, "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	lab := regexp.MustCompile(`(?m)^viralcast/internal/(experiments|gdelt|cluster|netrate|pointproc)$`)
+	if hits := lab.FindAllString(string(out), -1); hits != nil {
+		t.Fatalf("the viralcast library links lab packages: %v", hits)
 	}
 }
