@@ -244,7 +244,7 @@ func cmdInfer(ctx context.Context, args []string) error {
 	in := fs.String("in", "", "cascade file (required)")
 	n := fs.Int("n", 0, "number of nodes (default: inferred from the file)")
 	topics := fs.Int("topics", 4, "latent topic dimension K")
-	iters := fs.Int("iters", 30, "max gradient-ascent epochs per level")
+	iters := fs.Int("iters", 30, "max EM epochs per level")
 	workers := fs.Int("workers", 4, "parallel community workers")
 	seed := fs.Uint64("seed", 1, "random seed")
 	out := fs.String("out", "", "write the fitted embeddings (CSV) to this file")

@@ -34,7 +34,8 @@ import (
 type TrainConfig struct {
 	// Topics is the latent dimension K of the embeddings.
 	Topics int
-	// MaxIter bounds gradient-ascent epochs per hierarchy level.
+	// MaxIter bounds EM epochs per hierarchy level (and Refine's ascent
+	// epochs in Update).
 	MaxIter int
 	// Workers bounds how many communities are optimized concurrently.
 	Workers int

@@ -12,11 +12,10 @@ import (
 )
 
 // trainEmbeddingsGolden is the SHA-256 of the fitted A‖B bit patterns on
-// the fixture below, recorded at the commit before the fused embed
-// kernels and the arena level tasks landed: the optimization's back half
-// (line search, level tasks, merge tree) must keep producing these
-// exact embeddings.
-const trainEmbeddingsGolden = "b20546d5e423a15ec30ab97c27e811acff9cdad3449da3f250efc43b991d10d7"
+// the fixture below, recorded when Alg. 1's inner step became closed-form
+// EM under the rate prior: the optimization's back half (EM kernels,
+// level tasks, merge tree) must keep producing these exact embeddings.
+const trainEmbeddingsGolden = "3fe7aa3135c5a5d1664b6910e4ec053a037c03b0ee08ed286add1c69b22094a1"
 
 func TestTrainEmbeddingsPinned(t *testing.T) {
 	// bench/'s train fixture in miniature: sparse SBM blocks with

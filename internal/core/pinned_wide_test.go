@@ -13,13 +13,13 @@ import (
 )
 
 // wideEmbeddingsGolden holds, per topic count, the SHA-256 of the fitted
-// A‖B bit patterns on TestTrainEmbeddingsPinned's fixture, recorded at
-// the commit before the embed kernels swept topics in blocks of four: at
-// K = 8 every column sits in a full block, at K = 6 two columns are swept
-// alone ahead of one block.
+// A‖B bit patterns on TestTrainEmbeddingsPinned's fixture, recorded when
+// Alg. 1's inner step became closed-form EM under the rate prior: at
+// K = 8 every column sits in a full block, at K = 6 two columns are
+// swept alone ahead of one block.
 var wideEmbeddingsGolden = map[int]string{
-	6: "020bd14f70a1bd0507f33c7e5e80582c5d8d1c06d5cb94a0c2ad00d11008ef8d",
-	8: "18775f44c6a4c955d0e276086b54cd703cffdd4dbeef5d3d34b2a2e978ad6bbf",
+	6: "012b3e756ac2bed0893c5077d9ad586b5567ce9c0561e12614e2cc05d37a3d57",
+	8: "a6e0628b955480bcba13443acf7bc357b23471f85f125c078879a83bfe4cfc89",
 }
 
 func TestTrainEmbeddingsPinnedWide(t *testing.T) {

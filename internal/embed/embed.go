@@ -53,7 +53,7 @@ func (m *Model) N() int { return m.A.RowsN }
 func (m *Model) K() int { return m.A.ColsN }
 
 // InitUniform fills both matrices with samples uniform in (lo, hi),
-// a standard non-negative warm start for projected gradient ascent.
+// a standard non-negative warm start for EM and gradient ascent alike.
 func (m *Model) InitUniform(rng *xrand.RNG, lo, hi float64) {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("embed: InitUniform bad range [%v,%v]", lo, hi))
@@ -175,20 +175,26 @@ func (m *Model) logLik(c *cascade.Cascade, hb, gb []float64) float64 {
 		dotBlock(infs, a, b, k, j, hb, gb)
 	}
 	if last < 0 { // no block: the column passes left whole dots
-		var linear float64
-		prod, exp := 1.0, 0
-		for i := 1; i < len(infs); i++ {
-			// sum_{l<v} (t_l - t_v) A[l]·B[v] = G·B[v] - t_v * H·B[v]
-			linear += gb[i] - infs[i].Time*hb[i]
-			if p := prod * hb[i]; plain(hb[i]) && inBand(p) {
-				prod = p
-			} else {
-				prod, exp = mulHazard(prod, exp, hb[i])
-			}
-		}
-		return linear + (math.Log(prod) + float64(exp)*math.Ln2)
+		return finishColumns(infs, hb, gb)
 	}
 	return finishBlock(infs, a, b, k, last, hb, gb)
+}
+
+// finishColumns folds whole dots hb = H(v)·B[v] and gb = G(v)·B[v] into
+// the likelihood, for widths below one block.
+func finishColumns(infs []cascade.Infection, hb, gb []float64) float64 {
+	var linear float64
+	prod, exp := 1.0, 0
+	for i := 1; i < len(infs); i++ {
+		// sum_{l<v} (t_l - t_v) A[l]·B[v] = G·B[v] - t_v * H·B[v]
+		linear += gb[i] - infs[i].Time*hb[i]
+		if p := prod * hb[i]; plain(hb[i]) && inBand(p) {
+			prod = p
+		} else {
+			prod, exp = mulHazard(prod, exp, hb[i])
+		}
+	}
+	return linear + (math.Log(prod) + float64(exp)*math.Ln2)
 }
 
 // dotColumn adds column j's terms of H(v)·B[v] and G(v)·B[v] to hb and gb.
@@ -322,11 +328,12 @@ func mulHazard(prod float64, exp int, hb float64) (float64, int) {
 	return prod, exp
 }
 
-// GradWorkspace holds the scratch buffer AccumGrad needs, so the hot
-// training loop performs no per-cascade allocation. A workspace may be
-// reused across cascades but not shared between goroutines.
+// GradWorkspace holds the scratch buffers AccumGrad and EMAccum need, so
+// the hot training loop performs no per-cascade allocation. A workspace
+// may be reused across cascades but not shared between goroutines.
 type GradWorkspace struct {
 	inv []float64 // partial d_v, then 1/d_v, per cascade position
+	gb  []float64 // EMAccum's partial G(v)·B[v] when K is wider than a block
 }
 
 // NewGradWorkspace returns a workspace for models with k topics. Its
@@ -378,13 +385,7 @@ func (m *Model) AccumGrad(c *cascade.Cascade, dA, dB *vecmath.Matrix, ws *GradWo
 		denomBlock(infs, a, b, k, j, inv)
 	}
 	if last < 0 {
-		for i := 1; i < n; i++ {
-			d := inv[i]
-			if d < EpsRate {
-				d = EpsRate
-			}
-			inv[i] = 1 / d
-		}
+		invert(inv)
 	} else {
 		finishGradBBlock(infs, a, b, dB.Data, k, last, inv)
 	}
@@ -399,6 +400,18 @@ func (m *Model) AccumGrad(c *cascade.Cascade, dA, dB *vecmath.Matrix, ws *GradWo
 	}
 	for j := lead; j < k; j += block {
 		gradABlock(infs, b, dA.Data, k, j, inv)
+	}
+}
+
+// invert replaces every d_v but the seed's by 1/d_v, d_v floored at
+// EpsRate.
+func invert(d []float64) {
+	for i := 1; i < len(d); i++ {
+		v := d[i]
+		if v < EpsRate {
+			v = EpsRate
+		}
+		d[i] = 1 / v
 	}
 }
 
@@ -567,5 +580,300 @@ func gradABlock(infs []cascade.Infection, b, dA []float64, k, j int, inv []float
 			r2 += w * x[2]
 			r3 += w * x[3]
 		}
+	}
+}
+
+// EMAccum is the E-step of one cascade for the closed-form (ECM) fit.
+// Under the current model, each infection v after the seed was caused by
+// one earlier adopter u through one topic k with probability
+// A[u,k]·B[v,k]/s_v, where s_v = H(v)·B[v] (floored at EpsRate). EMAccum
+// adds those expected counts, and the exposures they are divided by, to
+// the epoch's sufficient statistics, and returns the cascade's
+// log-likelihood: LogLik(c), to the bit.
+//
+// A forward sweep adds numB[v] += B[v] ∘ H(v) / s_v; a backward sweep adds
+//
+//	numA[u] += A[u] ∘ R(u),   R(u) = sum B[v]/s_v
+//	denA[u] += D(u),          D(u) = sum (t_v - t_u) B[v]
+//
+// over the successors v of u. These are the x·g⁺ and g⁻ parts of Eqs. 14
+// and 16: for fixed B, numA/denA maximizes the expected complete-data
+// likelihood in A. D(u) equals Q(u) - t_u·P(u), but it is carried as
+// D += (t_next - t_u)·P, a sum of non-negative terms that is exactly 0
+// when every successor ties with u, where the difference could round to
+// either sign. The sweeps run per block of columns as in AccumGrad.
+// Complexity O(len(c) * K); no allocation beyond the reusable workspace.
+func (m *Model) EMAccum(c *cascade.Cascade, numA, denA, numB *vecmath.Matrix, ws *GradWorkspace) float64 {
+	infs := c.Infections
+	n := len(infs)
+	if n < 2 {
+		return 0
+	}
+	k := m.A.ColsN
+	if m.B.ColsN != k || numA.ColsN != k || denA.ColsN != k || numB.ColsN != k {
+		panic("embed: EMAccum on matrices of differing widths")
+	}
+	a, b := m.A.Data, m.B.Data
+	if cap(ws.inv) < n {
+		ws.inv = make([]float64, n)
+	}
+	inv := ws.inv[:n]
+	lead, last := k%block, k-block
+	var gb []float64
+	if k != block {
+		if cap(ws.gb) < n {
+			ws.gb = make([]float64, n)
+		}
+		gb = ws.gb[:n]
+		clear(inv)
+		clear(gb)
+	}
+	for j := 0; j < lead; j++ {
+		dotColumn(infs, a, b, k, j, inv, gb)
+	}
+	for j := lead; j < last; j += block {
+		dotBlock(infs, a, b, k, j, inv, gb)
+	}
+	var ll float64
+	if last < 0 {
+		ll = finishColumns(infs, inv, gb)
+		invert(inv)
+	} else {
+		ll = finishEMBlock(infs, a, b, numB.Data, k, last, inv, gb)
+	}
+	for j := 0; j < lead; j++ {
+		numBColumn(infs, a, b, numB.Data, k, j, inv)
+	}
+	for j := lead; j < last; j += block {
+		numBBlock(infs, a, b, numB.Data, k, j, inv)
+	}
+	for j := 0; j < lead; j++ {
+		numAColumn(infs, a, b, numA.Data, denA.Data, k, j, inv)
+	}
+	for j := lead; j < k; j += block {
+		numABlock(infs, a, b, numA.Data, denA.Data, k, j, inv)
+	}
+	return ll
+}
+
+// finishEMBlock is finishBlock that also completes each s_v, stores
+// 1/s_v (s_v floored at EpsRate) in inv, and adds the block's share of
+// numB, row += B[v] ∘ H(v) / s_v.
+func finishEMBlock(infs []cascade.Infection, a, b, numB []float64, k, j int, inv, gb []float64) float64 {
+	carry := k > block                          // the passes before left partial dots in inv, gb
+	a, b = a[:len(a):len(a)], b[:len(a):len(a)] // one check serves both rows
+	var h0, h1, h2, h3, g0, g1, g2, g3 float64
+	var linear float64 // sum of the survival terms
+	prod, exp := 1.0, 0
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		y, t := a[off:off+block:off+block], inf.Time
+		if i > 0 {
+			x := b[off : off+block : off+block]
+			var s, u float64
+			if carry {
+				s, u = inv[i], gb[i]
+			}
+			s += h0 * x[0]
+			u += g0 * x[0]
+			s += h1 * x[1]
+			u += g1 * x[1]
+			s += h2 * x[2]
+			u += g2 * x[2]
+			s += h3 * x[3]
+			u += g3 * x[3]
+			linear += u - t*s
+			if p := prod * s; plain(s) && inBand(p) {
+				prod = p
+			} else {
+				prod, exp = mulHazard(prod, exp, s)
+			}
+			if s < EpsRate {
+				s = EpsRate
+			}
+			iv := 1 / s
+			inv[i] = iv
+			row := numB[off : off+block : off+block]
+			row[0] += h0 * x[0] * iv
+			row[1] += h1 * x[1] * iv
+			row[2] += h2 * x[2] * iv
+			row[3] += h3 * x[3] * iv
+		}
+		h0 += y[0]
+		h1 += y[1]
+		h2 += y[2]
+		h3 += y[3]
+		g0 += t * y[0]
+		g1 += t * y[1]
+		g2 += t * y[2]
+		g3 += t * y[3]
+	}
+	return linear + (math.Log(prod) + float64(exp)*math.Ln2)
+}
+
+// numBColumn adds column j's share of numB once inv holds 1/s_v.
+func numBColumn(infs []cascade.Infection, a, b, numB []float64, k, j int, inv []float64) {
+	var h float64
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		if i > 0 {
+			numB[off] += h * b[off] * inv[i]
+		}
+		h += a[off]
+	}
+}
+
+// numBBlock adds the share of columns j … j+3 once inv holds 1/s_v.
+func numBBlock(infs []cascade.Infection, a, b, numB []float64, k, j int, inv []float64) {
+	a, b = a[:len(a):len(a)], b[:len(a):len(a)] // one check serves both rows
+	var h0, h1, h2, h3 float64
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		if i > 0 {
+			x := b[off : off+block : off+block]
+			iv := inv[i]
+			row := numB[off : off+block : off+block]
+			row[0] += h0 * x[0] * iv
+			row[1] += h1 * x[1] * iv
+			row[2] += h2 * x[2] * iv
+			row[3] += h3 * x[3] * iv
+		}
+		y := a[off : off+block : off+block]
+		h0 += y[0]
+		h1 += y[1]
+		h2 += y[2]
+		h3 += y[3]
+	}
+}
+
+// numAColumn is the backward sweep over column j: numA += A[u]·R and
+// denA += D over the successors of u (positions > i).
+func numAColumn(infs []cascade.Infection, a, b, numA, denA []float64, k, j int, inv []float64) {
+	var p, d, r float64
+	next := infs[len(infs)-1].Time
+	for i := len(infs) - 1; i >= 0; i-- {
+		off := infs[i].Node*k + j
+		t := infs[i].Time
+		d += (next - t) * p
+		numA[off] += a[off] * r
+		denA[off] += d
+		if i > 0 {
+			x := b[off]
+			p += x
+			r += inv[i] * x
+		}
+		next = t
+	}
+}
+
+// numABlock is the backward sweep over columns j … j+3.
+func numABlock(infs []cascade.Infection, a, b, numA, denA []float64, k, j int, inv []float64) {
+	a, b = a[:len(a):len(a)], b[:len(a):len(a)] // one check serves both rows
+	var p0, p1, p2, p3, d0, d1, d2, d3, r0, r1, r2, r3 float64
+	next := infs[len(infs)-1].Time
+	for i := len(infs) - 1; i >= 0; i-- {
+		off := infs[i].Node*k + j
+		t := infs[i].Time
+		dt := next - t
+		d0 += dt * p0
+		d1 += dt * p1
+		d2 += dt * p2
+		d3 += dt * p3
+		y := a[off : off+block : off+block]
+		num := numA[off : off+block : off+block]
+		num[0] += y[0] * r0
+		num[1] += y[1] * r1
+		num[2] += y[2] * r2
+		num[3] += y[3] * r3
+		den := denA[off : off+block : off+block]
+		den[0] += d0
+		den[1] += d1
+		den[2] += d2
+		den[3] += d3
+		if i > 0 {
+			w := inv[i]
+			x := b[off : off+block : off+block]
+			p0 += x[0]
+			p1 += x[1]
+			p2 += x[2]
+			p3 += x[3]
+			r0 += w * x[0]
+			r1 += w * x[1]
+			r2 += w * x[2]
+			r3 += w * x[3]
+		}
+		next = t
+	}
+}
+
+// EMDenB adds one cascade's B-exposures under the model's A — in the ECM
+// fit, the A the epoch has just solved for:
+//
+//	denB[v] += sum (t_v - t_l) A[l] = t_v·H(v) - G(v)
+//
+// over the predecessors l of v, carried as E += (t_v - t_prev)·H, a sum
+// of non-negative terms, for the reason EMAccum carries D. One forward
+// sweep per block of columns; it reads no B and needs no scratch.
+func (m *Model) EMDenB(c *cascade.Cascade, denB *vecmath.Matrix) {
+	infs := c.Infections
+	if len(infs) < 2 {
+		return
+	}
+	k := m.A.ColsN
+	if denB.ColsN != k {
+		panic("embed: EMDenB on matrices of differing widths")
+	}
+	a := m.A.Data
+	lead := k % block
+	for j := 0; j < lead; j++ {
+		denBColumn(infs, a, denB.Data, k, j)
+	}
+	for j := lead; j < k; j += block {
+		denBBlock(infs, a, denB.Data, k, j)
+	}
+}
+
+// denBColumn is EMDenB's sweep over column j.
+func denBColumn(infs []cascade.Infection, a, denB []float64, k, j int) {
+	var h, e float64
+	prev := infs[0].Time
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		t := inf.Time
+		e += (t - prev) * h
+		if i > 0 {
+			denB[off] += e
+		}
+		h += a[off]
+		prev = t
+	}
+}
+
+// denBBlock is EMDenB's sweep over columns j … j+3.
+func denBBlock(infs []cascade.Infection, a, denB []float64, k, j int) {
+	a = a[:len(a):len(a)]
+	var h0, h1, h2, h3, e0, e1, e2, e3 float64
+	prev := infs[0].Time
+	for i, inf := range infs {
+		off := inf.Node*k + j
+		t := inf.Time
+		dt := t - prev
+		e0 += dt * h0
+		e1 += dt * h1
+		e2 += dt * h2
+		e3 += dt * h3
+		if i > 0 {
+			row := denB[off : off+block : off+block]
+			row[0] += e0
+			row[1] += e1
+			row[2] += e2
+			row[3] += e3
+		}
+		y := a[off : off+block : off+block]
+		h0 += y[0]
+		h1 += y[1]
+		h2 += y[2]
+		h3 += y[3]
+		prev = t
 	}
 }

@@ -573,6 +573,114 @@ func TestKernelsAllocateNothingPerCascade(t *testing.T) {
 	}
 }
 
+// refEM is the E-step from explicit responsibilities: for every pair of
+// an earlier adopter u and a later one v and every topic k, the share
+// r = A[u,k]·B[v,k]/s_v of v's infection, added to numA[u,k] and
+// numB[v,k], and the exposures (t_v - t_u)·B[v,k] and (t_v - t_u)·A[u,k]
+// added to denA[u,k] and denB[v,k]. O(len(c)²·K). It returns the
+// cascade's log-likelihood, summed term by term.
+func refEM(m *Model, c *cascade.Cascade, numA, denA, numB, denB *vecmath.Matrix) float64 {
+	infs := c.Infections
+	var ll float64
+	for i := 1; i < len(infs); i++ {
+		v, tv := infs[i].Node, infs[i].Time
+		var s float64
+		for _, inf := range infs[:i] {
+			rate := vecmath.Dot(m.A.Row(inf.Node), m.B.Row(v))
+			s += rate
+			ll -= (tv - inf.Time) * rate
+		}
+		s = math.Max(s, EpsRate)
+		ll += math.Log(s)
+		for _, inf := range infs[:i] {
+			u, dt := inf.Node, tv-inf.Time
+			for k := 0; k < m.K(); k++ {
+				r := m.A.At(u, k) * m.B.At(v, k) / s
+				numA.Data[u*m.K()+k] += r
+				numB.Data[v*m.K()+k] += r
+				denA.Data[u*m.K()+k] += dt * m.B.At(v, k)
+				denB.Data[v*m.K()+k] += dt * m.A.At(u, k)
+			}
+		}
+	}
+	return ll
+}
+
+// emStats is one epoch's sufficient statistics at a width.
+type emStats struct{ numA, denA, numB, denB *vecmath.Matrix }
+
+func newEMStats(n, k int) emStats {
+	return emStats{vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)}
+}
+
+// tiedCascade infects size nodes at one instant: every exposure is 0.
+func tiedCascade(n, size int, rng *xrand.RNG) *cascade.Cascade {
+	c := randCascade(0, n, size, rng)
+	for i := range c.Infections {
+		c.Infections[i].Time = 3.25
+	}
+	return c
+}
+
+// EMAccum and EMDenB are held to the pairwise responsibilities at every
+// width, on cascades with runs of tied times, rows that floor the hazard,
+// and one cascade whose infections all tie (its exposures must be 0, not
+// a rounding of either sign). The likelihood EMAccum returns is LogLik's
+// to the bit.
+func TestEMAccumMatchesOracle(t *testing.T) {
+	const n = 300
+	for _, k := range kernelKs {
+		for _, zeroRows := range []bool{false, true} {
+			m, cs := kernelCase(n, k, 120, zeroRows, uint64(3000+k))
+			cs = append(cs, tiedCascade(n, 40, xrand.New(uint64(k))))
+			got, want := newEMStats(n, k), newEMStats(n, k)
+			ws := NewGradWorkspace(k)
+			for _, c := range cs {
+				ll := m.EMAccum(c, got.numA, got.denA, got.numB, ws)
+				m.EMDenB(c, got.denB)
+				wantLL := refEM(m, c, want.numA, want.denA, want.numB, want.denB)
+				if math.Float64bits(ll) != math.Float64bits(m.LogLik(c)) {
+					t.Fatalf("K=%d zeroRows=%v cascade %d: EMAccum's loglik %v, LogLik %v", k, zeroRows, c.ID, ll, m.LogLik(c))
+				}
+				if !(math.Abs(ll-wantLL) <= 1e-12*(1+math.Abs(wantLL))) {
+					t.Fatalf("K=%d zeroRows=%v cascade %d: loglik %v, oracle %v", k, zeroRows, c.ID, ll, wantLL)
+				}
+			}
+			for name, pair := range map[string][2]*vecmath.Matrix{
+				"numA": {got.numA, want.numA}, "denA": {got.denA, want.denA},
+				"numB": {got.numB, want.numB}, "denB": {got.denB, want.denB},
+			} {
+				for i, w := range pair[1].Data {
+					g := pair[0].Data[i]
+					if !(math.Abs(g-w) <= 1e-12*(1+math.Abs(w))) || (w == 0) != (g == 0) {
+						t.Fatalf("K=%d zeroRows=%v: %s[%d] = %v, oracle %v", k, zeroRows, name, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The ECM loop calls EMAccum and EMDenB once per cascade per epoch: past
+// a warmed workspace neither allocates at all.
+func TestEMKernelsAllocateNothingPerCascade(t *testing.T) {
+	for _, k := range []int{4, 6, 8} {
+		m, cs := kernelCase(600, k, 600, false, 7)
+		st := newEMStats(600, k)
+		ws := NewGradWorkspace(k)
+		pass := func() {
+			for _, c := range cs {
+				sink += m.EMAccum(c, st.numA, st.denA, st.numB, ws)
+				m.EMDenB(c, st.denB)
+			}
+		}
+		pass()
+		if n := testing.AllocsPerRun(5, pass); n != 0 {
+			t.Errorf("K=%d: EMAccum and EMDenB with a warmed workspace allocate %v times per pass", k, n)
+		}
+	}
+}
+
 // longCascade infects nodes 0..size-1 in order at unit spacing.
 func longCascade(size int) *cascade.Cascade {
 	c := &cascade.Cascade{}
@@ -673,6 +781,23 @@ func BenchmarkAccumGrad(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.AccumGrad(c, dA, dB, ws)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Size()), "ns/infection")
+		})
+	}
+}
+
+func BenchmarkEMAccum(b *testing.B) {
+	for _, k := range benchKs {
+		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
+			m := randModel(1000, k, 1)
+			c := randCascade(0, 1000, 200, xrand.New(2))
+			st := newEMStats(1000, k)
+			ws := NewGradWorkspace(k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += m.EMAccum(c, st.numA, st.denA, st.numB, ws)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.Size()), "ns/infection")
 		})

@@ -85,7 +85,7 @@ func BuildSBMWorkload(e SBMExperiment) (*SBMWorkload, error) {
 }
 
 // FitEmbeddings runs the full inference pipeline (co-occurrence graph,
-// SLPA, hierarchical parallel gradient ascent) on the training cascades.
+// SLPA, hierarchical parallel EM) on the training cascades.
 func (w *SBMWorkload) FitEmbeddings() (*embed.Model, *infer.Trace, error) {
 	cfg := infer.Config{K: w.Exp.InferK, MaxIter: w.Exp.MaxIter, Seed: w.Exp.Seed + 1}
 	m, _, tr, err := infer.Pipeline(w.Train, w.Exp.N, cfg, infer.PipelineOptions{

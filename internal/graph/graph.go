@@ -136,15 +136,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var s float64
-	for _, w := range g.weights {
-		s += w
-	}
-	return s
-}
-
 // Undirected returns a new graph where each directed edge (u,v,w)
 // contributes w to both (u,v) and (v,u). Useful for community detection
 // on co-occurrence graphs that were built directionally.

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -273,7 +274,9 @@ func TestRunLevelSingleCommunityMatchesSequentialAscend(t *testing.T) {
 	// Sequential path.
 	seq := embed.NewModel(30, 2)
 	seq.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-	ascend(seq, cs, cfg)
+	if _, _, err := emCtx(context.Background(), seq, cs, cfg, ascendOpts{}); err != nil {
+		t.Fatal(err)
+	}
 	// RunLevel with the trivial one-community partition and same init.
 	par := embed.NewModel(30, 2)
 	par.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
@@ -463,9 +466,13 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestAscendEmptyCascades(t *testing.T) {
 	m := embed.NewModel(5, 2)
-	iters, lls, err := ascend(m, nil, Config{}.WithDefaults())
+	iters, lls, err := emCtx(context.Background(), m, nil, Config{}.WithDefaults(), ascendOpts{})
 	if iters != 0 || lls != nil || err != nil {
-		t.Fatal("ascend on empty cascades must be a no-op")
+		t.Fatal("EM on empty cascades must be a no-op")
+	}
+	iters, lls, _, err = ascendCtx(context.Background(), m, nil, Config{}.WithDefaults(), ascendOpts{})
+	if iters != 0 || lls != nil || err != nil {
+		t.Fatal("ascent on empty cascades must be a no-op")
 	}
 }
 
@@ -488,4 +495,47 @@ func TestAtomicMatrix(t *testing.T) {
 		t.Fatal("snapshot wrong")
 	}
 	_ = vecmath.Dot // keep import if unused elsewhere
+}
+
+// tiedSet is trainingSet with about a quarter of the infections moved to
+// the time of the one before: ties within a cascade are legal, and under
+// EM they give zero exposures that the M-step must leave alone.
+func tiedSet(t testing.TB, n, nCascades int, seed uint64) []*cascade.Cascade {
+	cs, _ := trainingSet(t, n, nCascades, seed)
+	rng := xrand.New(seed ^ 0x71ed)
+	for _, c := range cs {
+		for i := 1; i < c.Size(); i++ {
+			if rng.Intn(4) == 0 {
+				c.Infections[i].Time = c.Infections[i-1].Time
+			}
+		}
+	}
+	return cs
+}
+
+// Property: an ECM epoch never lowers the objective it maximizes, the
+// log-likelihood penalized by the rate prior (the trace's values), at
+// every width the kernels treat differently, run well past the usual
+// stopping point. The only slack is the rounding of a sum over the
+// cascades.
+func TestSequentialEMNeverLowersLogLik(t *testing.T) {
+	cs := tiedSet(t, 60, 120, 47)
+	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16} {
+		_, tr, err := Sequential(cs, 60, Config{K: k, MaxIter: 60, Tol: 1e-14, Seed: uint64(k)})
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		if tr.Iters < 10 || len(tr.LogLik) != tr.Iters+1 {
+			t.Fatalf("K=%d: %d epochs, %d likelihoods", k, tr.Iters, len(tr.LogLik))
+		}
+		for i := 1; i < len(tr.LogLik); i++ {
+			prev, cur := tr.LogLik[i-1], tr.LogLik[i]
+			if cur < prev-1e-12*(1+math.Abs(prev)) {
+				t.Fatalf("K=%d: epoch %d lowered the penalized log-likelihood %v -> %v", k, i, prev, cur)
+			}
+		}
+		if tr.LogLik[tr.Iters] <= tr.LogLik[0] {
+			t.Fatalf("K=%d: no progress: %v", k, tr.LogLik)
+		}
+	}
 }

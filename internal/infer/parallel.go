@@ -164,8 +164,8 @@ func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slp
 }
 
 // optimizeCommunity copies the community's rows into a compact local
-// model, runs monotone projected gradient ascent on the community's
-// sub-cascades, and copies the rows back. Reads and writes touch only
+// model, runs closed-form EM (emCtx) on the community's sub-cascades,
+// and copies the rows back. Reads and writes touch only
 // this community's rows, which no other worker owns. On a divergence
 // error the community's rows are left at their warm-start values; on
 // cancellation the epochs accepted so far are kept — every accepted
@@ -177,7 +177,7 @@ func optimizeCommunity(ctx context.Context, m *embed.Model, task *communityTask,
 		copy(local.A.Row(li), m.A.Row(u))
 		copy(local.B.Row(li), m.B.Row(u))
 	}
-	_, _, _, err := ascendCtx(ctx, local, task.localCs, cfg, ascendOpts{maxBackoffs: maxBackoffs})
+	_, _, err := emCtx(ctx, local, task.localCs, cfg, ascendOpts{maxBackoffs: maxBackoffs})
 	if err != nil && !canceled(err) {
 		return err
 	}
@@ -247,7 +247,7 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 	for li := startLevel; li < len(levels); li++ {
 		// boundary is the shutdown snapshot: the model exactly as this
 		// level found it, so a resume re-runs the level from scratch.
-		boundary := FitState{Model: m.Clone(), Level: li, Step: cfg.LearnRate, Seed: cfg.Seed, LogLik: prevLL}
+		boundary := FitState{Model: m.Clone(), Level: li, Seed: cfg.Seed, LogLik: prevLL}
 		if err := ctx.Err(); err != nil {
 			return nil, nil, res.finalCheckpoint(err, boundary)
 		}
@@ -274,7 +274,7 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 		tr.LogLik = append(tr.LogLik, ll)
 		prevLL = ll
 		if res.Checkpoint != nil && (li+1 == len(levels) || (li+1-startLevel)%res.CheckpointEvery == 0) {
-			st := FitState{Model: m.Clone(), Level: li + 1, Step: cfg.LearnRate, Seed: cfg.Seed, LogLik: ll}
+			st := FitState{Model: m.Clone(), Level: li + 1, Seed: cfg.Seed, LogLik: ll}
 			if err := res.Checkpoint(st); err != nil {
 				return nil, nil, err
 			}

@@ -25,8 +25,8 @@ type PipelineOptions struct {
 //
 //  1. build the frequent co-occurrence graph (§IV-B),
 //  2. detect communities with SLPA,
-//  3. run the hierarchical community-parallel gradient ascent
-//     (Algorithms 1 and 2).
+//  3. run the hierarchical community-parallel EM fit (Algorithms 1
+//     and 2).
 //
 // It returns the fitted model, the detected base partition, and the
 // optimization trace.

@@ -34,7 +34,8 @@ type FitState struct {
 	// configuration, and seed; the checkpoint records the seed so a
 	// mismatch can be detected instead of silently diverging.
 	Seed uint64
-	// LogLik is the training log-likelihood at the snapshot.
+	// LogLik is the training log-likelihood at the snapshot (an EM fit's
+	// epoch snapshots carry its penalized objective).
 	LogLik float64
 }
 

@@ -115,6 +115,45 @@ func TestSequentialCheckpointCadence(t *testing.T) {
 	}
 }
 
+// A resumed Sequential fit climbs the same objective as an
+// uninterrupted one: the rate prior is fixed by the first epoch from the
+// seeded start, which the snapshot does not carry, so the resumed fit
+// must re-derive it rather than take it from the snapshot's model.
+func TestSequentialInterruptResumeMatchesUninterrupted(t *testing.T) {
+	cs, _ := trainingSet(t, 40, 60, 27)
+	cfg := Config{K: 2, MaxIter: 12, Tol: 1e-12, Seed: 6}
+	want, wantTr, err := Sequential(cs, 40, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	inj := faultinject.NewInjector()
+	inj.Arm(faultinject.Fault{Site: "infer.epoch", Action: faultinject.Call, Hit: 5, Fn: cancel})
+	restore := faultinject.Activate(inj)
+	var snap *FitState
+	_, _, err = SequentialCtx(ctx, cs, 40, cfg, Resilience{
+		CheckpointEvery: 1000,
+		Checkpoint:      func(st FitState) error { snap = &st; return nil },
+	})
+	restore()
+	if !errors.Is(err, context.Canceled) || snap == nil || snap.Epoch != 4 {
+		t.Fatalf("interrupt: err %v, snapshot %+v", err, snap)
+	}
+	got, gotTr, err := SequentialCtx(context.Background(), cs, 40, cfg, Resilience{Resume: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotTr.Iters != wantTr.Iters || last(gotTr.LogLik) != last(wantTr.LogLik) {
+		t.Fatalf("resumed fit ended at epoch %d, objective %v; uninterrupted %d, %v",
+			gotTr.Iters, last(gotTr.LogLik), wantTr.Iters, last(wantTr.LogLik))
+	}
+	for i := range want.A.Data {
+		if got.A.Data[i] != want.A.Data[i] || got.B.Data[i] != want.B.Data[i] {
+			t.Fatalf("resumed embeddings differ from uninterrupted at %d", i)
+		}
+	}
+}
+
 func TestSequentialResumeRejectsMismatchedState(t *testing.T) {
 	cs, _ := trainingSet(t, 30, 30, 26)
 	wrongN := embed.NewModel(10, 2)
@@ -226,9 +265,9 @@ func TestHierarchicalResumeFromCompletedRunIsIdentity(t *testing.T) {
 // --- divergence guards ------------------------------------------------------
 
 // TestDivergenceGuardRecoversFromInjectedNaN is the second acceptance
-// criterion: NaNs injected into the gradient trigger rollback plus
-// step-size backoff, and the fit still converges on the synthetic SBM
-// fixture instead of emitting garbage.
+// criterion: NaNs injected into the E-step's statistics leave the model
+// untouched and re-run the epoch, and the fit still converges on the
+// synthetic SBM fixture instead of emitting garbage.
 func TestDivergenceGuardRecoversFromInjectedNaN(t *testing.T) {
 	cs, _ := trainingSet(t, 60, 100, 30)
 	inj := faultinject.NewInjector()
@@ -271,13 +310,40 @@ func TestDivergenceGuardGivesUpWithDescriptiveError(t *testing.T) {
 	}
 }
 
+// A corrupt warm start is not a transient fault: an EM epoch is
+// deterministic, so the fit reports it before the first E-step instead
+// of spending the retry budget on passes that would repeat it.
+func TestEMRejectsCorruptStartAtOnce(t *testing.T) {
+	cs, _ := trainingSet(t, 40, 50, 33)
+	for name, poison := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "negative": -0.5} {
+		m := embed.NewModel(40, 2)
+		m.InitUniform(xrand.New(14), 0.1, 0.5)
+		m.B.Data[17] = poison
+		inj := faultinject.NewInjector()
+		inj.Arm(faultinject.Fault{Site: "infer.grad", Action: faultinject.NaN}) // every E-step
+		restore := faultinject.Activate(inj)
+		epochs, lls, err := emCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 25, Seed: 14}.WithDefaults(), ascendOpts{})
+		restore()
+		if err == nil || !strings.Contains(err.Error(), "corrupt before fit") {
+			t.Fatalf("%s: err = %v, want a corrupt-start error", name, err)
+		}
+		if epochs != 0 || lls != nil || inj.Fired("infer.grad") != 0 {
+			t.Fatalf("%s: %d epochs, %d likelihoods, %d E-steps before failing", name, epochs, len(lls), inj.Fired("infer.grad"))
+		}
+	}
+}
+
+// Only Refine's ascent has a step to halve; a from-scratch EM fit
+// re-runs the poisoned epoch instead (the test above).
 func TestDivergenceGuardBacksOffStepSize(t *testing.T) {
 	cs, _ := trainingSet(t, 40, 50, 32)
+	m := embed.NewModel(40, 2)
+	m.InitUniform(xrand.New(13), 0.1, 0.5)
 	inj := faultinject.NewInjector()
 	inj.Arm(faultinject.Fault{Site: "infer.grad", Action: faultinject.NaN, Hit: 2})
 	defer faultinject.Activate(inj)()
 	var steps []float64
-	_, _, err := SequentialCtx(context.Background(), cs, 40, Config{K: 2, MaxIter: 8, Seed: 13}, Resilience{
+	_, err := RefineCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 8, Seed: 13}, Resilience{
 		Checkpoint: func(st FitState) error { steps = append(steps, st.Step); return nil },
 	})
 	if err != nil {

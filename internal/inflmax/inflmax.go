@@ -51,9 +51,10 @@ type Result struct {
 }
 
 // Precomp holds per-generation aggregates of a model that the greedy
-// selection and coverage evaluation exploit to skip dead rows. Build it
-// once per model generation with Precompute (core.System does this and
-// threads it through automatically).
+// selection and coverage evaluation exploit to skip dead rows. core.System
+// builds it once per model generation, and only for a model with no
+// negative entry: the zero-sum-means-dead shortcut is sound only under
+// the model's non-negativity invariant.
 type Precomp struct {
 	// ASum[u] is node u's total influence mass (the sum of its A row);
 	// under the model's non-negativity invariant, 0 means u cannot
@@ -63,26 +64,6 @@ type Precomp struct {
 	// BSum[v] is node v's total selectivity mass; 0 means v cannot be
 	// reached and is skipped as a target.
 	BSum []float64
-}
-
-// Precompute builds the skip aggregates for m. The zero-sum-means-dead
-// shortcut is only sound when every entry is non-negative (the model
-// invariant enforced by embed.Model.Validate and the projected gradient
-// fit); a model violating it yields nil, which disables the shortcut.
-func Precompute(m *embed.Model) *Precomp {
-	if m == nil {
-		return nil
-	}
-	if !vecmath.AllNonneg(m.A.Data) || !vecmath.AllNonneg(m.B.Data) {
-		return nil
-	}
-	n := m.N()
-	p := &Precomp{ASum: make([]float64, n), BSum: make([]float64, n)}
-	for u := 0; u < n; u++ {
-		p.ASum[u] = vecmath.Sum(m.A.Row(u))
-		p.BSum[u] = vecmath.Sum(m.B.Row(u))
-	}
-	return p
 }
 
 // matches reports whether p was built for a model of n nodes; a stale or
@@ -98,7 +79,7 @@ type Options struct {
 	// <= 0 uses runtime.GOMAXPROCS(0). The result is identical for any
 	// value.
 	Workers int
-	// Pre supplies precomputed model aggregates (see Precompute); nil
+	// Pre supplies precomputed model aggregates (see Precomp); nil
 	// (or a Precomp for a different model size) disables the dead-row
 	// shortcuts but changes no result.
 	Pre *Precomp

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"viralcast/internal/embed"
+	"viralcast/internal/vecmath"
 	"viralcast/internal/xrand"
 )
 
@@ -40,6 +41,16 @@ func greedyModel(n, k int, seed uint64) *embed.Model {
 	return m
 }
 
+// precompute builds m's dead-row aggregates, as core.System does.
+func precompute(m *embed.Model) *Precomp {
+	p := &Precomp{ASum: make([]float64, m.N()), BSum: make([]float64, m.N())}
+	for u := range p.ASum {
+		p.ASum[u] = vecmath.Sum(m.A.Row(u))
+		p.BSum[u] = vecmath.Sum(m.B.Row(u))
+	}
+	return p
+}
+
 func TestGreedyOptDeterministicAcrossWorkers(t *testing.T) {
 	m := greedyModel(120, 3, 77)
 	ctx := context.Background()
@@ -50,10 +61,7 @@ func TestGreedyOptDeterministicAcrossWorkers(t *testing.T) {
 	if len(want) != 8 {
 		t.Fatalf("selected %d seeds, want 8", len(want))
 	}
-	pre := Precompute(m)
-	if pre == nil {
-		t.Fatal("Precompute returned nil for a non-negative model")
-	}
+	pre := precompute(m)
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		for _, p := range []*Precomp{nil, pre} {
 			got, err := GreedyOpt(ctx, m, 1.5, 8, nil, Options{Workers: workers, Pre: p})
@@ -78,7 +86,7 @@ func TestGreedyOptMatchesLegacySequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GreedyOpt(context.Background(), m, 1, 4, cands, Options{Workers: 4, Pre: Precompute(m)})
+	b, err := GreedyOpt(context.Background(), m, 1, 4, cands, Options{Workers: 4, Pre: precompute(m)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +102,7 @@ func TestCoverageOptMatchesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := CoverageOpt(m, 2, seeds, Options{Pre: Precompute(m)})
+	pre, err := CoverageOpt(m, 2, seeds, Options{Pre: precompute(m)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +111,8 @@ func TestCoverageOptMatchesCoverage(t *testing.T) {
 	}
 }
 
-func TestPrecomputeRejectsNegativeModel(t *testing.T) {
-	m := embed.NewModel(4, 2)
-	m.A.Set(1, 0, -0.5)
-	if p := Precompute(m); p != nil {
-		t.Fatal("Precompute accepted a model with negative entries")
-	}
-	if p := Precompute(nil); p != nil {
-		t.Fatal("Precompute of nil model must be nil")
-	}
-	// A mismatched Precomp must be ignored, not trusted.
+// A mismatched Precomp must be ignored, not trusted.
+func TestGreedyOptIgnoresStalePrecomp(t *testing.T) {
 	good := greedyModel(30, 2, 3)
 	stale := &Precomp{ASum: make([]float64, 7), BSum: make([]float64, 7)}
 	a, err := GreedyOpt(context.Background(), good, 1, 3, nil, Options{Pre: stale})
@@ -133,7 +133,7 @@ func TestPrecomputeRejectsNegativeModel(t *testing.T) {
 // term and is what shards.
 func BenchmarkGreedySeeds(b *testing.B) {
 	m := greedyModel(2000, 8, 1)
-	pre := Precompute(m)
+	pre := precompute(m)
 	ctx := context.Background()
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {

@@ -56,19 +56,6 @@ func TestRunCtxPreCanceled(t *testing.T) {
 	}
 }
 
-func TestMapCtxDiscardsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	out, err := MapCtx(ctx, 1, 10, func(i int) (int, error) {
-		if i == 3 {
-			cancel()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) || out != nil {
-		t.Fatalf("out=%v err=%v", out, err)
-	}
-}
-
 func TestPanicErrorCarriesStack(t *testing.T) {
 	err := Run(2, 4, func(i int) error {
 		if i == 1 {

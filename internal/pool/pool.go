@@ -176,24 +176,3 @@ func GatherCtx[T any](ctx context.Context, workers, n int, task func(i int) (T, 
 	wg.Wait()
 	return out, errs
 }
-
-// MapCtx runs task(0..n-1) under RunCtx's discipline and collects the
-// results in index order, so output placement is deterministic
-// regardless of scheduling. On an error or a done context the partial
-// results are discarded and the error (ctx.Err() for the context) is
-// returned.
-func MapCtx[T any](ctx context.Context, workers, n int, task func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := RunCtx(ctx, workers, n, func(i int) error {
-		v, err := task(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -94,36 +94,6 @@ func TestRunDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestMapOrdersResults(t *testing.T) {
-	out, err := MapCtx(context.Background(), 4, 50, func(i int) (int, error) {
-		time.Sleep(time.Duration(50-i) * time.Microsecond) // finish out of order
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestMapDiscardsOnError(t *testing.T) {
-	out, err := MapCtx(context.Background(), 2, 10, func(i int) (string, error) {
-		if i == 7 {
-			return "", fmt.Errorf("task %d failed", i)
-		}
-		return "ok", nil
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	if out != nil {
-		t.Fatal("partial results returned on error")
-	}
-}
-
 func TestGatherCollectsResultsAndErrors(t *testing.T) {
 	out, errs := GatherCtx(context.Background(), 3, 10, func(i int) (int, error) {
 		if i%4 == 1 {

@@ -1,8 +1,8 @@
 // Package viralcast reproduces "Predicting Viral News Events in Online
 // Media" (Lu & Szymanski, ParSocial @ IPDPSW 2017): topic-specific
 // influence/selectivity node embeddings inferred from information
-// cascades with a community-parallel hierarchical gradient-ascent
-// algorithm, and early-stage prediction of viral cascades from the
+// cascades with a community-parallel hierarchical fit (closed-form EM
+// steps), and early-stage prediction of viral cascades from the
 // embeddings of their first adopters.
 //
 // This file is the public façade. The minimal workflow:
@@ -55,7 +55,7 @@ type Confusion = eval.Confusion
 
 // Train fits the embeddings from observed cascades over n nodes using
 // the paper's full pipeline: co-occurrence graph, SLPA communities, and
-// hierarchical community-parallel projected gradient ascent.
+// hierarchical community-parallel closed-form EM.
 func Train(cs []*Cascade, n int, cfg TrainConfig) (*System, error) {
 	return core.Train(cs, n, cfg)
 }
