@@ -19,12 +19,16 @@ import (
 // a sort per speak, and a mergeSmall that recounts every round. They stay
 // here as the reference the new code must equal bit for bit, including
 // the number of RNG draws. They draw every random number on the calling
-// goroutine, in sweep order; propagate draws them on a second one.
+// goroutine, in sweep order; propagate draws them on a second one. They
+// also run every round, where propagate stops once its partition is
+// certain, so propagateViaMaps records where the RNG stands after each
+// round: rngAfter[r] is the RNG after r rounds.
 
-func propagateViaMaps(und adjacency, iterations int, rng *xrand.RNG) ([]map[int]int, []int) {
+func propagateViaMaps(und adjacency, iterations int, rng *xrand.RNG) (memory []map[int]int, memSize []int, rngAfter []xrand.RNG) {
 	n := und.N()
-	memory := make([]map[int]int, n)
-	memSize := make([]int, n)
+	memory = make([]map[int]int, n)
+	memSize = make([]int, n)
+	rngAfter = []xrand.RNG{*rng}
 	for u := range memory {
 		memory[u] = map[int]int{u: 1}
 		memSize[u] = 1
@@ -54,8 +58,20 @@ func propagateViaMaps(und adjacency, iterations int, rng *xrand.RNG) ([]map[int]
 			memory[listener][best]++
 			memSize[listener]++
 		}
+		rngAfter = append(rngAfter, *rng)
 	}
-	return memory, memSize
+	return memory, memSize, rngAfter
+}
+
+// mapModal is a map memory's most frequent label (ties: lowest).
+func mapModal(mem map[int]int) int {
+	bestLabel, bestCount := -1, -1
+	for label, cnt := range mem {
+		if cnt > bestCount || (cnt == bestCount && label < bestLabel) {
+			bestLabel, bestCount = label, cnt
+		}
+	}
+	return bestLabel
 }
 
 func speakViaMap(mem map[int]int, total int, rng *xrand.RNG) int {
@@ -75,25 +91,19 @@ func speakViaMap(mem map[int]int, total int, rng *xrand.RNG) int {
 	return labels[len(labels)-1]
 }
 
-func detectViaMaps(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
+func detectViaMaps(g *graph.Graph, opt Options, rng *xrand.RNG) (*Partition, []xrand.RNG) {
 	opt = opt.withDefaults()
 	und := g.Undirected()
-	memory, _ := propagateViaMaps(und, opt.Iterations, rng)
+	memory, _, rngAfter := propagateViaMaps(und, opt.Iterations, rng)
 	membership := make([]int, g.N())
 	for u := range membership {
-		bestLabel, bestCount := -1, -1
-		for label, cnt := range memory[u] {
-			if cnt > bestCount || (cnt == bestCount && label < bestLabel) {
-				bestLabel, bestCount = label, cnt
-			}
-		}
-		membership[u] = bestLabel
+		membership[u] = mapModal(memory[u])
 	}
 	p := FromMembership(membership)
 	if opt.MinCommunitySize > 1 {
 		p = mergeSmallViaMaps(und, p, opt.MinCommunitySize)
 	}
-	return p
+	return p, rngAfter
 }
 
 func mergeSmallViaMaps(und *graph.Graph, p *Partition, minSize int) *Partition {
@@ -169,6 +179,28 @@ func randomDigraph(t *testing.T, rng *xrand.RNG) *graph.Graph {
 		edges = append(edges, graph.Edge{From: u, To: v, Weight: w})
 		if rng.Intn(3) == 0 {
 			edges = append(edges, graph.Edge{From: v, To: u, Weight: w})
+		}
+	}
+	return fromEdges(t, n, edges)
+}
+
+// randomClustered draws the shape SLPA is for: up to four dense blocks
+// joined by a few arcs, with isolated nodes (10, 21, ...).
+func randomClustered(t *testing.T, rng *xrand.RNG) *graph.Graph {
+	n, blocks := 2+rng.Intn(60), 1+rng.Intn(4)
+	var edges []graph.Edge
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u == v || u%11 == 10 || v%11 == 10 {
+				continue
+			}
+			p := 0.02
+			if u%blocks == v%blocks {
+				p = 0.5
+			}
+			if rng.Float64() < p {
+				edges = append(edges, graph.Edge{From: u, To: v, Weight: float64(1+rng.Intn(3)) / 4})
+			}
 		}
 	}
 	return fromEdges(t, n, edges)
@@ -274,6 +306,15 @@ func eachProcs(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
+// stopRNG is where propagate leaves the RNG after a stop at round rounds
+// of iterations: one round of draws further, unless none is left.
+func stopRNG(rngAfter []xrand.RNG, rounds, iterations int) xrand.RNG {
+	return rngAfter[min(rounds+1, iterations)]
+}
+
+// Detect's partition equals the map oracle's after all T rounds, wherever
+// it stopped; the RNG is one round past the stop. The stop round comes
+// from propagate on the same seed.
 func TestDetectMatchesMapOracle(t *testing.T) {
 	cases := identityCases(t)
 	eachProcs(t, func(t *testing.T) {
@@ -281,13 +322,17 @@ func TestDetectMatchesMapOracle(t *testing.T) {
 			for _, opt := range c.opts {
 				seed := uint64(1000*ci + opt.Iterations)
 				rng, orng := xrand.New(seed), xrand.New(seed)
-				got, want := Detect(c.g, opt, rng), detectViaMaps(c.g, opt, orng)
+				got := Detect(c.g, opt, rng)
+				want, rngAfter := detectViaMaps(c.g, opt, orng)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("graph %d (n=%d, m=%d) %+v: partition differs from the map oracle\n got %v\nwant %v",
 						ci, c.g.N(), c.g.M(), opt, got.Membership, want.Membership)
 				}
-				if a, b := rng.Uint64(), orng.Uint64(); a != b {
-					t.Fatalf("graph %d %+v: RNG position differs after Detect (next draw %d, oracle %d)", ci, opt, a, b)
+				iterations := opt.withDefaults().Iterations
+				_, rounds := propagate(c.g.Undirected(), iterations, xrand.New(seed))
+				if *rng != stopRNG(rngAfter, rounds, iterations) {
+					t.Fatalf("graph %d %+v: RNG position after Detect is not the oracle's after %d of %d rounds",
+						ci, opt, min(rounds+1, iterations), iterations)
 				}
 			}
 		}
@@ -325,9 +370,9 @@ func withSelfLoops(und *graph.Graph) rows {
 	return r
 }
 
-// propagate against the map oracle, memory for memory, on rows with
-// self-loops: a listener that hears itself speaks from the memory it had
-// before its own turn.
+// propagate against the map oracle, memory for memory after the rounds it
+// ran, on rows with self-loops: a listener that hears itself speaks from
+// the memory it had before its own turn.
 func TestPropagateMatchesMapOracle(t *testing.T) {
 	rng := xrand.New(16)
 	var graphs []rows
@@ -338,9 +383,13 @@ func TestPropagateMatchesMapOracle(t *testing.T) {
 		for gi, g := range graphs {
 			for _, iterations := range []int{1, 2, 30} {
 				seed := uint64(100*gi + iterations)
-				prng, orng := xrand.New(seed), xrand.New(seed)
-				got := propagate(g, iterations, prng)
-				maps, sizes := propagateViaMaps(g, iterations, orng)
+				prng := xrand.New(seed)
+				got, rounds := propagate(g, iterations, prng)
+				if rounds < 1 || rounds > iterations {
+					t.Fatalf("graph %d: %d rounds run of %d", gi, rounds, iterations)
+				}
+				maps, sizes, _ := propagateViaMaps(g, rounds, xrand.New(seed))
+				_, _, rngAfter := propagateViaMaps(g, iterations, xrand.New(seed))
 				for u, m := range maps {
 					want := make([]int32, 0, sizes[u])
 					for label, count := range m {
@@ -350,23 +399,86 @@ func TestPropagateMatchesMapOracle(t *testing.T) {
 					}
 					slices.Sort(want)
 					if !slices.Equal(got[u], want) {
-						t.Fatalf("graph %d, %d rounds, node %d: memory %v, map oracle %v", gi, iterations, u, got[u], want)
+						t.Fatalf("graph %d, %d of %d rounds, node %d: memory %v, map oracle %v", gi, rounds, iterations, u, got[u], want)
 					}
 				}
-				if a, b := prng.Uint64(), orng.Uint64(); a != b {
-					t.Fatalf("graph %d, %d rounds: RNG position differs after propagate", gi, iterations)
+				if *prng != stopRNG(rngAfter, rounds, iterations) {
+					t.Fatalf("graph %d, %d of %d rounds: RNG position after propagate is not the oracle's after %d",
+						gi, rounds, iterations, min(rounds+1, iterations))
 				}
 			}
 		}
 	})
 }
 
-// The draw producer exits with Detect: no goroutine outlives the call.
+// Property: wherever propagate stops, every node's modal label is the one
+// the map oracle leaves it after all T rounds, and Detect's partition is
+// the full run's. T cycles through 1, 2, 5, 20, 30 and 50, each block of
+// six cases on one kind of graph: random digraphs or clustered ones,
+// isolated nodes included, each as a graph and as rows with self-loops;
+// three stars have a hub that hears more speakers than a chunk holds. A
+// third of the cases must stop early, or the property says nothing.
+func TestDetectCertifiedStopMatchesFullRun(t *testing.T) {
+	rounds := []int{1, 2, 5, 20, 30, 50}
+	rng := xrand.New(17)
+	const cases = 240
+	early := 0
+	for ci := 0; ci < cases; ci++ {
+		iterations, seed := rounds[ci%len(rounds)], uint64(ci)
+		block := ci / len(rounds)
+		g := randomDigraph(t, rng)
+		switch {
+		case ci%80 == 45:
+			g = starGraph(t, drawChunk+10)
+		case block/2%2 == 1:
+			g = randomClustered(t, rng)
+		}
+		var und adjacency = g.Undirected()
+		if block%2 == 1 {
+			und = withSelfLoops(g.Undirected())
+		}
+		memory, ran := propagate(und, iterations, xrand.New(seed))
+		full, _, _ := propagateViaMaps(und, iterations, xrand.New(seed))
+		membership := make([]int, len(full))
+		for u := range full {
+			membership[u] = mapModal(full[u])
+			if got := int(modal(memory[u])); got != membership[u] {
+				t.Fatalf("case %d (n=%d), stop after %d of %d rounds: node %d takes %d, the full run %d",
+					ci, und.N(), ran, iterations, u, got, membership[u])
+			}
+		}
+		if ran < iterations {
+			early++
+		}
+		if _, loops := und.(rows); !loops {
+			got, want := Detect(g, Options{Iterations: iterations}, xrand.New(seed)), FromMembership(membership)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d, %d rounds: Detect's partition %v, the full run's %v", ci, iterations, got.Membership, want.Membership)
+			}
+		}
+	}
+	if 3*early < cases {
+		t.Fatalf("only %d of %d cases stopped before their last round", early, cases)
+	}
+	t.Logf("%d of %d cases stopped before their last round", early, cases)
+}
+
+// The draw producer exits with Detect, also when the rounds stop early
+// and it is told so between two of its rounds: no goroutine outlives the
+// call.
 func TestDetectLeavesNoGoroutine(t *testing.T) {
 	g := twoCliques(t)
+	und := g.Undirected()
 	before := runtime.NumGoroutine()
+	early := 0
 	for i := 0; i < 20; i++ {
 		Detect(g, Options{Iterations: 1 + i}, xrand.New(uint64(i)))
+		if _, rounds := propagate(und, 1+i, xrand.New(uint64(i))); rounds < 1+i {
+			early++
+		}
+	}
+	if early == 0 {
+		t.Fatal("no call stopped before its last round")
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -403,18 +515,30 @@ func TestMergeSmallMatchesMapOracle(t *testing.T) {
 
 // The sweep allocates nothing: what Detect allocates is the undirected
 // graph, one block of memories and the partition, whatever the number of
-// rounds. (The map version allocated about twice per arc per round.)
+// rounds, run or stopped. (The map version allocated about twice per arc
+// per round.)
+//
+// The first GC cycle of a process starts the runtime's background mark
+// workers, a goroutine and a node each, which AllocsPerRun counts as the
+// caller's. Whether that cycle falls in one of the two windows depends on
+// what ran before this test, so a GC up front starts them outside both.
 func TestDetectAllocationsIndependentOfIterations(t *testing.T) {
 	g, _, err := sbm.Generate(sbm.Params{N: 200, BlockSize: 40, Alpha: 0.4, Beta: 0.002}, xrand.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	und := g.Undirected()
+	_, r10 := propagate(und, 10, xrand.New(3))
+	_, r50 := propagate(und, 50, xrand.New(3))
+	if r10 == r50 {
+		t.Fatalf("both runs stopped after %d rounds; the comparison needs two lengths", r10)
+	}
+	runtime.GC()
 	sweep := func(iterations int) float64 {
 		return testing.AllocsPerRun(5, func() { propagate(und, iterations, xrand.New(3)) })
 	}
 	if a10, a50 := sweep(10), sweep(50); a10 != a50 {
-		t.Errorf("propagate allocates %v times at 10 rounds but %v at 50", a10, a50)
+		t.Errorf("propagate allocates %v times at 10 rounds (%d run) but %v at 50 (%d run)", a10, r10, a50, r50)
 	}
 	detect := func(iterations int) float64 {
 		return testing.AllocsPerRun(5, func() { Detect(g, Options{Iterations: iterations}, xrand.New(3)) })

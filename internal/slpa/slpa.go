@@ -10,6 +10,13 @@
 // memory — a disjoint partition, which is what the parallel inference
 // algorithm needs (the paper relies on communities that do not intersect
 // so that gradient updates touch disjoint matrix rows).
+//
+// The rounds stop as soon as the rest cannot matter. A listener stores
+// exactly one label per round, so once its most frequent label leads
+// every other by more than the rounds left, no later round can change
+// what it ends up with. Detect stops at the first round boundary where
+// every listener holds such a lead, and its partition is the one all T
+// rounds give.
 package slpa
 
 import (
@@ -23,8 +30,9 @@ import (
 
 // Options configures SLPA.
 type Options struct {
-	// Iterations is the number of propagation rounds T (paper default
-	// regimes use 20-100; we default to 50 when 0).
+	// Iterations is the number of propagation rounds T; 0 means 20, past
+	// which SLPA's authors report its output stable (Xie, Szymanski & Liu
+	// 2011). Detect runs fewer only when they give the same partition.
 	Iterations int
 	// MinCommunitySize merges communities smaller than this into their
 	// most-connected neighbor community (0 disables). Tiny fragments are
@@ -34,7 +42,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Iterations <= 0 {
-		o.Iterations = 50
+		o.Iterations = 20
 	}
 	return o
 }
@@ -105,7 +113,7 @@ func FromMembership(membership []int) *Partition {
 func Detect(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
 	opt = opt.withDefaults()
 	und := g.Undirected()
-	memory := propagate(und, opt.Iterations, rng)
+	memory, _ := propagate(und, opt.Iterations, rng)
 	// Post-processing: each node takes its most frequent remembered label
 	// (ties: lowest label).
 	membership := make([]int, len(memory))
@@ -164,33 +172,83 @@ const (
 	drawChunks = 8
 )
 
+// roundEnd closes every round in the draw stream, where a listener's id
+// would otherwise come next.
+const roundEnd = -1
+
+// tally is what decides a memory's modal label: the label (ties: lowest),
+// how often it was stored, and how often the runner-up was.
+type tally struct {
+	lead, leadN, nextN int32
+}
+
+// stored records one more copy of label in the memory, which now holds
+// count of them.
+func (t *tally) stored(label, count int32) {
+	switch {
+	case label == t.lead:
+		t.leadN = count
+	case count > t.leadN || count == t.leadN && label < t.lead:
+		t.lead, t.leadN, t.nextN = label, count, t.leadN
+	case count > t.nextN:
+		t.nextN = count
+	}
+}
+
+// settled reports whether lead stays the modal label whatever roundsLeft
+// more labels are stored. The lead must exceed the rounds left: a label
+// that draws level takes the tie if its own is lower.
+func (t tally) settled(roundsLeft int) bool { return int(t.leadN-t.nextN) > roundsLeft }
+
 // propagate runs the speaker-listener rounds on the undirected graph and
-// returns every node's memory: the labels it stored, sorted, with
-// repeats, one plus one per round it listened in. Speaking is then one
-// uniform index into the memory, which lands on each label as often as it
-// was stored. Labels are node ids, so what a listener hears is tallied in
-// a dense per-label array. A node stores one label per round, which
-// bounds its memory at iterations+1 labels: all memories are carved from
-// one block up front and the sweep itself allocates nothing.
+// returns every node's memory — the labels it stored, sorted, with
+// repeats, one plus one per round it listened in — and the number of
+// rounds it ran. Speaking is then one uniform index into the memory,
+// which lands on each label as often as it was stored. Labels are node
+// ids, so what a listener hears is tallied in a dense per-label array. A
+// node stores one label per round, which bounds its memory at
+// iterations+1 labels: all memories are carved from one block up front
+// and the sweep itself allocates nothing.
+//
+// The rounds stop after round s < iterations once every listener's tally
+// is settled for the iterations-s rounds left; each memory's modal label
+// is then the one all iterations rounds would leave it with. A settled
+// tally stays settled (a round cuts a lead by at most one and the rounds
+// left by exactly one), so each round boundary re-checks only the nodes
+// still open.
 //
 // The sweep is sequential — a listener hears what earlier listeners of
 // the round stored — but the random draws it consumes are fixed by the
 // shuffled order alone, so a second goroutine (produceDraws) makes them
-// ahead of it and the sweep only reads them.
-func propagate(und adjacency, iterations int, rng *xrand.RNG) [][]int32 {
+// ahead of it and the sweep only reads them. Where the RNG stops does not
+// depend on how far ahead the producer got: it starts round q+2 only once
+// the sweep has said whether round q settled, so a stop after round s
+// leaves the RNG after min(s+1, iterations) rounds of draws, the last of
+// which the sweep discards. propagate returns once the producer has
+// closed its stream.
+func propagate(und adjacency, iterations int, rng *xrand.RNG) (memory [][]int32, rounds int) {
 	n, stride := und.N(), iterations+1
 	block := make([]int32, n*stride)
-	memory := make([][]int32, n)
+	memory = make([][]int32, n)
+	tallies := make([]tally, n)
+	open := make([]int32, 0, n) // listeners whose tally is not settled
 	for u := range memory {
 		block[u*stride] = int32(u) // initially every node holds itself
 		memory[u] = block[u*stride : u*stride+1 : (u+1)*stride]
+		tallies[u] = tally{lead: int32(u), leadN: 1}
+		if ts, _ := und.Neighbors(u); len(ts) > 0 {
+			open = append(open, int32(u))
+		}
 	}
-	// Either channel can hold every chunk, so no send blocks.
+	// Either draw channel can hold every chunk, so no send blocks; nor
+	// does one on verdicts, as the sweep is never more than two verdicts
+	// ahead of the producer.
 	full, free := make(chan []int, drawChunks), make(chan []int, drawChunks)
 	for range drawChunks {
 		free <- make([]int, drawChunk)
 	}
-	go produceDraws(und, iterations, stride, rng, full, free)
+	verdicts := make(chan bool, 2)
+	go produceDraws(und, iterations, stride, rng, full, free, verdicts)
 
 	received := make([]float64, n) // zero outside a listener's turn
 	heard := make([]int32, 0, n)   // labels with an entry in received
@@ -209,6 +267,29 @@ func propagate(und adjacency, iterations int, rng *xrand.RNG) [][]int32 {
 		}
 		listener := chunk[k]
 		k++
+		if listener == roundEnd {
+			if rounds++; rounds == iterations {
+				continue // the producer closes full next
+			}
+			left, kept := iterations-rounds, open[:0]
+			for _, u := range open {
+				if !tallies[u].settled(left) {
+					kept = append(kept, u)
+				}
+			}
+			open = kept
+			verdicts <- len(open) == 0
+			if len(open) == 0 {
+				// The producer ends the stream after round rounds+1; those
+				// draws go back unread until it closes full.
+				free <- chunk
+				for chunk = range full {
+					free <- chunk
+				}
+				break
+			}
+			continue
+		}
 		// Each neighbor speaks the label at the block index drawn for it;
 		// the listener adopts the label with the largest total edge
 		// weight among those spoken (ties: lowest label).
@@ -235,10 +316,17 @@ func propagate(und adjacency, iterations int, rng *xrand.RNG) [][]int32 {
 			received[label] = 0
 		}
 		heard = heard[:0]
-		i, _ := slices.BinarySearch(memory[listener], best)
-		memory[listener] = slices.Insert(memory[listener], i, best)
+		// best goes in at the end of its run, whose length is its count.
+		mem := memory[listener]
+		end, _ := slices.BinarySearch(mem, best+1)
+		start := end
+		for start > 0 && mem[start-1] == best {
+			start--
+		}
+		memory[listener] = slices.Insert(mem, end, best)
+		tallies[listener].stored(best, int32(end-start+1))
 	}
-	return memory
+	return memory, rounds
 }
 
 // produceDraws makes every random draw of propagate's rounds, in the order
@@ -247,11 +335,15 @@ func propagate(und adjacency, iterations int, rng *xrand.RNG) [][]int32 {
 // shuffle of the listening order, then, for each listener with
 // neighbors, a record of the listener's id followed by one flat block
 // index per neighbor — speaker*stride plus a uniform draw below the
-// speaker's memory size at that moment. That size needs no look at the
-// sweep: a speaker is some listener's neighbor, so it listens in every
-// round, and holds 1+round labels, one more once its own turn in this
-// round has passed.
-func produceDraws(und adjacency, iterations, stride int, rng *xrand.RNG, full chan<- []int, free <-chan []int) {
+// speaker's memory size at that moment — and last a roundEnd. That size
+// needs no look at the sweep: a speaker is some listener's neighbor, so
+// it listens in every round, and holds 1+round labels, one more once its
+// own turn in this round has passed.
+//
+// Before round q+2 it sends the chunk it holds, which the sweep may need
+// to finish round q, and reads the sweep's verdict on round q: true, every
+// listener settled, ends the stream there.
+func produceDraws(und adjacency, iterations, stride int, rng *xrand.RNG, full chan<- []int, free <-chan []int, verdicts <-chan bool) {
 	defer close(full)
 	n := und.N()
 	order, pos := make([]int, n), make([]int, n)
@@ -260,6 +352,15 @@ func produceDraws(und adjacency, iterations, stride int, rng *xrand.RNG, full ch
 	}
 	buf, k := <-free, 0
 	for it := 0; it < iterations; it++ {
+		if it >= 2 { // round it+1 (counting from 1) waits for round it-1
+			if k > 0 {
+				full <- buf[:k]
+				buf, k = (<-free)[:drawChunk], 0
+			}
+			if <-verdicts {
+				return
+			}
+		}
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for i, u := range order {
 			pos[u] = i
@@ -298,6 +399,12 @@ func produceDraws(und adjacency, iterations, stride int, rng *xrand.RNG, full ch
 				ts = ts[len(seg):]
 			}
 		}
+		if k == len(buf) {
+			full <- buf
+			buf, k = (<-free)[:drawChunk], 0
+		}
+		buf[k] = roundEnd
+		k++
 	}
 	if k > 0 {
 		full <- buf[:k]

@@ -1,6 +1,7 @@
 package slpa
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -213,5 +214,96 @@ func BenchmarkDetectSBM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Detect(g, Options{Iterations: 20}, xrand.New(uint64(i)))
+	}
+}
+
+// tallyOf stores labels one at a time, as the sweep does, into a tally
+// that starts at a node's own label.
+func tallyOf(self int32, labels ...int32) tally {
+	t := tally{lead: self, leadN: 1}
+	count := map[int32]int32{self: 1}
+	for _, l := range labels {
+		count[l]++
+		t.stored(l, count[l])
+	}
+	return t
+}
+
+// The certificate's edge: a lead must exceed the rounds left, and one
+// that holds only by the lower-label tie rule is no lead at all.
+func TestTallySettled(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		t          tally
+		roundsLeft int
+		want       bool
+	}{
+		{"margin equal to the rounds left", tallyOf(4, 4, 4, 7), 2, false},
+		{"margin one above the rounds left", tallyOf(4, 4, 4, 7), 1, true},
+		{"margin one above, no round left", tallyOf(4, 7, 4), 0, true},
+		{"lead by the tie rule, no round left", tallyOf(7, 4), 0, false},
+		{"lead by the tie rule after a takeover", tallyOf(9, 2, 2, 9), 0, false},
+		{"lone label, one round left", tallyOf(3, 3), 1, true},
+		{"lone label, as many rounds left", tallyOf(3, 3), 2, false},
+	} {
+		if got := c.t.settled(c.roundsLeft); got != c.want {
+			t.Errorf("%s: %+v settled(%d) = %v, want %v", c.name, c.t, c.roundsLeft, got, c.want)
+		}
+	}
+	if got := tallyOf(9, 2, 2, 9); got != (tally{lead: 2, leadN: 2, nextN: 2}) {
+		t.Errorf("tie after a takeover: %+v, want lead 2 over 9 at 2 each", got)
+	}
+}
+
+// Property: a tally is the sorted memory's modal label, its count and
+// the runner-up's; when it is settled for r rounds, no r labels stored
+// after it change the modal label.
+func TestTallyMatchesMemory(t *testing.T) {
+	rng := xrand.New(21)
+	const trials = 2000
+	settled := 0
+	for trial := 0; trial < trials; trial++ {
+		alphabet := 1 + rng.Intn(5)
+		self := int32(rng.Intn(alphabet))
+		var labels []int32
+		for i := rng.Intn(12); i > 0; i-- {
+			labels = append(labels, int32(rng.Intn(alphabet)))
+		}
+		got := tallyOf(self, labels...)
+		mem := append([]int32{self}, labels...)
+		slices.Sort(mem)
+		if lead := modal(mem); got.lead != lead {
+			t.Fatalf("memory %v: tally lead %d, modal %d", mem, got.lead, lead)
+		}
+		leadN, nextN := 0, 0
+		eachRun(mem, func(label int32, count int) {
+			if label == got.lead {
+				leadN = count
+			} else {
+				nextN = max(nextN, count)
+			}
+		})
+		if got.leadN != int32(leadN) || got.nextN != int32(nextN) {
+			t.Fatalf("memory %v: tally %+v, counts %d and %d", mem, got, leadN, nextN)
+		}
+		roundsLeft := rng.Intn(6)
+		if !got.settled(roundsLeft) {
+			continue
+		}
+		settled++
+		// The worst the rounds left can do is store one rival every time.
+		for rival := int32(0); rival <= int32(alphabet); rival++ {
+			more := slices.Clone(mem)
+			for i := 0; i < roundsLeft; i++ {
+				more = append(more, rival)
+			}
+			slices.Sort(more)
+			if modal(more) != got.lead {
+				t.Fatalf("memory %v settled for %d rounds, but %v has modal %d", mem, roundsLeft, more, modal(more))
+			}
+		}
+	}
+	if settled < trials/10 {
+		t.Fatalf("only %d of %d tallies were settled; the extensions test nothing", settled, trials)
 	}
 }

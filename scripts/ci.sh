@@ -37,18 +37,20 @@ echo "== go test -race (concurrent packages, incl. the chaos soak)"
 go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./internal/httpkit/ ./internal/serve/ ./internal/wal/ ./internal/repl/ ./internal/inflmax/ ./internal/core/ ./internal/scenario/ ./internal/router/ ./cmd/viralcast/
 
 # The simulator is held, draw for draw, to the version that heaps every
-# attempt, SLPA (whose draws come from a second goroutine) to the map
-# version that drew them in its sweep, the generator's batch draws to one
-# Intn per bound, the EM kernels to the pairwise responsibilities and the
-# EM fit to a likelihood that never falls across an epoch, whole fits
-# (SLPA's second goroutine, up to Workers communities at once) to pinned
-# embeddings at K = 4, 6 and 8, and the scenario engine to one answer at
-# any worker count: a "faster" simulator, SLPA or kernel that reorders a
-# draw or a sum fails here, not in a figure.
+# attempt, SLPA (whose draws come from a second goroutine, and whose
+# rounds stop once the partition is certain) to the map version that
+# drew them in its sweep and ran every round, the generator's batch
+# draws to one Intn per bound, the EM kernels to the pairwise
+# responsibilities and the EM fit to a likelihood that never falls
+# across an epoch, whole fits (SLPA's second goroutine, up to Workers
+# communities at once) to pinned embeddings at K = 4, 6 and 8, and the
+# scenario engine to one answer at any worker count: a "faster"
+# simulator, SLPA or kernel that reorders a draw or a sum fails here,
+# not in a figure.
 echo "== simulator + SLPA + xrand + EM oracles, pinned fits, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
-    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestTrainEmbeddingsPinned' \
+    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestTrainEmbeddingsPinned' \
     ./internal/cascade/ ./internal/scenario/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/
 done
 
