@@ -231,8 +231,7 @@ func (c TrainConfig) resilience() (infer.Resilience, error) {
 	path := c.CheckpointPath
 	res.Checkpoint = func(st infer.FitState) error {
 		return checkpoint.Save(path, &checkpoint.State{
-			Model: st.Model, Level: st.Level, Epoch: st.Epoch,
-			Step: st.Step, Seed: st.Seed, LogLik: st.LogLik,
+			Model: st.Model, Level: st.Level, Seed: st.Seed, LogLik: st.LogLik,
 		})
 	}
 	if c.Resume {
@@ -242,8 +241,7 @@ func (c TrainConfig) resilience() (infer.Resilience, error) {
 		}
 		if st != nil {
 			res.Resume = &infer.FitState{
-				Model: st.Model, Level: st.Level, Epoch: st.Epoch,
-				Step: st.Step, Seed: st.Seed, LogLik: st.LogLik,
+				Model: st.Model, Level: st.Level, Seed: st.Seed, LogLik: st.LogLik,
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func AblationMergePolicy(e SBMExperiment, sc ScalingExperiment, workers int) ([]
 	cfg := infer.Config{K: e.InferK, MaxIter: e.MaxIter, Seed: e.Seed + 1}
 	var out []MergePolicyAblation
 	for _, policy := range []mergetree.Policy{mergetree.ByCommunityCount, mergetree.ByNodeCount} {
-		m, profiles, err := infer.HierarchicalProfiled(w.Train, e.N, part, cfg, sc.Q, policy)
+		m, tr, err := infer.Hierarchical(w.Train, e.N, part, cfg, infer.ParallelOptions{Workers: 1, Q: sc.Q, Policy: policy})
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +51,7 @@ func AblationMergePolicy(e SBMExperiment, sc ScalingExperiment, workers int) ([]
 		out = append(out, MergePolicyAblation{
 			Policy:    policy.String(),
 			Imbalance: mergetree.Imbalance(joined),
-			Seconds:   infer.ScheduleCost(profiles, workers, sc.BarrierCost).Seconds(),
+			Seconds:   infer.ScheduleCost(tr.Levels, workers, sc.BarrierCost).Seconds(),
 			LogLik:    m.LogLikAll(w.Train),
 		})
 	}

@@ -103,18 +103,14 @@ func runScalingWorkload(sc ScalingExperiment, n, cascades int, label string) (*S
 	}
 	part := slpa.Detect(g, slpaOptions(), xrand.New(sc.Seed^0x51a9))
 	cfg := infer.Config{K: sc.InferK, MaxIter: sc.MaxIter, Seed: sc.Seed + 1}
-	q := sc.Q
-	if q < 1 {
-		q = 1
-	}
-	_, profiles, err := infer.HierarchicalProfiled(w.Cascades, n, part, cfg, q, mergetree.ByCommunityCount)
+	_, tr, err := infer.Hierarchical(w.Cascades, n, part, cfg, infer.ParallelOptions{Workers: 1, Q: sc.Q, Policy: mergetree.ByCommunityCount})
 	if err != nil {
 		return nil, err
 	}
 	series := &ScalingSeries{Label: label, N: n, C: cascades, Cores: sc.Cores}
 	for _, cores := range sc.Cores {
 		series.Seconds = append(series.Seconds,
-			infer.ScheduleCost(profiles, cores, sc.BarrierCost).Seconds())
+			infer.ScheduleCost(tr.Levels, cores, sc.BarrierCost).Seconds())
 	}
 	return series, nil
 }

@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -29,11 +28,11 @@ import (
 type HogwildOptions struct {
 	Workers int
 	Epochs  int
-	// ClipNorm bounds the per-cascade gradient Euclidean norm; stochastic
-	// steps on the 1/rate terms otherwise occasionally explode. <= 0
-	// defaults to 10.
-	ClipNorm float64
 }
+
+// hogwildClipNorm bounds the per-cascade gradient Euclidean norm;
+// stochastic steps on the 1/rate terms otherwise occasionally explode.
+const hogwildClipNorm = 10
 
 func (o HogwildOptions) withDefaults() HogwildOptions {
 	if o.Workers <= 0 {
@@ -41,9 +40,6 @@ func (o HogwildOptions) withDefaults() HogwildOptions {
 	}
 	if o.Epochs <= 0 {
 		o.Epochs = 10
-	}
-	if o.ClipNorm <= 0 {
-		o.ClipNorm = 10
 	}
 	return o
 }
@@ -104,26 +100,16 @@ func (m *atomicMatrix) restore(src *vecmath.Matrix) {
 }
 
 // Hogwild fits a model with lock-free parallel stochastic gradient
-// ascent over shared matrices.
+// ascent over shared matrices. Epochs are the divergence guard's
+// boundary: it snapshots the matrices after each epoch, and an epoch
+// that ends with a non-finite model or likelihood is rolled back and
+// retried with a halved step scale, up to maxBackoffs consecutive times
+// — the same cascades are resampled (same epoch seed), but the smaller
+// steps keep the 1/rate terms bounded. The step scale multiplies the
+// 1/(1+epoch) decay schedule.
 func Hogwild(cs []*cascade.Cascade, n int, cfg Config, opts HogwildOptions) (*embed.Model, *Trace, error) {
-	return HogwildCtx(context.Background(), cs, n, cfg, opts, Resilience{})
-}
-
-// HogwildCtx is Hogwild with cancellation and resilience. Epochs are the
-// consistency boundary: cancellation stops before the next epoch (after
-// a final checkpoint, if configured), checkpoints go out every
-// res.CheckpointEvery epochs, and res.Resume continues from a snapshot's
-// matrices and epoch counter. The divergence guard snapshots the
-// matrices at each epoch boundary; an epoch that ends with a non-finite
-// model or likelihood is rolled back and retried with a halved step
-// scale, up to res.MaxBackoffs consecutive times — the same cascades are
-// resampled (same epoch seed), but the smaller steps keep the 1/rate
-// terms bounded. FitState.Step carries the guard's step scale, which
-// multiplies the 1/(1+epoch) decay schedule.
-func HogwildCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg Config, opts HogwildOptions, res Resilience) (*embed.Model, *Trace, error) {
 	cfg = cfg.WithDefaults()
 	opts = opts.withDefaults()
-	res = res.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -137,66 +123,40 @@ func HogwildCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg Config, o
 	k := cfg.K
 	a := newAtomicMatrix(n, k)
 	b := newAtomicMatrix(n, k)
-	startEpoch := 0
-	lrScale := 1.0
-	if res.Resume != nil {
-		if err := res.Resume.validate(n, k, cfg.Seed); err != nil {
-			return nil, nil, err
-		}
-		a.restore(res.Resume.Model.A)
-		b.restore(res.Resume.Model.B)
-		startEpoch = res.Resume.Epoch
-		if res.Resume.Step > 0 {
-			lrScale = res.Resume.Step
-		}
-	} else {
-		init := xrand.New(cfg.Seed)
-		span := cfg.InitHi - cfg.InitLo
-		for i := 0; i < n; i++ {
-			for j := 0; j < k; j++ {
-				a.store(i, j, cfg.InitLo+span*init.Float64())
-				b.store(i, j, cfg.InitLo+span*init.Float64())
-			}
+	init := xrand.New(cfg.Seed)
+	span := cfg.InitHi - cfg.InitLo
+	for i := 0; i < n; i++ {
+		for j := 0; j < k; j++ {
+			a.store(i, j, cfg.InitLo+span*init.Float64())
+			b.store(i, j, cfg.InitLo+span*init.Float64())
 		}
 	}
 	tr := &Trace{}
-	// goodA/goodB is the last epoch-boundary state known to be finite —
-	// the rollback target and the shutdown-checkpoint payload.
+	// goodA/goodB is the last epoch-boundary state known to be finite:
+	// the rollback target, and the fit once the last epoch is accepted.
 	goodA, goodB := a.snapshot(), b.snapshot()
-	goodLL := math.Inf(-1)
+	lrScale := 1.0
 	backoffs := 0
-	for epoch := startEpoch; epoch < opts.Epochs; epoch++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, res.finalCheckpoint(err, FitState{
-				Model: &embed.Model{A: goodA, B: goodB}, Epoch: epoch, Step: lrScale, Seed: cfg.Seed, LogLik: goodLL,
-			})
-		}
+	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		lr := lrScale * cfg.LearnRate / float64(1+epoch)
 		epochSeed := cfg.Seed ^ uint64(epoch*1000003)
 		// Hogwild's defining property is that the workers share a and b
 		// with no coordination between updates; the pool only bounds how
 		// many run and provides the end-of-epoch barrier.
-		err := pool.RunCtx(ctx, opts.Workers, opts.Workers, func(w int) error {
-			hogwildWorker(cs, a, b, k, lr, opts.ClipNorm,
-				xrand.New(epochSeed+uint64(w)+1), len(cs)/opts.Workers+1)
+		err := pool.Run(opts.Workers, opts.Workers, func(w int) error {
+			hogwildWorker(cs, a, b, k, lr, xrand.New(epochSeed+uint64(w)+1), len(cs)/opts.Workers+1)
 			return nil
 		})
 		if err != nil {
-			if canceled(err) {
-				return nil, nil, res.finalCheckpoint(err, FitState{
-					Model: &embed.Model{A: goodA, B: goodB}, Epoch: epoch, Step: lrScale, Seed: cfg.Seed, LogLik: goodLL,
-				})
-			}
 			return nil, nil, err
 		}
 		snapA, snapB := a.snapshot(), b.snapshot()
-		snap := &embed.Model{A: snapA, B: snapB}
-		ll := snap.LogLikAll(cs)
+		ll := (&embed.Model{A: snapA, B: snapB}).LogLikAll(cs)
 		if !finite(ll) || !vecmath.AllFinite(snapA.Data) || !vecmath.AllFinite(snapB.Data) {
 			backoffs++
-			if backoffs > res.MaxBackoffs {
+			if backoffs > maxBackoffs {
 				return nil, nil, fmt.Errorf(
-					"infer: hogwild diverged at epoch %d: non-finite model or likelihood persisted through %d halved-step retries", epoch, res.MaxBackoffs)
+					"infer: hogwild diverged at epoch %d: non-finite model or likelihood persisted through %d halved-step retries", epoch, maxBackoffs)
 			}
 			a.restore(goodA)
 			b.restore(goodB)
@@ -205,23 +165,17 @@ func HogwildCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg Config, o
 			continue
 		}
 		backoffs = 0
-		goodA, goodB, goodLL = snapA, snapB, ll
+		goodA, goodB = snapA, snapB
 		tr.LogLik = append(tr.LogLik, ll)
 		tr.Iters++
-		if res.Checkpoint != nil && (epoch+1 == opts.Epochs || (epoch+1-startEpoch)%res.CheckpointEvery == 0) {
-			st := FitState{Model: snap, Epoch: epoch + 1, Step: lrScale, Seed: cfg.Seed, LogLik: ll}
-			if err := res.Checkpoint(st); err != nil {
-				return nil, nil, err
-			}
-		}
 	}
 	tr.Elapsed = time.Since(start)
-	return &embed.Model{A: a.snapshot(), B: b.snapshot()}, tr, nil
+	return &embed.Model{A: goodA, B: goodB}, tr, nil
 }
 
 // hogwildWorker applies per-cascade stochastic updates for `steps`
 // randomly chosen cascades.
-func hogwildWorker(cs []*cascade.Cascade, a, b *atomicMatrix, k int, lr, clip float64, rng *xrand.RNG, steps int) {
+func hogwildWorker(cs []*cascade.Cascade, a, b *atomicMatrix, k int, lr float64, rng *xrand.RNG, steps int) {
 	ws := embed.NewGradWorkspace(k)
 	for s := 0; s < steps; s++ {
 		c := cs[rng.Intn(len(cs))]
@@ -255,8 +209,8 @@ func hogwildWorker(cs []*cascade.Cascade, a, b *atomicMatrix, k int, lr, clip fl
 		// Clip the joint gradient norm to keep stochastic steps bounded.
 		norm := math.Sqrt(sq(vecmath.Norm2(dA.Data)) + sq(vecmath.Norm2(dB.Data)))
 		scale := lr
-		if clip > 0 && norm > clip {
-			scale = lr * clip / norm
+		if norm > hogwildClipNorm {
+			scale = lr * hogwildClipNorm / norm
 		}
 		for li, inf := range c.Infections {
 			for j := 0; j < k; j++ {

@@ -17,6 +17,10 @@
 //     monotone projected gradient ascent with a line search;
 //   - Hogwild (hogwild.go): the lock-free shared-matrix SGD baseline of
 //     the paper's reference [19], for comparison.
+//
+// HierarchicalCtx is the one fit with cancellation, checkpoints and
+// resume, all at hierarchy level boundaries (resilience.go): Algorithm
+// 2's only globally consistent states. Every fit has a divergence guard.
 package infer
 
 import (
@@ -99,8 +103,10 @@ func (c Config) Validate() error {
 type Trace struct {
 	// LogLik holds EM's objective, the log-likelihood penalized by the
 	// rate prior (emPrior.objective), before the first and after each
-	// accepted epoch (Sequential), or the full-data log-likelihood after
-	// each level (Hierarchical).
+	// accepted epoch (Sequential); the full-data log-likelihood after
+	// each level (Hierarchical); or the plain log-likelihood before the
+	// first and after each accepted epoch (Refine) or after each epoch
+	// (Hogwild).
 	LogLik []float64
 	// Iters is the total number of accepted epochs.
 	Iters int
@@ -124,18 +130,7 @@ type LevelStats struct {
 // EM over all n nodes (emCtx). This is the single-process baseline the
 // paper's speedups are measured against.
 func Sequential(cs []*cascade.Cascade, n int, cfg Config) (*embed.Model, *Trace, error) {
-	return SequentialCtx(context.Background(), cs, n, cfg, Resilience{})
-}
-
-// SequentialCtx is Sequential with cancellation and resilience: the
-// epoch loop stops at the next boundary once ctx is done (writing a
-// final checkpoint if one is configured), snapshots are taken every
-// res.CheckpointEvery accepted epochs, and res.Resume warm-starts from a
-// previous snapshot's model and epoch counter. EM takes no step: the
-// snapshots' Step is 0, and a resumed state's is ignored.
-func SequentialCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg Config, res Resilience) (*embed.Model, *Trace, error) {
 	cfg = cfg.WithDefaults()
-	res = res.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -148,69 +143,16 @@ func SequentialCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg Config
 	start := time.Now()
 	m := embed.NewModel(n, cfg.K)
 	m.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-	opts := ascendOpts{maxBackoffs: res.MaxBackoffs, prior: &emPrior{}}
-	if res.Resume != nil {
-		if err := res.Resume.validate(n, cfg.K, cfg.Seed); err != nil {
-			return nil, nil, err
-		}
-		// The prior is the first epoch's from the seeded start, which a
-		// snapshot does not carry: re-run that epoch to recover it.
-		first := cfg
-		first.MaxIter = 1
-		if _, _, err := emCtx(ctx, m, cs, first, ascendOpts{maxBackoffs: res.MaxBackoffs, prior: opts.prior}); err != nil {
-			return nil, nil, err
-		}
-		m = res.Resume.Model.Clone()
-		opts.startEpoch = res.Resume.Epoch
-	}
-	if res.Checkpoint != nil {
-		opts.onEpoch = func(epoch int, _, ll float64) error {
-			if epoch%res.CheckpointEvery != 0 {
-				return nil
-			}
-			return res.Checkpoint(FitState{Model: m.Clone(), Epoch: epoch, Seed: cfg.Seed, LogLik: ll})
-		}
-	}
-	epochs, lls, err := emCtx(ctx, m, cs, cfg, opts)
+	epochs, lls, err := emCtx(context.Background(), m, cs, cfg)
 	if err != nil {
-		if canceled(err) {
-			err = res.finalCheckpoint(err, FitState{
-				Model: m.Clone(), Epoch: epochs, Seed: cfg.Seed, LogLik: last(lls),
-			})
-		}
 		return nil, nil, err
-	}
-	if res.Checkpoint != nil {
-		if err := res.Checkpoint(FitState{Model: m.Clone(), Epoch: epochs, Seed: cfg.Seed, LogLik: last(lls)}); err != nil {
-			return nil, nil, err
-		}
 	}
 	return m, &Trace{LogLik: lls, Iters: epochs, Elapsed: time.Since(start)}, nil
 }
 
-// ascendOpts carries the resilience knobs into the inner fit loops.
-type ascendOpts struct {
-	// startEpoch is how many accepted epochs a resumed stage has already
-	// completed; the loop runs until cfg.MaxIter total.
-	startEpoch int
-	// baseLR overrides cfg.LearnRate as ascendCtx's line-search base step
-	// (a resumed refinement continues with its backed-off step); 0 means
-	// use the config's. emCtx takes no step.
-	baseLR float64
-	// maxBackoffs bounds divergence retries; 0 means the default.
-	maxBackoffs int
-	// onEpoch runs after every accepted epoch, once its log-likelihood
-	// is known (the model is at the new accepted state); returning an
-	// error aborts the fit. emCtx passes a step of 0.
-	onEpoch func(epoch int, baseLR, ll float64) error
-	// prior is emCtx's rate prior. Unset, the fit's first epoch sets it;
-	// nil means a prior private to the call.
-	prior *emPrior
-}
-
 // emCtx fits m to cs by closed-form expectation conditional maximization
-// (ECM; Meng & Rubin 1993) until convergence, cfg.MaxIter total epochs,
-// or cancellation. Each epoch
+// (ECM; Meng & Rubin 1993) until convergence, cfg.MaxIter epochs, or
+// cancellation. Each epoch
 //
 //  1. runs the E-step, embed.EMAccum over every cascade, which also
 //     yields the log-likelihood of the model as it stands;
@@ -219,11 +161,11 @@ type ascendOpts struct {
 //  3. sums the B-exposures under the new A (embed.EMDenB) and sets
 //     B ← numB/(denB+βB) wherever denB > 0.
 //
-// βA and βB are the rate prior (emPrior), fixed by the first epoch, and
-// the objective is the penalized log-likelihood (emPrior.objective).
-// Neither block update can lower it, so the trajectory is monotone with
-// no step size, preconditioner, projection or line search: a ratio of
-// non-negative sums is non-negative. A zero denominator (a node with no
+// βA and βB are the call's rate prior (emPrior), fixed by its first
+// epoch, and the objective is the penalized log-likelihood
+// (emPrior.objective). Neither block update can lower it, so the
+// trajectory is monotone with no step size, preconditioner, projection
+// or line search: a ratio of non-negative sums is non-negative. A zero denominator (a node with no
 // exposure in the data) keeps its entry. The loop stops on the same rule
 // as the ascent, an epoch that improves the objective by less than
 // cfg.Tol*(1+|obj|).
@@ -236,29 +178,22 @@ type ascendOpts struct {
 // epoch, up to maxBackoffs consecutive times, before failing with a
 // descriptive error.
 //
-// It returns the total accepted epoch count (including opts.startEpoch)
-// and the objective before the first epoch and after every accepted one.
-func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Config, opts ascendOpts) (int, []float64, error) {
-	epoch := opts.startEpoch
+// It returns the accepted epoch count and the objective before the first
+// epoch and after every accepted one.
+func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Config) (int, []float64, error) {
+	epoch := 0
 	if len(cs) == 0 {
 		return epoch, nil, nil
 	}
 	if err := m.Validate(); err != nil {
 		return epoch, nil, fmt.Errorf("infer: starting model is corrupt before fit: %w", err)
 	}
-	maxBackoffs := opts.maxBackoffs
-	if maxBackoffs <= 0 {
-		maxBackoffs = defaultMaxBackoffs
-	}
 	n, k := m.N(), m.K()
 	numA, denA := vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)
 	numB, denB := vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)
 	solved := &embed.Model{A: numA, B: m.B} // the model under the epoch's new A
 	ws := embed.NewGradWorkspace(k)
-	prior := opts.prior
-	if prior == nil {
-		prior = &emPrior{}
-	}
+	prior := &emPrior{}
 	var lls []float64
 	// stale: m has moved since the last entry of lls.
 	stale := false
@@ -315,11 +250,6 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 			gain := obj - last(lls)
 			lls = append(lls, obj)
 			stale = false
-			if opts.onEpoch != nil {
-				if err := opts.onEpoch(epoch, 0, obj); err != nil {
-					return epoch, lls, err
-				}
-			}
 			if gain <= cfg.Tol*(1+abs(obj)) {
 				return epoch, lls, nil
 			}
@@ -353,13 +283,7 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 		backoffs = 0 // the budget is per failure streak, not per stage
 	}
 	if stale {
-		ll := prior.objective(m, m.LogLikAll(cs))
-		lls = append(lls, ll)
-		if opts.onEpoch != nil {
-			if err := opts.onEpoch(epoch, 0, ll); err != nil {
-				return epoch, lls, err
-			}
-		}
+		lls = append(lls, prior.objective(m, m.LogLikAll(cs)))
 	}
 	return epoch, lls, nil
 }
@@ -424,14 +348,14 @@ func solve(num, den, cur []float64, beta float64) {
 	}
 }
 
-// ascendCtx performs monotone projected gradient ascent on m over cs
-// until convergence, cfg.MaxIter total epochs, or cancellation. Only
-// Refine runs it: warm-started on a delta with no corpus to anchor it,
-// plain EM runs away where a line-searched step does not. The raw
-// gradient of the cascade likelihood is badly scaled (the 1/rate terms
-// give some coordinates enormous curvature), so the ascent direction is
-// diagonally preconditioned Adagrad-style: d_i = g_i / sqrt(acc_i),
-// where acc_i accumulates squared gradients. Each epoch runs a fresh
+// ascend performs monotone projected gradient ascent on m over cs until
+// convergence or cfg.MaxIter epochs. Only Refine runs it: warm-started
+// on a delta with no corpus to anchor it, plain EM runs away where a
+// line-searched step does not. The raw gradient of the cascade
+// likelihood is badly scaled (the 1/rate terms give some coordinates
+// enormous curvature), so the ascent direction is diagonally
+// preconditioned Adagrad-style: d_i = g_i / sqrt(acc_i), where acc_i
+// accumulates squared gradients. Each epoch runs a fresh
 // backtracking line search from the base step, halving until the step
 // does not decrease the log-likelihood; because every epoch retries the
 // full base step, a tiny accepted gain genuinely signals convergence.
@@ -444,19 +368,12 @@ func solve(num, den, cur []float64, beta float64) {
 // failing with a descriptive error instead of emitting garbage
 // embeddings.
 //
-// It returns the total accepted epoch count (including opts.startEpoch),
-// the log-likelihood trajectory, and the final base step size.
-func ascendCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Config, opts ascendOpts) (int, []float64, float64, error) {
-	baseLR := opts.baseLR
-	if baseLR <= 0 {
-		baseLR = cfg.LearnRate
-	}
+// It returns the accepted epoch count, the log-likelihood trajectory,
+// and the final base step size.
+func ascend(m *embed.Model, cs []*cascade.Cascade, cfg Config) (int, []float64, float64, error) {
+	baseLR := cfg.LearnRate
 	if len(cs) == 0 {
-		return opts.startEpoch, nil, baseLR, nil
-	}
-	maxBackoffs := opts.maxBackoffs
-	if maxBackoffs <= 0 {
-		maxBackoffs = defaultMaxBackoffs
+		return 0, nil, baseLR, nil
 	}
 	n, k := m.N(), m.K()
 	dA := vecmath.NewMatrix(n, k)
@@ -468,25 +385,14 @@ func ascendCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg C
 	ws := embed.NewGradWorkspace(k)
 	cur := m.LogLikAll(cs)
 	if !finite(cur) {
-		return opts.startEpoch, nil, baseLR, fmt.Errorf("infer: starting log-likelihood is %v — model or data corrupt before ascent", cur)
+		return 0, nil, baseLR, fmt.Errorf("infer: starting log-likelihood is %v — model or data corrupt before ascent", cur)
 	}
 	lls := []float64{cur}
 	const minLR = 1e-12
 	const accEps = 1e-8
-	epoch := opts.startEpoch
+	epoch := 0
 	backoffs := 0
 	for epoch < cfg.MaxIter {
-		if err := ctx.Err(); err != nil {
-			return epoch, lls, baseLR, err
-		}
-		// Fault site "infer.epoch": tests inject errors here or cancel the
-		// context at an exact epoch to simulate a mid-training SIGINT.
-		if err := faultinject.Fire("infer.epoch"); err != nil {
-			return epoch, lls, baseLR, err
-		}
-		if err := ctx.Err(); err != nil {
-			return epoch, lls, baseLR, err
-		}
 		dA.FillConst(0)
 		dB.FillConst(0)
 		for _, c := range cs {
@@ -551,11 +457,6 @@ func ascendCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg C
 		lls = append(lls, ll)
 		gain := ll - cur
 		cur = ll
-		if opts.onEpoch != nil {
-			if err := opts.onEpoch(epoch, baseLR, ll); err != nil {
-				return epoch, lls, baseLR, err
-			}
-		}
 		if gain <= cfg.Tol*(1+abs(cur)) {
 			break
 		}

@@ -9,7 +9,6 @@ import (
 	"viralcast/internal/embed"
 	"viralcast/internal/sbm"
 	"viralcast/internal/slpa"
-	"viralcast/internal/vecmath"
 	"viralcast/internal/xrand"
 )
 
@@ -274,21 +273,21 @@ func TestRunLevelSingleCommunityMatchesSequentialAscend(t *testing.T) {
 	// Sequential path.
 	seq := embed.NewModel(30, 2)
 	seq.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-	if _, _, err := emCtx(context.Background(), seq, cs, cfg, ascendOpts{}); err != nil {
+	if _, _, err := emCtx(context.Background(), seq, cs, cfg); err != nil {
 		t.Fatal(err)
 	}
-	// RunLevel with the trivial one-community partition and same init.
+	// runLevel with the trivial one-community partition and same init.
 	par := embed.NewModel(30, 2)
 	par.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
 	p := slpa.FromMembership(make([]int, 30))
-	if err := RunLevel(par, cs, p, cfg, 4); err != nil {
+	if _, err := runLevel(context.Background(), par, cs, p, cfg, 4); err != nil {
 		t.Fatal(err)
 	}
 	if d := seq.A.FrobeniusDist(par.A); d > 1e-9 {
-		t.Fatalf("one-community RunLevel differs from sequential ascend: dA=%v", d)
+		t.Fatalf("one-community runLevel differs from sequential ascend: dA=%v", d)
 	}
 	if d := seq.B.FrobeniusDist(par.B); d > 1e-9 {
-		t.Fatalf("one-community RunLevel differs from sequential ascend: dB=%v", d)
+		t.Fatalf("one-community runLevel differs from sequential ascend: dB=%v", d)
 	}
 }
 
@@ -302,7 +301,7 @@ func TestRunLevelWorkerCountInvariance(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		m := embed.NewModel(60, 2)
 		m.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-		if err := RunLevel(m, cs, p, cfg, workers); err != nil {
+		if _, err := runLevel(context.Background(), m, cs, p, cfg, workers); err != nil {
 			t.Fatal(err)
 		}
 		if ref == nil {
@@ -335,12 +334,12 @@ func TestRunLevelImprovesCommunityLikelihood(t *testing.T) {
 		flat = append(flat, s...)
 	}
 	before := m.LogLikAll(flat)
-	if err := RunLevel(m, cs, p, cfg, 3); err != nil {
+	if _, err := runLevel(context.Background(), m, cs, p, cfg, 3); err != nil {
 		t.Fatal(err)
 	}
 	after := m.LogLikAll(flat)
 	if after <= before {
-		t.Fatalf("RunLevel did not improve sub-cascade loglik: %v -> %v", before, after)
+		t.Fatalf("runLevel did not improve sub-cascade loglik: %v -> %v", before, after)
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
@@ -466,11 +465,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestAscendEmptyCascades(t *testing.T) {
 	m := embed.NewModel(5, 2)
-	iters, lls, err := emCtx(context.Background(), m, nil, Config{}.WithDefaults(), ascendOpts{})
+	iters, lls, err := emCtx(context.Background(), m, nil, Config{}.WithDefaults())
 	if iters != 0 || lls != nil || err != nil {
 		t.Fatal("EM on empty cascades must be a no-op")
 	}
-	iters, lls, _, err = ascendCtx(context.Background(), m, nil, Config{}.WithDefaults(), ascendOpts{})
+	iters, lls, _, err = ascend(m, nil, Config{}.WithDefaults())
 	if iters != 0 || lls != nil || err != nil {
 		t.Fatal("ascent on empty cascades must be a no-op")
 	}
@@ -494,7 +493,6 @@ func TestAtomicMatrix(t *testing.T) {
 	if snap.At(0, 1) != 2 || snap.At(1, 1) != 0 {
 		t.Fatal("snapshot wrong")
 	}
-	_ = vecmath.Dot // keep import if unused elsewhere
 }
 
 // tiedSet is trainingSet with about a quarter of the infections moved to
@@ -538,4 +536,30 @@ func TestSequentialEMNeverLowersLogLik(t *testing.T) {
 			t.Fatalf("K=%d: no progress: %v", k, tr.LogLik)
 		}
 	}
+}
+
+// sequentialGolden and hogwildGolden pin the fits below (assertPinned),
+// recorded at the commit before Sequential and Hogwild lost their
+// checkpoint and resume paths: both keep their output to the bit.
+const (
+	sequentialGolden = "f08d8802926ecd4e6f30fd9829b09c4ef4edc8e60a0a9b11c6e86aa88aa713e5"
+	hogwildGolden    = "d8d5ba93cf958f3d05daeeda01fda76fded87396f3b6e622d6fa72c749506195"
+)
+
+func TestSequentialPinned(t *testing.T) {
+	cs, _ := trainingSet(t, 60, 150, 45)
+	m, tr, err := Sequential(cs, 60, Config{K: 3, MaxIter: 12, Seed: 46})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, "Sequential", m, tr, sequentialGolden)
+}
+
+func TestHogwildPinned(t *testing.T) {
+	cs, _ := trainingSet(t, 60, 150, 47)
+	m, tr, err := Hogwild(cs, 60, Config{K: 3, Seed: 48}, HogwildOptions{Workers: 1, Epochs: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPinned(t, "Hogwild", m, tr, hogwildGolden)
 }

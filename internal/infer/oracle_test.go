@@ -1,10 +1,7 @@
 package infer
 
 import (
-	"context"
-
 	"viralcast/internal/cascade"
-	"viralcast/internal/embed"
 	"viralcast/internal/slpa"
 )
 
@@ -37,29 +34,4 @@ func SplitCascades(cs []*cascade.Cascade, p *slpa.Partition) [][]*cascade.Cascad
 		touched = touched[:0]
 	}
 	return out
-}
-
-// RunLevel executes Algorithm 1 on one level: every community is
-// optimized independently (its rows of A and B are disjoint from every
-// other community's, so no synchronization beyond the final barrier is
-// needed), with at most workers communities in flight at once. The model
-// is updated in place; the barrier is the WaitGroup at the end.
-func RunLevel(m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers int) error {
-	return RunLevelCtx(context.Background(), m, cs, p, cfg, workers, 0)
-}
-
-// RunLevelCtx is RunLevel with cancellation: runLevel, the body
-// Hierarchical runs per level, behind the configuration defaults and
-// checks HierarchicalCtx applies before its loop, without the task
-// durations.
-func RunLevelCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers, maxBackoffs int) error {
-	cfg = cfg.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	_, err := runLevel(ctx, m, cs, p, cfg, workers, maxBackoffs)
-	return err
 }

@@ -8,7 +8,6 @@ import (
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/embed"
-	"viralcast/internal/faultinject"
 	"viralcast/internal/mergetree"
 	"viralcast/internal/pool"
 	"viralcast/internal/slpa"
@@ -132,13 +131,11 @@ func levelTasks(cs []*cascade.Cascade, p *slpa.Partition, n int) []communityTask
 // needed), with at most workers communities in flight at once. The model
 // is updated in place. Once ctx is done no new community tasks are
 // scheduled, the communities already in flight stop at their next epoch
-// boundary, and ctx.Err() is returned after the barrier. maxBackoffs
-// bounds each community's divergence-guard retries (0 means the
-// default); cfg is defaulted and validated and workers >= 1, as
-// HierarchicalCtx leaves them. The durations returned are the
-// optimization time of every community that had work, in community
-// order.
-func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers, maxBackoffs int) ([]time.Duration, error) {
+// boundary, and ctx.Err() is returned after the barrier. cfg is
+// defaulted and validated and workers >= 1, as HierarchicalCtx leaves
+// them. The durations returned are the optimization time of every
+// community that had work, in community order.
+func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers int) ([]time.Duration, error) {
 	if err := p.Validate(m.N()); err != nil {
 		return nil, err
 	}
@@ -156,7 +153,7 @@ func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slp
 	// disjoint rows of A and B, so the tasks need no other coordination.
 	err := pool.RunCtx(ctx, workers, len(active), func(i int) error {
 		start := time.Now()
-		err := optimizeCommunity(ctx, m, &active[i], cfg, maxBackoffs)
+		err := optimizeCommunity(ctx, m, &active[i], cfg)
 		took[i] = time.Since(start)
 		return err
 	})
@@ -170,14 +167,14 @@ func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slp
 // error the community's rows are left at their warm-start values; on
 // cancellation the epochs accepted so far are kept — every accepted
 // epoch is a consistent state — and the context error is returned.
-func optimizeCommunity(ctx context.Context, m *embed.Model, task *communityTask, cfg Config, maxBackoffs int) error {
+func optimizeCommunity(ctx context.Context, m *embed.Model, task *communityTask, cfg Config) error {
 	k := m.K()
 	local := embed.NewModel(len(task.nodes), k)
 	for li, u := range task.nodes {
 		copy(local.A.Row(li), m.A.Row(u))
 		copy(local.B.Row(li), m.B.Row(u))
 	}
-	_, _, err := emCtx(ctx, local, task.localCs, cfg, ascendOpts{maxBackoffs: maxBackoffs})
+	_, _, err := emCtx(ctx, local, task.localCs, cfg)
 	if err != nil && !canceled(err) {
 		return err
 	}
@@ -197,14 +194,15 @@ func Hierarchical(cs []*cascade.Cascade, n int, base *slpa.Partition, cfg Config
 	return HierarchicalCtx(context.Background(), cs, n, base, cfg, opts, Resilience{})
 }
 
-// HierarchicalCtx is Hierarchical with cancellation and resilience.
-// Checkpoints are taken at level boundaries — the only points where the
-// full model is a globally consistent state of Algorithm 2 — every
-// res.CheckpointEvery completed levels and after the final level. A
-// cancellation mid-level writes a final checkpoint of the last level
-// boundary, so resuming re-runs the interrupted level from its exact
-// warm start and the completed run is bit-identical to an uninterrupted
-// one (community updates are deterministic and order-independent).
+// HierarchicalCtx is Hierarchical with cancellation and resilience, the
+// one fit that has them. Checkpoints are taken at level boundaries — the
+// only points where the full model is a globally consistent state of
+// Algorithm 2 — every res.CheckpointEvery completed levels and after the
+// final level. A cancellation mid-level writes a final checkpoint of the
+// last level boundary, so resuming re-runs the interrupted level from
+// its exact warm start and the completed run is bit-identical to an
+// uninterrupted one (community updates are deterministic and
+// order-independent).
 func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *slpa.Partition, cfg Config, opts ParallelOptions, res Resilience) (*embed.Model, *Trace, error) {
 	cfg = cfg.WithDefaults()
 	opts = opts.withDefaults()
@@ -251,13 +249,8 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 		if err := ctx.Err(); err != nil {
 			return nil, nil, res.finalCheckpoint(err, boundary)
 		}
-		// Fault site "infer.level": tests cancel or fail here to simulate
-		// a SIGINT or crash landing exactly between levels.
-		if err := faultinject.Fire("infer.level"); err != nil {
-			return nil, nil, err
-		}
 		levelStart := time.Now()
-		took, err := runLevel(ctx, m, cs, levels[li], cfg, opts.Workers, res.MaxBackoffs)
+		took, err := runLevel(ctx, m, cs, levels[li], cfg, opts.Workers)
 		if err != nil {
 			if canceled(err) {
 				return nil, nil, res.finalCheckpoint(err, boundary)

@@ -12,8 +12,8 @@ import (
 
 // PipelineOptions bundles everything the end-to-end inference needs: the
 // co-occurrence construction, the SLPA community detection, the
-// hierarchical parallel optimization, and the resilience layer
-// (cancellation checkpoints, resume, divergence backoff budget).
+// hierarchical parallel optimization, and HierarchicalCtx's checkpoints
+// and resume.
 type PipelineOptions struct {
 	Cooccur    cooccur.Options
 	SLPA       slpa.Options

@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -20,19 +19,7 @@ import (
 // for large incremental batches, run the hierarchical path on the full
 // corpus instead.
 func Refine(m *embed.Model, cs []*cascade.Cascade, cfg Config) (*Trace, error) {
-	return RefineCtx(context.Background(), m, cs, cfg, Resilience{})
-}
-
-// RefineCtx is Refine with cancellation and resilience: the refinement
-// stops at the next epoch boundary once ctx is done (writing a final
-// checkpoint if one is configured), snapshots go out every
-// res.CheckpointEvery accepted epochs, and res.Resume continues an
-// interrupted refinement's epoch counter and backed-off step size. Note
-// that on resume the model to continue from is res.Resume.Model, not the
-// m argument — the checkpointed snapshot is the consistent one.
-func RefineCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Config, res Resilience) (*Trace, error) {
 	cfg = cfg.WithDefaults()
-	res = res.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,32 +35,9 @@ func RefineCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg C
 	if err := cascade.ValidateAll(cs, m.N()); err != nil {
 		return nil, err
 	}
-	opts := ascendOpts{maxBackoffs: res.MaxBackoffs}
-	if res.Resume != nil {
-		if err := res.Resume.validate(m.N(), m.K(), cfg.Seed); err != nil {
-			return nil, err
-		}
-		m.A.CopyFrom(res.Resume.Model.A)
-		m.B.CopyFrom(res.Resume.Model.B)
-		opts.startEpoch = res.Resume.Epoch
-		opts.baseLR = res.Resume.Step
-	}
-	if res.Checkpoint != nil {
-		opts.onEpoch = func(epoch int, lr, ll float64) error {
-			if epoch%res.CheckpointEvery != 0 {
-				return nil
-			}
-			return res.Checkpoint(FitState{Model: m.Clone(), Epoch: epoch, Step: lr, Seed: cfg.Seed, LogLik: ll})
-		}
-	}
 	start := time.Now()
-	epochs, lls, lastLR, err := ascendCtx(ctx, m, cs, cfg, opts)
+	epochs, lls, _, err := ascend(m, cs, cfg)
 	if err != nil {
-		if canceled(err) {
-			err = res.finalCheckpoint(err, FitState{
-				Model: m.Clone(), Epoch: epochs, Step: lastLR, Seed: cfg.Seed, LogLik: last(lls),
-			})
-		}
 		return nil, err
 	}
 	return &Trace{LogLik: lls, Iters: epochs, Elapsed: time.Since(start)}, nil

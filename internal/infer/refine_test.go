@@ -116,6 +116,15 @@ func TestRefinePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPinned(t, "Refine", m, tr, refineGolden)
+}
+
+// assertPinned fails t unless the SHA-256 of the fit's A‖B bit patterns,
+// likelihood trace and epoch count is golden. Float results are only
+// pinned on the architecture the goldens were taken on (others may fuse
+// multiply-adds).
+func assertPinned(t *testing.T, fit string, m *embed.Model, tr *Trace, golden string) {
+	t.Helper()
 	h := sha256.New()
 	var buf [8]byte
 	for _, data := range [][]float64{m.A.Data, m.B.Data, tr.LogLik} {
@@ -126,10 +135,7 @@ func TestRefinePinned(t *testing.T) {
 	}
 	binary.LittleEndian.PutUint64(buf[:], uint64(tr.Iters))
 	h.Write(buf[:])
-	got := hex.EncodeToString(h.Sum(nil))
-	// Float results are only pinned on the architecture the golden was
-	// taken on (others may fuse multiply-adds).
-	if runtime.GOARCH == "amd64" && got != refineGolden {
-		t.Fatalf("Refine's output moved: digest %s, golden %s (%d epochs)", got, refineGolden, tr.Iters)
+	if got := hex.EncodeToString(h.Sum(nil)); runtime.GOARCH == "amd64" && got != golden {
+		t.Fatalf("%s's output moved: digest %s, golden %s (%d epochs)", fit, got, golden, tr.Iters)
 	}
 }

@@ -19,43 +19,6 @@ import (
 
 // --- context cancellation ---------------------------------------------------
 
-func TestSequentialCtxPreCanceled(t *testing.T) {
-	cs, _ := trainingSet(t, 30, 30, 21)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := SequentialCtx(ctx, cs, 30, Config{K: 2, Seed: 1}, Resilience{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestSequentialCtxCancelMidRunWritesFinalCheckpoint(t *testing.T) {
-	cs, _ := trainingSet(t, 40, 60, 22)
-	ctx, cancel := context.WithCancel(context.Background())
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "infer.epoch", Action: faultinject.Call, Hit: 4, Fn: cancel})
-	defer faultinject.Activate(inj)()
-
-	var final *FitState
-	_, _, err := SequentialCtx(ctx, cs, 40, Config{K: 2, MaxIter: 40, Seed: 3}, Resilience{
-		CheckpointEvery: 1000, // periodic snapshots out of the way: only the shutdown one fires
-		Checkpoint:      func(st FitState) error { final = &st; return nil },
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if final == nil {
-		t.Fatal("cancellation did not write a final checkpoint")
-	}
-	// The 4th epoch hit canceled before running, so exactly 3 epochs are done.
-	if final.Epoch != 3 {
-		t.Fatalf("final checkpoint at epoch %d, want 3", final.Epoch)
-	}
-	if err := final.Model.Validate(); err != nil {
-		t.Fatalf("checkpointed model invalid: %v", err)
-	}
-}
-
 func TestRunLevelCtxPreCanceled(t *testing.T) {
 	cs, _ := trainingSet(t, 30, 30, 23)
 	m := embed.NewModel(30, 2)
@@ -63,101 +26,19 @@ func TestRunLevelCtxPreCanceled(t *testing.T) {
 	m.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := RunLevelCtx(ctx, m, cs, slpa.FromMembership(make([]int, 30)), cfg, 2, 0)
+	_, err := runLevel(ctx, m, cs, slpa.FromMembership(make([]int, 30)), cfg, 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-func TestHogwildCtxCancel(t *testing.T) {
-	cs, _ := trainingSet(t, 30, 40, 24)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var final *FitState
-	_, _, err := HogwildCtx(ctx, cs, 30, Config{K: 2, Seed: 1}, HogwildOptions{Epochs: 5}, Resilience{
-		Checkpoint: func(st FitState) error { final = &st; return nil },
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if final == nil || final.Model == nil {
-		t.Fatal("no shutdown checkpoint from canceled hogwild run")
-	}
-}
+// --- resume -----------------------------------------------------------------
 
-// --- checkpoint cadence and resume ------------------------------------------
-
-func TestSequentialCheckpointCadence(t *testing.T) {
-	cs, _ := trainingSet(t, 40, 60, 25)
-	var epochs []int
-	m, tr, err := SequentialCtx(context.Background(), cs, 40, Config{K: 2, MaxIter: 9, Seed: 5}, Resilience{
-		CheckpointEvery: 3,
-		Checkpoint:      func(st FitState) error { epochs = append(epochs, st.Epoch); return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) == 0 {
-		t.Fatal("no checkpoints written")
-	}
-	// Every interval boundary plus the final state; the final entry must
-	// match the trace's epoch count.
-	if got := epochs[len(epochs)-1]; got != tr.Iters {
-		t.Fatalf("last checkpoint at epoch %d, fit finished at %d", got, tr.Iters)
-	}
-	for _, e := range epochs[:len(epochs)-1] {
-		if e%3 != 0 {
-			t.Fatalf("off-cadence checkpoint at epoch %d: %v", e, epochs)
-		}
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A resumed Sequential fit climbs the same objective as an
-// uninterrupted one: the rate prior is fixed by the first epoch from the
-// seeded start, which the snapshot does not carry, so the resumed fit
-// must re-derive it rather than take it from the snapshot's model.
-func TestSequentialInterruptResumeMatchesUninterrupted(t *testing.T) {
-	cs, _ := trainingSet(t, 40, 60, 27)
-	cfg := Config{K: 2, MaxIter: 12, Tol: 1e-12, Seed: 6}
-	want, wantTr, err := Sequential(cs, 40, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "infer.epoch", Action: faultinject.Call, Hit: 5, Fn: cancel})
-	restore := faultinject.Activate(inj)
-	var snap *FitState
-	_, _, err = SequentialCtx(ctx, cs, 40, cfg, Resilience{
-		CheckpointEvery: 1000,
-		Checkpoint:      func(st FitState) error { snap = &st; return nil },
-	})
-	restore()
-	if !errors.Is(err, context.Canceled) || snap == nil || snap.Epoch != 4 {
-		t.Fatalf("interrupt: err %v, snapshot %+v", err, snap)
-	}
-	got, gotTr, err := SequentialCtx(context.Background(), cs, 40, cfg, Resilience{Resume: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTr.Iters != wantTr.Iters || last(gotTr.LogLik) != last(wantTr.LogLik) {
-		t.Fatalf("resumed fit ended at epoch %d, objective %v; uninterrupted %d, %v",
-			gotTr.Iters, last(gotTr.LogLik), wantTr.Iters, last(wantTr.LogLik))
-	}
-	for i := range want.A.Data {
-		if got.A.Data[i] != want.A.Data[i] || got.B.Data[i] != want.B.Data[i] {
-			t.Fatalf("resumed embeddings differ from uninterrupted at %d", i)
-		}
-	}
-}
-
-func TestSequentialResumeRejectsMismatchedState(t *testing.T) {
+func TestHierarchicalResumeRejectsMismatchedState(t *testing.T) {
 	cs, _ := trainingSet(t, 30, 30, 26)
+	base := slpa.FromMembership(blockMembership(30, 10))
 	wrongN := embed.NewModel(10, 2)
-	_, _, err := SequentialCtx(context.Background(), cs, 30, Config{K: 2, Seed: 1}, Resilience{
+	_, _, err := HierarchicalCtx(context.Background(), cs, 30, base, Config{K: 2, Seed: 1}, ParallelOptions{}, Resilience{
 		Resume: &FitState{Model: wrongN, Seed: 1},
 	})
 	if err == nil || !strings.Contains(err.Error(), "resume model") {
@@ -165,7 +46,7 @@ func TestSequentialResumeRejectsMismatchedState(t *testing.T) {
 	}
 	rightM := embed.NewModel(30, 2)
 	rightM.InitUniform(xrand.New(1), 0.1, 0.5)
-	_, _, err = SequentialCtx(context.Background(), cs, 30, Config{K: 2, Seed: 1}, Resilience{
+	_, _, err = HierarchicalCtx(context.Background(), cs, 30, base, Config{K: 2, Seed: 1}, ParallelOptions{}, Resilience{
 		Resume: &FitState{Model: rightM, Seed: 99},
 	})
 	if err == nil || !strings.Contains(err.Error(), "seed") {
@@ -201,8 +82,7 @@ func TestHierarchicalInterruptResumeMatchesUninterrupted(t *testing.T) {
 	deactivate := faultinject.Activate(inj)
 	saveTo := func(st FitState) error {
 		return checkpoint.Save(ckptPath, &checkpoint.State{
-			Model: st.Model, Level: st.Level, Epoch: st.Epoch,
-			Step: st.Step, Seed: st.Seed, LogLik: st.LogLik,
+			Model: st.Model, Level: st.Level, Seed: st.Seed, LogLik: st.LogLik,
 		})
 	}
 	_, _, err = HierarchicalCtx(ctx, train, 60, base, cfg, opts, Resilience{Checkpoint: saveTo})
@@ -220,10 +100,7 @@ func TestHierarchicalInterruptResumeMatchesUninterrupted(t *testing.T) {
 	// Resume and finish.
 	got, _, err := HierarchicalCtx(context.Background(), train, 60, base, cfg, opts, Resilience{
 		Checkpoint: saveTo,
-		Resume: &FitState{
-			Model: st.Model, Level: st.Level, Epoch: st.Epoch,
-			Step: st.Step, Seed: st.Seed, LogLik: st.LogLik,
-		},
+		Resume:     &FitState{Model: st.Model, Level: st.Level, Seed: st.Seed, LogLik: st.LogLik},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +199,7 @@ func TestEMRejectsCorruptStartAtOnce(t *testing.T) {
 		inj := faultinject.NewInjector()
 		inj.Arm(faultinject.Fault{Site: "infer.grad", Action: faultinject.NaN}) // every E-step
 		restore := faultinject.Activate(inj)
-		epochs, lls, err := emCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 25, Seed: 14}.WithDefaults(), ascendOpts{})
+		epochs, lls, err := emCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 25, Seed: 14}.WithDefaults())
 		restore()
 		if err == nil || !strings.Contains(err.Error(), "corrupt before fit") {
 			t.Fatalf("%s: err = %v, want a corrupt-start error", name, err)
@@ -342,22 +219,16 @@ func TestDivergenceGuardBacksOffStepSize(t *testing.T) {
 	inj := faultinject.NewInjector()
 	inj.Arm(faultinject.Fault{Site: "infer.grad", Action: faultinject.NaN, Hit: 2})
 	defer faultinject.Activate(inj)()
-	var steps []float64
-	_, err := RefineCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 8, Seed: 13}, Resilience{
-		Checkpoint: func(st FitState) error { steps = append(steps, st.Step); return nil },
-	})
+	cfg := Config{K: 2, MaxIter: 8, Seed: 13}.WithDefaults()
+	epochs, _, step, err := ascend(m, cs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{}.WithDefaults().LearnRate
-	halved := false
-	for _, s := range steps {
-		if s < base {
-			halved = true
-		}
+	if inj.Fired("infer.grad") != 1 || epochs == 0 {
+		t.Fatalf("%d NaN epochs, %d accepted epochs, want 1 and some", inj.Fired("infer.grad"), epochs)
 	}
-	if !halved {
-		t.Fatalf("step size never backed off after a NaN epoch: %v", steps)
+	if step >= cfg.LearnRate {
+		t.Fatalf("step size %v never backed off from %v after a NaN epoch", step, cfg.LearnRate)
 	}
 }
 
@@ -382,33 +253,12 @@ func TestHogwildSkipsInjectedNaNGradients(t *testing.T) {
 	}
 }
 
-func TestRefineCtxCheckpointAndCancel(t *testing.T) {
-	cs, _ := trainingSet(t, 40, 60, 34)
-	m, _, err := Sequential(cs[:30], 40, Config{K: 2, MaxIter: 5, Seed: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "infer.epoch", Action: faultinject.Call, Hit: 3, Fn: cancel})
-	defer faultinject.Activate(inj)()
-	var final *FitState
-	_, err = RefineCtx(ctx, m.Clone(), cs[30:], Config{K: 2, MaxIter: 20, Seed: 15}, Resilience{
-		Checkpoint: func(st FitState) error { final = &st; return nil },
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if final == nil || final.Epoch != 2 {
-		t.Fatalf("refine shutdown checkpoint missing or wrong: %+v", final)
-	}
-}
-
 // A checkpoint callback that fails must abort the fit loudly.
 func TestCheckpointErrorAbortsFit(t *testing.T) {
 	cs, _ := trainingSet(t, 30, 40, 35)
+	base := slpa.FromMembership(blockMembership(30, 10))
 	boom := fmt.Errorf("disk full")
-	_, _, err := SequentialCtx(context.Background(), cs, 30, Config{K: 2, MaxIter: 10, Seed: 16}, Resilience{
+	_, _, err := HierarchicalCtx(context.Background(), cs, 30, base, Config{K: 2, MaxIter: 10, Seed: 16}, ParallelOptions{}, Resilience{
 		Checkpoint: func(FitState) error { return boom },
 	})
 	if !errors.Is(err, boom) {

@@ -14,10 +14,12 @@ import (
 	"viralcast/internal/xrand"
 )
 
-// Options configures training.
+// lambda is the L2 regularization strength.
+const lambda = 1e-3
+
+// Options configures training; the regularization strength is fixed
+// (lambda).
 type Options struct {
-	// Lambda is the L2 regularization strength (default 1e-3).
-	Lambda float64
 	// Epochs is the number of passes over the training set (default 50).
 	Epochs int
 	// Seed drives the stochastic sample order.
@@ -33,9 +35,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Lambda <= 0 {
-		o.Lambda = 1e-3
-	}
 	if o.Epochs <= 0 {
 		o.Epochs = 50
 	}
@@ -102,10 +101,10 @@ func Train(x [][]float64, y []int, opt Options) (*Model, error) {
 		order := rng.Perm(len(aug))
 		for _, i := range order {
 			t++
-			eta := 1 / (opt.Lambda * float64(t))
+			eta := 1 / (lambda * float64(t))
 			margin := float64(y[i]) * vecmath.Dot(w, aug[i])
 			// Regularization shrink applies on every step.
-			vecmath.Scale(1-eta*opt.Lambda, w)
+			vecmath.Scale(1-eta*lambda, w)
 			if margin < 1 {
 				weight := 1.0
 				if y[i] == 1 {
@@ -125,7 +124,7 @@ func Train(x [][]float64, y []int, opt Options) (*Model, error) {
 		copy(avg, w)
 	}
 	if !vecmath.AllFinite(avg) {
-		return nil, fmt.Errorf("svm: training diverged (non-finite weights); standardize features or lower Lambda")
+		return nil, fmt.Errorf("svm: training diverged (non-finite weights); standardize features")
 	}
 	return &Model{W: avg[:dim], Bias: avg[dim]}, nil
 }

@@ -54,6 +54,16 @@ for procs in 1 8; do
     ./internal/cascade/ ./internal/scenario/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/
 done
 
+# The README's walkthrough is the examples/ programs, and no test runs
+# them: each main must still run to exit 0 (a few seconds for all eight).
+echo "== examples (each main runs to exit 0)"
+for dir in examples/*/; do
+  if ! go run "./$dir" >/dev/null; then
+    echo "$dir exited non-zero" >&2
+    exit 1
+  fi
+done
+
 # bench/ is a module of its own (replace viralcast => ../), so ./... above
 # never compiles it against the packages it drives.
 echo "== bench module (vet + tests against this tree)"
