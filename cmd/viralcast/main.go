@@ -357,13 +357,7 @@ func cmdPredict(ctx context.Context, args []string) error {
 	train, test := cs[:split], cs[split:]
 	cutoff := *early
 	if cutoff <= 0 {
-		var maxT float64
-		for _, c := range cs {
-			if last := c.Infections[len(c.Infections)-1].Time; last > maxT {
-				maxT = last
-			}
-		}
-		cutoff = maxT * 2 / 7
+		cutoff = core.DefaultEarlyCutoff(cs)
 	}
 	cfg := core.TrainConfig{Topics: *topics, MaxIter: *iters, Seed: *seed}
 	ck.apply(&cfg)

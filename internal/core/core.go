@@ -552,6 +552,18 @@ type predictScratch struct {
 	std []float64
 }
 
+// DefaultEarlyCutoff is the early-adopter cutoff used when none is given:
+// the paper's 2/7 of the latest infection time in cs.
+func DefaultEarlyCutoff(cs []*cascade.Cascade) float64 {
+	var maxT float64
+	for _, c := range cs {
+		if n := len(c.Infections); n > 0 && c.Infections[n-1].Time > maxT {
+			maxT = c.Infections[n-1].Time
+		}
+	}
+	return maxT * 2 / 7
+}
+
 // TrainPredictor fits the paper's linear-SVM virality classifier:
 // cascades whose final size reaches sizeThreshold are the positive
 // class; earlyCutoff bounds the visible early-adopter prefix.

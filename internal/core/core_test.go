@@ -134,6 +134,22 @@ func TestPredictorRoundtrip(t *testing.T) {
 	}
 }
 
+// TestDefaultEarlyCutoff: 2/7 of the latest last-infection time, whichever
+// cascade holds it; an empty cascade contributes nothing.
+func TestDefaultEarlyCutoff(t *testing.T) {
+	cs := []*cascade.Cascade{
+		{ID: 1, Infections: []cascade.Infection{{Node: 0, Time: 1}, {Node: 1, Time: 3.5}}},
+		{ID: 2},
+		{ID: 3, Infections: []cascade.Infection{{Node: 2, Time: 2}}},
+	}
+	if got, want := DefaultEarlyCutoff(cs), 3.5*2/7; got != want {
+		t.Fatalf("DefaultEarlyCutoff = %v, want %v", got, want)
+	}
+	if got := DefaultEarlyCutoff(nil); got != 0 {
+		t.Fatalf("DefaultEarlyCutoff(nil) = %v, want 0", got)
+	}
+}
+
 func TestPredictorErrors(t *testing.T) {
 	cs := workload(t, 60, 100, 10)
 	sys, err := Train(cs, 60, TrainConfig{Topics: 2, MaxIter: 5, Seed: 11})

@@ -213,32 +213,6 @@ func Fire(site string) error {
 	return nil
 }
 
-// SlowReader wraps r so every Read returns at most chunk bytes after
-// sleeping delay — a slow client dripping a request at the server, or a
-// slow disk dripping a file at a loader. It is plain test plumbing (no
-// injector needed): the slowloris and slow-body tests build adversarial
-// clients from it.
-func SlowReader(r io.Reader, chunk int, delay time.Duration) io.Reader {
-	if chunk < 1 {
-		chunk = 1
-	}
-	return &slowReader{r: r, chunk: chunk, delay: delay}
-}
-
-type slowReader struct {
-	r     io.Reader
-	chunk int
-	delay time.Duration
-}
-
-func (s *slowReader) Read(p []byte) (int, error) {
-	time.Sleep(s.delay)
-	if len(p) > s.chunk {
-		p = p[:s.chunk]
-	}
-	return s.r.Read(p)
-}
-
 // SlowWriter wraps w so every Write trickles out in chunk-byte slices
 // with delay between them — a client that reads (and thus lets the
 // server write) painfully slowly, or a test server stalling a response.

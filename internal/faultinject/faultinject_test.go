@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -154,22 +153,6 @@ func TestSleepActionDelaysFire(t *testing.T) {
 	}
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Fatalf("armed hit returned after %v, want >= 30ms", d)
-	}
-}
-
-func TestSlowReaderDrips(t *testing.T) {
-	src := strings.NewReader("abcdefgh")
-	r := SlowReader(src, 3, time.Millisecond)
-	got, err := io.ReadAll(r)
-	if err != nil || string(got) != "abcdefgh" {
-		t.Fatalf("ReadAll = %q, %v", got, err)
-	}
-	// Each Read is capped at the chunk size even with a bigger buffer.
-	r = SlowReader(strings.NewReader("abcdefgh"), 3, 0)
-	buf := make([]byte, 8)
-	n, err := r.Read(buf)
-	if err != nil || n != 3 {
-		t.Fatalf("Read = %d, %v, want 3 bytes", n, err)
 	}
 }
 

@@ -82,13 +82,7 @@ func FileLoader(cfg FileLoaderConfig) (Loader, error) {
 		}
 		early := cfg.EarlyCutoff
 		if early <= 0 {
-			var maxT float64
-			for _, c := range cs {
-				if last := c.Infections[len(c.Infections)-1].Time; last > maxT {
-					maxT = last
-				}
-			}
-			early = maxT * 2 / 7
+			early = core.DefaultEarlyCutoff(cs)
 		}
 		frac := cfg.TopFraction
 		if frac <= 0 {

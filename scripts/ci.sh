@@ -4,12 +4,13 @@
 # cmd/viralcast run the real subcommands on goroutines) and once under
 # SIGKILL by re-exec'd test binaries. This script runs those — plain, then
 # under the race detector on the packages that exercise concurrency —
-# plus the static checks, the fuzz tripwires, the benchmark's oracle and
-# pins, and the two checks only a real process can make of the *built*
-# binary: "crash" (kill -9 a daemon mid-stream, restart it on the same
-# -wal-dir, the cascade is served again; SIGTERM exits 0) and "fleet"
-# (three shard processes behind `viralcast route`, kill -9 one, the
-# ranking degrades to a partial naming it; every process drains to 0).
+# plus the static checks, the examples' checked output at GOMAXPROCS 1
+# and 8, the fuzz tripwires, the benchmark's oracle and pins, and the
+# two checks only a real process can make of the *built* binary:
+# "crash" (kill -9 a daemon mid-stream, restart it on the same -wal-dir,
+# the cascade is served again; SIGTERM exits 0) and "fleet" (three shard
+# processes behind `viralcast route`, kill -9 one, the ranking degrades
+# to a partial naming it; every process drains to 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,14 +55,12 @@ for procs in 1 8; do
     ./internal/cascade/ ./internal/scenario/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/
 done
 
-# The README's walkthrough is the examples/ programs, and no test runs
-# them: each main must still run to exit 0 (a few seconds for all eight).
-echo "== examples (each main runs to exit 0)"
-for dir in examples/*/; do
-  if ! go run "./$dir" >/dev/null; then
-    echo "$dir exited non-zero" >&2
-    exit 1
-  fi
+# The README's walkthrough is the Example functions (the library's in
+# the root package, the daemon's in internal/serve). Each checks its
+# printed output, which must not depend on the worker count.
+echo "== examples (checked output, GOMAXPROCS 1 and 8)"
+for procs in 1 8; do
+  GOMAXPROCS=$procs go test -count=1 -run '^Example' . ./internal/serve/
 done
 
 # bench/ is a module of its own (replace viralcast => ../), so ./... above

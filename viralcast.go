@@ -15,7 +15,7 @@
 // Subsystems (simulator, SBM generator, SLPA communities, Ward
 // clustering, metrics, the synthetic GDELT corpus, figure harnesses)
 // live in internal packages and are exercised by the executables under
-// cmd/ and the programs under examples/.
+// cmd/ and the Example functions in example_test.go.
 package viralcast
 
 import (
@@ -99,6 +99,10 @@ func SimulateSBM(n, count int, window float64, seed uint64) ([]*Cascade, error) 
 func TopSizeThreshold(cs []*Cascade, frac float64) int {
 	return eval.TopFractionThreshold(cascade.Sizes(cs), frac)
 }
+
+// DefaultEarlyCutoff returns the paper's early-adopter cutoff for the
+// given cascades: 2/7 of their latest infection time.
+func DefaultEarlyCutoff(cs []*Cascade) float64 { return core.DefaultEarlyCutoff(cs) }
 
 // WriteCascades encodes cascades in the library's text format
 // (cascadeID,node,time per line); ReadCascades decodes it.

@@ -56,8 +56,8 @@ func TestPublicWorkflow(t *testing.T) {
 
 // TestLibraryLinksNoLabPackage: the library is what a program importing
 // viralcast links, so it must not close over the evaluation lab
-// (DESIGN.md: lab packages are importable only from cmd/figures,
-// examples/newsvirality and tests). scripts/ci.sh checks the same graph.
+// (DESIGN.md: lab packages are importable only from cmd/figures and
+// tests). scripts/ci.sh checks the same graph.
 func TestLibraryLinksNoLabPackage(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
