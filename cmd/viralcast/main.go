@@ -12,7 +12,8 @@
 //	    sets against a fitted model — reach distributions, time-to-size
 //	    milestones, and pairwise win rates. -seed-sets names explicit
 //	    campaigns ("celf:0,1,2;top:5,6"); by default it pits CELF seeds
-//	    against the top-influence nodes at the same -budget. The same
+//	    against the top-influence nodes at the same -budget (one set, no
+//	    race, when CELF picks exactly the top nodes). The same
 //	    engine serves POST /v1/simulate on the daemon.
 //
 //	viralcast infer -n 2000 -in cascades.txt -topics 4 -out model.txt

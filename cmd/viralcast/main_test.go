@@ -12,6 +12,7 @@ import (
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
+	"viralcast/internal/embed"
 	"viralcast/internal/faultinject"
 )
 
@@ -106,6 +107,39 @@ func TestCmdSimulateCampaign(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "not an integer") {
 		t.Fatalf("bad -seed-sets error = %v", err)
+	}
+}
+
+// TestCmdSimulateCampaignSameSet: when CELF picks exactly the top
+// influencers, the campaign says so and simulates the one set instead
+// of racing it against itself.
+func TestCmdSimulateCampaignSameSet(t *testing.T) {
+	// Node 7 dominates every rate, so it is both CELF's first pick and
+	// the top influencer.
+	m := embed.NewModel(20, 1)
+	m.A.FillConst(0.01)
+	m.B.FillConst(1)
+	m.A.Set(7, 0, 5)
+	model := filepath.Join(t.TempDir(), "model.csv")
+	f, err := os.Create(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteSigned(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := captureStdout(t, func() error {
+		return cmdSimulate(context.Background(), []string{"-model", model, "-trials", "10", "-window", "1", "-budget", "1"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "CELF picked the top 1 influencers, the same set; no race to run") ||
+		!strings.Contains(out, "celf=top-influencers") || strings.Contains(out, "\ntop-influencers") {
+		t.Fatalf("campaign output:\n%s", out)
 	}
 }
 

@@ -32,12 +32,12 @@ func cmdServe(ctx context.Context, args []string) error {
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 	model := fs.String("model", "", "embeddings file written by `viralcast infer -out` (this or -checkpoint is required)")
 	ckpt := fs.String("checkpoint", "", "serve from a training checkpoint instead of an embeddings file")
-	cascades := fs.String("cascades", "", "cascade file for predictor training (enables /v1/cascades/{id}/predict)")
+	cascades := fs.String("cascades", "", "cascade file for predictor training and the online refit's corpus (enables /v1/cascades/{id}/predict)")
 	early := fs.Float64("early", 0, "predictor early-adopter cutoff (default: 2/7 of the max observed time)")
 	topFrac := fs.Float64("top", 0.2, "viral class = top fraction of training cascade sizes")
 	seed := fs.Uint64("seed", 1, "random seed for predictor training")
 	cacheTTL := fs.Duration("cache-ttl", 5*time.Second, "TTL for cached influencer/seed responses")
-	flushEvery := fs.Duration("flush-every", time.Minute, "cadence of online model refinement from live cascades (0 disables)")
+	flushEvery := fs.Duration("flush-every", time.Minute, "cadence of the online refit over the -cascades corpus and the live cascades (0 disables)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: make ingestion durable across crashes (empty disables)")
 	follow := fs.String("follow", "", "run as a read-only replication follower of this primary base URL (requires -wal-dir for the mirrored log; promote with `viralcast promote`)")

@@ -34,8 +34,8 @@ import (
 type TrainConfig struct {
 	// Topics is the latent dimension K of the embeddings.
 	Topics int
-	// MaxIter bounds EM epochs per hierarchy level (and Refine's ascent
-	// epochs in Update).
+	// MaxIter bounds EM epochs per hierarchy level (and the refit's in
+	// Update).
 	MaxIter int
 	// Workers bounds how many communities are optimized concurrently.
 	Workers int
@@ -248,18 +248,21 @@ func (c TrainConfig) resilience() (infer.Resilience, error) {
 	return res, nil
 }
 
-// Update refines the fitted embeddings on newly observed cascades
-// without a full refit — the online regime for tracking breaking news.
-// Predictors trained before an Update keep their old embeddings' view;
-// retrain them to pick up the refinement.
-func (s *System) Update(newCascades []*cascade.Cascade) error {
-	if len(newCascades) == 0 {
+// Update refits the embeddings to cs by the fit's closed-form EM,
+// warm-started from the current embeddings — the online regime for
+// tracking breaking news. cs is every cascade the model should explain,
+// the corpus it was fitted on together with the newly observed ones,
+// not a delta: nothing else anchors the refit (infer.Refine). Predictors
+// trained before an Update keep their old embeddings' view; retrain them
+// to pick up the refit.
+func (s *System) Update(cs []*cascade.Cascade) error {
+	if len(cs) == 0 {
 		return fmt.Errorf("core: no cascades to update with")
 	}
-	// The refinement mutates the embeddings in place, so the cached
+	// The refit mutates the embeddings in place, so the cached
 	// aggregates are stale either way once it has started.
 	defer s.invalidateAggregates()
-	_, err := infer.Refine(s.Embeddings, newCascades, infer.Config{
+	_, err := infer.Refine(s.Embeddings, cs, infer.Config{
 		K: s.cfg.Topics, MaxIter: s.cfg.MaxIter, Seed: s.cfg.Seed,
 	})
 	return err

@@ -195,7 +195,7 @@ func TestUpdateRefinesOnNewData(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sys.Embeddings.LogLikAll(fresh)
-	if err := sys.Update(fresh); err != nil {
+	if err := sys.Update(cs); err != nil { // the corpus and the new cascades
 		t.Fatal(err)
 	}
 	after := sys.Embeddings.LogLikAll(fresh)

@@ -125,8 +125,8 @@ func AblationOptimizers(e SBMExperiment) ([]OptimizerComparison, error) {
 
 	start = time.Now()
 	hogM, _, err := infer.Hogwild(w.Train, e.N, infer.Config{
-		K: e.InferK, LearnRate: 0.02, Seed: e.Seed + 1,
-	}, infer.HogwildOptions{Workers: e.Workers, Epochs: e.MaxIter})
+		K: e.InferK, Seed: e.Seed + 1,
+	}, infer.HogwildOptions{Workers: e.Workers, Epochs: e.MaxIter, LearnRate: 0.02})
 	if err != nil {
 		return nil, err
 	}

@@ -39,8 +39,8 @@ func ConvergenceStudy(e SBMExperiment) (*ConvergenceResult, error) {
 	res.Sequential = seqTr.LogLik
 
 	_, hogTr, err := infer.Hogwild(w.Train, e.N, infer.Config{
-		K: e.InferK, LearnRate: 0.02, Seed: e.Seed + 1,
-	}, infer.HogwildOptions{Workers: e.Workers, Epochs: e.MaxIter})
+		K: e.InferK, Seed: e.Seed + 1,
+	}, infer.HogwildOptions{Workers: e.Workers, Epochs: e.MaxIter, LearnRate: 0.02})
 	if err != nil {
 		return nil, err
 	}

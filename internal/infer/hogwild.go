@@ -24,10 +24,12 @@ import (
 // is folded into every write.
 //
 // HogwildOptions.Epochs counts passes over the cascade set (spread across
-// workers); the step size decays as LearnRate/(1+epoch).
+// workers); the step size decays as LearnRate/(1+epoch). Hogwild is the
+// only fit that takes a step: the EM fits need none.
 type HogwildOptions struct {
-	Workers int
-	Epochs  int
+	Workers   int
+	Epochs    int
+	LearnRate float64
 }
 
 // hogwildClipNorm bounds the per-cascade gradient Euclidean norm;
@@ -40,6 +42,9 @@ func (o HogwildOptions) withDefaults() HogwildOptions {
 	}
 	if o.Epochs <= 0 {
 		o.Epochs = 10
+	}
+	if o.LearnRate <= 0 {
+		o.LearnRate = 0.5
 	}
 	return o
 }
@@ -138,7 +143,7 @@ func Hogwild(cs []*cascade.Cascade, n int, cfg Config, opts HogwildOptions) (*em
 	lrScale := 1.0
 	backoffs := 0
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		lr := lrScale * cfg.LearnRate / float64(1+epoch)
+		lr := lrScale * opts.LearnRate / float64(1+epoch)
 		epochSeed := cfg.Seed ^ uint64(epoch*1000003)
 		// Hogwild's defining property is that the workers share a and b
 		// with no coordination between updates; the pool only bounds how

@@ -1,6 +1,6 @@
 // Package infer estimates the influence/selectivity embeddings from
 // observed cascades by maximizing the cascade log-likelihood (paper §IV).
-// A fit from scratch takes closed-form EM steps (ECM): for fixed B,
+// Every fit but Hogwild takes closed-form EM steps (ECM): for fixed B,
 // Eq. 8 is concave in A and for fixed A concave in B, and each block has
 // a monotone closed-form update built from the positive and negative
 // parts of the gradient's sums (Eqs. 14 and 16), taken as a MAP update
@@ -13,8 +13,8 @@
 //     sub-cascades, lock-free because communities never intersect) level
 //     by level up the community merge tree, warm-starting each level
 //     with the previous level's embeddings;
-//   - Refine (refine.go): a warm-started continuation on new cascades by
-//     monotone projected gradient ascent with a line search;
+//   - Refine (refine.go): the same EM warm-started from a fitted model,
+//     the online refit over every cascade the model should explain;
 //   - Hogwild (hogwild.go): the lock-free shared-matrix SGD baseline of
 //     the paper's reference [19], for comparison.
 //
@@ -41,18 +41,12 @@ import (
 type Config struct {
 	// K is the number of latent topics.
 	K int
-	// LearnRate is the step size of Refine's gradient ascent and of
-	// Hogwild; EM fits (Sequential, Hierarchical) take no step. Refine's
-	// monotone line search shrinks it automatically when a step would
-	// decrease the likelihood, so it mostly controls how aggressively
-	// ascent begins.
-	LearnRate float64
 	// MaxIter bounds the number of epochs per optimization stage (the
 	// paper's "max number of iterations" early-stopping guard).
 	MaxIter int
-	// Tol declares convergence when an accepted epoch improves the
-	// objective (EM's penalized log-likelihood, Refine's log-likelihood)
-	// by less than Tol*(1+|ll|).
+	// Tol declares convergence when an accepted epoch improves EM's
+	// objective, the penalized log-likelihood, by less than
+	// Tol*(1+|obj|).
 	Tol float64
 	// InitLo and InitHi bound the uniform random initialization.
 	InitLo, InitHi float64
@@ -64,11 +58,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.K <= 0 {
 		c.K = 4
-	}
-	if c.LearnRate <= 0 {
-		// Directions are Adagrad-normalized, so coordinate steps are
-		// roughly LearnRate-sized on first epochs.
-		c.LearnRate = 0.5
 	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 50
@@ -87,9 +76,6 @@ func (c Config) Validate() error {
 	if c.K <= 0 {
 		return fmt.Errorf("infer: K must be positive, got %d", c.K)
 	}
-	if c.LearnRate <= 0 {
-		return fmt.Errorf("infer: LearnRate must be positive, got %v", c.LearnRate)
-	}
 	if c.MaxIter <= 0 {
 		return fmt.Errorf("infer: MaxIter must be positive, got %d", c.MaxIter)
 	}
@@ -103,10 +89,9 @@ func (c Config) Validate() error {
 type Trace struct {
 	// LogLik holds EM's objective, the log-likelihood penalized by the
 	// rate prior (emPrior.objective), before the first and after each
-	// accepted epoch (Sequential); the full-data log-likelihood after
-	// each level (Hierarchical); or the plain log-likelihood before the
-	// first and after each accepted epoch (Refine) or after each epoch
-	// (Hogwild).
+	// accepted epoch (Sequential, Refine); the full-data log-likelihood
+	// after each level (Hierarchical); or the plain log-likelihood after
+	// each epoch (Hogwild).
 	LogLik []float64
 	// Iters is the total number of accepted epochs.
 	Iters int
@@ -165,9 +150,9 @@ func Sequential(cs []*cascade.Cascade, n int, cfg Config) (*embed.Model, *Trace,
 // epoch, and the objective is the penalized log-likelihood
 // (emPrior.objective). Neither block update can lower it, so the
 // trajectory is monotone with no step size, preconditioner, projection
-// or line search: a ratio of non-negative sums is non-negative. A zero denominator (a node with no
-// exposure in the data) keeps its entry. The loop stops on the same rule
-// as the ascent, an epoch that improves the objective by less than
+// or line search: a ratio of non-negative sums is non-negative. A zero
+// denominator (a node with no exposure in the data) keeps its entry. The
+// loop stops at an epoch that improves the objective by less than
 // cfg.Tol*(1+|obj|).
 //
 // A model that is already corrupt (non-finite or negative entries, or a
@@ -348,122 +333,6 @@ func solve(num, den, cur []float64, beta float64) {
 	}
 }
 
-// ascend performs monotone projected gradient ascent on m over cs until
-// convergence or cfg.MaxIter epochs. Only Refine runs it: warm-started
-// on a delta with no corpus to anchor it, plain EM runs away where a
-// line-searched step does not. The raw gradient of the cascade
-// likelihood is badly scaled (the 1/rate terms give some coordinates
-// enormous curvature), so the ascent direction is diagonally
-// preconditioned Adagrad-style: d_i = g_i / sqrt(acc_i), where acc_i
-// accumulates squared gradients. Each epoch runs a fresh
-// backtracking line search from the base step, halving until the step
-// does not decrease the log-likelihood; because every epoch retries the
-// full base step, a tiny accepted gain genuinely signals convergence.
-//
-// Divergence guard: m is only written after a candidate step is verified
-// finite and non-decreasing, so the model itself is always the last good
-// snapshot. A non-finite gradient or a line search that only produced
-// non-finite likelihoods rolls back (discards the candidate buffers),
-// halves the base step, and retries, up to maxBackoffs times before
-// failing with a descriptive error instead of emitting garbage
-// embeddings.
-//
-// It returns the accepted epoch count, the log-likelihood trajectory,
-// and the final base step size.
-func ascend(m *embed.Model, cs []*cascade.Cascade, cfg Config) (int, []float64, float64, error) {
-	baseLR := cfg.LearnRate
-	if len(cs) == 0 {
-		return 0, nil, baseLR, nil
-	}
-	n, k := m.N(), m.K()
-	dA := vecmath.NewMatrix(n, k)
-	dB := vecmath.NewMatrix(n, k)
-	accA := vecmath.NewMatrix(n, k) // Adagrad accumulators
-	accB := vecmath.NewMatrix(n, k)
-	candA := vecmath.NewMatrix(n, k)
-	candB := vecmath.NewMatrix(n, k)
-	ws := embed.NewGradWorkspace(k)
-	cur := m.LogLikAll(cs)
-	if !finite(cur) {
-		return 0, nil, baseLR, fmt.Errorf("infer: starting log-likelihood is %v — model or data corrupt before ascent", cur)
-	}
-	lls := []float64{cur}
-	const minLR = 1e-12
-	const accEps = 1e-8
-	epoch := 0
-	backoffs := 0
-	for epoch < cfg.MaxIter {
-		dA.FillConst(0)
-		dB.FillConst(0)
-		for _, c := range cs {
-			m.AccumGrad(c, dA, dB, ws)
-		}
-		// Fault site "infer.grad": tests poison the freshly accumulated
-		// gradient with NaN to exercise the divergence guard.
-		faultinject.PoisonFloats("infer.grad", dA.Data)
-		if !vecmath.AllFinite(dA.Data) || !vecmath.AllFinite(dB.Data) {
-			// Guard before the Adagrad accumulators are touched: a NaN that
-			// reaches acc would poison every later epoch.
-			backoffs++
-			if backoffs > maxBackoffs {
-				return epoch, lls, baseLR, fmt.Errorf(
-					"infer: non-finite gradient at epoch %d persisted through %d step-halving retries (loglik %.6g) — optimization diverged", epoch, maxBackoffs, cur)
-			}
-			baseLR /= 2
-			continue
-		}
-		// Precondition in place: d_i <- g_i / sqrt(acc_i + g_i^2).
-		precondition(dA.Data, accA.Data, accEps)
-		precondition(dB.Data, accB.Data, accEps)
-		improved := false
-		sawNonFinite := false
-		var ll float64
-		for lr := baseLR; lr >= minLR; lr /= 2 {
-			candA.CopyFrom(m.A)
-			candB.CopyFrom(m.B)
-			vecmath.Axpy(lr, dA.Data, candA.Data)
-			vecmath.Axpy(lr, dB.Data, candB.Data)
-			candA.ProjectNonneg()
-			candB.ProjectNonneg()
-			trial := &embed.Model{A: candA, B: candB}
-			ll = trial.LogLikAll(cs)
-			if !finite(ll) {
-				sawNonFinite = true
-				continue // overflowed step: halve and retry
-			}
-			if ll >= cur {
-				improved = true
-				break
-			}
-		}
-		if !improved {
-			if sawNonFinite {
-				// Every acceptable step overflowed the likelihood: back off
-				// the base step (m is untouched — the rollback is implicit).
-				backoffs++
-				if backoffs > maxBackoffs {
-					return epoch, lls, baseLR, fmt.Errorf(
-						"infer: likelihood non-finite at epoch %d after %d step-halving retries (last good loglik %.6g) — optimization diverged", epoch, maxBackoffs, cur)
-				}
-				baseLR /= 2
-				continue
-			}
-			break // no step along the preconditioned direction helps
-		}
-		m.A.CopyFrom(candA)
-		m.B.CopyFrom(candB)
-		epoch++
-		backoffs = 0 // the budget is per failure streak, not per stage
-		lls = append(lls, ll)
-		gain := ll - cur
-		cur = ll
-		if gain <= cfg.Tol*(1+abs(cur)) {
-			break
-		}
-	}
-	return epoch, lls, baseLR, nil
-}
-
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool {
 	return !math.IsNaN(x) && !math.IsInf(x, 0)
@@ -475,17 +344,6 @@ func last(xs []float64) float64 {
 		return 0
 	}
 	return xs[len(xs)-1]
-}
-
-// precondition rescales the gradient g coordinate-wise by the inverse
-// root of its accumulated squared magnitude (Adagrad), updating acc.
-func precondition(g, acc []float64, eps float64) {
-	for i, gi := range g {
-		acc[i] += gi * gi
-		if acc[i] > 0 {
-			g[i] = gi / math.Sqrt(acc[i]+eps)
-		}
-	}
 }
 
 func abs(x float64) float64 {

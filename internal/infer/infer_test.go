@@ -2,6 +2,7 @@ package infer
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -17,22 +18,21 @@ func TestConfigDefaults(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("defaults invalid: %v", err)
 	}
-	if c.K <= 0 || c.LearnRate <= 0 || c.MaxIter <= 0 || c.InitHi <= c.InitLo {
+	if c.K <= 0 || c.MaxIter <= 0 || c.InitHi <= c.InitLo {
 		t.Fatalf("defaults unset: %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{K: 7, LearnRate: 0.5, MaxIter: 3, Tol: 0.1, InitLo: 1, InitHi: 2}.WithDefaults()
-	if c2.K != 7 || c2.LearnRate != 0.5 || c2.MaxIter != 3 {
+	c2 := Config{K: 7, MaxIter: 3, Tol: 0.1, InitLo: 1, InitHi: 2}.WithDefaults()
+	if c2.K != 7 || c2.MaxIter != 3 || c2.Tol != 0.1 {
 		t.Fatalf("defaults clobbered explicit values: %+v", c2)
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{K: 0, LearnRate: 1, MaxIter: 1, InitHi: 1},
-		{K: 1, LearnRate: 0, MaxIter: 1, InitHi: 1},
-		{K: 1, LearnRate: 1, MaxIter: 0, InitHi: 1},
-		{K: 1, LearnRate: 1, MaxIter: 1, InitLo: 2, InitHi: 1},
+		{K: 0, MaxIter: 1, InitHi: 1},
+		{K: 1, MaxIter: 0, InitHi: 1},
+		{K: 1, MaxIter: 1, InitLo: 2, InitHi: 1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -420,8 +420,8 @@ func TestHierarchicalCloseToSequential(t *testing.T) {
 
 func TestHogwild(t *testing.T) {
 	cs, _ := trainingSet(t, 40, 60, 21)
-	m, tr, err := Hogwild(cs, 40, Config{K: 2, LearnRate: 0.01, Seed: 22},
-		HogwildOptions{Workers: 4, Epochs: 5})
+	m, tr, err := Hogwild(cs, 40, Config{K: 2, Seed: 22},
+		HogwildOptions{Workers: 4, Epochs: 5, LearnRate: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,9 +469,9 @@ func TestAscendEmptyCascades(t *testing.T) {
 	if iters != 0 || lls != nil || err != nil {
 		t.Fatal("EM on empty cascades must be a no-op")
 	}
-	iters, lls, _, err = ascend(m, nil, Config{}.WithDefaults())
-	if iters != 0 || lls != nil || err != nil {
-		t.Fatal("ascent on empty cascades must be a no-op")
+	tr, err := Refine(m, nil, Config{K: 2})
+	if err != nil || tr.Iters != 0 || tr.LogLik != nil {
+		t.Fatal("a refit on no cascades must be a no-op")
 	}
 }
 
@@ -514,27 +514,42 @@ func tiedSet(t testing.TB, n, nCascades int, seed uint64) []*cascade.Cascade {
 // Property: an ECM epoch never lowers the objective it maximizes, the
 // log-likelihood penalized by the rate prior (the trace's values), at
 // every width the kernels treat differently, run well past the usual
-// stopping point. The only slack is the rounding of a sum over the
-// cascades.
+// stopping point — from a random start (Sequential) and warm-started
+// from that fit on a grown corpus (Refine, the online refit). The only
+// slack is the rounding of a sum over the cascades.
 func TestSequentialEMNeverLowersLogLik(t *testing.T) {
 	cs := tiedSet(t, 60, 120, 47)
+	grown := append(tiedSet(t, 60, 40, 48), cs...)
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16} {
-		_, tr, err := Sequential(cs, 60, Config{K: k, MaxIter: 60, Tol: 1e-14, Seed: uint64(k)})
+		cfg := Config{K: k, MaxIter: 60, Tol: 1e-14, Seed: uint64(k)}
+		m, tr, err := Sequential(cs, 60, cfg)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
-		if tr.Iters < 10 || len(tr.LogLik) != tr.Iters+1 {
-			t.Fatalf("K=%d: %d epochs, %d likelihoods", k, tr.Iters, len(tr.LogLik))
+		assertMonotone(t, fmt.Sprintf("K=%d cold", k), tr, 10)
+		if tr, err = Refine(m, grown, cfg); err != nil {
+			t.Fatalf("K=%d warm: %v", k, err)
 		}
-		for i := 1; i < len(tr.LogLik); i++ {
-			prev, cur := tr.LogLik[i-1], tr.LogLik[i]
-			if cur < prev-1e-12*(1+math.Abs(prev)) {
-				t.Fatalf("K=%d: epoch %d lowered the penalized log-likelihood %v -> %v", k, i, prev, cur)
-			}
+		assertMonotone(t, fmt.Sprintf("K=%d warm", k), tr, 1)
+	}
+}
+
+// assertMonotone fails t unless the EM trace has at least minIters
+// epochs, one objective per epoch plus the start, never falls and ends
+// above its start.
+func assertMonotone(t *testing.T, fit string, tr *Trace, minIters int) {
+	t.Helper()
+	if tr.Iters < minIters || len(tr.LogLik) != tr.Iters+1 {
+		t.Fatalf("%s: %d epochs, %d likelihoods", fit, tr.Iters, len(tr.LogLik))
+	}
+	for i := 1; i < len(tr.LogLik); i++ {
+		prev, cur := tr.LogLik[i-1], tr.LogLik[i]
+		if cur < prev-1e-12*(1+math.Abs(prev)) {
+			t.Fatalf("%s: epoch %d lowered the penalized log-likelihood %v -> %v", fit, i, prev, cur)
 		}
-		if tr.LogLik[tr.Iters] <= tr.LogLik[0] {
-			t.Fatalf("K=%d: no progress: %v", k, tr.LogLik)
-		}
+	}
+	if tr.LogLik[tr.Iters] <= tr.LogLik[0] {
+		t.Fatalf("%s: no progress: %v", fit, tr.LogLik)
 	}
 }
 

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,16 +9,14 @@ import (
 	"viralcast/internal/embed"
 )
 
-// Refine continues optimizing an existing model on (typically new)
-// cascades, warm-starting from the current embeddings — the online
-// regime the paper's introduction motivates: cascades of breaking news
-// arrive continuously, and the embeddings should track them without a
-// full refit. The model is updated in place; the returned trace records
-// the accepted epochs.
-//
-// Refine uses the full sequential objective over the provided cascades;
-// for large incremental batches, run the hierarchical path on the full
-// corpus instead.
+// Refine refits an existing model to cs by the fit's own closed-form EM
+// (emCtx), warm-started from the current embeddings — the online regime
+// the paper's introduction motivates: cascades of breaking news arrive
+// continuously, and the embeddings should track them. cs is every
+// cascade the model should explain, the corpus and the new arrivals
+// together, not a delta: nothing else anchors the refit, and an EM fit
+// to a few new cascades alone forgets the rest. The model is updated in
+// place; the returned trace records the accepted epochs.
 func Refine(m *embed.Model, cs []*cascade.Cascade, cfg Config) (*Trace, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -36,7 +35,7 @@ func Refine(m *embed.Model, cs []*cascade.Cascade, cfg Config) (*Trace, error) {
 		return nil, err
 	}
 	start := time.Now()
-	epochs, lls, _, err := ascend(m, cs, cfg)
+	epochs, lls, err := emCtx(context.Background(), m, cs, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -210,28 +210,6 @@ func TestEMRejectsCorruptStartAtOnce(t *testing.T) {
 	}
 }
 
-// Only Refine's ascent has a step to halve; a from-scratch EM fit
-// re-runs the poisoned epoch instead (the test above).
-func TestDivergenceGuardBacksOffStepSize(t *testing.T) {
-	cs, _ := trainingSet(t, 40, 50, 32)
-	m := embed.NewModel(40, 2)
-	m.InitUniform(xrand.New(13), 0.1, 0.5)
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "infer.grad", Action: faultinject.NaN, Hit: 2})
-	defer faultinject.Activate(inj)()
-	cfg := Config{K: 2, MaxIter: 8, Seed: 13}.WithDefaults()
-	epochs, _, step, err := ascend(m, cs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.Fired("infer.grad") != 1 || epochs == 0 {
-		t.Fatalf("%d NaN epochs, %d accepted epochs, want 1 and some", inj.Fired("infer.grad"), epochs)
-	}
-	if step >= cfg.LearnRate {
-		t.Fatalf("step size %v never backed off from %v after a NaN epoch", step, cfg.LearnRate)
-	}
-}
-
 func TestHogwildSkipsInjectedNaNGradients(t *testing.T) {
 	cs, _ := trainingSet(t, 40, 60, 33)
 	inj := faultinject.NewInjector()

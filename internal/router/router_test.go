@@ -66,14 +66,11 @@ func fixtureLoader(t testing.TB) serve.Loader {
 	thr := eval.TopFractionThreshold(cascade.Sizes(cs), 0.25)
 	return func() (*serve.LoadedModel, error) {
 		fork := sys.Fork()
-		retrain := func(s *core.System) (*core.Predictor, error) {
-			return s.TrainPredictor(cs, 8*2.0/7.0, thr)
-		}
-		pred, err := retrain(fork)
+		pred, err := fork.TrainPredictor(cs, 8*2.0/7.0, thr)
 		if err != nil {
 			return nil, err
 		}
-		return &serve.LoadedModel{Sys: fork, Pred: pred, Retrain: retrain}, nil
+		return &serve.LoadedModel{Sys: fork, Pred: pred, Corpus: cs}, nil
 	}
 }
 

@@ -500,7 +500,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	httpkit.WriteJSON(w, http.StatusOK, map[string]any{"generation": gen})
 }
 
-// handleFlush triggers one online-refinement pass on demand.
+// handleFlush runs one online refit (Flush) on demand; "flushed" is how
+// many live cascades it saw, 0 when nothing changed since the last.
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if s.isFollower() {
 		httpkit.WriteJSON(w, http.StatusConflict, map[string]any{

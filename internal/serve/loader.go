@@ -12,16 +12,17 @@ import (
 
 // LoadedModel is one immutable generation of the serving state: the
 // fitted system, the virality predictor trained against it (nil when
-// prediction is not configured), and a hook to retrain the predictor
-// after the system is refined online.
+// prediction is not configured), and the corpus the predictor was
+// trained on.
 type LoadedModel struct {
 	Sys  *core.System
 	Pred *core.Predictor
-	// Retrain rebuilds the predictor against a refined or reloaded
-	// system; the background flush uses it so predictions track the
-	// updated embeddings. Nil disables retraining (the old predictor is
-	// kept, serving its training-time embeddings' view).
-	Retrain func(*core.System) (*core.Predictor, error)
+	// Corpus is the cascades Pred was trained on. A flush refits Sys
+	// over them and the live store together, then retrains Pred on them
+	// at Pred's cutoff and threshold, so predictions track the refit
+	// embeddings. Nil refits over the live store alone and keeps the old
+	// predictor, serving its training-time embeddings' view.
+	Corpus []*cascade.Cascade
 }
 
 // Loader produces a fresh LoadedModel; it is invoked at startup and on
@@ -89,10 +90,8 @@ func FileLoader(cfg FileLoaderConfig) (Loader, error) {
 			frac = 0.2
 		}
 		thr := eval.TopFractionThreshold(cascade.Sizes(cs), frac)
-		lm.Retrain = func(s *core.System) (*core.Predictor, error) {
-			return s.TrainPredictor(cs, early, thr)
-		}
-		if lm.Pred, err = lm.Retrain(sys); err != nil {
+		lm.Corpus = cs
+		if lm.Pred, err = sys.TrainPredictor(cs, early, thr); err != nil {
 			return nil, fmt.Errorf("serve: training predictor: %w", err)
 		}
 		return lm, nil

@@ -58,8 +58,8 @@ func TestFileLoaderFromEmbeddings(t *testing.T) {
 	if lm.Pred == nil {
 		t.Fatal("predictor not trained despite TrainPath")
 	}
-	if lm.Retrain == nil {
-		t.Fatal("retrain hook missing")
+	if len(lm.Corpus) == 0 {
+		t.Fatal("the predictor's corpus is missing")
 	}
 	// The default early cutoff is positive and derived from the data.
 	if lm.Pred.EarlyCutoff() <= 0 {
@@ -77,7 +77,7 @@ func TestFileLoaderWithoutPredictor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lm.Pred != nil || lm.Retrain != nil {
+	if lm.Pred != nil || lm.Corpus != nil {
 		t.Fatal("predictor trained without TrainPath")
 	}
 }

@@ -248,48 +248,43 @@ func TestFeaturesBatchFillsPredictMemo(t *testing.T) {
 	}
 }
 
-// TestMemoFillAfterEvictLandsNowhere: a fill whose cascade was evicted
-// (or the store cleared) and re-created between the read and the fill
-// must plant nothing in the new history — not even under the same
+// TestMemoFillAfterEvictLandsNowhere: a fill whose cascade was retired
+// (the store cleared) and re-created between the read and the fill must
+// plant nothing in the new history — not even under the same
 // generation, id and prefix length.
 func TestMemoFillAfterEvictLandsNowhere(t *testing.T) {
 	const id, n, gen, cutoff = 5, 50, 1, 1.0
-	for _, retire := range []func(s *Store){
-		func(s *Store) { s.Evict(id) },
-		func(s *Store) { s.Clear() },
-	} {
-		s := NewStore()
-		for i, node := range []int{3, 4, 5} {
-			if _, err := s.Append(Event{Cascade: id, Node: node, Time: 0.1 * float64(i)}, n); err != nil {
-				t.Fatal(err)
-			}
+	s := NewStore()
+	for i, node := range []int{3, 4, 5} {
+		if _, err := s.Append(Event{Cascade: id, Node: node, Time: 0.1 * float64(i)}, n); err != nil {
+			t.Fatal(err)
 		}
-		var stale earlyRead
-		s.readEarly(id, gen, cutoff, n, &stale, nil)
-		if stale.hit || stale.early != 3 {
-			t.Fatalf("first read: hit %v, early %d; want a miss on 3", stale.hit, stale.early)
+	}
+	var stale earlyRead
+	s.readEarly(id, gen, cutoff, n, &stale, nil)
+	if stale.hit || stale.early != 3 {
+		t.Fatalf("first read: hit %v, early %d; want a miss on 3", stale.hit, stale.early)
+	}
+	s.Clear()
+	for i, node := range []int{7, 8, 9} {
+		if _, err := s.Append(Event{Cascade: id, Node: node, Time: 0.1 * float64(i)}, n); err != nil {
+			t.Fatal(err)
 		}
-		retire(s)
-		for i, node := range []int{7, 8, 9} {
-			if _, err := s.Append(Event{Cascade: id, Node: node, Time: 0.1 * float64(i)}, n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stale.set.DiverA = 42
-		s.memoize(id, &stale, gen)
-		var fresh earlyRead
-		s.readEarly(id, gen, cutoff, n, &fresh, nil)
-		if fresh.hit {
-			t.Fatalf("the retired history's fill landed in the new one: %+v", fresh.set)
-		}
-		// The same fill against the read it belongs to does land.
-		fresh.set.DiverA = 7
-		s.memoize(id, &fresh, gen)
-		var again earlyRead
-		s.readEarly(id, gen, cutoff, n, &again, nil)
-		if !again.hit || again.set.DiverA != 7 {
-			t.Fatalf("fill on the live cascade: hit %v, set %+v", again.hit, again.set)
-		}
+	}
+	stale.set.DiverA = 42
+	s.memoize(id, &stale, gen)
+	var fresh earlyRead
+	s.readEarly(id, gen, cutoff, n, &fresh, nil)
+	if fresh.hit {
+		t.Fatalf("the retired history's fill landed in the new one: %+v", fresh.set)
+	}
+	// The same fill against the read it belongs to does land.
+	fresh.set.DiverA = 7
+	s.memoize(id, &fresh, gen)
+	var again earlyRead
+	s.readEarly(id, gen, cutoff, n, &again, nil)
+	if !again.hit || again.set.DiverA != 7 {
+		t.Fatalf("fill on the live cascade: hit %v, set %+v", again.hit, again.set)
 	}
 }
 

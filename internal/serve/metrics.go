@@ -21,7 +21,7 @@ type Metrics struct {
 	cacheHits     *expvar.Int
 	cacheMiss     *expvar.Int
 	reloads       *expvar.Int // successful model reloads (incl. flush swaps)
-	flushes       *expvar.Int // background flush passes that refined the model
+	flushes       *expvar.Int // flushes that refit the model
 	shed          *expvar.Map // 429s by route class (admission queue full)
 	deadlines     *expvar.Int // 503s from an exhausted request budget
 	readOnly      *expvar.Int // ingestion requests rejected while degraded

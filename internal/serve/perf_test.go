@@ -201,7 +201,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if cold {
 					b.StopTimer()
-					srv.swap(srv.current().sys)
+					srv.swap(srv.current().sys, 0)
 					b.StartTimer()
 				}
 				req := httptest.NewRequest("POST", path, bytes.NewReader(body))

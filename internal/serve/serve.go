@@ -5,9 +5,10 @@
 // exposes the model's inference surface (pairwise rates, influencer
 // rankings, seed selection) behind a TTL cache with singleflight
 // deduplication. The model is held behind an atomic pointer: hot reloads
-// (SIGHUP, POST /v1/reload) and periodic online refinement (flushing
-// live cascades into System.Update) swap in a fresh generation without
-// dropping in-flight requests. /healthz, /readyz, and an expvar-backed
+// (SIGHUP, POST /v1/reload) and the periodic online refit (a flush:
+// System.Update over the loaded corpus and the live cascades, warm-started
+// from the serving model) swap in a fresh generation without dropping
+// in-flight requests. /healthz, /readyz, and an expvar-backed
 // /metrics make it operable. With Config.WALDir set, ingestion is
 // durable: acknowledged events are group-committed to a write-ahead
 // log (internal/wal) before the response goes out, startup replays the
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -48,9 +50,11 @@ type Config struct {
 	// CacheTTL bounds staleness of the cached expensive endpoints
 	// (influencers, seeds, simulate; predictions read no TTL). Default 5s.
 	CacheTTL time.Duration
-	// FlushEvery is the cadence of the background pass that feeds grown
-	// live cascades into System.Update and swaps in the refined model.
-	// Zero disables the periodic pass (Flush can still be called).
+	// FlushEvery is the cadence of the background pass that refits the
+	// model over the loaded corpus and the live cascades (System.Update)
+	// and swaps the refit in; a pass with no event since the last one
+	// does nothing. Zero disables the periodic pass (Flush can still be
+	// called).
 	FlushEvery time.Duration
 	// DrainTimeout bounds how long Serve waits for in-flight requests
 	// after its context is canceled. Default 10s.
@@ -142,11 +146,14 @@ type Config struct {
 }
 
 // model is one immutable serving generation; the Server's atomic pointer
-// swaps between these.
+// swaps between these. absorbed is the store's change count its refit
+// saw, 0 for a loaded generation: a flush refits only when the count
+// has moved since.
 type model struct {
-	sys     *LoadedModel
-	gen     uint64
-	swapped time.Time
+	sys      *LoadedModel
+	gen      uint64
+	swapped  time.Time
+	absorbed uint64
 }
 
 // Server is the daemon state. Create with New, wire into an HTTP server
@@ -300,7 +307,7 @@ func New(cfg Config) (*Server, error) {
 		s.Close()
 		return nil, fmt.Errorf("serve: initial model load: %w", err)
 	}
-	s.swap(lm)
+	s.swap(lm, 0)
 	s.handler = s.routes()
 	if s.follower != nil {
 		// Start tailing only once the model is loaded and the handler
@@ -543,10 +550,11 @@ func (s *Server) current() *model { return s.cur.Load() }
 // every reload and every refining flush bumps it.
 func (s *Server) Generation() uint64 { return s.gen.Load() }
 
-// swap publishes lm as the next generation.
-func (s *Server) swap(lm *LoadedModel) uint64 {
+// swap publishes lm, which has absorbed the store up to change count
+// absorbed, as the next generation.
+func (s *Server) swap(lm *LoadedModel, absorbed uint64) uint64 {
 	gen := s.gen.Add(1)
-	s.cur.Store(&model{sys: lm, gen: gen, swapped: time.Now()})
+	s.cur.Store(&model{sys: lm, gen: gen, swapped: time.Now(), absorbed: absorbed})
 	return gen
 }
 
@@ -569,7 +577,7 @@ func (s *Server) Reload() (uint64, error) {
 	if err != nil {
 		return s.Generation(), fmt.Errorf("serve: reload: %w", err)
 	}
-	gen := s.swap(lm)
+	gen := s.swap(lm, 0)
 	s.metrics.reloads.Add(1)
 	s.clearStale()
 	s.cfg.Logf("serve: reloaded model (generation %d, %d nodes)", gen, lm.Sys.N)
@@ -604,10 +612,12 @@ func (s *Server) recoverWAL() error {
 	return nil
 }
 
-// Flush feeds every live cascade that grew since the last pass into
-// System.Update on a fork of the current system, retrains the predictor
-// against the refined embeddings when possible, and swaps the result in
-// as a new generation. Returns how many cascades were absorbed.
+// Flush refits a fork of the current system over the loaded corpus and
+// every live cascade a refit can use (Store.Cascades), retrains the
+// predictor on the corpus against the refit embeddings, and swaps the
+// result in as a new generation. A flush with no store change since the
+// current generation was loaded or refit does nothing. Returns how many
+// live cascades the refit saw.
 func (s *Server) Flush() (int, error) {
 	// A follower's model refinement happens on the primary; its own
 	// store exists to serve reads and to be promotion-ready. The
@@ -618,54 +628,50 @@ func (s *Server) Flush() (int, error) {
 	}
 	defer s.lockGenerations()()
 	cur := s.current()
-	dirty := s.store.FlushDirty()
-	// A reload may have shrunk the node universe below ids already
-	// ingested; those cascades cannot refine this model.
-	usable := dirty[:0]
-	for _, c := range dirty {
-		if maxInfectedNode(c) < cur.sys.Sys.N {
-			usable = append(usable, c)
-		}
-	}
-	if len(usable) == 0 {
+	// Read the count before the snapshot: an event that lands between
+	// them is refit again by the next flush, never skipped.
+	changes := s.store.Changes()
+	if changes == cur.absorbed {
 		return 0, nil
 	}
+	live := s.store.Cascades(cur.sys.Sys.N)
+	if len(live) == 0 {
+		return 0, nil
+	}
+	corpus := cur.sys.Corpus
 	next := cur.sys.Sys.Fork()
-	// Chaos hook: tests arm "serve.flush" to fail the refinement pass
-	// and assert the daemon degrades to a stale generation, not a loop
-	// of half-applied updates.
+	// Chaos hook: tests arm "serve.flush" to fail the refit and assert
+	// the daemon degrades to a stale generation, not a loop of
+	// half-applied updates.
 	err := faultinject.Fire("serve.flush")
 	if err == nil {
-		err = next.Update(usable)
+		err = next.Update(slices.Concat(corpus, live))
 	}
 	if err != nil {
-		// The refinement failed: keep serving the last good generation
-		// and flag it stale rather than swapping in a half-updated
-		// model, and hand the cascades back so the next flush retries
-		// them instead of finding nothing dirty.
-		s.store.Unflush(usable)
+		// Keep serving the last good generation and flag it stale; the
+		// count it absorbed stays, so the next flush refits.
 		s.markStale(err)
 		return 0, fmt.Errorf("serve: online update: %w", err)
 	}
-	lm := &LoadedModel{Sys: next, Pred: cur.sys.Pred, Retrain: cur.sys.Retrain}
+	lm := &LoadedModel{Sys: next, Pred: cur.sys.Pred, Corpus: corpus}
 	retrained := true
-	if lm.Retrain != nil {
-		if pred, err := lm.Retrain(next); err == nil {
+	if lm.Pred != nil && len(corpus) > 0 {
+		if pred, err := next.TrainPredictor(corpus, lm.Pred.EarlyCutoff(), lm.Pred.Threshold()); err == nil {
 			lm.Pred = pred
 		} else {
-			// The refined embeddings swap in, but predictions still
+			// The refit embeddings swap in, but predictions still
 			// come from the previous predictor: stale, and visibly so.
 			retrained = false
 			s.markStale(fmt.Errorf("predictor retrain failed: %w", err))
 			s.cfg.Logf("serve: keeping previous predictor, retrain failed: %v", err)
 		}
 	}
-	gen := s.swap(lm)
+	gen := s.swap(lm, changes)
 	s.metrics.flushes.Add(1)
 	if retrained {
 		s.clearStale()
 	}
-	s.cfg.Logf("serve: flushed %d live cascades into the model (generation %d)", len(usable), gen)
+	s.cfg.Logf("serve: refit the model over %d corpus and %d live cascades (generation %d)", len(corpus), len(live), gen)
 	if w := s.walLog(); w != nil {
 		// Generation-tied compaction: everything the new generation
 		// absorbed no longer needs its raw log entries. The snapshot
@@ -678,7 +684,7 @@ func (s *Server) Flush() (int, error) {
 			s.cfg.Logf("serve: WAL compaction dropped %d sealed segments (generation %d)", removed, gen)
 		}
 	}
-	return len(usable), nil
+	return len(live), nil
 }
 
 // Handler returns the daemon's HTTP handler, for embedding in an
@@ -743,7 +749,7 @@ func (s *Server) Serve(ctx context.Context) error {
 	return nil
 }
 
-// flushLoop periodically refines the model from live cascades.
+// flushLoop periodically refits the model (Flush).
 func (s *Server) flushLoop(ctx context.Context, done chan<- struct{}) {
 	defer close(done)
 	t := time.NewTicker(s.cfg.FlushEvery)

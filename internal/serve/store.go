@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/features"
@@ -35,12 +36,11 @@ type Event = wal.Event
 type liveCascade struct {
 	c       cascade.Cascade
 	nodes   []int32
-	flushed int   // size at the last background flush
 	maxNode int32 // the largest node id infected: the universe check without a scan
 
 	// The early-adopter memo: the features of the first early infections
 	// (those at or before the cutoff) under model generation gen, 0 for
-	// none. It dies with the struct, so a Clear or Evict retires it too.
+	// none. It dies with the struct, so a Clear retires it too.
 	early int32
 	gen   uint64
 	feats features.Set
@@ -55,7 +55,8 @@ type storeShard struct {
 // cascade ID with per-shard locking so parallel POST /v1/events streams
 // for different cascades never serialize on one mutex.
 type Store struct {
-	shards [storeShards]storeShard
+	shards  [storeShards]storeShard
+	changes atomic.Uint64 // accepted Appends and Clears (Changes)
 }
 
 // NewStore returns an empty store.
@@ -114,6 +115,7 @@ func (s *Store) Append(ev Event, n int) (int, error) {
 	infs[i] = inf
 	lc.c.Infections = infs
 	lc.maxNode = max(lc.maxNode, int32(ev.Node))
+	s.changes.Add(1)
 	return len(infs), nil
 }
 
@@ -177,7 +179,7 @@ func (s *Store) readEarly(id int, gen uint64, cutoff float64, n int, r *earlyRea
 
 // memoize files r.set as the features of r's early prefix under
 // generation gen — in the struct r read, and only while it is still
-// the live cascade: a Clear or Evict in between retired that history,
+// the live cascade: a Clear in between retired that history,
 // and its features must not reach whatever took the id since.
 func (s *Store) memoize(id int, r *earlyRead, gen uint64) {
 	sh := s.shard(id)
@@ -200,53 +202,32 @@ func (s *Store) Len() int {
 	return total
 }
 
-// FlushDirty snapshots every cascade that has at least two infections
-// and has grown since its last flush, marking them flushed. These are
-// the cascades worth feeding to System.Update for online refinement
-// (singletons carry no likelihood signal). Results are ordered by
-// cascade ID for determinism.
-func (s *Store) FlushDirty() []*cascade.Cascade {
+// Changes is the store's change count: it moves on every accepted
+// Append and every Clear, and never otherwise. A flush that finds the
+// count its generation absorbed has nothing new to refit.
+func (s *Store) Changes() uint64 { return s.changes.Load() }
+
+// Cascades snapshots every live cascade a refit over an n-node model can
+// use, ordered by cascade ID: those with at least two infections
+// (singletons carry no likelihood signal) and every node inside the
+// universe (a reload may have shrunk it below ids already ingested).
+func (s *Store) Cascades(n int) []*cascade.Cascade {
 	var out []*cascade.Cascade
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
+		sh.mu.RLock()
 		for _, lc := range sh.live {
-			if len(lc.c.Infections) >= 2 && len(lc.c.Infections) > lc.flushed {
-				lc.flushed = len(lc.c.Infections)
+			if len(lc.c.Infections) >= 2 && int(lc.maxNode) < n {
 				out = append(out, &cascade.Cascade{
 					ID:         lc.c.ID,
 					Infections: append([]cascade.Infection(nil), lc.c.Infections...),
 				})
 			}
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
-}
-
-// maxInfectedNode is the largest node id the cascade has infected, -1
-// when empty, without materializing the node slice.
-func maxInfectedNode(c *cascade.Cascade) int {
-	mx := -1
-	for _, inf := range c.Infections {
-		mx = max(mx, inf.Node)
-	}
-	return mx
-}
-
-// Unflush marks the given cascades dirty again: the flush that
-// snapshotted them failed before a generation absorbed them, so the
-// next FlushDirty must hand them out once more.
-func (s *Store) Unflush(cs []*cascade.Cascade) {
-	for _, c := range cs {
-		sh := s.shard(c.ID)
-		sh.mu.Lock()
-		if lc, ok := sh.live[c.ID]; ok {
-			lc.flushed = 0
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // AllEvents returns every infection of every live cascade as ingestion
@@ -293,15 +274,5 @@ func (s *Store) Clear() {
 		sh.live = make(map[int]*liveCascade)
 		sh.mu.Unlock()
 	}
-}
-
-// Evict removes a live cascade (e.g. after its story has gone cold),
-// reporting whether it existed.
-func (s *Store) Evict(id int) bool {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.live[id]
-	delete(sh.live, id)
-	return ok
+	s.changes.Add(1)
 }

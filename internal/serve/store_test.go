@@ -151,6 +151,10 @@ func TestStoreGuardBytesPerInfection(t *testing.T) {
 	}
 }
 
+// TestStoreFlushDirty: what a flush reads to find new work. The change
+// count moves on every accepted Append and on nothing else a reader or a
+// rejected event does; Cascades hands a refit every usable live cascade,
+// in id order, with its full history.
 func TestStoreFlushDirty(t *testing.T) {
 	s := NewStore()
 	add := func(id, node int, tm float64) {
@@ -159,28 +163,44 @@ func TestStoreFlushDirty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if s.Changes() != 0 {
+		t.Fatalf("a new store counts %d changes", s.Changes())
+	}
+	add(3, 0, 0.1)
+	add(3, 99, 0.3) // inside a 100-node universe, outside a 50-node one
 	add(1, 0, 0.1)
 	add(1, 1, 0.2)
-	add(2, 0, 0.1) // singleton: never flushed
-	add(3, 0, 0.1)
-	add(3, 1, 0.3)
-
-	got := s.FlushDirty()
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 {
-		t.Fatalf("first flush = %v cascades, want ids [1 3]", ids(got))
+	add(2, 0, 0.1) // singleton: no likelihood signal
+	if s.Changes() != 5 {
+		t.Fatalf("Changes %d after 5 appends", s.Changes())
 	}
-	// Nothing grew: nothing to flush.
-	if got := s.FlushDirty(); len(got) != 0 {
-		t.Fatalf("idle flush returned %v", ids(got))
+	got := s.Cascades(100)
+	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 || got[1].Size() != 2 {
+		t.Fatalf("Cascades(100) = %v, want ids [1 3]", ids(got))
 	}
-	// Only the cascade that grew comes back, with its full history.
+	if got := s.Cascades(50); len(got) != 1 || got[0].ID != 1 {
+		t.Fatalf("Cascades(50) = %v, want id [1]", ids(got))
+	}
+	// A rejected event and a read change nothing.
+	if _, err := s.Append(Event{Cascade: 1, Node: 1, Time: 0.5}, 100); err == nil {
+		t.Fatal("duplicate infection accepted")
+	}
+	if s.Changes() != 5 {
+		t.Fatalf("Changes %d after a rejected append and reads, want 5", s.Changes())
+	}
+	// The cascade that grew comes back with its full history.
 	add(1, 2, 0.5)
-	got = s.FlushDirty()
-	if len(got) != 1 || got[0].ID != 1 || got[0].Size() != 3 {
-		t.Fatalf("growth flush = %v, want full cascade 1 of size 3", ids(got))
+	if s.Changes() != 6 {
+		t.Fatalf("Changes %d after growth, want 6", s.Changes())
+	}
+	if got := s.Cascades(100); len(got) != 2 || got[0].ID != 1 || got[0].Size() != 3 {
+		t.Fatalf("Cascades(100) after growth = %v, want full cascade 1 of size 3", ids(got))
 	}
 }
 
+// TestStoreEvictAndLen: Len counts cascades across every shard, and
+// Clear, the store's one eviction, empties them all and moves the change
+// count so the next flush sees the wipe.
 func TestStoreEvictAndLen(t *testing.T) {
 	s := NewStore()
 	for id := 0; id < 200; id++ { // spread across every shard
@@ -188,14 +208,15 @@ func TestStoreEvictAndLen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", s.Len())
+	if s.Len() != 200 || s.Changes() != 200 {
+		t.Fatalf("Len %d, Changes %d after 200 appends to 200 cascades", s.Len(), s.Changes())
 	}
-	if !s.Evict(7) || s.Evict(7) {
-		t.Fatal("Evict semantics wrong")
+	s.Clear()
+	if s.Len() != 0 || s.Changes() <= 200 {
+		t.Fatalf("after Clear: Len %d, Changes %d", s.Len(), s.Changes())
 	}
-	if s.Len() != 199 {
-		t.Fatalf("Len after evict = %d, want 199", s.Len())
+	if _, ok := s.Snapshot(7); ok {
+		t.Fatal("a cleared cascade is still readable")
 	}
 }
 

@@ -43,16 +43,18 @@ go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./
 # drew them in its sweep and ran every round, the generator's batch
 # draws to one Intn per bound, the EM kernels to the pairwise
 # responsibilities and the EM fit to a likelihood that never falls
-# across an epoch, whole fits (SLPA's second goroutine, up to Workers
+# across an epoch (cold and warm-started), the warm refit to its golden
+# and the daemon's flushes to a held-out likelihood that does not
+# drift, whole fits (SLPA's second goroutine, up to Workers
 # communities at once) to pinned embeddings at K = 4, 6 and 8, and the
 # scenario engine to one answer at any worker count: a "faster"
 # simulator, SLPA or kernel that reorders a draw or a sum fails here,
 # not in a figure.
-echo "== simulator + SLPA + xrand + EM oracles, pinned fits, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
+echo "== simulator + SLPA + xrand + EM oracles, pinned fits, flush drift, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
-    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestTrainEmbeddingsPinned' \
-    ./internal/cascade/ ./internal/scenario/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/
+    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestRefinePinned|TestTrainEmbeddingsPinned|TestFlushDoesNotDrift' \
+    ./internal/cascade/ ./internal/scenario/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/
 done
 
 # The README's walkthrough is the Example functions (the library's in
