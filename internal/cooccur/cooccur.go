@@ -1,16 +1,19 @@
 // Package cooccur builds the frequent co-occurrence graph that drives the
-// paper's community-based parallelization (§IV-B): for nodes u and v, the
-// directed edge weight is
+// paper's community-based parallelization (§IV-B). For nodes u and v,
+// with c(u) the number of cascades containing u and c(u,v) the number of
+// cascades in which u is infected before v, the paper's directed weight is
 //
 //	w(u,v) = 2*c(u,v) / (c(u) + c(v))
 //
-// where c(u) is the number of cascades containing u and c(u,v) the number
-// of cascades in which u is infected before v. Weights lie in [0,1].
+// which lies in [0,1]. SLPA reads the graph undirected, so Build emits it
+// that way: u and v are joined by one symmetric edge weighing
+// w(u,v) + w(v,u), which lies in (0,2].
 package cooccur
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/graph"
@@ -18,9 +21,11 @@ import (
 
 // Options tunes graph construction.
 type Options struct {
-	// MinPairCount drops edges whose raw co-occurrence count c(u,v) is
-	// below this value; 0 or 1 keeps everything. Large cascade sets
-	// benefit from pruning rare co-occurrences before community detection.
+	// MinPairCount drops the directed weight w(u,v) when its raw
+	// co-occurrence count c(u,v) is below this value, before the two
+	// directions are summed; a pair with both directions dropped has no
+	// edge. 0 or 1 keeps everything. Large cascade sets benefit from
+	// pruning rare co-occurrences before community detection.
 	MinPairCount int
 	// MaxCascadeSize skips counting pairs within cascades longer than
 	// this, protecting against the O(s^2) pair blow-up of a handful of
@@ -28,13 +33,20 @@ type Options struct {
 	MaxCascadeSize int
 }
 
-// Build constructs the co-occurrence graph over n nodes from the given
-// cascades.
+// span is one occurrence of a node in keys: its own key at keys[at], its
+// cascade's segment ending at keys[end].
+type span struct{ at, end int32 }
+
+// Build constructs the symmetric co-occurrence graph over n nodes from the
+// given cascades: an arc u→v for every arc v→u, both of weight
+// w(u,v) + w(v,u).
 //
-// Pairs are counted one source node at a time: every occurrence of u in a
-// counted cascade is indexed by the infections that follow it, so row u
-// of the graph is one sweep over those tails into a dense counter. The
-// rows come out in CSR order and no pair is ever a map key.
+// Every counted cascade becomes one segment of keys, node<<32 | position,
+// sorted by node, so the co-members above u of one occurrence of u are the
+// keys after it in its segment. Each pair u < v is then visited from row
+// u alone: one sweep sizes every row of the CSR exactly, and a second
+// counts both orders of each pair in a dense counter and writes the edge
+// into rows u and v. No pair is ever a map key.
 func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
@@ -46,7 +58,7 @@ func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 		return nil, fmt.Errorf("cooccur: %w", err)
 	}
 	nodeCount := make([]int, n) // c(u)
-	start := make([]int, n+1)   // start[u]: index of u's first tail
+	start := make([]int, n+1)   // start[u]: index of u's first occurrence
 	for _, c := range cs {
 		pairs := counted(c)
 		for _, inf := range c.Infections {
@@ -59,74 +71,116 @@ func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	for u := 0; u < n; u++ {
 		start[u+1] += start[u]
 	}
-	// tails[start[u]:start[u+1]] are the infections after each occurrence
-	// of u; they alias the cascades.
-	tails := make([][]cascade.Infection, start[n])
+	if n > math.MaxInt32 || start[n] > math.MaxInt32 {
+		return nil, fmt.Errorf("cooccur: %d nodes and %d counted infections exceed the 32-bit index", n, start[n])
+	}
+	keys := make([]uint64, 0, start[n])
+	occ := make([]span, start[n]) // occ[start[u]:start[u+1]]: u's occurrences
 	next := append([]int(nil), start[:n]...)
 	for _, c := range cs {
 		if !counted(c) {
 			continue
 		}
+		lo := len(keys)
 		for i, inf := range c.Infections {
-			tails[next[inf.Node]] = c.Infections[i+1:]
-			next[inf.Node]++
+			keys = append(keys, uint64(inf.Node)<<32|uint64(i))
+		}
+		slices.Sort(keys[lo:])
+		for at := lo; at < len(keys); at++ {
+			u := keys[at] >> 32
+			occ[next[u]] = span{int32(at), int32(len(keys))}
+			next[u]++
 		}
 	}
-	// Counting the arcs first sizes the CSR arrays once.
-	arcs := countArcs(tails, start)
+
+	// Size the rows: each distinct pair u < v is one arc in row u and one
+	// in row v. offsets[u+1] holds row u's size until the prefix sum.
 	offsets := make([]int, n+1)
-	targets := make([]int, 0, arcs)
-	weights := make([]float64, 0, arcs)
-	pairCount := make([]int, n) // c(u,v) for the current u, zero between rows
-	var seen []int              // the v with pairCount[v] > 0
+	last := make([]int, n) // last[v] = u+1 once the pair (u, v) is counted
 	for u := 0; u < n; u++ {
-		for _, tail := range tails[start[u]:start[u+1]] {
-			for _, inf := range tail {
-				if pairCount[inf.Node] == 0 {
-					seen = append(seen, inf.Node)
+		arcs := 0
+		for _, o := range occ[start[u]:start[u+1]] {
+			for _, k := range keys[o.at+1 : o.end] {
+				v := k >> 32
+				// Stored unconditionally so the count compiles to a
+				// conditional move, not a branch on fresh data.
+				fresh := 0
+				if last[v] != u+1 {
+					fresh = 1
 				}
-				pairCount[inf.Node]++
+				last[v] = u + 1
+				offsets[v+1] += fresh
+				arcs += fresh
 			}
 		}
-		sort.Ints(seen)
+		offsets[u+1] += arcs
+	}
+	for u := 0; u < n; u++ {
+		offsets[u+1] += offsets[u]
+	}
+
+	// Fill the rows in order of u: row u gets its v > u here, after every
+	// smaller u has written itself into it, so each row comes out sorted.
+	targets := make([]int, offsets[n])
+	weights := make([]float64, offsets[n])
+	fill := next // fill[u]: where row u's next arc goes
+	copy(fill, offsets[:n])
+	minCount := uint64(max(opt.MinPairCount, 1))
+	weight := func(c uint64, u, v int) float64 {
+		if c < minCount {
+			return 0
+		}
+		return 2 * float64(c) / float64(nodeCount[u]+nodeCount[v])
+	}
+	pairCount := make([]uint64, n) // row u: c(u,v)<<32 | c(v,u), zero between rows
+	var seen []int                 // the v with pairCount[v] > 0
+	for u := 0; u < n; u++ {
+		for _, o := range occ[start[u]:start[u+1]] {
+			pos := uint32(keys[o.at])
+			for _, k := range keys[o.at+1 : o.end] {
+				v := k >> 32
+				if pairCount[v] == 0 {
+					seen = append(seen, int(v))
+				}
+				inc := uint64(1)
+				if uint32(k) > pos { // u before v
+					inc = 1 << 32
+				}
+				pairCount[v] += inc
+			}
+		}
+		slices.Sort(seen)
 		for _, v := range seen {
-			cnt := pairCount[v]
+			c := pairCount[v]
 			pairCount[v] = 0
-			if opt.MinPairCount > 1 && cnt < opt.MinPairCount {
+			// Either weight is +0 when dropped, and x + 0 is x.
+			w := weight(c>>32, u, v) + weight(c&math.MaxUint32, v, u)
+			if w == 0 {
 				continue
 			}
-			targets = append(targets, v)
-			weights = append(weights, 2*float64(cnt)/float64(nodeCount[u]+nodeCount[v]))
+			targets[fill[u]], weights[fill[u]] = v, w
+			targets[fill[v]], weights[fill[v]] = u, w
+			fill[u]++
+			fill[v]++
 		}
 		seen = seen[:0]
-		offsets[u+1] = len(targets)
+	}
+	if opt.MinPairCount > 1 {
+		// Dropped pairs left gaps at the ends of their rows; close them.
+		m := 0
+		for u := 0; u < n; u++ {
+			lo, hi := offsets[u], fill[u]
+			offsets[u] = m
+			copy(targets[m:], targets[lo:hi])
+			copy(weights[m:], weights[lo:hi])
+			m += hi - lo
+		}
+		offsets[n] = m
+		targets, weights = targets[:m], weights[:m]
 	}
 	g, err := graph.FromCSR(n, offsets, targets, weights)
 	if err != nil {
 		return nil, fmt.Errorf("cooccur: %w", err)
 	}
 	return g, nil
-}
-
-// countArcs returns the number of distinct pairs (u, v) with v in one of
-// u's tails, tails[start[u]:start[u+1]]: Build's arc count before the
-// MinPairCount filter, which can only drop arcs.
-func countArcs(tails [][]cascade.Infection, start []int) int {
-	n := len(start) - 1
-	last := make([]int, n) // last[v] = u+1 once v is counted for row u
-	total := 0
-	for u := 0; u < n; u++ {
-		for _, tail := range tails[start[u]:start[u+1]] {
-			for _, inf := range tail {
-				// Stored unconditionally so the count compiles to a
-				// conditional move, not a branch on fresh data.
-				seen := last[inf.Node]
-				last[inf.Node] = u + 1
-				if seen != u+1 {
-					total++
-				}
-			}
-		}
-	}
-	return total
 }

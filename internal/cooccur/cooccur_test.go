@@ -2,9 +2,13 @@ package cooccur
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"viralcast/internal/cascade"
+	"viralcast/internal/slpa"
+	"viralcast/internal/workload"
+	"viralcast/internal/xrand"
 )
 
 func casc(id int, nodes ...int) *cascade.Cascade {
@@ -15,44 +19,81 @@ func casc(id int, nodes ...int) *cascade.Cascade {
 	return c
 }
 
+// weightOf is the two-term weight Build gives a pair: w(u,v) + w(v,u),
+// each 2*c/(c(u)+c(v)) for its own order's count.
+func weightOf(cuv, cvu, cu, cv int) float64 {
+	return 2*float64(cuv)/float64(cu+cv) + 2*float64(cvu)/float64(cu+cv)
+}
+
 func TestBuildWeights(t *testing.T) {
-	// Node 0 in 2 cascades, node 1 in 2, pair (0 before 1) in 1 cascade.
+	// c(0) = 4, c(1) = 3; 0 precedes 1 in two cascades, 1 precedes 0 in one.
 	cs := []*cascade.Cascade{
 		casc(0, 0, 1),
-		casc(1, 0),
-		casc(2, 1),
+		casc(1, 0, 1),
+		casc(2, 1, 0),
+		casc(3, 0),
 	}
 	g, err := Build(cs, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, ok := g.Weight(0, 1)
-	if !ok {
-		t.Fatal("edge (0,1) missing")
+	want := weightOf(2, 1, 4, 3) // 4/7 + 2/7
+	for _, arc := range [][2]int{{0, 1}, {1, 0}} {
+		w, ok := g.Weight(arc[0], arc[1])
+		if !ok || math.Float64bits(w) != math.Float64bits(want) {
+			t.Fatalf("w(%d,%d) = %v, %v; want %v", arc[0], arc[1], w, ok, want)
+		}
 	}
-	// w = 2*1/(2+2) = 0.5
-	if math.Abs(w-0.5) > 1e-12 {
-		t.Fatalf("w(0,1) = %v, want 0.5", w)
-	}
-	if _, ok := g.Weight(1, 0); ok {
-		t.Fatal("edge (1,0) must not exist (1 never precedes 0)")
+	if math.Abs(want-6.0/7) > 1e-15 {
+		t.Fatalf("two-term weight %v, want 6/7", want)
 	}
 }
 
+// A pair infected in one order only still gets an arc both ways, of one
+// term; a pair seen in both orders sums the two.
 func TestBuildDirectionality(t *testing.T) {
-	cs := []*cascade.Cascade{casc(0, 2, 1, 0)}
+	cs := []*cascade.Cascade{casc(0, 2, 1, 0), casc(1, 0, 1)}
 	g, err := Build(cs, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range g.Edges() {
-		// Only earlier-infected -> later-infected edges may exist.
-		if !(e.From == 2 && (e.To == 1 || e.To == 0)) && !(e.From == 1 && e.To == 0) {
-			t.Fatalf("unexpected edge %+v", e)
+	// c(0) = 2, c(1) = 2, c(2) = 1.
+	want := map[[2]int]float64{
+		{0, 1}: weightOf(1, 1, 2, 2), // both orders: 1/2 + 1/2
+		{0, 2}: weightOf(0, 1, 2, 1), // 2 before 0 only: 2/3
+		{1, 2}: weightOf(0, 1, 2, 1), // 2 before 1 only: 2/3
+	}
+	for pair, w := range want {
+		for _, arc := range [][2]int{pair, {pair[1], pair[0]}} {
+			if got, ok := g.Weight(arc[0], arc[1]); !ok || got != w {
+				t.Fatalf("w(%d,%d) = %v, %v; want %v", arc[0], arc[1], got, ok, w)
+			}
 		}
 	}
-	if g.M() != 3 {
-		t.Fatalf("M = %d, want 3", g.M())
+	if g.M() != 6 {
+		t.Fatalf("M = %d, want 6", g.M())
+	}
+}
+
+// Every arc's reverse is present with the same weight bits, under every
+// option.
+func TestBuildSymmetric(t *testing.T) {
+	rng := xrand.New(16)
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(60)
+		cs := randomCascades(rng, n)
+		for _, opt := range options {
+			g, err := Build(cs, n, opt)
+			if err != nil {
+				t.Fatalf("trial %d %+v: %v", trial, opt, err)
+			}
+			for _, e := range g.Edges() {
+				w, ok := g.Weight(e.To, e.From)
+				if !ok || math.Float64bits(w) != math.Float64bits(e.Weight) {
+					t.Fatalf("trial %d %+v: arc %+v has reverse weight %v, %v", trial, opt, e, w, ok)
+				}
+			}
+		}
 	}
 }
 
@@ -67,27 +108,33 @@ func TestBuildWeightRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range g.Edges() {
-		if e.Weight <= 0 || e.Weight > 1 {
-			t.Fatalf("weight out of (0,1]: %+v", e)
+		if e.Weight <= 0 || e.Weight > 2 {
+			t.Fatalf("weight out of (0,2]: %+v", e)
 		}
 	}
 }
 
+// MinPairCount filters each order of a pair before the two are summed.
 func TestBuildMinPairCount(t *testing.T) {
 	cs := []*cascade.Cascade{
 		casc(0, 0, 1),
 		casc(1, 0, 1),
 		casc(2, 1, 2),
+		casc(3, 1, 0),
 	}
 	g, err := Build(cs, 3, Options{MinPairCount: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Weight(0, 1); !ok {
-		t.Error("frequent pair dropped")
+	// c(0) = 3, c(1) = 4: c(0,1) = 2 is kept, c(1,0) = 1 is not.
+	if w, ok := g.Weight(1, 0); !ok || w != weightOf(2, 0, 3, 4) {
+		t.Errorf("w(1,0) = %v, %v; want the frequent order's term alone, %v", w, ok, weightOf(2, 0, 3, 4))
 	}
 	if _, ok := g.Weight(1, 2); ok {
 		t.Error("rare pair kept despite MinPairCount")
+	}
+	if _, ok := g.Weight(2, 1); ok {
+		t.Error("rare pair kept in reverse despite MinPairCount")
 	}
 }
 
@@ -123,21 +170,44 @@ func TestBuildRejectsInvalid(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild(b *testing.B) {
-	// 500 synthetic cascades of ~30 nodes each.
-	var cs []*cascade.Cascade
-	node := 0
-	for i := 0; i < 500; i++ {
-		c := &cascade.Cascade{ID: i}
-		for j := 0; j < 30; j++ {
-			c.Infections = append(c.Infections,
-				cascade.Infection{Node: (node + j*7) % 800, Time: float64(j)})
-		}
-		// Deduplicate by construction: stride 7 over 800 nodes with 30 steps
-		// never repeats within a cascade.
-		node = (node + 13) % 800
-		cs = append(cs, c)
+// trainDraw is the draw bench/'s train workload fits: 800 nodes, 1,000
+// cascades, window 8.
+func trainDraw(t testing.TB) []*cascade.Cascade {
+	c := workload.Default()
+	c.N, c.Cascades, c.Window = 800, 1000, 8
+	d, err := workload.Build(c)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return d.Cascades
+}
+
+// A fit's graph front half, Build then Detect on the train draw, allocates
+// at most half of what it did while Build emitted the directed graph and
+// Detect symmetrized it: 7.77 MB then, 2.34 MB in Build and 5.43 MB in
+// Detect, 4.74 MB of which were the transpose and the undirected copy.
+func TestBuildAndDetectAllocations(t *testing.T) {
+	const limit = 7.77e6 / 2
+	cs := trainDraw(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := Build(cs, 800, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slpa.Detect(g, slpa.Options{}, xrand.New(1))
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > limit {
+		t.Fatalf("Build and Detect allocate %.2f MB on the train draw, limit %.2f MB", float64(got)/1e6, limit/1e6)
+	}
+	t.Logf("Build and Detect allocate %.2f MB on the train draw (%d arcs)", float64(got)/1e6, g.M())
+}
+
+// BenchmarkBuild builds the graph of bench/'s train workload, the one a
+// fit's SLPA runs on.
+func BenchmarkBuild(b *testing.B) {
+	cs := trainDraw(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

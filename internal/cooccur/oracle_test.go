@@ -9,13 +9,24 @@ import (
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/graph"
-	"viralcast/internal/workload"
 	"viralcast/internal/xrand"
 )
 
+// symmetrized is the undirected graph SLPA reads of a directed one: every
+// arc goes into one edge list in both directions and graph.FromEdges sums
+// each pair, w(u,v) + w(v,u).
+func symmetrized(g *graph.Graph) (*graph.Graph, error) {
+	var edges []graph.Edge
+	for _, e := range g.Edges() {
+		edges = append(edges, e, graph.Edge{From: e.To, To: e.From, Weight: e.Weight})
+	}
+	return graph.FromEdges(g.N(), edges)
+}
+
 // buildViaMaps is the Build this package shipped before the CSR one:
-// ordered pairs counted in a map and handed to graph.FromEdges. It stays
-// here as the reference the new code must equal bit for bit.
+// ordered pairs counted in a map and handed to graph.FromEdges, which
+// gives the directed graph of weights w(u,v). Symmetrized, it stays here
+// as the reference the new code must equal bit for bit.
 func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
@@ -83,9 +94,14 @@ func randomCascades(rng *xrand.RNG, n int) []*cascade.Cascade {
 	return cs
 }
 
+// options crosses MinPairCount {0, 2, 3} with MaxCascadeSize {0, 20}.
+var options = []Options{
+	{}, {MinPairCount: 2}, {MinPairCount: 3},
+	{MaxCascadeSize: 20}, {MinPairCount: 2, MaxCascadeSize: 20}, {MinPairCount: 3, MaxCascadeSize: 20},
+}
+
 func TestBuildMatchesMapOracle(t *testing.T) {
 	rng := xrand.New(14)
-	options := []Options{{}, {MinPairCount: 3}, {MaxCascadeSize: 20}, {MinPairCount: 3, MaxCascadeSize: 20}}
 	for trial := 0; trial < 150; trial++ {
 		n := 2 + rng.Intn(60)
 		cs := randomCascades(rng, n)
@@ -94,9 +110,13 @@ func TestBuildMatchesMapOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %+v: %v", trial, opt, err)
 			}
-			want, err := buildViaMaps(cs, n, opt)
+			directed, err := buildViaMaps(cs, n, opt)
 			if err != nil {
 				t.Fatalf("trial %d %+v: oracle: %v", trial, opt, err)
+			}
+			want, err := symmetrized(directed)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
 				t.Fatalf("trial %d %+v (n=%d, %d cascades): Build differs from the map oracle\n got %v\nwant %v",
@@ -125,8 +145,9 @@ func TestBuildErrorsMatchMapOracle(t *testing.T) {
 }
 
 // buildByAppend is Build as it stood before it counted its arcs first:
-// the same row sweep, the CSR arrays grown by append. Build must equal it
-// in every offset, target and weight bit.
+// one sweep over the infections after each occurrence of u makes row u of
+// the directed graph, the CSR arrays grown by append. Symmetrized, it is
+// what Build must equal in every offset, target and weight bit.
 func buildByAppend(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
@@ -213,9 +234,17 @@ func sameCSR(a, b *graph.Graph) int {
 	return -1
 }
 
+// symmetrizedByAppend is buildByAppend's graph, symmetrized.
+func symmetrizedByAppend(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
+	g, err := buildByAppend(cs, n, opt)
+	if err != nil {
+		return nil, err
+	}
+	return symmetrized(g)
+}
+
 func TestBuildMatchesAppendBuilder(t *testing.T) {
 	rng := xrand.New(15)
-	options := []Options{{}, {MinPairCount: 3}, {MaxCascadeSize: 20}, {MinPairCount: 3, MaxCascadeSize: 20}}
 	for trial := 0; trial < 150; trial++ {
 		n := 2 + rng.Intn(60)
 		cs := randomCascades(rng, n)
@@ -224,7 +253,7 @@ func TestBuildMatchesAppendBuilder(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %+v: %v", trial, opt, err)
 			}
-			want, err := buildByAppend(cs, n, opt)
+			want, err := symmetrizedByAppend(cs, n, opt)
 			if err != nil {
 				t.Fatalf("trial %d %+v: oracle: %v", trial, opt, err)
 			}
@@ -233,25 +262,20 @@ func TestBuildMatchesAppendBuilder(t *testing.T) {
 			}
 		}
 	}
-	// The draw bench/'s train workload fits: 800 nodes, 1,000 cascades.
-	c := workload.Default()
-	c.N, c.Cascades, c.Window = 800, 1000, 8
-	d, err := workload.Build(c)
+	cs := trainDraw(t)
+	got, err := Build(cs, 800, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Build(d.Cascades, c.N, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := buildByAppend(d.Cascades, c.N, Options{})
+	want, err := symmetrizedByAppend(cs, 800, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u := sameCSR(got, want); u >= 0 {
 		t.Fatalf("train draw: row %d differs from the append builder", u)
 	}
-	if got.M() != 97966 {
-		t.Fatalf("train draw has %d arcs, want 97966", got.M())
+	// The directed graph's 97,966 arcs join 58,998 pairs.
+	if got.M() != 117996 {
+		t.Fatalf("train draw has %d arcs, want 117996", got.M())
 	}
 }

@@ -280,8 +280,11 @@ func TestGradientAscentImprovesLikelihood(t *testing.T) {
 		}
 		vecmath.Axpy(1e-3, dA.Data, m.A.Data)
 		vecmath.Axpy(1e-3, dB.Data, m.B.Data)
-		m.A.ProjectNonneg()
-		m.B.ProjectNonneg()
+		for _, x := range [][]float64{m.A.Data, m.B.Data} {
+			for i := range x {
+				x[i] = max(x[i], 0)
+			}
+		}
 	}
 	after := m.LogLikAll(cs)
 	if after <= before {

@@ -9,69 +9,6 @@ import (
 	"viralcast/internal/xrand"
 )
 
-// undirectedViaEdges is the reference Undirected must equal bit for bit:
-// every arc goes into one edge list in both directions and FromEdges
-// sums each pair.
-func undirectedViaEdges(t *testing.T, g *Graph) *Graph {
-	t.Helper()
-	var edges []Edge
-	for _, e := range g.Edges() {
-		edges = append(edges, e, Edge{From: e.To, To: e.From, Weight: e.Weight})
-	}
-	und, err := FromEdges(g.n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return und
-}
-
-// randomDigraph draws a weighted digraph with isolated nodes, reciprocal
-// pairs and repeated weights (so equal sums occur).
-func randomDigraph(t testing.TB, rng *xrand.RNG) *Graph {
-	n := 1 + rng.Intn(40)
-	var edges []Edge
-	for i := rng.Intn(6 * n); i > 0; i-- {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || u%7 == 3 || v%7 == 3 { // nodes 3, 10, ... stay isolated
-			continue
-		}
-		w := rng.Float64()
-		if rng.Intn(2) == 0 {
-			w = float64(1+rng.Intn(3)) / 4
-		}
-		edges = append(edges, Edge{u, v, w})
-		if rng.Intn(3) == 0 {
-			edges = append(edges, Edge{v, u, rng.Float64()})
-		}
-	}
-	g, err := FromEdges(n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func TestUndirectedMatchesEdgeListOracle(t *testing.T) {
-	rng := xrand.New(14)
-	for trial := 0; trial < 300; trial++ {
-		g := randomDigraph(t, rng)
-		got, want := g.Undirected(), undirectedViaEdges(t, g)
-		if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
-			t.Fatalf("trial %d (n=%d, m=%d): Undirected differs from the edge-list oracle\n got %v\nwant %v",
-				trial, g.N(), g.M(), got.Edges(), want.Edges())
-		}
-		if !reflect.DeepEqual(got.offsets, want.offsets) {
-			t.Fatalf("trial %d: offsets %v, want %v", trial, got.offsets, want.offsets)
-		}
-		// Symmetrizing a symmetric graph doubles every weight and keeps
-		// the arcs: the reciprocated branch of the merge.
-		twice := got.Undirected()
-		if !reflect.DeepEqual(twice.Edges(), undirectedViaEdges(t, got).Edges()) {
-			t.Fatalf("trial %d: Undirected of a symmetric graph differs from the oracle", trial)
-		}
-	}
-}
-
 // TestFromEdgesSumsInListOrder holds FromEdges to a map that accumulates
 // each pair's weights with += in list order, bit for bit. Weights span
 // many magnitudes and signs, so a different summation order shows.
@@ -159,29 +96,5 @@ func TestFromCSRRejects(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
-	}
-}
-
-func BenchmarkUndirected(b *testing.B) {
-	// A dense one-directional graph shaped like the co-occurrence graph of
-	// bench/'s train workload: 1,000 nodes, ~98k arcs, few reciprocated.
-	rng := xrand.New(1)
-	var edges []Edge
-	for i := 0; i < 100000; i++ {
-		u, v := rng.Intn(1000), rng.Intn(1000)
-		if u < v {
-			edges = append(edges, Edge{u, v, rng.Float64()})
-		} else if v < u && rng.Intn(50) == 0 {
-			edges = append(edges, Edge{u, v, rng.Float64()})
-		}
-	}
-	g, err := FromEdges(1000, edges)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Undirected()
 	}
 }

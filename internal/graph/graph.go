@@ -2,7 +2,9 @@
 // by the cascade simulator, the co-occurrence analysis, and the community
 // detection algorithms. A Graph is an immutable CSR (compressed sparse
 // row) form built from an edge list (FromEdges) or from rows a caller
-// already produced in order (FromCSR).
+// already produced in order (FromCSR). An undirected graph is a symmetric
+// one, each edge stored as an arc in both rows: the co-occurrence graph
+// (cooccur.Build) comes out that way, and it is the form SLPA reads.
 package graph
 
 import (
@@ -134,62 +136,6 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return out
-}
-
-// Undirected returns a new graph where each directed edge (u,v,w)
-// contributes w to both (u,v) and (v,u). Useful for community detection
-// on co-occurrence graphs that were built directionally.
-//
-// Row u of the result is the merge of u's out-row with its in-row (row u
-// of the transpose). Both are sorted by neighbor, and a pair present in
-// both directions gets the two-term sum w(u,v)+w(v,u), so the weights do
-// not depend on the order the arcs are visited in.
-func (g *Graph) Undirected() *Graph {
-	// Transpose by counting sort: scanning sources in ascending order
-	// leaves every in-row sorted by source.
-	inOff := make([]int, g.n+1)
-	for _, v := range g.targets {
-		inOff[v+1]++
-	}
-	for i := 1; i <= g.n; i++ {
-		inOff[i] += inOff[i-1]
-	}
-	inSrc := make([]int, g.M())
-	inW := make([]float64, g.M())
-	next := append([]int(nil), inOff[:g.n]...)
-	for u := 0; u < g.n; u++ {
-		ts, ws := g.Neighbors(u)
-		for i, v := range ts {
-			inSrc[next[v]], inW[next[v]] = u, ws[i]
-			next[v]++
-		}
-	}
-	// 2M bounds the arc count; it is reached when no edge is reciprocated.
-	und := &Graph{
-		n:       g.n,
-		offsets: make([]int, g.n+1),
-		targets: make([]int, 0, 2*g.M()),
-		weights: make([]float64, 0, 2*g.M()),
-	}
-	for u := 0; u < g.n; u++ {
-		ts, ws := g.Neighbors(u)
-		ss, sw := inSrc[inOff[u]:inOff[u+1]], inW[inOff[u]:inOff[u+1]]
-		for i, j := 0, 0; i < len(ts) || j < len(ss); {
-			var v int
-			var w float64
-			switch {
-			case j == len(ss) || (i < len(ts) && ts[i] < ss[j]):
-				v, w, i = ts[i], ws[i], i+1
-			case i == len(ts) || ss[j] < ts[i]:
-				v, w, j = ss[j], sw[j], j+1
-			default:
-				v, w, i, j = ts[i], ws[i]+sw[j], i+1, j+1
-			}
-			und.targets, und.weights = append(und.targets, v), append(und.weights, w)
-		}
-		und.offsets[u+1] = len(und.targets)
-	}
-	return und
 }
 
 // ConnectedComponents returns, treating edges as undirected, the component

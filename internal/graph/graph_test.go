@@ -82,26 +82,6 @@ func TestEdgesAndTotalWeight(t *testing.T) {
 	}
 }
 
-func TestUndirected(t *testing.T) {
-	g := mustGraph(t, 3, Edge{0, 1, 2}).Undirected()
-	if w, ok := g.Weight(1, 0); !ok || w != 2 {
-		t.Fatalf("undirected reverse edge missing: %v %v", w, ok)
-	}
-	if w, ok := g.Weight(0, 1); !ok || w != 2 {
-		t.Fatalf("undirected forward edge wrong: %v %v", w, ok)
-	}
-}
-
-func TestUndirectedSymmetricWeights(t *testing.T) {
-	// A graph with both directions present: weights must sum symmetrically.
-	g := mustGraph(t, 2, Edge{0, 1, 1}, Edge{1, 0, 3}).Undirected()
-	w01, _ := g.Weight(0, 1)
-	w10, _ := g.Weight(1, 0)
-	if w01 != 4 || w10 != 4 {
-		t.Fatalf("undirected weights %v %v, want 4 4", w01, w10)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := mustGraph(t, 5, Edge{0, 1, 1}, Edge{3, 2, 1}) // direction must not matter
 	comp, count := g.ConnectedComponents()

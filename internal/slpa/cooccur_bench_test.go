@@ -11,7 +11,7 @@ import (
 // BenchmarkDetectCooccur runs Detect, default options (T = 20), on the
 // graph training detects communities in: the co-occurrence graph of a
 // 1,000-cascade draw over an 800-node SBM, the size of bench/'s train
-// workload (97,966 edges). It is dense where BenchmarkDetectSBM is
+// workload (117,996 arcs). It is dense where BenchmarkDetectSBM is
 // sparse; compare the two with -cpu 1,2. Beside ns/op it reports the
 // rounds the timed calls ran before the partition was certain, counted
 // again by propagate once the timer has stopped.
@@ -33,9 +33,9 @@ func BenchmarkDetectCooccur(b *testing.B) {
 		Detect(g, Options{}, xrand.New(uint64(i)))
 	}
 	b.StopTimer()
-	und, total := g.Undirected(), 0
+	total := 0
 	for i := 0; i < b.N; i++ {
-		_, rounds := propagate(und, Options{}.withDefaults().Iterations, xrand.New(uint64(i)))
+		_, rounds := propagate(g, Options{}.withDefaults().Iterations, xrand.New(uint64(i)))
 		total += rounds
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "rounds")

@@ -93,15 +93,14 @@ func speakViaMap(mem map[int]int, total int, rng *xrand.RNG) int {
 
 func detectViaMaps(g *graph.Graph, opt Options, rng *xrand.RNG) (*Partition, []xrand.RNG) {
 	opt = opt.withDefaults()
-	und := g.Undirected()
-	memory, _, rngAfter := propagateViaMaps(und, opt.Iterations, rng)
+	memory, _, rngAfter := propagateViaMaps(g, opt.Iterations, rng)
 	membership := make([]int, g.N())
 	for u := range membership {
 		membership[u] = mapModal(memory[u])
 	}
 	p := FromMembership(membership)
 	if opt.MinCommunitySize > 1 {
-		p = mergeSmallViaMaps(und, p, opt.MinCommunitySize)
+		p = mergeSmallViaMaps(g, p, opt.MinCommunitySize)
 	}
 	return p, rngAfter
 }
@@ -160,10 +159,11 @@ func mergeSmallViaMaps(und *graph.Graph, p *Partition, minSize int) *Partition {
 	return FromMembership(membership)
 }
 
-// randomDigraph draws a weighted digraph with isolated nodes, reciprocal
+// randomGraph draws a weighted digraph with isolated nodes, reciprocal
 // pairs and, half the time, weights from a three-value set so that
-// received totals tie and the lowest-label rule decides.
-func randomDigraph(t *testing.T, rng *xrand.RNG) *graph.Graph {
+// received totals tie and the lowest-label rule decides, and returns it
+// undirected.
+func randomGraph(t *testing.T, rng *xrand.RNG) *graph.Graph {
 	n := 1 + rng.Intn(60)
 	coarse := rng.Intn(2) == 0
 	var edges []graph.Edge
@@ -181,11 +181,11 @@ func randomDigraph(t *testing.T, rng *xrand.RNG) *graph.Graph {
 			edges = append(edges, graph.Edge{From: v, To: u, Weight: w})
 		}
 	}
-	return fromEdges(t, n, edges)
+	return undirected(t, n, edges)
 }
 
 // randomClustered draws the shape SLPA is for: up to four dense blocks
-// joined by a few arcs, with isolated nodes (10, 21, ...).
+// joined by a few arcs, with isolated nodes (10, 21, ...), undirected.
 func randomClustered(t *testing.T, rng *xrand.RNG) *graph.Graph {
 	n, blocks := 2+rng.Intn(60), 1+rng.Intn(4)
 	var edges []graph.Edge
@@ -203,7 +203,7 @@ func randomClustered(t *testing.T, rng *xrand.RNG) *graph.Graph {
 			}
 		}
 	}
-	return fromEdges(t, n, edges)
+	return undirected(t, n, edges)
 }
 
 // identityCase is a graph the old-vs-new tests run on, under opts.
@@ -217,7 +217,7 @@ var identityOptions = []Options{
 	{Iterations: 30, MinCommunitySize: 8}, {MinCommunitySize: 8},
 }
 
-// identityCases are seeded random digraphs plus the SBM fixture of
+// identityCases are seeded random graphs plus the SBM fixture of
 // TestDetectSBMRecovery under identityOptions, and two graphs sized to
 // the draw stream under a few rounds (the map oracle is slow on them): a
 // clique whose every round is several chunks of draws, and a star whose
@@ -231,7 +231,7 @@ func identityCases(t *testing.T) []identityCase {
 	graphs := []*graph.Graph{g, twoCliques(t), bridgedCliques(t), fromEdges(t, 4, nil)}
 	rng := xrand.New(14)
 	for i := 0; i < 60; i++ {
-		graphs = append(graphs, randomDigraph(t, rng))
+		graphs = append(graphs, randomGraph(t, rng))
 	}
 	var cases []identityCase
 	for _, g := range graphs {
@@ -254,7 +254,7 @@ func completeGraph(t *testing.T, n int) *graph.Graph {
 			edges = append(edges, graph.Edge{From: u, To: v, Weight: float64(1 + (u*v)%3)})
 		}
 	}
-	return fromEdges(t, n, edges)
+	return undirected(t, n, edges)
 }
 
 // bridgedCliques builds two K6s sharing one bridge node (id 12) that is
@@ -278,7 +278,7 @@ func bridgedCliques(t *testing.T) *graph.Graph {
 	for u := 0; u < 12; u++ {
 		add(u, 12)
 	}
-	return fromEdges(t, 13, edges)
+	return undirected(t, 13, edges)
 }
 
 // starGraph is node 0 linked to leaves 1..leaves, plus one isolated node.
@@ -288,7 +288,7 @@ func starGraph(t *testing.T, leaves int) *graph.Graph {
 	for v := 1; v <= leaves; v++ {
 		edges = append(edges, graph.Edge{From: v, To: 0, Weight: float64(1+v%3) / 2})
 	}
-	return fromEdges(t, leaves+2, edges)
+	return undirected(t, leaves+2, edges)
 }
 
 // eachProcs runs f as a subtest at GOMAXPROCS 1, 2 and the ambient
@@ -329,7 +329,7 @@ func TestDetectMatchesMapOracle(t *testing.T) {
 						ci, c.g.N(), c.g.M(), opt, got.Membership, want.Membership)
 				}
 				iterations := opt.withDefaults().Iterations
-				_, rounds := propagate(c.g.Undirected(), iterations, xrand.New(seed))
+				_, rounds := propagate(c.g, iterations, xrand.New(seed))
 				if *rng != stopRNG(rngAfter, rounds, iterations) {
 					t.Fatalf("graph %d %+v: RNG position after Detect is not the oracle's after %d of %d rounds",
 						ci, opt, min(rounds+1, iterations), iterations)
@@ -377,7 +377,7 @@ func TestPropagateMatchesMapOracle(t *testing.T) {
 	rng := xrand.New(16)
 	var graphs []rows
 	for i := 0; i < 30; i++ {
-		graphs = append(graphs, withSelfLoops(randomDigraph(t, rng).Undirected()))
+		graphs = append(graphs, withSelfLoops(randomGraph(t, rng)))
 	}
 	eachProcs(t, func(t *testing.T) {
 		for gi, g := range graphs {
@@ -414,7 +414,7 @@ func TestPropagateMatchesMapOracle(t *testing.T) {
 // Property: wherever propagate stops, every node's modal label is the one
 // the map oracle leaves it after all T rounds, and Detect's partition is
 // the full run's. T cycles through 1, 2, 5, 20, 30 and 50, each block of
-// six cases on one kind of graph: random digraphs or clustered ones,
+// six cases on one kind of graph: random graphs or clustered ones,
 // isolated nodes included, each as a graph and as rows with self-loops;
 // three stars have a hub that hears more speakers than a chunk holds. A
 // third of the cases must stop early, or the property says nothing.
@@ -426,16 +426,16 @@ func TestDetectCertifiedStopMatchesFullRun(t *testing.T) {
 	for ci := 0; ci < cases; ci++ {
 		iterations, seed := rounds[ci%len(rounds)], uint64(ci)
 		block := ci / len(rounds)
-		g := randomDigraph(t, rng)
+		g := randomGraph(t, rng)
 		switch {
 		case ci%80 == 45:
 			g = starGraph(t, drawChunk+10)
 		case block/2%2 == 1:
 			g = randomClustered(t, rng)
 		}
-		var und adjacency = g.Undirected()
+		var und adjacency = g
 		if block%2 == 1 {
-			und = withSelfLoops(g.Undirected())
+			und = withSelfLoops(g)
 		}
 		memory, ran := propagate(und, iterations, xrand.New(seed))
 		full, _, _ := propagateViaMaps(und, iterations, xrand.New(seed))
@@ -468,12 +468,11 @@ func TestDetectCertifiedStopMatchesFullRun(t *testing.T) {
 // call.
 func TestDetectLeavesNoGoroutine(t *testing.T) {
 	g := twoCliques(t)
-	und := g.Undirected()
 	before := runtime.NumGoroutine()
 	early := 0
 	for i := 0; i < 20; i++ {
 		Detect(g, Options{Iterations: 1 + i}, xrand.New(uint64(i)))
-		if _, rounds := propagate(und, 1+i, xrand.New(uint64(i))); rounds < 1+i {
+		if _, rounds := propagate(g, 1+i, xrand.New(uint64(i))); rounds < 1+i {
 			early++
 		}
 	}
@@ -493,7 +492,7 @@ func TestDetectLeavesNoGoroutine(t *testing.T) {
 func TestMergeSmallMatchesMapOracle(t *testing.T) {
 	rng := xrand.New(15)
 	for trial := 0; trial < 300; trial++ {
-		und := randomDigraph(t, rng).Undirected()
+		und := randomGraph(t, rng)
 		membership := make([]int, und.N())
 		k := 1 + rng.Intn(und.N())
 		for u := range membership {
@@ -513,8 +512,8 @@ func TestMergeSmallMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// The sweep allocates nothing: what Detect allocates is the undirected
-// graph, one block of memories and the partition, whatever the number of
+// The sweep allocates nothing: what Detect allocates is one block of
+// memories, the draw chunks and the partition, whatever the number of
 // rounds, run or stopped. (The map version allocated about twice per arc
 // per round.)
 //
@@ -527,15 +526,14 @@ func TestDetectAllocationsIndependentOfIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	und := g.Undirected()
-	_, r10 := propagate(und, 10, xrand.New(3))
-	_, r50 := propagate(und, 50, xrand.New(3))
+	_, r10 := propagate(g, 10, xrand.New(3))
+	_, r50 := propagate(g, 50, xrand.New(3))
 	if r10 == r50 {
 		t.Fatalf("both runs stopped after %d rounds; the comparison needs two lengths", r10)
 	}
 	runtime.GC()
 	sweep := func(iterations int) float64 {
-		return testing.AllocsPerRun(5, func() { propagate(und, iterations, xrand.New(3)) })
+		return testing.AllocsPerRun(5, func() { propagate(g, iterations, xrand.New(3)) })
 	}
 	if a10, a50 := sweep(10), sweep(50); a10 != a50 {
 		t.Errorf("propagate allocates %v times at 10 rounds (%d run) but %v at 50 (%d run)", a10, r10, a50, r50)
@@ -547,7 +545,7 @@ func TestDetectAllocationsIndependentOfIterations(t *testing.T) {
 	// the two runs need not find the same communities; one allocation
 	// per listener per round would be 40 per node.
 	if a10, a50 := detect(10), detect(50); a50 > a10+float64(g.N()) {
-		t.Errorf("Detect allocates %v times at 10 rounds but %v at 50 (n=%d, %d arcs)", a10, a50, g.N(), und.M())
+		t.Errorf("Detect allocates %v times at 10 rounds but %v at 50 (n=%d, %d arcs)", a10, a50, g.N(), g.M())
 	}
 }
 
@@ -561,7 +559,7 @@ func TestMergeSmallSumsInNodeOrder(t *testing.T) {
 	for _, e := range [][3]float64{{2, 5, 0.9}, {2, 4, 0.2}, {2, 6, 0.3}, {5, 7, 0.1}, {5, 0, 0.6}} {
 		edges = append(edges, graph.Edge{From: int(e[0]), To: int(e[1]), Weight: e[2]})
 	}
-	und := fromEdges(t, 8, edges).Undirected()
+	und := undirected(t, 8, edges)
 	p := FromMembership([]int{0, 0, 1, 0, 2, 3, 2, 2}) // {0,1,3} {2} {4,6,7} {5}
 	got, want := mergeSmall(und, p, 3), mergeSmallViaMaps(und, p, 3)
 	if !reflect.DeepEqual(got, want) {

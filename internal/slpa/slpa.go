@@ -1,6 +1,7 @@
 // Package slpa implements the Speaker-Listener Label Propagation
 // Algorithm (Xie, Szymanski & Liu, ICDMW 2011), the community detection
-// method the paper runs on the frequent co-occurrence graph (§IV-B).
+// method the paper runs on the frequent co-occurrence graph (§IV-B). The
+// graph is undirected, stored symmetric, as cooccur.Build emits it.
 //
 // Each node keeps a memory of labels. In every iteration each listener
 // node collects one label from each neighbor (the speaker samples a label
@@ -108,12 +109,12 @@ func FromMembership(membership []int) *Partition {
 	return p
 }
 
-// Detect runs SLPA on g (interpreted as undirected: both in- and
-// out-neighbors speak to a listener) and returns a disjoint partition.
+// Detect runs SLPA on g and returns a disjoint partition. g must be
+// symmetric, as cooccur.Build's graph is: v lists u with the same weight
+// whenever u lists v, and a listener's neighbors are its speakers.
 func Detect(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
 	opt = opt.withDefaults()
-	und := g.Undirected()
-	memory, _ := propagate(und, opt.Iterations, rng)
+	memory, _ := propagate(g, opt.Iterations, rng)
 	// Post-processing: each node takes its most frequent remembered label
 	// (ties: lowest label).
 	membership := make([]int, len(memory))
@@ -122,7 +123,7 @@ func Detect(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
 	}
 	p := FromMembership(membership)
 	if opt.MinCommunitySize > 1 {
-		p = mergeSmall(und, p, opt.MinCommunitySize)
+		p = mergeSmall(g, p, opt.MinCommunitySize)
 	}
 	return p
 }
@@ -154,8 +155,7 @@ func modal(mem []int32) int32 {
 
 // adjacency is the undirected graph propagate sweeps. Its rows must be
 // symmetric — v lists u whenever u lists v — so every speaker is also a
-// listener. *graph.Graph's Undirected is the only implementation outside
-// tests.
+// listener. *graph.Graph is the only implementation outside tests.
 type adjacency interface {
 	N() int
 	Neighbors(u int) (targets []int, weights []float64)

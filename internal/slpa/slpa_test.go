@@ -65,7 +65,19 @@ func fromEdges(t testing.TB, n int, edges []graph.Edge) *graph.Graph {
 	return g
 }
 
-// twoCliques returns two K5s joined by a single weak edge.
+// undirected is the symmetric graph Detect takes, made from a directed
+// edge list: the list's graph, each of its arcs then put in both
+// directions and every pair summed by graph.FromEdges.
+func undirected(t testing.TB, n int, edges []graph.Edge) *graph.Graph {
+	t.Helper()
+	var both []graph.Edge
+	for _, e := range fromEdges(t, n, edges).Edges() {
+		both = append(both, e, graph.Edge{From: e.To, To: e.From, Weight: e.Weight})
+	}
+	return fromEdges(t, n, both)
+}
+
+// twoCliques returns two K5s joined by a single weak edge, undirected.
 func twoCliques(t *testing.T) *graph.Graph {
 	t.Helper()
 	var edges []graph.Edge
@@ -79,7 +91,7 @@ func twoCliques(t *testing.T) *graph.Graph {
 	addClique(0, 5)
 	addClique(5, 10)
 	edges = append(edges, graph.Edge{From: 4, To: 5, Weight: 0.05})
-	return fromEdges(t, 10, edges)
+	return undirected(t, 10, edges)
 }
 
 func TestDetectTwoCliques(t *testing.T) {

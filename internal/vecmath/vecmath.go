@@ -170,17 +170,6 @@ func Gemv(dst, x []float64, stride int, w []float64) {
 	}
 }
 
-// ProjectNonneg clamps negative elements of x to zero in place; this is
-// the projection step of projected gradient ascent onto the feasible set
-// A,B >= 0 (paper Eqs. 10-11).
-func ProjectNonneg(x []float64) {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
-	}
-}
-
 // AllNonneg reports whether every element of x is >= 0.
 func AllNonneg(x []float64) bool {
 	for _, v := range x {
@@ -247,9 +236,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 
 // FillConst sets every entry to v.
 func (m *Matrix) FillConst(v float64) { Fill(m.Data, v) }
-
-// ProjectNonneg clamps all negative entries to zero.
-func (m *Matrix) ProjectNonneg() { ProjectNonneg(m.Data) }
 
 // FrobeniusDist returns the Frobenius distance between m and o.
 func (m *Matrix) FrobeniusDist(o *Matrix) float64 {

@@ -109,43 +109,6 @@ func TestMaxPanicsOnEmpty(t *testing.T) {
 	Max(nil)
 }
 
-func TestProjectNonneg(t *testing.T) {
-	x := []float64{-1, 0, 2, -0.5}
-	ProjectNonneg(x)
-	want := []float64{0, 0, 2, 0}
-	for i := range want {
-		if x[i] != want[i] {
-			t.Fatalf("ProjectNonneg result %v, want %v", x, want)
-		}
-	}
-	if !AllNonneg(x) {
-		t.Fatal("AllNonneg false after projection")
-	}
-}
-
-// Property: projection is idempotent and never increases any element's
-// distance from the feasible set.
-func TestProjectNonnegPropertyIdempotent(t *testing.T) {
-	f := func(x []float64) bool {
-		y := append([]float64(nil), x...)
-		ProjectNonneg(y)
-		if !AllNonneg(y) {
-			return false
-		}
-		z := append([]float64(nil), y...)
-		ProjectNonneg(z)
-		for i := range y {
-			if y[i] != z[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Dot is symmetric and bilinear in its first argument.
 func TestDotPropertySymmetric(t *testing.T) {
 	f := func(a, b []float64) bool {
@@ -237,13 +200,9 @@ func TestMatrixProjectAndFrobenius(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(0, 0, -3)
 	m.Set(1, 1, 4)
-	m.ProjectNonneg()
-	if m.At(0, 0) != 0 || m.At(1, 1) != 4 {
-		t.Fatalf("matrix projection wrong: %+v", m.Data)
-	}
 	o := NewMatrix(2, 2)
-	if got := m.FrobeniusDist(o); !almostEq(got, 4, 1e-12) {
-		t.Errorf("FrobeniusDist = %v, want 4", got)
+	if got := m.FrobeniusDist(o); !almostEq(got, 5, 1e-12) {
+		t.Errorf("FrobeniusDist = %v, want 5", got)
 	}
 }
 

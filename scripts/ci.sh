@@ -40,7 +40,8 @@ go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./
 # The simulator is held, draw for draw, to the version that heaps every
 # attempt, SLPA (whose draws come from a second goroutine, and whose
 # rounds stop once the partition is certain) to the map version that
-# drew them in its sweep and ran every round, the generator's batch
+# drew them in its sweep and ran every round, the co-occurrence graph to
+# the map-counted directed one summed both ways, the generator's batch
 # draws to one Intn per bound, the EM kernels to the pairwise
 # responsibilities and the EM fit to a likelihood that never falls
 # across an epoch (cold and warm-started), the warm refit to its golden
@@ -50,11 +51,11 @@ go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./
 # scenario engine to one answer at any worker count: a "faster"
 # simulator, SLPA or kernel that reorders a draw or a sum fails here,
 # not in a figure.
-echo "== simulator + SLPA + xrand + EM oracles, pinned fits, flush drift, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
+echo "== simulator + cooccur + SLPA + xrand + EM oracles, pinned fits, flush drift, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
     -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestRefinePinned|TestTrainEmbeddingsPinned|TestFlushDoesNotDrift' \
-    ./internal/cascade/ ./internal/scenario/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/
+    ./internal/cascade/ ./internal/scenario/ ./internal/cooccur/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/
 done
 
 # The README's walkthrough is the Example functions (the library's in
@@ -141,10 +142,12 @@ if ! awk -v b="$bytes" 'BEGIN { exit !(b > 0 && b <= 75) }'; then
 fi
 # The graph front half of training is pinned bit for bit: these two counts
 # repeat exactly across sets and seeds (bench/README.md), so a change to
-# cooccur, graph.Undirected or slpa that is not identical fails here
-# before it shows as drift in f1.
+# cooccur or slpa that is not identical fails here before it shows as
+# drift in f1. cooccur.edges counts the arcs of the symmetric graph SLPA
+# runs on, two per co-occurring pair (97,966 while Build emitted the
+# directed graph).
 last="$(tail -n 1 bench/out/train-trace.json)"
-for want in '"cooccur.edges":{"value":97966,' '"slpa.communities":{"value":17,'; do
+for want in '"cooccur.edges":{"value":117996,' '"slpa.communities":{"value":17,'; do
   if [[ "$last" != *"$want"* ]]; then
     echo "bench/out/train-trace.json: expected $want — the co-occurrence graph or the SLPA partition changed" >&2
     exit 1
