@@ -20,11 +20,18 @@
 // Figures 4 and 5 in the paper are schematic illustrations with no data
 // series; everything else (1, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13) is
 // covered.
+//
+// Stdout carries only what -scale and -seed determine, the same bytes at
+// any GOMAXPROCS (Figures 10, 11 and 13 model runtime from counted work);
+// results/figures_small.log is `-fig all -scale small`'s. Stderr carries
+// wall clocks and Hogwild's likelihoods, which depend on thread
+// interleaving.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,16 +64,10 @@ func main() {
 	seed := flag.Uint64("seed", 1, "master random seed")
 	flag.Parse()
 
-	r := runner{scale: *scale, csvDir: *csvDir, seed: *seed}
-	targets := strings.Split(*fig, ",")
-	if *fig == "all" {
-		targets = []string{"1", "2", "3", "6", "9", "10", "11", "12", "13", "ablations", "baselines", "convergence", "sweeps"}
-	}
-	for _, tgt := range targets {
-		if err := r.run(strings.TrimSpace(tgt)); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: figure %s failed: %v\n", tgt, err)
-			os.Exit(1)
-		}
+	r := runner{scale: *scale, csvDir: *csvDir, seed: *seed, out: os.Stdout, log: os.Stderr}
+	if err := r.runAll(*fig); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -74,6 +75,9 @@ type runner struct {
 	scale  string
 	csvDir string
 	seed   uint64
+	// out takes what -scale and -seed determine; log takes what the run
+	// measured (wall clock, thread interleaving).
+	out, log io.Writer
 
 	// caches so "all" reuses expensive artifacts
 	ds      *gdelt.Dataset
@@ -180,6 +184,20 @@ func (r *runner) needFig10() error {
 	return nil
 }
 
+// runAll regenerates every figure the -fig value names, in order.
+func (r *runner) runAll(fig string) error {
+	targets := strings.Split(fig, ",")
+	if fig == "all" {
+		targets = []string{"1", "2", "3", "6", "9", "10", "11", "12", "13", "ablations", "baselines", "convergence", "sweeps"}
+	}
+	for _, tgt := range targets {
+		if err := r.run(strings.TrimSpace(tgt)); err != nil {
+			return fmt.Errorf("figure %s failed: %w", tgt, err)
+		}
+	}
+	return nil
+}
+
 func (r *runner) run(fig string) error {
 	switch fig {
 	case "1":
@@ -195,7 +213,7 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(r.out, res.Render())
 	case "2":
 		ds, err := r.dataset(5000)
 		if err != nil {
@@ -209,7 +227,7 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(r.out, res.Render())
 	case "3":
 		ds, err := r.dataset(5000)
 		if err != nil {
@@ -219,26 +237,26 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(r.out, res.Render())
 	case "6", "7", "8":
 		if err := r.needScatterFig9(); err != nil {
 			return err
 		}
-		fmt.Println(r.scatter.Render())
+		fmt.Fprintln(r.out, r.scatter.Render())
 		h, rows := r.scatter.CSV()
 		return r.writeCSV("fig6to8_scatter.csv", h, rows)
 	case "9":
 		if err := r.needScatterFig9(); err != nil {
 			return err
 		}
-		fmt.Println(r.fig9.Render())
+		fmt.Fprintln(r.out, r.fig9.Render())
 		h, rows := r.fig9.CSV()
 		return r.writeCSV("fig9_f1.csv", h, rows)
 	case "10":
 		if err := r.needFig10(); err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderScaling("Figure 10 — time vs cores, varying cascade count", r.fig10))
+		fmt.Fprintln(r.out, experiments.RenderScaling("Figure 10 — time vs cores, varying cascade count", r.fig10))
 		h, rows := experiments.CSVScaling(r.fig10)
 		return r.writeCSV("fig10_scaling.csv", h, rows)
 	case "11":
@@ -252,7 +270,7 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderScaling("Figure 11 — time vs cores, varying graph size", series))
+		fmt.Fprintln(r.out, experiments.RenderScaling("Figure 11 — time vs cores, varying graph size", series))
 		h, rows := experiments.CSVScaling(series)
 		return r.writeCSV("fig11_scaling.csv", h, rows)
 	case "12":
@@ -266,7 +284,7 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(r.out, res.Render())
 		h, rows := res.CSV()
 		return r.writeCSV("fig12_f1.csv", h, rows)
 	case "13":
@@ -274,7 +292,7 @@ func (r *runner) run(fig string) error {
 			return err
 		}
 		res := &experiments.Figure13Result{Series: r.fig10}
-		fmt.Println(res.Render())
+		fmt.Fprintln(r.out, res.Render())
 		h, rows := experiments.CSVScaling(r.fig10)
 		return r.writeCSV("fig13_speedup.csv", h, rows)
 	case "ablations":
@@ -289,22 +307,25 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderMergePolicy(merge, 8))
+		fmt.Fprintln(r.out, experiments.RenderMergePolicy(merge, 8))
 		opt, err := experiments.AblationOptimizers(e)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderOptimizers(opt))
+		fmt.Fprintln(r.out, experiments.RenderOptimizers(opt))
+		for _, o := range opt {
+			fmt.Fprintf(r.log, "optimizer %s: %.2f s, train loglik %.1f, heldout %.1f\n", o.Name, o.Seconds, o.LogLik, o.HeldOutLL)
+		}
 		feat, err := experiments.AblationFeatures(e)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderFeatures(feat))
+		fmt.Fprintln(r.out, experiments.RenderFeatures(feat))
 		ks, err := experiments.AblationTopicK(e, []int{1, 2, 4, 8})
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderTopicSweep(ks))
+		fmt.Fprintln(r.out, experiments.RenderTopicSweep(ks))
 	case "sweeps":
 		e := r.sbmExp()
 		if r.scale != "small" {
@@ -316,7 +337,7 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(early.Render())
+		fmt.Fprintln(r.out, early.Render())
 		sizes := []int{100, 200, 400, 800}
 		if r.scale == "small" {
 			sizes = []int{60, 150, 300}
@@ -325,7 +346,7 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(sc.Render())
+		fmt.Fprintln(r.out, sc.Render())
 	case "convergence":
 		e := r.sbmExp()
 		if r.scale != "small" {
@@ -337,7 +358,8 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
+		fmt.Fprintln(r.out, res.Render())
+		fmt.Fprintf(r.log, "convergence: hogwild per-epoch loglik %.1f\n", res.Hogwild)
 	case "baselines":
 		e := r.sbmExp()
 		if r.scale != "small" {
@@ -349,12 +371,15 @@ func (r *runner) run(fig string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderModelComparison(models))
+		fmt.Fprintln(r.out, experiments.RenderModelComparison(models))
+		for _, m := range models {
+			fmt.Fprintf(r.log, "baseline %s: fitted in %.2f s\n", m.Name, m.Seconds)
+		}
 		preds, err := experiments.ComparePredictors(e)
 		if err != nil {
 			return err
 		}
-		fmt.Println(experiments.RenderPredictorComparison(preds))
+		fmt.Fprintln(r.out, experiments.RenderPredictorComparison(preds))
 	default:
 		return fmt.Errorf("unknown figure %q (try 1,2,3,6,9,10,11,12,13,ablations,baselines,convergence,sweeps,all)", fig)
 	}

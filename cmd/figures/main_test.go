@@ -1,14 +1,50 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
+// TestFiguresSmallGolden: `figures -fig all -scale small` writes to
+// stdout, byte for byte, the committed results/figures_small.log —
+// nothing on it depends on a clock, the worker count or thread
+// interleaving (ci.sh runs it at GOMAXPROCS 1 and 8). The golden was
+// taken on amd64; other architectures may fuse multiply-adds and move
+// low digits. After a deliberate change to a figure, regenerate it with
+// `go run ./cmd/figures -fig all -scale small > results/figures_small.log`.
+func TestFiguresSmallGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden taken on amd64, running on %s", runtime.GOARCH)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "results", "figures_small.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	r := runner{scale: "small", seed: 1, out: &out, log: io.Discard}
+	if err := r.runAll("all"); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(out.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(got), len(exp)) {
+		if got[i] != exp[i] {
+			t.Fatalf("stdout differs from results/figures_small.log at line %d:\n got %q\nwant %q", i+1, got[i], exp[i])
+		}
+	}
+	t.Fatalf("stdout has %d lines, results/figures_small.log %d", len(got), len(exp))
+}
+
 func TestRunnerSmallScaleFigures(t *testing.T) {
 	csvDir := t.TempDir()
-	r := runner{scale: "small", csvDir: csvDir, seed: 1}
+	r := runner{scale: "small", csvDir: csvDir, seed: 1, out: io.Discard, log: io.Discard}
 	// The GDELT-backed figures share one cached corpus; run them together.
 	for _, fig := range []string{"2", "3"} {
 		if err := r.run(fig); err != nil {

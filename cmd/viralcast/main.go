@@ -21,8 +21,8 @@
 //	    the hierarchical community-parallel algorithm.
 //
 // The training subcommands (infer, influencers, predict) support
-// fault-tolerant runs: -checkpoint FILE persists atomic training
-// snapshots every -checkpoint-every hierarchy levels, SIGINT/SIGTERM
+// fault-tolerant runs: -checkpoint FILE persists an atomic training
+// snapshot at every hierarchy level boundary, SIGINT/SIGTERM
 // triggers a graceful shutdown that writes a final snapshot before
 // exiting, and -resume continues from the snapshot file.
 //
@@ -152,21 +152,18 @@ func main() {
 // training subcommands.
 type checkpointFlags struct {
 	path   *string
-	every  *int
 	resume *bool
 }
 
 func addCheckpointFlags(fs *flag.FlagSet) checkpointFlags {
 	return checkpointFlags{
 		path:   fs.String("checkpoint", "", "persist training snapshots to this file (atomic writes)"),
-		every:  fs.Int("checkpoint-every", 1, "snapshot cadence in hierarchy levels"),
 		resume: fs.Bool("resume", false, "continue from the -checkpoint snapshot if it exists"),
 	}
 }
 
 func (c checkpointFlags) apply(cfg *core.TrainConfig) {
 	cfg.CheckpointPath = *c.path
-	cfg.CheckpointEvery = *c.every
 	cfg.Resume = *c.resume
 }
 

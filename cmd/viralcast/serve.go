@@ -37,7 +37,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	topFrac := fs.Float64("top", 0.2, "viral class = top fraction of training cascade sizes")
 	seed := fs.Uint64("seed", 1, "random seed for predictor training")
 	cacheTTL := fs.Duration("cache-ttl", 5*time.Second, "TTL for cached influencer/seed responses")
-	flushEvery := fs.Duration("flush-every", time.Minute, "cadence of the online refit over the -cascades corpus and the live cascades (0 disables)")
+	flushEvery := fs.Duration("flush-every", time.Minute, "cadence of the online refit over the -cascades corpus and the live cascades (0 disables; without -cascades a flush keeps the loaded model)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: make ingestion durable across crashes (empty disables)")
 	follow := fs.String("follow", "", "run as a read-only replication follower of this primary base URL (requires -wal-dir for the mirrored log; promote with `viralcast promote`)")

@@ -47,12 +47,9 @@ type TrainConfig struct {
 	// CheckpointPath, when set, persists training snapshots to this file
 	// (atomically: write-temp-then-rename) so an interrupted run can be
 	// continued with Resume. A final checkpoint is also written when the
-	// training context is canceled mid-fit.
+	// training context is canceled mid-fit. A snapshot is taken at every
+	// hierarchy level boundary.
 	CheckpointPath string
-	// CheckpointEvery is the snapshot cadence in hierarchy levels
-	// (sequential polish stages count epochs); values < 1 mean every
-	// boundary.
-	CheckpointEvery int
 	// Resume warm-starts training from the snapshot at CheckpointPath if
 	// the file exists; a missing file starts from scratch. The cascades,
 	// configuration, and seed must match the interrupted run.
@@ -221,7 +218,7 @@ func TrainCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg TrainConfig
 // resilience translates the checkpoint knobs into the inference layer's
 // Resilience hooks, loading the resume snapshot if requested.
 func (c TrainConfig) resilience() (infer.Resilience, error) {
-	res := infer.Resilience{CheckpointEvery: c.CheckpointEvery}
+	var res infer.Resilience
 	if c.CheckpointPath == "" {
 		if c.Resume {
 			return res, fmt.Errorf("core: Resume requires CheckpointPath")

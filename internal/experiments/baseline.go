@@ -189,7 +189,8 @@ func RenderPredictorComparison(rows []PredictorComparison) string {
 	return b.String()
 }
 
-// RenderModelComparison renders the node-vs-edge comparison.
+// RenderModelComparison renders what the seed determines of the
+// node-vs-edge comparison: everything but the fitting time (Seconds).
 func RenderModelComparison(rows []ModelComparison) string {
 	var b strings.Builder
 	b.WriteString("Baseline — node embeddings vs per-edge rates\n")
@@ -198,12 +199,11 @@ func RenderModelComparison(rows []ModelComparison) string {
 		table[i] = []string{
 			r.Name,
 			report.FormatFloat(float64(r.Parameters), 0),
-			report.FormatFloat(r.Seconds, 2),
 			report.FormatFloat(r.TrainLL, 1),
 			report.FormatFloat(r.HeldOutLL, 1),
 		}
 	}
 	b.WriteString(report.Table(
-		[]string{"model", "parameters", "seconds", "train-loglik", "heldout-loglik"}, table))
+		[]string{"model", "parameters", "train-loglik", "heldout-loglik"}, table))
 	return b.String()
 }

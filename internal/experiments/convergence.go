@@ -63,8 +63,9 @@ func ConvergenceStudy(e SBMExperiment) (*ConvergenceResult, error) {
 	return res, nil
 }
 
-// Render draws the three trajectories on one grid (epoch index on x;
-// the hierarchical series is indexed by level).
+// Render draws the seeded trajectories, sequential and hierarchical, on
+// one grid (epoch index on x; the hierarchical series is indexed by
+// level). Hogwild's depends on thread interleaving and is left out.
 func (r *ConvergenceResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Convergence — full-data log-likelihood trajectories\n")
@@ -78,9 +79,6 @@ func (r *ConvergenceResult) Render() string {
 	}
 	if len(r.Sequential) > 0 {
 		series = append(series, report.Series{Name: "sequential (per epoch)", Points: toPoints(r.Sequential)})
-	}
-	if len(r.Hogwild) > 0 {
-		series = append(series, report.Series{Name: "hogwild (per epoch)", Points: toPoints(r.Hogwild)})
 	}
 	if len(r.Hierarchical) > 0 {
 		series = append(series, report.Series{Name: "hierarchical (per level)", Points: toPoints(r.Hierarchical)})

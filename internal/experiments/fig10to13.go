@@ -18,14 +18,16 @@ import (
 // Figures 10, 11 and 13. The paper runs the hierarchical inference on
 // SBM graphs with core counts 1, 2, 4, 8, 16, 32 and 64.
 //
-// Methodology note (documented in DESIGN.md and EXPERIMENTS.md): the
-// per-community tasks of Algorithm 1 are measured individually, then the
-// runtime for w workers is the per-level LPT makespan of those task
-// durations plus a per-level barrier cost that grows linearly with w.
-// This reproduces the schedule a w-core machine executes regardless of
-// how many physical cores the measuring host has (the reference host for
-// this repository has a single core, where goroutine wall-clock speedup
-// is unobservable by construction).
+// Methodology note (documented in DESIGN.md and EXPERIMENTS.md): every
+// community task of Algorithm 1 reports its work, the infections in its
+// sub-cascades times the EM sweeps it ran (infer.LevelStats.TaskWork),
+// and the runtime for w workers is the per-level LPT makespan of that
+// work at one calibrated cost per infection sweep plus a per-level
+// barrier cost that grows linearly with w (ScheduleCost). This is the
+// schedule a w-core machine executes, whatever the cores of the host
+// that runs the fit (goroutine wall-clock speedup is unobservable on a
+// one- or two-core host), and it is a function of the seed: the figures
+// print the same bytes on every run.
 type ScalingExperiment struct {
 	Cores []int
 	// Q is Algorithm 2's community-count stopping threshold. The paper's
@@ -88,8 +90,8 @@ func (s *ScalingSeries) Efficiency() []float64 {
 	return out
 }
 
-// runScalingWorkload profiles the full hierarchical inference for one
-// (N, C) workload and converts the profile into a runtime series.
+// runScalingWorkload fits one (N, C) workload hierarchically and models
+// its runtime at every core count from the fit's work counts.
 func runScalingWorkload(sc ScalingExperiment, n, cascades int, label string) (*ScalingSeries, error) {
 	c := workload.Default() // no train / test split: every cascade is fitted
 	c.N, c.Cascades, c.Seed = n, cascades, sc.Seed
@@ -110,7 +112,7 @@ func runScalingWorkload(sc ScalingExperiment, n, cascades int, label string) (*S
 	series := &ScalingSeries{Label: label, N: n, C: cascades, Cores: sc.Cores}
 	for _, cores := range sc.Cores {
 		series.Seconds = append(series.Seconds,
-			infer.ScheduleCost(tr.Levels, cores, sc.BarrierCost).Seconds())
+			ScheduleCost(tr.Levels, cores, sc.BarrierCost).Seconds())
 	}
 	return series, nil
 }

@@ -104,11 +104,12 @@ type Trace struct {
 // LevelStats describes one level of the hierarchical algorithm.
 type LevelStats struct {
 	Communities int
-	Elapsed     time.Duration
 	LogLik      float64 // full-data log-likelihood after the level
-	// TaskDurations holds the measured optimization time of every
-	// community that had work at this level.
-	TaskDurations []time.Duration
+	// TaskWork holds, for every community that had work at this level
+	// in community order, the infections in its sub-cascades times the
+	// EM sweeps (embed.EMAccum passes) its fit ran: a count of the work
+	// done, the same at any worker count.
+	TaskWork []int
 }
 
 // Sequential fits a model to the cascades with full-batch closed-form
@@ -128,7 +129,7 @@ func Sequential(cs []*cascade.Cascade, n int, cfg Config) (*embed.Model, *Trace,
 	start := time.Now()
 	m := embed.NewModel(n, cfg.K)
 	m.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-	epochs, lls, err := emCtx(context.Background(), m, cs, cfg)
+	epochs, _, lls, err := emCtx(context.Background(), m, cs, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,15 +164,15 @@ func Sequential(cs []*cascade.Cascade, n int, cfg Config) (*embed.Model, *Trace,
 // epoch, up to maxBackoffs consecutive times, before failing with a
 // descriptive error.
 //
-// It returns the accepted epoch count and the objective before the first
-// epoch and after every accepted one.
-func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Config) (int, []float64, error) {
-	epoch := 0
+// It returns the accepted epoch count, the E-step sweeps it ran (a
+// retried epoch's included), and the objective before the first epoch
+// and after every accepted one.
+func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Config) (epoch, sweeps int, lls []float64, err error) {
 	if len(cs) == 0 {
-		return epoch, nil, nil
+		return 0, 0, nil, nil
 	}
 	if err := m.Validate(); err != nil {
-		return epoch, nil, fmt.Errorf("infer: starting model is corrupt before fit: %w", err)
+		return 0, 0, nil, fmt.Errorf("infer: starting model is corrupt before fit: %w", err)
 	}
 	n, k := m.N(), m.K()
 	numA, denA := vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)
@@ -179,14 +180,13 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 	solved := &embed.Model{A: numA, B: m.B} // the model under the epoch's new A
 	ws := embed.NewGradWorkspace(k)
 	prior := &emPrior{}
-	var lls []float64
 	// stale: m has moved since the last entry of lls.
 	stale := false
-	stop := func(err error) (int, []float64, error) {
+	stop := func(err error) (int, int, []float64, error) {
 		if stale {
 			lls = append(lls, prior.objective(m, m.LogLikAll(cs)))
 		}
-		return epoch, lls, err
+		return epoch, sweeps, lls, err
 	}
 	backoffs := 0
 	// retry counts a non-finite epoch against the budget of consecutive
@@ -217,15 +217,16 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 		for _, c := range cs {
 			ll += m.EMAccum(c, numA, denA, numB, ws)
 		}
+		sweeps++
 		if !finite(ll) && len(lls) == 0 {
-			return epoch, nil, fmt.Errorf("infer: starting log-likelihood is %v — model or data corrupt before fit", ll)
+			return epoch, sweeps, nil, fmt.Errorf("infer: starting log-likelihood is %v — model or data corrupt before fit", ll)
 		}
 		// Fault site "infer.grad": tests poison the freshly accumulated
 		// statistics with NaN to exercise the divergence guard.
 		faultinject.PoisonFloats("infer.grad", numA.Data)
 		if !finite(ll) || !vecmath.AllFinite(numA.Data) || !vecmath.AllFinite(denA.Data) || !vecmath.AllFinite(numB.Data) {
 			if err := retry("statistics or likelihood"); err != nil {
-				return epoch, lls, err
+				return epoch, sweeps, lls, err
 			}
 			continue
 		}
@@ -236,7 +237,7 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 			lls = append(lls, obj)
 			stale = false
 			if gain <= cfg.Tol*(1+abs(obj)) {
-				return epoch, lls, nil
+				return epoch, sweeps, lls, nil
 			}
 		}
 		if !prior.set {
@@ -257,7 +258,7 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 		}
 		if !vecmath.AllFinite(numA.Data) || !vecmath.AllFinite(numB.Data) {
 			if err := retry("update"); err != nil {
-				return epoch, lls, err
+				return epoch, sweeps, lls, err
 			}
 			continue
 		}
@@ -270,7 +271,7 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 	if stale {
 		lls = append(lls, prior.objective(m, m.LogLikAll(cs)))
 	}
-	return epoch, lls, nil
+	return epoch, sweeps, lls, nil
 }
 
 // pseudoExposure sets the rate prior's strength. Every entry of A and B

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/embed"
+	"viralcast/internal/mergetree"
 	"viralcast/internal/sbm"
 	"viralcast/internal/slpa"
 	"viralcast/internal/xrand"
@@ -273,14 +275,16 @@ func TestRunLevelSingleCommunityMatchesSequentialAscend(t *testing.T) {
 	// Sequential path.
 	seq := embed.NewModel(30, 2)
 	seq.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-	if _, _, err := emCtx(context.Background(), seq, cs, cfg); err != nil {
+	_, sweeps, _, err := emCtx(context.Background(), seq, cs, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// runLevel with the trivial one-community partition and same init.
 	par := embed.NewModel(30, 2)
 	par.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
 	p := slpa.FromMembership(make([]int, 30))
-	if _, err := runLevel(context.Background(), par, cs, p, cfg, 4); err != nil {
+	work, err := runLevel(context.Background(), par, cs, p, cfg, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if d := seq.A.FrobeniusDist(par.A); d > 1e-9 {
@@ -288,6 +292,17 @@ func TestRunLevelSingleCommunityMatchesSequentialAscend(t *testing.T) {
 	}
 	if d := seq.B.FrobeniusDist(par.B); d > 1e-9 {
 		t.Fatalf("one-community runLevel differs from sequential ascend: dB=%v", d)
+	}
+	// The task's work is its infections (cascades of two or more, the
+	// sub-cascades Algorithm 1 keeps) times the sweeps emCtx ran.
+	infections := 0
+	for _, c := range cs {
+		if c.Size() >= 2 {
+			infections += c.Size()
+		}
+	}
+	if sweeps == 0 || len(work) != 1 || work[0] != sweeps*infections {
+		t.Fatalf("work %v, want [%d sweeps x %d infections]", work, sweeps, infections)
 	}
 }
 
@@ -311,6 +326,45 @@ func TestRunLevelWorkerCountInvariance(t *testing.T) {
 		if ref.A.FrobeniusDist(m.A) != 0 || ref.B.FrobeniusDist(m.B) != 0 {
 			t.Fatalf("workers=%d result differs from workers=1", workers)
 		}
+	}
+}
+
+// The lab schedules a one-worker run's Trace.Levels onto w modeled
+// workers: that run is the parallel run's model, level for level, work
+// count for work count.
+func TestHierarchicalProfiledMatchesHierarchical(t *testing.T) {
+	cs, _ := trainingSet(t, 60, 80, 31)
+	base := slpa.FromMembership(blockMembership(60, 10))
+	cfg := Config{K: 2, MaxIter: 8, Seed: 32}
+	mPar, trPar, err := Hierarchical(cs, 60, base, cfg, ParallelOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mProf, tr, err := Hierarchical(cs, 60, base, cfg, ParallelOptions{Workers: 1, Policy: mergetree.ByCommunityCount})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mPar.A.FrobeniusDist(mProf.A) != 0 || mPar.B.FrobeniusDist(mProf.B) != 0 {
+		t.Fatal("one-worker run produced a different model than the parallel run")
+	}
+	// Levels 6 -> 3 -> 2 -> 1.
+	if len(tr.Levels) != 4 || len(trPar.Levels) != 4 {
+		t.Fatalf("levels = %d (one worker), %d (four)", len(tr.Levels), len(trPar.Levels))
+	}
+	for i, l := range tr.Levels {
+		p := trPar.Levels[i]
+		if l.Communities != p.Communities || l.LogLik != p.LogLik ||
+			!slices.Equal(l.TaskWork, p.TaskWork) || len(l.TaskWork) == 0 {
+			t.Errorf("level %d: one worker %+v, four %+v", i, l, p)
+		}
+		for _, w := range l.TaskWork {
+			if w <= 0 {
+				t.Errorf("level %d: task work %v", i, l.TaskWork)
+			}
+		}
+	}
+	if tr.Levels[len(tr.Levels)-1].Communities != 1 {
+		t.Error("last level should be the root community")
 	}
 }
 
@@ -465,8 +519,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestAscendEmptyCascades(t *testing.T) {
 	m := embed.NewModel(5, 2)
-	iters, lls, err := emCtx(context.Background(), m, nil, Config{}.WithDefaults())
-	if iters != 0 || lls != nil || err != nil {
+	iters, sweeps, lls, err := emCtx(context.Background(), m, nil, Config{}.WithDefaults())
+	if iters != 0 || sweeps != 0 || lls != nil || err != nil {
 		t.Fatal("EM on empty cascades must be a no-op")
 	}
 	tr, err := Refine(m, nil, Config{K: 2})

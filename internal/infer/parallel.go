@@ -133,9 +133,10 @@ func levelTasks(cs []*cascade.Cascade, p *slpa.Partition, n int) []communityTask
 // scheduled, the communities already in flight stop at their next epoch
 // boundary, and ctx.Err() is returned after the barrier. cfg is
 // defaulted and validated and workers >= 1, as HierarchicalCtx leaves
-// them. The durations returned are the optimization time of every
-// community that had work, in community order.
-func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers int) ([]time.Duration, error) {
+// them. It returns the work of every community that had any, in
+// community order: the infections in its sub-cascades times the E-step
+// sweeps its fit ran (LevelStats.TaskWork).
+func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slpa.Partition, cfg Config, workers int) ([]int, error) {
 	if err := p.Validate(m.N()); err != nil {
 		return nil, err
 	}
@@ -148,16 +149,17 @@ func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slp
 			active = append(active, tasks[r])
 		}
 	}
-	took := make([]time.Duration, len(active))
+	work := make([]int, len(active))
 	// pool.RunCtx's completion is Algorithm 1's barrier; communities touch
 	// disjoint rows of A and B, so the tasks need no other coordination.
 	err := pool.RunCtx(ctx, workers, len(active), func(i int) error {
-		start := time.Now()
-		err := optimizeCommunity(ctx, m, &active[i], cfg)
-		took[i] = time.Since(start)
+		sweeps, err := optimizeCommunity(ctx, m, &active[i], cfg)
+		for _, c := range active[i].localCs {
+			work[i] += sweeps * c.Size()
+		}
 		return err
 	})
-	return took, err
+	return work, err
 }
 
 // optimizeCommunity copies the community's rows into a compact local
@@ -167,22 +169,23 @@ func runLevel(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, p *slp
 // error the community's rows are left at their warm-start values; on
 // cancellation the epochs accepted so far are kept — every accepted
 // epoch is a consistent state — and the context error is returned.
-func optimizeCommunity(ctx context.Context, m *embed.Model, task *communityTask, cfg Config) error {
+// It returns the E-step sweeps the fit ran.
+func optimizeCommunity(ctx context.Context, m *embed.Model, task *communityTask, cfg Config) (int, error) {
 	k := m.K()
 	local := embed.NewModel(len(task.nodes), k)
 	for li, u := range task.nodes {
 		copy(local.A.Row(li), m.A.Row(u))
 		copy(local.B.Row(li), m.B.Row(u))
 	}
-	_, _, err := emCtx(ctx, local, task.localCs, cfg)
+	_, sweeps, _, err := emCtx(ctx, local, task.localCs, cfg)
 	if err != nil && !canceled(err) {
-		return err
+		return sweeps, err
 	}
 	for li, u := range task.nodes {
 		copy(m.A.Row(u), local.A.Row(li))
 		copy(m.B.Row(u), local.B.Row(li))
 	}
-	return err
+	return sweeps, err
 }
 
 // Hierarchical executes Algorithm 2: starting from the base partition
@@ -195,10 +198,9 @@ func Hierarchical(cs []*cascade.Cascade, n int, base *slpa.Partition, cfg Config
 }
 
 // HierarchicalCtx is Hierarchical with cancellation and resilience, the
-// one fit that has them. Checkpoints are taken at level boundaries — the
-// only points where the full model is a globally consistent state of
-// Algorithm 2 — every res.CheckpointEvery completed levels and after the
-// final level. A cancellation mid-level writes a final checkpoint of the
+// one fit that has them. A checkpoint is taken at every level boundary —
+// the only points where the full model is a globally consistent state of
+// Algorithm 2. A cancellation mid-level writes a final checkpoint of the
 // last level boundary, so resuming re-runs the interrupted level from
 // its exact warm start and the completed run is bit-identical to an
 // uninterrupted one (community updates are deterministic and
@@ -206,7 +208,6 @@ func Hierarchical(cs []*cascade.Cascade, n int, base *slpa.Partition, cfg Config
 func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *slpa.Partition, cfg Config, opts ParallelOptions, res Resilience) (*embed.Model, *Trace, error) {
 	cfg = cfg.WithDefaults()
 	opts = opts.withDefaults()
-	res = res.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -249,8 +250,7 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 		if err := ctx.Err(); err != nil {
 			return nil, nil, res.finalCheckpoint(err, boundary)
 		}
-		levelStart := time.Now()
-		took, err := runLevel(ctx, m, cs, levels[li], cfg, opts.Workers)
+		work, err := runLevel(ctx, m, cs, levels[li], cfg, opts.Workers)
 		if err != nil {
 			if canceled(err) {
 				return nil, nil, res.finalCheckpoint(err, boundary)
@@ -259,14 +259,13 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 		}
 		ll := m.LogLikAll(cs)
 		tr.Levels = append(tr.Levels, LevelStats{
-			Communities:   levels[li].NumCommunities(),
-			Elapsed:       time.Since(levelStart),
-			LogLik:        ll,
-			TaskDurations: took,
+			Communities: levels[li].NumCommunities(),
+			LogLik:      ll,
+			TaskWork:    work,
 		})
 		tr.LogLik = append(tr.LogLik, ll)
 		prevLL = ll
-		if res.Checkpoint != nil && (li+1 == len(levels) || (li+1-startLevel)%res.CheckpointEvery == 0) {
+		if res.Checkpoint != nil {
 			st := FitState{Model: m.Clone(), Level: li + 1, Seed: cfg.Seed, LogLik: ll}
 			if err := res.Checkpoint(st); err != nil {
 				return nil, nil, err

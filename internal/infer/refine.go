@@ -35,7 +35,7 @@ func Refine(m *embed.Model, cs []*cascade.Cascade, cfg Config) (*Trace, error) {
 		return nil, err
 	}
 	start := time.Now()
-	epochs, lls, err := emCtx(context.Background(), m, cs, cfg)
+	epochs, _, lls, err := emCtx(context.Background(), m, cs, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -54,24 +54,14 @@ func (st *FitState) validate(n, k int, seed uint64) error {
 // The zero value disables checkpoints and resumes nothing; the
 // divergence guards of every fit are always on.
 type Resilience struct {
-	// Checkpoint, when non-nil, is called with a boundary snapshot every
-	// CheckpointEvery levels, at the end of a successful fit, and —
-	// crucially — when the context is canceled mid-run, so a SIGINT still
-	// leaves a durable snapshot behind. A checkpoint error aborts the fit.
+	// Checkpoint, when non-nil, is called with a boundary snapshot after
+	// every completed level and — crucially — when the context is
+	// canceled mid-run, so a SIGINT still leaves a durable snapshot
+	// behind. A checkpoint error aborts the fit.
 	Checkpoint func(FitState) error
-	// CheckpointEvery is the snapshot interval in levels; values < 1 mean
-	// every level.
-	CheckpointEvery int
 	// Resume warm-starts the fit from a previous snapshot instead of a
 	// random initialization.
 	Resume *FitState
-}
-
-func (r Resilience) withDefaults() Resilience {
-	if r.CheckpointEvery < 1 {
-		r.CheckpointEvery = 1
-	}
-	return r
 }
 
 // canceled reports whether err is a context cancellation rather than a

@@ -199,7 +199,7 @@ func TestEMRejectsCorruptStartAtOnce(t *testing.T) {
 		inj := faultinject.NewInjector()
 		inj.Arm(faultinject.Fault{Site: "infer.grad", Action: faultinject.NaN}) // every E-step
 		restore := faultinject.Activate(inj)
-		epochs, lls, err := emCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 25, Seed: 14}.WithDefaults())
+		epochs, _, lls, err := emCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 25, Seed: 14}.WithDefaults())
 		restore()
 		if err == nil || !strings.Contains(err.Error(), "corrupt before fit") {
 			t.Fatalf("%s: err = %v, want a corrupt-start error", name, err)

@@ -122,43 +122,18 @@ func readReply(resp *http.Response, buf []byte) ([]byte, error) {
 }
 
 // read performs an idempotent GET against a shard with the configured
-// resilience: primary first; on transport failure, a jittered retry
-// against the follower (when one exists). With a hedge delay
-// configured, the follower attempt instead launches in parallel once
-// the primary has been silent that long, and the first answer wins —
-// trading duplicate reads for tail latency, the classic hedged-request
-// bargain. Reads are safe to duplicate; ingestion never comes here.
+// resilience: primary first; if it fails before the follower attempt
+// has launched, a jittered retry against the follower (when one
+// exists). With a hedge delay configured, the follower attempt also
+// launches in parallel once the primary has been silent that long, and
+// the first answer wins — trading duplicate reads for tail latency, the
+// classic hedged-request bargain. Attempts funnel through one channel
+// and the loser's context is canceled. Reads are safe to duplicate;
+// ingestion never comes here.
 func (c *client) read(ctx context.Context, sh Shard, path string) (*reply, error) {
 	if sh.Follower == "" {
 		return c.do(ctx, http.MethodGet, sh.Primary, path, nil)
 	}
-	if c.hedge > 0 {
-		return c.readHedged(ctx, sh, path)
-	}
-	rep, err := c.do(ctx, http.MethodGet, sh.Primary, path, nil)
-	if err == nil {
-		return rep, nil
-	}
-	// Jitter before hitting the follower so a fleet-wide primary
-	// failure does not convert into a synchronized follower stampede.
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-time.After(retryJitter()):
-	}
-	c.metrics.followerRetries.Add(1)
-	rep, ferr := c.do(ctx, http.MethodGet, sh.Follower, path, nil)
-	if ferr != nil {
-		return nil, fmt.Errorf("primary: %v; follower: %w", err, ferr)
-	}
-	rep.fromFollower = true
-	return rep, nil
-}
-
-// readHedged races the primary against a follower attempt launched
-// after the hedge delay. Results funnel through one channel; the first
-// transport-level success wins and the loser's context is canceled.
-func (c *client) readHedged(ctx context.Context, sh Shard, path string) (*reply, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -177,24 +152,37 @@ func (c *client) readHedged(ctx context.Context, sh Shard, path string) (*reply,
 		}()
 	}
 	launch(sh.Primary, false)
-	hedgeTimer := time.NewTimer(c.hedge)
-	defer hedgeTimer.Stop()
-	launched, pending := 1, 1
+	// hedge fires once the primary has been silent c.hedge (never when
+	// hedging is off); retry once the primary has failed and the jitter
+	// has passed. Whichever fires first launches the follower.
+	var hedge, retry <-chan time.Time
+	if c.hedge > 0 {
+		t := time.NewTimer(c.hedge)
+		defer t.Stop()
+		hedge = t.C
+	}
+	pending, hedged, followerUp := 1, false, false
+	launchFollower := func() {
+		hedge, retry, followerUp = nil, nil, true
+		launch(sh.Follower, true)
+		pending++
+	}
 	var firstErr error
 	for {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-hedgeTimer.C:
-			if launched == 1 {
-				c.metrics.hedges.Add(1)
-				launch(sh.Follower, true)
-				launched, pending = 2, pending+1
-			}
+		case <-hedge:
+			c.metrics.hedges.Add(1)
+			hedged = true
+			launchFollower()
+		case <-retry:
+			c.metrics.followerRetries.Add(1)
+			launchFollower()
 		case out := <-results:
 			pending--
 			if out.err == nil {
-				if out.follower {
+				if out.follower && hedged {
 					c.metrics.hedgeWins.Add(1)
 				}
 				return out.rep, nil
@@ -202,15 +190,11 @@ func (c *client) readHedged(ctx context.Context, sh Shard, path string) (*reply,
 			if firstErr == nil {
 				firstErr = out.err
 			}
-			if launched == 1 {
-				// The primary failed before the hedge fired: no point
-				// waiting out the delay, go to the follower now.
-				if !hedgeTimer.Stop() {
-					<-hedgeTimer.C
-				}
-				c.metrics.followerRetries.Add(1)
-				launch(sh.Follower, true)
-				launched, pending = 2, pending+1
+			if !followerUp {
+				// Jitter before hitting the follower so a fleet-wide
+				// primary failure does not convert into a synchronized
+				// follower stampede.
+				hedge, retry = nil, time.After(retryJitter())
 				continue
 			}
 			if pending == 0 {

@@ -418,25 +418,30 @@ func TestEventsPartialOnDeadShard(t *testing.T) {
 
 // TestFollowerRetryServesReads: a shard whose primary is unreachable
 // but whose follower is alive keeps serving idempotent reads through
-// the router's jittered follower retry.
+// the router's jittered follower retry, with hedging off and on (the
+// refused primary fails before a 20 ms hedge would fire).
 func TestFollowerRetryServesReads(t *testing.T) {
 	live := newOracle(t)
 	dead := deadURL(t)
-	rt, err := New(Config{Shards: []Shard{{Primary: dead, Follower: live.URL}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-	code, body := getRaw(t, ts.URL+"/v1/influencers?k=5")
-	if code != http.StatusOK {
-		t.Fatalf("follower retry: code %d body %s", code, body)
-	}
-	if decodeJSON(t, body)["partial"] != nil {
-		t.Fatalf("follower-served answer marked partial: %s", body)
-	}
-	if got := rt.metrics.followerRetries.Value(); got < 1 {
-		t.Fatalf("follower_retries = %d, want >= 1", got)
+	for _, hedge := range []time.Duration{0, 20 * time.Millisecond} {
+		t.Run("hedge="+hedge.String(), func(t *testing.T) {
+			rt, err := New(Config{Shards: []Shard{{Primary: dead, Follower: live.URL}}, Hedge: hedge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(rt.Handler())
+			defer ts.Close()
+			code, body := getRaw(t, ts.URL+"/v1/influencers?k=5")
+			if code != http.StatusOK {
+				t.Fatalf("follower retry: code %d body %s", code, body)
+			}
+			if decodeJSON(t, body)["partial"] != nil {
+				t.Fatalf("follower-served answer marked partial: %s", body)
+			}
+			if got := rt.metrics.followerRetries.Value(); got < 1 {
+				t.Fatalf("follower_retries = %d, want >= 1", got)
+			}
+		})
 	}
 }
 

@@ -88,7 +88,11 @@ func TestFlushBookkeeping(t *testing.T) {
 // core.Train on the cascades the last flush saw. The spread is the
 // widest range of the fresh fits' held-out likelihood over Train seeds
 // 1–5 in any of the three worlds. A refit on the grown cascades alone,
-// with nothing anchoring it to the corpus, ends near −5 here.
+// with nothing anchoring it to the corpus, ends near −5 here. A daemon
+// loaded without its corpus has nothing to anchor a refit, so its
+// flushes keep the model it has: every one refits nothing and the
+// generation and held-out likelihood stay as loaded (a refit over the
+// live store alone took −2.03 to −2.13…−2.25 in ten flushes).
 func TestFlushDoesNotDrift(t *testing.T) {
 	const n, corpusN, liveN, heldN, rounds = 200, 300, 200, 150, 10
 	type world struct{ start, final, worstFresh float64 }
@@ -124,10 +128,18 @@ func TestFlushDoesNotDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bare, err := New(Config{Loader: func() (*LoadedModel, error) {
+			return &LoadedModel{Sys: sys, Pred: pred}, nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		feed := func(c *cascade.Cascade, from, to int) {
 			for _, inf := range c.Infections[from:to] {
-				if _, err := srv.store.Append(Event{Cascade: c.ID, Node: inf.Node, Time: inf.Time}, n); err != nil {
-					t.Fatal(err)
+				for _, s := range []*Server{srv, bare} {
+					if _, err := s.store.Append(Event{Cascade: c.ID, Node: inf.Node, Time: inf.Time}, n); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
@@ -145,8 +157,16 @@ func TestFlushDoesNotDrift(t *testing.T) {
 			if got, err := srv.Flush(); err != nil || got == 0 {
 				t.Fatalf("seed %d, flush %d: refit %d live cascades, err %v", seed, r+1, got, err)
 			}
+			gen := bare.Generation()
+			if got, err := bare.Flush(); err != nil || got != 0 || bare.Generation() != gen {
+				t.Fatalf("seed %d, flush %d without a corpus: refit %d live cascades, err %v, generation %d -> %d; want the loaded model kept",
+					seed, r+1, got, err, gen, bare.Generation())
+			}
 		}
 		w.final = heldOut(srv.current().sys.Sys)
+		if kept := heldOut(bare.current().sys.Sys); kept != w.start {
+			t.Errorf("seed %d: %d flushes without a corpus took held-out LL per infection from %.4f to %.4f", seed, rounds, w.start, kept)
+		}
 
 		seen := append(append([]*cascade.Cascade(nil), corpus...), srv.store.Cascades(n)...)
 		lo, hi := 0.0, 0.0

@@ -20,8 +20,7 @@ type LoadedModel struct {
 	// Corpus is the cascades Pred was trained on. A flush refits Sys
 	// over them and the live store together, then retrains Pred on them
 	// at Pred's cutoff and threshold, so predictions track the refit
-	// embeddings. Nil refits over the live store alone and keeps the old
-	// predictor, serving its training-time embeddings' view.
+	// embeddings. Without a corpus a flush keeps the loaded model.
 	Corpus []*cascade.Cascade
 }
 

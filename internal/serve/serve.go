@@ -52,9 +52,9 @@ type Config struct {
 	CacheTTL time.Duration
 	// FlushEvery is the cadence of the background pass that refits the
 	// model over the loaded corpus and the live cascades (System.Update)
-	// and swaps the refit in; a pass with no event since the last one
-	// does nothing. Zero disables the periodic pass (Flush can still be
-	// called).
+	// and swaps the refit in; a pass with no event since the last one,
+	// or under a model loaded without its corpus, does nothing. Zero
+	// disables the periodic pass (Flush can still be called).
 	FlushEvery time.Duration
 	// DrainTimeout bounds how long Serve waits for in-flight requests
 	// after its context is canceled. Default 10s.
@@ -616,8 +616,11 @@ func (s *Server) recoverWAL() error {
 // every live cascade a refit can use (Store.Cascades), retrains the
 // predictor on the corpus against the refit embeddings, and swaps the
 // result in as a new generation. A flush with no store change since the
-// current generation was loaded or refit does nothing. Returns how many
-// live cascades the refit saw.
+// current generation was loaded or refit does nothing, and so does one
+// under a generation loaded without its corpus: a refit over the live
+// store alone drifts from the corpus's fit and would serve the refit
+// embeddings through a predictor trained on the old ones. Returns how
+// many live cascades the refit saw.
 func (s *Server) Flush() (int, error) {
 	// A follower's model refinement happens on the primary; its own
 	// store exists to serve reads and to be promotion-ready. The
@@ -628,6 +631,10 @@ func (s *Server) Flush() (int, error) {
 	}
 	defer s.lockGenerations()()
 	cur := s.current()
+	corpus := cur.sys.Corpus
+	if len(corpus) == 0 {
+		return 0, nil
+	}
 	// Read the count before the snapshot: an event that lands between
 	// them is refit again by the next flush, never skipped.
 	changes := s.store.Changes()
@@ -638,7 +645,6 @@ func (s *Server) Flush() (int, error) {
 	if len(live) == 0 {
 		return 0, nil
 	}
-	corpus := cur.sys.Corpus
 	next := cur.sys.Sys.Fork()
 	// Chaos hook: tests arm "serve.flush" to fail the refit and assert
 	// the daemon degrades to a stale generation, not a loop of
@@ -655,7 +661,7 @@ func (s *Server) Flush() (int, error) {
 	}
 	lm := &LoadedModel{Sys: next, Pred: cur.sys.Pred, Corpus: corpus}
 	retrained := true
-	if lm.Pred != nil && len(corpus) > 0 {
+	if lm.Pred != nil {
 		if pred, err := next.TrainPredictor(corpus, lm.Pred.EarlyCutoff(), lm.Pred.Threshold()); err == nil {
 			lm.Pred = pred
 		} else {

@@ -4,9 +4,9 @@
 # cmd/viralcast run the real subcommands on goroutines) and once under
 # SIGKILL by re-exec'd test binaries. This script runs those — plain, then
 # under the race detector on the packages that exercise concurrency —
-# plus the static checks, the examples' checked output at GOMAXPROCS 1
-# and 8, the fuzz tripwires, the benchmark's oracle and pins, and the
-# two checks only a real process can make of the *built* binary:
+# plus the static checks, the examples' and the figures' checked output
+# at GOMAXPROCS 1 and 8, the fuzz tripwires, the benchmark's oracle and
+# pins, and the two checks only a real process can make of the *built* binary:
 # "crash" (kill -9 a daemon mid-stream, restart it on the same -wal-dir,
 # the cascade is served again; SIGTERM exits 0) and "fleet" (three shard
 # processes behind `viralcast route`, kill -9 one, the ranking degrades
@@ -60,10 +60,13 @@ done
 
 # The README's walkthrough is the Example functions (the library's in
 # the root package, the daemon's in internal/serve). Each checks its
-# printed output, which must not depend on the worker count.
-echo "== examples (checked output, GOMAXPROCS 1 and 8)"
+# printed output, which must not depend on the worker count; nor may the
+# lab's figures, whose `-fig all -scale small` stdout is the committed
+# results/figures_small.log (amd64; the test skips elsewhere).
+echo "== examples and the figures golden (checked output, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -count=1 -run '^Example' . ./internal/serve/
+  GOMAXPROCS=$procs go test -count=1 -run '^TestFiguresSmallGolden$' ./cmd/figures/
 done
 
 # bench/ is a module of its own (replace viralcast => ../), so ./... above
