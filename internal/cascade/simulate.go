@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"viralcast/internal/graph"
 	"viralcast/internal/vecmath"
@@ -25,10 +24,27 @@ import (
 // hazard model itself defines (zero-rate pairs simply never fire). Dense
 // mode is how the scenario engine simulates campaigns against a serving
 // generation, which carries embeddings but no explicit graph.
+//
+// The fields are read-only once a constructor has returned: a graph-mode
+// simulator tabulates every arc's hazard from G, A and B at construction,
+// so writing any of them afterwards would desynchronise the two. A
+// Simulator is safe for concurrent use by trials on separate scratches.
 type Simulator struct {
 	G      *graph.Graph // nil = dense/complete topology over the embedding rows
 	A, B   *vecmath.Matrix
 	Window float64 // observation window; infections after it are discarded
+
+	// Graph mode's hazards: arcs[arcOff[u]:arcOff[u+1]] are u's
+	// out-neighbors v with A[u]·B[v] > 0, in the graph's order, each with
+	// that rate. A zero-rate arc never draws a uniform, so it is left out.
+	arcOff []int
+	arcs   []arc
+}
+
+// arc is one positive-hazard edge u→v of a graph-mode simulator.
+type arc struct {
+	to   int
+	rate float64
 }
 
 // NewSimulator validates the inputs and returns a graph-backed simulator.
@@ -44,6 +60,18 @@ func NewSimulator(g *graph.Graph, a, b *vecmath.Matrix, window float64) (*Simula
 		return nil, fmt.Errorf("cascade: embedding rows (%d, %d) != graph nodes %d", a.RowsN, b.RowsN, g.N())
 	}
 	s.G = g
+	s.arcOff = make([]int, g.N()+1)
+	s.arcs = make([]arc, 0, g.M())
+	for u := range g.N() {
+		au := a.Row(u)
+		ts, _ := g.Neighbors(u)
+		for _, v := range ts {
+			if rate := vecmath.Dot(au, b.Row(v)); rate > 0 {
+				s.arcs = append(s.arcs, arc{to: v, rate: rate})
+			}
+		}
+		s.arcOff[u+1] = len(s.arcs)
+	}
 	return s, nil
 }
 
@@ -86,29 +114,34 @@ func (s *Simulator) N() int {
 }
 
 // TrialScratch holds the per-trial working state of one simulation: the
-// tentative-event heap, the infection table, and the output infection
-// slice. A zero TrialScratch is ready to use; reusing one across trials
-// (each trial implicitly resets it) removes the per-trial allocations
-// that dominate Monte Carlo batches. The scratch is not safe for
-// concurrent use, and a cascade produced through it aliases its storage
-// — valid only until the scratch's next trial.
+// tentative-event heap, each node's earliest time, and the output
+// infection slice. A zero TrialScratch is ready to use; reusing one
+// across trials (each trial implicitly resets it) removes the per-trial
+// allocations that dominate Monte Carlo batches. The scratch is not safe
+// for concurrent use, and a cascade produced through it aliases its
+// storage — valid only until the scratch's next trial.
 type TrialScratch struct {
 	h eventHeap
-	// infectedAt[v] is v's infection time, meaningful only when
-	// mark[v] == epoch. Bumping epoch resets the whole table in O(1);
-	// the arrays are sized to the simulator's universe on first use.
-	infectedAt []float64
-	mark       []uint32
-	epoch      uint32
-	infected   int // count of marked nodes this trial
-	infs       []Infection
+	// first[v] is the earliest time v has been reached this trial: its
+	// earliest pending tentative infection while mark[v] == epoch, its
+	// infection time once mark[v] == epoch+1; any other mark means v is
+	// untouched. epoch is even and steps by two, so bumping it resets the
+	// whole table in O(1); the arrays are sized to the universe on first
+	// use.
+	first    []float64
+	mark     []uint32
+	epoch    uint32
+	infected int // count of infected nodes this trial
+	infs     []Infection
 	// Work done since the scratch was created, over all its trials:
 	// uniforms drawn, logarithms taken, events that entered the heap.
 	attempts, logs, scheduled int
 }
 
 // Counts reports the scratch's cumulative work: tentative infections
-// drawn, how many of them needed the logarithm, how many were scheduled.
+// drawn (one uniform each), how many of them needed the logarithm, and
+// how many were scheduled — landed inside the window and earlier than
+// every tentative infection already pending for their target.
 func (ws *TrialScratch) Counts() (attempts, logs, scheduled int) {
 	return ws.attempts, ws.logs, ws.scheduled
 }
@@ -120,24 +153,29 @@ func (ws *TrialScratch) reset(n int) {
 	ws.infected = 0
 	if len(ws.mark) < n {
 		ws.mark = make([]uint32, n)
-		ws.infectedAt = make([]float64, n)
+		ws.first = make([]float64, n)
 		ws.epoch = 0
 	}
-	ws.epoch++
+	ws.epoch += 2
 	if ws.epoch == 0 { // uint32 wrapped: stale marks could collide
-		for i := range ws.mark {
-			ws.mark[i] = 0
-		}
-		ws.epoch = 1
+		clear(ws.mark)
+		ws.epoch = 2
 	}
 }
 
-func (ws *TrialScratch) isInfected(v int) bool { return ws.mark[v] == ws.epoch }
+func (ws *TrialScratch) isInfected(v int) bool { return ws.mark[v] == ws.epoch+1 }
 
 func (ws *TrialScratch) infect(v int, t float64) {
-	ws.mark[v] = ws.epoch
-	ws.infectedAt[v] = t
+	ws.mark[v] = ws.epoch + 1
+	ws.first[v] = t
 	ws.infected++
+}
+
+// schedule heaps v's tentative infection at time t, now its earliest.
+func (ws *TrialScratch) schedule(v int, t float64) {
+	ws.mark[v] = ws.epoch
+	ws.first[v] = t
+	ws.h.push(event{time: t, node: v})
 }
 
 // event is a tentative infection in the simulation's priority queue.
@@ -208,13 +246,6 @@ func (h *eventHeap) down(i int) {
 	}
 }
 
-// init heapifies an arbitrarily-ordered slice.
-func (h *eventHeap) init() {
-	for i := len(*h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
 // Run simulates a single cascade with the given id, starting from seed at
 // time 0. The cascade always contains at least the seed.
 func (s *Simulator) Run(id, seed int, rng *xrand.RNG) (*Cascade, error) {
@@ -242,8 +273,8 @@ func (s *Simulator) RunSeeds(id int, seeds []int, maxSize int, rng *xrand.RNG) (
 }
 
 // RunSeedsScratch is RunSeeds running on caller-owned working state:
-// the heap, the infection table, and the output slice all live in ws
-// and are reused across trials. The returned cascade aliases ws and is
+// the heap, the per-node times, and the output slice all live in ws and
+// are reused across trials. The returned cascade aliases ws and is
 // valid only until ws's next trial — callers that retain cascades must
 // copy, callers that fold each trial into aggregates (the Monte Carlo
 // engines) pay zero per-trial allocations. The trajectory is
@@ -260,16 +291,16 @@ func (s *Simulator) RunSeedsScratch(ws *TrialScratch, id int, seeds []int, maxSi
 		}
 	}
 	ws.reset(n)
-	h := &ws.h
 	for _, seed := range seeds {
-		*h = append(*h, event{time: 0, node: seed})
-	}
-	h.init()
-	for len(*h) > 0 {
-		e := h.pop()
-		if e.time > s.Window {
-			break // the observation window terminates the process instantly
+		if ws.mark[seed] != ws.epoch {
+			ws.schedule(seed, 0)
 		}
+	}
+	h := &ws.h
+	for len(*h) > 0 {
+		// Every heaped event lies inside the window, so only the heap
+		// running dry or the size cap ends a trial.
+		e := h.pop()
 		if ws.isInfected(e.node) {
 			continue // a faster source already infected this node
 		}
@@ -278,11 +309,9 @@ func (s *Simulator) RunSeedsScratch(ws *TrialScratch, id int, seeds []int, maxSi
 		if maxSize > 0 && ws.infected >= maxSize {
 			break // early stop: the question was only ever "how fast to maxSize"
 		}
-		au := s.A.Row(e.node)
 		if s.G != nil {
-			ts, _ := s.G.Neighbors(e.node)
-			for _, v := range ts {
-				s.attempt(ws, au, e.time, v, rng)
+			for _, a := range s.arcs[s.arcOff[e.node]:s.arcOff[e.node+1]] {
+				s.attempt(ws, e.time, a.to, a.rate, rng)
 			}
 			continue
 		}
@@ -290,52 +319,66 @@ func (s *Simulator) RunSeedsScratch(ws *TrialScratch, id int, seeds []int, maxSi
 		// rng draw happens only for positive rates, so the consumed
 		// stream — and therefore the trajectory — is identical however
 		// the candidate scan is reached.
+		au := s.A.Row(e.node)
 		for v := 0; v < n; v++ {
-			if v == e.node {
+			if v == e.node || ws.isInfected(v) {
 				continue
 			}
-			s.attempt(ws, au, e.time, v, rng)
+			if rate := vecmath.Dot(au, s.B.Row(v)); rate > 0 {
+				s.attempt(ws, e.time, v, rate, rng)
+			}
 		}
 	}
 	return Cascade{ID: id, Infections: ws.infs}, nil
 }
 
-// attempt schedules u→v's tentative infection if v is susceptible, the
-// pair's hazard is positive and the infection lands inside the window.
-// The uniform is drawn exactly as rng.Exp draws it, so the stream is the
-// one a simulator that heaps every attempt would consume; an event past
-// the window would only ever be popped by the loop's break, so leaving
-// it out changes no cascade.
-func (s *Simulator) attempt(ws *TrialScratch, au []float64, t float64, v int, rng *xrand.RNG) {
-	if ws.isInfected(v) {
-		return
-	}
-	rate := vecmath.Dot(au, s.B.Row(v))
-	if rate <= 0 {
-		return // zero hazard: u can never infect v
+// attempt draws the tentative infection of v, at positive rate, by a
+// node infected at time t, and schedules it only if it lands inside the
+// window and before every tentative infection of v already pending. The
+// uniform is drawn exactly as rng.Exp draws it, so the stream is the one
+// a simulator that heaps every attempt would consume. Nothing left out
+// could change a cascade: an event past the window would only ever be
+// popped by a loop stopped at the window, and one at or after v's
+// pending time would be popped once v is infected — the shortest-path
+// view of a continuous-time cascade, where, as in Dijkstra's algorithm,
+// only an improving tentative time needs to enter the queue.
+func (s *Simulator) attempt(ws *TrialScratch, t float64, v int, rate float64, rng *xrand.RNG) {
+	bound, pending := s.Window, false
+	switch ws.mark[v] {
+	case ws.epoch + 1:
+		return // already infected
+	case ws.epoch:
+		bound, pending = ws.first[v], true
 	}
 	ws.attempts++
 	u := rng.Float64()
-	if provablyLate(t, s.Window, rate, u) {
+	if provablyLate(t, bound, rate, u) {
 		return
 	}
 	ws.logs++
-	if at := t + -math.Log(1-u)/rate; at <= s.Window {
-		ws.scheduled++
-		ws.h.push(event{time: at, node: v})
+	at := t + -math.Log(1-u)/rate
+	if at > bound || pending && at == bound {
+		return
 	}
+	ws.scheduled++
+	ws.schedule(v, at)
 }
 
 // provablyLate is a log-free sufficient test for t + -log(1-u)/rate >
-// window. 1-u is exact and -log(1-u) >= u, so the delay is at least
-// u/rate; asking u to clear rate·(window-t) by a factor 1+2⁻²⁰, and only
-// while window-t > 2⁻²⁰·window, leaves 2⁻⁴¹·window of slack against the
-// few roundings involved, each at most 2⁻⁵³·window. A false answer
-// proves nothing: the caller evaluates the exact expression.
-func provablyLate(t, window, rate, u float64) bool {
-	rem := window - t
-	return rem > window*0x1p-20 && u > rate*rem*(1+0x1p-20)
+// bound, where t <= bound is the attempt's start and bound the window or
+// an earlier pending time. 1-u is exact and -log(1-u) >= u, so the delay
+// is at least u/rate; asking u to clear rate·(bound-t) by a factor
+// 1+2⁻²⁰, and only while bound-t > 2⁻²⁰·bound, leaves 2⁻⁴¹·bound of
+// slack against the few roundings involved, each at most 2⁻⁵³·bound. A
+// false answer proves nothing: the caller evaluates the exact expression.
+func provablyLate(t, bound, rate, u float64) bool {
+	rem := bound - t
+	return rem > bound*0x1p-20 && u > rate*rem*(1+0x1p-20)
 }
+
+// arenaBlock caps the infections one block of RunManyCtx's arena holds
+// (256 KiB).
+const arenaBlock = 1 << 14
 
 // RunMany simulates count cascades with uniformly random seeds, ids
 // firstID..firstID+count-1 (paper §VI-A: "a random node is chosen as the
@@ -353,9 +396,17 @@ func (s *Simulator) RunManyCtx(ctx context.Context, firstID, count int, rng *xra
 	if count < 0 {
 		return nil, fmt.Errorf("cascade: negative count %d", count)
 	}
-	out := make([]*Cascade, 0, count)
-	ws := new(TrialScratch) // one heap and one infection table for the batch
-	for i := 0; i < count; i++ {
+	// The batch's cascades are carved from an arena of blocks, each
+	// cascade's capacity clamped so an append through it cannot reach the
+	// next. A block is never regrown, so nothing carved moves; each new
+	// one holds at least everything carved so far, up to arenaBlock
+	// infections, so a batch takes few blocks and wastes little of them.
+	cs := make([]Cascade, count)
+	out := make([]*Cascade, count)
+	var block []Infection
+	carved := 0
+	ws := new(TrialScratch) // one heap and one table of times for the batch
+	for i := range cs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -363,8 +414,14 @@ func (s *Simulator) RunManyCtx(ctx context.Context, firstID, count int, rng *xra
 		if err != nil {
 			return nil, err
 		}
-		c.Infections = slices.Clone(c.Infections) // c aliased ws
-		out = append(out, &c)
+		k := len(c.Infections)
+		if cap(block)-len(block) < k {
+			block = make([]Infection, 0, max(k, min(carved, arenaBlock)))
+		}
+		block = append(block, c.Infections...) // c aliased ws
+		cs[i] = Cascade{ID: c.ID, Infections: block[len(block)-k : len(block) : len(block)]}
+		out[i] = &cs[i]
+		carved += k
 	}
 	return out, nil
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"viralcast/internal/graph"
+	"viralcast/internal/sbm"
 	"viralcast/internal/vecmath"
 	"viralcast/internal/xrand"
 )
@@ -25,6 +27,14 @@ func oracleAttempt(s *Simulator, ws *TrialScratch, au []float64, t float64, v in
 		return
 	}
 	ws.h.push(event{time: t + rng.Exp(rate), node: v})
+}
+
+// init heapifies an arbitrarily-ordered slice: the oracle heaps its
+// seeds at once, where the simulator schedules them one by one.
+func (h *eventHeap) init() {
+	for i := len(*h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 // oracleRunSeeds is RunSeedsScratch's loop around oracleAttempt, on fresh
@@ -111,6 +121,28 @@ func oracleWorld(t *testing.T, seed uint64) (*graph.Graph, *vecmath.Matrix, *vec
 	return mustGraph(t, n, edges), a, b
 }
 
+// sbmWorld draws §VI-A's setting at n = 150: an SBM graph of 40-node
+// blocks and a planted truth in the manner of workload.Build's (a topic
+// per block, Pareto influence capped at 400, rates sized to window 8).
+// Its super-spreaders reach the same node along several arcs, so at
+// window 8 nodes collect competing tentative infections.
+func sbmWorld(t *testing.T, seed uint64) (*graph.Graph, *vecmath.Matrix, *vecmath.Matrix) {
+	t.Helper()
+	rng := xrand.New(seed)
+	g, membership, err := sbm.Generate(sbm.Params{N: 150, BlockSize: 40, Alpha: 0.2, Beta: 0.001}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	base := math.Sqrt(0.1 / 8 * 2.5)
+	a, b := vecmath.NewMatrix(g.N(), k), vecmath.NewMatrix(g.N(), k)
+	for u, block := range membership {
+		a.Set(u, block%k, base*min(rng.Pareto(1, 1.1), 400)*(0.7+0.6*rng.Float64()))
+		b.Set(u, block%k, base*(0.7+0.6*rng.Float64()))
+	}
+	return g, a, b
+}
+
 // bothSims returns the graph-mode and the dense-mode simulator of one
 // world, in that order.
 func bothSims(t *testing.T, g *graph.Graph, a, b *vecmath.Matrix, window float64) [2]*Simulator {
@@ -126,42 +158,122 @@ func bothSims(t *testing.T, g *graph.Graph, a, b *vecmath.Matrix, window float64
 	return [2]*Simulator{graphSim, denseSim}
 }
 
-// TestSimulatorMatchesOracle: leaving events past the window out of the
-// heap, and proving most of them late without a logarithm, changes no
+// TestSimulatorMatchesOracle: leaving events past the window or behind a
+// pending time out of the heap, reading hazards from the arc table, and
+// proving most late attempts late without a logarithm, changes no
 // cascade and no random draw. Graph and dense mode, reused scratch,
 // windows from "nothing fits" to "everything does", early-stop caps,
 // duplicate and multi-node seed sets — and after every trial the RNG
-// must stand exactly where the oracle's does.
+// must stand exactly where the oracle's does. The SBM world is where
+// graph mode's pending times do the pruning: the test requires some of
+// its nodes to have been heaped more than once, each time earlier.
 func TestSimulatorMatchesOracle(t *testing.T) {
-	g, a, b := oracleWorld(t, 99)
-	n := a.RowsN
 	seedSets := [][]int{{0}, {4}, {7, 7, 7}, {3, 19, 3, 28}, {11, 23}, {29, 0, 15, 8, 1}}
-	for _, window := range []float64{1e-9, 0.5, 8, 1e6, math.Inf(1)} {
-		for i, sim := range bothSims(t, g, a, b, window) {
-			mode := [2]string{"graph", "dense"}[i]
-			ws := new(TrialScratch)
-			for seed := uint64(1); seed <= 200; seed++ {
-				seeds := seedSets[seed%uint64(len(seedSets))]
-				if seed%5 == 0 {
-					seeds = []int{int(seed) % n}
+	for _, world := range []struct {
+		name    string
+		draw    func(*testing.T, uint64) (*graph.Graph, *vecmath.Matrix, *vecmath.Matrix)
+		windows []float64
+		compete bool // graph mode must reschedule some node
+	}{
+		{"random", func(t *testing.T, _ uint64) (*graph.Graph, *vecmath.Matrix, *vecmath.Matrix) {
+			return oracleWorld(t, 99)
+		},
+			[]float64{1e-9, 0.5, 8, 1e6, math.Inf(1)}, false},
+		{"sbm", sbmWorld, []float64{8}, true},
+	} {
+		g, a, b := world.draw(t, 7)
+		n := a.RowsN
+		for _, window := range world.windows {
+			for i, sim := range bothSims(t, g, a, b, window) {
+				mode := [2]string{"graph", "dense"}[i]
+				ws := new(TrialScratch)
+				rescheduled := 0
+				for seed := uint64(1); seed <= 200; seed++ {
+					seeds := seedSets[seed%uint64(len(seedSets))]
+					if seed%5 == 0 {
+						seeds = []int{int(seed) % n}
+					}
+					maxSize := 0
+					if seed%4 == 0 {
+						maxSize = 1 + int(seed/4)%12
+					}
+					gotRNG, wantRNG := xrand.New(seed), xrand.New(seed)
+					want := oracleRunSeeds(sim, int(seed), seeds, maxSize, wantRNG)
+					_, _, before := ws.Counts()
+					got, err := sim.RunSeedsScratch(ws, int(seed), seeds, maxSize, gotRNG)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s world, %s window %g seed %d", world.name, mode, window, seed)
+					sameCascade(t, label, got, want)
+					if *gotRNG != *wantRNG {
+						t.Fatalf("%s: the RNG consumed a different stream than the oracle's", label)
+					}
+					if maxSize == 0 { // the heap drained: every event was popped
+						_, _, after := ws.Counts()
+						sorted := slices.Clone(seeds)
+						slices.Sort(sorted)
+						distinct := len(slices.Compact(sorted))
+						rescheduled += after - before - (len(got.Infections) - distinct)
+					}
 				}
-				maxSize := 0
-				if seed%4 == 0 {
-					maxSize = 1 + int(seed/4)%12
+				if world.compete && mode == "graph" && rescheduled == 0 {
+					t.Errorf("%s world, graph window %g: no node was heaped twice, so no pending time was ever beaten", world.name, window)
 				}
-				gotRNG, wantRNG := xrand.New(seed), xrand.New(seed)
-				want := oracleRunSeeds(sim, int(seed), seeds, maxSize, wantRNG)
-				got, err := sim.RunSeedsScratch(ws, int(seed), seeds, maxSize, gotRNG)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s window %g seed %d", mode, window, seed)
-				sameCascade(t, label, got, want)
-				if *gotRNG != *wantRNG {
-					t.Fatalf("%s: the RNG consumed a different stream than the oracle's", label)
-				}
+				t.Logf("%s world, %s window %g: %d events superseded by an earlier one", world.name, mode, window, rescheduled)
 			}
 		}
+	}
+}
+
+// TestArcTableMatchesDot: graph mode's hazard table holds, for every arc
+// of the graph in the graph's order, exactly vecmath.Dot(A[u], B[v]) bit
+// for bit, and leaves out exactly the arcs whose hazard is zero.
+func TestArcTableMatchesDot(t *testing.T) {
+	g, a, b := oracleWorld(t, 99)
+	// Disjoint topics give a zero hazard between two non-zero rows.
+	for j := 0; j < a.ColsN; j++ {
+		b.Set(6, j, 0)
+	}
+	b.Set(9, 0, 0.5)
+	b.Set(9, 1, 0)
+	b.Set(9, 2, 0)
+	a.Set(2, 0, 0)
+	sim, err := NewSimulator(g, a, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sim.arcOff) != g.N()+1 || sim.arcOff[0] != 0 || sim.arcOff[g.N()] != len(sim.arcs) {
+		t.Fatalf("arc offsets %d long, from %d to %d over %d arcs", len(sim.arcOff), sim.arcOff[0], sim.arcOff[len(sim.arcOff)-1], len(sim.arcs))
+	}
+	dropped := 0
+	for u := 0; u < g.N(); u++ {
+		row := sim.arcs[sim.arcOff[u]:sim.arcOff[u+1]]
+		ts, _ := g.Neighbors(u)
+		for _, v := range ts {
+			rate := vecmath.Dot(a.Row(u), b.Row(v))
+			if rate == 0 {
+				dropped++
+				continue
+			}
+			if len(row) == 0 || row[0].to != v || math.Float64bits(row[0].rate) != math.Float64bits(rate) {
+				t.Fatalf("arc %d→%d: table %v, want rate %x", u, v, row, math.Float64bits(rate))
+			}
+			row = row[1:]
+		}
+		if len(row) != 0 {
+			t.Fatalf("node %d: table holds %v past its graph arcs", u, row)
+		}
+	}
+	if dropped == 0 || dropped+len(sim.arcs) != g.M() {
+		t.Fatalf("%d zero-hazard arcs dropped, %d kept, graph has %d", dropped, len(sim.arcs), g.M())
+	}
+	dense, err := NewDenseSimulator(a, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.arcOff != nil || dense.arcs != nil {
+		t.Fatal("a dense simulator built an arc table")
 	}
 }
 
@@ -265,10 +377,11 @@ func TestSimulatorRejectsNonFinite(t *testing.T) {
 }
 
 // FuzzPruneDecision: whenever the log-free test says an attempt lands
-// past the window, the exact expression — the one that decides every
-// attempt the test cannot settle — must say so too. u is snapped to the
-// generator's lattice (multiples of 2⁻⁵³ in [0, 1)), which is where
-// "1-u is exact" comes from.
+// past its bound — the window, or a pending time of the target below it
+// — the exact expression, the one that decides every attempt the test
+// cannot settle, must say so too. u is snapped to the generator's
+// lattice (multiples of 2⁻⁵³ in [0, 1)), which is where "1-u is exact"
+// comes from.
 func FuzzPruneDecision(f *testing.F) {
 	ulp := func(x float64, up bool) float64 {
 		if up {
@@ -276,26 +389,33 @@ func FuzzPruneDecision(f *testing.F) {
 		}
 		return math.Nextafter(x, math.Inf(-1))
 	}
-	for _, s := range []struct{ t, window, rate float64 }{
+	// The window seeds, then pending times below a window of 8: ones an
+	// attempt computed (3.7 + -log(1-0.3)/0.4 and so on), one just past
+	// t, and the bounds where the relative margin turns on.
+	pend := func(t, u, rate float64) float64 { return t + -math.Log(1-u)/rate }
+	for _, s := range []struct{ t, bound, rate float64 }{
 		{0, 8, 0.01}, {3.7, 8, 0.4}, {7.999, 8, 2}, {0, 1e-9, 1e3}, {0.25, 0.5, 1.9},
 		{0, 1e6, 1e-7}, {5e5, 1e6, 3e-7}, {0, math.Inf(1), 1},
 		{8 - 8*0x1p-20, 8, 100}, {ulp(8-8*0x1p-20, false), 8, 100}, {ulp(8-8*0x1p-20, true), 8, 100},
 		{8, 8, 1}, {0, 8, 5e-324}, {1, 8, 1e-310}, {0, 8, 1e300}, {0, 1e-300, 1e300}, {0, 1e300, 1e-300},
+		{3.7, pend(3.7, 0.3, 0.4), 0.4}, {4.1, pend(3.7, 0.3, 0.4), 2.5}, {0.25, pend(0, 0x1p-40, 1.9), 1.9},
+		{2, ulp(2, true), 1}, {2, 2, 3}, {2, 2 / (1 - 0x1p-20), 7}, {2, ulp(2/(1-0x1p-20), true), 7},
+		{1e-12, pend(0, 0.5, 1e9), 1e9}, {6.5, pend(6, 0.999, 0.05), 1e-3},
 	} {
-		edge := s.rate * (s.window - s.t)
+		edge := s.rate * (s.bound - s.t)
 		for _, u := range []float64{0, 0x1p-53, 0.5, 1 - 0x1p-53, edge, ulp(edge, false), ulp(edge, true),
 			edge * (1 + 0x1p-20), ulp(edge*(1+0x1p-20), true), ulp(edge*(1+0x1p-20), false)} {
-			f.Add(s.t, s.window, s.rate, u)
+			f.Add(s.t, s.bound, s.rate, u)
 		}
 	}
-	f.Fuzz(func(t *testing.T, at, window, rate, u float64) {
+	f.Fuzz(func(t *testing.T, at, bound, rate, u float64) {
 		u = math.Floor(u*0x1p53) * 0x1p-53
-		if !(window > 0 && at >= 0 && at <= window && rate > 0 && u >= 0 && u < 1) {
+		if !(bound >= 0 && at >= 0 && at <= bound && rate > 0 && u >= 0 && u < 1) {
 			t.Skip() // outside what attempt can be called with
 		}
-		if provablyLate(at, window, rate, u) && !(at+-math.Log(1-u)/rate > window) {
-			t.Fatalf("t=%v window=%v rate=%v u=%v: called late without a logarithm, but lands at %v",
-				at, window, rate, u, at+-math.Log(1-u)/rate)
+		if provablyLate(at, bound, rate, u) && !(at+-math.Log(1-u)/rate > bound) {
+			t.Fatalf("t=%v bound=%v rate=%v u=%v: called late without a logarithm, but lands at %v",
+				at, bound, rate, u, at+-math.Log(1-u)/rate)
 		}
 	})
 }

@@ -296,7 +296,22 @@ func TestFigure11(t *testing.T) {
 	if len(series) != 2 {
 		t.Fatalf("series = %d", len(series))
 	}
-	// The paper's point: runtime depends weakly on N at fixed C. Allow a
+	// The second graph fits the shortest prefix of its draw that holds
+	// at least the first graph's infections.
+	first, err := drawScaling(sc, 200, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := drawScaling(sc, 400, series[1].C)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, got := cascade.TotalInfections(first), cascade.TotalInfections(second)
+	if series[0].C != 150 || got < target || got-second[len(second)-1].Size() >= target {
+		t.Fatalf("N=400 fits %d cascades holding %d infections, N=200 %d holding %d: not the shortest prefix at matched work",
+			series[1].C, got, series[0].C, target)
+	}
+	// The paper's point: runtime depends weakly on N at fixed work. Allow a
 	// generous factor but require the same order of magnitude.
 	t1a, t1b := series[0].Seconds[0], series[1].Seconds[0]
 	ratio := t1b / t1a

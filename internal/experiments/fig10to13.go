@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"viralcast/internal/cascade"
 	"viralcast/internal/cooccur"
 	"viralcast/internal/infer"
 	"viralcast/internal/mergetree"
@@ -90,26 +91,34 @@ func (s *ScalingSeries) Efficiency() []float64 {
 	return out
 }
 
-// runScalingWorkload fits one (N, C) workload hierarchically and models
-// its runtime at every core count from the fit's work counts.
-func runScalingWorkload(sc ScalingExperiment, n, cascades int, label string) (*ScalingSeries, error) {
-	c := workload.Default() // no train / test split: every cascade is fitted
+// drawScaling draws the first `cascades` cascades of the scaling
+// workload on n nodes. Every cascade is fitted: there is no train / test
+// split.
+func drawScaling(sc ScalingExperiment, n, cascades int) ([]*cascade.Cascade, error) {
+	c := workload.Default()
 	c.N, c.Cascades, c.Seed = n, cascades, sc.Seed
 	w, err := workload.Build(c)
 	if err != nil {
 		return nil, err
 	}
-	g, err := cooccur.Build(w.Cascades, n, cooccurOptions())
+	return w.Cascades, nil
+}
+
+// runScalingWorkload fits one workload's cascades on n nodes
+// hierarchically and models its runtime at every core count from the
+// fit's work counts.
+func runScalingWorkload(sc ScalingExperiment, n int, cs []*cascade.Cascade, label string) (*ScalingSeries, error) {
+	g, err := cooccur.Build(cs, n, cooccurOptions())
 	if err != nil {
 		return nil, err
 	}
 	part := slpa.Detect(g, slpaOptions(), xrand.New(sc.Seed^0x51a9))
 	cfg := infer.Config{K: sc.InferK, MaxIter: sc.MaxIter, Seed: sc.Seed + 1}
-	_, tr, err := infer.Hierarchical(w.Cascades, n, part, cfg, infer.ParallelOptions{Workers: 1, Q: sc.Q, Policy: mergetree.ByCommunityCount})
+	_, tr, err := infer.Hierarchical(cs, n, part, cfg, infer.ParallelOptions{Workers: 1, Q: sc.Q, Policy: mergetree.ByCommunityCount})
 	if err != nil {
 		return nil, err
 	}
-	series := &ScalingSeries{Label: label, N: n, C: cascades, Cores: sc.Cores}
+	series := &ScalingSeries{Label: label, N: n, C: len(cs), Cores: sc.Cores}
 	for _, cores := range sc.Cores {
 		series.Seconds = append(series.Seconds,
 			ScheduleCost(tr.Levels, cores, sc.BarrierCost).Seconds())
@@ -125,7 +134,11 @@ func Figure10(sc ScalingExperiment, n int, cascadeCounts []int) ([]*ScalingSerie
 	}
 	var out []*ScalingSeries
 	for _, c := range cascadeCounts {
-		s, err := runScalingWorkload(sc, n, c, fmt.Sprintf("C=%d", c))
+		cs, err := drawScaling(sc, n, c)
+		if err != nil {
+			return nil, err
+		}
+		s, err := runScalingWorkload(sc, n, cs, fmt.Sprintf("C=%d", c))
 		if err != nil {
 			return nil, err
 		}
@@ -135,22 +148,57 @@ func Figure10(sc ScalingExperiment, n int, cascadeCounts []int) ([]*ScalingSerie
 }
 
 // Figure11 measures runtime vs cores for N in {1000, 2000, 4000} nodes
-// at a fixed cascade count (paper: C=2000). The paper's observation:
+// at a fixed amount of work (paper: C=2000). The paper's observation:
 // runtime is nearly independent of N because the algorithm's work is
-// linear in total infections, not in graph size.
+// linear in total infections, not in graph size. The first N fits
+// `cascades` cascades; every other N fits the shortest prefix of its
+// draw whose infections reach the first's, so the figure compares graph
+// sizes at the same infection count — at a fixed cascade count a larger
+// graph's cascades grow (at the default scale N=4000 held twice N=1000's
+// infections). Its series' C is the prefix length.
 func Figure11(sc ScalingExperiment, nodeCounts []int, cascades int) ([]*ScalingSeries, error) {
 	if len(nodeCounts) == 0 {
 		nodeCounts = []int{1000, 2000, 4000}
 	}
 	var out []*ScalingSeries
-	for _, n := range nodeCounts {
-		s, err := runScalingWorkload(sc, n, cascades, fmt.Sprintf("N=%d", n))
+	target := 0
+	for i, n := range nodeCounts {
+		cs, err := drawScaling(sc, n, cascades)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			target = cascade.TotalInfections(cs)
+		} else if cs, err = infectionPrefix(sc, n, cs, target); err != nil {
+			return nil, err
+		}
+		s, err := runScalingWorkload(sc, n, cs, fmt.Sprintf("N=%d", n))
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// infectionPrefix returns the shortest prefix of n's draw whose
+// infections reach target, drawing longer as needed starting from cs, a
+// prefix of the draw itself. A draw is prefix-stable (workload.Build),
+// so a longer draw begins with cs.
+func infectionPrefix(sc ScalingExperiment, n int, cs []*cascade.Cascade, target int) ([]*cascade.Cascade, error) {
+	for cascade.TotalInfections(cs) < target {
+		var err error
+		if cs, err = drawScaling(sc, n, 2*len(cs)); err != nil {
+			return nil, err
+		}
+	}
+	sum := 0
+	for i, c := range cs {
+		if sum += c.Size(); sum >= target {
+			return cs[:i+1], nil
+		}
+	}
+	return cs, nil
 }
 
 // Figure13 derives the speedup and efficiency curves from Figure 10's

@@ -129,11 +129,11 @@ func Sequential(cs []*cascade.Cascade, n int, cfg Config) (*embed.Model, *Trace,
 	start := time.Now()
 	m := embed.NewModel(n, cfg.K)
 	m.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-	epochs, _, lls, err := emCtx(context.Background(), m, cs, cfg)
+	fit, err := emCtx(context.Background(), m, cs, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m, &Trace{LogLik: lls, Iters: epochs, Elapsed: time.Since(start)}, nil
+	return m, &Trace{LogLik: fit.trace(m, cs), Iters: fit.epochs, Elapsed: time.Since(start)}, nil
 }
 
 // emCtx fits m to cs by closed-form expectation conditional maximization
@@ -164,30 +164,21 @@ func Sequential(cs []*cascade.Cascade, n int, cfg Config) (*embed.Model, *Trace,
 // epoch, up to maxBackoffs consecutive times, before failing with a
 // descriptive error.
 //
-// It returns the accepted epoch count, the E-step sweeps it ran (a
-// retried epoch's included), and the objective before the first epoch
-// and after every accepted one.
-func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Config) (epoch, sweeps int, lls []float64, err error) {
+// It returns what the fit did (emFit); the objective after the last
+// accepted epoch is left to the callers that report it (emFit.trace).
+func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Config) (fit emFit, err error) {
 	if len(cs) == 0 {
-		return 0, 0, nil, nil
+		return fit, nil
 	}
 	if err := m.Validate(); err != nil {
-		return 0, 0, nil, fmt.Errorf("infer: starting model is corrupt before fit: %w", err)
+		return fit, fmt.Errorf("infer: starting model is corrupt before fit: %w", err)
 	}
 	n, k := m.N(), m.K()
 	numA, denA := vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)
 	numB, denB := vecmath.NewMatrix(n, k), vecmath.NewMatrix(n, k)
 	solved := &embed.Model{A: numA, B: m.B} // the model under the epoch's new A
 	ws := embed.NewGradWorkspace(k)
-	prior := &emPrior{}
-	// stale: m has moved since the last entry of lls.
-	stale := false
-	stop := func(err error) (int, int, []float64, error) {
-		if stale {
-			lls = append(lls, prior.objective(m, m.LogLikAll(cs)))
-		}
-		return epoch, sweeps, lls, err
-	}
+	prior := &fit.prior
 	backoffs := 0
 	// retry counts a non-finite epoch against the budget of consecutive
 	// retries and reports whether the budget is spent.
@@ -196,19 +187,19 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 			return nil
 		}
 		return fmt.Errorf("infer: non-finite EM %s at epoch %d persisted through %d retries (last good loglik %.6g) — optimization diverged",
-			what, epoch, maxBackoffs, last(lls))
+			what, fit.epochs, maxBackoffs, last(fit.lls))
 	}
-	for epoch < cfg.MaxIter {
+	for fit.epochs < cfg.MaxIter {
 		if err := ctx.Err(); err != nil {
-			return stop(err)
+			return fit, err
 		}
 		// Fault site "infer.epoch": tests inject errors here or cancel the
 		// context at an exact epoch to simulate a mid-training SIGINT.
 		if err := faultinject.Fire("infer.epoch"); err != nil {
-			return stop(err)
+			return fit, err
 		}
 		if err := ctx.Err(); err != nil {
-			return stop(err)
+			return fit, err
 		}
 		numA.FillConst(0)
 		denA.FillConst(0)
@@ -217,27 +208,27 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 		for _, c := range cs {
 			ll += m.EMAccum(c, numA, denA, numB, ws)
 		}
-		sweeps++
-		if !finite(ll) && len(lls) == 0 {
-			return epoch, sweeps, nil, fmt.Errorf("infer: starting log-likelihood is %v — model or data corrupt before fit", ll)
+		fit.sweeps++
+		if !finite(ll) && len(fit.lls) == 0 {
+			return fit, fmt.Errorf("infer: starting log-likelihood is %v — model or data corrupt before fit", ll)
 		}
 		// Fault site "infer.grad": tests poison the freshly accumulated
 		// statistics with NaN to exercise the divergence guard.
 		faultinject.PoisonFloats("infer.grad", numA.Data)
 		if !finite(ll) || !vecmath.AllFinite(numA.Data) || !vecmath.AllFinite(denA.Data) || !vecmath.AllFinite(numB.Data) {
 			if err := retry("statistics or likelihood"); err != nil {
-				return epoch, sweeps, lls, err
+				return fit, err
 			}
 			continue
 		}
-		if stale {
+		if fit.stale {
 			// ll is the last accepted epoch's likelihood.
 			obj := prior.objective(m, ll)
-			gain := obj - last(lls)
-			lls = append(lls, obj)
-			stale = false
+			gain := obj - last(fit.lls)
+			fit.lls = append(fit.lls, obj)
+			fit.stale = false
 			if gain <= cfg.Tol*(1+abs(obj)) {
-				return epoch, sweeps, lls, nil
+				return fit, nil
 			}
 		}
 		if !prior.set {
@@ -253,25 +244,45 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 			prior.set = true
 		}
 		solve(numB.Data, denB.Data, m.B.Data, prior.b)
-		if len(lls) == 0 {
-			lls = append(lls, prior.objective(m, ll)) // m is still the start
+		if len(fit.lls) == 0 {
+			fit.lls = append(fit.lls, prior.objective(m, ll)) // m is still the start
 		}
 		if !vecmath.AllFinite(numA.Data) || !vecmath.AllFinite(numB.Data) {
 			if err := retry("update"); err != nil {
-				return epoch, sweeps, lls, err
+				return fit, err
 			}
 			continue
 		}
 		m.A.CopyFrom(numA)
 		m.B.CopyFrom(numB)
-		epoch++
-		stale = true
+		fit.epochs++
+		fit.stale = true
 		backoffs = 0 // the budget is per failure streak, not per stage
 	}
-	if stale {
-		lls = append(lls, prior.objective(m, m.LogLikAll(cs)))
+	return fit, nil
+}
+
+// emFit is what one emCtx call did.
+type emFit struct {
+	epochs int // accepted epochs
+	sweeps int // E-step passes, a retried epoch's included
+	// lls is the objective before the first epoch and after every
+	// accepted epoch a later E-step measured. stale means m has moved
+	// since its last entry: the fit stopped at MaxIter, or was stopped,
+	// before measuring its last epoch.
+	lls   []float64
+	stale bool
+	prior emPrior
+}
+
+// trace returns lls closed with the objective of the model the fit
+// left, m: one more likelihood pass when the last epoch is unmeasured,
+// which only a caller that reports the trace pays for.
+func (f *emFit) trace(m *embed.Model, cs []*cascade.Cascade) []float64 {
+	if f.stale {
+		return append(f.lls, f.prior.objective(m, m.LogLikAll(cs)))
 	}
-	return epoch, sweeps, lls, nil
+	return f.lls
 }
 
 // pseudoExposure sets the rate prior's strength. Every entry of A and B

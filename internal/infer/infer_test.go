@@ -275,7 +275,7 @@ func TestRunLevelSingleCommunityMatchesSequentialAscend(t *testing.T) {
 	// Sequential path.
 	seq := embed.NewModel(30, 2)
 	seq.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
-	_, sweeps, _, err := emCtx(context.Background(), seq, cs, cfg)
+	fit, err := emCtx(context.Background(), seq, cs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +301,8 @@ func TestRunLevelSingleCommunityMatchesSequentialAscend(t *testing.T) {
 			infections += c.Size()
 		}
 	}
-	if sweeps == 0 || len(work) != 1 || work[0] != sweeps*infections {
-		t.Fatalf("work %v, want [%d sweeps x %d infections]", work, sweeps, infections)
+	if fit.sweeps == 0 || len(work) != 1 || work[0] != fit.sweeps*infections {
+		t.Fatalf("work %v, want [%d sweeps x %d infections]", work, fit.sweeps, infections)
 	}
 }
 
@@ -519,8 +519,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 func TestAscendEmptyCascades(t *testing.T) {
 	m := embed.NewModel(5, 2)
-	iters, sweeps, lls, err := emCtx(context.Background(), m, nil, Config{}.WithDefaults())
-	if iters != 0 || sweeps != 0 || lls != nil || err != nil {
+	fit, err := emCtx(context.Background(), m, nil, Config{}.WithDefaults())
+	if fit.epochs != 0 || fit.sweeps != 0 || fit.lls != nil || err != nil {
 		t.Fatal("EM on empty cascades must be a no-op")
 	}
 	tr, err := Refine(m, nil, Config{K: 2})

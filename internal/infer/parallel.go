@@ -177,15 +177,15 @@ func optimizeCommunity(ctx context.Context, m *embed.Model, task *communityTask,
 		copy(local.A.Row(li), m.A.Row(u))
 		copy(local.B.Row(li), m.B.Row(u))
 	}
-	_, sweeps, _, err := emCtx(ctx, local, task.localCs, cfg)
+	fit, err := emCtx(ctx, local, task.localCs, cfg)
 	if err != nil && !canceled(err) {
-		return sweeps, err
+		return fit.sweeps, err
 	}
 	for li, u := range task.nodes {
 		copy(m.A.Row(u), local.A.Row(li))
 		copy(m.B.Row(u), local.B.Row(li))
 	}
-	return sweeps, err
+	return fit.sweeps, err
 }
 
 // Hierarchical executes Algorithm 2: starting from the base partition

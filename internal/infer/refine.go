@@ -35,9 +35,9 @@ func Refine(m *embed.Model, cs []*cascade.Cascade, cfg Config) (*Trace, error) {
 		return nil, err
 	}
 	start := time.Now()
-	epochs, _, lls, err := emCtx(context.Background(), m, cs, cfg)
+	fit, err := emCtx(context.Background(), m, cs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{LogLik: lls, Iters: epochs, Elapsed: time.Since(start)}, nil
+	return &Trace{LogLik: fit.trace(m, cs), Iters: fit.epochs, Elapsed: time.Since(start)}, nil
 }

@@ -199,13 +199,13 @@ func TestEMRejectsCorruptStartAtOnce(t *testing.T) {
 		inj := faultinject.NewInjector()
 		inj.Arm(faultinject.Fault{Site: "infer.grad", Action: faultinject.NaN}) // every E-step
 		restore := faultinject.Activate(inj)
-		epochs, _, lls, err := emCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 25, Seed: 14}.WithDefaults())
+		fit, err := emCtx(context.Background(), m, cs, Config{K: 2, MaxIter: 25, Seed: 14}.WithDefaults())
 		restore()
 		if err == nil || !strings.Contains(err.Error(), "corrupt before fit") {
 			t.Fatalf("%s: err = %v, want a corrupt-start error", name, err)
 		}
-		if epochs != 0 || lls != nil || inj.Fired("infer.grad") != 0 {
-			t.Fatalf("%s: %d epochs, %d likelihoods, %d E-steps before failing", name, epochs, len(lls), inj.Fired("infer.grad"))
+		if fit.epochs != 0 || fit.lls != nil || inj.Fired("infer.grad") != 0 {
+			t.Fatalf("%s: %d epochs, %d likelihoods, %d E-steps before failing", name, fit.epochs, len(fit.lls), inj.Fired("infer.grad"))
 		}
 	}
 }

@@ -450,11 +450,19 @@ func TestFollowerRetryServesReads(t *testing.T) {
 // attempt instead of stalling the read.
 func TestHedgedReadWinsAgainstSlowPrimary(t *testing.T) {
 	live := newOracle(t)
+	// The primary answers only once the router drops the request or the
+	// test ends, whichever comes first: slower than any hedge, and no
+	// slower than the test.
+	release := make(chan struct{})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(3 * time.Second)
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer slow.Close()
+	defer close(release) // before slow.Close, which waits for the handler
 	rt, err := New(Config{
 		Shards: []Shard{{Primary: slow.URL, Follower: live.URL}},
 		Hedge:  20 * time.Millisecond,

@@ -75,3 +75,24 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBuild draws the benchmark's train fixture — 800 nodes, 2,500
+// cascades, window 8, seed 1 — which is all of that workload's set-up:
+// graph, planted truth, the simulator's arc table and the cascades.
+func BenchmarkBuild(b *testing.B) {
+	c := Default()
+	c.N, c.Cascades, c.Window, c.Seed = 800, 2500, 8, 1
+	b.ReportAllocs()
+	infections := 0
+	for i := 0; i < b.N; i++ {
+		d, err := Build(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		infections = 0
+		for _, cs := range d.Cascades {
+			infections += len(cs.Infections)
+		}
+	}
+	b.ReportMetric(float64(infections), "infections")
+}

@@ -38,7 +38,8 @@ echo "== go test -race (concurrent packages, incl. the chaos soak)"
 go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./internal/httpkit/ ./internal/serve/ ./internal/wal/ ./internal/repl/ ./internal/inflmax/ ./internal/core/ ./internal/scenario/ ./internal/router/ ./cmd/viralcast/
 
 # The simulator is held, draw for draw, to the version that heaps every
-# attempt, SLPA (whose draws come from a second goroutine, and whose
+# attempt (its arc table to vecmath.Dot, its work counts and the SBM
+# draw behind every fixture to their pins), SLPA (whose draws come from a second goroutine, and whose
 # rounds stop once the partition is certain) to the map version that
 # drew them in its sweep and ran every round, the co-occurrence graph to
 # the map-counted directed one summed both ways, the generator's batch
@@ -54,8 +55,8 @@ go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./
 echo "== simulator + cooccur + SLPA + xrand + EM oracles, pinned fits, flush drift, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
-    -run 'TestSimulatorMatchesOracle|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestRefinePinned|TestTrainEmbeddingsPinned|TestFlushDoesNotDrift' \
-    ./internal/cascade/ ./internal/scenario/ ./internal/cooccur/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/
+    -run 'TestSimulatorMatchesOracle|TestArcTableMatchesDot|TestSchedulingShare|TestBuildPinned|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestRefinePinned|TestTrainEmbeddingsPinned|TestFlushDoesNotDrift' \
+    ./internal/cascade/ ./internal/workload/ ./internal/scenario/ ./internal/cooccur/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/
 done
 
 # The README's walkthrough is the Example functions (the library's in
