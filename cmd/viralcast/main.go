@@ -60,7 +60,7 @@
 //	    -replicas-of "1=http://f1:9191" adds follower retry/hedging.
 //	    -auto-failover arms the supervision layer: after -suspect-after
 //	    consecutive failed probes the router verifies the follower
-//	    (servable, within -min-follower-lag), promotes it at a fresh
+//	    (servable, fully caught up), promotes it at a fresh
 //	    fencing epoch, rewrites the ring slot, and quarantines the
 //	    fenced ex-primary — no operator in the loop.
 //

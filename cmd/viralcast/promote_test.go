@@ -114,7 +114,7 @@ func TestCmdPromoteFailover(t *testing.T) {
 		if ack["accepted"] != float64(2) {
 			t.Fatalf("routed ingest: %v", ack)
 		}
-		// Only a caught-up follower is promotable (-min-follower-lag 0).
+		// Only a caught-up follower is promotable.
 		waitCurrent(t, follower, id, 2)
 
 		primaries[0].stop(t)

@@ -33,7 +33,6 @@ func cmdRoute(ctx context.Context, args []string) error {
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	autoFailover := fs.Bool("auto-failover", false, "automatically promote a shard's follower (at a fresh fencing epoch) when its primary fails consecutive health probes")
 	suspectAfter := fs.Int("suspect-after", 3, "consecutive failed probes before a shard primary is suspected dead")
-	minFollowerLag := fs.Uint64("min-follower-lag", 0, "maximum replication lag, in WAL records, a follower may report and still be auto-promoted (0 = fully caught up)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -51,7 +50,6 @@ func cmdRoute(ctx context.Context, args []string) error {
 		DrainTimeout:   *drain,
 		AutoFailover:   *autoFailover,
 		SuspectAfter:   *suspectAfter,
-		MaxPromoteLag:  *minFollowerLag,
 		Logf:           func(format string, a ...any) { logger.Printf(format, a...) },
 	})
 	if err != nil {

@@ -41,7 +41,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: make ingestion durable across crashes (empty disables)")
 	follow := fs.String("follow", "", "run as a read-only replication follower of this primary base URL (requires -wal-dir for the mirrored log; promote with `viralcast promote`)")
-	walSync := fs.Duration("wal-sync", 0, "group-commit gather window (0 = fsync-paced batching, the usual choice)")
 	walMaxSegment := fs.Int64("wal-max-segment", 0, "rotate WAL segments at this many bytes (0 = default 64MiB)")
 	maxInflight := fs.Int("max-inflight", 0, "concurrent requests allowed on the compute endpoints (predict/influencers/seeds); 0 = default 16, -1 = unlimited")
 	queue := fs.Int("queue", 0, "requests beyond -max-inflight that may wait for a compute slot before 429s; 0 = default 64, -1 = no queue")
@@ -76,7 +75,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		FlushEvery:        *flushEvery,
 		DrainTimeout:      *drain,
 		WALDir:            *walDir,
-		WALSync:           *walSync,
 		WALMaxSegment:     *walMaxSegment,
 		FollowURL:         *follow,
 		RequestTimeout:    *requestTimeout,

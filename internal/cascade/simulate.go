@@ -128,11 +128,10 @@ type TrialScratch struct {
 	// untouched. epoch is even and steps by two, so bumping it resets the
 	// whole table in O(1); the arrays are sized to the universe on first
 	// use.
-	first    []float64
-	mark     []uint32
-	epoch    uint32
-	infected int // count of infected nodes this trial
-	infs     []Infection
+	first []float64
+	mark  []uint32
+	epoch uint32
+	infs  []Infection // this trial's infections in order; len is the count
 	// Work done since the scratch was created, over all its trials:
 	// uniforms drawn, logarithms taken, events that entered the heap.
 	attempts, logs, scheduled int
@@ -150,7 +149,6 @@ func (ws *TrialScratch) Counts() (attempts, logs, scheduled int) {
 func (ws *TrialScratch) reset(n int) {
 	ws.h = ws.h[:0]
 	ws.infs = ws.infs[:0]
-	ws.infected = 0
 	if len(ws.mark) < n {
 		ws.mark = make([]uint32, n)
 		ws.first = make([]float64, n)
@@ -168,7 +166,6 @@ func (ws *TrialScratch) isInfected(v int) bool { return ws.mark[v] == ws.epoch+1
 func (ws *TrialScratch) infect(v int, t float64) {
 	ws.mark[v] = ws.epoch + 1
 	ws.first[v] = t
-	ws.infected++
 }
 
 // schedule heaps v's tentative infection at time t, now its earliest.
@@ -306,7 +303,7 @@ func (s *Simulator) RunSeedsScratch(ws *TrialScratch, id int, seeds []int, maxSi
 		}
 		ws.infect(e.node, e.time)
 		ws.infs = append(ws.infs, Infection{Node: e.node, Time: e.time})
-		if maxSize > 0 && ws.infected >= maxSize {
+		if maxSize > 0 && len(ws.infs) >= maxSize {
 			break // early stop: the question was only ever "how fast to maxSize"
 		}
 		if s.G != nil {

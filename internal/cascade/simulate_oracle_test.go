@@ -58,7 +58,7 @@ func oracleRunSeeds(s *Simulator, id int, seeds []int, maxSize int, rng *xrand.R
 		}
 		ws.infect(e.node, e.time)
 		ws.infs = append(ws.infs, Infection{Node: e.node, Time: e.time})
-		if maxSize > 0 && ws.infected >= maxSize {
+		if maxSize > 0 && len(ws.infs) >= maxSize {
 			break
 		}
 		au := s.A.Row(e.node)

@@ -19,19 +19,11 @@ import (
 	"viralcast/internal/graph"
 )
 
-// Options tunes graph construction.
-type Options struct {
-	// MinPairCount drops the directed weight w(u,v) when its raw
-	// co-occurrence count c(u,v) is below this value, before the two
-	// directions are summed; a pair with both directions dropped has no
-	// edge. 0 or 1 keeps everything. Large cascade sets benefit from
-	// pruning rare co-occurrences before community detection.
-	MinPairCount int
-	// MaxCascadeSize skips counting pairs within cascades longer than
-	// this, protecting against the O(s^2) pair blow-up of a handful of
-	// giant cascades. 0 means no limit.
-	MaxCascadeSize int
-}
+// Options has no fields: every pair of every cascade is counted and
+// every pair that co-occurs gets its edge, so the graph is a function of
+// the cascades alone. The type stays only so that callers passing
+// Options{} keep compiling.
+type Options struct{}
 
 // span is one occurrence of a node in keys: its own key at keys[at], its
 // cascade's segment ending at keys[end].
@@ -41,18 +33,15 @@ type span struct{ at, end int32 }
 // given cascades: an arc u→v for every arc v→u, both of weight
 // w(u,v) + w(v,u).
 //
-// Every counted cascade becomes one segment of keys, node<<32 | position,
+// Every cascade becomes one segment of keys, node<<32 | position,
 // sorted by node, so the co-members above u of one occurrence of u are the
 // keys after it in its segment. Each pair u < v is then visited from row
 // u alone: one sweep sizes every row of the CSR exactly, and a second
 // counts both orders of each pair in a dense counter and writes the edge
 // into rows u and v. No pair is ever a map key.
-func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
+func Build(cs []*cascade.Cascade, n int, _ Options) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
-	}
-	counted := func(c *cascade.Cascade) bool {
-		return opt.MaxCascadeSize <= 0 || c.Size() <= opt.MaxCascadeSize
 	}
 	if err := cascade.ValidateAll(cs, n); err != nil {
 		return nil, fmt.Errorf("cooccur: %w", err)
@@ -60,27 +49,21 @@ func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	nodeCount := make([]int, n) // c(u)
 	start := make([]int, n+1)   // start[u]: index of u's first occurrence
 	for _, c := range cs {
-		pairs := counted(c)
 		for _, inf := range c.Infections {
 			nodeCount[inf.Node]++
-			if pairs {
-				start[inf.Node+1]++
-			}
 		}
 	}
+	copy(start[1:], nodeCount)
 	for u := 0; u < n; u++ {
 		start[u+1] += start[u]
 	}
 	if n > math.MaxInt32 || start[n] > math.MaxInt32 {
-		return nil, fmt.Errorf("cooccur: %d nodes and %d counted infections exceed the 32-bit index", n, start[n])
+		return nil, fmt.Errorf("cooccur: %d nodes and %d infections exceed the 32-bit index", n, start[n])
 	}
 	keys := make([]uint64, 0, start[n])
 	occ := make([]span, start[n]) // occ[start[u]:start[u+1]]: u's occurrences
 	next := append([]int(nil), start[:n]...)
 	for _, c := range cs {
-		if !counted(c) {
-			continue
-		}
 		lo := len(keys)
 		for i, inf := range c.Infections {
 			keys = append(keys, uint64(inf.Node)<<32|uint64(i))
@@ -125,11 +108,7 @@ func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 	weights := make([]float64, offsets[n])
 	fill := next // fill[u]: where row u's next arc goes
 	copy(fill, offsets[:n])
-	minCount := uint64(max(opt.MinPairCount, 1))
 	weight := func(c uint64, u, v int) float64 {
-		if c < minCount {
-			return 0
-		}
 		return 2 * float64(c) / float64(nodeCount[u]+nodeCount[v])
 	}
 	pairCount := make([]uint64, n) // row u: c(u,v)<<32 | c(v,u), zero between rows
@@ -153,30 +132,14 @@ func Build(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
 		for _, v := range seen {
 			c := pairCount[v]
 			pairCount[v] = 0
-			// Either weight is +0 when dropped, and x + 0 is x.
+			// An order that never occurs weighs +0, and x + 0 is x.
 			w := weight(c>>32, u, v) + weight(c&math.MaxUint32, v, u)
-			if w == 0 {
-				continue
-			}
 			targets[fill[u]], weights[fill[u]] = v, w
 			targets[fill[v]], weights[fill[v]] = u, w
 			fill[u]++
 			fill[v]++
 		}
 		seen = seen[:0]
-	}
-	if opt.MinPairCount > 1 {
-		// Dropped pairs left gaps at the ends of their rows; close them.
-		m := 0
-		for u := 0; u < n; u++ {
-			lo, hi := offsets[u], fill[u]
-			offsets[u] = m
-			copy(targets[m:], targets[lo:hi])
-			copy(weights[m:], weights[lo:hi])
-			m += hi - lo
-		}
-		offsets[n] = m
-		targets, weights = targets[:m], weights[:m]
 	}
 	g, err := graph.FromCSR(n, offsets, targets, weights)
 	if err != nil {

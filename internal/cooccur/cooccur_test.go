@@ -75,23 +75,20 @@ func TestBuildDirectionality(t *testing.T) {
 	}
 }
 
-// Every arc's reverse is present with the same weight bits, under every
-// option.
+// Every arc's reverse is present with the same weight bits.
 func TestBuildSymmetric(t *testing.T) {
 	rng := xrand.New(16)
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.Intn(60)
 		cs := randomCascades(rng, n)
-		for _, opt := range options {
-			g, err := Build(cs, n, opt)
-			if err != nil {
-				t.Fatalf("trial %d %+v: %v", trial, opt, err)
-			}
-			for _, e := range g.Edges() {
-				w, ok := g.Weight(e.To, e.From)
-				if !ok || math.Float64bits(w) != math.Float64bits(e.Weight) {
-					t.Fatalf("trial %d %+v: arc %+v has reverse weight %v, %v", trial, opt, e, w, ok)
-				}
+		g, err := Build(cs, n, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, e := range g.Edges() {
+			w, ok := g.Weight(e.To, e.From)
+			if !ok || math.Float64bits(w) != math.Float64bits(e.Weight) {
+				t.Fatalf("trial %d: arc %+v has reverse weight %v, %v", trial, e, w, ok)
 			}
 		}
 	}
@@ -110,52 +107,6 @@ func TestBuildWeightRange(t *testing.T) {
 	for _, e := range g.Edges() {
 		if e.Weight <= 0 || e.Weight > 2 {
 			t.Fatalf("weight out of (0,2]: %+v", e)
-		}
-	}
-}
-
-// MinPairCount filters each order of a pair before the two are summed.
-func TestBuildMinPairCount(t *testing.T) {
-	cs := []*cascade.Cascade{
-		casc(0, 0, 1),
-		casc(1, 0, 1),
-		casc(2, 1, 2),
-		casc(3, 1, 0),
-	}
-	g, err := Build(cs, 3, Options{MinPairCount: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// c(0) = 3, c(1) = 4: c(0,1) = 2 is kept, c(1,0) = 1 is not.
-	if w, ok := g.Weight(1, 0); !ok || w != weightOf(2, 0, 3, 4) {
-		t.Errorf("w(1,0) = %v, %v; want the frequent order's term alone, %v", w, ok, weightOf(2, 0, 3, 4))
-	}
-	if _, ok := g.Weight(1, 2); ok {
-		t.Error("rare pair kept despite MinPairCount")
-	}
-	if _, ok := g.Weight(2, 1); ok {
-		t.Error("rare pair kept in reverse despite MinPairCount")
-	}
-}
-
-func TestBuildMaxCascadeSize(t *testing.T) {
-	cs := []*cascade.Cascade{
-		casc(0, 0, 1, 2, 3), // size 4, skipped for pairs
-		casc(1, 0, 1),
-	}
-	g, err := Build(cs, 4, Options{MaxCascadeSize: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.Weight(2, 3); ok {
-		t.Error("pair from oversized cascade kept")
-	}
-	if w, ok := g.Weight(0, 1); !ok {
-		t.Error("pair from small cascade dropped")
-	} else {
-		// c(0)=2, c(1)=2 (node counts include the big cascade), c(0,1)=1.
-		if math.Abs(w-2.0/4.0) > 1e-12 {
-			t.Errorf("w(0,1) = %v, want 0.5", w)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func symmetrized(g *graph.Graph) (*graph.Graph, error) {
 // ordered pairs counted in a map and handed to graph.FromEdges, which
 // gives the directed graph of weights w(u,v). Symmetrized, it stays here
 // as the reference the new code must equal bit for bit.
-func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
+func buildViaMaps(cs []*cascade.Cascade, n int) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
 	}
@@ -40,9 +40,6 @@ func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, erro
 		for _, inf := range c.Infections {
 			nodeCount[inf.Node]++
 		}
-		if opt.MaxCascadeSize > 0 && c.Size() > opt.MaxCascadeSize {
-			continue
-		}
 		infs := c.Infections
 		for i := 0; i < len(infs); i++ {
 			for j := i + 1; j < len(infs); j++ {
@@ -52,9 +49,6 @@ func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, erro
 	}
 	var edges []graph.Edge
 	for pair, cnt := range pairCount {
-		if opt.MinPairCount > 1 && cnt < opt.MinPairCount {
-			continue
-		}
 		u, v := pair[0], pair[1]
 		edges = append(edges, graph.Edge{From: u, To: v, Weight: 2 * float64(cnt) / float64(nodeCount[u]+nodeCount[v])})
 	}
@@ -65,9 +59,9 @@ func buildViaMaps(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, erro
 	return g, nil
 }
 
-// randomCascades draws cascades over n nodes whose sizes straddle 20; half
-// of them stay inside a popular quarter of the nodes, so pair counts
-// straddle 3 and both orders of a pair occur.
+// randomCascades draws cascades over n nodes of sizes 1 to 30; half of
+// them stay inside a popular quarter of the nodes, so pairs recur and
+// both orders of a pair occur.
 func randomCascades(rng *xrand.RNG, n int) []*cascade.Cascade {
 	var pool []int
 	for u := 0; u < n; u++ {
@@ -94,34 +88,26 @@ func randomCascades(rng *xrand.RNG, n int) []*cascade.Cascade {
 	return cs
 }
 
-// options crosses MinPairCount {0, 2, 3} with MaxCascadeSize {0, 20}.
-var options = []Options{
-	{}, {MinPairCount: 2}, {MinPairCount: 3},
-	{MaxCascadeSize: 20}, {MinPairCount: 2, MaxCascadeSize: 20}, {MinPairCount: 3, MaxCascadeSize: 20},
-}
-
 func TestBuildMatchesMapOracle(t *testing.T) {
 	rng := xrand.New(14)
 	for trial := 0; trial < 150; trial++ {
 		n := 2 + rng.Intn(60)
 		cs := randomCascades(rng, n)
-		for _, opt := range options {
-			got, err := Build(cs, n, opt)
-			if err != nil {
-				t.Fatalf("trial %d %+v: %v", trial, opt, err)
-			}
-			directed, err := buildViaMaps(cs, n, opt)
-			if err != nil {
-				t.Fatalf("trial %d %+v: oracle: %v", trial, opt, err)
-			}
-			want, err := symmetrized(directed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
-				t.Fatalf("trial %d %+v (n=%d, %d cascades): Build differs from the map oracle\n got %v\nwant %v",
-					trial, opt, n, len(cs), got.Edges(), want.Edges())
-			}
+		got, err := Build(cs, n, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		directed, err := buildViaMaps(cs, n)
+		if err != nil {
+			t.Fatalf("trial %d: oracle: %v", trial, err)
+		}
+		want, err := symmetrized(directed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.N() != want.N() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			t.Fatalf("trial %d (n=%d, %d cascades): Build differs from the map oracle\n got %v\nwant %v",
+				trial, n, len(cs), got.Edges(), want.Edges())
 		}
 	}
 }
@@ -137,7 +123,7 @@ func TestBuildErrorsMatchMapOracle(t *testing.T) {
 	}
 	for i, cs := range bad {
 		_, err := Build(cs, 4, Options{})
-		_, oerr := buildViaMaps(cs, 4, Options{})
+		_, oerr := buildViaMaps(cs, 4)
 		if err == nil || oerr == nil || err.Error() != oerr.Error() {
 			t.Errorf("case %d: Build error %v, oracle error %v", i, err, oerr)
 		}
@@ -148,12 +134,9 @@ func TestBuildErrorsMatchMapOracle(t *testing.T) {
 // one sweep over the infections after each occurrence of u makes row u of
 // the directed graph, the CSR arrays grown by append. Symmetrized, it is
 // what Build must equal in every offset, target and weight bit.
-func buildByAppend(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
+func buildByAppend(cs []*cascade.Cascade, n int) (*graph.Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cooccur: n must be positive, got %d", n)
-	}
-	counted := func(c *cascade.Cascade) bool {
-		return opt.MaxCascadeSize <= 0 || c.Size() <= opt.MaxCascadeSize
 	}
 	if err := cascade.ValidateAll(cs, n); err != nil {
 		return nil, fmt.Errorf("cooccur: %w", err)
@@ -161,12 +144,9 @@ func buildByAppend(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, err
 	nodeCount := make([]int, n)
 	start := make([]int, n+1)
 	for _, c := range cs {
-		pairs := counted(c)
 		for _, inf := range c.Infections {
 			nodeCount[inf.Node]++
-			if pairs {
-				start[inf.Node+1]++
-			}
+			start[inf.Node+1]++
 		}
 	}
 	for u := 0; u < n; u++ {
@@ -175,9 +155,6 @@ func buildByAppend(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, err
 	tails := make([][]cascade.Infection, start[n])
 	next := append([]int(nil), start[:n]...)
 	for _, c := range cs {
-		if !counted(c) {
-			continue
-		}
 		for i, inf := range c.Infections {
 			tails[next[inf.Node]] = c.Infections[i+1:]
 			next[inf.Node]++
@@ -201,9 +178,6 @@ func buildByAppend(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, err
 		for _, v := range seen {
 			cnt := pairCount[v]
 			pairCount[v] = 0
-			if opt.MinPairCount > 1 && cnt < opt.MinPairCount {
-				continue
-			}
 			targets = append(targets, v)
 			weights = append(weights, 2*float64(cnt)/float64(nodeCount[u]+nodeCount[v]))
 		}
@@ -235,8 +209,8 @@ func sameCSR(a, b *graph.Graph) int {
 }
 
 // symmetrizedByAppend is buildByAppend's graph, symmetrized.
-func symmetrizedByAppend(cs []*cascade.Cascade, n int, opt Options) (*graph.Graph, error) {
-	g, err := buildByAppend(cs, n, opt)
+func symmetrizedByAppend(cs []*cascade.Cascade, n int) (*graph.Graph, error) {
+	g, err := buildByAppend(cs, n)
 	if err != nil {
 		return nil, err
 	}
@@ -248,18 +222,16 @@ func TestBuildMatchesAppendBuilder(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		n := 2 + rng.Intn(60)
 		cs := randomCascades(rng, n)
-		for _, opt := range options {
-			got, err := Build(cs, n, opt)
-			if err != nil {
-				t.Fatalf("trial %d %+v: %v", trial, opt, err)
-			}
-			want, err := symmetrizedByAppend(cs, n, opt)
-			if err != nil {
-				t.Fatalf("trial %d %+v: oracle: %v", trial, opt, err)
-			}
-			if u := sameCSR(got, want); u >= 0 {
-				t.Fatalf("trial %d %+v (n=%d): row %d differs from the append builder", trial, opt, n, u)
-			}
+		got, err := Build(cs, n, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := symmetrizedByAppend(cs, n)
+		if err != nil {
+			t.Fatalf("trial %d: oracle: %v", trial, err)
+		}
+		if u := sameCSR(got, want); u >= 0 {
+			t.Fatalf("trial %d (n=%d): row %d differs from the append builder", trial, n, u)
 		}
 	}
 	cs := trainDraw(t)
@@ -267,7 +239,7 @@ func TestBuildMatchesAppendBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := symmetrizedByAppend(cs, 800, Options{})
+	want, err := symmetrizedByAppend(cs, 800)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,11 @@ func AblationMergePolicy(e SBMExperiment, sc ScalingExperiment, workers int) ([]
 	if err != nil {
 		return nil, err
 	}
-	g, err := cooccur.Build(w.Train, e.N, cooccurOptions())
+	g, err := cooccur.Build(w.Train, e.N, cooccur.Options{})
 	if err != nil {
 		return nil, err
 	}
-	part := slpa.Detect(g, slpaOptions(), xrand.New(e.Seed^0x51a9))
+	part := slpa.Detect(g, slpa.Options{}, xrand.New(e.Seed^0x51a9))
 	cfg := infer.Config{K: e.InferK, MaxIter: e.MaxIter, Seed: e.Seed + 1}
 	var out []MergePolicyAblation
 	for _, policy := range []mergetree.Policy{mergetree.ByCommunityCount, mergetree.ByNodeCount} {
@@ -111,11 +111,7 @@ func AblationOptimizers(e SBMExperiment) ([]OptimizerComparison, error) {
 	})
 
 	start = time.Now()
-	hierM, _, _, err := infer.Pipeline(w.Train, e.N, cfg, infer.PipelineOptions{
-		Cooccur:  cooccurOptions(),
-		SLPA:     slpaOptions(),
-		Parallel: infer.ParallelOptions{Workers: e.Workers},
-	})
+	hierM, _, err := w.FitEmbeddings()
 	if err != nil {
 		return nil, err
 	}
@@ -233,12 +229,7 @@ func AblationTopicK(e SBMExperiment, ks []int) ([]TopicSweep, error) {
 	}
 	var out []TopicSweep
 	for _, k := range ks {
-		cfg := infer.Config{K: k, MaxIter: e.MaxIter, Seed: e.Seed + 1}
-		m, _, _, err := infer.Pipeline(w.Train, e.N, cfg, infer.PipelineOptions{
-			Cooccur:  cooccurOptions(),
-			SLPA:     slpaOptions(),
-			Parallel: infer.ParallelOptions{Workers: e.Workers},
-		})
+		m, _, err := w.fit(w.Train, k)
 		if err != nil {
 			return nil, err
 		}

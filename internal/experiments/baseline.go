@@ -6,7 +6,6 @@ import (
 
 	"viralcast/internal/eval"
 	"viralcast/internal/features"
-	"viralcast/internal/infer"
 	"viralcast/internal/netrate"
 	"viralcast/internal/pointproc"
 	"viralcast/internal/report"
@@ -39,13 +38,7 @@ func CompareEdgeBaseline(e SBMExperiment) ([]ModelComparison, error) {
 	var out []ModelComparison
 
 	start := time.Now()
-	nodeM, _, _, err := infer.Pipeline(w.Train, e.N, infer.Config{
-		K: e.InferK, MaxIter: e.MaxIter, Seed: e.Seed + 1,
-	}, infer.PipelineOptions{
-		Cooccur:  cooccurOptions(),
-		SLPA:     slpaOptions(),
-		Parallel: infer.ParallelOptions{Workers: e.Workers},
-	})
+	nodeM, _, err := w.FitEmbeddings()
 	if err != nil {
 		return nil, err
 	}

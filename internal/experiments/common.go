@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"viralcast/internal/cascade"
+	"viralcast/internal/core"
 	"viralcast/internal/embed"
 	"viralcast/internal/eval"
 	"viralcast/internal/features"
@@ -84,16 +85,22 @@ func BuildSBMWorkload(e SBMExperiment) (*SBMWorkload, error) {
 	return &SBMWorkload{Exp: e, Draw: d, Train: d.Cascades[:e.Train], Test: d.Cascades[e.Train:]}, nil
 }
 
-// FitEmbeddings runs the full inference pipeline (co-occurrence graph,
-// SLPA, hierarchical parallel EM) on the training cascades.
+// FitEmbeddings fits the training cascades as the product does:
+// core.Train (co-occurrence graph, SLPA, hierarchical parallel EM).
 func (w *SBMWorkload) FitEmbeddings() (*embed.Model, *infer.Trace, error) {
-	cfg := infer.Config{K: w.Exp.InferK, MaxIter: w.Exp.MaxIter, Seed: w.Exp.Seed + 1}
-	m, _, tr, err := infer.Pipeline(w.Train, w.Exp.N, cfg, infer.PipelineOptions{
-		Cooccur:  cooccurOptions(),
-		SLPA:     slpaOptions(),
-		Parallel: infer.ParallelOptions{Workers: w.Exp.Workers},
+	return w.fit(w.Train, w.Exp.InferK)
+}
+
+// fit is core.Train on cs over the workload's nodes at topic dimension
+// k, with the experiment's MaxIter, Workers and seed.
+func (w *SBMWorkload) fit(cs []*cascade.Cascade, k int) (*embed.Model, *infer.Trace, error) {
+	sys, err := core.Train(cs, w.Exp.N, core.TrainConfig{
+		Topics: k, MaxIter: w.Exp.MaxIter, Workers: w.Exp.Workers, Seed: w.Exp.Seed + 1,
 	})
-	return m, tr, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys.Embeddings, sys.Trace, nil
 }
 
 // PredictionData extracts the early-adopter features and final sizes of

@@ -47,11 +47,11 @@ func ConvergenceStudy(e SBMExperiment) (*ConvergenceResult, error) {
 	res.Hogwild = hogTr.LogLik
 
 	// Hierarchical needs a partition; use the pipeline's standard one.
-	g, err := cooccur.Build(w.Train, e.N, cooccurOptions())
+	g, err := cooccur.Build(w.Train, e.N, cooccur.Options{})
 	if err != nil {
 		return nil, err
 	}
-	part := slpa.Detect(g, slpaOptions(), xrand.New(e.Seed^0x51a9))
+	part := slpa.Detect(g, slpa.Options{}, xrand.New(e.Seed^0x51a9))
 	_, hierTr, err := infer.Hierarchical(w.Train, e.N, part, cfg, infer.ParallelOptions{Workers: e.Workers})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"viralcast/internal/cascade"
+	"viralcast/internal/core"
+	"viralcast/internal/eval"
+	"viralcast/internal/features"
 	"viralcast/internal/gdelt"
 )
 
@@ -346,6 +350,51 @@ func TestFigure12SmallScale(t *testing.T) {
 	if len(h) != 2 || len(rows) != len(res.Thresholds) {
 		t.Error("CSV malformed")
 	}
+}
+
+// The lab's GDELT study fits what the product fits: at the scale of
+// `figures -fig 12 -scale small`, Figure 12's top-20 % threshold, F1 and
+// AUC equal, bit for bit, those of the features a core.Train fit gives
+// on the same training events with the same K, MaxIter, Workers and
+// seed.
+func TestFigure12FitsWhatTrainFits(t *testing.T) {
+	e := DefaultGDELTPrediction()
+	e.Dataset.Sites, e.Dataset.Events, e.Dataset.CrossLinks, e.Dataset.Seed = 600, 650, 90, 1
+	e.MaxIter = 8
+	res, err := Figure12(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := gdelt.Generate(e.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nTrain := int(float64(len(ds.Events)) * e.TrainFrac)
+	sys, err := core.Train(ds.Events[:nTrain], e.Dataset.Sites, core.TrainConfig{
+		Topics: e.InferK, MaxIter: e.MaxIter, Workers: e.Workers, Seed: e.Seed + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, sizes, err := features.ExtractAll(sys.Embeddings, ds.Events[nTrain:], e.EarlyHours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thr := eval.TopFractionThreshold(sizes, 0.2)
+	conf, err := PredictF1(sets, sizes, thr, nil, 10, e.Seed+9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auc, err := PredictAUC(sets, sizes, thr, nil, 10, e.Seed+9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if res.Events != len(sets) || res.TopFracThr != thr || !same(res.TopFracF1, conf.F1()) || !same(res.TopFracAUC, auc) {
+		t.Fatalf("Figure 12: %d events, threshold %d, F1 %v, AUC %v; core.Train's fit: %d, %d, %v, %v",
+			res.Events, res.TopFracThr, res.TopFracF1, res.TopFracAUC, len(sets), thr, conf.F1(), auc)
+	}
+	t.Logf("top-20%% threshold %d: F1 %.3f, AUC %.3f", thr, conf.F1(), auc)
 }
 
 func TestAblationMergePolicy(t *testing.T) {

@@ -108,11 +108,11 @@ func drawScaling(sc ScalingExperiment, n, cascades int) ([]*cascade.Cascade, err
 // hierarchically and models its runtime at every core count from the
 // fit's work counts.
 func runScalingWorkload(sc ScalingExperiment, n int, cs []*cascade.Cascade, label string) (*ScalingSeries, error) {
-	g, err := cooccur.Build(cs, n, cooccurOptions())
+	g, err := cooccur.Build(cs, n, cooccur.Options{})
 	if err != nil {
 		return nil, err
 	}
-	part := slpa.Detect(g, slpaOptions(), xrand.New(sc.Seed^0x51a9))
+	part := slpa.Detect(g, slpa.Options{}, xrand.New(sc.Seed^0x51a9))
 	cfg := infer.Config{K: sc.InferK, MaxIter: sc.MaxIter, Seed: sc.Seed + 1}
 	_, tr, err := infer.Hierarchical(cs, n, part, cfg, infer.ParallelOptions{Workers: 1, Q: sc.Q, Policy: mergetree.ByCommunityCount})
 	if err != nil {

@@ -5,10 +5,10 @@ import (
 	"sort"
 	"strings"
 
+	"viralcast/internal/core"
 	"viralcast/internal/eval"
 	"viralcast/internal/features"
 	"viralcast/internal/gdelt"
-	"viralcast/internal/infer"
 )
 
 // GDELTPredictionExperiment configures the Figure 12 study: predict, from
@@ -65,16 +65,13 @@ func Figure12(e GDELTPredictionExperiment) (*Figure12Result, error) {
 		return nil, fmt.Errorf("experiments: degenerate train split %d of %d", nTrain, len(ds.Events))
 	}
 	train, test := ds.Events[:nTrain], ds.Events[nTrain:]
-	cfg := infer.Config{K: e.InferK, MaxIter: e.MaxIter, Seed: e.Seed + 1}
-	model, _, _, err := infer.Pipeline(train, e.Dataset.Sites, cfg, infer.PipelineOptions{
-		Cooccur:  cooccurOptions(),
-		SLPA:     slpaOptions(),
-		Parallel: infer.ParallelOptions{Workers: e.Workers},
+	sys, err := core.Train(train, e.Dataset.Sites, core.TrainConfig{
+		Topics: e.InferK, MaxIter: e.MaxIter, Workers: e.Workers, Seed: e.Seed + 1,
 	})
 	if err != nil {
 		return nil, err
 	}
-	sets, sizes, err := features.ExtractAll(model, test, e.EarlyHours)
+	sets, sizes, err := features.ExtractAll(sys.Embeddings, test, e.EarlyHours)
 	if err != nil {
 		return nil, err
 	}

@@ -5,24 +5,11 @@ import (
 	"sort"
 	"strings"
 
-	"viralcast/internal/cooccur"
 	"viralcast/internal/eval"
 	"viralcast/internal/features"
 	"viralcast/internal/report"
-	"viralcast/internal/slpa"
 	"viralcast/internal/stats"
 )
-
-// cooccurOptions/slpaOptions are the shared pipeline settings: prune rare
-// co-occurrences, skip the quadratic pair blow-up of giant cascades, and
-// fold SLPA fragments into usable work units.
-func cooccurOptions() cooccur.Options {
-	return cooccur.Options{MinPairCount: 2, MaxCascadeSize: 200}
-}
-
-func slpaOptions() slpa.Options {
-	return slpa.Options{Iterations: 30, MinCommunitySize: 8}
-}
 
 // FeatureScatterResult reproduces Figures 6, 7 and 8: for each test
 // cascade, one point per feature with the final cascade size on the y

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"viralcast/internal/eval"
-	"viralcast/internal/infer"
 	"viralcast/internal/report"
 )
 
@@ -112,12 +111,7 @@ func SweepTrainingSize(e SBMExperiment, trainSizes []int) (*SampleComplexity, er
 		if sz < 10 || sz > len(w.Train) {
 			continue
 		}
-		cfg := infer.Config{K: e.InferK, MaxIter: e.MaxIter, Seed: e.Seed + 1}
-		m, _, _, err := infer.Pipeline(w.Train[:sz], e.N, cfg, infer.PipelineOptions{
-			Cooccur:  cooccurOptions(),
-			SLPA:     slpaOptions(),
-			Parallel: infer.ParallelOptions{Workers: e.Workers},
-		})
+		m, _, err := w.fit(w.Train[:sz], e.InferK)
 		if err != nil {
 			return nil, err
 		}

@@ -10,13 +10,11 @@ import (
 	"viralcast/internal/xrand"
 )
 
-// PipelineOptions bundles everything the end-to-end inference needs: the
-// co-occurrence construction, the SLPA community detection, the
-// hierarchical parallel optimization, and HierarchicalCtx's checkpoints
-// and resume.
+// PipelineOptions bundles what the end-to-end inference lets a caller
+// set: the hierarchical parallel optimization and HierarchicalCtx's
+// checkpoints and resume. The co-occurrence graph and SLPA have nothing
+// to set.
 type PipelineOptions struct {
-	Cooccur    cooccur.Options
-	SLPA       slpa.Options
 	Parallel   ParallelOptions
 	Resilience Resilience
 }
@@ -45,11 +43,11 @@ func PipelineCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg Config, 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	g, err := cooccur.Build(cs, n, opts.Cooccur)
+	g, err := cooccur.Build(cs, n, cooccur.Options{})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	part := slpa.Detect(g, opts.SLPA, xrand.New(cfg.Seed^0x5eed))
+	part := slpa.Detect(g, slpa.Options{}, xrand.New(cfg.Seed^0x5eed))
 	m, tr, err := HierarchicalCtx(ctx, cs, n, part, cfg, opts.Parallel, opts.Resilience)
 	if err != nil {
 		return nil, nil, nil, err

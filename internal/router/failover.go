@@ -268,7 +268,7 @@ type followerState struct {
 // failoverShard drives one detect → verify → promote → fence cycle for
 // slot i, which observe() just moved to failing_over. The verify step
 // is what separates this from "promote whatever is left": a follower
-// that is unreachable, lagging past MaxPromoteLag, or missing its
+// that is unreachable, lagging by even one record, or missing its
 // chain fingerprint is not promoted — the slot degrades to partial
 // answers instead of forking history.
 func (rt *Router) failoverShard(ctx context.Context, i int) {
@@ -309,11 +309,12 @@ func (rt *Router) failoverShard(ctx context.Context, i int) {
 
 // checkFollower verifies the promotion candidate: reachable, serving a
 // verified replica (servable with its chain fingerprint present), and
-// within the configured lag bound. The probe carries our epoch so the
-// follower's view of the fleet epoch is at least ours before the
-// promote lands. A candidate that is already a primary at a higher
-// epoch is fine — someone (another router, an operator) finished the
-// failover first, and the promote below is an idempotent epoch bump.
+// fully caught up, so no durably-acked event is lost in the failover.
+// The probe carries our epoch so the follower's view of the fleet epoch
+// is at least ours before the promote lands. A candidate that is
+// already a primary at a higher epoch is fine — someone (another router,
+// an operator) finished the failover first, and the promote below is an
+// idempotent epoch bump.
 func (rt *Router) checkFollower(ctx context.Context, follower string, epoch uint64) (followerState, error) {
 	var st followerState
 	if follower == "" {
@@ -338,9 +339,8 @@ func (rt *Router) checkFollower(ctx context.Context, follower string, epoch uint
 	if st.Fingerprint == "" {
 		return st, fmt.Errorf("replica reports no chain fingerprint")
 	}
-	if st.LagRecords > rt.cfg.MaxPromoteLag {
-		return st, fmt.Errorf("replication lag %d records exceeds the %d-record promote bound",
-			st.LagRecords, rt.cfg.MaxPromoteLag)
+	if st.LagRecords > 0 {
+		return st, fmt.Errorf("replication lag %d records: only a caught-up follower is promoted", st.LagRecords)
 	}
 	return st, nil
 }

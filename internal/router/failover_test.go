@@ -2,10 +2,12 @@ package router
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,8 +104,7 @@ func TestAutoFailoverPromotesFollower(t *testing.T) {
 	base := "http://" + addr.String()
 
 	// Ingest onto shard 0 through the router and wait for the follower
-	// to hold the acked events — only a caught-up follower is promotable
-	// under the default MaxPromoteLag of 0.
+	// to hold the acked events — only a caught-up follower is promotable.
 	cascade := cascadeOwnedBy(rt.Ring(), 0)
 	code, ack := postRaw(t, base+"/v1/events", map[string]any{"events": []map[string]any{
 		{"cascade": cascade, "node": 1, "time": 0.1},
@@ -213,5 +214,31 @@ func TestAutoFailoverPromotesFollower(t *testing.T) {
 	code, rej := postRaw(t, zts.URL+"/v1/events", map[string]any{"cascade": cascade, "node": 9, "time": 0.9})
 	if code != http.StatusConflict || decodeJSON(t, rej)["reason"] != "fenced" {
 		t.Fatalf("zombie accepted a write: code %d body %s", code, rej)
+	}
+}
+
+// A follower is promotable only at replication lag 0, whatever the
+// router's configuration: one record behind is refused, since that
+// record may be a durably-acked event the promoted log would not hold.
+func TestCheckFollowerRefusesAnyLag(t *testing.T) {
+	var lag atomic.Uint64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprintf(w, `{"role":"follower","status":"current","replication_servable":true,"replication_lag_records":%d,"replication_fingerprint":"f00d"}`, lag.Load())
+	}))
+	defer ts.Close()
+	rt, err := New(Config{Shards: []Shard{{Primary: "http://127.0.0.1:1", Follower: ts.URL}}, AutoFailover: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []uint64{0, 1, 1 << 20} {
+		lag.Store(l)
+		_, err := rt.checkFollower(context.Background(), ts.URL, 0)
+		if (err == nil) != (l == 0) {
+			t.Fatalf("lag %d: checkFollower error %v", l, err)
+		}
 	}
 }

@@ -44,8 +44,8 @@ type Config struct {
 	DrainTimeout time.Duration
 	// AutoFailover arms the supervision layer: when a shard's primary
 	// has failed SuspectAfter consecutive probes and a follower is
-	// configured, the router verifies the follower (servable, within
-	// MaxPromoteLag, chain fingerprint present), promotes it at a fresh
+	// configured, the router verifies the follower (servable, fully
+	// caught up, chain fingerprint present), promotes it at a fresh
 	// fencing epoch, and rewrites the ring slot's target — no operator
 	// in the loop. Off by default: a fleet without followers gets
 	// nothing from it, and a fleet with them should opt in knowingly.
@@ -54,12 +54,6 @@ type Config struct {
 	// from healthy to suspect. Default 3: one blip is noise, three
 	// probe intervals of silence is a dead process.
 	SuspectAfter int
-	// MaxPromoteLag is the most replication lag, in WAL records, a
-	// follower may report and still be auto-promoted. Default 0: only
-	// a fully caught-up follower is promoted, so no durably-acked
-	// event is lost in the failover. Raising it trades that guarantee
-	// for availability when followers trail under load.
-	MaxPromoteLag uint64
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }

@@ -66,12 +66,6 @@ type Config struct {
 	// nothing acknowledged. Empty disables the WAL: live cascades are
 	// memory-only.
 	WALDir string
-	// WALSync is the group-commit gather window: how long a commit
-	// waits for more concurrent appends before fsyncing. 0 (the
-	// default) is fsync-paced batching — lowest latency, still shares
-	// fsyncs under load; larger values buy bigger batches at up to
-	// that much extra ingest latency.
-	WALSync time.Duration
 	// WALMaxSegment rotates WAL segments above this size. 0 uses the
 	// wal package default (64 MiB).
 	WALMaxSegment int64
@@ -474,7 +468,6 @@ func defaultTimeout(v, def time.Duration) time.Duration {
 // into the live store and the duplicate guard absorbs it all.
 func (s *Server) openWAL() (*wal.Log, error) {
 	return wal.Open(s.cfg.WALDir, wal.Options{
-		GroupWindow:     s.cfg.WALSync,
 		MaxSegmentBytes: s.cfg.WALMaxSegment,
 		Logf:            s.cfg.Logf,
 	}, func(ev Event) error {

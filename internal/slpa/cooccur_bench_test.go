@@ -8,7 +8,7 @@ import (
 	"viralcast/internal/xrand"
 )
 
-// BenchmarkDetectCooccur runs Detect, default options (T = 20), on the
+// BenchmarkDetectCooccur runs Detect (T = 20) on the
 // graph training detects communities in: the co-occurrence graph of a
 // 1,000-cascade draw over an 800-node SBM, the size of bench/'s train
 // workload (117,996 arcs). It is dense where BenchmarkDetectSBM is
@@ -35,7 +35,7 @@ func BenchmarkDetectCooccur(b *testing.B) {
 	b.StopTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		_, rounds := propagate(g, Options{}.withDefaults().Iterations, xrand.New(uint64(i)))
+		_, rounds := propagate(g, propagationRounds, xrand.New(uint64(i)))
 		total += rounds
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "rounds")

@@ -15,8 +15,8 @@ import (
 )
 
 // The functions below are the map-based SLPA this package shipped before
-// the sorted-memory one: a map per node memory, a fresh map per listener,
-// a sort per speak, and a mergeSmall that recounts every round. They stay
+// the sorted-memory one: a map per node memory, a fresh map per listener
+// and a sort per speak. They stay
 // here as the reference the new code must equal bit for bit, including
 // the number of RNG draws. They draw every random number on the calling
 // goroutine, in sweep order; propagate draws them on a second one. They
@@ -91,72 +91,13 @@ func speakViaMap(mem map[int]int, total int, rng *xrand.RNG) int {
 	return labels[len(labels)-1]
 }
 
-func detectViaMaps(g *graph.Graph, opt Options, rng *xrand.RNG) (*Partition, []xrand.RNG) {
-	opt = opt.withDefaults()
-	memory, _, rngAfter := propagateViaMaps(g, opt.Iterations, rng)
+func detectViaMaps(g *graph.Graph, iterations int, rng *xrand.RNG) (*Partition, []xrand.RNG) {
+	memory, _, rngAfter := propagateViaMaps(g, iterations, rng)
 	membership := make([]int, g.N())
 	for u := range membership {
 		membership[u] = mapModal(memory[u])
 	}
-	p := FromMembership(membership)
-	if opt.MinCommunitySize > 1 {
-		p = mergeSmallViaMaps(g, p, opt.MinCommunitySize)
-	}
-	return p, rngAfter
-}
-
-func mergeSmallViaMaps(und *graph.Graph, p *Partition, minSize int) *Partition {
-	membership := append([]int(nil), p.Membership...)
-	for {
-		counts := map[int]int{}
-		for _, c := range membership {
-			counts[c]++
-		}
-		smallID, smallN := -1, minSize
-		for id, n := range counts {
-			if n < smallN || (n == smallN && smallID != -1 && id < smallID) {
-				smallID, smallN = id, n
-			}
-		}
-		if smallID == -1 {
-			break
-		}
-		weightTo := map[int]float64{}
-		for u, c := range membership {
-			if c != smallID {
-				continue
-			}
-			ts, ws := und.Neighbors(u)
-			for i, v := range ts {
-				if membership[v] != smallID {
-					weightTo[membership[v]] += ws[i]
-				}
-			}
-		}
-		target, bestW := -1, -1.0
-		for id, w := range weightTo {
-			if w > bestW || (w == bestW && id < target) {
-				target, bestW = id, w
-			}
-		}
-		if target == -1 {
-			bestN := -1
-			for id, n := range counts {
-				if id != smallID && (n > bestN || (n == bestN && id < target)) {
-					target, bestN = id, n
-				}
-			}
-			if target == -1 {
-				break
-			}
-		}
-		for u, c := range membership {
-			if c == smallID {
-				membership[u] = target
-			}
-		}
-	}
-	return FromMembership(membership)
+	return FromMembership(membership), rngAfter
 }
 
 // randomGraph draws a weighted digraph with isolated nodes, reciprocal
@@ -206,19 +147,19 @@ func randomClustered(t *testing.T, rng *xrand.RNG) *graph.Graph {
 	return undirected(t, n, edges)
 }
 
-// identityCase is a graph the old-vs-new tests run on, under opts.
+// identityCase is a graph the old-vs-new tests run on, at each T of
+// iterations.
 type identityCase struct {
-	g    *graph.Graph
-	opts []Options
+	g          *graph.Graph
+	iterations []int
 }
 
-var identityOptions = []Options{
-	{Iterations: 1}, {Iterations: 30}, {Iterations: 50},
-	{Iterations: 30, MinCommunitySize: 8}, {MinCommunitySize: 8},
-}
+// identityIterations are the round counts T every identity case runs;
+// propagationRounds is Detect's.
+var identityIterations = []int{1, 30, 50, propagationRounds}
 
 // identityCases are seeded random graphs plus the SBM fixture of
-// TestDetectSBMRecovery under identityOptions, and two graphs sized to
+// TestDetectSBMRecovery under identityIterations, and two graphs sized to
 // the draw stream under a few rounds (the map oracle is slow on them): a
 // clique whose every round is several chunks of draws, and a star whose
 // hub hears more speakers than one chunk holds.
@@ -235,9 +176,9 @@ func identityCases(t *testing.T) []identityCase {
 	}
 	var cases []identityCase
 	for _, g := range graphs {
-		cases = append(cases, identityCase{g, identityOptions})
+		cases = append(cases, identityCase{g, identityIterations})
 	}
-	few := []Options{{Iterations: 1}, {Iterations: 3}, {Iterations: 3, MinCommunitySize: 8}}
+	few := []int{1, 3}
 	clique := 2
 	for clique*(clique-1) < 3*drawChunk {
 		clique++
@@ -319,20 +260,24 @@ func TestDetectMatchesMapOracle(t *testing.T) {
 	cases := identityCases(t)
 	eachProcs(t, func(t *testing.T) {
 		for ci, c := range cases {
-			for _, opt := range c.opts {
-				seed := uint64(1000*ci + opt.Iterations)
+			for _, iterations := range c.iterations {
+				seed := uint64(1000*ci + iterations)
 				rng, orng := xrand.New(seed), xrand.New(seed)
-				got := Detect(c.g, opt, rng)
-				want, rngAfter := detectViaMaps(c.g, opt, orng)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("graph %d (n=%d, m=%d) %+v: partition differs from the map oracle\n got %v\nwant %v",
-						ci, c.g.N(), c.g.M(), opt, got.Membership, want.Membership)
+				var got *Partition
+				if iterations == propagationRounds {
+					got = Detect(c.g, Options{}, rng)
+				} else {
+					got = detect(c.g, iterations, rng)
 				}
-				iterations := opt.withDefaults().Iterations
+				want, rngAfter := detectViaMaps(c.g, iterations, orng)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("graph %d (n=%d, m=%d) T=%d: partition differs from the map oracle\n got %v\nwant %v",
+						ci, c.g.N(), c.g.M(), iterations, got.Membership, want.Membership)
+				}
 				_, rounds := propagate(c.g, iterations, xrand.New(seed))
 				if *rng != stopRNG(rngAfter, rounds, iterations) {
-					t.Fatalf("graph %d %+v: RNG position after Detect is not the oracle's after %d of %d rounds",
-						ci, opt, min(rounds+1, iterations), iterations)
+					t.Fatalf("graph %d T=%d: RNG position after Detect is not the oracle's after %d of %d rounds",
+						ci, iterations, min(rounds+1, iterations), iterations)
 				}
 			}
 		}
@@ -451,7 +396,7 @@ func TestDetectCertifiedStopMatchesFullRun(t *testing.T) {
 			early++
 		}
 		if _, loops := und.(rows); !loops {
-			got, want := Detect(g, Options{Iterations: iterations}, xrand.New(seed)), FromMembership(membership)
+			got, want := detect(g, iterations, xrand.New(seed)), FromMembership(membership)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("case %d, %d rounds: Detect's partition %v, the full run's %v", ci, iterations, got.Membership, want.Membership)
 			}
@@ -471,7 +416,7 @@ func TestDetectLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	early := 0
 	for i := 0; i < 20; i++ {
-		Detect(g, Options{Iterations: 1 + i}, xrand.New(uint64(i)))
+		detect(g, 1+i, xrand.New(uint64(i)))
 		if _, rounds := propagate(g, 1+i, xrand.New(uint64(i))); rounds < 1+i {
 			early++
 		}
@@ -482,32 +427,6 @@ func TestDetectLeavesNoGoroutine(t *testing.T) {
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after 20 Detect calls, %d before", runtime.NumGoroutine(), before)
-		}
-	}
-}
-
-// mergeSmall on its own, from partitions SLPA would not produce: many
-// singleton and isolated communities, so the isolated branch, chains of
-// merges into a still-small target, and weight ties all occur.
-func TestMergeSmallMatchesMapOracle(t *testing.T) {
-	rng := xrand.New(15)
-	for trial := 0; trial < 300; trial++ {
-		und := randomGraph(t, rng)
-		membership := make([]int, und.N())
-		k := 1 + rng.Intn(und.N())
-		for u := range membership {
-			membership[u] = rng.Intn(k)
-		}
-		p := FromMembership(membership)
-		before := append([]int(nil), p.Membership...)
-		minSize := 2 + rng.Intn(8)
-		got, want := mergeSmall(und, p, minSize), mergeSmallViaMaps(und, p, minSize)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d, minSize=%d): merge differs from the map oracle\n from %v\n  got %v\n want %v",
-				trial, und.N(), minSize, before, got.Membership, want.Membership)
-		}
-		if err := p.Validate(und.N()); err != nil || !reflect.DeepEqual(p.Membership, before) {
-			t.Fatalf("trial %d: mergeSmall changed its input partition (%v)", trial, err)
 		}
 	}
 }
@@ -539,33 +458,12 @@ func TestDetectAllocationsIndependentOfIterations(t *testing.T) {
 		t.Errorf("propagate allocates %v times at 10 rounds (%d run) but %v at 50 (%d run)", a10, r10, a50, r50)
 	}
 	detect := func(iterations int) float64 {
-		return testing.AllocsPerRun(5, func() { Detect(g, Options{Iterations: iterations}, xrand.New(3)) })
+		return testing.AllocsPerRun(5, func() { detect(g, iterations, xrand.New(3)) })
 	}
 	// Building the partition costs a few allocations per community, and
 	// the two runs need not find the same communities; one allocation
 	// per listener per round would be 40 per node.
 	if a10, a50 := detect(10), detect(50); a50 > a10+float64(g.N()) {
 		t.Errorf("Detect allocates %v times at 10 rounds but %v at 50 (n=%d, %d arcs)", a10, a50, g.N(), g.M())
-	}
-}
-
-// A community that absorbed a lower-numbered node and is still small is
-// folded next, and its connection weights must be summed in node order as
-// the oracle does: here (0.2+0.3)+0.1 = 0.6 ties with the other neighbor
-// and the lower id wins, while 5's arcs first would give (0.1+0.2)+0.3 =
-// 0.6000000000000001 and the opposite merge.
-func TestMergeSmallSumsInNodeOrder(t *testing.T) {
-	var edges []graph.Edge
-	for _, e := range [][3]float64{{2, 5, 0.9}, {2, 4, 0.2}, {2, 6, 0.3}, {5, 7, 0.1}, {5, 0, 0.6}} {
-		edges = append(edges, graph.Edge{From: int(e[0]), To: int(e[1]), Weight: e[2]})
-	}
-	und := undirected(t, 8, edges)
-	p := FromMembership([]int{0, 0, 1, 0, 2, 3, 2, 2}) // {0,1,3} {2} {4,6,7} {5}
-	got, want := mergeSmall(und, p, 3), mergeSmallViaMaps(und, p, 3)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge differs from the map oracle: got %v, want %v", got.Membership, want.Membership)
-	}
-	if got.Membership[2] != got.Membership[0] {
-		t.Fatalf("fixture no longer exercises the tie: %v", got.Membership)
 	}
 }

@@ -29,24 +29,15 @@ import (
 	"viralcast/internal/xrand"
 )
 
-// Options configures SLPA.
-type Options struct {
-	// Iterations is the number of propagation rounds T; 0 means 20, past
-	// which SLPA's authors report its output stable (Xie, Szymanski & Liu
-	// 2011). Detect runs fewer only when they give the same partition.
-	Iterations int
-	// MinCommunitySize merges communities smaller than this into their
-	// most-connected neighbor community (0 disables). Tiny fragments are
-	// useless as parallel work units.
-	MinCommunitySize int
-}
+// Options has no fields: Detect runs T = propagationRounds and returns the
+// partition SLPA's memories give, communities of every size. The type
+// stays only so that callers passing Options{} keep compiling.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.Iterations <= 0 {
-		o.Iterations = 20
-	}
-	return o
-}
+// propagationRounds is SLPA's number of rounds T, past which its
+// authors report its output stable (Xie, Szymanski & Liu 2011). Detect
+// runs fewer only when they give the same partition.
+const propagationRounds = 20
 
 // Partition holds a disjoint community assignment.
 type Partition struct {
@@ -112,20 +103,20 @@ func FromMembership(membership []int) *Partition {
 // Detect runs SLPA on g and returns a disjoint partition. g must be
 // symmetric, as cooccur.Build's graph is: v lists u with the same weight
 // whenever u lists v, and a listener's neighbors are its speakers.
-func Detect(g *graph.Graph, opt Options, rng *xrand.RNG) *Partition {
-	opt = opt.withDefaults()
-	memory, _ := propagate(g, opt.Iterations, rng)
+func Detect(g *graph.Graph, _ Options, rng *xrand.RNG) *Partition {
+	return detect(g, propagationRounds, rng)
+}
+
+// detect is Detect with T = iterations.
+func detect(g *graph.Graph, iterations int, rng *xrand.RNG) *Partition {
+	memory, _ := propagate(g, iterations, rng)
 	// Post-processing: each node takes its most frequent remembered label
 	// (ties: lowest label).
 	membership := make([]int, len(memory))
 	for u, mem := range memory {
 		membership[u] = int(modal(mem))
 	}
-	p := FromMembership(membership)
-	if opt.MinCommunitySize > 1 {
-		p = mergeSmall(g, p, opt.MinCommunitySize)
-	}
-	return p
+	return FromMembership(membership)
 }
 
 // eachRun calls f with every distinct label of a sorted memory, in
@@ -409,68 +400,4 @@ func produceDraws(und adjacency, iterations, stride int, rng *xrand.RNG, full ch
 	if k > 0 {
 		full <- buf[:k]
 	}
-}
-
-// mergeSmall folds communities below minSize into the neighboring
-// community they connect to with the greatest total weight; isolated
-// small communities merge into the largest community.
-func mergeSmall(und *graph.Graph, p *Partition, minSize int) *Partition {
-	membership := append([]int(nil), p.Membership...)
-	// members[c] is community c's sorted node list, nil once merged away.
-	members := append([][]int(nil), p.Communities...)
-	weightTo := make([]float64, len(members)) // zero between rounds
-	var neighbors []int                       // communities with an entry in weightTo
-	for {
-		// Find the smallest community below threshold (ties: lowest id).
-		small := -1
-		for id, m := range members {
-			if len(m) > 0 && len(m) < minSize && (small == -1 || len(m) < len(members[small])) {
-				small = id
-			}
-		}
-		if small == -1 {
-			break
-		}
-		// Total connection weight to every other community.
-		for _, u := range members[small] {
-			ts, ws := und.Neighbors(u)
-			for i, v := range ts {
-				if c := membership[v]; c != small {
-					if weightTo[c] == 0 { // as in propagate: repeats are harmless
-						neighbors = append(neighbors, c)
-					}
-					weightTo[c] += ws[i]
-				}
-			}
-		}
-		target, bestW := -1, -1.0
-		for _, id := range neighbors {
-			if w := weightTo[id]; w > bestW || (w == bestW && id < target) {
-				target, bestW = id, w
-			}
-			weightTo[id] = 0
-		}
-		neighbors = neighbors[:0]
-		if target == -1 {
-			// Isolated: merge into the largest other community, if any
-			// (ties: lowest id).
-			for id, m := range members {
-				if id != small && len(m) > 0 && (target == -1 || len(m) > len(members[target])) {
-					target = id
-				}
-			}
-			if target == -1 {
-				break // only one community left
-			}
-		}
-		for _, u := range members[small] {
-			membership[u] = target
-		}
-		merged := append(append([]int(nil), members[target]...), members[small]...)
-		if len(merged) < minSize {
-			sort.Ints(merged) // it will be folded in turn, in node order
-		}
-		members[target], members[small] = merged, nil
-	}
-	return FromMembership(membership)
 }

@@ -96,7 +96,7 @@ func twoCliques(t *testing.T) *graph.Graph {
 
 func TestDetectTwoCliques(t *testing.T) {
 	g := twoCliques(t)
-	p := Detect(g, Options{Iterations: 60}, xrand.New(1))
+	p := detect(g, 60, xrand.New(1))
 	if err := p.Validate(10); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDetectSBMRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Detect(g, Options{Iterations: 40, MinCommunitySize: 5}, xrand.New(3))
+	p := detect(g, 40, xrand.New(3))
 	if err := p.Validate(200); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDetectSBMRecovery(t *testing.T) {
 
 func TestDetectIsolatedNodes(t *testing.T) {
 	g := fromEdges(t, 4, nil) // no edges at all
-	p := Detect(g, Options{Iterations: 10}, xrand.New(4))
+	p := detect(g, 10, xrand.New(4))
 	if err := p.Validate(4); err != nil {
 		t.Fatal(err)
 	}
@@ -163,22 +163,10 @@ func TestDetectIsolatedNodes(t *testing.T) {
 	}
 }
 
-func TestMinCommunitySizeMerging(t *testing.T) {
-	g := twoCliques(t)
-	// A huge minimum forces everything into one community.
-	p := Detect(g, Options{Iterations: 30, MinCommunitySize: 11}, xrand.New(5))
-	if err := p.Validate(10); err != nil {
-		t.Fatal(err)
-	}
-	if p.NumCommunities() != 1 {
-		t.Fatalf("expected full merge, got %d communities", p.NumCommunities())
-	}
-}
-
 func TestDetectDeterministic(t *testing.T) {
 	g := twoCliques(t)
-	p1 := Detect(g, Options{Iterations: 30}, xrand.New(7))
-	p2 := Detect(g, Options{Iterations: 30}, xrand.New(7))
+	p1 := Detect(g, Options{}, xrand.New(7))
+	p2 := Detect(g, Options{}, xrand.New(7))
 	for u := range p1.Membership {
 		if p1.Membership[u] != p2.Membership[u] {
 			t.Fatalf("same seed, different partitions at node %d", u)
@@ -225,7 +213,7 @@ func BenchmarkDetectSBM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Detect(g, Options{Iterations: 20}, xrand.New(uint64(i)))
+		Detect(g, Options{}, xrand.New(uint64(i)))
 	}
 }
 

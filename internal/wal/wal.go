@@ -9,10 +9,9 @@
 // Three design points carry the package:
 //
 //   - Group commit. A dedicated committer goroutine batches concurrent
-//     Appends into a single write+fsync. Batching is fsync-paced by
-//     default — while one fsync runs, the next batch accumulates — and
-//     an optional gather window (Options.GroupWindow) trades bounded
-//     extra latency for even larger batches. Per-event fsync throughput
+//     Appends into a single write+fsync. Batching is fsync-paced —
+//     while one fsync runs, the next batch accumulates, and a lone
+//     appender waits only for its own fsync. Per-event fsync throughput
 //     collapses at a few thousand events/s; group commit amortizes the
 //     fsync across every concurrent producer.
 //
@@ -37,7 +36,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"viralcast/internal/durable"
 	"viralcast/internal/faultinject"
@@ -52,14 +50,6 @@ const syncBytes = 1 << 20
 
 // Options tunes a Log; the zero value is a sane serving default.
 type Options struct {
-	// GroupWindow is how long a commit waits to gather more appends
-	// after its first before fsyncing. 0 — the default — is pure
-	// fsync-paced group commit: a batch is whatever queued while the
-	// previous fsync ran, and a lone appender waits only for its own
-	// fsync. Positive values add up to that much latency per commit in
-	// exchange for larger batches (fewer fsyncs) under light
-	// concurrency.
-	GroupWindow time.Duration
 	// MaxSegmentBytes rotates the active segment once it exceeds this
 	// size. Default 64 MiB.
 	MaxSegmentBytes int64
@@ -321,23 +311,6 @@ func (l *Log) commitLoop() {
 			default:
 				break drain
 			}
-		}
-		// Optional gather window: trade latency for batch size.
-		if l.opt.GroupWindow > 0 && size < syncBytes {
-			timer := time.NewTimer(l.opt.GroupWindow)
-		gather:
-			for size < syncBytes {
-				select {
-				case r := <-l.reqCh:
-					batch = append(batch, r)
-					size += len(r.frames)
-				case <-timer.C:
-					break gather
-				case <-l.quit:
-					break gather
-				}
-			}
-			timer.Stop()
 		}
 		err := l.commit(batch)
 		for _, r := range batch {

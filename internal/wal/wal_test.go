@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // collect re-opens dir read-only style (replay only, then Close) and
@@ -264,30 +263,6 @@ func TestPerAppendSyncModeDurabilityEquivalent(t *testing.T) {
 	}
 	if got := collect(t, dir); len(got) != 20 {
 		t.Fatalf("replayed %d events, want 20", len(got))
-	}
-}
-
-func TestGroupWindowGathersBatches(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{GroupWindow: 20 * time.Millisecond}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if err := l.Append(Event{Cascade: w, Node: w, Time: 1}); err != nil {
-				t.Errorf("append: %v", err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if st := l.Stats(); st.Fsyncs >= workers {
-		t.Fatalf("gather window did not batch: %d fsyncs for %d appends", st.Fsyncs, workers)
 	}
 }
 

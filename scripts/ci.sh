@@ -55,7 +55,7 @@ go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./
 echo "== simulator + cooccur + SLPA + xrand + EM oracles, pinned fits, flush drift, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
-    -run 'TestSimulatorMatchesOracle|TestArcTableMatchesDot|TestSchedulingShare|TestBuildPinned|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestRefinePinned|TestTrainEmbeddingsPinned|TestFlushDoesNotDrift' \
+    -run 'TestSimulatorMatchesOracle|TestArcTableMatchesDot|TestSchedulingShare|TestBuildPinned|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestBuildErrorsMatchMapOracle|TestBuildMatchesAppendBuilder|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestRefinePinned|TestTrainEmbeddingsPinned|TestFlushDoesNotDrift' \
     ./internal/cascade/ ./internal/workload/ ./internal/scenario/ ./internal/cooccur/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/
 done
 
