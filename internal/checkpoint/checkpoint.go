@@ -6,7 +6,7 @@
 // model in the embed CSV format:
 //
 //	viralcast-checkpoint v1
-//	level=3 epoch=40 step=0.25 seed=42 loglik=-1234.5
+//	level=3 seed=42 loglik=-1234.5
 //	payload bytes=182733 crc32=9ab3f00d
 //	<model CSV>
 //
@@ -42,11 +42,6 @@ type State struct {
 	// Level counts fully completed hierarchy levels (0 for sequential
 	// fits).
 	Level int
-	// Epoch counts accepted epochs completed within the current stage.
-	Epoch int
-	// Step is the current base step size — already halved by any
-	// divergence backoffs, so a resumed run does not re-diverge.
-	Step float64
 	// Seed is the run's RNG seed; a resume must be given the same data
 	// and configuration for the remaining schedule to line up.
 	Seed uint64
@@ -67,10 +62,8 @@ func Save(path string, st *State) error {
 	}
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, magic)
-	fmt.Fprintf(&buf, "level=%d epoch=%d step=%s seed=%d loglik=%s\n",
-		st.Level, st.Epoch,
-		strconv.FormatFloat(st.Step, 'g', -1, 64), st.Seed,
-		strconv.FormatFloat(st.LogLik, 'g', -1, 64))
+	fmt.Fprintf(&buf, "level=%d seed=%d loglik=%s\n",
+		st.Level, st.Seed, strconv.FormatFloat(st.LogLik, 'g', -1, 64))
 	embed.WriteEnvelope(&buf, payload.Bytes()) //nolint:errcheck // a bytes.Buffer write cannot fail
 	data := buf.Bytes()
 	// Fault site "checkpoint.write": tests chop bytes off what is written
@@ -109,8 +102,6 @@ func Load(path string) (*State, error) {
 	}
 	if err := parseFields(line, map[string]func(string) error{
 		"level":  func(v string) (e error) { st.Level, e = strconv.Atoi(v); return },
-		"epoch":  func(v string) (e error) { st.Epoch, e = strconv.Atoi(v); return },
-		"step":   func(v string) (e error) { st.Step, e = strconv.ParseFloat(v, 64); return },
 		"seed":   func(v string) (e error) { st.Seed, e = strconv.ParseUint(v, 10, 64); return },
 		"loglik": func(v string) (e error) { st.LogLik, e = strconv.ParseFloat(v, 64); return },
 	}); err != nil {
@@ -149,8 +140,17 @@ func readLine(br *bufio.Reader) (string, error) {
 	return strings.TrimRight(line, "\n"), nil
 }
 
+// retired lists the header fields older files carry and Load checks and
+// drops: an epoch count and a step size, which nothing has set since the
+// fit lost its step-size ascent (every such file reads epoch=0 step=0).
+var retired = map[string]func(string) error{
+	"epoch": func(v string) error { _, err := strconv.Atoi(v); return err },
+	"step":  func(v string) error { _, err := strconv.ParseFloat(v, 64); return err },
+}
+
 // parseFields parses "k1=v1 k2=v2 ..." requiring every registered key
-// exactly once and no unknown keys.
+// exactly once, allowing each retired key at most once, and no unknown
+// keys.
 func parseFields(line string, want map[string]func(string) error) error {
 	seen := make(map[string]bool, len(want))
 	for _, field := range strings.Fields(line) {
@@ -159,6 +159,9 @@ func parseFields(line string, want map[string]func(string) error) error {
 			return fmt.Errorf("malformed field %q", field)
 		}
 		parse, known := want[k]
+		if !known {
+			parse, known = retired[k]
+		}
 		if !known {
 			return fmt.Errorf("unknown field %q", k)
 		}

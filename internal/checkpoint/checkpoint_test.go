@@ -15,7 +15,7 @@ func testState(t *testing.T) *State {
 	t.Helper()
 	m := embed.NewModel(12, 3)
 	m.InitUniform(xrand.New(9), 0.1, 0.9)
-	return &State{Model: m, Level: 2, Epoch: 17, Step: 0.125, Seed: 42, LogLik: -987.25}
+	return &State{Model: m, Level: 2, Seed: 42, LogLik: -987.25}
 }
 
 func TestSaveLoadRoundtrip(t *testing.T) {
@@ -28,8 +28,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Level != want.Level || got.Epoch != want.Epoch ||
-		got.Step != want.Step || got.Seed != want.Seed || got.LogLik != want.LogLik {
+	if got.Level != want.Level || got.Seed != want.Seed || got.LogLik != want.LogLik {
 		t.Fatalf("state mismatch: got %+v", got)
 	}
 	if got.Model.A.FrobeniusDist(want.Model.A) != 0 || got.Model.B.FrobeniusDist(want.Model.B) != 0 {
@@ -37,9 +36,10 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
-// savedBefore is the checkpoint file, byte for byte, that Save writes
-// for the state TestSaveBytesPinned builds — pinned from a build whose
-// checkpoint package wrote its own envelope.
+// savedBefore is the checkpoint file, byte for byte, that Save wrote for
+// the state TestSaveBytesPinned builds while the header still carried an
+// epoch count and a step size — pinned from a build whose checkpoint
+// package wrote its own envelope.
 const savedBefore = `viralcast-checkpoint v1
 level=2 epoch=17 step=0.125 seed=42 loglik=-987.25
 payload bytes=112 crc32=28bf0688
@@ -55,15 +55,17 @@ node,kind,topic0,topic1
 `
 
 // TestSaveBytesPinned holds the file format still in both directions: a
-// checkpoint an older binary saved loads, and saving the same state
-// writes the same bytes.
+// checkpoint an older binary saved loads (its epoch and step are
+// dropped), and saving the same state writes the same bytes less those
+// two fields.
 func TestSaveBytesPinned(t *testing.T) {
 	m := embed.NewModel(4, 2)
 	for i := range m.A.Data {
 		m.A.Data[i] = float64(i) * 0.25
 		m.B.Data[i] = float64(i) * 0.5
 	}
-	want := &State{Model: m, Level: 2, Epoch: 17, Step: 0.125, Seed: 42, LogLik: -987.25}
+	want := &State{Model: m, Level: 2, Seed: 42, LogLik: -987.25}
+	saved := strings.Replace(savedBefore, " epoch=17 step=0.125", "", 1)
 	dir := t.TempDir()
 	old := filepath.Join(dir, "old")
 	if err := os.WriteFile(old, []byte(savedBefore), 0o600); err != nil {
@@ -73,16 +75,26 @@ func TestSaveBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading a checkpoint in the pinned format: %v", err)
 	}
-	if got.Level != want.Level || got.Epoch != want.Epoch || got.Step != want.Step || got.Seed != want.Seed ||
-		got.LogLik != want.LogLik || got.Model.A.FrobeniusDist(m.A) != 0 || got.Model.B.FrobeniusDist(m.B) != 0 {
+	if got.Level != want.Level || got.Seed != want.Seed || got.LogLik != want.LogLik ||
+		got.Model.A.FrobeniusDist(m.A) != 0 || got.Model.B.FrobeniusDist(m.B) != 0 {
 		t.Fatalf("pinned checkpoint loaded as %+v", got)
 	}
 	path := filepath.Join(dir, "new")
 	if err := Save(path, want); err != nil {
 		t.Fatal(err)
 	}
-	if raw, err := os.ReadFile(path); err != nil || string(raw) != savedBefore {
-		t.Fatalf("Save wrote (%v)\n%s\nwant\n%s", err, raw, savedBefore)
+	if raw, err := os.ReadFile(path); err != nil || string(raw) != saved {
+		t.Fatalf("Save wrote (%v)\n%s\nwant\n%s", err, raw, saved)
+	}
+	// A retired field still has to parse, and may appear once.
+	for _, header := range []string{"level=2 epoch=x step=0.125", "level=2 epoch=17 epoch=17 step=0.125"} {
+		bad := filepath.Join(dir, "bad")
+		if err := os.WriteFile(bad, []byte(strings.Replace(savedBefore, "level=2 epoch=17 step=0.125", header, 1)), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bad); err == nil {
+			t.Errorf("header %q accepted", header)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/checkpoint"
+	"viralcast/internal/cooccur"
 	"viralcast/internal/embed"
 	"viralcast/internal/eval"
 	"viralcast/internal/features"
@@ -181,7 +182,9 @@ func buildAggregates(m *embed.Model) *systemAgg {
 	return a
 }
 
-// Train fits the system on observed cascades over n nodes.
+// Train fits the system on observed cascades over n nodes: the frequent
+// co-occurrence graph (§IV-B), its SLPA communities, then the
+// hierarchical community-parallel EM fit (Algorithms 1 and 2).
 func Train(cs []*cascade.Cascade, n int, cfg TrainConfig) (*System, error) {
 	return TrainCtx(context.Background(), cs, n, cfg)
 }
@@ -204,11 +207,22 @@ func TrainCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg TrainConfig
 	if err != nil {
 		return nil, err
 	}
-	inferCfg := infer.Config{K: cfg.Topics, MaxIter: cfg.MaxIter, Seed: cfg.Seed}
-	m, part, tr, err := infer.PipelineCtx(ctx, cs, n, inferCfg, infer.PipelineOptions{
-		Parallel:   infer.ParallelOptions{Workers: cfg.Workers, Q: cfg.Q},
-		Resilience: res,
-	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// The co-occurrence graph (§IV-B) and its SLPA communities are
+	// deterministic in the seed and cheap next to the EM fit, so they are
+	// recomputed rather than checkpointed: a resume given the same
+	// cascades, configuration and seed rebuilds the interrupted run's
+	// partition.
+	g, err := cooccur.Build(cs, n, cooccur.Options{})
+	if err != nil {
+		return nil, err
+	}
+	part := slpa.Detect(g, slpa.Options{}, xrand.New(cfg.Seed^0x5eed))
+	m, tr, err := infer.HierarchicalCtx(ctx, cs, n, part,
+		infer.Config{K: cfg.Topics, MaxIter: cfg.MaxIter, Seed: cfg.Seed},
+		infer.ParallelOptions{Workers: cfg.Workers, Q: cfg.Q}, res)
 	if err != nil {
 		return nil, err
 	}
@@ -597,13 +611,7 @@ func (s *System) TrainPredictor(cs []*cascade.Cascade, earlyCutoff float64, size
 	if pos == 0 || pos == len(y) {
 		return nil, fmt.Errorf("core: threshold %d yields a single-class training set", sizeThreshold)
 	}
-	std, err := svm.FitStandardizer(x)
-	if err != nil {
-		return nil, err
-	}
-	model, err := svm.TrainBestF1(std.Apply(x), y, svm.Options{
-		Seed: s.cfg.Seed + 1, Epochs: 60,
-	}, nil, xrand.New(s.cfg.Seed+2))
+	std, model, err := svm.Fit(x, y, s.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

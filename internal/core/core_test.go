@@ -51,6 +51,9 @@ func TestTrain(t *testing.T) {
 	if len(sys.Trace.Levels) == 0 {
 		t.Fatal("no trace recorded")
 	}
+	if last := sys.Trace.Levels[len(sys.Trace.Levels)-1]; last.Communities != 1 {
+		t.Errorf("the fit ended at %d communities, not the root", last.Communities)
+	}
 }
 
 func TestTrainValidation(t *testing.T) {

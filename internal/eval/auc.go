@@ -9,7 +9,7 @@ import (
 // against +1/-1 labels: the probability that a random positive outscores
 // a random negative, with ties counted half. It complements the
 // threshold-bound F1 of the paper's figures with a threshold-free view
-// of the same classifiers.
+// of the same classifiers (the same cross-validated scores).
 func AUC(scores []float64, labels []int) (float64, error) {
 	if len(scores) != len(labels) {
 		return 0, fmt.Errorf("eval: %d scores vs %d labels", len(scores), len(labels))
@@ -56,50 +56,4 @@ func AUC(scores []float64, labels []int) (float64, error) {
 	}
 	p := float64(pos)
 	return (rPos - p*(p+1)/2) / (p * float64(neg)), nil
-}
-
-// CrossValidateAUC runs k-fold cross-validation with a scorer factory
-// (returning a real-valued decision function) and pools the held-out
-// scores into a single AUC.
-func CrossValidateAUC(x [][]float64, y []int, k int, train func([][]float64, []int) (func([]float64) float64, error), rng Shuffler) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("eval: %d samples vs %d labels", len(x), len(y))
-	}
-	folds, err := StratifiedKFold(y, k, rng)
-	if err != nil {
-		return 0, err
-	}
-	scores := make([]float64, len(x))
-	scored := make([]bool, len(x))
-	for fi, test := range folds {
-		inTest := make(map[int]bool, len(test))
-		for _, i := range test {
-			inTest[i] = true
-		}
-		var trX [][]float64
-		var trY []int
-		for i := range x {
-			if !inTest[i] {
-				trX = append(trX, x[i])
-				trY = append(trY, y[i])
-			}
-		}
-		score, err := train(trX, trY)
-		if err != nil {
-			return 0, fmt.Errorf("eval: fold %d training failed: %w", fi, err)
-		}
-		for _, i := range test {
-			scores[i] = score(x[i])
-			scored[i] = true
-		}
-	}
-	var ss []float64
-	var yy []int
-	for i := range scores {
-		if scored[i] {
-			ss = append(ss, scores[i])
-			yy = append(yy, y[i])
-		}
-	}
-	return AUC(ss, yy)
 }

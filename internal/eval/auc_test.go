@@ -107,7 +107,17 @@ func TestCrossValidateAUC(t *testing.T) {
 		// A trivial scorer: the feature itself (already discriminative).
 		return func(row []float64) float64 { return row[0] }, nil
 	}
-	auc, err := CrossValidateAUC(x, y, 5, trainer, xrand.New(3))
+	scores, err := CrossValidate(x, y, 5, trainer, xrand.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every sample is scored once, out of fold, at its own index.
+	for i := range x {
+		if scores[i] != x[i][0] {
+			t.Fatalf("score %d = %v, want its feature %v", i, scores[i], x[i][0])
+		}
+	}
+	auc, err := AUC(scores, y)
 	if err != nil {
 		t.Fatal(err)
 	}

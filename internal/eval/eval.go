@@ -111,23 +111,41 @@ func StratifiedKFold(y []int, k int, rng Shuffler) ([][]int, error) {
 	return folds, nil
 }
 
-// Trainer is any fold-trainable classifier factory: given training
-// features and labels it returns a predictor over feature rows.
-type Trainer func(x [][]float64, y []int) (func([]float64) int, error)
+// ConfuseScores tallies real-valued scores against truth, a score >= 0
+// predicting +1 (the sign rule of svm.Model.Predict).
+func ConfuseScores(truth []int, scores []float64) (Confusion, error) {
+	pred := make([]int, len(scores))
+	for i, s := range scores {
+		pred[i] = -1
+		if s >= 0 {
+			pred[i] = 1
+		}
+	}
+	return Confuse(truth, pred)
+}
 
-// CrossValidate runs k-fold cross-validation and returns the pooled
-// confusion matrix over all held-out folds (micro-averaged, the standard
-// way to report F1 for imbalanced data).
-func CrossValidate(x [][]float64, y []int, k int, train Trainer, rng Shuffler) (Confusion, error) {
+// Trainer is any fold-trainable classifier factory: given training
+// features and labels it returns a real-valued scorer over feature rows.
+type Trainer func(x [][]float64, y []int) (func([]float64) float64, error)
+
+// CrossValidate runs stratified k-fold cross-validation and returns
+// every sample's out-of-fold score: scores[i] comes from the model
+// trained on the folds that do not hold sample i. Pooled over all folds
+// (micro-averaged, the standard way to report F1 on imbalanced data),
+// the scores give both the confusion matrix (ConfuseScores) and the AUC.
+func CrossValidate(x [][]float64, y []int, k int, train Trainer, rng Shuffler) ([]float64, error) {
 	if len(x) != len(y) {
-		return Confusion{}, fmt.Errorf("eval: %d samples vs %d labels", len(x), len(y))
+		return nil, fmt.Errorf("eval: %d samples vs %d labels", len(x), len(y))
 	}
 	folds, err := StratifiedKFold(y, k, rng)
 	if err != nil {
-		return Confusion{}, err
+		return nil, err
 	}
-	var pooled Confusion
+	scores := make([]float64, len(x))
 	for fi, test := range folds {
+		if len(test) == 0 {
+			continue
+		}
 		inTest := make(map[int]bool, len(test))
 		for _, i := range test {
 			inTest[i] = true
@@ -140,28 +158,18 @@ func CrossValidate(x [][]float64, y []int, k int, train Trainer, rng Shuffler) (
 				trY = append(trY, y[i])
 			}
 		}
-		if len(trX) == 0 || len(test) == 0 {
-			continue
+		if len(trX) == 0 {
+			return nil, fmt.Errorf("eval: fold %d leaves no sample to train on", fi)
 		}
-		predict, err := train(trX, trY)
+		score, err := train(trX, trY)
 		if err != nil {
-			return Confusion{}, fmt.Errorf("eval: fold %d training failed: %w", fi, err)
+			return nil, fmt.Errorf("eval: fold %d training failed: %w", fi, err)
 		}
 		for _, i := range test {
-			p := predict(x[i])
-			switch {
-			case y[i] == 1 && p == 1:
-				pooled.TP++
-			case y[i] == -1 && p == 1:
-				pooled.FP++
-			case y[i] == -1 && p == -1:
-				pooled.TN++
-			default:
-				pooled.FN++
-			}
+			scores[i] = score(x[i])
 		}
 	}
-	return pooled, nil
+	return scores, nil
 }
 
 // LabelsBySizeThreshold converts cascade sizes to +1 (size >= threshold,

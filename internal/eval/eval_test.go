@@ -107,6 +107,18 @@ func TestStratifiedKFoldErrors(t *testing.T) {
 	}
 }
 
+// svmTrainer is the classifier the product serves (svm.Fit), scored by
+// its margin as core.Predictor scores a row.
+func svmTrainer(seed uint64) Trainer {
+	return func(x [][]float64, y []int) (func([]float64) float64, error) {
+		std, m, err := svm.Fit(x, y, seed)
+		if err != nil {
+			return nil, err
+		}
+		return func(row []float64) float64 { return m.Decision(std.ApplyRow(nil, row)) }, nil
+	}
+}
+
 func TestCrossValidateWithSVM(t *testing.T) {
 	// Separable 1-D task: CV F1 should be near 1.
 	rng := xrand.New(2)
@@ -121,14 +133,11 @@ func TestCrossValidateWithSVM(t *testing.T) {
 			y = append(y, -1)
 		}
 	}
-	trainer := func(trX [][]float64, trY []int) (func([]float64) int, error) {
-		m, err := svm.Train(trX, trY, svm.Options{Seed: 3})
-		if err != nil {
-			return nil, err
-		}
-		return m.Predict, nil
+	scores, err := CrossValidate(x, y, 10, svmTrainer(3), xrand.New(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, err := CrossValidate(x, y, 10, trainer, xrand.New(4))
+	c, err := ConfuseScores(y, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +147,10 @@ func TestCrossValidateWithSVM(t *testing.T) {
 	total := c.TP + c.FP + c.TN + c.FN
 	if total != 200 {
 		t.Fatalf("pooled confusion covers %d samples, want 200", total)
+	}
+	// The same out-of-fold margins rank the classes for the AUC.
+	if auc, err := AUC(scores, y); err != nil || auc < 0.99 {
+		t.Fatalf("CV AUC = %v (%v) on separable data", auc, err)
 	}
 }
 
@@ -155,14 +168,11 @@ func TestCrossValidateRandomLabelsPoor(t *testing.T) {
 			y = append(y, -1)
 		}
 	}
-	trainer := func(trX [][]float64, trY []int) (func([]float64) int, error) {
-		m, err := svm.Train(trX, trY, svm.Options{Seed: 6})
-		if err != nil {
-			return nil, err
-		}
-		return m.Predict, nil
+	scores, err := CrossValidate(x, y, 5, svmTrainer(6), xrand.New(7))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, err := CrossValidate(x, y, 5, trainer, xrand.New(7))
+	c, err := ConfuseScores(y, scores)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,11 +189,11 @@ func AblationFeatures(e SBMExperiment) ([]FeatureAblation, error) {
 	}
 	var out []FeatureAblation
 	for _, g := range groups {
-		conf, err := PredictF1(sets, sizes, threshold, g, 10, e.Seed+13)
+		cl, err := Classify(sets, sizes, threshold, g, 10, e.Seed+13)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, FeatureAblation{Features: g, F1: conf.F1()})
+		out = append(out, FeatureAblation{Features: g, F1: cl.F1()})
 	}
 	return out, nil
 }
@@ -239,8 +239,8 @@ func AblationTopicK(e SBMExperiment, ks []int) ([]TopicSweep, error) {
 		}
 		threshold := eval.TopFractionThreshold(sizes, 0.2)
 		f1 := 0.0
-		if conf, err := PredictF1(sets, sizes, threshold, nil, 10, e.Seed+17); err == nil {
-			f1 = conf.F1()
+		if cl, err := Classify(sets, sizes, threshold, nil, 10, e.Seed+17); err == nil {
+			f1 = cl.F1()
 		}
 		out = append(out, TopicSweep{K: k, F1: f1, HeldOutLL: m.LogLikAll(w.Test)})
 	}

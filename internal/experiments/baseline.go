@@ -9,8 +9,6 @@ import (
 	"viralcast/internal/netrate"
 	"viralcast/internal/pointproc"
 	"viralcast/internal/report"
-	"viralcast/internal/svm"
-	"viralcast/internal/xrand"
 )
 
 // ModelComparison pits the paper's node-embedding inference against the
@@ -96,14 +94,14 @@ func ComparePredictors(e SBMExperiment) ([]PredictorComparison, error) {
 	threshold := eval.TopFractionThreshold(sizes, 0.2)
 	var out []PredictorComparison
 
-	if conf, err := PredictF1(sets, sizes, threshold, nil, 10, e.Seed+21); err == nil {
+	if cl, err := Classify(sets, sizes, threshold, nil, 10, e.Seed+21); err == nil {
 		out = append(out, PredictorComparison{
-			Name: "embedding features + SVM", F1: conf.F1(), Accuracy: conf.Accuracy(), Threshold: threshold,
+			Name: "embedding features + SVM", F1: cl.F1(), Accuracy: cl.Accuracy(), Threshold: threshold,
 		})
 	}
-	if conf, err := PredictF1(sets, sizes, threshold, []string{"earlyCount", "earlyRate"}, 10, e.Seed+21); err == nil {
+	if cl, err := Classify(sets, sizes, threshold, []string{"earlyCount", "earlyRate"}, 10, e.Seed+21); err == nil {
 		out = append(out, PredictorComparison{
-			Name: "early-count features + SVM", F1: conf.F1(), Accuracy: conf.Accuracy(), Threshold: threshold,
+			Name: "early-count features + SVM", F1: cl.F1(), Accuracy: cl.Accuracy(), Threshold: threshold,
 		})
 	}
 	// Topology features (paper §V's first baseline family, refs [20-21]):
@@ -116,24 +114,10 @@ func ComparePredictors(e SBMExperiment) ([]PredictorComparison, error) {
 			x[i] = ts.Vector()
 		}
 		y := eval.LabelsBySizeThreshold(topoSizes, threshold)
-		trainer := func(trX [][]float64, trY []int) (func([]float64) int, error) {
-			std, err := svm.FitStandardizer(trX)
-			if err != nil {
-				return nil, err
-			}
-			model, err := svm.TrainBestF1(std.Apply(trX), trY,
-				svm.Options{Seed: e.Seed + 23, Epochs: 60}, nil, xrand.New(e.Seed+23))
-			if err != nil {
-				return nil, err
-			}
-			return func(row []float64) int {
-				return model.Predict(std.Apply([][]float64{row})[0])
-			}, nil
-		}
-		if conf, err := eval.CrossValidate(x, y, 10, trainer, xrand.New(e.Seed+23)); err == nil {
+		if cl, err := classify(x, y, 10, e.Seed+23); err == nil {
 			out = append(out, PredictorComparison{
 				Name: "topology features + SVM (needs the hidden graph)",
-				F1:   conf.F1(), Accuracy: conf.Accuracy(), Threshold: threshold,
+				F1:   cl.F1(), Accuracy: cl.Accuracy(), Threshold: threshold,
 			})
 		}
 	}

@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
@@ -115,12 +114,31 @@ func (w *SBMWorkload) PredictionDataAt(m *embed.Model, cutoff float64) ([]featur
 	return features.ExtractAll(m, w.Test, cutoff)
 }
 
-// logFeatures is the classifiers' design matrix: the named features
-// (nil means the paper's trio diverA/normA/maxA) of every set, log
-// transformed — influence features are heavy-tailed (super-spreader
-// magnitudes), and the log keeps the linear margin from being dominated
-// by a handful of outliers.
-func logFeatures(sets []features.Set, featureNames []string) ([][]float64, error) {
+// Classification is the paper's virality classification at one size
+// threshold: the confusion matrix of the pooled out-of-fold margins'
+// signs (a margin >= 0 calls a cascade viral, as core.Predictor does)
+// and the AUC of the same margins.
+type Classification struct {
+	eval.Confusion
+	AUC float64
+}
+
+// Classify cross-validates, at one size threshold, the classifier
+// core.TrainPredictor serves: stratified k-fold CV over the named
+// features' raw rows (nil means the paper's trio diverA/normA/maxA), one
+// svm.Fit per fold. F1 and AUC come from the same out-of-fold margins.
+func Classify(sets []features.Set, sizes []int, threshold int, featureNames []string, folds int, seed uint64) (Classification, error) {
+	x, err := designMatrix(sets, featureNames)
+	if err != nil {
+		return Classification{}, err
+	}
+	return classify(x, eval.LabelsBySizeThreshold(sizes, threshold), folds, seed)
+}
+
+// designMatrix is the classifier's input: the named features of every
+// set (nil means the paper's trio), untransformed, as core.TrainPredictor
+// selects them.
+func designMatrix(sets []features.Set, featureNames []string) ([][]float64, error) {
 	if featureNames == nil {
 		featureNames = []string{"diverA", "normA", "maxA"}
 	}
@@ -130,24 +148,13 @@ func logFeatures(sets []features.Set, featureNames []string) ([][]float64, error
 		if err != nil {
 			return nil, err
 		}
-		for j, v := range row {
-			row[j] = math.Log1p(v)
-		}
 		x[i] = row
 	}
 	return x, nil
 }
 
-// PredictF1 runs the paper's virality classification at one size
-// threshold: standardized features, linear SVM, stratified k-fold CV,
-// pooled F1. featureNames selects which features feed the classifier
-// (nil means the paper's trio diverA/normA/maxA).
-func PredictF1(sets []features.Set, sizes []int, threshold int, featureNames []string, folds int, seed uint64) (eval.Confusion, error) {
-	x, err := logFeatures(sets, featureNames)
-	if err != nil {
-		return eval.Confusion{}, err
-	}
-	y := eval.LabelsBySizeThreshold(sizes, threshold)
+// classify is Classify over an explicit design matrix and labels.
+func classify(x [][]float64, y []int, folds int, seed uint64) (Classification, error) {
 	pos := 0
 	for _, l := range y {
 		if l == 1 {
@@ -155,47 +162,32 @@ func PredictF1(sets []features.Set, sizes []int, threshold int, featureNames []s
 		}
 	}
 	if pos == 0 || pos == len(y) {
-		return eval.Confusion{}, fmt.Errorf("experiments: threshold %d gives a single-class task (%d positives of %d)", threshold, pos, len(y))
+		return Classification{}, fmt.Errorf("experiments: single-class task (%d positives of %d)", pos, len(y))
 	}
-	trainer := func(trX [][]float64, trY []int) (func([]float64) int, error) {
-		std, err := svm.FitStandardizer(trX)
-		if err != nil {
-			return nil, err
-		}
-		model, err := svm.TrainBestF1(std.Apply(trX), trY,
-			svm.Options{Seed: seed, Epochs: 60}, nil, xrand.New(seed^0xf1))
-		if err != nil {
-			return nil, err
-		}
-		return func(row []float64) int {
-			return model.Predict(std.Apply([][]float64{row})[0])
-		}, nil
+	margins, err := eval.CrossValidate(x, y, folds, servedClassifier(seed), xrand.New(seed))
+	if err != nil {
+		return Classification{}, err
 	}
-	return eval.CrossValidate(x, y, folds, trainer, xrand.New(seed))
+	conf, err := eval.ConfuseScores(y, margins)
+	if err != nil {
+		return Classification{}, err
+	}
+	auc, err := eval.AUC(margins, y)
+	if err != nil {
+		return Classification{}, err
+	}
+	return Classification{Confusion: conf, AUC: auc}, nil
 }
 
-// PredictAUC is the threshold-free companion of PredictF1: the pooled
-// cross-validated area under the ROC curve of the SVM decision value at
-// one size threshold.
-func PredictAUC(sets []features.Set, sizes []int, threshold int, featureNames []string, folds int, seed uint64) (float64, error) {
-	x, err := logFeatures(sets, featureNames)
-	if err != nil {
-		return 0, err
-	}
-	y := eval.LabelsBySizeThreshold(sizes, threshold)
-	trainer := func(trX [][]float64, trY []int) (func([]float64) float64, error) {
-		std, err := svm.FitStandardizer(trX)
+// servedClassifier is the lab's per-fold trainer: svm.Fit, the fit
+// core.TrainPredictor runs with its system's seed, and each row's margin
+// computed as core.Predictor computes it.
+func servedClassifier(seed uint64) eval.Trainer {
+	return func(x [][]float64, y []int) (func([]float64) float64, error) {
+		std, m, err := svm.Fit(x, y, seed)
 		if err != nil {
 			return nil, err
 		}
-		model, err := svm.Train(std.Apply(trX), trY,
-			svm.Options{Seed: seed, Epochs: 60, AutoBalance: true})
-		if err != nil {
-			return nil, err
-		}
-		return func(row []float64) float64 {
-			return model.Decision(std.Apply([][]float64{row})[0])
-		}, nil
+		return func(row []float64) float64 { return m.Decision(std.ApplyRow(nil, row)) }, nil
 	}
-	return eval.CrossValidateAUC(x, y, folds, trainer, xrand.New(seed))
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"viralcast/internal/cascade"
@@ -9,6 +10,7 @@ import (
 	"viralcast/internal/eval"
 	"viralcast/internal/features"
 	"viralcast/internal/gdelt"
+	"viralcast/internal/svm"
 )
 
 // scaled shrinks the workload for fast unit tests while keeping every
@@ -381,20 +383,97 @@ func TestFigure12FitsWhatTrainFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	thr := eval.TopFractionThreshold(sizes, 0.2)
-	conf, err := PredictF1(sets, sizes, thr, nil, 10, e.Seed+9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auc, err := PredictAUC(sets, sizes, thr, nil, 10, e.Seed+9)
+	cl, err := Classify(sets, sizes, thr, nil, 10, e.Seed+9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	if res.Events != len(sets) || res.TopFracThr != thr || !same(res.TopFracF1, conf.F1()) || !same(res.TopFracAUC, auc) {
+	if res.Events != len(sets) || res.TopFracThr != thr || !same(res.TopFracF1, cl.F1()) || !same(res.TopFracAUC, cl.AUC) {
 		t.Fatalf("Figure 12: %d events, threshold %d, F1 %v, AUC %v; core.Train's fit: %d, %d, %v, %v",
-			res.Events, res.TopFracThr, res.TopFracF1, res.TopFracAUC, len(sets), thr, conf.F1(), auc)
+			res.Events, res.TopFracThr, res.TopFracF1, res.TopFracAUC, len(sets), thr, cl.F1(), cl.AUC)
 	}
-	t.Logf("top-20%% threshold %d: F1 %.3f, AUC %.3f", thr, conf.F1(), auc)
+	t.Logf("top-20%% threshold %d: F1 %.3f, AUC %.3f", thr, cl.F1(), cl.AUC)
+}
+
+// TestLabClassifierMatchesTrainPredictor: the lab's classifier and the
+// one core.TrainPredictor serves, trained on the same rows, are one fit —
+// the same standardizer and weights, and the same margin on every
+// cascade, bit for bit.
+func TestLabClassifierMatchesTrainPredictor(t *testing.T) {
+	w, err := BuildSBMWorkload(testSBM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := w.Exp.Seed + 1
+	sys, err := core.Train(w.Train, w.Exp.N, core.TrainConfig{
+		Topics: w.Exp.InferK, MaxIter: w.Exp.MaxIter, Workers: w.Exp.Workers, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, sizes, err := w.PredictionData(sys.Embeddings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thr := eval.TopFractionThreshold(sizes, 0.2)
+	p, err := sys.TrainPredictor(w.Test, w.EarlyCutoff(), thr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := designMatrix(sets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := eval.LabelsBySizeThreshold(sizes, thr)
+
+	// Predictor keeps its standardizer and model unexported; reflection
+	// reads them without widening core's API for a test.
+	pv := reflect.ValueOf(p).Elem()
+	pstd, pm := pv.FieldByName("std").Elem(), pv.FieldByName("model").Elem()
+	std, m, err := svm.Fit(x, y, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFloats := func(what string, got reflect.Value, want []float64) {
+		t.Helper()
+		if got.Len() != len(want) {
+			t.Fatalf("%s: %d values, want %d", what, got.Len(), len(want))
+		}
+		for i, v := range want {
+			if math.Float64bits(got.Index(i).Float()) != math.Float64bits(v) {
+				t.Fatalf("%s[%d] = %v, the lab's fit has %v", what, i, got.Index(i).Float(), v)
+			}
+		}
+	}
+	sameFloats("Mean", pstd.FieldByName("Mean"), std.Mean)
+	sameFloats("Std", pstd.FieldByName("Std"), std.Std)
+	sameFloats("W", pm.FieldByName("W"), m.W)
+	if b := pm.FieldByName("Bias").Float(); math.Float64bits(b) != math.Float64bits(m.Bias) {
+		t.Fatalf("Bias = %v, the lab's fit has %v", b, m.Bias)
+	}
+
+	score, err := servedClassifier(seed)(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, pos := 0, 0
+	for _, c := range w.Test {
+		viral, margin, err := p.PredictViral(c)
+		if err != nil {
+			continue // no infection before the cutoff; ExtractAll skips it too
+		}
+		if lab := score(x[row]); math.Float64bits(lab) != math.Float64bits(margin) || viral != (lab >= 0) {
+			t.Fatalf("cascade %d: served margin %v (viral %v), the lab's %v", c.ID, margin, viral, lab)
+		}
+		if viral {
+			pos++
+		}
+		row++
+	}
+	if row != len(x) {
+		t.Fatalf("the predictor scored %d cascades, the lab has %d rows", row, len(x))
+	}
+	t.Logf("%d margins equal, %d called viral at threshold %d", row, pos, thr)
 }
 
 func TestAblationMergePolicy(t *testing.T) {
@@ -478,7 +557,7 @@ func TestAblationTopicK(t *testing.T) {
 	}
 }
 
-func TestPredictF1Errors(t *testing.T) {
+func TestClassifyErrors(t *testing.T) {
 	w, err := BuildSBMWorkload(testSBM())
 	if err != nil {
 		t.Fatal(err)
@@ -491,10 +570,10 @@ func TestPredictF1Errors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PredictF1(sets, sizes, 1<<30, nil, 10, 1); err == nil {
+	if _, err := Classify(sets, sizes, 1<<30, nil, 10, 1); err == nil {
 		t.Error("single-class threshold accepted")
 	}
-	if _, err := PredictF1(sets, sizes, 2, []string{"nope"}, 10, 1); err == nil {
+	if _, err := Classify(sets, sizes, 2, []string{"nope"}, 10, 1); err == nil {
 		t.Error("unknown feature accepted")
 	}
 }

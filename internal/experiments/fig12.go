@@ -88,22 +88,19 @@ func Figure12(e GDELTPredictionExperiment) (*Figure12Result, error) {
 			continue
 		}
 		seen[th] = true
-		conf, err := PredictF1(sets, sizes, th, nil, 10, e.Seed+9)
+		cl, err := Classify(sets, sizes, th, nil, 10, e.Seed+9)
 		if err != nil {
 			continue
 		}
 		res.Thresholds = append(res.Thresholds, th)
-		res.F1 = append(res.F1, conf.F1())
+		res.F1 = append(res.F1, cl.F1())
 	}
 	if len(res.Thresholds) == 0 {
 		return nil, fmt.Errorf("experiments: no usable thresholds for GDELT prediction")
 	}
 	res.TopFracThr = eval.TopFractionThreshold(sizes, 0.2)
-	if conf, err := PredictF1(sets, sizes, res.TopFracThr, nil, 10, e.Seed+9); err == nil {
-		res.TopFracF1 = conf.F1()
-	}
-	if auc, err := PredictAUC(sets, sizes, res.TopFracThr, nil, 10, e.Seed+9); err == nil {
-		res.TopFracAUC = auc
+	if cl, err := Classify(sets, sizes, res.TopFracThr, nil, 10, e.Seed+9); err == nil {
+		res.TopFracF1, res.TopFracAUC = cl.F1(), cl.AUC
 	}
 	return res, nil
 }

@@ -98,22 +98,19 @@ func figure9(sets []features.Set, sizes []int, seed uint64) (*Figure9Result, err
 			continue
 		}
 		seen[th] = true
-		conf, err := PredictF1(sets, sizes, th, nil, 10, seed+7)
+		cl, err := Classify(sets, sizes, th, nil, 10, seed+7)
 		if err != nil {
 			continue // single-class task at this threshold
 		}
 		out.Thresholds = append(out.Thresholds, th)
-		out.F1 = append(out.F1, conf.F1())
+		out.F1 = append(out.F1, cl.F1())
 	}
 	if len(out.Thresholds) == 0 {
 		return nil, fmt.Errorf("experiments: no usable thresholds (size distribution too degenerate)")
 	}
 	out.TopFracThr = eval.TopFractionThreshold(sizes, 0.2)
-	if conf, err := PredictF1(sets, sizes, out.TopFracThr, nil, 10, seed+7); err == nil {
-		out.TopFracF1 = conf.F1()
-	}
-	if auc, err := PredictAUC(sets, sizes, out.TopFracThr, nil, 10, seed+7); err == nil {
-		out.TopFracAUC = auc
+	if cl, err := Classify(sets, sizes, out.TopFracThr, nil, 10, seed+7); err == nil {
+		out.TopFracF1, out.TopFracAUC = cl.F1(), cl.AUC
 	}
 	return out, nil
 }

@@ -48,13 +48,13 @@ func SweepEarlyWindow(e SBMExperiment, fractions []float64) (*EarlyWindowSweep, 
 			continue // horizon too early: almost nothing observable
 		}
 		threshold := eval.TopFractionThreshold(sizes, 0.2)
-		conf, err := PredictF1(sets, sizes, threshold, nil, 10, e.Seed+31)
+		cl, err := Classify(sets, sizes, threshold, nil, 10, e.Seed+31)
 		if err != nil {
 			continue
 		}
 		out.Fractions = append(out.Fractions, frac)
-		out.F1 = append(out.F1, conf.F1())
-		out.Accuracy = append(out.Accuracy, conf.Accuracy())
+		out.F1 = append(out.F1, cl.F1())
+		out.Accuracy = append(out.Accuracy, cl.Accuracy())
 		out.Coverage = append(out.Coverage, float64(len(sets))/float64(len(w.Test)))
 	}
 	if len(out.Fractions) == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"viralcast/internal/cascade"
+	"viralcast/internal/cooccur"
 	"viralcast/internal/embed"
 	"viralcast/internal/mergetree"
 	"viralcast/internal/sbm"
@@ -496,10 +497,18 @@ func TestHogwildValidation(t *testing.T) {
 	}
 }
 
+// TestPipelineEndToEnd runs the paper's inference stack on raw cascades
+// the way core.TrainCtx composes it: the co-occurrence graph (§IV-B),
+// SLPA communities, then the hierarchical community-parallel fit.
 func TestPipelineEndToEnd(t *testing.T) {
 	cs, _ := trainingSet(t, 60, 120, 23)
-	m, part, tr, err := Pipeline(cs, 60, Config{K: 2, MaxIter: 8, Seed: 24},
-		PipelineOptions{Parallel: ParallelOptions{Workers: 4}})
+	cfg := Config{K: 2, MaxIter: 8, Seed: 24}
+	g, err := cooccur.Build(cs, 60, cooccur.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := slpa.Detect(g, slpa.Options{}, xrand.New(cfg.Seed^0x5eed))
+	m, tr, err := Hierarchical(cs, 60, part, cfg, ParallelOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

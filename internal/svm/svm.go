@@ -18,28 +18,18 @@ import (
 const lambda = 1e-3
 
 // Options configures training; the regularization strength is fixed
-// (lambda).
+// (lambda). Fit sets both fields; bench/ is the only other caller, which
+// is why they are still exported.
 type Options struct {
 	// Epochs is the number of passes over the training set (default 50).
 	Epochs int
 	// Seed drives the stochastic sample order.
 	Seed uint64
-	// PosWeight scales the hinge loss of positive-class samples — the
-	// standard cost-sensitive SVM for imbalanced tasks such as the
-	// paper's top-20% virality threshold. 0 means 1 (unweighted);
-	// AutoBalance overrides it.
-	PosWeight float64
-	// AutoBalance sets PosWeight to #negatives/#positives, equalizing the
-	// total loss mass of the two classes.
-	AutoBalance bool
 }
 
 func (o Options) withDefaults() Options {
 	if o.Epochs <= 0 {
 		o.Epochs = 50
-	}
-	if o.PosWeight <= 0 {
-		o.PosWeight = 1
 	}
 	return o
 }
@@ -50,8 +40,27 @@ type Model struct {
 	Bias float64
 }
 
-// Train fits a linear SVM on features x (rows) and labels y (+1 or -1).
-func Train(x [][]float64, y []int, opt Options) (*Model, error) {
+// Fit trains the virality classifier core.TrainPredictor serves and the
+// lab cross-validates: x is standardized, then TrainBestF1 runs over its
+// default weight grid with Pegasos seeded seed+1 and the validation
+// split drawn from seed+2.
+func Fit(x [][]float64, y []int, seed uint64) (*Standardizer, *Model, error) {
+	std, err := FitStandardizer(x)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := TrainBestF1(std.Apply(x), y, Options{Seed: seed + 1, Epochs: 60}, nil, xrand.New(seed+2))
+	if err != nil {
+		return nil, nil, err
+	}
+	return std, m, nil
+}
+
+// train fits a linear SVM on features x (rows) and labels y (+1 or -1).
+// posWeight scales the hinge loss of positive-class samples — the
+// standard cost-sensitive SVM for imbalanced tasks such as the paper's
+// top-20% virality threshold (1 is unweighted).
+func train(x [][]float64, y []int, opt Options, posWeight float64) (*Model, error) {
 	opt = opt.withDefaults()
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("svm: %d samples but %d labels", len(x), len(y))
@@ -78,19 +87,6 @@ func Train(x [][]float64, y []int, opt Options) (*Model, error) {
 	for i, row := range x {
 		aug[i] = append(append(make([]float64, 0, dim+1), row...), 1)
 	}
-	if opt.AutoBalance {
-		pos, neg := 0, 0
-		for _, label := range y {
-			if label == 1 {
-				pos++
-			} else {
-				neg++
-			}
-		}
-		if pos > 0 && neg > 0 {
-			opt.PosWeight = float64(neg) / float64(pos)
-		}
-	}
 	w := make([]float64, dim+1)
 	avg := make([]float64, dim+1)
 	avgCount := 0
@@ -108,7 +104,7 @@ func Train(x [][]float64, y []int, opt Options) (*Model, error) {
 			if margin < 1 {
 				weight := 1.0
 				if y[i] == 1 {
-					weight = opt.PosWeight
+					weight = posWeight
 				}
 				vecmath.Axpy(eta*weight*float64(y[i]), aug[i], w)
 			}
@@ -160,7 +156,7 @@ func (m *Model) Predict(x []float64) int {
 // imbalance compensation for the virality task depends on how separable
 // the classes are: full #neg/#pos balancing maximizes recall at a steep
 // precision cost, while no weighting collapses recall. weights lists the
-// candidate PosWeight values; 0 entries mean "auto" (#neg/#pos).
+// candidate positive-class weights; 0 entries mean "auto" (#neg/#pos).
 func TrainBestF1(x [][]float64, y []int, opt Options, weights []float64, rng *xrand.RNG) (*Model, error) {
 	if len(weights) == 0 {
 		weights = []float64{1, 2, 4, 0}
@@ -175,9 +171,13 @@ func TrainBestF1(x [][]float64, y []int, opt Options, weights []float64, rng *xr
 		}
 	}
 	if len(pos) < 4 || len(neg) < 4 {
-		// Too small to validate: fall back to auto-balanced training.
-		opt.AutoBalance = true
-		return Train(x, y, opt)
+		// Too small to validate: weight the classes #neg/#pos, which
+		// equalizes their total loss mass.
+		w := 1.0
+		if len(pos) > 0 && len(neg) > 0 {
+			w = float64(len(neg)) / float64(len(pos))
+		}
+		return train(x, y, opt, w)
 	}
 	rng.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
 	rng.Shuffle(len(neg), func(i, j int) { neg[i], neg[j] = neg[j], neg[i] })
@@ -203,13 +203,10 @@ func TrainBestF1(x [][]float64, y []int, opt Options, weights []float64, rng *xr
 	bestF1 := -1.0
 	bestW := 1.0
 	for _, w := range weights {
-		cand := opt
-		cand.AutoBalance = false
-		cand.PosWeight = w
 		if w == 0 {
-			cand.PosWeight = autoW
+			w = autoW
 		}
-		m, err := Train(trX, trY, cand)
+		m, err := train(trX, trY, opt, w)
 		if err != nil {
 			continue
 		}
@@ -230,13 +227,10 @@ func TrainBestF1(x [][]float64, y []int, opt Options, weights []float64, rng *xr
 			f1 = 2 * float64(tp) / float64(2*tp+fp+fn)
 		}
 		if f1 > bestF1 {
-			bestF1, bestW = f1, cand.PosWeight
+			bestF1, bestW = f1, w
 		}
 	}
-	final := opt
-	final.AutoBalance = false
-	final.PosWeight = bestW
-	return Train(x, y, final)
+	return train(x, y, opt, bestW)
 }
 
 // Standardizer shifts and scales features to zero mean and unit variance,

@@ -31,7 +31,7 @@ func TestTrainRobustnessProperty(t *testing.T) {
 		}
 		// Ensure both classes present so training is well-posed.
 		y[0], y[1] = 1, -1
-		m, err := Train(x, y, Options{Seed: seed, Epochs: 10})
+		m, err := train(x, y, Options{Seed: seed, Epochs: 10}, 1)
 		if err != nil {
 			return false
 		}
@@ -90,23 +90,27 @@ func TestStandardizerCentersProperty(t *testing.T) {
 	}
 }
 
-// Property: AutoBalance never flips the sign semantics — on separable
-// data the balanced model still classifies both classes correctly.
+// Property: the #neg/#pos class weight (TrainBestF1's "auto" weight and
+// its small-sample fallback) never flips the sign semantics — on
+// separable data the balanced model still classifies both classes
+// correctly.
 func TestAutoBalanceSeparableProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		var x [][]float64
 		var y []int
+		pos := 0
 		for i := 0; i < 60; i++ {
 			if i%6 == 0 { // 1:5 imbalance
 				x = append(x, []float64{3 + rng.Norm(0, 0.2)})
 				y = append(y, 1)
+				pos++
 			} else {
 				x = append(x, []float64{-3 + rng.Norm(0, 0.2)})
 				y = append(y, -1)
 			}
 		}
-		m, err := Train(x, y, Options{Seed: seed, Epochs: 40, AutoBalance: true})
+		m, err := train(x, y, Options{Seed: seed, Epochs: 40}, float64(len(y)-pos)/float64(pos))
 		if err != nil {
 			return false
 		}

@@ -28,7 +28,7 @@ func separable2D(n int, seed uint64) ([][]float64, []int) {
 
 func TestTrainSeparable(t *testing.T) {
 	x, y := separable2D(200, 1)
-	m, err := Train(x, y, Options{Seed: 2})
+	m, err := train(x, y, Options{Seed: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestTrainSeparable(t *testing.T) {
 func TestTrainGeneralizes(t *testing.T) {
 	trX, trY := separable2D(200, 3)
 	teX, teY := separable2D(100, 4)
-	m, err := Train(trX, trY, Options{Seed: 5})
+	m, err := train(trX, trY, Options{Seed: 5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,19 +63,19 @@ func TestTrainGeneralizes(t *testing.T) {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(nil, nil, Options{}); err == nil {
+	if _, err := train(nil, nil, Options{}, 1); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := Train([][]float64{{1}}, []int{0}, Options{}); err == nil {
+	if _, err := train([][]float64{{1}}, []int{0}, Options{}, 1); err == nil {
 		t.Error("bad label accepted")
 	}
-	if _, err := Train([][]float64{{1}, {1, 2}}, []int{1, -1}, Options{}); err == nil {
+	if _, err := train([][]float64{{1}, {1, 2}}, []int{1, -1}, Options{}, 1); err == nil {
 		t.Error("ragged rows accepted")
 	}
-	if _, err := Train([][]float64{{}}, []int{1}, Options{}); err == nil {
+	if _, err := train([][]float64{{}}, []int{1}, Options{}, 1); err == nil {
 		t.Error("zero-dim features accepted")
 	}
-	if _, err := Train([][]float64{{1}}, []int{1, -1}, Options{}); err == nil {
+	if _, err := train([][]float64{{1}}, []int{1, -1}, Options{}, 1); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
@@ -95,8 +95,8 @@ func TestDecisionSign(t *testing.T) {
 
 func TestTrainDeterministic(t *testing.T) {
 	x, y := separable2D(100, 6)
-	m1, _ := Train(x, y, Options{Seed: 7})
-	m2, _ := Train(x, y, Options{Seed: 7})
+	m1, _ := train(x, y, Options{Seed: 7}, 1)
+	m2, _ := train(x, y, Options{Seed: 7}, 1)
 	for i := range m1.W {
 		if m1.W[i] != m2.W[i] {
 			t.Fatal("same seed, different weights")
@@ -122,7 +122,7 @@ func TestImbalancedStillFindsPositives(t *testing.T) {
 			y = append(y, -1)
 		}
 	}
-	m, err := Train(x, y, Options{Seed: 9, Epochs: 100})
+	m, err := train(x, y, Options{Seed: 9, Epochs: 100}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
