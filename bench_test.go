@@ -25,6 +25,16 @@ func benchSBM() experiments.SBMExperiment {
 	return e
 }
 
+// benchWorkload draws and fits e's workload inside the timed loop, so
+// each SBM benchmark times the whole pipeline its harness reads.
+func benchWorkload(b *testing.B, e experiments.SBMExperiment) *experiments.SBMWorkload {
+	w, err := experiments.BuildSBMWorkload(e)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w
+}
+
 func benchGDELT() gdelt.Config {
 	cfg := gdelt.DefaultConfig()
 	cfg.Sites = 800
@@ -82,7 +92,7 @@ func BenchmarkFigure3(b *testing.B) {
 // (Figure 9) in one pass, as in the paper.
 func BenchmarkFigures6to9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Figures6to9(benchSBM()); err != nil {
+		if _, _, err := experiments.Figures6to9(benchWorkload(b, benchSBM())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +161,7 @@ func BenchmarkAblationMergeBalance(b *testing.B) {
 	e := benchSBM()
 	e.MaxIter = 6
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMergePolicy(e, sc, 8); err != nil {
+		if _, err := experiments.AblationMergePolicy(benchWorkload(b, e), sc, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +173,7 @@ func BenchmarkAblationOptimizers(b *testing.B) {
 	e := benchSBM()
 	e.MaxIter = 6
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationOptimizers(e); err != nil {
+		if _, err := experiments.AblationOptimizers(benchWorkload(b, e)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +185,7 @@ func BenchmarkBaselineEdgeModel(b *testing.B) {
 	e := benchSBM()
 	e.MaxIter = 6
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CompareEdgeBaseline(e); err != nil {
+		if _, err := experiments.CompareEdgeBaseline(benchWorkload(b, e)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,7 +256,7 @@ func BenchmarkBaselinePredictors(b *testing.B) {
 	e := benchSBM()
 	e.MaxIter = 6
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ComparePredictors(e); err != nil {
+		if _, err := experiments.ComparePredictors(benchWorkload(b, e)); err != nil {
 			b.Fatal(err)
 		}
 	}

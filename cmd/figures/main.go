@@ -79,11 +79,14 @@ type runner struct {
 	// measured (wall clock, thread interleaving).
 	out, log io.Writer
 
-	// caches so "all" reuses expensive artifacts
-	ds      *gdelt.Dataset
-	scatter *experiments.FeatureScatterResult
-	fig9    *experiments.Figure9Result
-	fig10   []*experiments.ScalingSeries
+	// caches so "all" reuses expensive artifacts: one draw and fit per
+	// SBM configuration, one optimizer comparison
+	ds         *gdelt.Dataset
+	workloads  map[experiments.SBMExperiment]*experiments.SBMWorkload
+	optimizers []experiments.OptimizerComparison
+	scatter    *experiments.FeatureScatterResult
+	fig9       *experiments.Figure9Result
+	fig10      []*experiments.ScalingSeries
 }
 
 // sbmExp returns the SBM study configuration at the chosen scale.
@@ -100,6 +103,50 @@ func (r *runner) sbmExp() experiments.SBMExperiment {
 		// DefaultSBM already is the paper configuration.
 	}
 	return e
+}
+
+// labExp returns the configuration of the ablations, baselines,
+// convergence study and sweeps: the SBM study's, capped above the small
+// scale because they run several fits of it.
+func (r *runner) labExp() experiments.SBMExperiment {
+	e := r.sbmExp()
+	if r.scale != "small" {
+		e.N, e.Cascades, e.Train = 1000, 1200, 800
+	}
+	return e
+}
+
+// sbm returns the workload of e, drawn and fitted once per run.
+func (r *runner) sbm(e experiments.SBMExperiment) (*experiments.SBMWorkload, error) {
+	if w := r.workloads[e]; w != nil {
+		return w, nil
+	}
+	w, err := experiments.BuildSBMWorkload(e)
+	if err != nil {
+		return nil, err
+	}
+	if r.workloads == nil {
+		r.workloads = map[experiments.SBMExperiment]*experiments.SBMWorkload{}
+	}
+	r.workloads[e] = w
+	return w, nil
+}
+
+// lab returns the workload of labExp.
+func (r *runner) lab() (*experiments.SBMWorkload, error) { return r.sbm(r.labExp()) }
+
+// needOptimizers runs the optimizer comparison on the lab workload once:
+// the optimizer ablation and the convergence study read its fits.
+func (r *runner) needOptimizers() error {
+	if r.optimizers != nil {
+		return nil
+	}
+	w, err := r.lab()
+	if err != nil {
+		return err
+	}
+	r.optimizers, err = experiments.AblationOptimizers(w)
+	return err
 }
 
 func (r *runner) gdeltCfg(events int) gdelt.Config {
@@ -158,7 +205,11 @@ func (r *runner) needScatterFig9() error {
 	if r.scatter != nil {
 		return nil
 	}
-	scatter, fig9, err := experiments.Figures6to9(r.sbmExp())
+	w, err := r.sbm(r.sbmExp())
+	if err != nil {
+		return err
+	}
+	scatter, fig9, err := experiments.Figures6to9(w)
 	if err != nil {
 		return err
 	}
@@ -296,44 +347,38 @@ func (r *runner) run(fig string) error {
 		h, rows := experiments.CSVScaling(r.fig10)
 		return r.writeCSV("fig13_speedup.csv", h, rows)
 	case "ablations":
-		e := r.sbmExp()
-		if r.scale != "small" {
-			// Ablations run several full pipelines; cap the workload.
-			e.N = 1000
-			e.Cascades = 1200
-			e.Train = 800
+		w, err := r.lab()
+		if err != nil {
+			return err
 		}
-		merge, err := experiments.AblationMergePolicy(e, r.scaling(), 8)
+		merge, err := experiments.AblationMergePolicy(w, r.scaling(), 8)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(r.out, experiments.RenderMergePolicy(merge, 8))
-		opt, err := experiments.AblationOptimizers(e)
-		if err != nil {
+		if err := r.needOptimizers(); err != nil {
 			return err
 		}
-		fmt.Fprintln(r.out, experiments.RenderOptimizers(opt))
-		for _, o := range opt {
+		fmt.Fprintln(r.out, experiments.RenderOptimizers(r.optimizers))
+		for _, o := range r.optimizers {
 			fmt.Fprintf(r.log, "optimizer %s: %.2f s, train loglik %.1f, heldout %.1f\n", o.Name, o.Seconds, o.LogLik, o.HeldOutLL)
 		}
-		feat, err := experiments.AblationFeatures(e)
+		feat, err := experiments.AblationFeatures(w)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(r.out, experiments.RenderFeatures(feat))
-		ks, err := experiments.AblationTopicK(e, []int{1, 2, 4, 8})
+		ks, err := experiments.AblationTopicK(w, []int{1, 2, 4, 8})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(r.out, experiments.RenderTopicSweep(ks))
 	case "sweeps":
-		e := r.sbmExp()
-		if r.scale != "small" {
-			e.N = 1000
-			e.Cascades = 1200
-			e.Train = 800
+		w, err := r.lab()
+		if err != nil {
+			return err
 		}
-		early, err := experiments.SweepEarlyWindow(e, nil)
+		early, err := experiments.SweepEarlyWindow(w, nil)
 		if err != nil {
 			return err
 		}
@@ -342,32 +387,27 @@ func (r *runner) run(fig string) error {
 		if r.scale == "small" {
 			sizes = []int{60, 150, 300}
 		}
-		sc, err := experiments.SweepTrainingSize(e, sizes)
+		sc, err := experiments.SweepTrainingSize(w, sizes)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(r.out, sc.Render())
 	case "convergence":
-		e := r.sbmExp()
-		if r.scale != "small" {
-			e.N = 1000
-			e.Cascades = 1200
-			e.Train = 800
+		if err := r.needOptimizers(); err != nil {
+			return err
 		}
-		res, err := experiments.ConvergenceStudy(e)
+		fmt.Fprintln(r.out, experiments.RenderConvergence(r.optimizers))
+		for _, o := range r.optimizers {
+			if o.Racy {
+				fmt.Fprintf(r.log, "convergence: %s per-epoch loglik %.1f\n", o.Name, o.Trace.LogLik)
+			}
+		}
+	case "baselines":
+		w, err := r.lab()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(r.out, res.Render())
-		fmt.Fprintf(r.log, "convergence: hogwild per-epoch loglik %.1f\n", res.Hogwild)
-	case "baselines":
-		e := r.sbmExp()
-		if r.scale != "small" {
-			e.N = 1000
-			e.Cascades = 1200
-			e.Train = 800
-		}
-		models, err := experiments.CompareEdgeBaseline(e)
+		models, err := experiments.CompareEdgeBaseline(w)
 		if err != nil {
 			return err
 		}
@@ -375,7 +415,7 @@ func (r *runner) run(fig string) error {
 		for _, m := range models {
 			fmt.Fprintf(r.log, "baseline %s: fitted in %.2f s\n", m.Name, m.Seconds)
 		}
-		preds, err := experiments.ComparePredictors(e)
+		preds, err := experiments.ComparePredictors(w)
 		if err != nil {
 			return err
 		}

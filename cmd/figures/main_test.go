@@ -66,6 +66,19 @@ func TestRunnerSmallScaleFigures(t *testing.T) {
 	}
 }
 
+// At -scale small the SBM prediction study and the lab tables share one
+// configuration, so a run that prints all of them draws and fits one
+// workload.
+func TestRunnerDrawsEachConfigOnce(t *testing.T) {
+	r := runner{scale: "small", seed: 1, out: io.Discard, log: io.Discard}
+	if err := r.runAll("6,9,ablations,baselines,convergence,sweeps"); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.workloads) != 1 {
+		t.Fatalf("%d SBM workloads drawn, want 1", len(r.workloads))
+	}
+}
+
 func TestRunnerUnknownFigure(t *testing.T) {
 	r := runner{scale: "small", seed: 1}
 	if err := r.run("99"); err == nil {

@@ -2,16 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 
-	"viralcast/internal/cooccur"
+	"viralcast/internal/embed"
 	"viralcast/internal/eval"
 	"viralcast/internal/infer"
 	"viralcast/internal/mergetree"
 	"viralcast/internal/report"
-	"viralcast/internal/slpa"
-	"viralcast/internal/xrand"
 )
 
 // MergePolicyAblation compares Algorithm 2's two merge-tree balancing
@@ -25,34 +23,35 @@ type MergePolicyAblation struct {
 	LogLik    float64 // full-data log-likelihood of the fitted model
 }
 
-// AblationMergePolicy runs both policies on the same workload. workers
-// is the core count the runtime is modeled at.
-func AblationMergePolicy(e SBMExperiment, sc ScalingExperiment, workers int) ([]MergePolicyAblation, error) {
-	w, err := BuildSBMWorkload(e)
+// AblationMergePolicy compares the two policies on the workload's fit
+// stopped at sc.Q communities. workers is the core count the runtime is
+// modeled at. By community count is the fit's own hierarchy: the levels
+// mergetree.Levels returns for sc.Q are a prefix of those for Q = 1, and
+// each level's fit is determined by the one before, so the fit's trace
+// cut at the first level with at most sc.Q communities is the trace of a
+// fit stopped there. By node count refits over the fit's partition.
+func AblationMergePolicy(w *SBMWorkload, sc ScalingExperiment, workers int) ([]MergePolicyAblation, error) {
+	part, levels := w.Fit.Partition, w.Fit.Trace.Levels
+	cut := 1 + slices.IndexFunc(levels, func(l infer.LevelStats) bool { return l.Communities <= max(sc.Q, 1) })
+	_, byNode, err := infer.Hierarchical(w.Train, w.Exp.N, part, w.inferConfig(),
+		infer.ParallelOptions{Workers: w.Exp.Workers, Q: sc.Q, Policy: mergetree.ByNodeCount})
 	if err != nil {
 		return nil, err
 	}
-	g, err := cooccur.Build(w.Train, e.N, cooccur.Options{})
-	if err != nil {
-		return nil, err
-	}
-	part := slpa.Detect(g, slpa.Options{}, xrand.New(e.Seed^0x51a9))
-	cfg := infer.Config{K: e.InferK, MaxIter: e.MaxIter, Seed: e.Seed + 1}
 	var out []MergePolicyAblation
-	for _, policy := range []mergetree.Policy{mergetree.ByCommunityCount, mergetree.ByNodeCount} {
-		m, tr, err := infer.Hierarchical(w.Train, e.N, part, cfg, infer.ParallelOptions{Workers: 1, Q: sc.Q, Policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		joined, err := mergetree.Join(part, policy)
+	for _, run := range []struct {
+		policy mergetree.Policy
+		levels []infer.LevelStats
+	}{{mergetree.ByCommunityCount, levels[:cut]}, {mergetree.ByNodeCount, byNode.Levels}} {
+		joined, err := mergetree.Join(part, run.policy)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, MergePolicyAblation{
-			Policy:    policy.String(),
+			Policy:    run.policy.String(),
 			Imbalance: mergetree.Imbalance(joined),
-			Seconds:   ScheduleCost(tr.Levels, workers, sc.BarrierCost).Seconds(),
-			LogLik:    m.LogLikAll(w.Train),
+			Seconds:   ScheduleCost(run.levels, workers, sc.BarrierCost).Seconds(),
+			LogLik:    run.levels[len(run.levels)-1].LogLik,
 		})
 	}
 	return out, nil
@@ -80,63 +79,51 @@ func RenderMergePolicy(rows []MergePolicyAblation, workers int) string {
 // hierarchical community-parallel algorithm, and the Hogwild lock-free
 // baseline (paper ref [19]).
 type OptimizerComparison struct {
-	Name      string
+	Name string
+	// Seconds is the fit's wall time; for the hierarchical row, the
+	// whole core.Train (co-occurrence and SLPA included).
 	Seconds   float64
 	LogLik    float64 // training log-likelihood of the fitted model
 	HeldOutLL float64 // log-likelihood on the held-out cascades
 	// Racy marks a fit whose likelihoods depend on thread interleaving
 	// (Hogwild's lock-free writes), not only on the seed.
 	Racy bool
+	// Trace is the fit's trajectory: the objective per epoch (sequential,
+	// Hogwild) or the statistics per level (hierarchical).
+	Trace *infer.Trace
 }
 
-// AblationOptimizers runs the three optimizers on the same workload.
-func AblationOptimizers(e SBMExperiment) ([]OptimizerComparison, error) {
-	w, err := BuildSBMWorkload(e)
+// AblationOptimizers fits the workload's training cascades sequentially
+// and by Hogwild, and sets the two beside the workload's hierarchical
+// core.Train fit. The rows' traces are the convergence study's
+// trajectories (RenderConvergence).
+func AblationOptimizers(w *SBMWorkload) ([]OptimizerComparison, error) {
+	cfg := w.inferConfig()
+	seqM, seqTr, err := infer.Sequential(w.Train, w.Exp.N, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg := infer.Config{K: e.InferK, MaxIter: e.MaxIter, Seed: e.Seed + 1}
-	var out []OptimizerComparison
-
-	start := time.Now()
-	seqM, _, err := infer.Sequential(w.Train, e.N, cfg)
+	hogM, hogTr, err := infer.Hogwild(w.Train, w.Exp.N, infer.Config{K: cfg.K, Seed: cfg.Seed},
+		infer.HogwildOptions{Workers: w.Exp.Workers, Epochs: w.Exp.MaxIter, LearnRate: 0.02})
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, OptimizerComparison{
-		Name:      "sequential",
-		Seconds:   time.Since(start).Seconds(),
-		LogLik:    seqM.LogLikAll(w.Train),
-		HeldOutLL: seqM.LogLikAll(w.Test),
-	})
-
-	start = time.Now()
-	hierM, _, err := w.FitEmbeddings()
-	if err != nil {
-		return nil, err
+	row := func(name string, m *embed.Model, tr *infer.Trace, seconds float64) OptimizerComparison {
+		return OptimizerComparison{
+			Name:      name,
+			Seconds:   seconds,
+			LogLik:    m.LogLikAll(w.Train),
+			HeldOutLL: m.LogLikAll(w.Test),
+			Trace:     tr,
+		}
 	}
-	out = append(out, OptimizerComparison{
-		Name:      "hierarchical",
-		Seconds:   time.Since(start).Seconds(),
-		LogLik:    hierM.LogLikAll(w.Train),
-		HeldOutLL: hierM.LogLikAll(w.Test),
-	})
-
-	start = time.Now()
-	hogM, _, err := infer.Hogwild(w.Train, e.N, infer.Config{
-		K: e.InferK, Seed: e.Seed + 1,
-	}, infer.HogwildOptions{Workers: e.Workers, Epochs: e.MaxIter, LearnRate: 0.02})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, OptimizerComparison{
-		Name:      "hogwild",
-		Seconds:   time.Since(start).Seconds(),
-		LogLik:    hogM.LogLikAll(w.Train),
-		HeldOutLL: hogM.LogLikAll(w.Test),
-		Racy:      true,
-	})
-	return out, nil
+	hog := row("hogwild", hogM, hogTr, hogTr.Elapsed.Seconds())
+	hog.Racy = true
+	return []OptimizerComparison{
+		row("sequential", seqM, seqTr, seqTr.Elapsed.Seconds()),
+		row("hierarchical", w.Fit.Embeddings, w.Fit.Trace, w.FitSeconds),
+		hog,
+	}, nil
 }
 
 // RenderOptimizers renders what the seed determines of the optimizer
@@ -164,32 +151,19 @@ type FeatureAblation struct {
 	F1       float64
 }
 
-// AblationFeatures evaluates feature subsets on one fitted workload.
-func AblationFeatures(e SBMExperiment) ([]FeatureAblation, error) {
-	w, err := BuildSBMWorkload(e)
-	if err != nil {
-		return nil, err
-	}
-	model, _, err := w.FitEmbeddings()
-	if err != nil {
-		return nil, err
-	}
-	sets, sizes, err := w.PredictionData(model)
-	if err != nil {
-		return nil, err
-	}
-	threshold := eval.TopFractionThreshold(sizes, 0.2)
+// AblationFeatures evaluates feature subsets on the workload's fit.
+func AblationFeatures(w *SBMWorkload) ([]FeatureAblation, error) {
 	groups := [][]string{
 		{"diverA"},
 		{"normA"},
 		{"maxA"},
-		{"diverA", "normA", "maxA"},
+		trioFeatures,
 		{"earlyCount"},
 		{"diverA", "normA", "maxA", "earlyCount", "earlyRate"},
 	}
 	var out []FeatureAblation
 	for _, g := range groups {
-		cl, err := Classify(sets, sizes, threshold, g, 10, e.Seed+13)
+		cl, err := w.Score(g)
 		if err != nil {
 			return nil, err
 		}
@@ -218,31 +192,31 @@ type TopicSweep struct {
 	HeldOutLL float64
 }
 
-// AblationTopicK sweeps the latent dimension of the inferred model.
-func AblationTopicK(e SBMExperiment, ks []int) ([]TopicSweep, error) {
+// AblationTopicK sweeps the latent dimension of the inferred model. The
+// workload's own K reads its fit; every other K is a core.Train fit of
+// its own. Each is scored under the workload's CV seed.
+func AblationTopicK(w *SBMWorkload, ks []int) ([]TopicSweep, error) {
 	if len(ks) == 0 {
 		ks = []int{1, 2, 4, 8, 16}
 	}
-	w, err := BuildSBMWorkload(e)
-	if err != nil {
-		return nil, err
-	}
 	var out []TopicSweep
 	for _, k := range ks {
-		m, _, err := w.fit(w.Train, k)
+		m, sets, sizes := w.Fit.Embeddings, w.Sets, w.Sizes
+		if k != w.Exp.InferK {
+			sys, err := w.train(w.Train, k)
+			if err != nil {
+				return nil, err
+			}
+			m = sys.Embeddings
+			if sets, sizes, err = w.PredictionData(m); err != nil {
+				return nil, err
+			}
+		}
+		cl, err := Classify(sets, sizes, eval.TopFractionThreshold(sizes, 0.2), nil, 10, w.cvSeed())
 		if err != nil {
 			return nil, err
 		}
-		sets, sizes, err := w.PredictionData(m)
-		if err != nil {
-			return nil, err
-		}
-		threshold := eval.TopFractionThreshold(sizes, 0.2)
-		f1 := 0.0
-		if cl, err := Classify(sets, sizes, threshold, nil, 10, e.Seed+17); err == nil {
-			f1 = cl.F1()
-		}
-		out = append(out, TopicSweep{K: k, F1: f1, HeldOutLL: m.LogLikAll(w.Test)})
+		out = append(out, TopicSweep{K: k, F1: cl.F1(), HeldOutLL: m.LogLikAll(w.Test)})
 	}
 	return out, nil
 }

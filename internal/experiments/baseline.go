@@ -25,37 +25,29 @@ type ModelComparison struct {
 	HeldOutLL  float64
 }
 
-// CompareEdgeBaseline fits both models on the same workload. The edge
-// baseline's held-out likelihood is evaluated only on its candidate
-// edges, which favors it slightly; the node model covers every pair.
-func CompareEdgeBaseline(e SBMExperiment) ([]ModelComparison, error) {
-	w, err := BuildSBMWorkload(e)
-	if err != nil {
-		return nil, err
-	}
-	var out []ModelComparison
-
-	start := time.Now()
-	nodeM, _, err := w.FitEmbeddings()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ModelComparison{
+// CompareEdgeBaseline sets a NetRate fit of the workload's training
+// cascades beside its node-embedding fit (whose fitting time is the
+// whole core.Train, FitSeconds). The edge baseline's held-out likelihood is
+// evaluated only on its candidate edges, which favors it slightly; the
+// node model covers every pair.
+func CompareEdgeBaseline(w *SBMWorkload) ([]ModelComparison, error) {
+	e := w.Exp
+	nodeM := w.Fit.Embeddings
+	out := []ModelComparison{{
 		Name:       "node-embeddings",
 		Parameters: 2 * e.N * e.InferK,
-		Seconds:    time.Since(start).Seconds(),
+		Seconds:    w.FitSeconds,
 		TrainLL:    nodeM.LogLikAll(w.Train),
 		HeldOutLL:  nodeM.LogLikAll(w.Test),
-	})
+	}}
 
-	start = time.Now()
-	edgeM, lls, err := netrate.Fit(w.Train, e.N, netrate.Config{
+	start := time.Now()
+	edgeM, _, err := netrate.Fit(w.Train, e.N, netrate.Config{
 		MinPairCount: 2, MaxIter: e.MaxIter, Seed: e.Seed + 1,
 	})
 	if err != nil {
 		return nil, err
 	}
-	_ = lls
 	out = append(out, ModelComparison{
 		Name:       "edge-rates (NetRate-style)",
 		Parameters: edgeM.NumEdges(),
@@ -76,50 +68,36 @@ type PredictorComparison struct {
 	Threshold int
 }
 
-// ComparePredictors evaluates all three predictors on the same SBM
-// workload at the top-20% virality threshold.
-func ComparePredictors(e SBMExperiment) ([]PredictorComparison, error) {
-	w, err := BuildSBMWorkload(e)
+// ComparePredictors evaluates all four predictors on the workload at
+// its top-20% virality threshold. The SVM rows are classified under the
+// workload's CV seed; the embedding row is its trio score.
+func ComparePredictors(w *SBMWorkload) ([]PredictorComparison, error) {
+	threshold := w.Threshold
+	row := func(name string, conf eval.Confusion) PredictorComparison {
+		return PredictorComparison{Name: name, F1: conf.F1(), Accuracy: conf.Accuracy(), Threshold: threshold}
+	}
+	emb, err := w.Score(nil)
 	if err != nil {
 		return nil, err
 	}
-	model, _, err := w.FitEmbeddings()
+	early, err := w.Score([]string{"earlyCount", "earlyRate"})
 	if err != nil {
 		return nil, err
-	}
-	sets, sizes, err := w.PredictionData(model)
-	if err != nil {
-		return nil, err
-	}
-	threshold := eval.TopFractionThreshold(sizes, 0.2)
-	var out []PredictorComparison
-
-	if cl, err := Classify(sets, sizes, threshold, nil, 10, e.Seed+21); err == nil {
-		out = append(out, PredictorComparison{
-			Name: "embedding features + SVM", F1: cl.F1(), Accuracy: cl.Accuracy(), Threshold: threshold,
-		})
-	}
-	if cl, err := Classify(sets, sizes, threshold, []string{"earlyCount", "earlyRate"}, 10, e.Seed+21); err == nil {
-		out = append(out, PredictorComparison{
-			Name: "early-count features + SVM", F1: cl.F1(), Accuracy: cl.Accuracy(), Threshold: threshold,
-		})
 	}
 	// Topology features (paper §V's first baseline family, refs [20-21]):
 	// requires the true propagation graph and communities, which the
 	// synthetic workload knows but a GDELT-like deployment would not.
 	topoSets, topoSizes, err := features.ExtractTopoAll(w.Graph, w.Membership, w.Test, w.EarlyCutoff())
-	if err == nil && len(topoSets) > 0 {
-		x := make([][]float64, len(topoSets))
-		for i, ts := range topoSets {
-			x[i] = ts.Vector()
-		}
-		y := eval.LabelsBySizeThreshold(topoSizes, threshold)
-		if cl, err := classify(x, y, 10, e.Seed+23); err == nil {
-			out = append(out, PredictorComparison{
-				Name: "topology features + SVM (needs the hidden graph)",
-				F1:   cl.F1(), Accuracy: cl.Accuracy(), Threshold: threshold,
-			})
-		}
+	if err != nil {
+		return nil, err
+	}
+	x := make([][]float64, len(topoSets))
+	for i, ts := range topoSets {
+		x[i] = ts.Vector()
+	}
+	topo, err := classify(x, eval.LabelsBySizeThreshold(topoSizes, threshold), 10, w.cvSeed())
+	if err != nil {
+		return nil, err
 	}
 
 	// Point process: fit on the training cascades (full observations),
@@ -142,12 +120,16 @@ func ComparePredictors(e SBMExperiment) ([]PredictorComparison, error) {
 		}
 		pred = append(pred, l)
 	}
-	if conf, err := eval.Confuse(truth, pred); err == nil {
-		out = append(out, PredictorComparison{
-			Name: "self-exciting point process", F1: conf.F1(), Accuracy: conf.Accuracy(), Threshold: threshold,
-		})
+	pointConf, err := eval.Confuse(truth, pred)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return []PredictorComparison{
+		row("embedding features + SVM", emb.Confusion),
+		row("early-count features + SVM", early.Confusion),
+		row("topology features + SVM (needs the hidden graph)", topo.Confusion),
+		row("self-exciting point process", pointConf),
+	}, nil
 }
 
 // RenderPredictorComparison renders the predictor-family comparison.

@@ -7,7 +7,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"time"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
@@ -61,18 +63,42 @@ func (e SBMExperiment) Validate() error {
 	return nil
 }
 
-// SBMWorkload is a materialized draw split into train/test.
+// SBMWorkload is one materialized draw of an SBMExperiment, split into
+// train/test, together with everything the lab's tables read of it: the
+// one core.Train fit of the training cascades and the test cascades'
+// early-adopter features at the workload's horizon. Every Classify on
+// the workload uses its one CV seed, so a task that repeats across
+// tables prints one score.
 type SBMWorkload struct {
 	Exp SBMExperiment
 	*workload.Draw
 	Train []*cascade.Cascade
 	Test  []*cascade.Cascade
+	// Fit is core.Train on Train: the embeddings, the SLPA partition and
+	// the per-level trace of the one hierarchical fit.
+	Fit *core.System
+	// FitSeconds is the wall time of that core.Train call: co-occurrence,
+	// SLPA and Algorithm 2 (Fit.Trace.Elapsed covers only the last).
+	FitSeconds float64
+	// Sets and Sizes are the usable test cascades' early-adopter
+	// features at EarlyCutoff under Fit's embeddings, and their final
+	// sizes; Threshold is the top-20 % size threshold over Sizes.
+	Sets      []features.Set
+	Sizes     []int
+	Threshold int
 }
+
+// trioFeatures is the paper's feature trio, the classifier's default.
+var trioFeatures = []string{"diverA", "normA", "maxA"}
 
 // EarlyCutoff returns the prediction horizon: EarlyFrac of the window.
 func (w *SBMWorkload) EarlyCutoff() float64 { return w.Exp.Window * w.Exp.EarlyFrac }
 
-// BuildSBMWorkload draws the workload and splits its cascades.
+// cvSeed is the workload's one cross-validation seed.
+func (w *SBMWorkload) cvSeed() uint64 { return w.Exp.Seed + 7 }
+
+// BuildSBMWorkload draws the workload, splits its cascades, fits the
+// training cascades with core.Train and extracts the test features.
 func BuildSBMWorkload(e SBMExperiment) (*SBMWorkload, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -81,25 +107,32 @@ func BuildSBMWorkload(e SBMExperiment) (*SBMWorkload, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SBMWorkload{Exp: e, Draw: d, Train: d.Cascades[:e.Train], Test: d.Cascades[e.Train:]}, nil
+	w := &SBMWorkload{Exp: e, Draw: d, Train: d.Cascades[:e.Train], Test: d.Cascades[e.Train:]}
+	start := time.Now()
+	if w.Fit, err = w.train(w.Train, e.InferK); err != nil {
+		return nil, err
+	}
+	w.FitSeconds = time.Since(start).Seconds()
+	if w.Sets, w.Sizes, err = w.PredictionData(w.Fit.Embeddings); err != nil {
+		return nil, err
+	}
+	w.Threshold = eval.TopFractionThreshold(w.Sizes, 0.2)
+	return w, nil
 }
 
-// FitEmbeddings fits the training cascades as the product does:
-// core.Train (co-occurrence graph, SLPA, hierarchical parallel EM).
-func (w *SBMWorkload) FitEmbeddings() (*embed.Model, *infer.Trace, error) {
-	return w.fit(w.Train, w.Exp.InferK)
-}
-
-// fit is core.Train on cs over the workload's nodes at topic dimension
+// train is core.Train on cs over the workload's nodes at topic dimension
 // k, with the experiment's MaxIter, Workers and seed.
-func (w *SBMWorkload) fit(cs []*cascade.Cascade, k int) (*embed.Model, *infer.Trace, error) {
-	sys, err := core.Train(cs, w.Exp.N, core.TrainConfig{
+func (w *SBMWorkload) train(cs []*cascade.Cascade, k int) (*core.System, error) {
+	return core.Train(cs, w.Exp.N, core.TrainConfig{
 		Topics: k, MaxIter: w.Exp.MaxIter, Workers: w.Exp.Workers, Seed: w.Exp.Seed + 1,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys.Embeddings, sys.Trace, nil
+}
+
+// inferConfig is the infer.Config the workload's core.Train fit runs
+// Algorithm 2 with, for the optimizers and partitions it is compared
+// against.
+func (w *SBMWorkload) inferConfig() infer.Config {
+	return infer.Config{K: w.Exp.InferK, MaxIter: w.Exp.MaxIter, Seed: w.Exp.Seed + 1}
 }
 
 // PredictionData extracts the early-adopter features and final sizes of
@@ -108,10 +141,10 @@ func (w *SBMWorkload) PredictionData(m *embed.Model) ([]features.Set, []int, err
 	return features.ExtractAll(m, w.Test, w.EarlyCutoff())
 }
 
-// PredictionDataAt is PredictionData with an explicit early horizon,
-// used by the early-window sweep.
-func (w *SBMWorkload) PredictionDataAt(m *embed.Model, cutoff float64) ([]features.Set, []int, error) {
-	return features.ExtractAll(m, w.Test, cutoff)
+// Score classifies the workload's top-20 % task at its horizon on the
+// named features (nil means the trio) under the workload's CV seed.
+func (w *SBMWorkload) Score(featureNames []string) (Classification, error) {
+	return Classify(w.Sets, w.Sizes, w.Threshold, featureNames, 10, w.cvSeed())
 }
 
 // Classification is the paper's virality classification at one size
@@ -140,7 +173,7 @@ func Classify(sets []features.Set, sizes []int, threshold int, featureNames []st
 // selects them.
 func designMatrix(sets []features.Set, featureNames []string) ([][]float64, error) {
 	if featureNames == nil {
-		featureNames = []string{"diverA", "normA", "maxA"}
+		featureNames = trioFeatures
 	}
 	x := make([][]float64, len(sets))
 	for i, s := range sets {
@@ -153,6 +186,10 @@ func designMatrix(sets []features.Set, featureNames []string) ([][]float64, erro
 	return x, nil
 }
 
+// errSingleClass is classify's error for a task whose labels are all one
+// class: the one failure a threshold grid skips.
+var errSingleClass = errors.New("experiments: single-class task")
+
 // classify is Classify over an explicit design matrix and labels.
 func classify(x [][]float64, y []int, folds int, seed uint64) (Classification, error) {
 	pos := 0
@@ -162,7 +199,7 @@ func classify(x [][]float64, y []int, folds int, seed uint64) (Classification, e
 		}
 	}
 	if pos == 0 || pos == len(y) {
-		return Classification{}, fmt.Errorf("experiments: single-class task (%d positives of %d)", pos, len(y))
+		return Classification{}, fmt.Errorf("%w (%d positives of %d)", errSingleClass, pos, len(y))
 	}
 	margins, err := eval.CrossValidate(x, y, folds, servedClassifier(seed), xrand.New(seed))
 	if err != nil {

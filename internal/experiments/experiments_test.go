@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"viralcast/internal/cascade"
@@ -10,6 +12,8 @@ import (
 	"viralcast/internal/eval"
 	"viralcast/internal/features"
 	"viralcast/internal/gdelt"
+	"viralcast/internal/infer"
+	"viralcast/internal/mergetree"
 	"viralcast/internal/svm"
 )
 
@@ -28,6 +32,16 @@ func testSBM() SBMExperiment {
 	e = e.scaled(400, 450)
 	e.MaxIter = 8
 	return e
+}
+
+// build draws and fits e's workload.
+func build(t *testing.T, e SBMExperiment) *SBMWorkload {
+	t.Helper()
+	w, err := BuildSBMWorkload(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func testGDELT() gdelt.Config {
@@ -86,7 +100,7 @@ func TestBuildSBMWorkload(t *testing.T) {
 }
 
 func TestFigures6to9SmallScale(t *testing.T) {
-	scatter, fig9, err := Figures6to9(testSBM())
+	scatter, fig9, err := Figures6to9(build(t, testSBM()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +493,7 @@ func TestLabClassifierMatchesTrainPredictor(t *testing.T) {
 func TestAblationMergePolicy(t *testing.T) {
 	sc := DefaultScaling()
 	sc.MaxIter = 5
-	rows, err := AblationMergePolicy(testSBM(), sc, 8)
+	rows, err := AblationMergePolicy(build(t, testSBM()), sc, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +514,7 @@ func TestAblationMergePolicy(t *testing.T) {
 func TestAblationOptimizers(t *testing.T) {
 	e := testSBM()
 	e.MaxIter = 5
-	rows, err := AblationOptimizers(e)
+	rows, err := AblationOptimizers(build(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +539,7 @@ func TestAblationOptimizers(t *testing.T) {
 }
 
 func TestAblationFeatures(t *testing.T) {
-	rows, err := AblationFeatures(testSBM())
+	rows, err := AblationFeatures(build(t, testSBM()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +559,7 @@ func TestAblationFeatures(t *testing.T) {
 func TestAblationTopicK(t *testing.T) {
 	e := testSBM()
 	e.MaxIter = 5
-	rows, err := AblationTopicK(e, []int{1, 4})
+	rows, err := AblationTopicK(build(t, e), []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,30 +572,26 @@ func TestAblationTopicK(t *testing.T) {
 }
 
 func TestClassifyErrors(t *testing.T) {
-	w, err := BuildSBMWorkload(testSBM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, _, err := w.FitEmbeddings()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, sizes, err := w.PredictionData(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Classify(sets, sizes, 1<<30, nil, 10, 1); err == nil {
-		t.Error("single-class threshold accepted")
+	w := build(t, testSBM())
+	sets, sizes := w.Sets, w.Sizes
+	if _, err := Classify(sets, sizes, 1<<30, nil, 10, 1); !errors.Is(err, errSingleClass) {
+		t.Errorf("single-class threshold: err %v, want errSingleClass", err)
 	}
 	if _, err := Classify(sets, sizes, 2, []string{"nope"}, 10, 1); err == nil {
 		t.Error("unknown feature accepted")
+	}
+	// A threshold grid skips only single-class thresholds: eight cascades
+	// cannot fill ten folds, and the grid returns that failure rather than
+	// printing the thresholds it could score.
+	if _, _, err := thresholdGrid(sets[:8], sizes[:8], 1); err == nil || errors.Is(err, errSingleClass) || !strings.Contains(err.Error(), "fold") {
+		t.Errorf("threshold grid over 8 cascades: err %v, want the cross-validation's", err)
 	}
 }
 
 func TestCompareEdgeBaseline(t *testing.T) {
 	e := testSBM()
 	e.MaxIter = 5
-	rows, err := CompareEdgeBaseline(e)
+	rows, err := CompareEdgeBaseline(build(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +617,7 @@ func TestCompareEdgeBaseline(t *testing.T) {
 func TestComparePredictors(t *testing.T) {
 	e := testSBM()
 	e.MaxIter = 5
-	rows, err := ComparePredictors(e)
+	rows, err := ComparePredictors(build(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,30 +637,31 @@ func TestComparePredictors(t *testing.T) {
 func TestConvergenceStudy(t *testing.T) {
 	e := testSBM()
 	e.MaxIter = 6
-	res, err := ConvergenceStudy(e)
+	rows, err := AblationOptimizers(build(t, e))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sequential) < 2 {
-		t.Fatalf("sequential trajectory too short: %v", res.Sequential)
+	seq, hier, hog := rows[0].Trace.LogLik, rows[1].Trace.Levels, rows[2].Trace.LogLik
+	if len(seq) < 2 {
+		t.Fatalf("sequential trajectory too short: %v", seq)
 	}
 	// Sequential trajectory must be monotone non-decreasing.
-	for i := 1; i < len(res.Sequential); i++ {
-		if res.Sequential[i] < res.Sequential[i-1]-1e-9 {
-			t.Fatalf("sequential loglik decreased: %v", res.Sequential)
+	for i := 1; i < len(seq); i++ {
+		if seq[i] < seq[i-1]-1e-9 {
+			t.Fatalf("sequential loglik decreased: %v", seq)
 		}
 	}
-	if len(res.Hierarchical) == 0 || len(res.Hierarchical) != len(res.HierLevels) {
-		t.Fatalf("hierarchical trajectory malformed: %v / %v", res.Hierarchical, res.HierLevels)
+	if len(hier) == 0 {
+		t.Fatal("hierarchical trajectory empty")
 	}
 	// The hierarchy must end at the root.
-	if res.HierLevels[len(res.HierLevels)-1] != 1 {
-		t.Errorf("last level = %d communities", res.HierLevels[len(res.HierLevels)-1])
+	if last := hier[len(hier)-1].Communities; last != 1 {
+		t.Errorf("last level = %d communities", last)
 	}
-	if len(res.Hogwild) != 6 {
-		t.Errorf("hogwild epochs = %d", len(res.Hogwild))
+	if len(hog) != 6 {
+		t.Errorf("hogwild epochs = %d", len(hog))
 	}
-	if s := res.Render(); len(s) < 100 {
+	if s := RenderConvergence(rows); len(s) < 100 {
 		t.Error("render too short")
 	}
 }
@@ -658,7 +669,8 @@ func TestConvergenceStudy(t *testing.T) {
 func TestSweepEarlyWindow(t *testing.T) {
 	e := testSBM()
 	e.MaxIter = 5
-	res, err := SweepEarlyWindow(e, []float64{0.1, 0.3, 0.6})
+	w := build(t, e)
+	res, err := SweepEarlyWindow(w, []float64{0.1, 0.3, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +688,7 @@ func TestSweepEarlyWindow(t *testing.T) {
 			t.Errorf("coverage decreased with a longer horizon: %v", res.Coverage)
 		}
 	}
-	if _, err := SweepEarlyWindow(e, []float64{1.5}); err == nil {
+	if _, err := SweepEarlyWindow(w, []float64{1.5}); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
 	if s := res.Render(); len(s) < 50 {
@@ -687,7 +699,7 @@ func TestSweepEarlyWindow(t *testing.T) {
 func TestSweepTrainingSize(t *testing.T) {
 	e := testSBM()
 	e.MaxIter = 5
-	res, err := SweepTrainingSize(e, []int{60, 150, 300})
+	res, err := SweepTrainingSize(build(t, e), []int{60, 150, 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,4 +716,126 @@ func TestSweepTrainingSize(t *testing.T) {
 	if s := res.Render(); len(s) < 50 {
 		t.Error("render too short")
 	}
+}
+
+// TestLabSharesOneFit: at the scale of `figures -scale small`, the lab's
+// tables read one core.Train fit of the workload and score its trio task
+// under one CV seed, and the scaling figures schedule what core.Train
+// fits.
+//   - The trio rows (the feature ablation's, the workload's K, the
+//     predictor families' embedding row, the horizon sweep at the
+//     workload's horizon) and Figure 9's top-20 % row print one F1.
+//   - The optimizer ablation's hierarchical row and the convergence
+//     trajectory are core.Train's trace on the same draw, and the merge
+//     ablation's by-community-count row is that trace cut at Q, which a
+//     fit stopped at Q over the same partition reproduces.
+//   - Each Figure 10 series is ScheduleCost over the levels of
+//     core.Train stopped at Q (fitted here on one worker: the work
+//     counts are the same at any worker count).
+func TestLabSharesOneFit(t *testing.T) {
+	e := testSBM()
+	w := build(t, e)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+	_, fig9, err := Figures6to9(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat, err := AblationFeatures(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := AblationTopicK(w, []int{1, e.InferK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds, err := ComparePredictors(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := SweepEarlyWindow(w, []float64{0.1, e.EarlyFrac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trio := map[string]float64{
+		"feature ablation diverA+normA+maxA": feat[3].F1,
+		"topic sweep K = InferK":             ks[1].F1,
+		"predictor families embedding row":   preds[0].F1,
+		"horizon sweep at EarlyFrac":         early.F1[1],
+	}
+	for name, f1 := range trio {
+		if !same(f1, fig9.TopFracF1) {
+			t.Errorf("%s prints F1 %v, Figure 9's top-20 %% row %v", name, f1, fig9.TopFracF1)
+		}
+	}
+
+	sys, err := core.Train(w.Train, e.N, core.TrainConfig{
+		Topics: e.InferK, MaxIter: e.MaxIter, Workers: e.Workers, Seed: e.Seed + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := sys.Trace.Levels
+	opt, err := AblationOptimizers(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hier := opt[1]; hier.Name != "hierarchical" || !reflect.DeepEqual(hier.Trace.Levels, levels) ||
+		!same(hier.LogLik, levels[len(levels)-1].LogLik) {
+		t.Errorf("optimizer row %q: levels %+v, train loglik %v; core.Train's trace %+v",
+			hier.Name, hier.Trace.Levels, hier.LogLik, levels)
+	}
+
+	// At this scale the base partition already has at most the default
+	// Q = 10 communities; Q = 3 cuts the trace two joins deeper.
+	sc := DefaultScaling()
+	for _, q := range []int{sc.Q, 3} {
+		sc.Q = q
+		merge, err := AblationMergePolicy(w, sc, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stopped, err := infer.Hierarchical(w.Train, e.N, sys.Partition,
+			infer.Config{K: e.InferK, MaxIter: e.MaxIter, Seed: e.Seed + 1},
+			infer.ParallelOptions{Workers: 1, Q: q, Policy: mergetree.ByCommunityCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := stopped.Levels
+		if !reflect.DeepEqual(cut, levels[:len(cut)]) || cut[len(cut)-1].Communities > q ||
+			(len(cut) > 1 && cut[len(cut)-2].Communities <= q) {
+			t.Fatalf("a fit stopped at Q = %d runs levels %+v, not a prefix of core.Train's %+v", q, cut, levels)
+		}
+		if row := merge[0]; !same(row.LogLik, cut[len(cut)-1].LogLik) ||
+			!same(row.Seconds, ScheduleCost(cut, 8, sc.BarrierCost).Seconds()) {
+			t.Errorf("Q = %d: by-community-count row %+v; the fit stopped at Q: loglik %v, %v s",
+				q, row, cut[len(cut)-1].LogLik, ScheduleCost(cut, 8, sc.BarrierCost).Seconds())
+		}
+		t.Logf("Q = %d: merge ablation cut at %d levels", q, len(cut))
+	}
+
+	sc = DefaultScaling()
+	sc.MaxIter = e.MaxIter
+	series, err := Figure10(sc, e.N, []int{200, 400, 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range series {
+		cs, err := drawScaling(sc, s.N, s.C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fit, err := core.Train(cs, s.N, core.TrainConfig{
+			Topics: sc.InferK, MaxIter: sc.MaxIter, Workers: 1, Q: sc.Q, Seed: sc.Seed + 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cores := range s.Cores {
+			if want := ScheduleCost(fit.Trace.Levels, cores, sc.BarrierCost).Seconds(); !same(s.Seconds[i], want) {
+				t.Errorf("Figure 10 %s at %d cores: %v s, core.Train's levels schedule %v s", s.Label, cores, s.Seconds[i], want)
+			}
+		}
+	}
+	t.Logf("trio F1 %.3f; %d levels, root loglik %.1f", fig9.TopFracF1, len(levels), levels[len(levels)-1].LogLik)
 }

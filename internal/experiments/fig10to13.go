@@ -6,13 +6,9 @@ import (
 	"time"
 
 	"viralcast/internal/cascade"
-	"viralcast/internal/cooccur"
-	"viralcast/internal/infer"
-	"viralcast/internal/mergetree"
+	"viralcast/internal/core"
 	"viralcast/internal/report"
-	"viralcast/internal/slpa"
 	"viralcast/internal/workload"
-	"viralcast/internal/xrand"
 )
 
 // ScalingExperiment configures the parallel-performance studies of
@@ -104,24 +100,20 @@ func drawScaling(sc ScalingExperiment, n, cascades int) ([]*cascade.Cascade, err
 	return w.Cascades, nil
 }
 
-// runScalingWorkload fits one workload's cascades on n nodes
-// hierarchically and models its runtime at every core count from the
-// fit's work counts.
+// runScalingWorkload fits one workload's cascades on n nodes as the
+// product does, core.Train stopped at sc.Q communities, and models its
+// runtime at every core count from the fit's work counts.
 func runScalingWorkload(sc ScalingExperiment, n int, cs []*cascade.Cascade, label string) (*ScalingSeries, error) {
-	g, err := cooccur.Build(cs, n, cooccur.Options{})
-	if err != nil {
-		return nil, err
-	}
-	part := slpa.Detect(g, slpa.Options{}, xrand.New(sc.Seed^0x51a9))
-	cfg := infer.Config{K: sc.InferK, MaxIter: sc.MaxIter, Seed: sc.Seed + 1}
-	_, tr, err := infer.Hierarchical(cs, n, part, cfg, infer.ParallelOptions{Workers: 1, Q: sc.Q, Policy: mergetree.ByCommunityCount})
+	sys, err := core.Train(cs, n, core.TrainConfig{
+		Topics: sc.InferK, MaxIter: sc.MaxIter, Q: sc.Q, Seed: sc.Seed + 1,
+	})
 	if err != nil {
 		return nil, err
 	}
 	series := &ScalingSeries{Label: label, N: n, C: len(cs), Cores: sc.Cores}
 	for _, cores := range sc.Cores {
 		series.Seconds = append(series.Seconds,
-			ScheduleCost(tr.Levels, cores, sc.BarrierCost).Seconds())
+			ScheduleCost(sys.Trace.Levels, cores, sc.BarrierCost).Seconds())
 	}
 	return series, nil
 }

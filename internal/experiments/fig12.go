@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"viralcast/internal/core"
@@ -78,30 +77,15 @@ func Figure12(e GDELTPredictionExperiment) (*Figure12Result, error) {
 	if len(sets) < 20 {
 		return nil, fmt.Errorf("experiments: only %d usable test events", len(sets))
 	}
-	res := &Figure12Result{Events: len(sets)}
-	sorted := append([]int(nil), sizes...)
-	sort.Ints(sorted)
-	seen := map[int]bool{}
-	for _, q := range []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95} {
-		th := sorted[int(q*float64(len(sorted)-1))]
-		if th < 2 || seen[th] {
-			continue
-		}
-		seen[th] = true
-		cl, err := Classify(sets, sizes, th, nil, 10, e.Seed+9)
-		if err != nil {
-			continue
-		}
-		res.Thresholds = append(res.Thresholds, th)
-		res.F1 = append(res.F1, cl.F1())
+	res := &Figure12Result{Events: len(sets), TopFracThr: eval.TopFractionThreshold(sizes, 0.2)}
+	if res.Thresholds, res.F1, err = thresholdGrid(sets, sizes, e.Seed+9); err != nil {
+		return nil, err
 	}
-	if len(res.Thresholds) == 0 {
-		return nil, fmt.Errorf("experiments: no usable thresholds for GDELT prediction")
+	top, err := Classify(sets, sizes, res.TopFracThr, nil, 10, e.Seed+9)
+	if err != nil {
+		return nil, err
 	}
-	res.TopFracThr = eval.TopFractionThreshold(sizes, 0.2)
-	if cl, err := Classify(sets, sizes, res.TopFracThr, nil, 10, e.Seed+9); err == nil {
-		res.TopFracF1, res.TopFracAUC = cl.F1(), cl.AUC
-	}
+	res.TopFracF1, res.TopFracAUC = top.F1(), top.AUC
 	return res, nil
 }
 

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
-	"viralcast/internal/eval"
 	"viralcast/internal/features"
 	"viralcast/internal/report"
 	"viralcast/internal/stats"
@@ -36,21 +36,9 @@ type Figure9Result struct {
 	TopFracAUC float64
 }
 
-// Figures6to9 runs the full SBM prediction study once and derives all
-// four figures from it.
-func Figures6to9(e SBMExperiment) (*FeatureScatterResult, *Figure9Result, error) {
-	w, err := BuildSBMWorkload(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	model, _, err := w.FitEmbeddings()
-	if err != nil {
-		return nil, nil, err
-	}
-	sets, sizes, err := w.PredictionData(model)
-	if err != nil {
-		return nil, nil, err
-	}
+// Figures6to9 derives all four figures from the workload's one fit.
+func Figures6to9(w *SBMWorkload) (*FeatureScatterResult, *Figure9Result, error) {
+	sets, sizes := w.Sets, w.Sizes
 	if len(sets) == 0 {
 		return nil, nil, fmt.Errorf("experiments: no test cascades usable for prediction")
 	}
@@ -70,49 +58,53 @@ func Figures6to9(e SBMExperiment) (*FeatureScatterResult, *Figure9Result, error)
 	scatter.CorrNormA = stats.Spearman(fNorm, fSize)
 	scatter.CorrMaxA = stats.Spearman(fMax, fSize)
 
-	fig9, err := figure9(sets, sizes, e.Seed)
+	// Figure 9 (paper: "We use different number of nodes as the threshold
+	// for the binary classification and plot the F1-measure").
+	fig9 := &Figure9Result{TopFracThr: w.Threshold}
+	var err error
+	if fig9.SizeHist, err = histogramOfSizes(sizes, 15); err != nil {
+		return nil, nil, err
+	}
+	if fig9.Thresholds, fig9.F1, err = thresholdGrid(sets, sizes, w.cvSeed()); err != nil {
+		return nil, nil, err
+	}
+	top, err := w.Score(nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	fig9.TopFracF1, fig9.TopFracAUC = top.F1(), top.AUC
 	return scatter, fig9, nil
 }
 
-// figure9 sweeps size thresholds across the distribution and evaluates
-// the classifier at each (paper: "We use different number of nodes as
-// the threshold for the binary classification and plot the F1-measure").
-func figure9(sets []features.Set, sizes []int, seed uint64) (*Figure9Result, error) {
-	out := &Figure9Result{}
-	var err error
-	out.SizeHist, err = histogramOfSizes(sizes, 15)
-	if err != nil {
-		return nil, err
-	}
-	// Threshold grid: deciles of the size distribution (deduplicated),
-	// skipping degenerate single-class tasks.
-	sorted := append([]int(nil), sizes...)
-	sort.Ints(sorted)
-	seen := map[int]bool{}
+// thresholdGrid classifies the trio task at each decile of the size
+// distribution from the 30th to the 95th percentile (deduplicated, sizes
+// below 2 left out) and returns the thresholds scored and their F1. A
+// threshold that leaves one class is skipped; any other failure is
+// returned.
+func thresholdGrid(sets []features.Set, sizes []int, seed uint64) ([]int, []float64, error) {
+	sorted := slices.Clone(sizes)
+	slices.Sort(sorted)
+	var thresholds []int
+	var f1 []float64
 	for _, q := range []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95} {
 		th := sorted[int(q*float64(len(sorted)-1))]
-		if th < 2 || seen[th] {
+		if th < 2 || slices.Contains(thresholds, th) {
 			continue
 		}
-		seen[th] = true
-		cl, err := Classify(sets, sizes, th, nil, 10, seed+7)
-		if err != nil {
-			continue // single-class task at this threshold
+		cl, err := Classify(sets, sizes, th, nil, 10, seed)
+		if errors.Is(err, errSingleClass) {
+			continue
 		}
-		out.Thresholds = append(out.Thresholds, th)
-		out.F1 = append(out.F1, cl.F1())
+		if err != nil {
+			return nil, nil, err
+		}
+		thresholds = append(thresholds, th)
+		f1 = append(f1, cl.F1())
 	}
-	if len(out.Thresholds) == 0 {
-		return nil, fmt.Errorf("experiments: no usable thresholds (size distribution too degenerate)")
+	if len(thresholds) == 0 {
+		return nil, nil, fmt.Errorf("experiments: no usable thresholds (size distribution too degenerate)")
 	}
-	out.TopFracThr = eval.TopFractionThreshold(sizes, 0.2)
-	if cl, err := Classify(sets, sizes, out.TopFracThr, nil, 10, seed+7); err == nil {
-		out.TopFracF1, out.TopFracAUC = cl.F1(), cl.AUC
-	}
-	return out, nil
+	return thresholds, f1, nil
 }
 
 func histogramOfSizes(sizes []int, bins int) ([]stats.Bin, error) {

@@ -28,10 +28,7 @@ func TestEndToEndInfluenceRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := w.FitEmbeddings()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := w.Fit.Embeddings
 	counts := make([]float64, e.N)
 	for _, c := range w.Train {
 		for _, inf := range c.Infections {

@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"strings"
 
+	"viralcast/internal/cascade"
 	"viralcast/internal/eval"
+	"viralcast/internal/features"
 	"viralcast/internal/report"
 )
 
 // EarlyWindowSweep answers the deployment question the paper's fixed
 // 2/7 horizon leaves open: how does prediction quality change with how
-// long we wait before predicting? One workload is built and fitted once;
+// long we wait before predicting? The workload's one fit is scored as
 // the early-adopter horizon sweeps across the observation window.
 type EarlyWindowSweep struct {
 	Fractions []float64
@@ -21,36 +23,27 @@ type EarlyWindowSweep struct {
 	Coverage []float64
 }
 
-// SweepEarlyWindow evaluates the top-20% task at several horizons.
-func SweepEarlyWindow(e SBMExperiment, fractions []float64) (*EarlyWindowSweep, error) {
+// SweepEarlyWindow evaluates the top-20% task on the workload's fit at
+// several horizons under the workload's CV seed.
+func SweepEarlyWindow(w *SBMWorkload, fractions []float64) (*EarlyWindowSweep, error) {
 	if len(fractions) == 0 {
 		fractions = []float64{0.05, 0.1, 0.2, 2.0 / 7.0, 0.4, 0.6}
-	}
-	w, err := BuildSBMWorkload(e)
-	if err != nil {
-		return nil, err
-	}
-	model, _, err := w.FitEmbeddings()
-	if err != nil {
-		return nil, err
 	}
 	out := &EarlyWindowSweep{}
 	for _, frac := range fractions {
 		if frac <= 0 || frac >= 1 {
 			return nil, fmt.Errorf("experiments: early fraction %v out of (0,1)", frac)
 		}
-		cutoff := e.Window * frac
-		sets, sizes, err := w.PredictionDataAt(model, cutoff)
+		sets, sizes, err := features.ExtractAll(w.Fit.Embeddings, w.Test, w.Exp.Window*frac)
 		if err != nil {
 			return nil, err
 		}
 		if len(sets) < 20 {
 			continue // horizon too early: almost nothing observable
 		}
-		threshold := eval.TopFractionThreshold(sizes, 0.2)
-		cl, err := Classify(sets, sizes, threshold, nil, 10, e.Seed+31)
+		cl, err := Classify(sets, sizes, eval.TopFractionThreshold(sizes, 0.2), nil, 10, w.cvSeed())
 		if err != nil {
-			continue
+			return nil, err
 		}
 		out.Fractions = append(out.Fractions, frac)
 		out.F1 = append(out.F1, cl.F1())
@@ -90,19 +83,13 @@ type SampleComplexity struct {
 }
 
 // SweepTrainingSize fits the model on nested prefixes of the training
-// cascades and scores each on the same held-out set.
-func SweepTrainingSize(e SBMExperiment, trainSizes []int) (*SampleComplexity, error) {
+// cascades and scores each on the same held-out set; the full training
+// set is the workload's own fit.
+func SweepTrainingSize(w *SBMWorkload, trainSizes []int) (*SampleComplexity, error) {
 	if len(trainSizes) == 0 {
 		trainSizes = []int{100, 200, 400, 800, 1600}
 	}
-	w, err := BuildSBMWorkload(e)
-	if err != nil {
-		return nil, err
-	}
-	testInfections := 0
-	for _, c := range w.Test {
-		testInfections += c.Size()
-	}
+	testInfections := cascade.TotalInfections(w.Test)
 	if testInfections == 0 {
 		return nil, fmt.Errorf("experiments: empty held-out set")
 	}
@@ -111,9 +98,13 @@ func SweepTrainingSize(e SBMExperiment, trainSizes []int) (*SampleComplexity, er
 		if sz < 10 || sz > len(w.Train) {
 			continue
 		}
-		m, _, err := w.fit(w.Train[:sz], e.InferK)
-		if err != nil {
-			return nil, err
+		m := w.Fit.Embeddings
+		if sz < len(w.Train) {
+			sys, err := w.train(w.Train[:sz], w.Exp.InferK)
+			if err != nil {
+				return nil, err
+			}
+			m = sys.Embeddings
 		}
 		out.TrainSizes = append(out.TrainSizes, sz)
 		out.HeldOutPerInfection = append(out.HeldOutPerInfection,

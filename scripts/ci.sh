@@ -64,13 +64,14 @@ done
 # printed output, which must not depend on the worker count; nor may the
 # lab's figures, whose `-fig all -scale small` stdout is the committed
 # results/figures_small.log (amd64; the test skips elsewhere), nor the
-# lab's two checks that it fits and classifies what core.Train and
-# core.TrainPredictor do (both fit through core.Train's worker pool).
+# lab's three checks that it fits and classifies what core.Train and
+# core.TrainPredictor do, each fit and score once (all fit through
+# core.Train's worker pool).
 echo "== examples and the figures golden (checked output, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -count=1 -run '^Example' . ./internal/serve/
   GOMAXPROCS=$procs go test -count=1 -run '^TestFiguresSmallGolden$' ./cmd/figures/
-  GOMAXPROCS=$procs go test -count=1 -run '^(TestFigure12FitsWhatTrainFits|TestLabClassifierMatchesTrainPredictor)$' ./internal/experiments/
+  GOMAXPROCS=$procs go test -count=1 -run '^(TestFigure12FitsWhatTrainFits|TestLabClassifierMatchesTrainPredictor|TestLabSharesOneFit)$' ./internal/experiments/
 done
 
 # bench/ is a module of its own (replace viralcast => ../), so ./... above
