@@ -24,3 +24,21 @@ func TestDaemonLinksNoLabPackage(t *testing.T) {
 		t.Fatalf("cmd/viralcast links lab packages: %v", hits)
 	}
 }
+
+// TestTrainingLinksNoFaultInjector pins that the fit and its checkpoints
+// have no fault hooks: their failure paths are driven by test inputs
+// (non-finite data, a canceling context, a truncated file, an unwritable
+// path), so the injector must not be linked into them.
+func TestTrainingLinksNoFaultInjector(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go is not on PATH")
+	}
+	out, err := exec.Command(goBin, "list", "-deps", "viralcast/internal/infer", "viralcast/internal/checkpoint").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	if regexp.MustCompile(`(?m)^viralcast/internal/faultinject$`).Match(out) {
+		t.Fatal("internal/infer or internal/checkpoint links internal/faultinject")
+	}
+}

@@ -7,13 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
 	"viralcast/internal/embed"
-	"viralcast/internal/faultinject"
 )
 
 // simulateFixture writes a small cascade file and returns its path.
@@ -214,10 +214,27 @@ func TestCmdRejectsHugeNodeID(t *testing.T) {
 	}
 }
 
-// TestCmdInferCheckpointResume interrupts an infer run mid-training (the
-// fault injector cancels the context from inside the fit loop, standing
-// in for SIGINT), checks that a checkpoint was persisted, and verifies
-// that -resume produces the same model file as an uninterrupted run.
+// cancelAfter is a context whose Err reports context.Canceled from its
+// n-th call on: a SIGINT landing at an exact point of the fit, whatever
+// the worker schedule. Its Done channel never closes; the fit polls Err.
+type cancelAfter struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCmdInferCheckpointResume interrupts an infer run mid-training (a
+// context that cancels at its 40th Err call, inside the fit's second
+// level, standing in for SIGINT), checks that a checkpoint was
+// persisted, and verifies that -resume produces the same model file as
+// an uninterrupted run.
 func TestCmdInferCheckpointResume(t *testing.T) {
 	path := simulateFixture(t)
 	dir := t.TempDir()
@@ -225,13 +242,8 @@ func TestCmdInferCheckpointResume(t *testing.T) {
 	resumed := filepath.Join(dir, "resumed.csv")
 	straight := filepath.Join(dir, "straight.csv")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "infer.epoch", Action: faultinject.Call, Hit: 6, Fn: cancel, Times: 1})
-	deactivate := faultinject.Activate(inj)
+	ctx := &cancelAfter{Context: context.Background(), n: 40}
 	err := cmdInfer(ctx, []string{"-in", path, "-topics", "2", "-iters", "5", "-checkpoint", ckpt})
-	deactivate()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted infer returned %v, want context.Canceled", err)
 	}
@@ -282,7 +294,7 @@ func TestCmdInferCheckpointResume(t *testing.T) {
 func TestCmdInferResumeRequiresCheckpoint(t *testing.T) {
 	path := simulateFixture(t)
 	err := cmdInfer(context.Background(), []string{"-in", path, "-topics", "2", "-iters", "2", "-resume"})
-	if err == nil || !strings.Contains(err.Error(), "Resume requires CheckpointPath") {
+	if err == nil || !strings.Contains(err.Error(), "Resume requires a checkpoint Path") {
 		t.Fatalf("-resume without -checkpoint: err = %v", err)
 	}
 }

@@ -29,18 +29,18 @@ import (
 
 	"viralcast/internal/durable"
 	"viralcast/internal/embed"
-	"viralcast/internal/faultinject"
 )
 
 const magic = "viralcast-checkpoint v1"
 
-// State is everything a fit loop needs to continue where it stopped.
+// State is a snapshot of a hierarchical fit (infer.HierarchicalCtx):
+// everything it needs to continue where it stopped.
 type State struct {
-	// Model is the embedding snapshot at a consistent optimization
-	// boundary (end of an accepted epoch or a hierarchy level).
+	// Model is the embeddings at a hierarchy level boundary, the only
+	// globally consistent state of the fit, so a resumed run never
+	// starts from a half-applied update.
 	Model *embed.Model
-	// Level counts fully completed hierarchy levels (0 for sequential
-	// fits).
+	// Level counts fully completed hierarchy levels.
 	Level int
 	// Seed is the run's RNG seed; a resume must be given the same data
 	// and configuration for the remaining schedule to line up.
@@ -65,13 +65,7 @@ func Save(path string, st *State) error {
 	fmt.Fprintf(&buf, "level=%d seed=%d loglik=%s\n",
 		st.Level, st.Seed, strconv.FormatFloat(st.LogLik, 'g', -1, 64))
 	embed.WriteEnvelope(&buf, payload.Bytes()) //nolint:errcheck // a bytes.Buffer write cannot fail
-	data := buf.Bytes()
-	// Fault site "checkpoint.write": tests chop bytes off what is written
-	// to prove that Load detects a crash-truncated checkpoint.
-	if n := faultinject.TruncateBy("checkpoint.write"); n > 0 {
-		data = data[:len(data)-n]
-	}
-	if err := durable.WriteFile(path, data, 0o600); err != nil {
+	if err := durable.WriteFile(path, buf.Bytes(), 0o600); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"viralcast/internal/cascade"
-	"viralcast/internal/checkpoint"
 	"viralcast/internal/cooccur"
 	"viralcast/internal/embed"
 	"viralcast/internal/eval"
@@ -203,10 +202,6 @@ func TrainCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg TrainConfig
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("core: no training cascades")
 	}
-	res, err := cfg.resilience()
-	if err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -222,41 +217,12 @@ func TrainCtx(ctx context.Context, cs []*cascade.Cascade, n int, cfg TrainConfig
 	part := slpa.Detect(g, slpa.Options{}, xrand.New(cfg.Seed^0x5eed))
 	m, tr, err := infer.HierarchicalCtx(ctx, cs, n, part,
 		infer.Config{K: cfg.Topics, MaxIter: cfg.MaxIter, Seed: cfg.Seed},
-		infer.ParallelOptions{Workers: cfg.Workers, Q: cfg.Q}, res)
+		infer.ParallelOptions{Workers: cfg.Workers, Q: cfg.Q},
+		infer.Resilience{Path: cfg.CheckpointPath, Resume: cfg.Resume})
 	if err != nil {
 		return nil, err
 	}
 	return &System{N: n, Embeddings: m, Partition: part, Trace: tr, cfg: cfg}, nil
-}
-
-// resilience translates the checkpoint knobs into the inference layer's
-// Resilience hooks, loading the resume snapshot if requested.
-func (c TrainConfig) resilience() (infer.Resilience, error) {
-	var res infer.Resilience
-	if c.CheckpointPath == "" {
-		if c.Resume {
-			return res, fmt.Errorf("core: Resume requires CheckpointPath")
-		}
-		return res, nil
-	}
-	path := c.CheckpointPath
-	res.Checkpoint = func(st infer.FitState) error {
-		return checkpoint.Save(path, &checkpoint.State{
-			Model: st.Model, Level: st.Level, Seed: st.Seed, LogLik: st.LogLik,
-		})
-	}
-	if c.Resume {
-		st, err := checkpoint.Resume(path)
-		if err != nil {
-			return res, err
-		}
-		if st != nil {
-			res.Resume = &infer.FitState{
-				Model: st.Model, Level: st.Level, Seed: st.Seed, LogLik: st.LogLik,
-			}
-		}
-	}
-	return res, nil
 }
 
 // Update refits the embeddings to cs by the fit's closed-form EM,

@@ -18,8 +18,9 @@ type EarlyWindowSweep struct {
 	Fractions []float64
 	F1        []float64
 	Accuracy  []float64
-	// Coverage is the fraction of test cascades observable (>= 1 report)
-	// at each horizon.
+	// Coverage is the fraction of test cascades with at least one
+	// infection besides the seed by each horizon: the ones whose early
+	// features see more than the seed's own report.
 	Coverage []float64
 }
 
@@ -34,12 +35,16 @@ func SweepEarlyWindow(w *SBMWorkload, fractions []float64) (*EarlyWindowSweep, e
 		if frac <= 0 || frac >= 1 {
 			return nil, fmt.Errorf("experiments: early fraction %v out of (0,1)", frac)
 		}
-		sets, sizes, err := features.ExtractAll(w.Fit.Embeddings, w.Test, w.Exp.Window*frac)
+		cutoff := w.Exp.Window * frac
+		sets, sizes, err := features.ExtractAll(w.Fit.Embeddings, w.Test, cutoff)
 		if err != nil {
 			return nil, err
 		}
-		if len(sets) < 20 {
-			continue // horizon too early: almost nothing observable
+		seen := 0
+		for _, c := range w.Test {
+			if c.Prefix(cutoff).Size() >= 2 {
+				seen++
+			}
 		}
 		cl, err := Classify(sets, sizes, eval.TopFractionThreshold(sizes, 0.2), nil, 10, w.cvSeed())
 		if err != nil {
@@ -48,10 +53,7 @@ func SweepEarlyWindow(w *SBMWorkload, fractions []float64) (*EarlyWindowSweep, e
 		out.Fractions = append(out.Fractions, frac)
 		out.F1 = append(out.F1, cl.F1())
 		out.Accuracy = append(out.Accuracy, cl.Accuracy())
-		out.Coverage = append(out.Coverage, float64(len(sets))/float64(len(w.Test)))
-	}
-	if len(out.Fractions) == 0 {
-		return nil, fmt.Errorf("experiments: no usable horizons")
+		out.Coverage = append(out.Coverage, float64(seen)/float64(len(w.Test)))
 	}
 	return out, nil
 }

@@ -16,7 +16,7 @@ import (
 // each other, read with go/parser from every Go file under the root
 // (the main module and bench/):
 //
-//   - every site a non-test file hooks (Fire, PoisonFloats, TruncateBy)
+//   - every site a non-test file hooks (Fire, TruncateBy)
 //     is armed by at least one test, so no failure path ships untested;
 //   - every site a test arms is hooked in non-test code, or by the same
 //     test file (a test that plays the product side itself), so a
@@ -44,7 +44,7 @@ func TestSiteCensus(t *testing.T) {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				name := selected(n.Fun, f.Name.Name)
-				if (name != "Fire" && name != "PoisonFloats" && name != "TruncateBy") || len(n.Args) == 0 {
+				if (name != "Fire" && name != "TruncateBy") || len(n.Args) == 0 {
 					return true
 				}
 				site, ok := stringLit(n.Args[0])

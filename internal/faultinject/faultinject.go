@@ -1,23 +1,23 @@
 // Package faultinject is a deterministic fault-injection harness for
-// testing the training-resilience paths: checkpoint recovery, divergence
-// guards, cancellation, and worker-crash containment. Production code
-// calls the package-level hook functions (Fire, PoisonFloats,
-// TruncateBy) at named sites; the hooks are no-ops — a single atomic nil
-// check — unless a test has activated an Injector, so shipping them in
-// hot loops costs nothing in normal operation.
+// testing the serving paths' failure handling: WAL durability and crash
+// recovery, degraded flushes, request deadlines, and worker-crash
+// containment. Production code calls the package-level hook functions
+// (Fire, TruncateBy) at named sites; the hooks are no-ops — a single
+// atomic nil check — unless a test has activated an Injector, so
+// shipping them in hot paths costs nothing in normal operation. Training
+// has no sites: its faults are test inputs (internal/infer's tests).
 //
 // Faults are armed per site with an exact hit number or a seed-driven
 // probability, so every failure scenario a test provokes is reproducible
 // bit-for-bit. Typical use:
 //
 //	inj := faultinject.NewInjector()
-//	inj.Arm(faultinject.Fault{Site: "infer.grad", Action: faultinject.NaN, Hit: 3})
+//	inj.Arm(faultinject.Fault{Site: "wal.fsync", Action: faultinject.Error, Hit: 3, Err: errors.New("disk full")})
 //	defer faultinject.Activate(inj)()
 package faultinject
 
 import (
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -37,8 +37,6 @@ const (
 	// Call makes Fire invoke the fault's Fn — e.g. a context.CancelFunc
 	// to simulate a SIGINT arriving at an exact iteration.
 	Call
-	// NaN makes PoisonFloats overwrite one element of the slice with NaN.
-	NaN
 	// Truncate makes TruncateBy return the fault's Bytes, telling the
 	// caller to chop that many bytes off whatever it just wrote.
 	Truncate
@@ -60,7 +58,7 @@ const (
 
 // Fault describes one armed failure at one site.
 type Fault struct {
-	// Site names the hook location, e.g. "infer.grad" or "checkpoint.write".
+	// Site names the hook location, e.g. "wal.fsync" or "wal.commit".
 	Site string
 	// Action selects the failure mode.
 	Action Action
@@ -178,9 +176,6 @@ func Activate(inj *Injector) (deactivate func()) {
 	return func() { active.Store(nil) }
 }
 
-// Enabled reports whether an injector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Fire is the generic hook: it counts a hit at the site and, if a fault
 // triggers, returns its error (Error), panics (Panic), or invokes its
 // callback (Call). With no injector active it is a nil check and return.
@@ -247,28 +242,9 @@ func (s *slowWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// PoisonFloats counts a hit at the site and, if a NaN fault triggers,
-// overwrites one element of x (chosen deterministically from the hit
-// count) with NaN. It reports whether x was poisoned.
-func PoisonFloats(site string, x []float64) bool {
-	inj := active.Load()
-	if inj == nil {
-		return false
-	}
-	f := inj.trigger(site)
-	if f == nil || f.Action != NaN || len(x) == 0 {
-		return false
-	}
-	inj.mu.Lock()
-	idx := inj.hits[site] % len(x)
-	inj.mu.Unlock()
-	x[idx] = math.NaN()
-	return true
-}
-
 // TruncateBy counts a hit at the site and returns how many trailing
 // bytes the caller should discard from what it just wrote — 0 unless a
-// Truncate fault triggers. Checkpoint writers use it to simulate a crash
+// Truncate fault triggers. The WAL uses it to simulate a crash
 // mid-write.
 func TruncateBy(site string) int {
 	inj := active.Load()

@@ -8,7 +8,6 @@ import (
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/embed"
-	"viralcast/internal/faultinject"
 	"viralcast/internal/pool"
 	"viralcast/internal/vecmath"
 	"viralcast/internal/xrand"
@@ -31,6 +30,11 @@ type HogwildOptions struct {
 	Epochs    int
 	LearnRate float64
 }
+
+// maxBackoffs bounds how many consecutive times Hogwild may roll back a
+// non-finite epoch and retry it at a halved step before giving up with
+// an error.
+const maxBackoffs = 6
 
 // hogwildClipNorm bounds the per-cascade gradient Euclidean norm;
 // stochastic steps on the 1/rate terms otherwise occasionally explode.
@@ -201,13 +205,10 @@ func hogwildWorker(cs []*cascade.Cascade, a, b *atomicMatrix, k int, lr float64,
 		dA := vecmath.NewMatrix(sz, k)
 		dB := vecmath.NewMatrix(sz, k)
 		local.AccumGrad(lc, dA, dB, ws)
-		// Fault site "infer.hogwild.grad": tests poison stochastic
-		// gradients to exercise the skip guard below.
-		faultinject.PoisonFloats("infer.hogwild.grad", dA.Data)
 		// First line of the divergence defense: a non-finite per-cascade
-		// gradient (a degenerate rate, or an injected fault) is dropped
-		// before it can poison the shared matrices. addClamp would
-		// propagate a single NaN to every later read of that cell.
+		// gradient (a degenerate rate, or a non-finite shared cell) is
+		// dropped before it can poison the shared matrices. addClamp
+		// would propagate a single NaN to every later read of that cell.
 		if !vecmath.AllFinite(dA.Data) || !vecmath.AllFinite(dB.Data) {
 			continue
 		}

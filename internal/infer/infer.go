@@ -20,7 +20,10 @@
 //
 // HierarchicalCtx is the one fit with cancellation, checkpoints and
 // resume, all at hierarchy level boundaries (resilience.go): Algorithm
-// 2's only globally consistent states. Every fit has a divergence guard.
+// 2's only globally consistent states, saved to one checkpoint file
+// (internal/checkpoint). Every fit has a divergence guard: an EM fit
+// fails at its first non-finite epoch, and Hogwild, the one fit with a
+// step, retries such an epoch at a halved step.
 package infer
 
 import (
@@ -31,7 +34,6 @@ import (
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/embed"
-	"viralcast/internal/faultinject"
 	"viralcast/internal/vecmath"
 	"viralcast/internal/xrand"
 )
@@ -156,13 +158,13 @@ func Sequential(cs []*cascade.Cascade, n int, cfg Config) (*embed.Model, *Trace,
 // loop stops at an epoch that improves the objective by less than
 // cfg.Tol*(1+|obj|).
 //
-// A model that is already corrupt (non-finite or negative entries, or a
-// non-finite starting likelihood) fails at once: an epoch is
-// deterministic, so re-running it could not help. Divergence guard: m is
-// only written after a whole epoch's new A and B are verified finite. A
-// non-finite statistic or update leaves m untouched and re-runs the
-// epoch, up to maxBackoffs consecutive times, before failing with a
-// descriptive error.
+// A model that is already corrupt (non-finite or negative entries)
+// fails before the first E-step. Divergence guard: m is only written
+// after a whole epoch's new A and B are verified finite, and a
+// non-finite likelihood, statistic or update fails the fit at once with
+// a descriptive error, m untouched. An epoch is deterministic — the sums
+// run in a fixed cascade order over an unchanged m — so re-running it
+// could only fail the same way.
 //
 // It returns what the fit did (emFit); the objective after the last
 // accepted epoch is left to the callers that report it (emFit.trace).
@@ -179,25 +181,10 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 	solved := &embed.Model{A: numA, B: m.B} // the model under the epoch's new A
 	ws := embed.NewGradWorkspace(k)
 	prior := &fit.prior
-	backoffs := 0
-	// retry counts a non-finite epoch against the budget of consecutive
-	// retries and reports whether the budget is spent.
-	retry := func(what string) error {
-		if backoffs++; backoffs <= maxBackoffs {
-			return nil
-		}
-		return fmt.Errorf("infer: non-finite EM %s at epoch %d persisted through %d retries (last good loglik %.6g) — optimization diverged",
-			what, fit.epochs, maxBackoffs, last(fit.lls))
+	diverged := func(what string) error {
+		return fmt.Errorf("infer: non-finite EM %s at epoch %d — optimization diverged", what, fit.epochs)
 	}
 	for fit.epochs < cfg.MaxIter {
-		if err := ctx.Err(); err != nil {
-			return fit, err
-		}
-		// Fault site "infer.epoch": tests inject errors here or cancel the
-		// context at an exact epoch to simulate a mid-training SIGINT.
-		if err := faultinject.Fire("infer.epoch"); err != nil {
-			return fit, err
-		}
 		if err := ctx.Err(); err != nil {
 			return fit, err
 		}
@@ -209,17 +196,8 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 			ll += m.EMAccum(c, numA, denA, numB, ws)
 		}
 		fit.sweeps++
-		if !finite(ll) && len(fit.lls) == 0 {
-			return fit, fmt.Errorf("infer: starting log-likelihood is %v — model or data corrupt before fit", ll)
-		}
-		// Fault site "infer.grad": tests poison the freshly accumulated
-		// statistics with NaN to exercise the divergence guard.
-		faultinject.PoisonFloats("infer.grad", numA.Data)
 		if !finite(ll) || !vecmath.AllFinite(numA.Data) || !vecmath.AllFinite(denA.Data) || !vecmath.AllFinite(numB.Data) {
-			if err := retry("statistics or likelihood"); err != nil {
-				return fit, err
-			}
-			continue
+			return fit, diverged("statistics or likelihood")
 		}
 		if fit.stale {
 			// ll is the last accepted epoch's likelihood.
@@ -227,7 +205,7 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 			gain := obj - last(fit.lls)
 			fit.lls = append(fit.lls, obj)
 			fit.stale = false
-			if gain <= cfg.Tol*(1+abs(obj)) {
+			if gain <= cfg.Tol*(1+math.Abs(obj)) {
 				return fit, nil
 			}
 		}
@@ -248,16 +226,12 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 			fit.lls = append(fit.lls, prior.objective(m, ll)) // m is still the start
 		}
 		if !vecmath.AllFinite(numA.Data) || !vecmath.AllFinite(numB.Data) {
-			if err := retry("update"); err != nil {
-				return fit, err
-			}
-			continue
+			return fit, diverged("update")
 		}
 		m.A.CopyFrom(numA)
 		m.B.CopyFrom(numB)
 		fit.epochs++
 		fit.stale = true
-		backoffs = 0 // the budget is per failure streak, not per stage
 	}
 	return fit, nil
 }
@@ -265,7 +239,7 @@ func emCtx(ctx context.Context, m *embed.Model, cs []*cascade.Cascade, cfg Confi
 // emFit is what one emCtx call did.
 type emFit struct {
 	epochs int // accepted epochs
-	sweeps int // E-step passes, a retried epoch's included
+	sweeps int // E-step passes
 	// lls is the objective before the first epoch and after every
 	// accepted epoch a later E-step measured. stale means m has moved
 	// since its last entry: the fit stopped at MaxIter, or was stopped,
@@ -356,11 +330,4 @@ func last(xs []float64) float64 {
 		return 0
 	}
 	return xs[len(xs)-1]
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"viralcast/internal/cascade"
+	"viralcast/internal/checkpoint"
 	"viralcast/internal/embed"
 	"viralcast/internal/mergetree"
 	"viralcast/internal/pool"
@@ -198,13 +199,13 @@ func Hierarchical(cs []*cascade.Cascade, n int, base *slpa.Partition, cfg Config
 }
 
 // HierarchicalCtx is Hierarchical with cancellation and resilience, the
-// one fit that has them. A checkpoint is taken at every level boundary —
-// the only points where the full model is a globally consistent state of
-// Algorithm 2. A cancellation mid-level writes a final checkpoint of the
-// last level boundary, so resuming re-runs the interrupted level from
-// its exact warm start and the completed run is bit-identical to an
-// uninterrupted one (community updates are deterministic and
-// order-independent).
+// one fit that has them. With res.Path set, a checkpoint is saved at
+// every level boundary — the only points where the full model is a
+// globally consistent state of Algorithm 2. A cancellation mid-level
+// saves a final checkpoint of the last level boundary, so resuming with
+// res.Resume re-runs the interrupted level from its exact warm start and
+// the completed run is bit-identical to an uninterrupted one (community
+// updates are deterministic and order-independent).
 func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *slpa.Partition, cfg Config, opts ParallelOptions, res Resilience) (*embed.Model, *Trace, error) {
 	cfg = cfg.WithDefaults()
 	opts = opts.withDefaults()
@@ -224,29 +225,26 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 	if err != nil {
 		return nil, nil, err
 	}
+	resume, err := res.resumeState(n, cfg.K, cfg.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
 	start := time.Now()
 	m := embed.NewModel(n, cfg.K)
 	m.InitUniform(xrand.New(cfg.Seed), cfg.InitLo, cfg.InitHi)
 	startLevel := 0
-	if res.Resume != nil {
-		if err := res.Resume.validate(n, cfg.K, cfg.Seed); err != nil {
-			return nil, nil, err
+	prevLL := math.Inf(-1)
+	if resume != nil {
+		if resume.Level > len(levels) {
+			return nil, nil, fmt.Errorf("infer: resume state has %d levels done, hierarchy only has %d — different data or configuration", resume.Level, len(levels))
 		}
-		m = res.Resume.Model.Clone()
-		startLevel = res.Resume.Level
-		if startLevel > len(levels) {
-			return nil, nil, fmt.Errorf("infer: resume state has %d levels done, hierarchy only has %d — different data or configuration", startLevel, len(levels))
-		}
+		m, startLevel, prevLL = resume.Model, resume.Level, resume.LogLik
 	}
 	tr := &Trace{}
-	prevLL := math.Inf(-1)
-	if res.Resume != nil {
-		prevLL = res.Resume.LogLik
-	}
 	for li := startLevel; li < len(levels); li++ {
 		// boundary is the shutdown snapshot: the model exactly as this
 		// level found it, so a resume re-runs the level from scratch.
-		boundary := FitState{Model: m.Clone(), Level: li, Seed: cfg.Seed, LogLik: prevLL}
+		boundary := &checkpoint.State{Model: m.Clone(), Level: li, Seed: cfg.Seed, LogLik: prevLL}
 		if err := ctx.Err(); err != nil {
 			return nil, nil, res.finalCheckpoint(err, boundary)
 		}
@@ -265,11 +263,8 @@ func HierarchicalCtx(ctx context.Context, cs []*cascade.Cascade, n int, base *sl
 		})
 		tr.LogLik = append(tr.LogLik, ll)
 		prevLL = ll
-		if res.Checkpoint != nil {
-			st := FitState{Model: m.Clone(), Level: li + 1, Seed: cfg.Seed, LogLik: ll}
-			if err := res.Checkpoint(st); err != nil {
-				return nil, nil, err
-			}
+		if err := res.save(&checkpoint.State{Model: m, Level: li + 1, Seed: cfg.Seed, LogLik: ll}); err != nil {
+			return nil, nil, err
 		}
 	}
 	tr.Elapsed = time.Since(start)

@@ -5,63 +5,58 @@ import (
 	"errors"
 	"fmt"
 
-	"viralcast/internal/embed"
+	"viralcast/internal/checkpoint"
 )
-
-// maxBackoffs bounds how many consecutive times a fit loop may retry
-// after detecting a non-finite statistic, gradient or likelihood (halving
-// its step size, where it has one) before giving up with an error.
-const maxBackoffs = 6
-
-// FitState is a consistent snapshot of a hierarchical fit in flight:
-// enough to checkpoint it durably and to resume it later. Snapshots are
-// taken only at hierarchy level boundaries, so a resumed run never
-// starts from a half-applied update.
-type FitState struct {
-	// Model is a clone of the embeddings at the boundary; mutating it
-	// does not affect the running fit.
-	Model *embed.Model
-	// Level counts fully completed hierarchy levels.
-	Level int
-	// Seed is the run's RNG seed. Resuming requires the same cascades,
-	// configuration, and seed; the checkpoint records the seed so a
-	// mismatch can be detected instead of silently diverging.
-	Seed uint64
-	// LogLik is the training log-likelihood at the snapshot.
-	LogLik float64
-}
-
-// validate rejects a resume state that cannot continue the given fit.
-func (st *FitState) validate(n, k int, seed uint64) error {
-	if st.Model == nil {
-		return fmt.Errorf("infer: resume state has no model")
-	}
-	if st.Model.N() != n || st.Model.K() != k {
-		return fmt.Errorf("infer: resume model is %dx%d, fit wants %dx%d",
-			st.Model.N(), st.Model.K(), n, k)
-	}
-	if st.Seed != seed {
-		return fmt.Errorf("infer: resume state was trained with seed %d, fit configured with seed %d",
-			st.Seed, seed)
-	}
-	if err := st.Model.Validate(); err != nil {
-		return fmt.Errorf("infer: resume model invalid: %w", err)
-	}
-	return nil
-}
 
 // Resilience configures HierarchicalCtx's checkpoints and resumption.
 // The zero value disables checkpoints and resumes nothing; the
 // divergence guards of every fit are always on.
 type Resilience struct {
-	// Checkpoint, when non-nil, is called with a boundary snapshot after
-	// every completed level and — crucially — when the context is
+	// Path, when set, is the checkpoint file (checkpoint.Save): written
+	// after every completed level and — crucially — when the context is
 	// canceled mid-run, so a SIGINT still leaves a durable snapshot
-	// behind. A checkpoint error aborts the fit.
-	Checkpoint func(FitState) error
-	// Resume warm-starts the fit from a previous snapshot instead of a
-	// random initialization.
-	Resume *FitState
+	// behind. A failed write aborts the fit.
+	Path string
+	// Resume warm-starts the fit from the snapshot at Path instead of a
+	// random initialization; a missing file starts from scratch. The
+	// cascades, configuration and seed must match the snapshot's run.
+	Resume bool
+}
+
+// resumeState loads the snapshot r resumes from, nil when there is none,
+// and rejects one that cannot continue a fit of n nodes × k topics with
+// the given seed.
+func (r Resilience) resumeState(n, k int, seed uint64) (*checkpoint.State, error) {
+	if !r.Resume {
+		return nil, nil
+	}
+	if r.Path == "" {
+		return nil, fmt.Errorf("infer: Resume requires a checkpoint Path")
+	}
+	st, err := checkpoint.Resume(r.Path)
+	if st == nil || err != nil {
+		return nil, err
+	}
+	if st.Model.N() != n || st.Model.K() != k {
+		return nil, fmt.Errorf("infer: resume model is %dx%d, fit wants %dx%d",
+			st.Model.N(), st.Model.K(), n, k)
+	}
+	if st.Seed != seed {
+		return nil, fmt.Errorf("infer: resume state was trained with seed %d, fit configured with seed %d",
+			st.Seed, seed)
+	}
+	if err := st.Model.Validate(); err != nil {
+		return nil, fmt.Errorf("infer: resume model invalid: %w", err)
+	}
+	return st, nil
+}
+
+// save writes st to r.Path, if a path is set.
+func (r Resilience) save(st *checkpoint.State) error {
+	if r.Path == "" {
+		return nil
+	}
+	return checkpoint.Save(r.Path, st)
 }
 
 // canceled reports whether err is a context cancellation rather than a
@@ -71,14 +66,11 @@ func canceled(err error) bool {
 }
 
 // finalCheckpoint writes the shutdown snapshot after a cancellation, if
-// a checkpoint is configured. The cancellation error still wins; a
-// checkpoint failure is attached to it.
-func (r Resilience) finalCheckpoint(cause error, st FitState) error {
-	if r.Checkpoint == nil {
-		return cause
-	}
-	if cerr := r.Checkpoint(st); cerr != nil {
-		return errors.Join(cause, fmt.Errorf("infer: shutdown checkpoint failed: %w", cerr))
+// a path is set. The cancellation error still wins; a checkpoint failure
+// is attached to it.
+func (r Resilience) finalCheckpoint(cause error, st *checkpoint.State) error {
+	if err := r.save(st); err != nil {
+		return errors.Join(cause, fmt.Errorf("infer: shutdown checkpoint failed: %w", err))
 	}
 	return cause
 }

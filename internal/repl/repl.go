@@ -227,10 +227,3 @@ func readSnapshot(r io.Reader) (wal.Cursor, []wal.Event, error) {
 	}
 	return cur, evs, nil
 }
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

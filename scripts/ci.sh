@@ -51,12 +51,14 @@ go test -race -shuffle=on ./internal/pool/ ./internal/infer/ ./internal/slpa/ ./
 # communities at once) to pinned embeddings at K = 4, 6 and 8, and the
 # scenario engine to one answer at any worker count: a "faster"
 # simulator, SLPA or kernel that reorders a draw or a sum fails here,
-# not in a figure.
-echo "== simulator + cooccur + SLPA + xrand + EM oracles, pinned fits, flush drift, scenario worker-count invariance (-race, GOMAXPROCS 1 and 8)"
+# not in a figure. The interrupt-and-resume checks (the fit's and the
+# CLI's) and Hogwild's non-finite-gradient guard run here too: their
+# fault comes from a context or a shared cell that every worker reads.
+echo "== simulator + cooccur + SLPA + xrand + EM oracles, pinned fits, flush drift, scenario worker-count invariance, interrupt/resume and Hogwild guard (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
-    -run 'TestSimulatorMatchesOracle|TestArcTableMatchesDot|TestSchedulingShare|TestBuildPinned|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestBuildErrorsMatchMapOracle|TestBuildMatchesAppendBuilder|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestRefinePinned|TestTrainEmbeddingsPinned|TestFlushDoesNotDrift' \
-    ./internal/cascade/ ./internal/workload/ ./internal/scenario/ ./internal/cooccur/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/
+    -run 'TestSimulatorMatchesOracle|TestArcTableMatchesDot|TestSchedulingShare|TestBuildPinned|TestRunManyEqualsRunLoop|TestRunDeterministicAcrossWorkerCounts|MatchesMapOracle|TestBuildErrorsMatchMapOracle|TestBuildMatchesAppendBuilder|TestDetectCertifiedStopMatchesFullRun|TestTallySettled|TestTallyMatchesMemory|TestDetectLeavesNoGoroutine|TestIntnStreamPinned|TestIntnEach|TestEMAccumMatchesOracle|TestSequentialEMNeverLowersLogLik|TestRefinePinned|TestTrainEmbeddingsPinned|TestFlushDoesNotDrift|TestHierarchicalInterruptResumeMatchesUninterrupted|TestHogwildWorkerSkipsNonFiniteGradients|TestCmdInferCheckpointResume' \
+    ./internal/cascade/ ./internal/workload/ ./internal/scenario/ ./internal/cooccur/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/ ./cmd/viralcast/
 done
 
 # The README's walkthrough is the Example functions (the library's in
