@@ -25,20 +25,20 @@ func TestDaemonLinksNoLabPackage(t *testing.T) {
 	}
 }
 
-// TestTrainingLinksNoFaultInjector pins that the fit and its checkpoints
-// have no fault hooks: their failure paths are driven by test inputs
-// (non-finite data, a canceling context, a truncated file, an unwritable
-// path), so the injector must not be linked into them.
-func TestTrainingLinksNoFaultInjector(t *testing.T) {
+// TestProductLinksNoTestFake pins that neither the library nor the
+// serving binary links the WAL's fault-injecting disk: every fault is a
+// per-instance test input (a wrapped segment file, a replaced server
+// seam, a canceling context), so the product carries no fault hook.
+func TestProductLinksNoTestFake(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go is not on PATH")
 	}
-	out, err := exec.Command(goBin, "list", "-deps", "viralcast/internal/infer", "viralcast/internal/checkpoint").Output()
+	out, err := exec.Command(goBin, "list", "-deps", "viralcast", ".").Output()
 	if err != nil {
 		t.Fatalf("go list -deps: %v", err)
 	}
-	if regexp.MustCompile(`(?m)^viralcast/internal/faultinject$`).Match(out) {
-		t.Fatal("internal/infer or internal/checkpoint links internal/faultinject")
+	if regexp.MustCompile(`(?m)^viralcast/internal/wal/waltest$`).Match(out) {
+		t.Fatal("viralcast or cmd/viralcast links internal/wal/waltest")
 	}
 }

@@ -41,6 +41,17 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 	return SyncDir(filepath.Dir(path))
 }
 
+// File is what a durable writer needs of an *os.File. The write-ahead
+// log appends to its segments through it, so a test can stand a disk
+// that fails or stalls in for the real one. It is declared here rather
+// than in wal so that the fake (internal/wal/waltest) need not import
+// wal, whose own tests use the fake.
+type File interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
 // SyncDir fsyncs a directory, making creates, renames and removals
 // within it durable.
 func SyncDir(dir string) error {

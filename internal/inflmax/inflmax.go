@@ -36,7 +36,6 @@ import (
 	"sort"
 
 	"viralcast/internal/embed"
-	"viralcast/internal/faultinject"
 	"viralcast/internal/pool"
 	"viralcast/internal/vecmath"
 )
@@ -300,11 +299,6 @@ func GreedyOpt(ctx context.Context, m *embed.Model, horizon float64, k int, cand
 	chosen := make(map[int]bool, k)
 	stale := make([]*celfItem, 0, workers)
 	for len(out) < k && q.Len() > 0 {
-		// Chaos hook: lets tests stall or fail the greedy loop mid
-		// selection ("inflmax.greedy" armed with Sleep or Error).
-		if err := faultinject.Fire("inflmax.greedy"); err != nil {
-			return nil, err
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

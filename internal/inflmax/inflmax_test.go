@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"viralcast/internal/embed"
-	"viralcast/internal/faultinject"
 	"viralcast/internal/xrand"
 )
 
@@ -181,17 +181,32 @@ func TestGreedyCtxCancellation(t *testing.T) {
 	if _, err := GreedyCtx(ctx, m, 1, 5, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled GreedyCtx err = %v, want context.Canceled", err)
 	}
-	// Cancellation mid-selection: arm a Call fault that cancels the
-	// context at the second CELF iteration; the loop must notice.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "inflmax.greedy", Action: faultinject.Call, Hit: 2, Fn: cancel2})
-	defer faultinject.Activate(inj)()
-	out, err := GreedyCtx(ctx2, m, 1, 50, nil)
+	// Cancellation mid-selection: count the Err calls of a whole run,
+	// then cancel at the last of them, which the CELF loop makes; the
+	// loop must notice.
+	count := &cancelAfter{Context: context.Background(), n: math.MaxInt64}
+	if _, err := GreedyCtx(count, m, 1, 50, nil); err != nil {
+		t.Fatal(err)
+	}
+	out, err := GreedyCtx(&cancelAfter{Context: context.Background(), n: count.calls.Load()}, m, 1, 50, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-selection GreedyCtx = (%d seeds, %v), want context.Canceled", len(out), err)
 	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// n-th call on. Its Done channel never closes; the selection polls Err.
+type cancelAfter struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
 }
 
 func TestGreedyCtxUncanceledMatchesGreedy(t *testing.T) {
@@ -211,16 +226,5 @@ func TestGreedyCtxUncanceledMatchesGreedy(t *testing.T) {
 		if a[i].Node != b[i].Node || a[i].Gain != b[i].Gain {
 			t.Fatalf("seed %d differs: %+v vs %+v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestGreedyInjectedError(t *testing.T) {
-	m := starModel(30)
-	boom := errors.New("injected greedy failure")
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "inflmax.greedy", Action: faultinject.Error, Hit: 1, Err: boom})
-	defer faultinject.Activate(inj)()
-	if _, err := Greedy(m, 1, 3, nil); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want injected failure", err)
 	}
 }

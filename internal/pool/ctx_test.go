@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"viralcast/internal/faultinject"
 )
 
 func TestRunCtxStopsSchedulingOnCancel(t *testing.T) {
@@ -78,29 +76,30 @@ func TestPanicErrorCarriesStack(t *testing.T) {
 }
 
 func TestRunWithInjectedFaults(t *testing.T) {
-	inj := faultinject.NewInjector()
 	want := errors.New("injected task failure")
-	inj.Arm(faultinject.Fault{Site: "pool.task", Action: faultinject.Error, Hit: 3, Err: want})
-	inj.Arm(faultinject.Fault{Site: "pool.task", Action: faultinject.Panic, Hit: 7})
-	defer faultinject.Activate(inj)()
-
-	var completed atomic.Int64
+	var calls, fired, completed atomic.Int64
 	err := Run(2, 10, func(i int) error {
-		if err := faultinject.Fire("pool.task"); err != nil {
-			return err
+		switch calls.Add(1) {
+		case 3:
+			fired.Add(1)
+			return want
+		case 7:
+			fired.Add(1)
+			panic("injected task panic")
 		}
 		completed.Add(1)
 		return nil
 	})
-	// Hit 3 fails with the injected error and hit 7 panics; the pool must
-	// contain both, finish the remaining 8 tasks, and surface one error.
+	// Call 3 fails with the injected error and call 7 panics; the pool
+	// must contain both, finish the remaining 8 tasks, and surface one
+	// error.
 	if err == nil {
 		t.Fatal("injected faults produced no error")
 	}
 	if completed.Load() != 8 {
 		t.Fatalf("completed %d tasks, want 8", completed.Load())
 	}
-	if inj.Fired("pool.task") != 2 {
-		t.Fatalf("fired %d faults, want 2", inj.Fired("pool.task"))
+	if fired.Load() != 2 {
+		t.Fatalf("fired %d faults, want 2", fired.Load())
 	}
 }

@@ -6,43 +6,39 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"viralcast/internal/faultinject"
+	"viralcast/internal/core"
 	"viralcast/internal/httpkit"
 )
 
 // newBudgetServer builds a server with a short per-request budget for
 // the deadline tests.
-func newBudgetServer(t *testing.T, timeout time.Duration, walDir string) (*Server, *httptest.Server) {
+func newBudgetServer(t *testing.T, timeout time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(Config{
-		Loader:         fixtureLoader(t),
-		CacheTTL:       time.Minute,
-		RequestTimeout: timeout,
-		WALDir:         walDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return startServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, RequestTimeout: timeout})
 }
 
-// TestComputeDeadlineReturns503: a stalled seed selection (latency
-// injected inside the CELF loop) is cut off at the request budget with
-// a machine-readable 503 instead of burning CPU to completion.
-func TestComputeDeadlineReturns503(t *testing.T) {
-	_, ts := newBudgetServer(t, 80*time.Millisecond, "")
+// stallSeeds replaces srv's seed selection: a call stall approves
+// blocks until its request's context ends, the others select for real.
+func stallSeeds(srv *Server, stall func() bool) {
+	srv.selectSeeds = func(sys *core.System, ctx context.Context, k int, horizon float64) ([]core.Seed, error) {
+		if stall() {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return sys.SelectSeedsCtx(ctx, k, horizon)
+	}
+}
 
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{
-		Site: "inflmax.greedy", Action: faultinject.Sleep, Delay: 300 * time.Millisecond,
-	})
-	defer faultinject.Activate(inj)()
+// TestComputeDeadlineReturns503: a stalled seed selection is cut off at
+// the request budget with a machine-readable 503 instead of burning CPU
+// to completion.
+func TestComputeDeadlineReturns503(t *testing.T) {
+	srv, ts := newBudgetServer(t, 80*time.Millisecond)
+	stallSeeds(srv, func() bool { return true })
 
 	start := time.Now()
 	code, body := getJSON(t, ts.URL+"/v1/seeds?k=4&horizon=1")
@@ -50,7 +46,7 @@ func TestComputeDeadlineReturns503(t *testing.T) {
 	if code != http.StatusServiceUnavailable || body["reason"] != "deadline" {
 		t.Fatalf("stalled seeds = %d %v, want 503 reason=deadline", code, body)
 	}
-	// The response arrives near the budget, not after k sleeps.
+	// The response arrives near the budget.
 	if elapsed > time.Second {
 		t.Fatalf("deadline response took %v, want ~80ms", elapsed)
 	}
@@ -65,18 +61,12 @@ func TestComputeDeadlineReturns503(t *testing.T) {
 // unhurried retry of the same key computes successfully — the TTL cache
 // never memoizes errors.
 func TestComputeDeadlineErrorNotCached(t *testing.T) {
-	_, ts := newBudgetServer(t, 80*time.Millisecond, "")
-
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{
-		Site: "inflmax.greedy", Action: faultinject.Sleep,
-		Delay: 300 * time.Millisecond, Times: 1,
-	})
-	deactivate := faultinject.Activate(inj)
+	srv, ts := newBudgetServer(t, 80*time.Millisecond)
+	var calls atomic.Int64
+	stallSeeds(srv, func() bool { return calls.Add(1) == 1 })
 	if code, _ := getJSON(t, ts.URL+"/v1/seeds?k=3&horizon=1"); code != http.StatusServiceUnavailable {
 		t.Fatalf("stalled seeds: status %d, want 503", code)
 	}
-	deactivate()
 
 	code, body := getJSON(t, ts.URL+"/v1/seeds?k=3&horizon=1")
 	if code != http.StatusOK {
@@ -88,14 +78,14 @@ func TestComputeDeadlineErrorNotCached(t *testing.T) {
 // the budget) turns the ingest into a 503 at the deadline — the client
 // is released even though the commit goroutine is still stuck.
 func TestIngestDeadlineDuringWALStall(t *testing.T) {
-	srv, ts := newBudgetServer(t, 100*time.Millisecond, t.TempDir())
-
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{
-		Site: "wal.fsync", Action: faultinject.Sleep,
-		Delay: 600 * time.Millisecond, Times: 1,
+	srv, ts, disk := newDiskServer(t, Config{
+		Loader:         fixtureLoader(t),
+		CacheTTL:       time.Minute,
+		RequestTimeout: 100 * time.Millisecond,
+		WALDir:         t.TempDir(),
 	})
-	defer faultinject.Activate(inj)()
+	_, release := disk.StallSync(1)
+	defer release()
 
 	start := time.Now()
 	code, body := postJSON(t, ts.URL+"/v1/events", map[string]any{"cascade": 910, "node": 1, "time": 0.1})
@@ -109,6 +99,7 @@ func TestIngestDeadlineDuringWALStall(t *testing.T) {
 
 	// The stall was latency, not a failure: once the disk recovers the
 	// daemon is not degraded and ingestion works again.
+	release()
 	waitUntil(t, "the stalled fsync to finish", func() bool {
 		return srv.walLog().Err() == nil && func() bool {
 			code, _ := postJSON(t, ts.URL+"/v1/events", map[string]any{"cascade": 910, "node": 2, "time": 0.2})

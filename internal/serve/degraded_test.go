@@ -4,8 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"testing"
-
-	"viralcast/internal/faultinject"
+	"time"
 )
 
 // TestReadyzDegradedTransitions walks the full degraded-mode lifecycle
@@ -13,8 +12,7 @@ import (
 // read-only, predictions keep serving, /readyz and the metrics gauges
 // report the cause) → supervised recovery via POST /v1/reload.
 func TestReadyzDegradedTransitions(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newWALServer(t, dir)
+	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: t.TempDir()})
 
 	// Healthy baseline.
 	code, body := getJSON(t, ts.URL+"/readyz")
@@ -29,12 +27,7 @@ func TestReadyzDegradedTransitions(t *testing.T) {
 
 	// Fail-stop the WAL: the next commit's fsync errors, poisoning the
 	// log. That request itself answers 500 (its events are not durable).
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{
-		Site: "wal.fsync", Action: faultinject.Error, Hit: 1,
-		Err: errors.New("injected: disk gone"),
-	})
-	defer faultinject.Activate(inj)()
+	disk.FailSync(1, errors.New("injected: disk gone"))
 	if code := postEvent(t, ts.URL, 900, 5, 0.5); code != http.StatusInternalServerError {
 		t.Fatalf("ingest during fsync failure: status %d, want 500", code)
 	}
@@ -101,15 +94,10 @@ func TestReadyzDegradedTransitions(t *testing.T) {
 // last good generation serving and raises the staleness surface; a
 // later successful flush clears it.
 func TestFlushFailureMarksModelStale(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	ingestEvents(t, ts.URL, 7001, 6)
 
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{
-		Site: "serve.flush", Action: faultinject.Error, Hit: 1,
-		Err: errors.New("injected: retrain host OOM"),
-	})
-	defer faultinject.Activate(inj)()
+	failFirstUpdate(srv, errors.New("injected: retrain host OOM"))
 
 	code, body := postJSON(t, ts.URL+"/v1/flush", map[string]any{})
 	if code != http.StatusInternalServerError {
@@ -153,15 +141,10 @@ func TestFlushFailureMarksModelStale(t *testing.T) {
 // answered flushed = 0 before clearing the stale flag, and the growth
 // the failed pass had snapshotted never reached a refit.
 func TestFailedFlushIsRetried(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	ingestEvents(t, ts.URL, 7101, 6)
 
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{
-		Site: "serve.flush", Action: faultinject.Error, Hit: 1, Times: 1,
-		Err: errors.New("injected: refit failed once"),
-	})
-	defer faultinject.Activate(inj)()
+	failFirstUpdate(srv, errors.New("injected: refit failed once"))
 
 	if code, body := postJSON(t, ts.URL+"/v1/flush", map[string]any{}); code != http.StatusInternalServerError {
 		t.Fatalf("flush with injected failure: status %d, body %v", code, body)

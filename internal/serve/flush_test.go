@@ -3,12 +3,12 @@ package serve
 import (
 	"errors"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
 	"viralcast/internal/eval"
-	"viralcast/internal/faultinject"
 	"viralcast/internal/workload"
 )
 
@@ -64,13 +64,10 @@ func TestFlushBookkeeping(t *testing.T) {
 	idle("no event since the last good flush")
 
 	add(7, 1)
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "serve.flush", Action: faultinject.Error, Hit: 1, Times: 1, Err: errors.New("injected")})
-	restore := faultinject.Activate(inj)
+	failFirstUpdate(srv, errors.New("injected"))
 	if got, err := srv.Flush(); err == nil || got != 0 {
 		t.Fatalf("flush under an armed fault: refit %d, err %v", got, err)
 	}
-	restore()
 	flush("flush after a failed one", srv.current().sys.Sys)
 	idle("no event since the retry")
 
@@ -79,6 +76,18 @@ func TestFlushBookkeeping(t *testing.T) {
 	}
 	flush("flush after a reload", sys)
 	idle("no event since the reload's refit")
+}
+
+// failFirstUpdate makes srv's next refit fail with err; the ones after
+// it refit for real.
+func failFirstUpdate(srv *Server, err error) {
+	var calls atomic.Int64
+	srv.update = func(sys *core.System, cs []*cascade.Cascade) error {
+		if calls.Add(1) == 1 {
+			return err
+		}
+		return sys.Update(cs)
+	}
 }
 
 // TestFlushDoesNotDrift: ten flushes while the live store grows — each

@@ -448,7 +448,7 @@ func (s *Server) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	cur := s.current()
 	key := fmt.Sprintf("seeds:k=%d:h=%g:gen=%d", k, horizon, cur.gen)
 	seeds, hit, ok := cachedCompute(s, w, r, key, 0, func() ([]core.Seed, error) {
-		return cur.sys.Sys.SelectSeedsCtx(r.Context(), k, horizon)
+		return s.selectSeeds(cur.sys.Sys, r.Context(), k, horizon)
 	})
 	if !ok {
 		return

@@ -17,8 +17,8 @@ import (
 	"testing"
 	"time"
 
-	"viralcast/internal/faultinject"
 	"viralcast/internal/repl"
+	"viralcast/internal/wal/waltest"
 )
 
 // newFollowerServer builds a Server in the follower role, tailing the
@@ -401,7 +401,8 @@ func TestReplKillPromote(t *testing.T) {
 // WAL), and a hard-kill armed right after the kill-th commit reaches
 // durability.
 func runReplKillChild(t *testing.T, dir string, kill int) {
-	srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: filepath.Join(dir, "wal")})
+	var disk waltest.Disk
+	srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: filepath.Join(dir, "wal"), WALWrapFile: disk.Wrap})
 	if err != nil {
 		t.Fatalf("child: %v", err)
 	}
@@ -409,9 +410,10 @@ func runReplKillChild(t *testing.T, dir string, kill int) {
 	if err != nil {
 		t.Fatalf("child: %v", err)
 	}
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "wal.committed", Action: faultinject.Exit, Hit: kill, Code: 86})
-	defer faultinject.Activate(inj)()
+	// The follower's bootstrap cuts a segment once, before the first
+	// acked event replicates: the seal's fsync and the new segment's
+	// put two fsyncs ahead of the kill-th commit's.
+	disk.ExitAfterSync(kill+2, 86)
 	// Atomic drop of the address file: the parent polls for it.
 	tmp := filepath.Join(dir, "addr.tmp")
 	if err := os.WriteFile(tmp, []byte(addr.String()), 0o644); err != nil {
@@ -423,7 +425,7 @@ func runReplKillChild(t *testing.T, dir string, kill int) {
 	if err := srv.Serve(context.Background()); err != nil {
 		t.Fatalf("child: serve: %v", err)
 	}
-	t.Fatal("child survived the stream; the Exit fault never fired")
+	t.Fatal("child survived the stream; the hard-kill never fired")
 }
 
 // BenchmarkReplicatedIngest measures primary ingest latency and

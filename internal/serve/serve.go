@@ -32,11 +32,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"slices"
 	"sync/atomic"
 	"time"
 
-	"viralcast/internal/faultinject"
+	"viralcast/internal/cascade"
+	"viralcast/internal/core"
+	"viralcast/internal/durable"
 	"viralcast/internal/httpkit"
 	"viralcast/internal/repl"
 	"viralcast/internal/wal"
@@ -69,6 +72,10 @@ type Config struct {
 	// WALMaxSegment rotates WAL segments above this size. 0 uses the
 	// wal package default (64 MiB).
 	WALMaxSegment int64
+	// WALWrapFile wraps each WAL segment file the daemon creates
+	// (wal.Options.WrapFile); nil writes the files directly. Tests
+	// stand a failing or stalling disk in with it.
+	WALWrapFile func(*os.File) durable.File
 	// FollowURL makes this daemon a replication follower of the primary
 	// at that base URL (e.g. "http://primary:8080"): instead of opening
 	// the WAL for writes, it bootstraps from the primary's snapshot,
@@ -196,6 +203,12 @@ type Server struct {
 	// blocking request handlers: a buffered-channel mutex.
 	reloadCh chan struct{}
 
+	// update refits a flush's fork and selectSeeds answers /v1/seeds:
+	// (*core.System).Update and SelectSeedsCtx, which tests replace to
+	// fail a refit or stall a selection.
+	update      func(*core.System, []*cascade.Cascade) error
+	selectSeeds func(*core.System, context.Context, int, float64) ([]core.Seed, error)
+
 	ln      net.Listener
 	handler http.Handler
 }
@@ -234,11 +247,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Server{
-		cfg:       cfg,
-		store:     NewStore(),
-		cache:     httpkit.NewCache(cfg.CacheTTL, time.Now),
-		admission: newAdmission(cfg.Admission),
-		reloadCh:  make(chan struct{}, 1),
+		cfg:         cfg,
+		store:       NewStore(),
+		cache:       httpkit.NewCache(cfg.CacheTTL, time.Now),
+		admission:   newAdmission(cfg.Admission),
+		reloadCh:    make(chan struct{}, 1),
+		update:      (*core.System).Update,
+		selectSeeds: (*core.System).SelectSeedsCtx,
 	}
 	switch {
 	case cfg.FollowURL != "":
@@ -470,6 +485,7 @@ func (s *Server) openWAL() (*wal.Log, error) {
 	return wal.Open(s.cfg.WALDir, wal.Options{
 		MaxSegmentBytes: s.cfg.WALMaxSegment,
 		Logf:            s.cfg.Logf,
+		WrapFile:        s.cfg.WALWrapFile,
 	}, func(ev Event) error {
 		if _, err := s.store.Append(ev, maxInt); err != nil {
 			s.walSkipped.Add(1)
@@ -639,14 +655,7 @@ func (s *Server) Flush() (int, error) {
 		return 0, nil
 	}
 	next := cur.sys.Sys.Fork()
-	// Chaos hook: tests arm "serve.flush" to fail the refit and assert
-	// the daemon degrades to a stale generation, not a loop of
-	// half-applied updates.
-	err := faultinject.Fire("serve.flush")
-	if err == nil {
-		err = next.Update(slices.Concat(corpus, live))
-	}
-	if err != nil {
+	if err := s.update(next, slices.Concat(corpus, live)); err != nil {
 		// Keep serving the last good generation and flag it stale; the
 		// count it absorbed stays, so the next flush refits.
 		s.markStale(err)

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"viralcast/internal/faultinject"
 )
 
 // TestSlowClientHeaderTimeout: a slowloris-style client that dribbles
@@ -50,7 +48,7 @@ func TestSlowClientHeaderTimeout(t *testing.T) {
 	// the 100ms header budget. The server must cut the connection off.
 	request := "GET /healthz HTTP/1.1\r\nHost: x\r\nX-Pad: aaaaaaaaaaaaaaaa\r\n\r\n"
 	start := time.Now()
-	_, copyErr := io.Copy(faultinject.SlowWriter(conn, 1, 20*time.Millisecond), strings.NewReader(request))
+	_, copyErr := io.Copy(slowWriter{w: conn, delay: 20 * time.Millisecond}, strings.NewReader(request))
 	if copyErr == nil {
 		// The write side may not observe the reset; the read side must.
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -76,4 +74,21 @@ func TestSlowClientHeaderTimeout(t *testing.T) {
 	if err != nil || !strings.Contains(string(reply), "200 OK") {
 		t.Fatalf("healthy client after slowloris: err=%v reply=%q", err, reply)
 	}
+}
+
+// slowWriter trickles every Write out one byte at a time with delay
+// before each byte: a client dribbling its request.
+type slowWriter struct {
+	w     io.Writer
+	delay time.Duration
+}
+
+func (s slowWriter) Write(p []byte) (int, error) {
+	for i := range p {
+		time.Sleep(s.delay)
+		if _, err := s.w.Write(p[i : i+1]); err != nil {
+			return i, err
+		}
+	}
+	return len(p), nil
 }

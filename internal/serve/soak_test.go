@@ -7,19 +7,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"viralcast/internal/faultinject"
+	"viralcast/internal/xrand"
 )
 
 // TestChaosSoak drives mixed traffic through every resilience mechanism
 // at once, under the race detector: tight admission limits force sheds,
-// injected compute latency forces deadline 503s, the WAL fail-stops
+// stalled seed selections force deadline 503s, the WAL fail-stops
 // mid-run (ingestion goes read-only while predictions keep serving),
 // and recovery goes through a loader that fails every other reload.
 // The invariants checked are the overload contract itself: every
@@ -50,7 +49,7 @@ func TestChaosSoak(t *testing.T) {
 		return inner()
 	}
 
-	srv, err := New(Config{
+	srv, ts, disk := newDiskServer(t, Config{
 		Loader:         flaky,
 		CacheTTL:       50 * time.Millisecond,
 		RequestTimeout: requestTimeout,
@@ -60,29 +59,21 @@ func TestChaosSoak(t *testing.T) {
 			Ingest:  ClassLimit{MaxInflight: 4, MaxQueue: 4},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
 
-	inj := faultinject.NewInjector()
-	// Latency inside the CELF loop on ~30% of iterations: some seed
-	// selections blow their budget, others squeak through.
-	inj.Arm(faultinject.Fault{
-		Site: "inflmax.greedy", Action: faultinject.Sleep,
-		Delay: 20 * time.Millisecond, Prob: 0.3, Seed: 7,
+	// A seeded ~30% of seed selections stall until their budget runs
+	// out; the others squeak through.
+	var rngMu sync.Mutex
+	rng := xrand.New(7)
+	stallSeeds(srv, func() bool {
+		rngMu.Lock()
+		defer rngMu.Unlock()
+		return rng.Float64() < 0.3
 	})
 	// The 8th fsync fails: the WAL fail-stops early in the soak, while
 	// plenty of mixed traffic is still in flight. (Group commit batches
 	// concurrent appends, so the fsync count runs well below the ingest
 	// count — the hit number must stay comfortably under it.)
-	inj.Arm(faultinject.Fault{
-		Site: "wal.fsync", Action: faultinject.Error, Hit: 8,
-		Err: errors.New("injected: disk pulled mid-soak"),
-	})
-	defer faultinject.Activate(inj)()
+	disk.FailSync(8, errors.New("injected: disk pulled mid-soak"))
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	var mu sync.Mutex
@@ -159,7 +150,7 @@ func TestChaosSoak(t *testing.T) {
 	// Meanwhile: wait for the injected disk failure to flip the daemon
 	// into degraded read-only mode, prove predictions still serve, then
 	// recover through the flaky loader. The waits are long: the workers
-	// are slow on purpose (injected latency, race detector).
+	// are slow on purpose (stalled selections, race detector).
 	waitLong := func(what string, cond func() bool) {
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {

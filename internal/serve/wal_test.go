@@ -12,14 +12,31 @@ import (
 	"testing"
 	"time"
 
-	"viralcast/internal/faultinject"
 	"viralcast/internal/wal"
+	"viralcast/internal/wal/waltest"
 )
 
 // newWALServer builds a Server with durable ingestion on dir.
 func newWALServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: dir})
+	return startServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: dir})
+}
+
+// newDiskServer is startServer with the WAL's segment files behind a
+// disk the test arms.
+func newDiskServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *waltest.Disk) {
+	t.Helper()
+	disk := new(waltest.Disk)
+	cfg.WALWrapFile = disk.Wrap
+	srv, ts := startServer(t, cfg)
+	return srv, ts, disk
+}
+
+// startServer builds a Server from cfg and serves it over HTTP until
+// the test ends.
+func startServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,19 +139,15 @@ func TestWALFlushCompaction(t *testing.T) {
 // ingest response must be an error — the client was not acknowledged,
 // so losing those events in a crash is correct behavior.
 func TestWALAppendFailureNotAcknowledged(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newWALServer(t, dir)
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "wal.fsync", Action: faultinject.Error, Hit: 1,
-		Err: fmt.Errorf("injected fsync failure")})
-	defer faultinject.Activate(inj)()
+	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: t.TempDir()})
+	disk.FailSync(1, fmt.Errorf("injected fsync failure"))
 	if code := postEvent(t, ts.URL, 99, 1, 0.1); code != http.StatusInternalServerError {
 		t.Fatalf("ingest during WAL failure returned %d, want 500", code)
 	}
 }
 
 // TestWALKillRecover is the kill-and-recover acceptance test: a server
-// is hard-killed (faultinject Exit — os.Exit, nothing flushes) in the
+// is hard-killed (os.Exit from inside the fsync, nothing flushes) in the
 // middle of an event stream, immediately after the K-th commit reached
 // durability but before its response was written. The restarted server
 // must recover exactly the acknowledged events: same Store.Len(), same
@@ -242,21 +255,15 @@ func killRecoverEvents(n int) []Event {
 // immediately after the kill-th commit becomes durable, and streams
 // events until the process dies mid-request.
 func runKillRecoverChild(t *testing.T, dir string, kill int) {
-	srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: dir})
-	if err != nil {
-		t.Fatalf("child: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	inj := faultinject.NewInjector()
+	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: dir})
 	// One event per request and fsync-paced commits mean commit k ==
-	// event k. Dying right after the kill-th fsync leaves exactly `kill`
-	// events durable; the last of them was never acknowledged, which is
-	// the allowed side of the contract (recovered ⊇ acked).
-	inj.Arm(faultinject.Fault{Site: "wal.committed", Action: faultinject.Exit, Hit: kill, Code: 86})
-	defer faultinject.Activate(inj)()
+	// event k == the k-th fsync from here. Dying right after the kill-th
+	// fsync leaves exactly `kill` events durable; the last of them was
+	// never acknowledged, which is the allowed side of the contract
+	// (recovered ⊇ acked).
+	disk.ExitAfterSync(kill, 86)
 	for _, ev := range killRecoverEvents(2 * kill) {
 		postEvent(t, ts.URL, ev.Cascade, ev.Node, ev.Time)
 	}
-	t.Fatal("child survived the stream; the Exit fault never fired")
+	t.Fatal("child survived the stream; the hard-kill never fired")
 }

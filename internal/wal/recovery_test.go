@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"viralcast/internal/faultinject"
+	"viralcast/internal/wal/waltest"
 )
 
 // TestFsyncFailurePoisonsLog: after a failed fsync nothing further may
@@ -16,7 +16,8 @@ import (
 // and be silently unrecoverable, so the log must fail stop.
 func TestFsyncFailurePoisonsLog(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	var disk waltest.Disk
+	l, err := Open(dir, Options{WrapFile: disk.Wrap}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +26,9 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inj := faultinject.NewInjector()
 	boom := fmt.Errorf("disk on fire")
-	inj.Arm(faultinject.Fault{Site: "wal.fsync", Action: faultinject.Error, Hit: 1, Err: boom})
-	deactivate := faultinject.Activate(inj)
+	disk.FailSync(1, boom)
 	err = l.Append(Event{Cascade: 1, Node: 99, Time: 99})
-	deactivate()
 	if !errors.Is(err, boom) {
 		t.Fatalf("append during fsync failure: got %v, want the injected error", err)
 	}
@@ -65,7 +63,8 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 // the torn tail and keep every previously acknowledged record.
 func TestInjectedTornWrite(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	var disk waltest.Disk
+	l, err := Open(dir, Options{WrapFile: disk.Wrap}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +73,8 @@ func TestInjectedTornWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "wal.commit", Action: faultinject.Truncate, Hit: 1, Bytes: 7})
-	deactivate := faultinject.Activate(inj)
+	disk.TearWrite(1, 7)
 	err = l.Append(Event{Cascade: 3, Node: 999, Time: 999})
-	deactivate()
 	if err == nil || !strings.Contains(err.Error(), "torn") {
 		t.Fatalf("torn commit acked: err=%v", err)
 	}
@@ -98,30 +94,61 @@ func TestInjectedTornWrite(t *testing.T) {
 	}
 }
 
-// TestRotateFaultLeavesLogWritable: a failed rotation (e.g. ENOSPC on
-// the new segment) must not tear anything — the current segment stays
-// sealed-but-active and the error propagates to the appender.
+// TestRotateFaultSurfacesError: a failed rotation (e.g. ENOSPC on the
+// new segment's magic line) must tear nothing and surface to the
+// appender, and must leave no half-made segment behind: the next
+// append rotates into the same sequence number and succeeds, and a
+// reopen recovers every acknowledged event. Left behind, the file would
+// fail every later rotation on O_EXCL while Err stays nil.
 func TestRotateFaultSurfacesError(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{MaxSegmentBytes: 128}, nil)
+	var disk waltest.Disk
+	l, err := Open(dir, Options{MaxSegmentBytes: 128, WrapFile: disk.Wrap}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	inj := faultinject.NewInjector()
 	boom := fmt.Errorf("no space for a new segment")
-	inj.Arm(faultinject.Fault{Site: "wal.rotate", Action: faultinject.Error, Hit: 1, Err: boom})
-	deactivate := faultinject.Activate(inj)
-	defer deactivate()
+	disk.FailCreate(boom)
+	var acked []Event
 	var rotateErr error
 	for i := 0; i < 50; i++ {
-		if err := l.Append(Event{Cascade: 1, Node: i, Time: float64(i)}); err != nil {
+		ev := Event{Cascade: 1, Node: i, Time: float64(i)}
+		if err := l.Append(ev); err != nil {
 			rotateErr = err
 			break
 		}
+		acked = append(acked, ev)
 	}
 	if !errors.Is(rotateErr, boom) {
 		t.Fatalf("rotation fault never surfaced: %v", rotateErr)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("a failed rotation poisoned the log: %v", err)
+	}
+	ev := Event{Cascade: 1, Node: 100, Time: 100}
+	if err := l.Append(ev); err != nil {
+		t.Fatalf("append after a failed rotation: %v", err)
+	}
+	acked = append(acked, ev)
+	segs, err := ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 2 || segs[1].Seq != 2 {
+		t.Fatalf("segments after the retried rotation: %+v, want seq 1 and 2", segs)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := collect(t, dir)
+	if len(got) != len(acked) {
+		t.Fatalf("recovered %d events, want the %d acknowledged", len(got), len(acked))
+	}
+	for i := range acked {
+		if got[i] != acked[i] {
+			t.Fatalf("event %d recovered as %+v, want %+v", i, got[i], acked[i])
+		}
 	}
 }
 
@@ -130,7 +157,8 @@ func TestRotateFaultSurfacesError(t *testing.T) {
 // responsive even while a commit is stalled holding the write lock.
 func TestErrReportsPoisonWithoutBlocking(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	var disk waltest.Disk
+	l, err := Open(dir, Options{WrapFile: disk.Wrap}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +167,13 @@ func TestErrReportsPoisonWithoutBlocking(t *testing.T) {
 		t.Fatalf("healthy log Err() = %v", err)
 	}
 
-	// Stall one commit on a sleeping "fsync" and probe Err concurrently:
-	// it must answer while the committer holds mu.
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "wal.fsync", Action: faultinject.Sleep, Hit: 1, Delay: 300 * time.Millisecond})
-	deactivate := faultinject.Activate(inj)
+	// Stall one commit's fsync and probe Err while it is stuck: it must
+	// answer while the committer holds mu.
+	entered, release := disk.StallSync(1)
+	defer release()
 	stalled := make(chan error, 1)
 	go func() { stalled <- l.Append(Event{Cascade: 1, Node: 0, Time: 0}) }()
-	time.Sleep(50 * time.Millisecond) // let the commit reach the stall
+	<-entered
 	probeStart := time.Now()
 	if err := l.Err(); err != nil {
 		t.Fatalf("Err() during stall = %v", err)
@@ -154,17 +181,14 @@ func TestErrReportsPoisonWithoutBlocking(t *testing.T) {
 	if d := time.Since(probeStart); d > 100*time.Millisecond {
 		t.Fatalf("Err() blocked for %v behind a stalled commit", d)
 	}
+	release()
 	if err := <-stalled; err != nil {
 		t.Fatalf("stalled append eventually failed: %v", err)
 	}
-	deactivate()
 
 	// Poison the log; Err must report the cause.
-	inj2 := faultinject.NewInjector()
 	boom := fmt.Errorf("disk gone")
-	inj2.Arm(faultinject.Fault{Site: "wal.fsync", Action: faultinject.Error, Hit: 1, Err: boom})
-	deactivate2 := faultinject.Activate(inj2)
-	defer deactivate2()
+	disk.FailSync(1, boom)
 	if err := l.Append(Event{Cascade: 1, Node: 1, Time: 1}); !errors.Is(err, boom) {
 		t.Fatalf("append = %v, want injected error", err)
 	}
@@ -178,15 +202,14 @@ func TestErrReportsPoisonWithoutBlocking(t *testing.T) {
 // deadline instead of hanging for the stall's duration.
 func TestAppendBatchCtxDeadlineDuringStall(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{}, nil)
+	var disk waltest.Disk
+	l, err := Open(dir, Options{WrapFile: disk.Wrap}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	inj := faultinject.NewInjector()
-	inj.Arm(faultinject.Fault{Site: "wal.fsync", Action: faultinject.Sleep, Hit: 1, Delay: 500 * time.Millisecond})
-	deactivate := faultinject.Activate(inj)
-	defer deactivate()
+	_, release := disk.StallSync(1)
+	defer release()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()
@@ -202,6 +225,7 @@ func TestAppendBatchCtxDeadlineDuringStall(t *testing.T) {
 	// The timed-out batch may still become durable (the committer
 	// finishes the stalled fsync); replay must not double it beyond the
 	// single record written.
+	release()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,11 +32,11 @@ func SegmentName(seq uint64) string { return segmentName(seq) }
 // positioned for appends. The replication follower uses it to build a
 // byte-identical mirror of the primary's segments.
 func CreateSegmentFile(dir string, seq uint64) (*os.File, error) {
-	seg, err := createSegment(dir, seq)
+	seg, err := createSegment(dir, seq, nil)
 	if err != nil {
 		return nil, err
 	}
-	return seg.f, nil
+	return seg.f.(*os.File), nil // no wrapper: the file itself
 }
 
 // parseSegmentName extracts the sequence number from a segment file
@@ -88,30 +89,36 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 
 // segment is the active segment file the committer appends to.
 type segment struct {
-	f    *os.File
+	f    durable.File
 	seq  uint64
 	size int64
 }
 
-// createSegment creates segment seq in dir, writes the magic line, and
-// fsyncs both the file and the directory so the new name survives a
-// crash.
-func createSegment(dir string, seq uint64) (*segment, error) {
+// createSegment creates segment seq in dir, wrapped by wrap when it is
+// set, writes the magic line, and fsyncs both the file and the
+// directory so the new name survives a crash. A failure after the
+// create removes the file again: left behind, it would make every
+// later create of seq fail on O_EXCL.
+func createSegment(dir string, seq uint64, wrap func(*os.File) durable.File) (*segment, error) {
 	path := filepath.Join(dir, segmentName(seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	osf, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.WriteString(segMagic); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
+	var f durable.File = osf
+	if wrap != nil {
+		f = wrap(osf)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
+	_, err = io.WriteString(f, segMagic)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := durable.SyncDir(dir); err != nil {
+	if err == nil {
+		err = durable.SyncDir(dir)
+	}
+	if err != nil {
 		f.Close()
+		os.Remove(path)
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return &segment{f: f, seq: seq, size: int64(len(segMagic))}, nil

@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 
 	"viralcast/internal/durable"
-	"viralcast/internal/faultinject"
 )
 
 // ErrClosed is returned by Append and Compact after Close.
@@ -61,6 +60,11 @@ type Options struct {
 	// Logf receives operational log lines (recovery, truncation,
 	// compaction); nil discards them.
 	Logf func(format string, args ...any)
+	// WrapFile, when set, wraps each segment file the log creates; the
+	// log writes, syncs and closes the segment only through the
+	// wrapper. Nil uses the *os.File itself. Tests stand a failing or
+	// stalling disk in with it (internal/wal/waltest).
+	WrapFile func(*os.File) durable.File
 }
 
 // Stats is a snapshot of the log's counters, the source of the daemon's
@@ -190,7 +194,7 @@ func Open(dir string, opt Options, replay func(Event) error) (*Log, error) {
 		}
 		opt.Logf("wal: recovered %d records from %d segments in %s", l.replayed.Load(), len(segs), dir)
 	}
-	seg, err := createSegment(dir, nextSeq)
+	seg, err := createSegment(dir, nextSeq, opt.WrapFile)
 	if err != nil {
 		return nil, err
 	}
@@ -334,10 +338,10 @@ func (l *Log) drainAndCommit() {
 }
 
 // commit writes a batch of frames to the active segment and fsyncs
-// once, rotating first if the segment is full. The faultinject sites
-// let tests fail the fsync ("wal.fsync"), tear the write
-// ("wal.commit"), or hard-kill the process right after durability
-// ("wal.committed").
+// once, rotating first if the segment is full. A failed write or fsync
+// poisons the log; a short write leaves a torn tail that recovery
+// truncates. The batch is durable once the fsync returns, before any
+// appender is acknowledged.
 func (l *Log) commit(batch []*appendReq) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -363,23 +367,6 @@ func (l *Log) commit(batch []*appendReq) error {
 		}
 	}
 	l.seg.size += written
-	if k := faultinject.TruncateBy("wal.commit"); k > 0 {
-		// Simulated crash mid-write: tear the last k bytes off before
-		// they are synced and fail the commit, exactly as if the
-		// process had died between write and fsync. The torn tail stays
-		// on disk for recovery to truncate.
-		if l.seg.size-int64(k) < int64(len(segMagic)) {
-			k = int(l.seg.size) - len(segMagic)
-		}
-		l.seg.size -= int64(k)
-		if err := l.seg.f.Truncate(l.seg.size); err != nil {
-			return l.failLocked(fmt.Errorf("wal: injected tear: %w", err))
-		}
-		return l.failLocked(fmt.Errorf("wal: injected torn write (%d bytes)", k))
-	}
-	if err := faultinject.Fire("wal.fsync"); err != nil {
-		return l.failLocked(fmt.Errorf("wal: fsync: %w", err))
-	}
 	if err := l.seg.f.Sync(); err != nil {
 		return l.failLocked(fmt.Errorf("wal: fsync: %w", err))
 	}
@@ -389,10 +376,6 @@ func (l *Log) commit(batch []*appendReq) error {
 		l.appends.Add(uint64(r.records))
 		l.totalRecs += uint64(r.records)
 	}
-	// The batch is durable but not yet acknowledged — the hard-kill
-	// site for kill-and-recover tests: everything committed so far must
-	// survive, everything after must look like it never happened.
-	_ = faultinject.Fire("wal.committed")
 	return nil
 }
 
@@ -428,17 +411,15 @@ func (l *Log) Err() error {
 
 // rotateLocked seals the active segment (fsync + close) and opens the
 // next one. The old segment is closed only after its replacement
-// exists, so a failed create leaves the log still writable. Callers
-// hold l.mu.
+// exists, and a failed create leaves no file behind, so the next
+// rotation retries the same sequence number and the log stays
+// writable. Callers hold l.mu.
 func (l *Log) rotateLocked() error {
-	if err := faultinject.Fire("wal.rotate"); err != nil {
-		return fmt.Errorf("wal: rotate: %w", err)
-	}
 	if err := l.seg.f.Sync(); err != nil {
 		return l.failLocked(fmt.Errorf("wal: sealing segment %d: %w", l.seg.seq, err))
 	}
 	l.fsyncs.Add(1)
-	seg, err := createSegment(l.dir, l.seg.seq+1)
+	seg, err := createSegment(l.dir, l.seg.seq+1, l.opt.WrapFile)
 	if err != nil {
 		return err
 	}

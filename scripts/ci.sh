@@ -19,11 +19,17 @@ go vet ./...
 
 # The arrow points one way: the lab (figures, ablations, baselines, the
 # GDELT stand-in) imports the product, never the reverse.
-echo "== import graph (neither the library nor the serving binary links a lab package)"
+# Faults are test inputs: the WAL's fault-injecting disk is linked by
+# tests only.
+echo "== import graph (neither the library nor the serving binary links a lab package or the test fake)"
 for pkg in . ./cmd/viralcast; do
   if lab="$(go list -deps "$pkg" | grep -E '^viralcast/internal/(experiments|gdelt|cluster|netrate|pointproc)$')"; then
     echo "$pkg links the evaluation lab:" >&2
     echo "$lab" >&2
+    exit 1
+  fi
+  if go list -deps "$pkg" | grep -qx 'viralcast/internal/wal/waltest'; then
+    echo "$pkg links the test fake internal/wal/waltest" >&2
     exit 1
   fi
 done
