@@ -41,9 +41,10 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 	return SyncDir(filepath.Dir(path))
 }
 
-// File is what a durable writer needs of an *os.File. The write-ahead
-// log appends to its segments through it, so a test can stand a disk
-// that fails or stalls in for the real one. It is declared here rather
+// File is what a durable writer needs of an *os.File. Every WAL segment
+// file (the log's and a replication follower's mirror) is written
+// through it, so a test can stand a disk that fails or stalls in for
+// the real one. It is declared here rather
 // than in wal so that the fake (internal/wal/waltest) need not import
 // wal, whose own tests use the fake.
 type File interface {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"viralcast/internal/durable"
 	"viralcast/internal/wal"
 )
 
@@ -91,7 +93,15 @@ type Follower struct {
 	lastAdvance time.Time
 	reconnects  uint64
 
-	mirror *mirror // open mirror segment writer, nil until bootstrap
+	// mirror is the byte-identical copy of the primary's active
+	// segment the tail loop appends verified frames to; nil until
+	// bootstrap. Only whole frames are written, so the worst a crash
+	// leaves is a torn tail that replayLocal truncates.
+	mirror *wal.SegmentWriter
+	// wrapFile wraps each segment file the follower writes; nil writes
+	// the file itself. Tests stand a counting or failing disk in with
+	// it (internal/wal/waltest).
+	wrapFile func(*os.File) durable.File
 }
 
 // New builds a Follower; Start begins replication.
@@ -273,6 +283,25 @@ func (f *Follower) invalidate() {
 	f.cfg.Reset()
 }
 
+// wipeSegments removes every WAL segment file under dir (a re-snapshot
+// discards all mirrored history); a missing dir has none. Non-segment
+// files are untouched.
+func wipeSegments(dir string) error {
+	segs, err := wal.ListSegments(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, si := range segs {
+		if err := os.Remove(si.Path); err != nil {
+			return fmt.Errorf("repl: %w", err)
+		}
+	}
+	return nil
+}
+
 // sleepBackoff sleeps the jittered exponential backoff for the given
 // attempt number (full jitter on the upper half: d/2 + rand[0,d/2)),
 // bounded by ctx.
@@ -311,11 +340,12 @@ func (f *Follower) bootstrap() error {
 
 // replayLocal rebuilds the store from the on-disk mirror after a
 // follower restart, reading each segment once: every intact record goes
-// through Apply, the last segment's torn tail (a crash mid-append) is
-// truncated, and the cursor/fingerprint resume from the intact end the
-// scan reports. A torn tail in any non-final segment, or a last segment
-// shorter than its magic line, means the mirror is damaged beyond local
-// repair — the caller falls back to a snapshot.
+// through Apply, the mirror reopens at the intact end the scan reports
+// (truncating the last segment's torn tail, a crash mid-append), and
+// the cursor/fingerprint resume from there. A torn tail in any
+// non-final segment, or a last segment shorter than its magic line,
+// means the mirror is damaged beyond local repair — the caller falls
+// back to a snapshot.
 func (f *Follower) replayLocal(segs []wal.SegmentInfo) error {
 	applied := 0
 	var last wal.SegmentScan
@@ -332,14 +362,11 @@ func (f *Follower) replayLocal(segs []wal.SegmentInfo) error {
 			if scan.GoodBytes < wal.SegmentHeaderLen {
 				return fmt.Errorf("segment %d is shorter than its magic line", si.Seq)
 			}
-			if err := os.Truncate(si.Path, scan.GoodBytes); err != nil {
-				return fmt.Errorf("truncating torn mirror tail: %w", err)
-			}
-			f.cfg.Logf("repl: truncated torn mirror tail of segment %d at byte %d", si.Seq, scan.GoodBytes)
+			f.cfg.Logf("repl: truncating torn mirror tail of segment %d at byte %d", si.Seq, scan.GoodBytes)
 		}
 		last = scan
 	}
-	m, err := openMirror(f.cfg.Dir, last.Seq, last.GoodBytes)
+	m, err := wal.OpenSegment(f.cfg.Dir, last.Seq, last.GoodBytes, f.wrapFile)
 	if err != nil {
 		return err
 	}
@@ -380,15 +407,29 @@ func (f *Follower) snapshot() error {
 	if err := wipeSegments(f.cfg.Dir); err != nil {
 		return err
 	}
+	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
+		return fmt.Errorf("repl: %w", err)
+	}
 	// Persist the snapshot as a local-only segment below the cut, so a
-	// follower restart replays it like any other segment. Its sequence
-	// number never reaches the primary: fingerprints are exchanged only
-	// for the tail segment, which starts fresh at the cut.
-	if err := writeSnapshotSegment(f.cfg.Dir, cur.Seg-1, evs); err != nil {
+	// follower restart replays it like any other segment (and, after
+	// promotion, wal.Open). Its sequence number never reaches the
+	// primary: fingerprints are exchanged only for the tail segment,
+	// which starts fresh at the cut. Sealing the snapshot segment into
+	// the cut's leaves the mirror open there.
+	m, err := wal.CreateSegment(f.cfg.Dir, cur.Seg-1, f.wrapFile)
+	if err != nil {
 		return err
 	}
-	m, err := createMirror(f.cfg.Dir, cur.Seg)
-	if err != nil {
+	var frames []byte
+	for _, ev := range evs {
+		frames = wal.AppendFrame(frames, wal.EncodeEvent(ev))
+	}
+	if err := m.Write(frames); err != nil {
+		m.Close()
+		return err
+	}
+	if err := m.Seal(cur.Seg); err != nil {
+		m.Close()
 		return err
 	}
 	applied := 0
@@ -457,6 +498,8 @@ func (f *Follower) tail() error {
 		if it.typ == itemHeartbeat {
 			f.setLag(it.lag)
 			if it.lag == 0 {
+				// Caught up also means durable locally; an idle
+				// follower's heartbeats find nothing to sync.
 				if err := f.mirror.Sync(); err != nil {
 					return err
 				}
@@ -487,7 +530,7 @@ func (f *Follower) applyFrame(it streamItem) error {
 	f.mu.Unlock()
 	switch {
 	case it.seg == cur.Seg && it.off == cur.Off:
-		if err := f.mirror.Append(it.frame); err != nil {
+		if err := f.mirror.Write(it.frame); err != nil {
 			return err
 		}
 		fp = wal.ChainUpdate(fp, payload)
@@ -498,10 +541,10 @@ func (f *Follower) applyFrame(it streamItem) error {
 		// apply below matters (and dedup usually absorbs even that).
 	case it.seg > cur.Seg && it.off == wal.SegmentHeaderLen:
 		// Segment advance (rotation or compaction jump on the primary).
-		if err := f.mirror.Rotate(it.seg); err != nil {
+		if err := f.mirror.Seal(it.seg); err != nil {
 			return err
 		}
-		if err := f.mirror.Append(it.frame); err != nil {
+		if err := f.mirror.Write(it.frame); err != nil {
 			return err
 		}
 		fp = wal.ChainUpdate(wal.ChainSeed(it.seg), payload)

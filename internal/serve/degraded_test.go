@@ -2,9 +2,13 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
+
+	"viralcast/internal/wal"
 )
 
 // TestReadyzDegradedTransitions walks the full degraded-mode lifecycle
@@ -159,5 +163,74 @@ func TestFailedFlushIsRetried(t *testing.T) {
 	}
 	if _, body := getJSON(t, ts.URL+"/readyz"); body["stale"] != false {
 		t.Fatalf("readyz still stale after the retry: %v", body)
+	}
+}
+
+// TestFailedCreateDegradesUntilReload: a WAL segment the daemon cannot
+// create poisons the log like every other disk error, so the probes
+// see it instead of every later append failing behind a ready daemon.
+// The append that needs the rotation is refused, ingestion turns
+// read-only with the WAL cause (and /readyz reports it), POST
+// /v1/reload recovers, ingestion resumes in the next segment, and a
+// restart replays every acknowledged event.
+func TestFailedCreateDegradesUntilReload(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: dir, WALMaxSegment: 256})
+	disk.FailCreate(errors.New("injected: no space for a new segment"))
+	var acked []Event
+	for i := 1; ; i++ {
+		ev := Event{Cascade: 950, Node: i, Time: float64(i) / 100}
+		code := postEvent(t, ts.URL, ev.Cascade, ev.Node, ev.Time)
+		if code == http.StatusInternalServerError {
+			break // the append that needed segment 2
+		}
+		if code != http.StatusOK || i == 50 {
+			t.Fatalf("ingest %d: status %d, want 200 until a rotation is refused", i, code)
+		}
+		acked = append(acked, ev)
+	}
+
+	code, body := getJSON(t, ts.URL+"/readyz")
+	if code != http.StatusOK || body["status"] != "degraded" || body["cause"] != degradedCauseWAL ||
+		!strings.Contains(fmt.Sprint(body["detail"]), "no space") || body["recovery"] != "POST /v1/reload" {
+		t.Fatalf("readyz after a failed segment create = %d %v, want degraded with the WAL cause", code, body)
+	}
+	code, body = postJSON(t, ts.URL+"/v1/events", map[string]any{"cascade": 950, "node": 99, "time": 0.99})
+	if code != http.StatusServiceUnavailable || body["reason"] != "read_only" || body["cause"] != degradedCauseWAL {
+		t.Fatalf("ingest while degraded = %d %v, want 503 read_only with the WAL cause", code, body)
+	}
+
+	if code, body := postJSON(t, ts.URL+"/v1/reload", map[string]any{}); code != http.StatusOK {
+		t.Fatalf("reload recovery: status %d, body %v", code, body)
+	}
+	if code, body := getJSON(t, ts.URL+"/readyz"); code != http.StatusOK || body["status"] != "ready" {
+		t.Fatalf("readyz after reload = %d %v", code, body)
+	}
+	ev := Event{Cascade: 950, Node: 100, Time: 1}
+	if code := postEvent(t, ts.URL, ev.Cascade, ev.Node, ev.Time); code != http.StatusOK {
+		t.Fatalf("ingest after reload: status %d", code)
+	}
+	acked = append(acked, ev)
+	segs, err := wal.ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 2 || segs[1].Seq != 2 || segs[1].Size <= wal.SegmentHeaderLen {
+		t.Fatalf("segments after recovery: %+v, want the ingest in segment 2", segs)
+	}
+
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv2, _ := newWALServer(t, dir)
+	c, ok := srv2.store.Snapshot(950)
+	if !ok || c.Size() != len(acked) {
+		t.Fatalf("restart replayed %v events of cascade 950, want the %d acknowledged", c, len(acked))
+	}
+	for i, inf := range c.Infections {
+		if inf.Node != acked[i].Node || inf.Time != acked[i].Time {
+			t.Fatalf("replayed infection %d = %+v, want %+v", i, inf, acked[i])
+		}
 	}
 }

@@ -411,9 +411,10 @@ func runReplKillChild(t *testing.T, dir string, kill int) {
 		t.Fatalf("child: %v", err)
 	}
 	// The follower's bootstrap cuts a segment once, before the first
-	// acked event replicates: the seal's fsync and the new segment's
-	// put two fsyncs ahead of the kill-th commit's.
-	disk.ExitAfterSync(kill+2, 86)
+	// acked event replicates: the new segment's magic line puts one
+	// fsync ahead of the kill-th commit's (the sealed segment's last
+	// commit already synced it).
+	disk.ExitAfterSync(kill+1, 86)
 	// Atomic drop of the address file: the parent polls for it.
 	tmp := filepath.Join(dir, "addr.tmp")
 	if err := os.WriteFile(tmp, []byte(addr.String()), 0o644); err != nil {

@@ -95,11 +95,12 @@ func TestInjectedTornWrite(t *testing.T) {
 }
 
 // TestRotateFaultSurfacesError: a failed rotation (e.g. ENOSPC on the
-// new segment's magic line) must tear nothing and surface to the
-// appender, and must leave no half-made segment behind: the next
-// append rotates into the same sequence number and succeeds, and a
-// reopen recovers every acknowledged event. Left behind, the file would
-// fail every later rotation on O_EXCL while Err stays nil.
+// new segment's magic line) must tear nothing, surface to the
+// appender, and poison the log like every other disk error, so Err
+// reports it instead of every later append failing behind a healthy
+// probe. It must leave no half-made segment behind (the reopen that
+// recovers the log creates the same sequence number), and a reopen
+// recovers every acknowledged event.
 func TestRotateFaultSurfacesError(t *testing.T) {
 	dir := t.TempDir()
 	var disk waltest.Disk
@@ -123,20 +124,19 @@ func TestRotateFaultSurfacesError(t *testing.T) {
 	if !errors.Is(rotateErr, boom) {
 		t.Fatalf("rotation fault never surfaced: %v", rotateErr)
 	}
-	if err := l.Err(); err != nil {
-		t.Fatalf("a failed rotation poisoned the log: %v", err)
+	if err := l.Err(); !errors.Is(err, boom) {
+		t.Fatalf("Err() after a failed rotation = %v, want the create error", err)
 	}
-	ev := Event{Cascade: 1, Node: 100, Time: 100}
-	if err := l.Append(ev); err != nil {
-		t.Fatalf("append after a failed rotation: %v", err)
+	if err := l.Append(Event{Cascade: 1, Node: 100, Time: 100}); err == nil ||
+		!strings.Contains(err.Error(), "disabled") {
+		t.Fatalf("append after a failed rotation: got %v, want log-disabled error", err)
 	}
-	acked = append(acked, ev)
 	segs, err := ListSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) != 2 || segs[1].Seq != 2 {
-		t.Fatalf("segments after the retried rotation: %+v, want seq 1 and 2", segs)
+	if len(segs) != 1 || segs[0].Seq != 1 {
+		t.Fatalf("segments after the failed rotation: %+v, want seq 1 alone", segs)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -244,4 +244,64 @@ func TestAppendBatchCtxDeadlineDuringStall(t *testing.T) {
 	if err := l2.AppendBatchCtx(expired, []Event{{Cascade: 9, Node: 1, Time: 1}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expired-ctx append = %v, want Canceled", err)
 	}
+}
+
+// TestLogFsyncsOnlyUnsyncedBytes pins what each log operation costs in
+// fsyncs: a commit one; a rotation, a CutSegment and a Close of a
+// synced segment none beyond the new segment's magic line; a Compact
+// one, its snapshot, beyond the magic line.
+func TestLogFsyncsOnlyUnsyncedBytes(t *testing.T) {
+	var disk waltest.Disk
+	l, err := Open(t.TempDir(), Options{MaxSegmentBytes: 128, WrapFile: disk.Wrap}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cost := func(what string, want int, op func() error) {
+		t.Helper()
+		before := disk.Syncs()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := disk.Syncs() - before; got != want {
+			t.Fatalf("%s cost %d fsyncs, want %d", what, got, want)
+		}
+	}
+	appendEv := func(i int) func() error {
+		return func() error { return l.Append(Event{Cascade: 1, Node: i, Time: float64(i)}) }
+	}
+
+	// Fill segment 1, one commit an append: the append that no longer
+	// fits seals it and commits into segment 2.
+	for i := 0; ; i++ {
+		start, _ := l.End()
+		before := disk.Syncs()
+		if err := appendEv(i)(); err != nil {
+			t.Fatal(err)
+		}
+		end, _ := l.End()
+		rotated, want := end.Seg != start.Seg, 1
+		if rotated {
+			want = 2 // the new segment's magic line + the commit
+		}
+		if got := disk.Syncs() - before; got != want {
+			t.Fatalf("append %d (%v -> %v) cost %d fsyncs, want %d", i, start, end, got, want)
+		}
+		if rotated {
+			break
+		}
+		if i == 50 {
+			t.Fatal("50 appends never rotated a 128-byte segment")
+		}
+	}
+	cost("a CutSegment (magic line)", 1, func() error {
+		_, err := l.CutSegment(nil)
+		return err
+	})
+	cost("a Compact (magic line + snapshot)", 2, func() error {
+		_, err := l.Compact(func() []Event { return []Event{{Cascade: 1, Node: 0, Time: 0}} })
+		return err
+	})
+	cost("a commit", 1, appendEv(100))
+	cost("a Close", 0, l.Close)
 }

@@ -23,21 +23,9 @@ func segmentName(seq uint64) string {
 	return fmt.Sprintf("wal-%016d.log", seq)
 }
 
-// SegmentName exposes the segment file-name convention to external log
-// writers (the replication mirror) and readers.
+// SegmentName exposes the segment file-name convention to external
+// readers (the replication stream, the `viralcast wal` subcommands).
 func SegmentName(seq uint64) string { return segmentName(seq) }
-
-// CreateSegmentFile creates segment seq in dir with the magic line
-// written and fsynced (file and directory), returning the open file
-// positioned for appends. The replication follower uses it to build a
-// byte-identical mirror of the primary's segments.
-func CreateSegmentFile(dir string, seq uint64) (*os.File, error) {
-	seg, err := createSegment(dir, seq, nil)
-	if err != nil {
-		return nil, err
-	}
-	return seg.f.(*os.File), nil // no wrapper: the file itself
-}
 
 // parseSegmentName extracts the sequence number from a segment file
 // name, reporting false for anything that is not a WAL segment.
@@ -87,28 +75,34 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 	return segs, nil
 }
 
-// segment is the active segment file the committer appends to.
-type segment struct {
-	f    durable.File
-	seq  uint64
-	size int64
+// SegmentWriter is the one writer of segment files: the log's active
+// segment and the replication follower's mirror both create, append
+// to, seal and close their segments through it. It remembers whether
+// it holds bytes no fsync has covered yet and fsyncs only then, so
+// sealing, closing or syncing a segment whose every frame is already
+// durable costs nothing. Not safe for concurrent use: the log guards
+// its writer with its commit lock, the follower's tail loop owns its.
+type SegmentWriter struct {
+	dir   string
+	wrap  func(*os.File) durable.File
+	f     durable.File
+	seq   uint64
+	size  int64 // every byte a write reported written, a short write's too
+	dirty bool  // bytes written (or truncated) since the last fsync
 }
 
-// createSegment creates segment seq in dir, wrapped by wrap when it is
+// CreateSegment creates segment seq in dir, wrapped by wrap when it is
 // set, writes the magic line, and fsyncs both the file and the
 // directory so the new name survives a crash. A failure after the
 // create removes the file again: left behind, it would make every
 // later create of seq fail on O_EXCL.
-func createSegment(dir string, seq uint64, wrap func(*os.File) durable.File) (*segment, error) {
+func CreateSegment(dir string, seq uint64, wrap func(*os.File) durable.File) (*SegmentWriter, error) {
 	path := filepath.Join(dir, segmentName(seq))
 	osf, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var f durable.File = osf
-	if wrap != nil {
-		f = wrap(osf)
-	}
+	f := wrapFile(osf, wrap)
 	_, err = io.WriteString(f, segMagic)
 	if err == nil {
 		err = f.Sync()
@@ -119,7 +113,88 @@ func createSegment(dir string, seq uint64, wrap func(*os.File) durable.File) (*s
 	if err != nil {
 		f.Close()
 		os.Remove(path)
+		return nil, fmt.Errorf("wal: creating segment %d: %w", seq, err)
+	}
+	return &SegmentWriter{dir: dir, wrap: wrap, f: f, seq: seq, size: SegmentHeaderLen}, nil
+}
+
+// OpenSegment reopens segment seq in dir for appending at offset size,
+// the end of its intact prefix, truncating the torn tail a crash left
+// past it. The writer starts unsynced, so its first sync also covers
+// that truncation and whatever the crash left unsynced before it.
+func OpenSegment(dir string, seq uint64, size int64, wrap func(*os.File) durable.File) (*SegmentWriter, error) {
+	osf, err := os.OpenFile(filepath.Join(dir, segmentName(seq)), os.O_WRONLY, 0o644)
+	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	return &segment{f: f, seq: seq, size: int64(len(segMagic))}, nil
+	if err := osf.Truncate(size); err == nil {
+		_, err = osf.Seek(size, io.SeekStart)
+	}
+	if err != nil {
+		osf.Close()
+		return nil, fmt.Errorf("wal: reopening segment %d: %w", seq, err)
+	}
+	return &SegmentWriter{dir: dir, wrap: wrap, f: wrapFile(osf, wrap), seq: seq, size: size, dirty: true}, nil
+}
+
+func wrapFile(f *os.File, wrap func(*os.File) durable.File) durable.File {
+	if wrap == nil {
+		return f
+	}
+	return wrap(f)
+}
+
+// Write appends p, whole frames by the callers' rule, so the worst a
+// crash or a failed write leaves is a torn tail that recovery
+// truncates. An empty p writes nothing and leaves nothing to sync.
+func (w *SegmentWriter) Write(p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
+	n, err := w.f.Write(p)
+	w.size += int64(n)
+	w.dirty = true
+	if err != nil {
+		return fmt.Errorf("wal: append to segment %d: %w", w.seq, err)
+	}
+	return nil
+}
+
+// Sync fsyncs the segment if it holds unsynced bytes.
+func (w *SegmentWriter) Sync() error {
+	if !w.dirty {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync segment %d: %w", w.seq, err)
+	}
+	w.dirty = false
+	return nil
+}
+
+// Seal syncs the segment and moves the writer to a freshly created
+// segment next: a rotation, or a compaction jump the follower mirrors.
+// The old file is closed only after its successor exists, so on error
+// the writer is unchanged. An error from that close is dropped: the
+// file's bytes are already durable.
+func (w *SegmentWriter) Seal(next uint64) error {
+	if err := w.Sync(); err != nil {
+		return err
+	}
+	nw, err := CreateSegment(w.dir, next, w.wrap)
+	if err != nil {
+		return err
+	}
+	w.f.Close()
+	*w = *nw
+	return nil
+}
+
+// Close syncs the segment and closes it.
+func (w *SegmentWriter) Close() error {
+	err := w.Sync()
+	if cerr := w.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("wal: closing segment %d: %w", w.seq, cerr)
+	}
+	return err
 }

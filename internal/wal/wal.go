@@ -71,7 +71,7 @@ type Options struct {
 // wal_* metrics.
 type Stats struct {
 	Appends         uint64 // records durably appended (acknowledged)
-	Fsyncs          uint64 // fsync calls on segment files
+	Fsyncs          uint64 // fsyncs that made frames durable (commits, compaction snapshots)
 	Bytes           uint64 // frame bytes written
 	Replayed        uint64 // records replayed into the store at Open
 	Compactions     uint64 // completed Compact passes
@@ -96,14 +96,16 @@ type Log struct {
 	// across each write+fsync and Compact holds it across the
 	// rotate+snapshot+delete sequence.
 	mu  sync.Mutex
-	seg *segment
+	seg *SegmentWriter
 	// failed is set on the first disk error and poisons the log: a
 	// partial or unsynced write leaves a region later appends would
 	// land *after*, and replay truncates at the first bad frame — so
 	// continuing to acknowledge appends after a failure could lose
-	// acknowledged data. Fail-stop keeps "acked implies recoverable"
-	// an invariant; the operator recovers with a restart or by
-	// reopening the log (the serving layer's degraded-mode reload).
+	// acknowledged data. A segment the log cannot create poisons it
+	// too: every later append would need that segment. Fail-stop keeps
+	// "acked implies recoverable" an invariant and Err truthful; the
+	// operator recovers with a restart or by reopening the log (the
+	// serving layer's degraded-mode reload).
 	failed error
 	// poison mirrors failed behind an atomic pointer so health probes
 	// can ask "is this log dead?" without taking mu — which a stalled
@@ -194,7 +196,7 @@ func Open(dir string, opt Options, replay func(Event) error) (*Log, error) {
 		}
 		opt.Logf("wal: recovered %d records from %d segments in %s", l.replayed.Load(), len(segs), dir)
 	}
-	seg, err := createSegment(dir, nextSeq, opt.WrapFile)
+	seg, err := CreateSegment(dir, nextSeq, opt.WrapFile)
 	if err != nil {
 		return nil, err
 	}
@@ -338,10 +340,10 @@ func (l *Log) drainAndCommit() {
 }
 
 // commit writes a batch of frames to the active segment and fsyncs
-// once, rotating first if the segment is full. A failed write or fsync
-// poisons the log; a short write leaves a torn tail that recovery
-// truncates. The batch is durable once the fsync returns, before any
-// appender is acknowledged.
+// once, rotating first if the segment is full. A failed rotation,
+// write or fsync poisons the log; a short write leaves a torn tail that
+// recovery truncates. The batch is durable once the fsync returns,
+// before any appender is acknowledged.
 func (l *Log) commit(batch []*appendReq) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -357,21 +359,16 @@ func (l *Log) commit(batch []*appendReq) error {
 			return err
 		}
 	}
-	written := int64(0)
 	for _, r := range batch {
-		n, err := l.seg.f.Write(r.frames)
-		written += int64(n)
-		if err != nil {
-			l.seg.size += written
-			return l.failLocked(fmt.Errorf("wal: append: %w", err))
+		if err := l.seg.Write(r.frames); err != nil {
+			return l.failLocked(err)
 		}
 	}
-	l.seg.size += written
-	if err := l.seg.f.Sync(); err != nil {
-		return l.failLocked(fmt.Errorf("wal: fsync: %w", err))
+	if err := l.seg.Sync(); err != nil {
+		return l.failLocked(err)
 	}
 	l.fsyncs.Add(1)
-	l.bytes.Add(uint64(written))
+	l.bytes.Add(uint64(total))
 	for _, r := range batch {
 		l.appends.Add(uint64(r.records))
 		l.totalRecs += uint64(r.records)
@@ -409,25 +406,16 @@ func (l *Log) Err() error {
 	return nil
 }
 
-// rotateLocked seals the active segment (fsync + close) and opens the
-// next one. The old segment is closed only after its replacement
-// exists, and a failed create leaves no file behind, so the next
-// rotation retries the same sequence number and the log stays
-// writable. Callers hold l.mu.
+// rotateLocked seals the active segment and opens the next one. Every
+// commit ended with an fsync, so the seal costs none; a failure (the
+// next segment cannot be created) poisons the log, and a failed create
+// leaves no file behind, so the reopen that recovers the log creates
+// the same sequence number. Callers hold l.mu.
 func (l *Log) rotateLocked() error {
-	if err := l.seg.f.Sync(); err != nil {
-		return l.failLocked(fmt.Errorf("wal: sealing segment %d: %w", l.seg.seq, err))
+	if err := l.seg.Seal(l.seg.seq + 1); err != nil {
+		return l.failLocked(err)
 	}
-	l.fsyncs.Add(1)
-	seg, err := createSegment(l.dir, l.seg.seq+1, l.opt.WrapFile)
-	if err != nil {
-		return err
-	}
-	if err := l.seg.f.Close(); err != nil {
-		l.opt.Logf("wal: closing sealed segment %d: %v", l.seg.seq, err)
-	}
-	l.seg = seg
-	l.recBase[seg.seq] = l.totalRecs
+	l.recBase[l.seg.seq] = l.totalRecs
 	l.segments.Add(1)
 	return nil
 }
@@ -458,16 +446,14 @@ func (l *Log) Compact(snapshot func() []Event) (removed int, err error) {
 		frames = appendFrame(frames, appendEventPayload(nil, ev))
 	}
 	if len(frames) > 0 {
-		n, err := l.seg.f.Write(frames)
-		l.seg.size += int64(n)
-		if err != nil {
+		if err := l.seg.Write(frames); err != nil {
 			return 0, l.failLocked(fmt.Errorf("wal: compaction snapshot: %w", err))
 		}
-		if err := l.seg.f.Sync(); err != nil {
+		if err := l.seg.Sync(); err != nil {
 			return 0, l.failLocked(fmt.Errorf("wal: compaction snapshot: %w", err))
 		}
 		l.fsyncs.Add(1)
-		l.bytes.Add(uint64(n))
+		l.bytes.Add(uint64(len(frames)))
 		l.totalRecs += uint64(len(evs))
 	}
 	segs, err := ListSegments(l.dir)
@@ -497,7 +483,8 @@ func (l *Log) Compact(snapshot func() []Event) (removed int, err error) {
 }
 
 // Close fences out new appends, commits everything already enqueued,
-// seals the active segment, and releases it. Idempotent.
+// and closes the active segment, which fsyncs only bytes a failed
+// commit left unsynced. Idempotent.
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() {
 		l.sendMu.Lock()
@@ -508,12 +495,7 @@ func (l *Log) Close() error {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if l.seg != nil {
-			if err := l.seg.f.Sync(); err != nil {
-				l.closeErr = fmt.Errorf("wal: close: %w", err)
-			}
-			if err := l.seg.f.Close(); err != nil && l.closeErr == nil {
-				l.closeErr = fmt.Errorf("wal: close: %w", err)
-			}
+			l.closeErr = l.seg.Close()
 			l.seg = nil
 		}
 	})

@@ -20,9 +20,9 @@ const (
 type fault func(f *os.File, p []byte) (int, error)
 
 // Disk hands a log its segment files through Wrap, which is the value
-// of wal.Options.WrapFile (or serve.Config.WALWrapFile), and passes
-// their Write, Sync and Close to the real file until an armed fault
-// fires. A fault is armed for the n-th call from now (n = 1 is the
+// of wal.Options.WrapFile (or serve.Config.WALWrapFile, or a
+// replication follower's file seam), and passes their Write, Sync and
+// Close to the real file until an armed fault fires. A fault is armed for the n-th call from now (n = 1 is the
 // next), counted across every file the disk wrapped, and fires once.
 // The zero value never fails. Safe for concurrent use.
 type Disk struct {
@@ -89,6 +89,15 @@ func (d *Disk) TearWrite(n, cut int) {
 // the segment's magic line, with err.
 func (d *Disk) FailCreate(err error) {
 	d.arm(opWrap, 1, func(*os.File, []byte) (int, error) { return 0, err })
+}
+
+// Syncs reports how many Sync calls the disk's files have had, failed
+// and faulted ones included: what a test pins an operation's fsync cost
+// with.
+func (d *Disk) Syncs() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.calls[opSync]
 }
 
 func (d *Disk) arm(op, n int, fn fault) {

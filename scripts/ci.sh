@@ -67,6 +67,19 @@ for procs in 1 8; do
     ./internal/cascade/ ./internal/workload/ ./internal/scenario/ ./internal/cooccur/ ./internal/slpa/ ./internal/xrand/ ./internal/embed/ ./internal/infer/ ./internal/core/ ./internal/serve/ ./cmd/viralcast/
 done
 
+# The log and the follower's mirror write segments through one writer
+# that fsyncs only unsynced bytes: the fsync each operation costs is
+# pinned (a commit 1, a seal or Close of a synced segment 0, an idle
+# caught-up follower's heartbeat 0), a segment the log cannot create
+# degrades the daemon until POST /v1/reload, and the mirror stays
+# byte-identical across rotations, torn tails and promotion.
+echo "== WAL fsync pins, failed-create readiness, mirror rotation/torn tail/promotion (-race, GOMAXPROCS 1 and 8)"
+for procs in 1 8; do
+  GOMAXPROCS=$procs go test -race -count=1 \
+    -run '^(TestLogFsyncsOnlyUnsyncedBytes|TestMirrorFsyncsOnlyUnsyncedBytes|TestFailedCreateDegradesUntilReload|TestReplicateAcrossRotation|TestFollowerTornTailAndOverlapDedup|TestPromotedMirrorOpensAsWAL)$' \
+    ./internal/wal/ ./internal/repl/ ./internal/serve/
+done
+
 # The README's walkthrough is the Example functions (the library's in
 # the root package, the daemon's in internal/serve). Each checks its
 # printed output, which must not depend on the worker count; nor may the
