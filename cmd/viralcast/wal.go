@@ -55,23 +55,6 @@ func cmdWAL(args []string) error {
 	return run()
 }
 
-// walScanAll scans every segment in dir in sequence order, each once.
-func walScanAll(dir string, fn func(wal.Cursor, wal.Event) error) ([]wal.SegmentScan, error) {
-	segs, err := wal.ListSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	scans := make([]wal.SegmentScan, 0, len(segs))
-	for _, seg := range segs {
-		scan, err := wal.ScanSegment(seg.Path, fn)
-		if err != nil {
-			return scans, err
-		}
-		scans = append(scans, scan)
-	}
-	return scans, nil
-}
-
 // walInspect prints a table of the segments, then with -records every
 // record with the cursor a replication follower would resume from to
 // stream it: the (segment, offset) of the frame itself. The intact
@@ -87,7 +70,7 @@ func walInspect(dir string, withRecords bool) error {
 			return nil
 		}
 	}
-	scans, err := walScanAll(dir, fn)
+	scans, err := wal.ScanDir(dir, fn)
 	if err != nil {
 		return err
 	}
@@ -125,7 +108,7 @@ func walInspect(dir string, withRecords bool) error {
 }
 
 func walVerify(dir string) error {
-	scans, err := walScanAll(dir, nil)
+	scans, err := wal.ScanDir(dir, nil)
 	if err != nil {
 		return err
 	}
@@ -152,7 +135,7 @@ func walVerify(dir string) error {
 // pair — e.g. a compaction snapshot overlapping subsequent appends.
 func walReplay(dir, out string) error {
 	store := serve.NewStore()
-	if _, err := walScanAll(dir, func(_ wal.Cursor, ev wal.Event) error {
+	if _, err := wal.ScanDir(dir, func(_ wal.Cursor, ev wal.Event) error {
 		store.Append(ev, math.MaxInt) //nolint:errcheck // a reject is a replayed duplicate, as in Server.openWAL
 		return nil
 	}); err != nil {

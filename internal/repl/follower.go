@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,8 +21,10 @@ import (
 
 // Follower states, as reported by Status and /readyz.
 const (
-	// StateBootstrapping: fetching or replaying the initial snapshot;
-	// the local state is incomplete and must not be served.
+	// StateBootstrapping: streaming the primary's log into a mirror
+	// that has not yet completed a bootstrap; the local state is
+	// incomplete and must not be served until it holds every record
+	// the primary held when the stream opened.
 	StateBootstrapping = "bootstrapping"
 	// StateSyncing: connected (or reconnecting) and applying the
 	// stream, but not yet caught up with the primary's tail.
@@ -29,8 +33,8 @@ const (
 	// connection more recently than any new frame.
 	StateCurrent = "current"
 	// StateDiverged: the primary rejected our chain fingerprint. The
-	// local state may be wrong; the follower stops serving and
-	// re-snapshots.
+	// local state may be wrong; the follower stops serving, wipes its
+	// mirror and re-bootstraps.
 	StateDiverged = "diverged"
 	// StateStopped: Stop was called (normally just before promotion).
 	StateStopped = "stopped"
@@ -40,17 +44,17 @@ const (
 type Config struct {
 	// Primary is the primary's base URL, e.g. "http://10.0.0.1:8080".
 	Primary string
-	// Dir is the local mirror directory — a byte-identical copy of the
-	// primary's WAL segments, plus one local-only snapshot segment.
+	// Dir is the local mirror directory: the primary's WAL segments one
+	// for one, byte-identical wherever the primary still holds them.
 	// Promotion opens this directory as an ordinary WAL.
 	Dir string
 	// Apply ingests one replicated event into the local store. It must
-	// absorb duplicates (the store's SI duplicate guard): bootstrap
-	// overlap, reconnect overlap, and compaction snapshots all replay
-	// events that may already be applied.
+	// absorb duplicates (the store's SI duplicate guard): compaction
+	// snapshots and reconnect overlap both replay events that may
+	// already be applied.
 	Apply func(wal.Event) error
-	// Reset clears the local store before a re-snapshot; called only
-	// when divergence or compaction forces a fresh bootstrap.
+	// Reset clears the local store before a re-bootstrap; called only
+	// when divergence, compaction or a damaged mirror forces one.
 	Reset func()
 	// Client issues the HTTP requests; nil uses a default with no
 	// overall timeout (the stream is long-lived by design).
@@ -93,10 +97,11 @@ type Follower struct {
 	lastAdvance time.Time
 	reconnects  uint64
 
-	// mirror is the byte-identical copy of the primary's active
-	// segment the tail loop appends verified frames to; nil until
-	// bootstrap. Only whole frames are written, so the worst a crash
-	// leaves is a torn tail that replayLocal truncates.
+	// mirror is the byte-identical copy of the primary's segment the
+	// tail loop appends verified frames to; nil (and cur zero) until
+	// the first frame of a bootstrap names a segment. Only whole frames
+	// are written, so the worst a crash leaves is a torn tail that
+	// replayLocal truncates.
 	mirror *wal.SegmentWriter
 	// wrapFile wraps each segment file the follower writes; nil writes
 	// the file itself. Tests stand a counting or failing disk in with
@@ -195,9 +200,10 @@ func (f *Follower) setLag(lag uint64) {
 	f.mu.Unlock()
 }
 
-// run is the replication loop: bootstrap (local replay or snapshot),
-// then tail forever with jittered exponential backoff between
-// connection attempts.
+// run is the replication loop: resume a mirror a previous run left
+// behind, then stream forever with jittered exponential backoff between
+// connection attempts. A follower with no mirror bootstraps through the
+// same stream.
 func (f *Follower) run() {
 	defer close(f.done)
 	defer func() {
@@ -210,23 +216,19 @@ func (f *Follower) run() {
 		f.setState(StateStopped, f.servableNow())
 	}()
 
+	if err := f.replayLocal(); err != nil {
+		f.cfg.Logf("repl: local mirror replay failed (%v); bootstrapping from the primary", err)
+		f.invalidate(StateBootstrapping)
+	}
 	attempt := 0
 	for f.ctx.Err() == nil {
-		if f.mirror == nil {
-			// Bootstrap has not succeeded yet (or was invalidated).
-			if err := f.bootstrap(); err != nil {
-				if f.ctx.Err() != nil {
-					return
-				}
-				f.cfg.Logf("repl: bootstrap retry: %v", err)
-				f.sleepBackoff(&attempt)
-				continue
-			}
-			attempt = 0
-		}
+		bootstrapping := !f.servableNow()
 		err := f.tail()
 		if f.ctx.Err() != nil {
 			return
+		}
+		if bootstrapping && f.servableNow() {
+			attempt = 0 // a completed bootstrap starts the backoff afresh
 		}
 		f.mu.Lock()
 		f.reconnects++
@@ -234,30 +236,23 @@ func (f *Follower) run() {
 		switch {
 		case errors.Is(err, errDiverged):
 			// Our history is not a prefix of the primary's. Refuse to
-			// serve, wipe everything, re-snapshot.
-			f.cfg.Logf("repl: DIVERGED from primary: %v — refusing to serve until re-snapshotted", err)
-			f.setState(StateDiverged, false)
-			f.invalidate()
+			// serve, wipe everything, re-bootstrap.
+			f.cfg.Logf("repl: DIVERGED from primary: %v — refusing to serve until re-bootstrapped", err)
+			f.invalidate(StateDiverged)
 		case errors.Is(err, errCompacted):
 			// The primary compacted past our cursor; our state is a
 			// correct prefix but the log to extend it is gone. Rebuild
-			// from a fresh snapshot.
-			f.cfg.Logf("repl: primary compacted past our cursor; re-snapshotting")
-			f.invalidate()
+			// from the primary's oldest surviving segment.
+			f.cfg.Logf("repl: primary compacted past our cursor; re-bootstrapping")
+			f.invalidate(StateBootstrapping)
 		default:
-			if f.curState() != StateDiverged {
-				f.setState(StateSyncing, f.servableNow())
+			if f.servableNow() {
+				f.setState(StateSyncing, true)
 			}
 			f.cfg.Logf("repl: stream to %s interrupted: %v (reconnecting)", f.cfg.Primary, err)
 		}
 		f.sleepBackoff(&attempt)
 	}
-}
-
-func (f *Follower) curState() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.state
 }
 
 func (f *Follower) servableNow() bool {
@@ -266,24 +261,28 @@ func (f *Follower) servableNow() bool {
 	return f.servable
 }
 
-// invalidate discards the local mirror and store state so the next
-// loop iteration re-bootstraps from a fresh snapshot. The follower is
-// not servable again until that snapshot has been fully applied.
-func (f *Follower) invalidate() {
+// invalidate discards the local mirror and store and enters state, so
+// the next stream re-bootstraps from the primary's oldest segment. The
+// follower is not servable again until that bootstrap has caught up.
+func (f *Follower) invalidate(state string) {
 	if f.mirror != nil {
 		f.mirror.Close()
 		f.mirror = nil
 	}
-	f.mu.Lock()
-	f.servable = false
-	f.mu.Unlock()
+	f.setCursor(wal.Cursor{}, 0)
+	f.setState(state, false)
+	// The marker goes before the segments it vouches for, so no crash
+	// leaves it beside a partial re-bootstrap.
+	if err := clearBootstrapped(f.cfg.Dir); err != nil {
+		f.cfg.Logf("repl: clearing bootstrap marker: %v", err)
+	}
 	if err := wipeSegments(f.cfg.Dir); err != nil {
 		f.cfg.Logf("repl: wiping mirror: %v", err)
 	}
 	f.cfg.Reset()
 }
 
-// wipeSegments removes every WAL segment file under dir (a re-snapshot
+// wipeSegments removes every WAL segment file under dir (a re-bootstrap
 // discards all mirrored history); a missing dir has none. Non-segment
 // files are untouched.
 func wipeSegments(dir string) error {
@@ -300,6 +299,41 @@ func wipeSegments(dir string) error {
 		}
 	}
 	return nil
+}
+
+// bootstrappedFile, present in the mirror directory, records that the
+// mirror once held every record its primary held when a bootstrap
+// stream opened. A mirror without it is a partial bootstrap — possibly
+// cut inside a compaction snapshot, a state the primary never held —
+// so a restarted follower serves its mirror only when the marker is
+// there.
+const bootstrappedFile = "BOOTSTRAPPED"
+
+// markBootstrapped makes the mirror durable and then the marker, so the
+// marker never vouches for frames a power loss could take back.
+func (f *Follower) markBootstrapped() error {
+	if f.mirror != nil {
+		if err := f.mirror.Sync(); err != nil {
+			return err
+		}
+	}
+	if err := durable.WriteFile(filepath.Join(f.cfg.Dir, bootstrappedFile), nil, 0o644); err != nil {
+		return fmt.Errorf("repl: %w", err)
+	}
+	return nil
+}
+
+// clearBootstrapped durably removes the bootstrap marker; a missing
+// marker is already clear.
+func clearBootstrapped(dir string) error {
+	err := os.Remove(filepath.Join(dir, bootstrappedFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("repl: %w", err)
+	}
+	return durable.SyncDir(dir)
 }
 
 // sleepBackoff sleeps the jittered exponential backoff for the given
@@ -319,53 +353,43 @@ func (f *Follower) sleepBackoff(attempt *int) {
 	}
 }
 
-// bootstrap establishes the local mirror: replay an existing mirror
-// directory if one survives (follower restart), otherwise fetch a
-// snapshot from the primary.
-func (f *Follower) bootstrap() error {
-	f.setState(StateBootstrapping, f.servableNow())
-	segs, err := wal.ListSegments(f.cfg.Dir)
-	if err == nil && len(segs) > 0 {
-		if err := f.replayLocal(segs); err == nil {
-			f.setState(StateSyncing, true)
-			return nil
-		} else {
-			f.cfg.Logf("repl: local mirror replay failed (%v); falling back to snapshot", err)
-			f.cfg.Reset()
-			f.setState(StateBootstrapping, false)
-		}
+// replayLocal rebuilds the store from a mirror a previous run left
+// behind (a follower restart), reading each segment once: every intact
+// record goes through Apply, the mirror reopens at the intact end the
+// scan reports (truncating the last segment's torn tail, a crash
+// mid-append), and the cursor/fingerprint resume from there. The
+// follower serves the replayed state only if the bootstrap marker says
+// the mirror completed a bootstrap; otherwise it resumes the bootstrap
+// unservable. A torn tail in any non-final segment, or a last segment
+// shorter than its magic line, means the mirror is damaged beyond local
+// repair — the caller wipes it and bootstraps. With no mirror there is
+// nothing to replay, and a marker left beside none vouches for nothing.
+func (f *Follower) replayLocal() error {
+	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
+		return fmt.Errorf("repl: %w", err)
 	}
-	return f.snapshot()
-}
-
-// replayLocal rebuilds the store from the on-disk mirror after a
-// follower restart, reading each segment once: every intact record goes
-// through Apply, the mirror reopens at the intact end the scan reports
-// (truncating the last segment's torn tail, a crash mid-append), and
-// the cursor/fingerprint resume from there. A torn tail in any
-// non-final segment, or a last segment shorter than its magic line,
-// means the mirror is damaged beyond local repair — the caller falls
-// back to a snapshot.
-func (f *Follower) replayLocal(segs []wal.SegmentInfo) error {
+	scans, err := wal.ScanDir(f.cfg.Dir, func(_ wal.Cursor, ev wal.Event) error { return f.cfg.Apply(ev) })
+	if err != nil {
+		return err
+	}
+	if len(scans) == 0 {
+		return clearBootstrapped(f.cfg.Dir)
+	}
 	applied := 0
-	var last wal.SegmentScan
-	for i, si := range segs {
-		scan, err := wal.ScanSegment(si.Path, func(_ wal.Cursor, ev wal.Event) error { return f.cfg.Apply(ev) })
-		if err != nil {
-			return err
-		}
+	for i, scan := range scans {
 		applied += scan.Records
-		if scan.Torn {
-			if i != len(segs)-1 {
-				return fmt.Errorf("segment %d has a torn tail but is not the last segment", si.Seq)
-			}
-			if scan.GoodBytes < wal.SegmentHeaderLen {
-				return fmt.Errorf("segment %d is shorter than its magic line", si.Seq)
-			}
-			f.cfg.Logf("repl: truncating torn mirror tail of segment %d at byte %d", si.Seq, scan.GoodBytes)
+		if !scan.Torn {
+			continue
 		}
-		last = scan
+		if i != len(scans)-1 {
+			return fmt.Errorf("segment %d has a torn tail but is not the last segment", scan.Seq)
+		}
+		if scan.GoodBytes < wal.SegmentHeaderLen {
+			return fmt.Errorf("segment %d is shorter than its magic line", scan.Seq)
+		}
+		f.cfg.Logf("repl: truncating torn mirror tail of segment %d at byte %d", scan.Seq, scan.GoodBytes)
 	}
+	last := scans[len(scans)-1]
 	m, err := wal.OpenSegment(f.cfg.Dir, last.Seq, last.GoodBytes, f.wrapFile)
 	if err != nil {
 		return err
@@ -373,77 +397,17 @@ func (f *Follower) replayLocal(segs []wal.SegmentInfo) error {
 	f.mirror = m
 	cur := wal.Cursor{Seg: last.Seq, Off: last.GoodBytes}
 	f.setCursor(cur, last.Chain)
-	f.cfg.Logf("repl: resumed local mirror at %v (%d records replayed)", cur, applied)
-	return nil
-}
-
-// snapshot wipes the mirror directory and bootstraps from the
-// primary's checksummed snapshot: apply every event, persist them into
-// a local-only snapshot segment just below the snapshot cursor, and
-// open an empty mirror segment at the cursor — so the resume rule
-// after any future restart is uniformly "replay everything, tail from
-// the last segment's end".
-func (f *Follower) snapshot() error {
-	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, f.cfg.Primary+SnapshotPath, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := f.cfg.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("snapshot: primary answered %d: %s", resp.StatusCode, body)
-	}
-	cur, evs, err := readSnapshot(resp.Body)
-	if err != nil {
-		return err
-	}
-	if cur.Seg < 2 || cur.Off != wal.SegmentHeaderLen {
-		return fmt.Errorf("snapshot cursor %v is not a fresh segment cut", cur)
-	}
-	if err := wipeSegments(f.cfg.Dir); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
+	_, err = os.Stat(filepath.Join(f.cfg.Dir, bootstrappedFile))
+	switch {
+	case err == nil:
+		f.setState(StateSyncing, true)
+	case errors.Is(err, fs.ErrNotExist):
+		f.setState(StateBootstrapping, false)
+		f.cfg.Logf("repl: local mirror is a partial bootstrap; resuming it unservable")
+	default:
 		return fmt.Errorf("repl: %w", err)
 	}
-	// Persist the snapshot as a local-only segment below the cut, so a
-	// follower restart replays it like any other segment (and, after
-	// promotion, wal.Open). Its sequence number never reaches the
-	// primary: fingerprints are exchanged only for the tail segment,
-	// which starts fresh at the cut. Sealing the snapshot segment into
-	// the cut's leaves the mirror open there.
-	m, err := wal.CreateSegment(f.cfg.Dir, cur.Seg-1, f.wrapFile)
-	if err != nil {
-		return err
-	}
-	var frames []byte
-	for _, ev := range evs {
-		frames = wal.AppendFrame(frames, wal.EncodeEvent(ev))
-	}
-	if err := m.Write(frames); err != nil {
-		m.Close()
-		return err
-	}
-	if err := m.Seal(cur.Seg); err != nil {
-		m.Close()
-		return err
-	}
-	applied := 0
-	for _, ev := range evs {
-		if err := f.cfg.Apply(ev); err != nil {
-			m.Close()
-			return fmt.Errorf("applying snapshot event: %w", err)
-		}
-		applied++
-	}
-	f.mirror = m
-	f.setCursor(cur, wal.ChainSeed(cur.Seg))
-	f.setState(StateSyncing, true)
-	f.cfg.Logf("repl: bootstrapped from snapshot: %d events, tailing from %v", applied, cur)
+	f.cfg.Logf("repl: resumed local mirror at %v (%d records replayed)", cur, applied)
 	return nil
 }
 
@@ -453,8 +417,9 @@ var (
 	errCompacted = errors.New("repl: compacted")
 )
 
-// tail opens the stream at the current cursor and applies items until
-// the connection breaks or the context is canceled. The returned error
+// tail opens the stream at the current cursor — seg=0, the primary's
+// whole log, while there is no mirror — and applies items until the
+// connection breaks or the context is canceled. The returned error
 // classifies the break: errDiverged and errCompacted force a
 // re-bootstrap, anything else is a plain reconnect.
 func (f *Follower) tail() error {
@@ -484,6 +449,17 @@ func (f *Follower) tail() error {
 		return fmt.Errorf("stream: primary answered %d: %s", resp.StatusCode, body)
 	}
 
+	// A follower that is not servable becomes servable once it has
+	// applied every record the primary held when this stream opened:
+	// need counts those still to come — the first item's lag, less each
+	// frame after it, and never more than the current lag (which drops
+	// past records a compaction jump skips). The bootstrap marker is
+	// made durable first, so a restart serves only a completed mirror.
+	servable := f.servableNow()
+	if !servable {
+		f.setState(StateBootstrapping, false)
+	}
+	need := uint64(math.MaxUint64)
 	for {
 		it, err := readItem(resp.Body)
 		if err != nil {
@@ -495,20 +471,36 @@ func (f *Follower) tail() error {
 			}
 			return err
 		}
-		if it.typ == itemHeartbeat {
-			f.setLag(it.lag)
-			if it.lag == 0 {
-				// Caught up also means durable locally; an idle
-				// follower's heartbeats find nothing to sync.
+		if it.typ == itemFrame {
+			if err := f.applyFrame(it); err != nil {
+				return err
+			}
+		}
+		f.setLag(it.lag)
+		wasServable := servable
+		if !servable {
+			if it.typ == itemFrame {
+				need-- // never 0 here: need 0 made the follower servable
+			}
+			need = min(need, it.lag)
+			if servable = need == 0; servable {
+				if err := f.markBootstrapped(); err != nil {
+					return err
+				}
+			}
+		}
+		switch {
+		case it.typ == itemHeartbeat && it.lag == 0:
+			// Caught up also means durable locally; an idle
+			// follower's heartbeats find nothing to sync.
+			if f.mirror != nil {
 				if err := f.mirror.Sync(); err != nil {
 					return err
 				}
-				f.setState(StateCurrent, true)
 			}
-			continue
-		}
-		if err := f.applyFrame(it); err != nil {
-			return err
+			f.setState(StateCurrent, true)
+		case servable && (!wasServable || it.lag > 0):
+			f.setState(StateSyncing, true)
 		}
 	}
 }
@@ -540,8 +532,16 @@ func (f *Follower) applyFrame(it streamItem) error {
 		// Overlap: the mirror already has these bytes; only the store
 		// apply below matters (and dedup usually absorbs even that).
 	case it.seg > cur.Seg && it.off == wal.SegmentHeaderLen:
-		// Segment advance (rotation or compaction jump on the primary).
-		if err := f.mirror.Seal(it.seg); err != nil {
+		// The first frame of a segment the mirror does not hold: a
+		// rotation or compaction jump on the primary, or the first
+		// segment of a bootstrap (cur is zero while there is no mirror).
+		if f.mirror == nil {
+			m, err := wal.CreateSegment(f.cfg.Dir, it.seg, f.wrapFile)
+			if err != nil {
+				return err
+			}
+			f.mirror = m
+		} else if err := f.mirror.Seal(it.seg); err != nil {
 			return err
 		}
 		if err := f.mirror.Write(it.frame); err != nil {
@@ -555,10 +555,6 @@ func (f *Follower) applyFrame(it streamItem) error {
 	}
 	if err := f.cfg.Apply(ev); err != nil {
 		return fmt.Errorf("applying replicated event: %w", err)
-	}
-	f.setLag(it.lag)
-	if it.lag > 0 {
-		f.setState(StateSyncing, true)
 	}
 	return nil
 }

@@ -28,7 +28,10 @@ func TestMirrorFsyncsOnlyUnsyncedBytes(t *testing.T) {
 			h(w, r)
 		}
 	}
-	p := newPrimaryHarness(t, wal.Options{}, hold)
+	// Segment 1 holds exactly ten frames, so the commit of frames 10-11
+	// rotates to segment 2.
+	frameLen := int64(len(wal.AppendFrame(nil, wal.EncodeEvent(evN(0)))))
+	p := newPrimaryHarness(t, wal.Options{MaxSegmentBytes: wal.SegmentHeaderLen + 10*frameLen}, hold)
 	for i := 0; i < 5; i++ {
 		p.ingest(evN(i))
 	}
@@ -48,37 +51,37 @@ func TestMirrorFsyncsOnlyUnsyncedBytes(t *testing.T) {
 
 	waitStatus(t, f, "bootstrapped", caughtUpWith(fstore, 5))
 	waitHeartbeats(t, f, 5)
-	// The snapshot segment's magic line and frames, the mirror
-	// segment's magic line; the heartbeats found nothing to sync.
-	syncs("bootstrapped and idle", 3)
+	// Segment 1's magic line, and the sync of its bootstrap frames
+	// before the bootstrap marker; the heartbeats found nothing to sync.
+	syncs("bootstrapped and idle", 2)
 
 	p.ingest(evN(5), evN(6), evN(7))
 	waitStatus(t, f, "caught up on new frames", caughtUpWith(fstore, 8))
 	waitHeartbeats(t, f, 5)
-	syncs("new frames, then idle", 4)
+	syncs("new frames, then idle", 3)
 
 	// Cut the stream and hold the reconnect while the primary commits
-	// to its segment, cuts the next and commits there: the follower
-	// catches up on frames with lag > 0, so no heartbeat syncs them
-	// before the seal.
+	// to its segment, rotates to the next and commits there: the
+	// follower catches up on frames with lag > 0, so no heartbeat syncs
+	// them before the seal.
 	held := make(chan struct{})
 	gate.Store(&held)
 	p.srv.CloseClientConnections()
 	p.ingest(evN(8), evN(9))
-	if _, err := p.log.CutSegment(nil); err != nil {
-		t.Fatal(err)
-	}
 	p.ingest(evN(10), evN(11))
+	if end, _ := p.log.End(); end.Seg != 2 {
+		t.Fatalf("frames 10-11 committed at %v, want in segment 2", end)
+	}
 	gate.Store(nil)
 	close(held)
 	waitStatus(t, f, "caught up across the cut", caughtUpWith(fstore, 12))
 	waitHeartbeats(t, f, 5)
 	// The seal of frames 8-9, the next segment's magic line, the first
 	// lag-0 heartbeat after frames 10-11.
-	syncs("catch-up across a seal, then idle", 7)
+	syncs("catch-up across a seal, then idle", 6)
 
 	f.Stop()
-	syncs("stopped", 7)
+	syncs("stopped", 6)
 
 	f2 := newTestFollower(t, p.srv.URL, fdir, newFakeStore())
 	f2.wrapFile = disk.Wrap
@@ -86,7 +89,7 @@ func TestMirrorFsyncsOnlyUnsyncedBytes(t *testing.T) {
 	defer f2.Stop()
 	waitStatus(t, f2, "resumed from the mirror", func(st Status) bool { return st.State == StateCurrent })
 	waitHeartbeats(t, f2, 5)
-	syncs("reopened, then idle", 8)
+	syncs("reopened, then idle", 7)
 	sameEvents(t, p.store, fstore)
 	mirrorByteIdentical(t, p.log.Dir(), fdir)
 }

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,16 +14,13 @@ import (
 )
 
 // Primary serves the replication surface of a primary viralcastd: the
-// WAL stream and the bootstrap snapshot. The serve layer mounts its two
-// handlers on the control plane (replication must keep flowing while
-// the data plane sheds load) and owns role checks — a follower answers
-// these paths with an error before the handlers run.
+// WAL stream, which bootstraps a follower and then tails the log. The
+// serve layer mounts its handler on the control plane (replication must
+// keep flowing while the data plane sheds load) and owns role checks —
+// a follower answers the path with an error before the handler runs.
 type Primary struct {
 	// Log is the live WAL the stream tails.
 	Log *wal.Log
-	// Events snapshots the full live store; invoked under the WAL's
-	// commit lock by the snapshot handler (see wal.CutSegment).
-	Events func() []wal.Event
 	// Poll is how often the stream re-checks the active segment for new
 	// frames once caught up. Default 50ms.
 	Poll time.Duration
@@ -53,69 +51,58 @@ func (p *Primary) heartbeat() time.Duration {
 	return time.Second
 }
 
-// HandleSnapshot serves a bootstrap snapshot: it cuts the WAL to a
-// fresh segment, snapshots the live store under the same commit lock,
-// and ships the checksummed envelope. The returned cursor is the fresh
-// segment's start — every event committed before the cut is in the
-// snapshot; everything after arrives via the stream from that cursor.
-func (p *Primary) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var evs []wal.Event
-	cur, err := p.Log.CutSegment(func() { evs = p.Events() })
-	if err != nil {
-		http.Error(w, fmt.Sprintf("snapshot cut: %v", err), http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := writeSnapshot(w, cur, evs); err != nil {
-		// The response is already committed; all we can do is cut the
-		// connection short so the follower's envelope check fails loudly.
-		p.logf("repl: snapshot write to %s: %v", r.RemoteAddr, err)
-		return
-	}
-	p.logf("repl: served snapshot of %d events at cursor %v to %s", len(evs), cur, r.RemoteAddr)
-}
-
 // HandleStream serves the WAL stream from a follower's cursor. Query
 // parameters: seg, off (the resume cursor) and fp (hex chain
-// fingerprint of the follower's local prefix of that segment).
+// fingerprint of the follower's local prefix of that segment). seg=0
+// is the whole log, which is how a follower with no mirror bootstraps:
+// the oldest surviving segment from its header, with no prefix and so
+// no off or fp to check.
 //
 // Status answers: 400 malformed cursor; 410 the cursor's segment was
-// compacted away (re-snapshot); 409 the fingerprints disagree — the
+// compacted away (re-bootstrap); 409 the fingerprints disagree — the
 // follower's history diverged from ours and it must not serve until it
-// re-snapshots; 200 a stream of frame/heartbeat items until the client
+// re-bootstraps; 200 a stream of frame/heartbeat items until the client
 // disconnects.
 func (p *Primary) HandleStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	seg, errSeg := strconv.ParseUint(q.Get("seg"), 10, 64)
-	off, errOff := strconv.ParseInt(q.Get("off"), 10, 64)
-	fp64, errFP := strconv.ParseUint(q.Get("fp"), 16, 32)
-	if errSeg != nil || errOff != nil || errFP != nil || off < wal.SegmentHeaderLen {
+	seg, err := strconv.ParseUint(q.Get("seg"), 10, 64)
+	off, fp := wal.SegmentHeaderLen, uint64(0)
+	if err == nil && seg != 0 {
+		var errFP error
+		off, err = strconv.ParseInt(q.Get("off"), 10, 64)
+		fp, errFP = strconv.ParseUint(q.Get("fp"), 16, 32)
+		err = errors.Join(err, errFP)
+	}
+	if err != nil || off < wal.SegmentHeaderLen {
 		http.Error(w, "parameters seg, off, fp (hex) required; off must be at or past the segment header", http.StatusBadRequest)
 		return
 	}
-	fp := uint32(fp64)
 
-	path, status, msg := p.locate(seg)
+	si, status, msg := p.locate(seg)
 	if status != 0 {
 		http.Error(w, msg, status)
 		return
 	}
-	// Verify the follower's prefix really is a prefix of ours: same
-	// frame boundary, same chained payload history. Any mismatch is
-	// divergence — the follower must re-snapshot, not keep serving.
-	ourFP, recs, err := wal.SegmentChainAt(path, off)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("diverged: cursor %d:%d does not address our log: %v", seg, off, err), http.StatusConflict)
-		return
+	recs := 0
+	if seg != 0 {
+		// Verify the follower's prefix really is a prefix of ours: same
+		// frame boundary, same chained payload history. Any mismatch is
+		// divergence — the follower must re-bootstrap, not keep serving.
+		ourFP, n, err := wal.SegmentChainAt(si.Path, off)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("diverged: cursor %d:%d does not address our log: %v", seg, off, err), http.StatusConflict)
+			return
+		}
+		if uint64(ourFP) != fp {
+			http.Error(w, fmt.Sprintf("diverged: chain fingerprint at %d:%d is %08x here, follower has %08x", seg, off, ourFP, fp), http.StatusConflict)
+			return
+		}
+		recs = n
 	}
-	if ourFP != fp {
-		http.Error(w, fmt.Sprintf("diverged: chain fingerprint at %d:%d is %08x here, follower has %08x", seg, off, ourFP, fp), http.StatusConflict)
-		return
-	}
-	base, ok := p.Log.RecordsBefore(seg)
+	base, ok := p.Log.RecordsBefore(si.Seq)
 	if !ok {
 		// Compacted between locate and here; the follower will retry.
-		http.Error(w, fmt.Sprintf("segment %d was compacted away; re-snapshot", seg), http.StatusGone)
+		http.Error(w, fmt.Sprintf("segment %d was compacted away; re-bootstrap", si.Seq), http.StatusGone)
 		return
 	}
 	index := base + uint64(recs)
@@ -126,27 +113,31 @@ func (p *Primary) HandleStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	p.logf("repl: streaming to %s from %d:%d (record index %d)", r.RemoteAddr, seg, off, index)
-	p.stream(w, flusher, r, seg, off, index)
+	p.logf("repl: streaming to %s from %d:%d (record index %d)", r.RemoteAddr, si.Seq, off, index)
+	p.stream(w, flusher, r, si.Seq, off, index)
 }
 
-// locate resolves segment seq to its on-disk path, or an HTTP error:
-// 410 if it sits below every surviving segment (compacted), 409 if it
-// is past our log entirely (the follower has history we never wrote).
-func (p *Primary) locate(seq uint64) (path string, status int, msg string) {
+// locate resolves segment seq to its on-disk file — seq 0 to the oldest
+// surviving one — or an HTTP error: 410 if it sits below every
+// surviving segment (compacted), 409 if it is past our log entirely
+// (the follower has history we never wrote).
+func (p *Primary) locate(seq uint64) (si wal.SegmentInfo, status int, msg string) {
 	segs, err := wal.ListSegments(p.Log.Dir())
 	if err != nil || len(segs) == 0 {
-		return "", http.StatusServiceUnavailable, fmt.Sprintf("listing segments: %v", err)
+		return si, http.StatusServiceUnavailable, fmt.Sprintf("listing segments: %v", err)
+	}
+	if seq == 0 {
+		return segs[0], 0, ""
 	}
 	for _, si := range segs {
 		if si.Seq == seq {
-			return si.Path, 0, ""
+			return si, 0, ""
 		}
 	}
 	if seq < segs[0].Seq {
-		return "", http.StatusGone, fmt.Sprintf("segment %d was compacted away (oldest surviving is %d); re-snapshot", seq, segs[0].Seq)
+		return si, http.StatusGone, fmt.Sprintf("segment %d was compacted away (oldest surviving is %d); re-bootstrap", seq, segs[0].Seq)
 	}
-	return "", http.StatusConflict, fmt.Sprintf("diverged: follower cursor names segment %d, which this primary never wrote (newest is %d)", seq, segs[len(segs)-1].Seq)
+	return si, http.StatusConflict, fmt.Sprintf("diverged: follower cursor names segment %d, which this primary never wrote (newest is %d)", seq, segs[len(segs)-1].Seq)
 }
 
 // stream is the tail loop: ship intact frames from (seg, off), advance

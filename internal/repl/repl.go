@@ -22,20 +22,26 @@
 //     presents its cursor AND the fingerprint of its local prefix; the
 //     primary recomputes the fingerprint of its own prefix at that
 //     cursor and answers 409 on mismatch. A follower that hears 409
-//     stops serving and re-snapshots rather than serving wrong data.
+//     stops serving and re-bootstraps rather than serving wrong data.
 //
-// Bootstrap uses a checksummed store snapshot taken at a segment cut:
-// the primary rotates its WAL to a fresh segment and snapshots the
-// live store under the same commit lock (wal.CutSegment), so the
-// snapshot is guaranteed to contain every event below the returned
-// cursor; the overlap (events in the snapshot AND in segments at or
-// after the cut) is absorbed by the store's SI duplicate guard on
-// apply, the same argument that makes WAL compaction replay-safe.
-// Compaction on the primary is likewise benign mid-stream: a cursor
-// that compaction deleted answers 410, and the follower re-snapshots;
-// a stream that reaches the end of a deleted-but-still-open segment
-// simply advances to the next surviving segment, whose compaction
-// snapshot re-ships the full live state into the same duplicate guard.
+// There is one format on the wire and on disk: WAL frames. A follower
+// with no mirror bootstraps by opening the stream at seg=0, the
+// primary's oldest surviving segment from its header, and creates each
+// mirror segment from the first frame that names it — so its mirror is
+// the primary's segments one for one, and its store is what a primary
+// restart would replay: every surviving segment in order, the overlap
+// between a compaction snapshot and the history it summarizes absorbed
+// by the store's SI duplicate guard (Compact's own argument). The
+// follower serves nothing until it has applied every record the
+// primary held when the stream opened, a count the first item's lag
+// carries, and a durable marker beside the mirror carries that across a
+// restart: a mirror without it is a partial bootstrap, replayed but not
+// served until the resumed stream catches up. Compaction on the primary is likewise benign mid-stream: a
+// cursor that compaction deleted answers 410, and the follower wipes
+// its mirror and re-bootstraps; a stream that reaches the end of a
+// deleted-but-still-open segment simply advances to the next surviving
+// segment, whose compaction snapshot re-ships the full live state into
+// the same duplicate guard.
 package repl
 
 import (
@@ -47,12 +53,9 @@ import (
 	"viralcast/internal/wal"
 )
 
-// HTTP paths a primary mounts (the serve layer wires them under its
-// control plane).
-const (
-	StreamPath   = "/v1/repl/stream"
-	SnapshotPath = "/v1/repl/snapshot"
-)
+// StreamPath is the HTTP path a primary mounts the stream on (the serve
+// layer wires it under its control plane).
+const StreamPath = "/v1/repl/stream"
 
 // Stream item types. A stream response body is a sequence of items:
 //
@@ -145,85 +148,4 @@ func (it streamItem) verify() ([]byte, wal.Event, error) {
 		return nil, wal.Event{}, fmt.Errorf("repl: streamed frame at %d:%d failed verification: %w", it.seg, it.off, err)
 	}
 	return payload, ev, nil
-}
-
-// Snapshot envelope, the bootstrap payload: the primary's full live
-// store serialized as ordinary WAL record payloads, bracketed by a
-// magic line, the WAL cursor the snapshot is consistent with, and a
-// trailing CRC chained over every payload — the same envelope
-// discipline as the WAL segments themselves, so a truncated or
-// corrupted snapshot is rejected before a single event is applied.
-//
-//	"viralcast-snap v1\n"
-//	[8B seg LE][8B off LE][8B count LE]
-//	count × [frame]
-//	[4B chain CRC]
-const snapMagic = "viralcast-snap v1\n"
-
-// writeSnapshot serializes a snapshot envelope.
-func writeSnapshot(w io.Writer, cur wal.Cursor, evs []wal.Event) error {
-	hdr := make([]byte, 0, len(snapMagic)+24)
-	hdr = append(hdr, snapMagic...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, cur.Seg)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(cur.Off))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(evs)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	fp := wal.ChainSeed(cur.Seg)
-	var buf []byte
-	for _, ev := range evs {
-		payload := wal.EncodeEvent(ev)
-		fp = wal.ChainUpdate(fp, payload)
-		buf = wal.AppendFrame(buf[:0], payload)
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], fp)
-	_, err := w.Write(tail[:])
-	return err
-}
-
-// readSnapshot parses and verifies a snapshot envelope, returning the
-// cursor it is consistent with and the decoded events. Any structural
-// damage — bad magic, torn frame, chain CRC mismatch — is an error and
-// nothing should be applied.
-func readSnapshot(r io.Reader) (wal.Cursor, []wal.Event, error) {
-	hdr := make([]byte, len(snapMagic)+24)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot header: %w", err)
-	}
-	if string(hdr[:len(snapMagic)]) != snapMagic {
-		return wal.Cursor{}, nil, fmt.Errorf("repl: not a viralcast snapshot (starts %q)", hdr[:len(snapMagic)])
-	}
-	rest := hdr[len(snapMagic):]
-	cur := wal.Cursor{
-		Seg: binary.LittleEndian.Uint64(rest[0:8]),
-		Off: int64(binary.LittleEndian.Uint64(rest[8:16])),
-	}
-	count := binary.LittleEndian.Uint64(rest[16:24])
-	fp := wal.ChainSeed(cur.Seg)
-	evs := make([]wal.Event, 0, min(count, 1<<20))
-	for i := uint64(0); i < count; i++ {
-		payload, err := wal.ReadFrame(r)
-		if err != nil {
-			return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot frame %d: %w", i, err)
-		}
-		ev, err := wal.DecodeEvent(payload)
-		if err != nil {
-			return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot frame %d: %w", i, err)
-		}
-		fp = wal.ChainUpdate(fp, payload)
-		evs = append(evs, ev)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot chain crc: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != fp {
-		return wal.Cursor{}, nil, fmt.Errorf("repl: snapshot chain crc mismatch (computed %08x, envelope says %08x)", fp, got)
-	}
-	return cur, evs, nil
 }

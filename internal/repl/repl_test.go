@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -95,10 +97,9 @@ func newPrimaryHarness(t *testing.T, opt wal.Options, wrap func(http.HandlerFunc
 		t.Fatal(err)
 	}
 	prim := &Primary{
-		Log:    log,
-		Events: func() []wal.Event { return store.snapshot() },
-		Poll:   2 * time.Millisecond,
-		Logf:   t.Logf,
+		Log:  log,
+		Poll: 2 * time.Millisecond,
+		Logf: t.Logf,
 	}
 	stream := http.HandlerFunc(prim.HandleStream)
 	if wrap != nil {
@@ -106,7 +107,6 @@ func newPrimaryHarness(t *testing.T, opt wal.Options, wrap func(http.HandlerFunc
 	}
 	mux := http.NewServeMux()
 	mux.Handle("GET "+StreamPath, stream)
-	mux.HandleFunc("GET "+SnapshotPath, prim.HandleSnapshot)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { log.Close() })
@@ -177,8 +177,10 @@ func sameEvents(t *testing.T, a, b *fakeStore) {
 	}
 }
 
-// mirrorByteIdentical asserts every mirrored segment the follower
-// shares with the primary is byte-for-byte identical.
+// mirrorByteIdentical asserts every mirrored segment is one the primary
+// wrote — it still holds it, or compacted it away — and byte-for-byte
+// identical wherever the primary still holds it. It returns how many
+// segments the two share.
 func mirrorByteIdentical(t *testing.T, primaryDir, followerDir string) int {
 	t.Helper()
 	psegs, err := wal.ListSegments(primaryDir)
@@ -197,7 +199,11 @@ func mirrorByteIdentical(t *testing.T, primaryDir, followerDir string) int {
 	for _, si := range fsegs {
 		pp, ok := primBySeq[si.Seq]
 		if !ok {
-			continue // the local-only snapshot segment
+			if si.Seq >= psegs[0].Seq {
+				t.Fatalf("mirror segment %d was never written by the primary (its segments run %d..%d)",
+					si.Seq, psegs[0].Seq, psegs[len(psegs)-1].Seq)
+			}
+			continue // compacted away on the primary since it was mirrored
 		}
 		pb, err := os.ReadFile(pp)
 		if err != nil {
@@ -316,8 +322,8 @@ func TestStreamCutMidFrame(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.ingest(evN(i))
 	}
-	// Bootstrap happens via snapshot (not the stream), so the cut hits
-	// the first streamed frame after the snapshot cursor.
+	// Bootstrap streams from the primary's oldest segment, so the cut
+	// hits the first bootstrap frame.
 	fdir := t.TempDir()
 	fstore := newFakeStore()
 	f := newTestFollower(t, p.srv.URL, fdir, fstore)
@@ -476,7 +482,7 @@ func TestCompactionPastCursorForcesResnapshot(t *testing.T) {
 
 	// While the follower is down, the primary ingests more and compacts
 	// its whole history away; the follower's cursor now names a deleted
-	// segment and must answer 410 → re-snapshot.
+	// segment and must answer 410 → re-bootstrap.
 	for i := 10; i < 15; i++ {
 		p.ingest(evN(i))
 	}
@@ -492,35 +498,10 @@ func TestCompactionPastCursorForcesResnapshot(t *testing.T) {
 	sameEvents(t, p.store, fstore2)
 }
 
-func TestSnapshotEnvelopeRejectsCorruption(t *testing.T) {
-	evs := []wal.Event{{Cascade: 1, Node: 2, Time: 3}, {Cascade: 4, Node: 5, Time: 6}}
-	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, wal.Cursor{Seg: 3, Off: wal.SegmentHeaderLen}, evs); err != nil {
-		t.Fatal(err)
-	}
-	cur, got, err := readSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cur.Seg != 3 || len(got) != 2 || got[0] != evs[0] || got[1] != evs[1] {
-		t.Fatalf("round trip mismatch: %v %+v", cur, got)
-	}
-	// Flip one payload byte: the frame CRC catches it.
-	bad := append([]byte(nil), buf.Bytes()...)
-	bad[len(snapMagic)+24+10] ^= 0x40
-	if _, _, err := readSnapshot(bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupted snapshot accepted")
-	}
-	// Truncate: the envelope read fails, nothing is applied.
-	if _, _, err := readSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()-3])); err == nil {
-		t.Fatal("truncated snapshot accepted")
-	}
-}
-
 func TestPromotedMirrorOpensAsWAL(t *testing.T) {
 	// The whole point of the byte mirror: after Stop, the directory is
-	// an ordinary WAL — wal.Open replays snapshot segment + streamed
-	// frames into exactly the primary's event set.
+	// an ordinary WAL — wal.Open replays the mirrored segments into
+	// exactly the primary's event set.
 	p := newPrimaryHarness(t, wal.Options{}, nil)
 	for i := 0; i < 15; i++ {
 		p.ingest(evN(i))
@@ -548,4 +529,186 @@ func TestPromotedMirrorOpensAsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = filepath.Join // keep import balanced if helpers change
+}
+
+// TestBootstrapAfterRotationAndCompaction bootstraps a follower from a
+// primary that has rotated through many small segments, compacted them
+// away and rotated again: the mirror starts at the primary's oldest
+// surviving segment (the compaction snapshot) and holds exactly the
+// primary's segments from there, and the store equals the primary's.
+func TestBootstrapAfterRotationAndCompaction(t *testing.T) {
+	p := newPrimaryHarness(t, wal.Options{MaxSegmentBytes: 256}, nil)
+	for i := 0; i < 60; i++ {
+		p.ingest(evN(i))
+	}
+	if _, err := p.log.Compact(p.store.snapshot); err != nil {
+		t.Fatal(err)
+	}
+	for i := 60; i < 100; i++ {
+		p.ingest(evN(i))
+	}
+	psegs, err := wal.ListSegments(p.log.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if psegs[0].Seq == 1 || len(psegs) < 3 {
+		t.Fatalf("primary segments %v: want compaction past segment 1 and rotations after it", psegs)
+	}
+
+	fdir := t.TempDir()
+	fstore := newFakeStore()
+	f := newTestFollower(t, p.srv.URL, fdir, fstore)
+	f.Start()
+	defer f.Stop()
+	waitStatus(t, f, "bootstrapped", caughtUpWith(fstore, 100))
+	sameEvents(t, p.store, fstore)
+	fsegs, err := wal.ListSegments(fdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fsegs[0].Seq != psegs[0].Seq {
+		t.Fatalf("first mirror segment is %d, want the primary's oldest surviving %d", fsegs[0].Seq, psegs[0].Seq)
+	}
+	if shared := mirrorByteIdentical(t, p.log.Dir(), fdir); shared != len(psegs) || len(fsegs) != len(psegs) {
+		t.Fatalf("mirror holds %d segments, %d shared, want the primary's %d", len(fsegs), shared, len(psegs))
+	}
+}
+
+// TestBootstrapUnservableUntilApplied blocks the follower's Apply
+// partway through the records the primary held when the bootstrap
+// stream opened: the follower is not servable while it holds only some
+// of them, and is servable once it has applied all of them.
+func TestBootstrapUnservableUntilApplied(t *testing.T) {
+	p := newPrimaryHarness(t, wal.Options{}, nil)
+	for i := 0; i < 30; i++ {
+		p.ingest(evN(i))
+	}
+	fstore := newFakeStore()
+	blocked, release := make(chan struct{}), make(chan struct{})
+	var applied int
+	f, err := New(Config{
+		Primary: p.srv.URL,
+		Dir:     t.TempDir(),
+		Apply: func(ev wal.Event) error {
+			if applied++; applied == 10 {
+				close(blocked)
+				<-release
+			}
+			return fstore.apply(ev)
+		},
+		Reset:      fstore.reset,
+		BackoffMin: time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	<-blocked
+	st := f.Status()
+	if st.Servable || st.State != StateBootstrapping {
+		t.Fatalf("9 of 30 bootstrap records applied: status %+v, want unservable and %q", st, StateBootstrapping)
+	}
+	// The bootstrap streams the primary's own segment into the mirror.
+	if st.Cursor.Seg != 1 {
+		t.Fatalf("bootstrapping mirror cursor %v, want in the primary's segment 1", st.Cursor)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if st := f.Status(); st.Servable {
+		t.Fatalf("servable while Apply is blocked: %+v", st)
+	}
+	close(release)
+	waitStatus(t, f, "servable after the bootstrap records", func(st Status) bool { return st.Servable })
+	if got := len(fstore.snapshot()); got != 30 {
+		t.Fatalf("servable with %d of 30 records applied", got)
+	}
+	waitStatus(t, f, "caught up", caughtUpWith(fstore, 30))
+	sameEvents(t, p.store, fstore)
+}
+
+// TestPartialBootstrapRestartsUnservable stops a follower partway
+// through its bootstrap and restarts it on the same mirror: against an
+// unreachable primary it replays the partial mirror but stays
+// unservable, against the primary it completes the bootstrap and serves,
+// and a restart after that serves its mirror at once, primary or not.
+func TestPartialBootstrapRestartsUnservable(t *testing.T) {
+	p := newPrimaryHarness(t, wal.Options{}, nil)
+	for i := 0; i < 30; i++ {
+		p.ingest(evN(i))
+	}
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close() // its address now refuses connections
+	fdir := t.TempDir()
+
+	blocked, release := make(chan struct{}), make(chan struct{})
+	var applied int
+	var stopping atomic.Bool
+	f, err := New(Config{
+		Primary: p.srv.URL,
+		Dir:     fdir,
+		Apply: func(ev wal.Event) error {
+			if stopping.Load() {
+				return errors.New("stopping")
+			}
+			if applied++; applied == 10 {
+				close(blocked)
+				<-release
+			}
+			return nil
+		},
+		BackoffMin: time.Millisecond,
+		BackoffMax: 20 * time.Millisecond,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	<-blocked
+	stopping.Store(true)
+	close(release)
+	f.Stop()
+
+	restart := func(url string) (*Follower, *fakeStore) {
+		t.Helper()
+		store := newFakeStore()
+		f := newTestFollower(t, url, fdir, store)
+		f.Start()
+		t.Cleanup(f.Stop)
+		return f, store
+	}
+	f, store := restart(down.URL)
+	st := waitStatus(t, f, "replayed and refused by the primary", func(st Status) bool {
+		return st.Cursor.Seg != 0 && st.Reconnects > 0
+	})
+	if st.Servable || st.State != StateBootstrapping {
+		t.Fatalf("partial bootstrap restarted against a dead primary: status %+v, want unservable and %q", st, StateBootstrapping)
+	}
+	if got := len(store.snapshot()); got < 10 || got >= 30 {
+		t.Fatalf("replayed %d records from the partial mirror, want at least 10 and fewer than 30", got)
+	}
+	f.Stop()
+
+	f, store = restart(p.srv.URL)
+	waitStatus(t, f, "bootstrap completed", caughtUpWith(store, 30))
+	sameEvents(t, p.store, store)
+	mirrorByteIdentical(t, p.log.Dir(), fdir)
+	f.Stop()
+
+	f, store = restart(down.URL)
+	st = waitStatus(t, f, "replayed", func(st Status) bool { return st.Cursor.Seg != 0 })
+	if !st.Servable {
+		t.Fatalf("completed bootstrap restarted unservable: %+v", st)
+	}
+	sameEvents(t, p.store, store)
 }

@@ -57,8 +57,7 @@ func (s *Server) routes() http.Handler {
 		// catching up must keep streaming while the data plane sheds
 		// load, and promotion is exactly the kind of thing an operator
 		// does to an overloaded or dying cluster.
-		control("GET "+repl.StreamPath, "repl_stream", s.handleRepl((*repl.Primary).HandleStream))
-		control("GET "+repl.SnapshotPath, "repl_snapshot", s.handleRepl((*repl.Primary).HandleSnapshot))
+		control("GET "+repl.StreamPath, "repl_stream", s.handleRepl)
 		// Promote is fenced by Promote itself, not the blanket gate: a
 		// supervisor must be able to promote a fenced node back into
 		// service by explicitly presenting an epoch above the fence.
@@ -149,9 +148,10 @@ func (s *Server) writeFenced(w http.ResponseWriter, msg string, own uint64, riva
 // replGate protects the data plane of a follower whose local state is
 // not a verified prefix of the primary's history: while bootstrapping
 // or after detected divergence, reads would serve incomplete or wrong
-// data, so they answer 503 until the (re-)snapshot completes. A
-// healthy follower — syncing or current — serves normally; a primary
-// passes through untouched.
+// data, so they answer 503 until the (re-)bootstrap has applied every
+// record the primary held when its stream opened. A healthy follower —
+// syncing or current — serves normally; a primary passes through
+// untouched.
 func (s *Server) replGate(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.isFollower() {
@@ -226,8 +226,8 @@ var eventsPool = sync.Pool{New: func() any { return new(eventsWorkspace) }}
 // rejected; per-event failures come back in "rejected".
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Role gate: a follower's store is a replica of the primary's — a
-	// locally ingested event would be silently overwritten by the next
-	// re-snapshot and never replicated anywhere. 409 with a
+	// locally ingested event would be silently dropped by the next
+	// re-bootstrap and never replicated anywhere. 409 with a
 	// machine-readable primary hint so clients re-route.
 	if s.isFollower() {
 		s.metrics.followerRejects.Add(1)
@@ -523,22 +523,21 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRepl is the primary side of the replication protocol: a thin
-// role-checked shim over repl.Primary's stream and snapshot handlers.
-// The Primary value is built per request because the WAL pointer can be
-// swapped (degraded-mode recovery, promotion) under live traffic.
-func (s *Server) handleRepl(serve func(*repl.Primary, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		p, ok := s.replPrimary()
-		if !ok {
-			httpkit.WriteJSON(w, http.StatusConflict, map[string]any{
-				"error":   "this daemon is not a primary with a live WAL",
-				"reason":  "not_primary",
-				"primary": s.cfg.FollowURL,
-			})
-			return
-		}
-		serve(p, w, r)
+// role-checked shim over repl.Primary's stream, which both bootstraps a
+// follower (from the oldest segment) and tails the log. The Primary
+// value is built per request because the WAL pointer can be swapped
+// (degraded-mode recovery, promotion) under live traffic.
+func (s *Server) handleRepl(w http.ResponseWriter, r *http.Request) {
+	p, ok := s.replPrimary()
+	if !ok {
+		httpkit.WriteJSON(w, http.StatusConflict, map[string]any{
+			"error":   "this daemon is not a primary with a live WAL",
+			"reason":  "not_primary",
+			"primary": s.cfg.FollowURL,
+		})
+		return
 	}
+	p.HandleStream(w, r)
 }
 
 // replPrimary builds the replication source over the live WAL, or
@@ -552,11 +551,7 @@ func (s *Server) replPrimary() (*repl.Primary, bool) {
 	if lg == nil || lg.Err() != nil {
 		return nil, false
 	}
-	return &repl.Primary{
-		Log:    lg,
-		Events: s.store.AllEvents,
-		Logf:   s.cfg.Logf,
-	}, true
+	return &repl.Primary{Log: lg, Logf: s.cfg.Logf}, true
 }
 
 // handlePromote flips a follower into a primary without a restart. The

@@ -198,6 +198,88 @@ func TestFollowerUnservableGates503s(t *testing.T) {
 	_ = fsrv
 }
 
+// TestFollowerUnservableUntilBootstrapApplied holds the bootstrap
+// stream after its first few hundred bytes, so the follower has applied
+// some of the records the primary held when the stream opened but not
+// all: the data plane answers 503/replication and readyz "replicating"
+// until the rest arrive, and then the follower serves them.
+func TestFollowerUnservableUntilBootstrapApplied(t *testing.T) {
+	_, pts := newWALServer(t, t.TempDir())
+	const id, n = 4343, 20
+	for i := 1; i <= n; i++ {
+		if code := postEvent(t, pts.URL, id, i, float64(i)/10); code != http.StatusOK {
+			t.Fatalf("primary ingest %d: status %d", i, code)
+		}
+	}
+	release := make(chan struct{})
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, pts.URL+r.URL.RequestURI(), nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		fw := flushWriter{w}
+		if r.URL.Path == repl.StreamPath {
+			io.CopyN(fw, resp.Body, 200)
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		io.Copy(fw, resp.Body)
+	}))
+	t.Cleanup(proxy.Close)
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+
+	fsrv, fts := newFollowerServer(t, proxy.URL, t.TempDir())
+	waitRepl(t, "some bootstrap records applied", func() bool { return cascadeSize(fsrv, id) > 0 })
+	if got := cascadeSize(fsrv, id); got >= n {
+		t.Fatalf("held stream delivered all %d records", got)
+	}
+	if st, _ := fsrv.replStatus(); st.Servable || st.State != repl.StateBootstrapping {
+		t.Fatalf("partway through the bootstrap: status %+v, want unservable and bootstrapping", st)
+	}
+	code, body := getJSON(t, fts.URL+fmt.Sprintf("/v1/cascades/%d", id))
+	if code != http.StatusServiceUnavailable || body["reason"] != "replication" {
+		t.Fatalf("read partway through the bootstrap: code %d body %v", code, body)
+	}
+	if code, body := getJSON(t, fts.URL+"/readyz"); code != http.StatusOK || body["status"] != "replicating" {
+		t.Fatalf("readyz partway through the bootstrap: code %d body %v", code, body)
+	}
+
+	once.Do(func() { close(release) })
+	waitRepl(t, "follower servable", func() bool {
+		st, _ := fsrv.replStatus()
+		return st.Servable
+	})
+	if got := cascadeSize(fsrv, id); got != n {
+		t.Fatalf("servable with %d of %d bootstrap records applied", got, n)
+	}
+	code, body = getJSON(t, fts.URL+fmt.Sprintf("/v1/cascades/%d", id))
+	if code != http.StatusOK {
+		t.Fatalf("read after the bootstrap: code %d body %v", code, body)
+	}
+}
+
+// flushWriter flushes every write through, as the stream handler does
+// at the tip, so a proxied stream reaches the follower as it is copied.
+type flushWriter struct{ http.ResponseWriter }
+
+func (w flushWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.ResponseWriter.(http.Flusher).Flush()
+	return n, err
+}
+
 // TestPromoteRacingInFlightApply promotes a follower while the primary
 // is ingesting at full tilt — the promotion must serialize with the
 // apply loop (no torn state under -race), flip the role, and leave the
@@ -410,11 +492,10 @@ func runReplKillChild(t *testing.T, dir string, kill int) {
 	if err != nil {
 		t.Fatalf("child: %v", err)
 	}
-	// The follower's bootstrap cuts a segment once, before the first
-	// acked event replicates: the new segment's magic line puts one
-	// fsync ahead of the kill-th commit's (the sealed segment's last
-	// commit already synced it).
-	disk.ExitAfterSync(kill+1, 86)
+	// The follower bootstraps by streaming the log, which costs the
+	// primary no fsync: the kill-th sync from here is the kill-th
+	// commit's.
+	disk.ExitAfterSync(kill, 86)
 	// Atomic drop of the address file: the parent polls for it.
 	tmp := filepath.Join(dir, "addr.tmp")
 	if err := os.WriteFile(tmp, []byte(addr.String()), 0o644); err != nil {

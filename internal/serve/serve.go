@@ -78,12 +78,14 @@ type Config struct {
 	WALWrapFile func(*os.File) durable.File
 	// FollowURL makes this daemon a replication follower of the primary
 	// at that base URL (e.g. "http://primary:8080"): instead of opening
-	// the WAL for writes, it bootstraps from the primary's snapshot,
-	// tails the primary's WAL stream into a local byte mirror under
-	// WALDir, and serves the read/compute data plane from its own model
-	// generation. Ingestion answers 409 with a machine-readable primary
-	// hint. Requires WALDir (the mirror is what promotion opens as a
-	// WAL). Empty (the default) runs as a primary.
+	// the WAL for writes, it streams the primary's WAL segments, from
+	// its oldest one on, into a local byte mirror under WALDir, and
+	// serves the read/compute data plane from its own model generation
+	// once it holds every record the primary held when it connected.
+	// Ingestion answers 409 with a machine-readable primary hint.
+	// Requires WALDir (the mirror is what promotion opens as a WAL) and
+	// a primary running the same build. Empty (the default) runs as a
+	// primary.
 	FollowURL string
 	// ReplBackoffMin/Max bound the follower's jittered exponential
 	// reconnect backoff. Zero uses the repl package defaults.
@@ -181,12 +183,9 @@ type Server struct {
 	// follower is the replication tailer, non-nil only when the daemon
 	// was started with Config.FollowURL. followerActive flips false at
 	// promotion: the daemon's role is "follower" exactly while it is
-	// true. replApplied/replSkipped count replicated events applied to
-	// (or deduplicated away from) the local store.
+	// true.
 	follower       *repl.Follower
 	followerActive atomic.Bool
-	replApplied    atomic.Uint64
-	replSkipped    atomic.Uint64
 
 	// epoch mirrors the fencing epoch persisted next to the WAL
 	// (wal.ReadEpoch/WriteEpoch): bumped on every promotion, before the
@@ -327,17 +326,13 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// applyReplicated ingests one replicated event into the local store,
-// absorbing duplicates — bootstrap overlap, reconnect overlap, and
-// compaction snapshots legitimately replay events already applied.
+// applyReplicated ingests one replicated event into the local store;
+// a reject is an absorbed duplicate — compaction snapshots and
+// reconnect overlap legitimately replay events already applied.
 // Node-universe bounds are not re-checked, same as WAL replay: the
 // primary validated the event when it was first acknowledged.
 func (s *Server) applyReplicated(ev Event) error {
-	if _, err := s.store.Append(ev, maxInt); err != nil {
-		s.replSkipped.Add(1)
-		return nil
-	}
-	s.replApplied.Add(1)
+	s.store.Append(ev, maxInt) //nolint:errcheck // a reject is a replayed duplicate
 	return nil
 }
 

@@ -264,7 +264,8 @@ func (s *Store) AllEvents() []Event {
 }
 
 // Clear drops every live cascade. The replication follower calls it
-// before re-applying a fresh bootstrap snapshot after divergence — the
+// before a re-bootstrap (divergence, a compacted cursor or a damaged
+// mirror) streams the primary's log again from its oldest segment — the
 // local state is suspect, so it is rebuilt from scratch rather than
 // merged.
 func (s *Store) Clear() {

@@ -273,7 +273,7 @@ func ids(cs []*cascade.Cascade) []int {
 
 // TestAllEventsReplayKeepsTieOrder: a feed stamped on a coarse clock
 // reports many nodes at one timestamp, and Append keeps such ties in
-// arrival order. The compaction / bootstrap snapshot must replay into
+// arrival order. The compaction snapshot must replay into
 // exactly that order, or a restarted daemon and a follower serve the
 // cascade's nodes — and sum its features — in a different order than
 // the primary.

@@ -135,29 +135,3 @@ func (l *Log) RecordsBefore(seq uint64) (uint64, bool) {
 	base, ok := l.recBase[seq]
 	return base, ok
 }
-
-// CutSegment rotates the log to a fresh segment and returns the new
-// segment's start cursor, invoking fn (which may be nil) while the
-// commit lock is still held. It is the consistency primitive behind
-// replication snapshots, with the same ordering argument as Compact:
-// any event committed before the cut is in a segment below the
-// returned cursor and therefore — because the store apply happens
-// before the WAL commit — already visible to whatever state fn
-// snapshots; any event not visible to fn commits at or after the
-// returned cursor and will be shipped by the stream. The overlap
-// (visible to fn AND committed after the cut) is absorbed by SI-dedup
-// on replay, exactly as with compaction.
-func (l *Log) CutSegment(fn func()) (Cursor, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.usableLocked(); err != nil {
-		return Cursor{}, err
-	}
-	if err := l.rotateLocked(); err != nil {
-		return Cursor{}, err
-	}
-	if fn != nil {
-		fn()
-	}
-	return Cursor{Seg: l.seg.seq, Off: l.seg.size}, nil
-}

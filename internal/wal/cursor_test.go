@@ -174,9 +174,11 @@ func TestSegmentChainTornTail(t *testing.T) {
 	}
 }
 
-func TestCutSegmentAndRecordsBefore(t *testing.T) {
+func TestRotationAndRecordsBefore(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{NoGroupCommit: true}, nil)
+	// Segment 1 holds exactly five frames: the sixth append rotates.
+	frameLen := int64(len(AppendFrame(nil, EncodeEvent(Event{Cascade: 9, Node: 9, Time: 9}))))
+	l, err := Open(dir, Options{NoGroupCommit: true, MaxSegmentBytes: SegmentHeaderLen + 5*frameLen}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,27 +189,19 @@ func TestCutSegmentAndRecordsBefore(t *testing.T) {
 		}
 	}
 	before, _ := l.End()
-	ran := false
-	cut, err := l.CutSegment(func() { ran = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("CutSegment did not invoke fn")
-	}
-	if cut.Seg != before.Seg+1 || cut.Off != SegmentHeaderLen {
-		t.Fatalf("cut cursor = %v, want {%d %d}", cut, before.Seg+1, SegmentHeaderLen)
-	}
-	base, ok := l.RecordsBefore(cut.Seg)
-	if !ok || base != 5 {
-		t.Fatalf("RecordsBefore(%d) = (%d, %v), want (5, true)", cut.Seg, base, ok)
-	}
 	if err := l.Append(Event{Cascade: 9, Node: 9, Time: 9}); err != nil {
 		t.Fatal(err)
 	}
 	end, total := l.End()
-	if end.Seg != cut.Seg || total != 6 {
-		t.Fatalf("End = (%v, %d), want seg %d total 6", end, total, cut.Seg)
+	if end.Seg != before.Seg+1 || end.Off != SegmentHeaderLen+frameLen || total != 6 {
+		t.Fatalf("End = (%v, %d), want {%d %d} total 6", end, total, before.Seg+1, SegmentHeaderLen+frameLen)
+	}
+	base, ok := l.RecordsBefore(end.Seg)
+	if !ok || base != 5 {
+		t.Fatalf("RecordsBefore(%d) = (%d, %v), want (5, true)", end.Seg, base, ok)
+	}
+	if base, ok := l.RecordsBefore(before.Seg); !ok || base != 0 {
+		t.Fatalf("RecordsBefore(%d) = (%d, %v), want (0, true)", before.Seg, base, ok)
 	}
 }
 

@@ -79,8 +79,8 @@ func decodeEventPayload(p []byte) (Event, error) {
 }
 
 // EncodeEvent returns the canonical record-payload encoding of ev —
-// the bytes a frame carries, and the unit the chain fingerprints and
-// snapshot checksums are computed over.
+// the bytes a frame carries, and the unit the chain fingerprints are
+// computed over.
 func EncodeEvent(ev Event) []byte { return appendEventPayload(nil, ev) }
 
 // DecodeEvent decodes a record payload written by EncodeEvent.

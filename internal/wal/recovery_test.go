@@ -247,9 +247,9 @@ func TestAppendBatchCtxDeadlineDuringStall(t *testing.T) {
 }
 
 // TestLogFsyncsOnlyUnsyncedBytes pins what each log operation costs in
-// fsyncs: a commit one; a rotation, a CutSegment and a Close of a
-// synced segment none beyond the new segment's magic line; a Compact
-// one, its snapshot, beyond the magic line.
+// fsyncs: a commit one; a rotation and a Close of a synced segment
+// none beyond the new segment's magic line; a Compact one, its
+// snapshot, beyond the magic line.
 func TestLogFsyncsOnlyUnsyncedBytes(t *testing.T) {
 	var disk waltest.Disk
 	l, err := Open(t.TempDir(), Options{MaxSegmentBytes: 128, WrapFile: disk.Wrap}, nil)
@@ -294,10 +294,6 @@ func TestLogFsyncsOnlyUnsyncedBytes(t *testing.T) {
 			t.Fatal("50 appends never rotated a 128-byte segment")
 		}
 	}
-	cost("a CutSegment (magic line)", 1, func() error {
-		_, err := l.CutSegment(nil)
-		return err
-	})
 	cost("a Compact (magic line + snapshot)", 2, func() error {
 		_, err := l.Compact(func() []Event { return []Event{{Cascade: 1, Node: 0, Time: 0}} })
 		return err

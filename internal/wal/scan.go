@@ -64,6 +64,29 @@ func ScanSegment(path string, fn func(Cursor, Event) error) (SegmentScan, error)
 	return s, err
 }
 
+// ScanDir is ScanSegment over every segment under dir in sequence
+// order, each read once: the one directory scan behind recovery, the
+// follower's restart replay and the `viralcast wal` subcommands. On an
+// error it returns the scans it finished before it too. Each caller
+// keeps its own torn-tail policy: Open truncates and starts a fresh
+// segment, the follower refuses a torn segment before its last and
+// reopens the last, the subcommands only report.
+func ScanDir(dir string, fn func(Cursor, Event) error) ([]SegmentScan, error) {
+	segs, err := ListSegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	scans := make([]SegmentScan, 0, len(segs))
+	for _, si := range segs {
+		scan, err := ScanSegment(si.Path, fn)
+		if err != nil {
+			return scans, err
+		}
+		scans = append(scans, scan)
+	}
+	return scans, nil
+}
+
 // scan reads the segment image r into s under ScanSegment's rule.
 func (s *SegmentScan) scan(r io.Reader, fn func(Cursor, Event) error) error {
 	s.Chain = ChainSeed(s.Seq)

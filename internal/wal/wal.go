@@ -158,43 +158,37 @@ func Open(dir string, opt Options, replay func(Event) error) (*Log, error) {
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	segs, err := ListSegments(dir)
-	if err != nil {
-		return nil, err
-	}
 	var fn func(Cursor, Event) error
 	if replay != nil {
 		fn = func(_ Cursor, ev Event) error { return replay(ev) }
 	}
+	scans, err := ScanDir(dir, fn)
+	if err != nil {
+		return nil, err
+	}
 	nextSeq := uint64(1)
-	for _, si := range segs {
-		l.recBase[si.Seq] = l.totalRecs
-		scan, err := ScanSegment(si.Path, fn)
-		if err != nil {
-			return nil, err
-		}
-		l.replayed.Add(uint64(scan.Records))
+	for _, scan := range scans {
+		l.recBase[scan.Seq] = l.totalRecs
 		l.totalRecs += uint64(scan.Records)
 		if scan.Torn {
 			// The tail after the last intact frame is unreadable —
 			// chop it so the segment verifies clean from here on. Only
 			// a crash mid-write (or real bit rot) produces this.
-			if err := os.Truncate(si.Path, scan.GoodBytes); err != nil {
-				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", si.Path, err)
+			if err := os.Truncate(scan.Path, scan.GoodBytes); err != nil {
+				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", scan.Path, err)
 			}
 			l.tornTruncations.Add(1)
 			opt.Logf("wal: %s: truncated torn tail at byte %d (%d intact records kept): %v",
-				si.Path, scan.GoodBytes, scan.Records, scan.TornErr)
+				scan.Path, scan.GoodBytes, scan.Records, scan.TornErr)
 		}
-		if si.Seq >= nextSeq {
-			nextSeq = si.Seq + 1
-		}
+		nextSeq = scan.Seq + 1
 	}
-	if len(segs) > 0 {
+	l.replayed.Store(l.totalRecs)
+	if len(scans) > 0 {
 		if err := durable.SyncDir(dir); err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		opt.Logf("wal: recovered %d records from %d segments in %s", l.replayed.Load(), len(segs), dir)
+		opt.Logf("wal: recovered %d records from %d segments in %s", l.totalRecs, len(scans), dir)
 	}
 	seg, err := CreateSegment(dir, nextSeq, opt.WrapFile)
 	if err != nil {
@@ -202,7 +196,7 @@ func Open(dir string, opt Options, replay func(Event) error) (*Log, error) {
 	}
 	l.seg = seg
 	l.recBase[nextSeq] = l.totalRecs
-	l.segments.Store(uint64(len(segs) + 1))
+	l.segments.Store(uint64(len(scans) + 1))
 	if !opt.NoGroupCommit {
 		go l.commitLoop()
 	} else {

@@ -72,11 +72,15 @@ done
 # pinned (a commit 1, a seal or Close of a synced segment 0, an idle
 # caught-up follower's heartbeat 0), a segment the log cannot create
 # degrades the daemon until POST /v1/reload, and the mirror stays
-# byte-identical across rotations, torn tails and promotion.
-echo "== WAL fsync pins, failed-create readiness, mirror rotation/torn tail/promotion (-race, GOMAXPROCS 1 and 8)"
+# byte-identical across rotations, torn tails and promotion. A follower
+# bootstraps by streaming the primary's segments from the oldest one:
+# its mirror starts there even after rotation and compaction, and it
+# serves nothing until it has applied every record the primary held
+# when the stream opened — across a restart mid-bootstrap too.
+echo "== WAL fsync pins, failed-create readiness, mirror rotation/torn tail/promotion, stream bootstrap (-race, GOMAXPROCS 1 and 8)"
 for procs in 1 8; do
   GOMAXPROCS=$procs go test -race -count=1 \
-    -run '^(TestLogFsyncsOnlyUnsyncedBytes|TestMirrorFsyncsOnlyUnsyncedBytes|TestFailedCreateDegradesUntilReload|TestReplicateAcrossRotation|TestFollowerTornTailAndOverlapDedup|TestPromotedMirrorOpensAsWAL)$' \
+    -run '^(TestLogFsyncsOnlyUnsyncedBytes|TestMirrorFsyncsOnlyUnsyncedBytes|TestFailedCreateDegradesUntilReload|TestReplicateAcrossRotation|TestFollowerTornTailAndOverlapDedup|TestPromotedMirrorOpensAsWAL|TestRotationAndRecordsBefore|TestBootstrapAfterRotationAndCompaction|TestBootstrapUnservableUntilApplied|TestFollowerUnservableUntilBootstrapApplied|TestPartialBootstrapRestartsUnservable)$' \
     ./internal/wal/ ./internal/repl/ ./internal/serve/
 done
 
