@@ -47,9 +47,10 @@
 //	    log before they are acknowledged, and a restart replays the log.
 //
 //	viralcast serve -follow http://primary:8080 -wal-dir follower-wal/
-//	    Run viralcastd as a read-only replication follower: bootstrap
-//	    from the primary's snapshot, mirror its write-ahead log, serve
-//	    reads once caught up, and redirect ingestion to the primary.
+//	    Run viralcastd as a read-only replication follower: stream the
+//	    primary's write-ahead log segments, from its oldest one on, into
+//	    a local mirror, serve reads once caught up, and redirect
+//	    ingestion to the primary.
 //
 //	viralcast route -addr :8080 -shards http://s0:9090,http://s1:9091,http://s2:9092
 //	    Run the fleet front-end over sharded daemons (each started with
@@ -57,7 +58,8 @@
 //	    owning shard by consistent hash, global rankings scatter-gather
 //	    and merge byte-identically to a single daemon, and a dead shard
 //	    degrades answers to explicit partials instead of failures.
-//	    -replicas-of "1=http://f1:9191" adds follower retry/hedging.
+//	    -replicas-of "1=http://f1:9191" adds a follower that reads fall
+//	    back to when the primary fails.
 //	    -auto-failover arms the supervision layer: after -suspect-after
 //	    consecutive failed probes the router verifies the follower
 //	    (servable, fully caught up), promotes it at a fresh

@@ -398,19 +398,19 @@ func TestCmdServeEndToEnd(t *testing.T) {
 }
 
 // TestCmdServeLimitFlags passes the throttling flags the way an
-// operator would and asserts the one with a one-request consequence:
-// -simulate-max-trials refuses an over-cap campaign before any compute
-// is admitted, naming the limit.
+// operator would, and holds the throttled daemon to the simulate cap it
+// has no flag for: an over-cap campaign is refused before any compute
+// is admitted, naming the limit of 4096 trials.
 func TestCmdServeLimitFlags(t *testing.T) {
 	cascades, model := modelFixture(t)
 	d := start(t, "throttled daemon", cmdServe, serveArgs(cascades, model,
-		"-max-inflight", "1", "-queue", "2", "-request-timeout", "2s", "-simulate-max-trials", "256")...)
-	rej := want(t, 400, "POST", d.base+"/v1/simulate", `{"seed_sets":[{"nodes":[1]}],"trials":257,"horizon":1.0}`)
-	if msg, _ := rej["error"].(string); !strings.Contains(msg, "256") {
+		"-max-inflight", "1", "-queue", "2", "-request-timeout", "2s")...)
+	rej := want(t, 400, "POST", d.base+"/v1/simulate", `{"seed_sets":[{"nodes":[1]}],"trials":4097,"horizon":1.0}`)
+	if msg, _ := rej["error"].(string); !strings.Contains(msg, "limit 4096") {
 		t.Fatalf("over-cap rejection does not name the limit: %v", rej)
 	}
-	sim := want(t, 200, "POST", d.base+"/v1/simulate", `{"seed_sets":[{"nodes":[1]}],"trials":256,"horizon":0.5}`)
-	if sim["total_trials"] != float64(256) {
+	sim := want(t, 200, "POST", d.base+"/v1/simulate", `{"seed_sets":[{"nodes":[1]}],"trials":4096,"horizon":0.5}`)
+	if sim["total_trials"] != float64(4096) {
 		t.Fatalf("at-cap campaign: %v", sim)
 	}
 }

@@ -18,8 +18,8 @@ import (
 // requests to the owning shard, and scatter-gathers the global queries
 // with a merge byte-identical to a single daemon. Each shard must be a
 // viralcastd started with -shard-id i -ring-size N matching its
-// position in the -shards list; -replicas-of attaches read followers
-// for retry/hedging.
+// position in the -shards list; -replicas-of attaches read followers,
+// which a read tries, after a jittered pause, when the primary fails.
 func cmdRoute(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("route", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
@@ -27,8 +27,6 @@ func cmdRoute(ctx context.Context, args []string) error {
 	shards := fs.String("shards", "", `comma-separated shard base URLs in ring order (required); position i must be the daemon started with -shard-id i`)
 	replicas := fs.String("replicas-of", "", `comma-separated "i=url" pairs attaching a read follower to shard i (e.g. "0=http://host:9090,2=http://host:9092")`)
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request budget, propagated to shard calls; slow shards degrade the answer to a partial within it (0 disables)")
-	hedge := fs.Duration("hedge", 0, "launch a parallel follower attempt for reads once the primary has been silent this long (0 = sequential retry)")
-	cacheTTL := fs.Duration("cache-ttl", 5*time.Second, "TTL for cached merged rankings (partials are never cached)")
 	probeEvery := fs.Duration("probe-every", 2*time.Second, "background shard health-probe cadence")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	autoFailover := fs.Bool("auto-failover", false, "automatically promote a shard's follower (at a fresh fencing epoch) when its primary fails consecutive health probes")
@@ -44,8 +42,6 @@ func cmdRoute(ctx context.Context, args []string) error {
 	rt, err := router.New(router.Config{
 		Shards:         fleet,
 		RequestTimeout: *requestTimeout,
-		Hedge:          *hedge,
-		CacheTTL:       *cacheTTL,
 		ProbeEvery:     *probeEvery,
 		DrainTimeout:   *drain,
 		AutoFailover:   *autoFailover,

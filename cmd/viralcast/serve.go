@@ -22,9 +22,9 @@ import (
 // the context is canceled. SIGHUP hot-reloads the model from disk.
 //
 // With -follow URL the daemon is a read-only replication follower: it
-// bootstraps from the primary's snapshot, mirrors its WAL into
-// -wal-dir, answers reads once caught up, and 409s ingestion with a
-// pointer at the primary. POST /v1/promote (or `viralcast promote`)
+// streams the primary's WAL segments, from the oldest one on, into a
+// mirror under -wal-dir, answers reads once caught up, and 409s
+// ingestion with a pointer at the primary. POST /v1/promote (or `viralcast promote`)
 // flips it to a writable primary without a restart.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -36,24 +36,16 @@ func cmdServe(ctx context.Context, args []string) error {
 	early := fs.Float64("early", 0, "predictor early-adopter cutoff (default: 2/7 of the max observed time)")
 	topFrac := fs.Float64("top", 0.2, "viral class = top fraction of training cascade sizes")
 	seed := fs.Uint64("seed", 1, "random seed for predictor training")
-	cacheTTL := fs.Duration("cache-ttl", 5*time.Second, "TTL for cached influencer/seed responses")
 	flushEvery := fs.Duration("flush-every", time.Minute, "cadence of the online refit over the -cascades corpus and the live cascades (0 disables; without -cascades a flush keeps the loaded model)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: make ingestion durable across crashes (empty disables)")
 	follow := fs.String("follow", "", "run as a read-only replication follower of this primary base URL (requires -wal-dir for the mirrored log; promote with `viralcast promote`)")
-	walMaxSegment := fs.Int64("wal-max-segment", 0, "rotate WAL segments at this many bytes (0 = default 64MiB)")
-	maxInflight := fs.Int("max-inflight", 0, "concurrent requests allowed on the compute endpoints (predict/influencers/seeds); 0 = default 16, -1 = unlimited")
+	maxInflight := fs.Int("max-inflight", 0, "concurrent requests allowed on the compute endpoints (predict, influencers, seeds, simulate, predict:batch, features:batch); 0 = default 16, -1 = unlimited")
 	queue := fs.Int("queue", 0, "requests beyond -max-inflight that may wait for a compute slot before 429s; 0 = default 64, -1 = no queue")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-request budget on the /v1 data plane; exceeded requests answer 503 (0 disables)")
-	simulateMaxTrials := fs.Int("simulate-max-trials", 0, "cap on total Monte Carlo trials (trials x seed sets) per POST /v1/simulate request; 0 = default 4096")
-	batchMax := fs.Int("batch-max", 0, "cap on items per batched request (POST /v1/predict:batch and friends); 0 = default 1024")
-	retryAfter := fs.Duration("retry-after", time.Second, "backoff hint sent with 429 shed responses")
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (control plane: ungated by admission control, like /metrics)")
 	shardID := fs.Int("shard-id", -1, "this daemon's index in a routed fleet (requires -ring-size; see `viralcast route`)")
 	ringSize := fs.Int("ring-size", 0, "size of the routed fleet this daemon belongs to (0 = unsharded standalone daemon)")
-	readHeaderTimeout := fs.Duration("read-header-timeout", 0, "slowloris guard: close connections whose headers dribble past this (0 = default 5s, -1ns disables)")
-	readTimeout := fs.Duration("read-timeout", 0, "bound on reading a whole request including its body (0 = default 30s, -1ns disables)")
-	idleTimeout := fs.Duration("idle-timeout", 0, "bound on idle keep-alive connections (0 = default 2m, -1ns disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -70,27 +62,19 @@ func cmdServe(ctx context.Context, args []string) error {
 	}
 	logger := log.New(os.Stderr, "viralcastd: ", log.LstdFlags)
 	srv, err := serve.New(serve.Config{
-		Loader:            loader,
-		CacheTTL:          *cacheTTL,
-		FlushEvery:        *flushEvery,
-		DrainTimeout:      *drain,
-		WALDir:            *walDir,
-		WALMaxSegment:     *walMaxSegment,
-		FollowURL:         *follow,
-		RequestTimeout:    *requestTimeout,
-		SimulateMaxTrials: *simulateMaxTrials,
-		BatchMax:          *batchMax,
-		ShardID:           *shardID,
-		RingSize:          *ringSize,
+		Loader:         loader,
+		FlushEvery:     *flushEvery,
+		DrainTimeout:   *drain,
+		WALDir:         *walDir,
+		FollowURL:      *follow,
+		RequestTimeout: *requestTimeout,
+		ShardID:        *shardID,
+		RingSize:       *ringSize,
 		Admission: serve.AdmissionConfig{
-			Compute:    serve.ClassLimit{MaxInflight: *maxInflight, MaxQueue: *queue},
-			RetryAfter: *retryAfter,
+			Compute: serve.ClassLimit{MaxInflight: *maxInflight, MaxQueue: *queue},
 		},
-		EnablePprof:       *pprofFlag,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		IdleTimeout:       *idleTimeout,
-		Logf:              func(format string, a ...any) { logger.Printf(format, a...) },
+		EnablePprof: *pprofFlag,
+		Logf:        func(format string, a ...any) { logger.Printf(format, a...) },
 	})
 	if err != nil {
 		return err

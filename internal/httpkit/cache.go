@@ -3,7 +3,8 @@
 // the batched data plane (wire.go, codec.go), the singleflight TTL
 // cache, pooled JSON response writers, query and strict body decoding,
 // the request-budget middleware with its deadline 503, request
-// instrumentation, and the fencing-epoch header name. It imports
+// instrumentation, the HTTP server shell both processes run
+// (server.go), and the fencing-epoch header name. It imports
 // neither of its users — only the two types its codecs carry,
 // wal.Event and core.Influencer — so the router speaks the daemon's
 // wire conventions without linking the serving stack.

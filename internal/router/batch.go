@@ -90,7 +90,7 @@ func (rt *Router) fanoutBatch(path string) http.HandlerFunc {
 			}
 			if err != nil {
 				// A shard that answered 4xx is not missing: it refused this
-				// sub-batch (over its -batch-max, say), and every item in it
+				// sub-batch (over its batch cap of 1024, say), and every item in it
 				// earns the shard's own status and message. Only a shard that
 				// did not answer degrades the envelope to a partial.
 				slot := routerBatchItem{

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"viralcast/internal/serve"
 )
@@ -231,12 +230,13 @@ func TestRoutedBatchValidation(t *testing.T) {
 }
 
 // TestRoutedBatchShardRefusalIsNotMissing: a healthy shard that refuses
-// its sub-batch with a client error — here five cascades against a
-// -batch-max of four, a cap the router does not have — answered, so its
-// items carry the shard's own status and message, and the envelope is
-// not a partial: no missing_shards, no shard_errors, no partial_results.
+// its sub-batch with a client error — here 1025 cascades against the
+// daemon's batch cap of 1024, a cap the router does not have — answered,
+// so its items carry the shard's own status and message, and the
+// envelope is not a partial: no missing_shards, no shard_errors, no
+// partial_results.
 func TestRoutedBatchShardRefusalIsNotMissing(t *testing.T) {
-	srv, err := serve.New(serve.Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, BatchMax: 4})
+	srv, err := serve.New(serve.Config{Loader: fixtureLoader(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,11 @@ func TestRoutedBatchShardRefusalIsNotMissing(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
 
-	req := map[string]any{"cascades": []int{1, 2, 3, 4, 5}}
+	ids := make([]int, 1025)
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	req := map[string]any{"cascades": ids}
 	codeS, bodyS := postRaw(t, shard.URL+"/v1/predict:batch", req)
 	if codeS != http.StatusBadRequest {
 		t.Fatalf("shard took a batch over its cap: %d %s", codeS, bodyS)
@@ -268,8 +272,8 @@ func TestRoutedBatchShardRefusalIsNotMissing(t *testing.T) {
 	if env.Partial || len(env.MissingShards) != 0 {
 		t.Fatalf("a shard that answered 400 was reported missing: %s", body)
 	}
-	if env.Errors != 5 || len(env.Results) != 5 {
-		t.Fatalf("errors=%d over %d slots, want 5 error slots: %s", env.Errors, len(env.Results), body)
+	if env.Errors != len(ids) || len(env.Results) != len(ids) {
+		t.Fatalf("errors=%d over %d slots, want %d error slots", env.Errors, len(env.Results), len(ids))
 	}
 	for i, slot := range env.Results {
 		if slot.Status != http.StatusBadRequest || slot.Error != refusal {

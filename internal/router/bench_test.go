@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"viralcast/internal/httpkit"
 )
 
 // BenchmarkRouterFanout measures the router's per-request overhead on
@@ -26,7 +28,8 @@ import (
 func BenchmarkRouterFanout(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			f := newFleet(b, shards, func(c *Config) { c.CacheTTL = time.Nanosecond })
+			f := newFleet(b, shards, nil)
+			f.router.cache = httpkit.NewCache(time.Nanosecond, time.Now)
 
 			// Predict needs live cascades: ingest one per ring arc
 			// through the router so every shard owns some of them.

@@ -65,7 +65,7 @@ func TestRouterPartialAfterShardSIGKILL(t *testing.T) {
 	shards := make([]Shard, ringSize)
 	for _, i := range []int{0, 2} {
 		srv, err := serve.New(serve.Config{
-			Loader: fixtureLoader(t), CacheTTL: time.Minute, ShardID: i, RingSize: ringSize,
+			Loader: fixtureLoader(t), ShardID: i, RingSize: ringSize,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestRouterAutoFailoverAfterPrimarySIGKILL(t *testing.T) {
 	primaryURL := awaitAddr("addr1")
 
 	fsrv, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute,
+		Loader:  fixtureLoader(t),
 		ShardID: 0, RingSize: 2, WALDir: t.TempDir(),
 		FollowURL:      primaryURL,
 		ReplBackoffMin: time.Millisecond,
@@ -186,7 +186,7 @@ func TestRouterAutoFailoverAfterPrimarySIGKILL(t *testing.T) {
 	fts := httptest.NewServer(fsrv.Handler())
 	defer fts.Close()
 	s1, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute, ShardID: 1, RingSize: 2,
+		Loader: fixtureLoader(t), ShardID: 1, RingSize: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func runPrimaryChild(t *testing.T, dir, rebind, addrFile string) {
 		listen = "127.0.0.1:0"
 	}
 	srv, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute,
+		Loader:  fixtureLoader(t),
 		ShardID: 0, RingSize: 2,
 		WALDir: filepath.Join(dir, "wal"),
 	})
@@ -387,7 +387,7 @@ func runPrimaryChild(t *testing.T, dir, rebind, addrFile string) {
 // serving until the parent SIGKILLs it.
 func runShardChild(t *testing.T, dir string) {
 	srv, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute, ShardID: 1, RingSize: 3,
+		Loader: fixtureLoader(t), ShardID: 1, RingSize: 3,
 	})
 	if err != nil {
 		t.Fatalf("child: %v", err)

@@ -18,8 +18,8 @@ import (
 // Shard is one ring member: the primary daemon's base URL and,
 // optionally, the base URL of its replication follower (internal/repl).
 // The follower is a read-only understudy — the router retries idempotent
-// reads against it when the primary is down or slow, and never sends
-// it ingestion (a follower 409s writes by design).
+// reads against it when the primary fails, and never sends it ingestion
+// (a follower 409s writes by design).
 type Shard struct {
 	Primary  string
 	Follower string
@@ -34,11 +34,10 @@ const maxRelayBytes = 64 << 20
 // retryAfter carries a shedding shard's Retry-After, without which a
 // relayed 429 tells the client to back off but not for how long.
 type reply struct {
-	status       int
-	contentType  string
-	retryAfter   string
-	body         []byte
-	fromFollower bool
+	status      int
+	contentType string
+	retryAfter  string
+	body        []byte
 }
 
 // client is the router's HTTP access to the fleet. All calls propagate
@@ -46,17 +45,15 @@ type reply struct {
 // disconnects bound every shard call.
 type client struct {
 	hc      *http.Client
-	hedge   time.Duration
 	metrics *Metrics
 }
 
-func newClient(hedge time.Duration, m *Metrics) *client {
+func newClient(m *Metrics) *client {
 	return &client{
 		hc: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 32,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		hedge:   hedge,
 		metrics: m,
 	}
 }
@@ -121,87 +118,29 @@ func readReply(resp *http.Response, buf []byte) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// read performs an idempotent GET against a shard with the configured
-// resilience: primary first; if it fails before the follower attempt
-// has launched, a jittered retry against the follower (when one
-// exists). With a hedge delay configured, the follower attempt also
-// launches in parallel once the primary has been silent that long, and
-// the first answer wins — trading duplicate reads for tail latency, the
-// classic hedged-request bargain. Attempts funnel through one channel
-// and the loser's context is canceled. Reads are safe to duplicate;
-// ingestion never comes here.
+// read performs an idempotent GET against a shard: the primary first;
+// if that exchange fails and the shard has a follower, the same GET
+// against the follower after a jittered pause, so a fleet-wide primary
+// failure does not convert into a synchronized follower stampede. A slow
+// primary is waited for (within the caller's budget), never raced.
+// Reads are safe to repeat; ingestion never comes here.
 func (c *client) read(ctx context.Context, sh Shard, path string) (*reply, error) {
-	if sh.Follower == "" {
-		return c.do(ctx, http.MethodGet, sh.Primary, path, nil)
+	rep, err := c.do(ctx, http.MethodGet, sh.Primary, path, nil)
+	if err == nil || sh.Follower == "" {
+		return rep, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		rep      *reply
-		err      error
-		follower bool
+	pause := time.NewTimer(retryJitter())
+	defer pause.Stop()
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-pause.C:
 	}
-	results := make(chan outcome, 2)
-	launch := func(base string, follower bool) {
-		go func() {
-			rep, err := c.do(ctx, http.MethodGet, base, path, nil)
-			if rep != nil {
-				rep.fromFollower = follower
-			}
-			results <- outcome{rep: rep, err: err, follower: follower}
-		}()
+	c.metrics.followerRetries.Add(1)
+	if rep, ferr := c.do(ctx, http.MethodGet, sh.Follower, path, nil); ferr == nil {
+		return rep, nil
 	}
-	launch(sh.Primary, false)
-	// hedge fires once the primary has been silent c.hedge (never when
-	// hedging is off); retry once the primary has failed and the jitter
-	// has passed. Whichever fires first launches the follower.
-	var hedge, retry <-chan time.Time
-	if c.hedge > 0 {
-		t := time.NewTimer(c.hedge)
-		defer t.Stop()
-		hedge = t.C
-	}
-	pending, hedged, followerUp := 1, false, false
-	launchFollower := func() {
-		hedge, retry, followerUp = nil, nil, true
-		launch(sh.Follower, true)
-		pending++
-	}
-	var firstErr error
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-hedge:
-			c.metrics.hedges.Add(1)
-			hedged = true
-			launchFollower()
-		case <-retry:
-			c.metrics.followerRetries.Add(1)
-			launchFollower()
-		case out := <-results:
-			pending--
-			if out.err == nil {
-				if out.follower && hedged {
-					c.metrics.hedgeWins.Add(1)
-				}
-				return out.rep, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if !followerUp {
-				// Jitter before hitting the follower so a fleet-wide
-				// primary failure does not convert into a synchronized
-				// follower stampede.
-				hedge, retry = nil, time.After(retryJitter())
-				continue
-			}
-			if pending == 0 {
-				return nil, fmt.Errorf("primary and follower both failed: %w", firstErr)
-			}
-		}
-	}
+	return nil, fmt.Errorf("primary and follower both failed: %w", err)
 }
 
 // retryJitter is the pause before a follower retry: uniform in
@@ -212,7 +151,7 @@ func retryJitter() time.Duration {
 }
 
 // get performs an epoch-stamped GET against one concrete base URL —
-// no follower fallback, no hedging. The failure detector and the
+// no follower fallback. The failure detector and the
 // zombie fencer use it: both need to know about *this* process, not
 // whether anything in the chain can answer.
 func (c *client) get(ctx context.Context, base, path string, epoch uint64) (*reply, error) {

@@ -50,7 +50,7 @@ func cascadeOwnedBy(ring *Ring, shard int) int {
 func TestAutoFailoverPromotesFollower(t *testing.T) {
 	pdir := t.TempDir()
 	psrv, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute,
+		Loader:  fixtureLoader(t),
 		ShardID: 0, RingSize: 2, WALDir: pdir,
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestAutoFailoverPromotesFollower(t *testing.T) {
 	primaryAddr := pts.Listener.Addr().String()
 
 	fsrv, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute,
+		Loader:  fixtureLoader(t),
 		ShardID: 0, RingSize: 2, WALDir: t.TempDir(),
 		FollowURL:      pts.URL,
 		ReplBackoffMin: time.Millisecond,
@@ -74,7 +74,7 @@ func TestAutoFailoverPromotesFollower(t *testing.T) {
 	defer fts.Close()
 
 	s1, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute, ShardID: 1, RingSize: 2,
+		Loader: fixtureLoader(t), ShardID: 1, RingSize: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestAutoFailoverPromotesFollower(t *testing.T) {
 	// fenced and refuses writes — split-brain is structurally over.
 	psrv.Close()
 	zsrv, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute,
+		Loader:  fixtureLoader(t),
 		ShardID: 0, RingSize: 2, WALDir: pdir,
 	})
 	if err != nil {

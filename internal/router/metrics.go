@@ -18,8 +18,6 @@ type Metrics struct {
 	relayFailovers  *expvar.Int // replicated reads that fell over to another shard
 	shardErrors     *expvar.Map // transport failures by shard name
 	followerRetries *expvar.Int // sequential retries against a follower
-	hedges          *expvar.Int // hedged follower attempts launched
-	hedgeWins       *expvar.Int // hedged attempts that answered first
 	cacheHits       *expvar.Int
 	cacheMiss       *expvar.Int
 	probes          *expvar.Int // health-probe rounds completed
@@ -36,8 +34,6 @@ func newRouterMetrics(ringSize int, health func() []probeResult, det *detector) 
 		relayFailovers:  base.Counter("relay_failovers"),
 		shardErrors:     base.Submap("shard_errors"),
 		followerRetries: base.Counter("follower_retries"),
-		hedges:          base.Counter("hedged_requests"),
-		hedgeWins:       base.Counter("hedge_wins"),
 		cacheHits:       base.Counter("cache_hits"),
 		cacheMiss:       base.Counter("cache_misses"),
 		probes:          base.Counter("probe_rounds"),

@@ -19,9 +19,8 @@
 // fan-out parallelism is bounded on the worker pool, and a shard that
 // is down or misses its deadline degrades the answer to an explicit
 // partial ("partial": true plus the missing shard names, never cached)
-// instead of failing the request — with a jittered retry (or a hedged
-// parallel attempt) against that shard's follower when one is
-// configured.
+// instead of failing the request — with a jittered retry against that
+// shard's follower when one is configured.
 package router
 
 import (

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -30,14 +29,6 @@ type Config struct {
 	// write), so a slow shard degrades the answer to a partial within
 	// the budget instead of blowing through it. 0 disables.
 	RequestTimeout time.Duration
-	// Hedge, when > 0, launches a parallel follower attempt for
-	// idempotent reads once the primary has been silent this long,
-	// instead of the default fail-then-retry. Only shards with a
-	// Follower configured hedge.
-	Hedge time.Duration
-	// CacheTTL bounds staleness of cached merged rankings. Partial
-	// results are never cached regardless. Default 5s.
-	CacheTTL time.Duration
 	// ProbeEvery is the background health-probe cadence. Default 2s.
 	ProbeEvery time.Duration
 	// DrainTimeout bounds the graceful shutdown drain. Default 10s.
@@ -57,6 +48,10 @@ type Config struct {
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// cacheTTL bounds staleness of cached merged rankings. Partial results
+// are never cached regardless.
+const cacheTTL = 5 * time.Second
 
 // Router is the fleet front-end. Create with New, embed via Handler,
 // or run the full lifecycle with Listen + Serve.
@@ -88,9 +83,6 @@ func New(cfg Config) (*Router, error) {
 			return nil, fmt.Errorf("router: shard %d has no primary URL", i)
 		}
 	}
-	if cfg.CacheTTL <= 0 {
-		cfg.CacheTTL = 5 * time.Second
-	}
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 2 * time.Second
 	}
@@ -106,12 +98,12 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		ring:     NewRing(len(cfg.Shards)),
-		cache:    httpkit.NewCache(cfg.CacheTTL, time.Now),
+		cache:    httpkit.NewCache(cacheTTL, time.Now),
 		det:      newDetector(cfg.Shards, cfg.SuspectAfter, cfg.AutoFailover),
 		probeRes: make([]probeResult, len(cfg.Shards)),
 	}
 	rt.metrics = newRouterMetrics(len(cfg.Shards), rt.healthSnapshot, rt.det)
-	rt.client = newClient(cfg.Hedge, rt.metrics)
+	rt.client = newClient(rt.metrics)
 	rt.handler = rt.routes()
 	return rt, nil
 }
@@ -193,27 +185,21 @@ func (rt *Router) Listen(addr string) (net.Addr, error) {
 }
 
 // Serve runs the router on the listener from Listen until ctx is
-// canceled, probing shard health in the background, then drains.
+// canceled (or the listener fails), probing shard health in the
+// background, then drains: in-flight requests get up to DrainTimeout
+// and the prober stops.
 func (rt *Router) Serve(ctx context.Context) error {
 	if rt.ln == nil {
 		return fmt.Errorf("router: Serve called before Listen")
 	}
-	hs := &http.Server{Handler: rt.handler, ReadHeaderTimeout: 5 * time.Second}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(rt.ln) }()
+	probeCtx, stopProbes := context.WithCancel(ctx)
 	probeDone := make(chan struct{})
-	go rt.probeLoop(ctx, probeDone)
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("router: %w", err)
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), rt.cfg.DrainTimeout)
-	defer cancel()
-	err := hs.Shutdown(drainCtx)
+	go rt.probeLoop(probeCtx, probeDone)
+	err := httpkit.Serve(ctx, httpkit.NewServer(rt.handler), rt.ln, rt.cfg.DrainTimeout)
+	stopProbes()
 	<-probeDone
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("router: shutdown: %w", err)
+	if err != nil {
+		return fmt.Errorf("router: %w", err)
 	}
 	rt.cfg.Logf("router: drained")
 	return nil

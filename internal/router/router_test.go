@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,11 +104,10 @@ func newFleet(t testing.TB, ringSize int, tweak func(*Config)) *fleet {
 func buildFleet(t testing.TB, ringSize int, spec fleetSpec) *fleet {
 	t.Helper()
 	shards := make([]*httptest.Server, ringSize)
-	cfg := Config{Shards: make([]Shard, ringSize), CacheTTL: time.Minute}
+	cfg := Config{Shards: make([]Shard, ringSize)}
 	for i := 0; i < ringSize; i++ {
 		scfg := serve.Config{
 			Loader:   fixtureLoader(t),
-			CacheTTL: time.Minute,
 			ShardID:  i,
 			RingSize: ringSize,
 		}
@@ -143,7 +143,7 @@ func buildFleet(t testing.TB, ringSize int, spec fleetSpec) *fleet {
 // newOracle boots one unsharded daemon over the same fixture.
 func newOracle(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := serve.New(serve.Config{Loader: fixtureLoader(t), CacheTTL: time.Minute})
+	srv, err := serve.New(serve.Config{Loader: fixtureLoader(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,81 +416,77 @@ func TestEventsPartialOnDeadShard(t *testing.T) {
 	}
 }
 
-// TestFollowerRetryServesReads: a shard whose primary is unreachable
-// but whose follower is alive keeps serving idempotent reads through
-// the router's jittered follower retry, with hedging off and on (the
-// refused primary fails before a 20 ms hedge would fire).
+// TestFollowerRetryServesReads: the router's one follower-read path. A
+// shard whose primary is unreachable but whose follower is alive keeps
+// serving idempotent reads through the jittered follower retry; a
+// primary that is slow but answers is waited for, and its follower gets
+// no request.
 func TestFollowerRetryServesReads(t *testing.T) {
-	live := newOracle(t)
-	dead := deadURL(t)
-	for _, hedge := range []time.Duration{0, 20 * time.Millisecond} {
-		t.Run("hedge="+hedge.String(), func(t *testing.T) {
-			rt, err := New(Config{Shards: []Shard{{Primary: dead, Follower: live.URL}}, Hedge: hedge})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(rt.Handler())
-			defer ts.Close()
-			code, body := getRaw(t, ts.URL+"/v1/influencers?k=5")
-			if code != http.StatusOK {
-				t.Fatalf("follower retry: code %d body %s", code, body)
-			}
-			if decodeJSON(t, body)["partial"] != nil {
-				t.Fatalf("follower-served answer marked partial: %s", body)
-			}
-			if got := rt.metrics.followerRetries.Value(); got < 1 {
-				t.Fatalf("follower_retries = %d, want >= 1", got)
-			}
-		})
-	}
-}
-
-// TestHedgedReadWinsAgainstSlowPrimary: with a hedge delay configured,
-// a primary sitting on a request loses to the follower's parallel
-// attempt instead of stalling the read.
-func TestHedgedReadWinsAgainstSlowPrimary(t *testing.T) {
-	live := newOracle(t)
-	// The primary answers only once the router drops the request or the
-	// test ends, whichever comes first: slower than any hedge, and no
-	// slower than the test.
-	release := make(chan struct{})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-release:
-		case <-r.Context().Done():
+	t.Run("dead_primary", func(t *testing.T) {
+		live := newOracle(t)
+		rt, err := New(Config{Shards: []Shard{{Primary: deadURL(t), Follower: live.URL}}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer slow.Close()
-	defer close(release) // before slow.Close, which waits for the handler
-	rt, err := New(Config{
-		Shards: []Shard{{Primary: slow.URL, Follower: live.URL}},
-		Hedge:  20 * time.Millisecond,
+		ts := httptest.NewServer(rt.Handler())
+		defer ts.Close()
+		code, body := getRaw(t, ts.URL+"/v1/influencers?k=5")
+		if code != http.StatusOK {
+			t.Fatalf("follower retry: code %d body %s", code, body)
+		}
+		if decodeJSON(t, body)["partial"] != nil {
+			t.Fatalf("follower-served answer marked partial: %s", body)
+		}
+		if got := rt.metrics.followerRetries.Value(); got < 1 {
+			t.Fatalf("follower_retries = %d, want >= 1", got)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-	start := time.Now()
-	code, body := getRaw(t, ts.URL+"/v1/rate?u=1&v=2")
-	if code != http.StatusOK {
-		t.Fatalf("hedged read: code %d body %s", code, body)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("hedged read took %v; the hedge never fired", elapsed)
-	}
-	if rt.metrics.hedges.Value() < 1 || rt.metrics.hedgeWins.Value() < 1 {
-		t.Fatalf("hedges=%d hedge_wins=%d, want both >= 1",
-			rt.metrics.hedges.Value(), rt.metrics.hedgeWins.Value())
-	}
+
+	t.Run("slow_primary", func(t *testing.T) {
+		live := newOracle(t).Config.Handler
+		const delay = 200 * time.Millisecond
+		slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			select {
+			case <-time.After(delay):
+				live.ServeHTTP(w, r)
+			case <-r.Context().Done():
+			}
+		}))
+		defer slow.Close()
+		var followerReads atomic.Int64
+		follower := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			followerReads.Add(1)
+			live.ServeHTTP(w, r)
+		}))
+		defer follower.Close()
+		rt, err := New(Config{Shards: []Shard{{Primary: slow.URL, Follower: follower.URL}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(rt.Handler())
+		defer ts.Close()
+		start := time.Now()
+		code, body := getRaw(t, ts.URL+"/v1/rate?u=1&v=2")
+		if code != http.StatusOK {
+			t.Fatalf("read against a slow primary: code %d body %s", code, body)
+		}
+		if elapsed := time.Since(start); elapsed < delay {
+			t.Fatalf("read answered in %v, before the primary's %v reply", elapsed, delay)
+		}
+		if n := followerReads.Load(); n != 0 {
+			t.Fatalf("follower got %d requests while the primary was only slow", n)
+		}
+		if got := rt.metrics.followerRetries.Value(); got != 0 {
+			t.Fatalf("follower_retries = %d, want 0", got)
+		}
+	})
 }
 
 // TestMisconfiguredShardDetected: a daemon claiming a different ring
 // slot than the router placed it in is flagged, not merged.
 func TestMisconfiguredShardDetected(t *testing.T) {
 	wrong, err := serve.New(serve.Config{
-		Loader: fixtureLoader(t), CacheTTL: time.Minute, ShardID: 1, RingSize: 3,
+		Loader: fixtureLoader(t), ShardID: 1, RingSize: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

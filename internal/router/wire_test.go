@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,6 @@ import (
 	"time"
 
 	"viralcast/internal/httpkit"
-	"viralcast/internal/serve"
 )
 
 func postBody(t *testing.T, url, body string) (int, []byte) {
@@ -161,31 +161,32 @@ func TestRoutedBatchSlotsAreTheOwningShardsBytes(t *testing.T) {
 		}
 	}
 
-	// A shard that takes at most one cascade a batch refuses its share.
-	f := buildFleet(t, 3, fleetSpec{shard: func(i int, c *serve.Config) {
-		if i == 0 {
-			c.BatchMax = 1
-		}
-	}})
+	// A shard handed more than its batch cap of 1024 refuses its share:
+	// the mixed batch plus 1025 more cascades that shard-0 owns.
+	f := newFleet(t, 3, nil)
 	batchIngest(t, f.url(), ids)
-	code, merged := postBody(t, f.url()+"/v1/predict:batch", string(body))
+	all := slices.Clone(mixed)
+	for id := 1000000; len(all) < len(mixed)+1025; id++ {
+		if f.router.Ring().Owner(id) == 0 {
+			all = append(all, id)
+		}
+	}
+	big, _ := json.Marshal(map[string]any{"cascades": all})
+	code, merged := postBody(t, f.url()+"/v1/predict:batch", string(big))
 	env := decodeMerged(t, merged)
 	if code != http.StatusOK || env.Partial || len(env.MissingShards) != 0 {
-		t.Fatalf("refusing shard reported missing: %d: %s", code, merged)
+		t.Fatalf("refusing shard reported missing: %d", code)
 	}
 	var share []int
-	for _, id := range mixed {
+	for _, id := range all {
 		if f.router.Ring().Owner(id) == 0 {
 			share = append(share, id)
 		}
 	}
-	if len(share) < 2 {
-		t.Fatalf("shard-0 owns %v: pick ids that give it more than its cap", share)
-	}
 	sub, _ := json.Marshal(map[string]any{"cascades": share})
 	_, refusal := postBody(t, f.shards[0].URL+"/v1/predict:batch", string(sub))
 	want, _ := json.Marshal(routerBatchItem{Status: http.StatusBadRequest, Error: decodeJSON(t, refusal)["error"].(string)})
-	for i, id := range mixed {
+	for i, id := range all {
 		if f.router.Ring().Owner(id) == 0 {
 			if !bytes.Equal(env.Results[i], want) {
 				t.Fatalf("item %d of the refused sub-batch: slot %s, want %s", i, env.Results[i], want)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
-	"time"
 )
 
 // Admission control: the daemon classifies its routes by cost — cheap
@@ -30,20 +29,15 @@ type ClassLimit struct {
 	MaxQueue int
 }
 
-// AdmissionConfig carries the per-class limits and the shed-response
-// hint. The zero value enables admission control with serving-friendly
-// defaults generous enough that only genuine overload sheds.
+// AdmissionConfig carries the one class limit an operator sizes: the
+// compute class's. The zero value enables admission control with
+// serving-friendly defaults generous enough that only genuine overload
+// sheds.
 type AdmissionConfig struct {
-	// Read bounds the cheap read endpoints (cascade lookup, rate).
-	Read ClassLimit
 	// Compute bounds the expensive endpoints (predict, influencers,
-	// seeds) — the ones an overload turns into CPU fires.
+	// seeds, simulate, predict:batch, features:batch) — the ones an
+	// overload turns into CPU fires. Default 16 in flight, 64 queued.
 	Compute ClassLimit
-	// Ingest bounds POST /v1/events.
-	Ingest ClassLimit
-	// RetryAfter is the backoff hint sent with 429 responses. Default
-	// 1s.
-	RetryAfter time.Duration
 }
 
 // Route-class names; also the metric labels under overload_*.
@@ -53,24 +47,9 @@ const (
 	classIngest  = "ingest"
 )
 
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	def := func(l, d ClassLimit) ClassLimit {
-		if l.MaxInflight == 0 {
-			l.MaxInflight = d.MaxInflight
-		}
-		if l.MaxQueue == 0 {
-			l.MaxQueue = d.MaxQueue
-		}
-		return l
-	}
-	c.Read = def(c.Read, ClassLimit{MaxInflight: 256, MaxQueue: 512})
-	c.Compute = def(c.Compute, ClassLimit{MaxInflight: 16, MaxQueue: 64})
-	c.Ingest = def(c.Ingest, ClassLimit{MaxInflight: 128, MaxQueue: 256})
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	return c
-}
+// retryAfterSeconds is the backoff hint, in whole seconds, sent with
+// every 429 shed response.
+const retryAfterSeconds = 1
 
 // errShed is returned by limiter.acquire when both the slots and the
 // wait queue are full: the caller must answer 429.
@@ -133,20 +112,25 @@ type admissionSnapshot struct {
 
 // admission is the daemon's full set of class limiters.
 type admission struct {
-	retryAfter time.Duration
-	limiters   map[string]*limiter
+	limiters map[string]*limiter
 }
 
 func newAdmission(cfg AdmissionConfig) *admission {
-	cfg = cfg.withDefaults()
-	return &admission{
-		retryAfter: cfg.RetryAfter,
-		limiters: map[string]*limiter{
-			classRead:    newLimiter(classRead, cfg.Read),
-			classCompute: newLimiter(classCompute, cfg.Compute),
-			classIngest:  newLimiter(classIngest, cfg.Ingest),
-		},
+	compute := cfg.Compute
+	if compute.MaxInflight == 0 {
+		compute.MaxInflight = 16
 	}
+	if compute.MaxQueue == 0 {
+		compute.MaxQueue = 64
+	}
+	// The cheap reads (cascade lookup, rate, rate:batch) and ingestion
+	// have fixed limits, generous enough that only genuine overload
+	// sheds.
+	return &admission{limiters: map[string]*limiter{
+		classRead:    newLimiter(classRead, ClassLimit{MaxInflight: 256, MaxQueue: 512}),
+		classCompute: newLimiter(classCompute, compute),
+		classIngest:  newLimiter(classIngest, ClassLimit{MaxInflight: 128, MaxQueue: 256}),
+	}}
 }
 
 // snapshot feeds the overload_* metrics.
@@ -164,13 +148,4 @@ func (a *admission) snapshot() map[string]admissionSnapshot {
 		}
 	}
 	return out
-}
-
-// retryAfterSeconds is the integer Retry-After header value (>= 1).
-func (a *admission) retryAfterSeconds() int {
-	secs := int((a.retryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }

@@ -93,11 +93,9 @@ func TestLimiterUnlimitedClass(t *testing.T) {
 // slot frees.
 func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	srv, err := New(Config{
-		Loader:   fixtureLoader(t),
-		CacheTTL: time.Minute,
+		Loader: fixtureLoader(t),
 		Admission: AdmissionConfig{
-			Compute:    ClassLimit{MaxInflight: 1, MaxQueue: 1},
-			RetryAfter: 2 * time.Second,
+			Compute: ClassLimit{MaxInflight: 1, MaxQueue: 1},
 		},
 	})
 	if err != nil {
@@ -133,14 +131,14 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("saturated compute request: status %d, body %v", status, body)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After = %q, want \"2\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 	if body["reason"] != "overload" || body["class"] != "compute" {
 		t.Fatalf("shed body missing machine-readable fields: %v", body)
 	}
-	if body["retry_after_seconds"] != 2.0 {
-		t.Fatalf("retry_after_seconds = %v, want 2", body["retry_after_seconds"])
+	if body["retry_after_seconds"] != 1.0 {
+		t.Fatalf("retry_after_seconds = %v, want 1", body["retry_after_seconds"])
 	}
 
 	release()
@@ -173,17 +171,14 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 // when every data-plane class is fully saturated.
 func TestControlPlaneUngated(t *testing.T) {
 	srv, err := New(Config{
-		Loader:   fixtureLoader(t),
-		CacheTTL: time.Minute,
-		Admission: AdmissionConfig{
-			Read:    ClassLimit{MaxInflight: 1, MaxQueue: -1},
-			Compute: ClassLimit{MaxInflight: 1, MaxQueue: -1},
-			Ingest:  ClassLimit{MaxInflight: 1, MaxQueue: -1},
-		},
+		Loader:    fixtureLoader(t),
+		Admission: AdmissionConfig{Compute: ClassLimit{MaxInflight: 1, MaxQueue: -1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tightenClass(srv, classRead, ClassLimit{MaxInflight: 1, MaxQueue: -1})
+	tightenClass(srv, classIngest, ClassLimit{MaxInflight: 1, MaxQueue: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -208,4 +203,13 @@ func TestControlPlaneUngated(t *testing.T) {
 	if status, _ := postJSON(t, ts.URL+"/v1/reload", map[string]any{}); status != http.StatusOK {
 		t.Fatalf("reload while saturated: status %d, want 200", status)
 	}
+}
+
+// tightenClass re-limits one of srv's classes in place, for the read
+// and ingest classes, which have no Config knob. Call it before srv
+// takes traffic.
+func tightenClass(srv *Server, class string, lim ClassLimit) {
+	l := srv.admission.limiters[class]
+	l.slots = make(chan struct{}, lim.MaxInflight)
+	l.maxQueue = int64(max(lim.MaxQueue, 0))
 }

@@ -21,7 +21,7 @@ import (
 // features of a cascade's early adopters, so those are extracted once
 // per generation and kept beside the cascade (Store.readEarly argues
 // exactness); both endpoint families share them. A batch serves up to
-// Config.BatchMax items through ONE admission ticket, ONE deadline, ONE
+// batchMax items through ONE admission ticket, ONE deadline, ONE
 // generation pin and ONE pooled workspace, and a per-item failure fills
 // its own slot (status + message) without failing the batch. The single
 // endpoint is the same pipeline over one id, its slot unwrapped into a
@@ -321,17 +321,17 @@ func (p *cascadePipeline[R]) decodeIDs(s *Server, w http.ResponseWriter, r *http
 }
 
 // admitBatch enforces the request-level size contract every batch
-// endpoint shares: only an empty batch or one over -batch-max fails the
+// endpoint shares: only an empty batch or one over batchMax fails the
 // request; everything else fails at most its own slot.
 func (s *Server) admitBatch(w http.ResponseWriter, n int, noun string) bool {
 	if n == 0 {
 		httpkit.WriteError(w, http.StatusBadRequest, "empty %s batch", noun)
 		return false
 	}
-	if n > s.cfg.BatchMax {
+	if n > batchMax {
 		httpkit.WriteError(w, http.StatusBadRequest,
-			"batch of %d %ss exceeds the daemon's limit %d; split the request or raise -batch-max",
-			n, noun, s.cfg.BatchMax)
+			"batch of %d %ss exceeds the daemon's limit %d; split the request",
+			n, noun, batchMax)
 		return false
 	}
 	return true

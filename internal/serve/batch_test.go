@@ -10,8 +10,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
-	"time"
 )
 
 // rawBatchItem decodes one slot of a batch response, keeping the result
@@ -247,9 +247,9 @@ func TestPredictBatchByteIdenticalToSingle(t *testing.T) {
 }
 
 // TestPredictBatchValidation covers the request-level failure modes:
-// malformed body, empty batch, and the -batch-max cap.
+// malformed body, empty batch, and the batchMax cap of 1024.
 func TestPredictBatchValidation(t *testing.T) {
-	srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, BatchMax: 4})
+	srv, err := New(Config{Loader: fixtureLoader(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,16 +262,20 @@ func TestPredictBatchValidation(t *testing.T) {
 	if status, body := postJSON(t, ts.URL+"/v1/predict:batch", map[string]any{"cascades": []int{}}); status != http.StatusBadRequest {
 		t.Fatalf("empty batch = %d %v", status, body)
 	}
-	status, body := postJSON(t, ts.URL+"/v1/predict:batch", map[string]any{"cascades": []int{1, 2, 3, 4, 5}})
+	ids := make([]int, 1025)
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	status, body := postJSON(t, ts.URL+"/v1/predict:batch", map[string]any{"cascades": ids})
 	if status != http.StatusBadRequest {
 		t.Fatalf("over-cap batch = %d %v", status, body)
 	}
-	if msg := body["error"].(string); !bytes.Contains([]byte(msg), []byte("-batch-max")) {
-		t.Fatalf("over-cap error does not name the knob: %q", msg)
+	if msg := body["error"].(string); !strings.Contains(msg, "batch of 1025 cascades exceeds the daemon's limit 1024") {
+		t.Fatalf("over-cap error does not name the limit: %q", msg)
 	}
 	// At the cap is fine (items 404 individually; the request succeeds).
-	if status, body := postJSON(t, ts.URL+"/v1/predict:batch", map[string]any{"cascades": []int{1, 2, 3, 4}}); status != http.StatusOK {
-		t.Fatalf("at-cap batch = %d %v", status, body)
+	if status, _ := postJSON(t, ts.URL+"/v1/predict:batch", map[string]any{"cascades": ids[:1024]}); status != http.StatusOK {
+		t.Fatalf("at-cap batch = %d", status)
 	}
 }
 

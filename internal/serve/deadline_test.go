@@ -18,7 +18,7 @@ import (
 // the deadline tests.
 func newBudgetServer(t *testing.T, timeout time.Duration) (*Server, *httptest.Server) {
 	t.Helper()
-	return startServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, RequestTimeout: timeout})
+	return startServer(t, Config{Loader: fixtureLoader(t), RequestTimeout: timeout})
 }
 
 // stallSeeds replaces srv's seed selection: a call stall approves
@@ -80,7 +80,6 @@ func TestComputeDeadlineErrorNotCached(t *testing.T) {
 func TestIngestDeadlineDuringWALStall(t *testing.T) {
 	srv, ts, disk := newDiskServer(t, Config{
 		Loader:         fixtureLoader(t),
-		CacheTTL:       time.Minute,
 		RequestTimeout: 100 * time.Millisecond,
 		WALDir:         t.TempDir(),
 	})
@@ -110,7 +109,7 @@ func TestIngestDeadlineDuringWALStall(t *testing.T) {
 
 // TestBudgetDisabledByDefault: RequestTimeout 0 installs no deadline.
 func TestBudgetDisabledByDefault(t *testing.T) {
-	srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute})
+	srv, err := New(Config{Loader: fixtureLoader(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

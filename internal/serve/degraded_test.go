@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"viralcast/internal/wal"
 )
@@ -16,7 +15,7 @@ import (
 // read-only, predictions keep serving, /readyz and the metrics gauges
 // report the cause) → supervised recovery via POST /v1/reload.
 func TestReadyzDegradedTransitions(t *testing.T) {
-	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: t.TempDir()})
+	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), WALDir: t.TempDir()})
 
 	// Healthy baseline.
 	code, body := getJSON(t, ts.URL+"/readyz")
@@ -175,7 +174,7 @@ func TestFailedFlushIsRetried(t *testing.T) {
 // restart replays every acknowledged event.
 func TestFailedCreateDegradesUntilReload(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: dir, WALMaxSegment: 256})
+	srv, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), WALDir: dir, walOpts: wal.Options{MaxSegmentBytes: 256}})
 	disk.FailCreate(errors.New("injected: no space for a new segment"))
 	var acked []Event
 	for i := 1; ; i++ {

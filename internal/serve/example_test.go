@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
 	"viralcast"
 	"viralcast/internal/core"
@@ -51,7 +50,7 @@ func Example_serving() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := serve.Config{Loader: loader, CacheTTL: 5 * time.Second, WALDir: filepath.Join(dir, "wal")}
+	cfg := serve.Config{Loader: loader, WALDir: filepath.Join(dir, "wal")}
 	base, stop := start(cfg)
 
 	// Replay the first six reports of a large simulated cascade as a

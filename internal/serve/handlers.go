@@ -42,7 +42,7 @@ func (s *Server) routes() http.Handler {
 	add("GET /v1/seeds", "seeds", classCompute, s.handleSeeds)
 	add("POST /v1/simulate", "simulate", classCompute, s.handleSimulate)
 	// Batched data plane: one admission ticket, one deadline, one
-	// workspace, and one cache probe pass serve up to -batch-max items;
+	// workspace, and one cache probe pass serve up to batchMax (1024) items;
 	// a bad item fails its own slot, never the request.
 	add("POST /v1/predict:batch", "predict_batch", classCompute, predictPipeline.handleBatch(s))
 	add("POST /v1/rate:batch", "rate_batch", classRead, s.handleRateBatch)
@@ -186,14 +186,13 @@ func (s *Server) admit(class string, h http.HandlerFunc) http.HandlerFunc {
 			defer release()
 			h(w, r)
 		case errors.Is(err, errShed):
-			secs := s.admission.retryAfterSeconds()
 			s.metrics.shed.Add(class, 1)
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 			httpkit.WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 				"error":               fmt.Sprintf("overloaded: %s concurrency limit and queue are full", class),
 				"reason":              "overload",
 				"class":               class,
-				"retry_after_seconds": secs,
+				"retry_after_seconds": retryAfterSeconds,
 			})
 		default:
 			s.writeBudgetExhausted(w, err)

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
-	"time"
 	"unsafe"
 
 	"viralcast/internal/cascade"
@@ -183,7 +182,7 @@ func TestMemoUnderShrunkUniverse(t *testing.T) {
 			return full()
 		}
 		return shrunk, nil
-	}, CacheTTL: time.Minute})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

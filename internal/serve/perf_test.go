@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"viralcast/internal/httpkit"
 )
 
 func TestPprofDisabledByDefault(t *testing.T) {
@@ -31,7 +33,6 @@ func TestPprofDisabledByDefault(t *testing.T) {
 func TestPprofEnabledServesProfiles(t *testing.T) {
 	srv, err := New(Config{
 		Loader:      fixtureLoader(t),
-		CacheTTL:    time.Minute,
 		EnablePprof: true,
 		// A tiny compute budget plus zero admission slots would break
 		// the data plane; pprof must be exempt from both.
@@ -60,7 +61,7 @@ func TestPprofEnabledServesProfiles(t *testing.T) {
 // reporting, so the sync.Pool workspaces in the feature-extraction and
 // response-encoding layers stay verifiably effective.
 func BenchmarkPredictRequest(b *testing.B) {
-	srv, err := New(Config{Loader: benchLoader(b), CacheTTL: time.Minute})
+	srv, err := New(Config{Loader: benchLoader(b)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,10 +98,11 @@ func BenchmarkPredictRequest(b *testing.B) {
 // end; with a warm cache this is the pure request-path overhead, the
 // regime a TTL window's worth of traffic actually experiences.
 func BenchmarkInfluencersRequest(b *testing.B) {
-	srv, err := New(Config{Loader: benchLoader(b), CacheTTL: time.Hour})
+	srv, err := New(Config{Loader: benchLoader(b)})
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv.cache = httpkit.NewCache(time.Hour, time.Now) // no expiry mid-benchmark
 	h := srv.Handler()
 	req := httptest.NewRequest("GET", "/v1/influencers?k=10", nil)
 	w := httptest.NewRecorder()
@@ -126,10 +128,11 @@ func BenchmarkInfluencersRequest(b *testing.B) {
 // question pays, the number EXPERIMENTS.md's trials-vs-latency table is
 // anchored on.
 func BenchmarkSimulate(b *testing.B) {
-	srv, err := New(Config{Loader: benchLoader(b), CacheTTL: time.Hour})
+	srv, err := New(Config{Loader: benchLoader(b)})
 	if err != nil {
 		b.Fatal(err)
 	}
+	srv.cache = httpkit.NewCache(time.Hour, time.Now) // no expiry mid-benchmark
 	h := srv.Handler()
 	const spec = `{"seed_sets":[{"name":"a","nodes":[0,1,2]},{"name":"b","nodes":[40,41,42]}],"trials":32,"horizon":2,"seed":%d}`
 	warm := httptest.NewRequest("POST", "/v1/simulate", strings.NewReader(fmt.Sprintf(spec, 0)))
@@ -161,7 +164,7 @@ func BenchmarkSimulate(b *testing.B) {
 // against BenchmarkPredictRequest's ns/op: that ratio is the
 // amortization the batch plane buys.
 func BenchmarkPredictBatch(b *testing.B) {
-	srv, err := New(Config{Loader: benchLoader(b), CacheTTL: time.Minute})
+	srv, err := New(Config{Loader: benchLoader(b)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"viralcast/internal/repl"
+	"viralcast/internal/wal"
 	"viralcast/internal/wal/waltest"
 )
 
@@ -27,7 +28,6 @@ func newFollowerServer(t *testing.T, primaryURL, dir string) (*Server, *httptest
 	t.Helper()
 	srv, err := New(Config{
 		Loader:         fixtureLoader(t),
-		CacheTTL:       time.Minute,
 		WALDir:         dir,
 		FollowURL:      primaryURL,
 		ReplBackoffMin: time.Millisecond,
@@ -441,7 +441,7 @@ func TestReplKillPromote(t *testing.T) {
 	// Control: a fresh server fed exactly the acked prefix, with its
 	// fencing epoch advanced to match the promoted node's so the
 	// prediction bodies (which carry the epoch) stay byte-comparable.
-	ctrl, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: t.TempDir()})
+	ctrl, err := New(Config{Loader: fixtureLoader(t), WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestReplKillPromote(t *testing.T) {
 // durability.
 func runReplKillChild(t *testing.T, dir string, kill int) {
 	var disk waltest.Disk
-	srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: filepath.Join(dir, "wal"), WALWrapFile: disk.Wrap})
+	srv, err := New(Config{Loader: fixtureLoader(t), WALDir: filepath.Join(dir, "wal"), walOpts: wal.Options{WrapFile: disk.Wrap}})
 	if err != nil {
 		t.Fatalf("child: %v", err)
 	}
@@ -524,7 +524,7 @@ func BenchmarkReplicatedIngest(b *testing.B) {
 }
 
 func benchReplicatedIngest(b *testing.B, followers int) {
-	srv, err := New(Config{Loader: fixtureLoader(b), CacheTTL: time.Minute, WALDir: b.TempDir()})
+	srv, err := New(Config{Loader: fixtureLoader(b), WALDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -536,7 +536,6 @@ func benchReplicatedIngest(b *testing.B, followers int) {
 	if followers > 0 {
 		fsrv, err = New(Config{
 			Loader:         fixtureLoader(b),
-			CacheTTL:       time.Minute,
 			WALDir:         b.TempDir(),
 			FollowURL:      ts.URL,
 			ReplBackoffMin: time.Millisecond,

@@ -32,14 +32,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"slices"
 	"sync/atomic"
 	"time"
 
 	"viralcast/internal/cascade"
 	"viralcast/internal/core"
-	"viralcast/internal/durable"
 	"viralcast/internal/httpkit"
 	"viralcast/internal/repl"
 	"viralcast/internal/wal"
@@ -50,9 +48,6 @@ import (
 type Config struct {
 	// Loader produces the initial model and every reloaded generation.
 	Loader Loader
-	// CacheTTL bounds staleness of the cached expensive endpoints
-	// (influencers, seeds, simulate; predictions read no TTL). Default 5s.
-	CacheTTL time.Duration
 	// FlushEvery is the cadence of the background pass that refits the
 	// model over the loaded corpus and the live cascades (System.Update)
 	// and swaps the refit in; a pass with no event since the last one,
@@ -69,13 +64,6 @@ type Config struct {
 	// nothing acknowledged. Empty disables the WAL: live cascades are
 	// memory-only.
 	WALDir string
-	// WALMaxSegment rotates WAL segments above this size. 0 uses the
-	// wal package default (64 MiB).
-	WALMaxSegment int64
-	// WALWrapFile wraps each WAL segment file the daemon creates
-	// (wal.Options.WrapFile); nil writes the files directly. Tests
-	// stand a failing or stalling disk in with it.
-	WALWrapFile func(*os.File) durable.File
 	// FollowURL makes this daemon a replication follower of the primary
 	// at that base URL (e.g. "http://primary:8080"): instead of opening
 	// the WAL for writes, it streams the primary's WAL segments, from
@@ -99,7 +87,7 @@ type Config struct {
 	// exempt — a retrain legitimately outlives any request budget.
 	// 0 disables the deadline.
 	RequestTimeout time.Duration
-	// Admission bounds per-route-class concurrency; see
+	// Admission bounds the compute class's concurrency; see
 	// AdmissionConfig. The zero value enables generous defaults.
 	Admission AdmissionConfig
 	// ShardID/RingSize make this daemon one member of a sharded fleet
@@ -117,36 +105,41 @@ type Config struct {
 	// treats those as replicated rather than partitioned work.
 	ShardID  int
 	RingSize int
-	// SimulateMaxTrials caps the total Monte Carlo trials (trials ×
-	// seed sets) one POST /v1/simulate request may ask for; bigger
-	// requests answer 400 with the cap so clients can split or shrink
-	// the question. Default 4096.
-	SimulateMaxTrials int
-	// BatchMax caps how many items one batched data-plane request
-	// (POST /v1/predict:batch, /v1/rate:batch, /v1/features:batch) may
-	// carry; bigger batches answer 400 with the cap so clients split
-	// instead of monopolizing an admission slot. One batch request holds
-	// one compute ticket however many items it carries — the cap is what
-	// keeps that amortization from turning into starvation. Default 1024.
-	BatchMax int
 	// EnablePprof exposes net/http/pprof under /debug/pprof/ on the
 	// control plane — ungated by admission control and request budgets
 	// (like /metrics), so a live daemon can be profiled even while it is
 	// shedding load. Off by default: profiles expose internals and cost
 	// CPU, so production exposure is an explicit decision.
 	EnablePprof bool
-	// ReadHeaderTimeout bounds how long a connection may dribble its
-	// request headers (slowloris guard). Default 5s; < 0 disables.
-	ReadHeaderTimeout time.Duration
-	// ReadTimeout bounds reading an entire request including the body.
-	// Default 30s; < 0 disables.
-	ReadTimeout time.Duration
-	// IdleTimeout bounds how long a keep-alive connection may sit idle.
-	// Default 2m; < 0 disables.
-	IdleTimeout time.Duration
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
+
+	// walOpts is the test seam under the write-ahead log: a fake disk
+	// (WrapFile) or a small segment size (MaxSegmentBytes). The zero
+	// value is the production log: files written directly, 64 MiB
+	// segments.
+	walOpts wal.Options
 }
+
+// The daemon's tuning constants.
+const (
+	// cacheTTL paces the sweep of the cached expensive endpoints
+	// (influencers, seeds, simulate). Every cached key embeds the model
+	// generation, so a reload or flush invalidates them regardless.
+	cacheTTL = 5 * time.Second
+	// batchMax caps how many items one batched data-plane request
+	// (POST /v1/predict:batch, /v1/rate:batch, /v1/features:batch) may
+	// carry; bigger batches answer 400 naming the cap so clients split
+	// instead of monopolizing an admission slot. One batch request holds
+	// one compute ticket however many items it carries — the cap is what
+	// keeps that amortization from turning into starvation.
+	batchMax = 1024
+	// simulateMaxTrials caps the total Monte Carlo trials (trials × seed
+	// sets) one POST /v1/simulate request may ask for; bigger requests
+	// answer 400 naming the cap so clients can split or shrink the
+	// question.
+	simulateMaxTrials = 4096
+)
 
 // model is one immutable serving generation; the Server's atomic pointer
 // swaps between these. absorbed is the store's change count its refit
@@ -207,6 +200,9 @@ type Server struct {
 	// fail a refit or stall a selection.
 	update      func(*core.System, []*cascade.Cascade) error
 	selectSeeds func(*core.System, context.Context, int, float64) ([]core.Seed, error)
+	// newHTTPServer builds the http.Server Serve runs the handler on:
+	// httpkit.NewServer, which tests replace to shorten its timeouts.
+	newHTTPServer func(http.Handler) *http.Server
 
 	ln      net.Listener
 	handler http.Handler
@@ -218,17 +214,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Loader == nil {
 		return nil, fmt.Errorf("serve: Config.Loader is required")
 	}
-	if cfg.CacheTTL <= 0 {
-		cfg.CacheTTL = 5 * time.Second
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
-	}
-	if cfg.SimulateMaxTrials <= 0 {
-		cfg.SimulateMaxTrials = 4096
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 1024
 	}
 	if cfg.RingSize < 0 {
 		return nil, fmt.Errorf("serve: Config.RingSize must be >= 0, got %d", cfg.RingSize)
@@ -236,23 +223,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RingSize > 0 && (cfg.ShardID < 0 || cfg.ShardID >= cfg.RingSize) {
 		return nil, fmt.Errorf("serve: Config.ShardID %d outside ring [0, %d)", cfg.ShardID, cfg.RingSize)
 	}
-	// Slowloris guards: a connection that cannot produce its headers or
-	// body promptly is an attack or a casualty — either way not worth a
-	// goroutine. Negative disables (tests that intentionally dribble).
-	cfg.ReadHeaderTimeout = defaultTimeout(cfg.ReadHeaderTimeout, 5*time.Second)
-	cfg.ReadTimeout = defaultTimeout(cfg.ReadTimeout, 30*time.Second)
-	cfg.IdleTimeout = defaultTimeout(cfg.IdleTimeout, 2*time.Minute)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Server{
-		cfg:         cfg,
-		store:       NewStore(),
-		cache:       httpkit.NewCache(cfg.CacheTTL, time.Now),
-		admission:   newAdmission(cfg.Admission),
-		reloadCh:    make(chan struct{}, 1),
-		update:      (*core.System).Update,
-		selectSeeds: (*core.System).SelectSeedsCtx,
+		cfg:           cfg,
+		store:         NewStore(),
+		cache:         httpkit.NewCache(cacheTTL, time.Now),
+		admission:     newAdmission(cfg.Admission),
+		reloadCh:      make(chan struct{}, 1),
+		update:        (*core.System).Update,
+		selectSeeds:   (*core.System).SelectSeedsCtx,
+		newHTTPServer: httpkit.NewServer,
 	}
 	switch {
 	case cfg.FollowURL != "":
@@ -455,18 +437,6 @@ func (s *Server) Promote(epoch uint64) (promoted bool, err error) {
 // validated against the model that was live when they were acknowledged.
 const maxInt = int(^uint(0) >> 1)
 
-// defaultTimeout resolves the zero/negative convention: 0 takes the
-// default, negative disables (returns 0 for net/http).
-func defaultTimeout(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // openWAL opens (or reopens) the configured WAL directory, replaying
 // every intact record back into the store. Replay is idempotent —
 // compaction snapshots overlap post-snapshot appends, and the SI
@@ -477,11 +447,9 @@ func defaultTimeout(v, def time.Duration) time.Duration {
 // reopening over a poisoned log replays everything already applied
 // into the live store and the duplicate guard absorbs it all.
 func (s *Server) openWAL() (*wal.Log, error) {
-	return wal.Open(s.cfg.WALDir, wal.Options{
-		MaxSegmentBytes: s.cfg.WALMaxSegment,
-		Logf:            s.cfg.Logf,
-		WrapFile:        s.cfg.WALWrapFile,
-	}, func(ev Event) error {
+	opts := s.cfg.walOpts
+	opts.Logf = s.cfg.Logf
+	return wal.Open(s.cfg.WALDir, opts, func(ev Event) error {
 		if _, err := s.store.Append(ev, maxInt); err != nil {
 			s.walSkipped.Add(1)
 			return nil
@@ -706,36 +674,23 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 }
 
 // Serve runs the daemon on the listener from Listen until ctx is
-// canceled, then drains gracefully: the listener closes, in-flight
-// requests get up to DrainTimeout to finish, and a final Flush absorbs
-// what the live cascades learned. Returns nil on a clean drain.
+// canceled (or the listener fails), then drains gracefully: the
+// listener closes, in-flight requests get up to DrainTimeout to finish,
+// the periodic flush stops, and a final Flush absorbs what the live
+// cascades learned before the WAL closes. Returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context) error {
 	if s.ln == nil {
 		return fmt.Errorf("serve: Serve called before Listen")
 	}
-	hs := &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
-		ReadTimeout:       s.cfg.ReadTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(s.ln) }()
-
+	flushCtx, stopFlush := context.WithCancel(ctx)
 	var flushDone chan struct{}
 	if s.cfg.FlushEvery > 0 {
 		flushDone = make(chan struct{})
-		go s.flushLoop(ctx, flushDone)
+		go s.flushLoop(flushCtx, flushDone)
 	}
 
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	err := hs.Shutdown(drainCtx)
+	err := httpkit.Serve(ctx, s.newHTTPServer(s.handler), s.ln, s.cfg.DrainTimeout)
+	stopFlush()
 	if flushDone != nil {
 		<-flushDone
 	}
@@ -745,8 +700,8 @@ func (s *Server) Serve(ctx context.Context) error {
 	if cerr := s.Close(); cerr != nil {
 		s.cfg.Logf("serve: closing WAL: %v", cerr)
 	}
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("serve: shutdown: %w", err)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	s.cfg.Logf("serve: drained")
 	return nil

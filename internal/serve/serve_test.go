@@ -71,7 +71,7 @@ func fixtureLoader(t testing.TB) Loader {
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute})
+	srv, err := New(Config{Loader: fixtureLoader(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"viralcast/internal/core"
 )
@@ -19,7 +18,6 @@ func newShardServer(t *testing.T, shardID, ringSize int) (*Server, *httptest.Ser
 	t.Helper()
 	srv, err := New(Config{
 		Loader:   fixtureLoader(t),
-		CacheTTL: time.Minute,
 		ShardID:  shardID,
 		RingSize: ringSize,
 	})

@@ -51,10 +51,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		httpkit.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if total := norm.Trials * len(norm.SeedSets); total > s.cfg.SimulateMaxTrials {
+	if total := norm.Trials * len(norm.SeedSets); total > simulateMaxTrials {
 		httpkit.WriteError(w, http.StatusBadRequest,
 			"%d total trials (%d trials x %d seed sets) exceeds the daemon's limit %d; lower trials or split the request",
-			total, norm.Trials, len(norm.SeedSets), s.cfg.SimulateMaxTrials)
+			total, norm.Trials, len(norm.SeedSets), simulateMaxTrials)
 		return
 	}
 	key := "simulate:" + norm.Hash() + ":gen=" + strconv.FormatUint(cur.gen, 10)

@@ -41,7 +41,7 @@ func TestSimulateDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	var bodies []string
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
-		srv, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute})
+		srv, err := New(Config{Loader: fixtureLoader(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,21 +142,20 @@ func TestSimulateCachesByGenerationAndSpec(t *testing.T) {
 }
 
 // TestSimulateDeadlineNeverCached drives a batch large enough that the
-// tiny request budget fires between trials: the response must be the
-// machine-readable deadline 503, and the error must not poison the
-// cache — a retry recomputes rather than replaying the failure.
+// tiny request budget fires between trials, at the daemon's cap of 4096
+// trials: the response must be the machine-readable deadline 503, and
+// the error must not poison the cache — a retry recomputes rather than
+// replaying the failure.
 func TestSimulateDeadlineNeverCached(t *testing.T) {
 	srv, err := New(Config{
-		Loader:            fixtureLoader(t),
-		CacheTTL:          time.Minute,
-		RequestTimeout:    time.Millisecond,
-		SimulateMaxTrials: 100000,
+		Loader:         fixtureLoader(t),
+		RequestTimeout: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	big := `{"seed_sets":[{"nodes":[0]},{"nodes":[1]}],"trials":40000,"horizon":4,"seed":9}`
+	big := `{"seed_sets":[{"nodes":[0]},{"nodes":[1]}],"trials":2048,"horizon":4,"seed":9}`
 	for attempt := 0; attempt < 2; attempt++ {
 		w := postSimulate(t, h, big)
 		if w.Code != http.StatusServiceUnavailable {
@@ -182,7 +181,6 @@ func TestSimulateDeadlineNeverCached(t *testing.T) {
 func TestSimulateShedsUnderAdmissionPressure(t *testing.T) {
 	srv, err := New(Config{
 		Loader:    fixtureLoader(t),
-		CacheTTL:  time.Minute,
 		Admission: AdmissionConfig{Compute: ClassLimit{MaxInflight: 1, MaxQueue: -1}},
 	})
 	if err != nil {

@@ -4,25 +4,33 @@ import (
 	"context"
 	"io"
 	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"viralcast/internal/httpkit"
 )
 
 // TestSlowClientHeaderTimeout: a slowloris-style client that dribbles
 // its request headers one byte at a time gets its connection closed by
 // ReadHeaderTimeout instead of pinning a server goroutine. This drives
 // the real Listen/Serve path (httptest servers don't apply the
-// http.Server timeouts under test here).
+// http.Server timeouts under test here), with the header timeout of
+// the daemon's server cut from 5s to 100ms through its newHTTPServer
+// seam.
 func TestSlowClientHeaderTimeout(t *testing.T) {
 	srv, err := New(Config{
-		Loader:            fixtureLoader(t),
-		CacheTTL:          time.Minute,
-		ReadHeaderTimeout: 100 * time.Millisecond,
-		DrainTimeout:      time.Second,
+		Loader:       fixtureLoader(t),
+		DrainTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	srv.newHTTPServer = func(h http.Handler) *http.Server {
+		hs := httpkit.NewServer(h)
+		hs.ReadHeaderTimeout = 100 * time.Millisecond
+		return hs
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"viralcast/internal/httpkit"
 	"viralcast/internal/xrand"
 )
 
@@ -51,14 +52,16 @@ func TestChaosSoak(t *testing.T) {
 
 	srv, ts, disk := newDiskServer(t, Config{
 		Loader:         flaky,
-		CacheTTL:       50 * time.Millisecond,
 		RequestTimeout: requestTimeout,
 		WALDir:         t.TempDir(),
 		Admission: AdmissionConfig{
 			Compute: ClassLimit{MaxInflight: 2, MaxQueue: 2},
-			Ingest:  ClassLimit{MaxInflight: 4, MaxQueue: 4},
 		},
 	})
+	tightenClass(srv, classIngest, ClassLimit{MaxInflight: 4, MaxQueue: 4})
+	// A 50ms TTL: repeated questions keep reaching the compute paths,
+	// and their stalls, instead of the cache.
+	srv.cache = httpkit.NewCache(50*time.Millisecond, time.Now)
 
 	// A seeded ~30% of seed selections stall until their budget runs
 	// out; the others squeak through.

@@ -10,7 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"testing"
-	"time"
 
 	"viralcast/internal/wal"
 	"viralcast/internal/wal/waltest"
@@ -19,7 +18,7 @@ import (
 // newWALServer builds a Server with durable ingestion on dir.
 func newWALServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	t.Helper()
-	return startServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: dir})
+	return startServer(t, Config{Loader: fixtureLoader(t), WALDir: dir})
 }
 
 // newDiskServer is startServer with the WAL's segment files behind a
@@ -27,7 +26,7 @@ func newWALServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 func newDiskServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *waltest.Disk) {
 	t.Helper()
 	disk := new(waltest.Disk)
-	cfg.WALWrapFile = disk.Wrap
+	cfg.walOpts.WrapFile = disk.Wrap
 	srv, ts := startServer(t, cfg)
 	return srv, ts, disk
 }
@@ -139,7 +138,7 @@ func TestWALFlushCompaction(t *testing.T) {
 // ingest response must be an error — the client was not acknowledged,
 // so losing those events in a crash is correct behavior.
 func TestWALAppendFailureNotAcknowledged(t *testing.T) {
-	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: t.TempDir()})
+	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), WALDir: t.TempDir()})
 	disk.FailSync(1, fmt.Errorf("injected fsync failure"))
 	if code := postEvent(t, ts.URL, 99, 1, 0.1); code != http.StatusInternalServerError {
 		t.Fatalf("ingest during WAL failure returned %d, want 500", code)
@@ -191,7 +190,7 @@ func TestWALKillRecover(t *testing.T) {
 	// Restart on the crashed directory.
 	srv, ts := newWALServer(t, dir)
 	// Control: a WAL-less server fed exactly the acknowledged events.
-	ctrl, err := New(Config{Loader: fixtureLoader(t), CacheTTL: time.Minute})
+	ctrl, err := New(Config{Loader: fixtureLoader(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func killRecoverEvents(n int) []Event {
 // immediately after the kill-th commit becomes durable, and streams
 // events until the process dies mid-request.
 func runKillRecoverChild(t *testing.T, dir string, kill int) {
-	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), CacheTTL: time.Minute, WALDir: dir})
+	_, ts, disk := newDiskServer(t, Config{Loader: fixtureLoader(t), WALDir: dir})
 	// One event per request and fsync-paced commits mean commit k ==
 	// event k == the k-th fsync from here. Dying right after the kill-th
 	// fsync leaves exactly `kill` events durable; the last of them was

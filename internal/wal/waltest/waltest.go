@@ -20,8 +20,9 @@ const (
 type fault func(f *os.File, p []byte) (int, error)
 
 // Disk hands a log its segment files through Wrap, which is the value
-// of wal.Options.WrapFile (or serve.Config.WALWrapFile, or a
-// replication follower's file seam), and passes their Write, Sync and
+// of wal.Options.WrapFile (in a daemon, through serve's unexported
+// walOpts seam; in a replication follower, through its file seam), and
+// passes their Write, Sync and
 // Close to the real file until an armed fault fires. A fault is armed for the n-th call from now (n = 1 is the
 // next), counted across every file the disk wrapped, and fires once.
 // The zero value never fails. Safe for concurrent use.

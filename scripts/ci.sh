@@ -84,6 +84,17 @@ for procs in 1 8; do
     ./internal/wal/ ./internal/repl/ ./internal/serve/
 done
 
+# The daemon and the router serve HTTP through one server shell
+# (httpkit.NewServer + httpkit.Serve), which cuts off a client that
+# dribbles its header or its body; the router reads a follower only after
+# its primary has failed, never racing a slow one.
+echo "== server shell timeouts and the one follower-read path (-race, GOMAXPROCS 1 and 8)"
+for procs in 1 8; do
+  GOMAXPROCS=$procs go test -race -count=1 \
+    -run '^(TestServerCutsOffDribblingClients|TestSlowClientHeaderTimeout|TestFollowerRetryServesReads)$' \
+    ./internal/httpkit/ ./internal/serve/ ./internal/router/
+done
+
 # The README's walkthrough is the Example functions (the library's in
 # the root package, the daemon's in internal/serve). Each checks its
 # printed output, which must not depend on the worker count; nor may the
